@@ -4,6 +4,11 @@ A per-graph :class:`GraphContext` caches the Green matrix (inverse reduced
 Laplacian) so that all pairwise resistances, voltage values and per-edge
 deletion resistances come out of a single factorization. The cache is safe for
 concurrent readers: the matrix is computed once under a lock and never mutated.
+
+The per-edge deletion profiles (:class:`EdgeProfile`, :func:`edge_profile`)
+are the paper's deletion route. tau and its relatives in ``mgt.tau`` do not
+use them; they serve the arm and deleted-resistance identities and are the
+oracle that checks the Green-matrix sums.
 """
 
 from __future__ import annotations
@@ -63,10 +68,13 @@ class GraphContext:
                     self._den = den
                     self._num = num
 
-    @property
-    def green(self) -> list[list[Fraction]]:
+    def green_int(self) -> tuple[list[list[int]], int]:
+        """The Green matrix as (N, d): integer numerators over one denominator.
+
+        Shared by every reader of this context; callers must not mutate N.
+        """
         self._ensure_green()
-        return [[Fraction(x, self._den) for x in row] for row in self._num]
+        return self._num, self._den
 
     def r(self, y: int, z: int) -> Fraction:
         self._ensure_green()

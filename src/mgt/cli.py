@@ -11,7 +11,7 @@ from fractions import Fraction
 from . import fileio
 from .circuit import resistance, voltage
 from .errors import InputError, MgtError
-from .graph import MetrizedGraph, PointOnGraph, normalize, subdivide_uniform
+from .graph import MetrizedGraph, PointOnGraph, check_vertices, normalize, subdivide_uniform
 from .integration import apq_direct
 from .optimize import family_scan, minimize_tau, scan_violations
 from .ops import (
@@ -187,6 +187,7 @@ def _run_voltage(args) -> int:
 
 def _run_apq(args) -> int:
     g = _load(args.file)
+    check_vertices(g, args.p, args.q)
     if args.method == "direct":
         value = apq_direct(g, args.p, args.q)
     elif args.method == "identity":

@@ -37,6 +37,10 @@ class BadN(MgtError):
     pass
 
 
+class UnknownIdentity(MgtError):
+    """An identity id that is not in the suite catalog."""
+
+
 class PatternMismatch(MgtError):
     pass
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .errors import BadM
 from .graph import Edge, MetrizedGraph, build_graph
 from .rational import Scalar
 
@@ -30,6 +31,8 @@ def banana(*lengths: Scalar) -> MetrizedGraph:
 
 
 def equal_banana(m: int, total: Scalar = 1) -> MetrizedGraph:
+    if m < 1:
+        raise BadM(f"a banana needs m >= 1 edges, got {m}")
     total = Fraction(total)
     return banana(*([total / m] * m))
 
@@ -103,11 +106,6 @@ def necklace_tau(a: Scalar, b: Scalar, t: int) -> Fraction:
     a = Fraction(a)
     b = Fraction(b)
     return t * (a + 2 * b) / 12 + b * b / (8 * (a + b))
-
-
-def wedge_of_circles(m: int, total: Scalar = 1) -> MetrizedGraph:
-    total = Fraction(total)
-    return build_graph(1, [(0, 0, total / m) for _ in range(m)])
 
 
 def random_length(rng: random.Random, max_num: int = 16, max_den: int = 16) -> Fraction:

@@ -124,6 +124,13 @@ def normalize(g: MetrizedGraph) -> MetrizedGraph:
     return scale(g, 1 / total_length(g))
 
 
+def check_vertices(g: MetrizedGraph, *vertices: int) -> None:
+    """Raise BadVertexId unless every argument is a vertex id of g."""
+    for v in vertices:
+        if not isinstance(v, int) or not 0 <= v < g.vcount:
+            raise BadVertexId(f"vertex {v} out of range 0..{g.vcount - 1}")
+
+
 def normalize_point(g: MetrizedGraph, x: PointOnGraph) -> PointOnGraph:
     """Canonical form of a point: endpoint offsets collapse to the vertex itself."""
     if isinstance(x, int):
@@ -253,8 +260,3 @@ def bridges(g: MetrizedGraph) -> list[int]:
                 if low[child] > disc[parent]:
                     result.append(entry_edge)
     return sorted(result)
-
-
-def point_location(g: MetrizedGraph, x: PointOnGraph) -> str:
-    x = normalize_point(g, x)
-    return f"v{x}" if isinstance(x, int) else f"e{x[0]}@{x[1]}"

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import families
 from .circuit import context
-from .errors import MgtError, NotBridgeless, SamePoint
+from .errors import BadN, MgtError, NotBridgeless, SamePoint
 from .graph import MetrizedGraph, bridges, normalize, subdivide_uniform, total_length
 from .ops import contract_edge, immerse, parallel_sum, OpResult
 from .tau import apq_identity, tau_gradient, tau_of
@@ -277,6 +277,8 @@ def family_scan(family: str, params: dict | None = None) -> list[ScanRow]:
     rows: list[ScanRow] = []
     if family == "complete":
         for v in params.get("v", range(2, 13)):
+            if v < 2:
+                raise BadN(f"the complete-graph closed form needs v >= 2, got {v}")
             g = families.complete(v)
             closed = (Fraction(1, 12) * (1 - Fraction(2, v)) ** 2 + Fraction(2, v**3))
             _scan_assert(closed, g, f"v={v}")
@@ -292,6 +294,8 @@ def family_scan(family: str, params: dict | None = None) -> list[ScanRow]:
         grid_t = params.get("t", (2, 3, 4))
         check = params.get("check_limit", 4)
         for t in grid_t:
+            if t < 1:
+                raise BadN(f"a necklace needs t >= 1 diamonds, got {t}")
             for a in grid_a:
                 a = Fraction(a)
                 b = (1 - a * t) / (5 * t)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import families
-from .circuit import context
-from .errors import MgtError
+from .circuit import EdgeProfile, context
+from .errors import BadN, MgtError, UnknownIdentity
 from .graph import MetrizedGraph, bridges, genus, insert_point, normalize, scale, subdivide_uniform, total_length
 from .integration import (
     TAG_J_BASE_P,
@@ -52,9 +52,6 @@ from .tau import (
     tau_bridgeless_identity,
     tau_edge_sum,
     tau_of,
-    weighted_arm_diff_sq,
-    weighted_res,
-    weighted_res_sq,
 )
 
 MAX_BUILT_EDGES = 72
@@ -135,6 +132,34 @@ def _le(lhs, rhs, tag=""):
     return _pass(lhs, rhs) if lhs <= rhs else _fail(lhs, rhs, tag)
 
 
+# Per-edge weights from the deletion profiles, for the identities about arms
+# and deleted resistances; tau itself never goes through them.
+
+
+def _weighted_arm_diff_sq(profile: EdgeProfile) -> Fraction:
+    """L (arm_a - arm_b)^2 / (L+R)^2, with limit L across a bridge."""
+    if profile.bridge:
+        return profile.length
+    diff = profile.arm_a - profile.arm_b
+    denom = profile.length + profile.res_deleted
+    return profile.length * diff * diff / (denom * denom)
+
+
+def _weighted_res_sq(profile: EdgeProfile) -> Fraction:
+    """L R^2 / (L+R)^2, with limit L across a bridge."""
+    if profile.bridge:
+        return profile.length
+    ratio = profile.res_deleted / (profile.length + profile.res_deleted)
+    return profile.length * ratio * ratio
+
+
+def _weighted_res(profile: EdgeProfile) -> Fraction:
+    """L R / (L+R), with limit L across a bridge."""
+    if profile.bridge:
+        return profile.length
+    return profile.length * profile.res_deleted / (profile.length + profile.res_deleted)
+
+
 # ---------------------------------------------------------------------------
 # individual checks
 # ---------------------------------------------------------------------------
@@ -186,13 +211,13 @@ def _check_lem2term(ctx: SuiteContext):
     cx = context(g)
     v = g.vcount
     base_profiles = {p: cx.edge_profiles(p) for p in range(v)}
-    lhs = sum(weighted_arm_diff_sq(pr) for pr in base_profiles[0])
-    rhs = Fraction(2, v) * sum(weighted_res_sq(pr) for pr in base_profiles[0])
+    lhs = sum(_weighted_arm_diff_sq(pr) for pr in base_profiles[0])
+    rhs = Fraction(2, v) * sum(_weighted_res_sq(pr) for pr in base_profiles[0])
     for p in range(v):
         for pr in base_profiles[p]:
             a, b, _ = g.edges[pr.edge]
             if p not in (a, b):
-                rhs += Fraction(1, v) * weighted_arm_diff_sq(pr)
+                rhs += Fraction(1, v) * _weighted_arm_diff_sq(pr)
     return _eq(lhs, rhs)
 
 
@@ -200,7 +225,7 @@ def _check_rem2term(ctx: SuiteContext):
     g = ctx.g
     cx = context(g)
     values = {
-        p: sum(weighted_arm_diff_sq(pr) for pr in cx.edge_profiles(p))
+        p: sum(_weighted_arm_diff_sq(pr) for pr in cx.edge_profiles(p))
         for p in range(g.vcount)
     }
     first = values[0]
@@ -345,8 +370,8 @@ def _check_deleted_sum_bound(ctx: SuiteContext):
 def _check_weighted_res_inequality(ctx: SuiteContext):
     gn = normalize(ctx.g)
     profiles = context(gn).edge_profiles(0)
-    lhs = sum(weighted_res_sq(pr) for pr in profiles)
-    rhs = sum(weighted_res(pr) for pr in profiles) ** 2
+    lhs = sum(_weighted_res_sq(pr) for pr in profiles)
+    rhs = sum(_weighted_res(pr) for pr in profiles) ** 2
     return _le(rhs, lhs)
 
 
@@ -380,9 +405,9 @@ def _check_subdivision_transfer(ctx: SuiteContext):
     pairs = [
         ("square sum", parallel_sum(gm), parallel_sum(g) / m),
         ("cubic sum", cubic_sum(gm), cubic_sum(g) / (m * m)),
-        ("product sum", sum(weighted_res(pr) for pr in profiles),
+        ("product sum", sum(_weighted_res(pr) for pr in profiles),
          Fraction(m - 1, m) * total_length(g)
-         + sum(weighted_res(pr) for pr in context(g).edge_profiles(0)) / m),
+         + sum(_weighted_res(pr) for pr in context(g).edge_profiles(0)) / m),
     ]
     return _all_eq(pairs)
 
@@ -1002,6 +1027,8 @@ class GraphGenerator:
 
 def run_suite(gen: GraphGenerator, count: int, identities: list[str] | None = None) -> list[CheckResult]:
     """Run the catalog over generated graphs; failures are results, not errors."""
+    if count < 1:
+        raise BadN(f"graph count must be >= 1, got {count}")
     wanted = set(identities) if identities else None
     results: list[CheckResult] = []
     for index, (descriptor, g) in enumerate(gen.graphs(count)):
@@ -1013,6 +1040,10 @@ def run_suite(gen: GraphGenerator, count: int, identities: list[str] | None = No
 
 def run_graph_checks(descriptor: str, g: MetrizedGraph, rng: random.Random,
                      wanted: set[str] | None = None) -> list[CheckResult]:
+    if wanted is not None:
+        unknown = sorted(wanted - {entry[0] for entry in CHECKS})
+        if unknown:
+            raise UnknownIdentity(f"unknown identity id(s): {', '.join(unknown)}")
     results = []
     for cid, _desc, _anchor, fn in CHECKS:
         if wanted is not None and cid not in wanted:

@@ -1,19 +1,34 @@
-"""The tau invariant, canonical measure, the voltage integral A, and bounds.
+"""tau, the canonical measure, the bound suite and the exact gradient.
 
-tau is computed as an exact per-edge rational sum from edge profiles; bridges
-contribute length/4 (the limit of the summand as the deleted resistance grows
-without bound) and self-loops length/12.
+All of them are closed-form per-edge sums over the one integer Green matrix
+of a graph (numerators N over a determinant d, see ``GraphContext.green_int``).
+For an edge e = (a, b) of length L, with r = r(a,b) and D = r(p,b) - r(p,a)
+for a base vertex p:
+
+* tau = 1/4 sum_e [D^2/L + (L - r)^2/(3L)], for every base p;
+* the deleted resistance is R = L r/(L - r), so 1/(L+R) = (L - r)/L^2 and
+  R/(L+R) = r/L; a bridge has r = L (R infinite), a self-loop r = 0;
+* d r(y,z)/d L_e = i_e(y,z)^2 (Rayleigh), where i_e(y,z) is the current
+  through e for a unit current from y to z; the chain rule through the tau
+  sum gives the gradient with no further solve.
+
+Sums are accumulated in integers over a common denominator and reduced once.
+The paper's deletion route (per-edge deletion profiles, A of the deleted
+graph) survives only where it is the identity being checked:
+``tau_bridgeless_identity`` here, the contraction formula in ``ops`` and the
+arm and deleted-resistance identities of the suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .circuit import EdgeProfile, context
+from .circuit import context
 from .errors import HasBridge, SamePoint
-from .graph import MetrizedGraph, bridges, genus, normalize, total_length
-from .rational import ExtScalar, Scalar
+from .graph import MetrizedGraph, bridges, check_vertices, genus, normalize, total_length
+from .rational import INF, ExtScalar
 
 
 @dataclass(frozen=True)
@@ -43,60 +58,59 @@ class GradientVector:
     bridge_edges: tuple[int, ...]  # edges reported with the tree-like derivative 1/4
 
 
-def edge_tau_contribution(profile: EdgeProfile) -> Fraction:
-    """One edge's share of tau: (L^3 + 3L(arm_a - arm_b)^2) / (12 (L+R)^2)."""
-    length = profile.length
-    if profile.bridge:
-        return length / 4
-    diff = profile.arm_a - profile.arm_b
-    denom = length + profile.res_deleted
-    return (length**3 + 3 * length * diff * diff) / (12 * denom * denom)
+def _edge_terms(g: MetrizedGraph, base: int = 0) -> tuple[int, list[tuple[int, ...]]]:
+    """(d, rows): one integer row (ln, ld, rn, gap, dn) per edge, from N/d.
+
+    L = ln/ld, r(a,b) = rn/d, L - r(a,b) = gap/(ld d) and
+    r(base,b) - r(base,a) = dn/d. gap is zero exactly on bridges.
+    """
+    num, den = context(g).green_int()
+    row_p = num[base]
+    rows = []
+    for a, b, length in g.edges:
+        ln, ld = length.numerator, length.denominator
+        naa, nbb = num[a][a], num[b][b]
+        rn = naa + nbb - 2 * num[a][b]
+        dn = nbb - naa - 2 * (row_p[b] - row_p[a])
+        rows.append((ln, ld, rn, ln * den - rn * ld, dn))
+    return den, rows
 
 
-def weighted_arm_diff_sq(profile: EdgeProfile) -> Fraction:
-    """L (arm_a - arm_b)^2 / (L+R)^2, with limit L across a bridge."""
-    if profile.bridge:
-        return profile.length
-    diff = profile.arm_a - profile.arm_b
-    denom = profile.length + profile.res_deleted
-    return profile.length * diff * diff / (denom * denom)
+def _over(pairs: list[tuple[int, int]], common: int) -> Fraction:
+    """(sum of n/m over the (n, m) pairs) / common, reduced once.
+
+    The m are small (built from length numerators and denominators); the
+    large shared factor, a power of the Green denominator, is ``common``.
+    """
+    m = lcm(*(q for _, q in pairs))
+    return Fraction(sum(n * (m // q) for n, q in pairs), common * m)
 
 
-def weighted_res_sq(profile: EdgeProfile) -> Fraction:
-    """L R^2 / (L+R)^2, with limit L across a bridge."""
-    if profile.bridge:
-        return profile.length
-    ratio = profile.res_deleted / (profile.length + profile.res_deleted)
-    return profile.length * ratio * ratio
-
-
-def weighted_res(profile: EdgeProfile) -> Fraction:
-    """L R / (L+R), with limit L across a bridge."""
-    if profile.bridge:
-        return profile.length
-    return profile.length * profile.res_deleted / (profile.length + profile.res_deleted)
+def _tau_terms(rows) -> list[tuple[int, int]]:
+    """Per edge 12 d^2 times its tau share, as (numerator, denominator)."""
+    return [(3 * dn * dn * ld * ld + gap * gap, ln * ld) for ln, ld, _, gap, dn in rows]
 
 
 def cubic_sum(g: MetrizedGraph) -> Fraction:
-    """sum L^3/(L+R)^2 over edges; across a bridge the summand tends to zero."""
-    acc = Fraction(0)
-    for profile in context(g).edge_profiles(0):
-        if not profile.bridge:
-            denom = profile.length + profile.res_deleted
-            acc += profile.length**3 / (denom * denom)
-    return acc
+    """sum L^3/(L+R)^2 = sum (L - r)^2/L over edges; zero across a bridge."""
+    den, rows = _edge_terms(g)
+    return _over([(gap * gap, ln * ld) for ln, ld, _, gap, _ in rows], den * den)
 
 
 def tau_edge_sum(g: MetrizedGraph, base: int = 0) -> TauReport:
-    """tau via the per-edge sum relative to a base vertex (value is base-free)."""
-    ctx = context(g)
+    """tau as the per-edge sum relative to a base vertex (value is base-free).
+
+    Each edge reports (edge, contribution, deleted resistance R).
+    """
+    check_vertices(g, base)
+    den, rows = _edge_terms(g, base)
+    terms = _tau_terms(rows)
+    scale = 12 * den * den
     per_edge = []
-    tau = Fraction(0)
-    for profile in ctx.edge_profiles(base):
-        c = edge_tau_contribution(profile)
-        tau += c
-        per_edge.append((profile.edge, c, profile.res_deleted))
-    return TauReport(tau, total_length(g), genus(g), tuple(per_edge), base)
+    for i, ((n, m), (ln, _, rn, gap, _)) in enumerate(zip(terms, rows)):
+        res: ExtScalar = INF if gap == 0 else Fraction(ln * rn, gap)
+        per_edge.append((i, Fraction(n, scale * m), res))
+    return TauReport(_over(terms, scale), total_length(g), genus(g), tuple(per_edge), base)
 
 
 def tau_of(g: MetrizedGraph) -> Fraction:
@@ -104,37 +118,29 @@ def tau_of(g: MetrizedGraph) -> Fraction:
     ctx = context(g)
     value = ctx.memo.get("tau")
     if value is None:
-        value = tau_edge_sum(g).tau
+        den, rows = _edge_terms(g)
+        value = _over(_tau_terms(rows), 12 * den * den)
         ctx.memo["tau"] = value
     return value
 
 
 def canonical_measure(g: MetrizedGraph) -> CanonicalMeasure:
-    """Point masses 1 - valence/2 plus density 1/(L+R) per edge (0 on bridges)."""
-    ctx = context(g)
+    """Point masses 1 - valence/2 plus density 1/(L+R) = (L-r)/L^2 per edge (0 on bridges)."""
+    den, rows = _edge_terms(g)
     masses = tuple((v, 1 - Fraction(g.valence(v), 2)) for v in range(g.vcount))
-    densities = []
-    for profile in ctx.edge_profiles(0):
-        if profile.bridge:
-            densities.append((profile.edge, Fraction(0)))
-        else:
-            densities.append((profile.edge, 1 / (profile.length + profile.res_deleted)))
-    return CanonicalMeasure(masses, tuple(densities))
+    densities = tuple((i, Fraction(gap * ld, den * ln * ln))
+                      for i, (ln, ld, _, gap, _) in enumerate(rows))
+    return CanonicalMeasure(masses, densities)
 
 
 def genus_identity_check(g: MetrizedGraph) -> tuple[Fraction, Fraction]:
-    """(sum L/(L+R), sum R/(L+R)); equals (genus, v-1), bridges giving (0, 1)."""
-    ctx = context(g)
-    left = Fraction(0)
-    right = Fraction(0)
-    for profile in ctx.edge_profiles(0):
-        if profile.bridge:
-            right += 1
-        else:
-            denom = profile.length + profile.res_deleted
-            left += profile.length / denom
-            right += profile.res_deleted / denom
-    return left, right
+    """(sum L/(L+R), sum R/(L+R)); equals (genus, v-1), bridges giving (0, 1).
+
+    R/(L+R) = r/L, and the two summands of an edge add up to one.
+    """
+    den, rows = _edge_terms(g)
+    right = _over([(rn * ld, ln) for ln, ld, rn, _, _ in rows], den)
+    return g.ecount - right, right
 
 
 def apq_identity(g: MetrizedGraph, p: int, q: int) -> Fraction:
@@ -144,6 +150,7 @@ def apq_identity(g: MetrizedGraph, p: int, q: int) -> Fraction:
     glues p to q. Cheaper than integrating, and an independent oracle for the
     direct route.
     """
+    check_vertices(g, p, q)
     if p == q:
         raise SamePoint("p and q must differ")
     ctx = context(g)
@@ -188,25 +195,35 @@ def deleted_apq(g: MetrizedGraph, edge_id: int) -> Fraction:
 def tau_gradient(g: MetrizedGraph) -> GradientVector:
     """Exact partial derivatives of tau in each edge length.
 
-    Non-bridge edges: 1/12 - A/(L+R)^2 with A taken in the deleted graph.
-    Bridges are flagged and reported with derivative 1/4, since contracting
-    them splits tau additively into (bridge length)/4 plus the rest.
+    Differentiates the tau sum at base p = 0, the ground of the Green matrix
+    (row 0 of N is zero). With c_e[y] = N[a_e][y] - N[b_e][y], the current
+    through e for a unit current from y to z is (c_e[y] - c_e[z])/(d L_e), and
+
+        4 dtau/dL_e = (L_e^2 - r_e^2)/(3 L_e^2) - D_e^2/L_e^2
+                      + sum_f [2 D_f/L_f (i_e(p,b_f)^2 - i_e(p,a_f)^2)
+                               - 2 (L_f - r_f)/(3 L_f) i_e(a_f,b_f)^2].
+
+    The weights of the f-sum share the denominator W = 3 d lcm(ln), so it is
+    one integer sum per edge. Bridges come out as 1/4 and loops as 1/12.
     """
-    ctx = context(g)
-    profiles = ctx.edge_profiles(0)
+    den, rows = _edge_terms(g)
+    num = context(g).green_int()[0]
+    big_l = lcm(*(ln for ln, *_ in rows))
+    w = 3 * den * big_l
+    weights = [(6 * dn * ld * (big_l // ln), 2 * gap * (big_l // ln), a, b)
+               for (ln, ld, _, gap, dn), (a, b, _) in zip(rows, g.edges)]
     entries = []
-    bridge_ids = []
-    for profile in profiles:
-        if profile.bridge:
-            entries.append(Fraction(1, 4))
-            bridge_ids.append(profile.edge)
-        elif profile.loop:
-            entries.append(Fraction(1, 12))
-        else:
-            a_del = deleted_apq(g, profile.edge)
-            denom = profile.length + profile.res_deleted
-            entries.append(Fraction(1, 12) - a_del / (denom * denom))
-    return GradientVector(tuple(entries), tuple(bridge_ids))
+    for (a, b, _), (ln, ld, rn, _, dn) in zip(g.edges, rows):
+        c = [x - y for x, y in zip(num[a], num[b])]
+        cross = 0
+        for alpha, beta, fa, fb in weights:
+            # c[p] = 0, so (c[p] - c[b_f])^2 - (c[p] - c[a_f])^2 = y^2 - x^2
+            x, y = c[fa], c[fb]
+            cross += alpha * (y * y - x * x) - beta * (x - y) * (x - y)
+        top = (ln * ln * den * den - rn * rn * ld * ld - 3 * dn * dn * ld * ld) * w
+        entries.append(Fraction(top + 3 * cross * ld * ld, 12 * w * den * den * ln * ln))
+    bridge_ids = tuple(i for i, row in enumerate(rows) if row[3] == 0)
+    return GradientVector(tuple(entries), bridge_ids)
 
 
 def tau_bridgeless_identity(g: MetrizedGraph) -> tuple[Fraction, Fraction]:
@@ -242,13 +259,12 @@ def lower_bound_suite(g: MetrizedGraph) -> list[BoundCheck]:
     bounds whose hypotheses fail are reported as skipped with the reason.
     """
     gn = normalize(g)
-    ctx = context(gn)
-    profiles = ctx.edge_profiles(0)
+    den, rows = _edge_terms(gn)
     tau = tau_of(gn)
     e = gn.ecount
     v = gn.vcount
     gen = genus(gn)
-    bridge_free = not bridges(gn)
+    bridge_free = all(row[3] for row in rows)
     equal_lengths = len({edge.length for edge in gn.edges}) == 1
     out = [
         BoundCheck("tau-upper-quarter", True, "", tau, Fraction(1, 4), "<=", tau <= Fraction(1, 4)),
@@ -272,7 +288,7 @@ def lower_bound_suite(g: MetrizedGraph) -> list[BoundCheck]:
         for name in ("equal-length", "equal-length-sharper"):
             out.append(BoundCheck(name, False, "edge lengths not all equal", None, None, "<=", None))
     if bridge_free:
-        sum_r = sum((p.res_deleted for p in profiles), Fraction(0))
+        sum_r = sum((Fraction(ln * rn, gap) for ln, _, rn, gap, _ in rows), Fraction(0))
         bound = 1 / (12 * (1 + sum_r) ** 2)
         out.append(BoundCheck("deleted-resistance-sum", True, "", bound, tau, "<=", bound <= tau))
     else:
@@ -286,12 +302,9 @@ def lower_bound_suite(g: MetrizedGraph) -> list[BoundCheck]:
         out.append(BoundCheck("doubled-edges-1-48", False,
                               "some endpoint pair is joined by only one edge",
                               None, None, "<=", None))
-    lhs = Fraction(0)
-    rhs_inner = Fraction(0)
-    for p in profiles:
-        frac_r = Fraction(1) if p.bridge else p.res_deleted / (p.length + p.res_deleted)
-        lhs += p.length * frac_r * frac_r
-        rhs_inner += p.length * frac_r
+    # with R/(L+R) = r/L: sum L (R/(L+R))^2 = sum r^2/L and sum L R/(L+R) = sum r
+    lhs = _over([(rn * rn * ld, ln) for ln, ld, rn, _, _ in rows], den * den)
+    rhs_inner = Fraction(sum(row[2] for row in rows), den)
     out.append(BoundCheck("weighted-deleted-square", True, "", rhs_inner**2, lhs, "<=",
                           rhs_inner**2 <= lhs))
     return out

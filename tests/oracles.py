@@ -1,14 +1,20 @@
 """Independent brute-force oracles used only by tests.
 
-These deliberately avoid linear algebra and rewrite rules: resistance comes
-from weighted spanning-tree enumeration, bridges from exhaustive deletion.
-Only usable on small graphs.
+The first group deliberately avoids linear algebra and rewrite rules:
+resistance comes from weighted spanning-tree enumeration, bridges from
+exhaustive deletion. Only usable on small graphs.
+
+The second group is the paper's deletion route for the per-edge tau terms and
+the gradient: it solves each edge's deleted graph, so it checks the Green-matrix
+kernel of ``mgt.tau`` by an independent computation.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
+from mgt.circuit import EdgeProfile, edge_profile
 from mgt.graph import MetrizedGraph
+from mgt.tau import deleted_apq
 
 
 def _spans(vcount: int, edges, subset) -> bool:
@@ -85,3 +91,37 @@ def bridges_by_deletion(g: MetrizedGraph) -> list[int]:
         if len(seen) != g.vcount:
             out.append(i)
     return out
+
+
+def edge_tau_contribution(profile: EdgeProfile) -> Fraction:
+    """One edge's share of tau by the deletion route.
+
+    (L^3 + 3L(arm_a - arm_b)^2) / (12 (L+R)^2) from the edge's deletion
+    profile; L/4 across a bridge, the limit as R grows without bound.
+    """
+    length = profile.length
+    if profile.bridge:
+        return length / 4
+    diff = profile.arm_a - profile.arm_b
+    denom = length + profile.res_deleted
+    return (length**3 + 3 * length * diff * diff) / (12 * denom * denom)
+
+
+def deletion_gradient(g: MetrizedGraph) -> tuple[Fraction, ...]:
+    """d tau/d L per edge by the paper's deletion formula.
+
+    1/12 - A/(L+R)^2 with A the voltage integral between the edge's endpoints
+    in the deleted graph and R their resistance there; 1/4 on a bridge, 1/12
+    on a self-loop.
+    """
+    out = []
+    for i, (a, b, length) in enumerate(g.edges):
+        profile = edge_profile(g, i, 0)
+        if profile.bridge:
+            out.append(Fraction(1, 4))
+        elif profile.loop:
+            out.append(Fraction(1, 12))
+        else:
+            denom = length + profile.res_deleted
+            out.append(Fraction(1, 12) - deleted_apq(g, i) / (denom * denom))
+    return tuple(out)

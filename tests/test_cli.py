@@ -174,3 +174,38 @@ def test_minimize_restarts_on_bridged_topology(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert len(doc["lengths"]) == 6
+
+
+def _one_error_line(err: str) -> bool:
+    lines = err.strip().splitlines()
+    return len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in err
+
+
+def test_apq_bad_vertex_is_usage_error(k4_file, capsys):
+    for argv in (("0", "7"), ("7", "7"), ("0", "7", "--method", "direct")):
+        code, out, err = run_cli(capsys, "apq", k4_file, *argv)
+        assert code == 2 and out == ""
+        assert _one_error_line(err) and "vertex 7" in err
+
+
+def test_verify_rejects_unknown_identity(k4_file, capsys):
+    code, out, err = run_cli(capsys, "verify", k4_file, "--suite", "bogus")
+    assert code == 2 and "passed" not in out
+    assert _one_error_line(err) and "bogus" in err
+    code, _, err = run_cli(capsys, "verify", "--random", "--count", "1",
+                           "--suite", "thmbasic,nope")
+    assert code == 2 and "nope" in err
+
+
+def test_verify_rejects_count_below_one(capsys):
+    for count in ("-3", "0"):
+        code, out, err = run_cli(capsys, "verify", "--random", "--count", count)
+        assert code == 2 and "passed" not in out
+        assert _one_error_line(err)
+
+
+def test_scan_rejects_empty_families(capsys):
+    for family, params in (("banana", "m=0..2"), ("complete", "v=1..3"), ("necklace", "t=0..2")):
+        code, out, err = run_cli(capsys, "scan", "--family", family, "--params", params)
+        assert code == 2 and out == ""
+        assert _one_error_line(err)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from mgt import families
-from mgt.circuit import context
+from mgt.circuit import context, edge_profile
 from mgt.errors import HasBridge, SamePoint
 from mgt.graph import build_graph, insert_point, scale, subdivide_uniform, total_length
 from mgt.rational import INF
@@ -254,3 +254,34 @@ def test_bounds_random_graphs_never_violate():
     for _ in range(10):
         g = families.random_connected(rng, 6, 10)
         assert all(c.holds is not False for c in lower_bound_suite(g))
+
+
+def _kernel_oracle_graphs():
+    from mgt.suite import GraphGenerator
+
+    graphs = [g for _, g in GraphGenerator(1).graphs(60)]
+    return graphs + [families.complete(8), families.necklace(F(1, 20), F(1, 30), 6),
+                     families.cube(F(2, 3))]
+
+
+def test_kernel_tau_terms_match_deletion_route():
+    # every per-edge term of the Green-matrix sum, for every base vertex,
+    # equals the deletion-profile contribution (L^3 + 3L(Ra-Rb)^2)/(12(L+R)^2)
+    from oracles import edge_tau_contribution
+
+    for g in _kernel_oracle_graphs():
+        for p in range(g.vcount):
+            report = tau_edge_sum(g, p)
+            profiles = [edge_profile(g, i, p) for i in range(g.ecount)]
+            assert [c for _, c, _ in report.per_edge] == [
+                edge_tau_contribution(pr) for pr in profiles]
+            assert [res for _, _, res in report.per_edge] == [pr.res_deleted for pr in profiles]
+            assert report.tau == tau_of(g)
+
+
+def test_kernel_gradient_matches_deletion_route():
+    # Rayleigh-rule gradient equals 1/12 - A(g-e)/(L+R)^2 entry for entry
+    from oracles import deletion_gradient
+
+    for g in _kernel_oracle_graphs():
+        assert tau_gradient(g).entries == deletion_gradient(g)
