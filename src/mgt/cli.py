@@ -13,7 +13,6 @@ from .circuit import resistance, voltage
 from .errors import InputError, MgtError
 from .graph import MetrizedGraph, PointOnGraph, check_vertices, normalize, subdivide_uniform
 from .integration import apq_direct
-from .optimize import family_scan, minimize_tau, scan_violations
 from .ops import (
     add_edge,
     c_tower,
@@ -289,7 +288,7 @@ def _run_verify(args) -> int:
 def _run_minimize(args) -> int:
     import random as _random
 
-    from .optimize import search_topology
+    from .optimize import minimize_tau, search_topology  # numpy loads only for this verb and scan
 
     g = _load(args.file)
     seed = args.seed if args.seed is not None else int(os.environ.get("MGT_SEED", "0"))
@@ -339,6 +338,8 @@ def _parse_params(text: str) -> dict:
 
 
 def _run_scan(args) -> int:
+    from .optimize import family_scan, scan_violations
+
     rows = family_scan(args.family, _parse_params(args.params))
     print("family,params,tau,ratio")
     for row in rows:

@@ -41,6 +41,14 @@ class UnknownIdentity(MgtError):
     """An identity id that is not in the suite catalog."""
 
 
+class UnknownParameter(MgtError):
+    """A scan parameter key that the family does not read."""
+
+
+class EmptyGraph(MgtError):
+    """A graph with no edges where the computation needs at least one."""
+
+
 class PatternMismatch(MgtError):
     pass
 

@@ -1,8 +1,10 @@
 """Conjecture exploration: minimize tau over edge lengths, scan families.
 
-The search loop runs in floating point (numpy solves of the same formulas the
-exact engine uses); every reported minimum is re-evaluated exactly at nearby
-rational coordinates, so the evidence trail stays rational end to end.
+The search loop runs in floating point: each tau or gradient evaluation is one
+grounded numpy inverse followed by the per-edge sums ``tau.py`` evaluates
+exactly (tau = 1/4 sum_e [D^2/L + (L - r)^2/(3L)], the gradient by Rayleigh's
+rule). Every reported minimum is re-evaluated exactly at nearby rational
+coordinates, so the evidence trail stays rational end to end.
 """
 
 from __future__ import annotations
@@ -16,13 +18,19 @@ import numpy as np
 
 from . import families
 from .circuit import context
-from .errors import BadN, MgtError, NotBridgeless, SamePoint
+from .errors import BadN, MgtError, NotBridgeless, SamePoint, UnknownParameter
 from .graph import MetrizedGraph, bridges, normalize, subdivide_uniform, total_length
 from .ops import contract_edge, immerse, parallel_sum, OpResult
 from .tau import apq_identity, tau_gradient, tau_of
 
 POSITIVITY_FLOOR = 1e-9
 RATIO_FLOOR = Fraction(1, 108)  # conjectured universal ratio; violations are reported, not hidden
+_SCAN_KEYS = {  # the parameter keys each scan family reads
+    "complete": ("v",),
+    "banana": ("m",),
+    "necklace": ("a", "t", "check_limit"),
+    "circle": ("k",),
+}
 
 
 @dataclass(frozen=True)
@@ -52,100 +60,53 @@ class ScanRow:
 class FloatTopology:
     """Float tau/gradient evaluator for a fixed graph shape.
 
-    Bridge and loop edges are classified once, combinatorially; the rest use
-    Green-matrix solves. Deleted and glued sub-topologies per edge are cached
-    for the gradient.
+    Each evaluation does one grounded inverse and then the per-edge sums of
+    ``tau.py`` as numpy expressions, with no deleted or glued sub-graph and no
+    bridge or loop branch (those edges give 1/4 and 1/12 on their own).
     """
 
     def __init__(self, vcount: int, ends: list[tuple[int, int]]):
         self.vcount = vcount
-        self.ends = list(ends)
-        self.loops = [a == b for a, b in ends]
-        probe = MetrizedGraph(
-            vcount, tuple(_probe_edges(vcount, ends))
-        )
-        self.bridges = set(bridges(probe))
-        self._subs: dict[int, tuple["FloatTopology", "FloatTopology"]] = {}
+        self.a = np.array([a for a, _ in ends], dtype=int)
+        self.b = np.array([b for _, b in ends], dtype=int)
+        rows = np.arange(len(ends))
+        self.incidence = np.zeros((len(ends), vcount))  # zero rows on loops
+        self.incidence[rows, self.a] += 1.0
+        self.incidence[rows, self.b] -= 1.0
 
     def green(self, lengths) -> np.ndarray:
-        n = self.vcount
-        lap = np.zeros((n, n))
-        for (a, b), L in zip(self.ends, lengths):
-            if a == b:
-                continue
-            c = 1.0 / L
-            lap[a, a] += c
-            lap[b, b] += c
-            lap[a, b] -= c
-            lap[b, a] -= c
-        out = np.zeros((n, n))
-        if n > 1:
-            out[1:, 1:] = np.linalg.inv(lap[1:, 1:])
+        """Inverse of B^T diag(1/L) B grounded at vertex 0 (row and column 0 zero)."""
+        inc = self.incidence
+        lap = inc.T @ (inc / np.asarray(lengths, dtype=float)[:, None])
+        out = np.zeros((self.vcount, self.vcount))
+        out[1:, 1:] = np.linalg.inv(lap[1:, 1:])
         return out
 
-    def resistance(self, green: np.ndarray, y: int, z: int) -> float:
-        return green[y, y] + green[z, z] - 2 * green[y, z]
+    def _edge_terms(self, lengths):
+        """(L, G, r, D): r = r(a,b) per edge and D = r(0,b) - r(0,a)."""
+        L = np.asarray(lengths, dtype=float)
+        green = self.green(L)
+        g = np.diag(green)
+        a, b = self.a, self.b
+        return L, green, g[a] + g[b] - 2 * green[a, b], g[b] - g[a]
 
     def tau(self, lengths) -> float:
-        green = self.green(lengths)
-        total = 0.0
-        for i, ((a, b), L) in enumerate(zip(self.ends, lengths)):
-            if self.loops[i]:
-                total += L / 12
-            elif i in self.bridges:
-                total += L / 4
-            else:
-                r_ab = self.resistance(green, a, b)
-                res = L * r_ab / (L - r_ab)
-                ra = self._deleted_resistance(green, lengths, i, a, 0)
-                rb = self._deleted_resistance(green, lengths, i, b, 0)
-                diff = ra - rb  # arm_a - arm_b relative to vertex 0
-                total += (L**3 + 3 * L * diff * diff) / (12 * (L + res) ** 2)
-        return total
-
-    def _deleted_resistance(self, green, lengths, edge, y, z) -> float:
-        a, b = self.ends[edge]
-        L = lengths[edge]
-        r_ab = self.resistance(green, a, b)
-        cross = green[y, a] - green[y, b] - green[z, a] + green[z, b]
-        return self.resistance(green, y, z) + cross * cross / (L - r_ab)
-
-    def _sub_topologies(self, edge: int) -> tuple["FloatTopology", "FloatTopology"]:
-        cached = self._subs.get(edge)
-        if cached is not None:
-            return cached
-        a, b = self.ends[edge]
-        rest = [self.ends[j] for j in range(len(self.ends)) if j != edge]
-        deleted = FloatTopology(self.vcount, rest)
-        keep, drop = min(a, b), max(a, b)
-        remap = [v - 1 if v > drop else v for v in range(self.vcount)]
-        remap[drop] = remap[keep]
-        glued = FloatTopology(self.vcount - 1, [(remap[x], remap[y]) for x, y in rest])
-        self._subs[edge] = (deleted, glued)
-        return deleted, glued
+        """1/4 sum_e [D^2/L + (L - r)^2/(3L)]."""
+        L, _, r, D = self._edge_terms(lengths)
+        return float(np.sum(D * D / L + (L - r) ** 2 / (3 * L)) / 4)
 
     def gradient(self, lengths) -> np.ndarray:
-        green = self.green(lengths)
-        out = np.empty(len(self.ends))
-        for i, ((a, b), L) in enumerate(zip(self.ends, lengths)):
-            if self.loops[i]:
-                out[i] = 1 / 12
-            elif i in self.bridges:
-                out[i] = 1 / 4
-            else:
-                r_ab = self.resistance(green, a, b)
-                res = L * r_ab / (L - r_ab)
-                deleted, glued = self._sub_topologies(i)
-                rest = [lengths[j] for j in range(len(lengths)) if j != i]
-                a_val = res * (glued.tau(rest) - deleted.tau(rest)) + res * res / 6
-                out[i] = 1 / 12 - a_val / (L + res) ** 2
-        return out
+        """Rayleigh's rule through the tau sum, as ``tau.tau_gradient`` does exactly.
 
-
-def _probe_edges(vcount, ends):
-    from .graph import Edge
-
-    return [Edge(a, b, Fraction(1)) for a, b in ends]
+        With C = B G, X = C[:, a] and Y = C[:, b],
+        4 L_e^2 dtau/dL_e = (L_e^2 - r_e^2)/3 - D_e^2
+                            + [(Y^2 - X^2) (2D/L) - (X - Y)^2 (2(L - r)/(3L))]_e.
+        """
+        L, green, r, D = self._edge_terms(lengths)
+        c = self.incidence @ green
+        x, y = c[:, self.a], c[:, self.b]
+        cross = (y * y - x * x) @ (2 * D / L) - (x - y) ** 2 @ (2 * (L - r) / (3 * L))
+        return ((L * L - r * r) / 3 - D * D + cross) / (4 * L * L)
 
 
 def project_simplex(x: np.ndarray, floor: float = POSITIVITY_FLOOR) -> np.ndarray:
@@ -165,13 +126,13 @@ def project_simplex(x: np.ndarray, floor: float = POSITIVITY_FLOOR) -> np.ndarra
 def _contract_bridges(g: MetrizedGraph) -> tuple[MetrizedGraph, int]:
     contracted = 0
     while True:
+        if g.ecount == 0:
+            raise NotBridgeless("topology is a point once bridges are contracted")
         ids = bridges(g)
         if not ids:
             return g, contracted
         g = contract_edge(g, ids[0]).graph
         contracted += 1
-        if g.ecount == 0:
-            raise NotBridgeless("topology collapses to a point once bridges are contracted")
 
 
 def search_topology(g: MetrizedGraph) -> MetrizedGraph:
@@ -274,6 +235,12 @@ def exact_gradient_matches_float(g: MetrizedGraph, rel: float = 1e-9) -> bool:
 def family_scan(family: str, params: dict | None = None) -> list[ScanRow]:
     """Exact tau over a closed-form family, cross-checked against the engine."""
     params = params or {}
+    if family not in _SCAN_KEYS:
+        raise MgtError(f"unknown scan family {family!r}")
+    unknown = sorted(set(params) - set(_SCAN_KEYS[family]))
+    if unknown:
+        raise UnknownParameter(f"scan family {family!r} reads only {', '.join(_SCAN_KEYS[family])}; "
+                               f"unknown key(s): {', '.join(unknown)}")
     rows: list[ScanRow] = []
     if family == "complete":
         for v in params.get("v", range(2, 13)):
@@ -313,8 +280,6 @@ def family_scan(family: str, params: dict | None = None) -> list[ScanRow]:
             closed = Fraction(1, 12)
             _scan_assert(closed, g, f"k={k}")
             rows.append(ScanRow(family, f"k={k}", closed, closed))
-    else:
-        raise MgtError(f"unknown scan family {family!r}")
     return rows
 
 

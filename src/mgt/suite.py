@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import families
 from .circuit import EdgeProfile, context
-from .errors import BadN, MgtError, UnknownIdentity
+from .errors import BadN, EmptyGraph, MgtError, UnknownIdentity
 from .graph import MetrizedGraph, bridges, genus, insert_point, normalize, scale, subdivide_uniform, total_length
 from .integration import (
     TAG_J_BASE_P,
@@ -1044,6 +1044,8 @@ def run_graph_checks(descriptor: str, g: MetrizedGraph, rng: random.Random,
         unknown = sorted(wanted - {entry[0] for entry in CHECKS})
         if unknown:
             raise UnknownIdentity(f"unknown identity id(s): {', '.join(unknown)}")
+    if g.ecount == 0:
+        raise EmptyGraph(f"{descriptor}: the identities need a graph with at least one edge")
     results = []
     for cid, _desc, _anchor, fn in CHECKS:
         if wanted is not None and cid not in wanted:

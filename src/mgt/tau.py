@@ -26,8 +26,8 @@ from fractions import Fraction
 from math import lcm
 
 from .circuit import context
-from .errors import HasBridge, SamePoint
-from .graph import MetrizedGraph, bridges, check_vertices, genus, normalize, total_length
+from .errors import EmptyGraph, HasBridge, SamePoint
+from .graph import MetrizedGraph, bridges, check_vertices, genus, total_length
 from .rational import INF, ExtScalar
 
 
@@ -255,23 +255,27 @@ class BoundCheck:
 def lower_bound_suite(g: MetrizedGraph) -> list[BoundCheck]:
     """Evaluate the closed-form tau bounds that apply to this graph, exactly.
 
-    The graph is normalized first (every bound here is scale-covariant), and
-    bounds whose hypotheses fail are reported as skipped with the reason.
+    Every bound here is scale-covariant, so each is evaluated at total length
+    1: tau, resistances and the sums below scale linearly with the length, so
+    they come from g's own Green matrix divided by the total length. Bounds
+    whose hypotheses fail are reported as skipped with the reason.
     """
-    gn = normalize(g)
-    den, rows = _edge_terms(gn)
-    tau = tau_of(gn)
-    e = gn.ecount
-    v = gn.vcount
-    gen = genus(gn)
+    e = g.ecount
+    if e == 0:
+        raise EmptyGraph("the tau bounds need a graph with at least one edge")
+    den, rows = _edge_terms(g)
+    ell = total_length(g)
+    tau = tau_of(g) / ell
+    v = g.vcount
+    gen = genus(g)
     bridge_free = all(row[3] for row in rows)
-    equal_lengths = len({edge.length for edge in gn.edges}) == 1
+    equal_lengths = len({edge.length for edge in g.edges}) == 1
     out = [
         BoundCheck("tau-upper-quarter", True, "", tau, Fraction(1, 4), "<=", tau <= Fraction(1, 4)),
         BoundCheck("tau-lower-1-16e", True, "", Fraction(1, 16 * e), tau, "<=", Fraction(1, 16 * e) <= tau),
         BoundCheck("tau-tree-equality", True, "",
                    tau, Fraction(1, 4), "== iff tree",
-                   (tau == Fraction(1, 4)) == (gen == 0 and not any(a == b for a, b, _ in gn.edges))),
+                   (tau == Fraction(1, 4)) == (gen == 0 and not any(a == b for a, b, _ in g.edges))),
     ]
     if bridge_free:
         out.append(BoundCheck("tau-upper-twelfth-bridgeless", True, "", tau, Fraction(1, 12), "<=",
@@ -288,14 +292,14 @@ def lower_bound_suite(g: MetrizedGraph) -> list[BoundCheck]:
         for name in ("equal-length", "equal-length-sharper"):
             out.append(BoundCheck(name, False, "edge lengths not all equal", None, None, "<=", None))
     if bridge_free:
-        sum_r = sum((Fraction(ln * rn, gap) for ln, _, rn, gap, _ in rows), Fraction(0))
+        sum_r = sum((Fraction(ln * rn, gap) for ln, _, rn, gap, _ in rows), Fraction(0)) / ell
         bound = 1 / (12 * (1 + sum_r) ** 2)
         out.append(BoundCheck("deleted-resistance-sum", True, "", bound, tau, "<=", bound <= tau))
     else:
         out.append(BoundCheck("deleted-resistance-sum", False,
                               "a bridge makes the deleted-resistance sum infinite",
                               None, None, "<=", None))
-    if _every_pair_doubled(gn):
+    if _every_pair_doubled(g):
         out.append(BoundCheck("doubled-edges-1-48", True, "", Fraction(1, 48), tau, "<=",
                               Fraction(1, 48) <= tau))
     else:
@@ -303,8 +307,8 @@ def lower_bound_suite(g: MetrizedGraph) -> list[BoundCheck]:
                               "some endpoint pair is joined by only one edge",
                               None, None, "<=", None))
     # with R/(L+R) = r/L: sum L (R/(L+R))^2 = sum r^2/L and sum L R/(L+R) = sum r
-    lhs = _over([(rn * rn * ld, ln) for ln, ld, rn, _, _ in rows], den * den)
-    rhs_inner = Fraction(sum(row[2] for row in rows), den)
+    lhs = _over([(rn * rn * ld, ln) for ln, ld, rn, _, _ in rows], den * den) / ell
+    rhs_inner = Fraction(sum(row[2] for row in rows), den) / ell
     out.append(BoundCheck("weighted-deleted-square", True, "", rhs_inner**2, lhs, "<=",
                           rhs_inner**2 <= lhs))
     return out

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -209,3 +212,30 @@ def test_scan_rejects_empty_families(capsys):
         code, out, err = run_cli(capsys, "scan", "--family", family, "--params", params)
         assert code == 2 and out == ""
         assert _one_error_line(err)
+
+
+def test_edgeless_graph_is_usage_error(tmp_path, capsys):
+    point = tmp_path / "point.txt"
+    point.write_text("v 1\n")
+    for verb in ("bounds", "verify", "minimize"):
+        code, out, err = run_cli(capsys, verb, str(point))
+        assert code == 2 and out == ""
+        assert _one_error_line(err)
+    assert run_cli(capsys, "tau", str(point))[:2] == (0, "0\n")
+
+
+def test_scan_rejects_unknown_parameter_key(capsys):
+    code, out, err = run_cli(capsys, "scan", "--family", "circle", "--params", "n=0..1")
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "unknown key(s): n" in err
+
+
+def test_cli_tau_does_not_load_numpy(circle_file):
+    # numpy is for the float optimizer only (minimize, scan); -X importtime
+    # lists on stderr every module the run imported
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "mgt.cli", "tau", circle_file],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0 and done.stdout == "1/12\n"
+    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+    assert "mgt.tau" in imported and "numpy" not in imported

@@ -20,12 +20,18 @@ from mgt.optimize import (
     scan_violations,
     tau_reducing_sequence,
 )
+from mgt.suite import GraphGenerator
 from mgt.tau import tau_of
 
 
+def _corpus_graphs():
+    # the first 60 GraphGenerator(1) graphs include bridges, loops and parallel edges
+    return [g for _, g in GraphGenerator(1).graphs(60)]
+
+
 def test_float_tau_matches_exact():
-    for g in (families.complete(4), families.diamond(F(1, 5)),
-              families.equal_banana(4), families.theta(F(1, 2), F(1, 3), F(1, 6))):
+    for g in [families.complete(4), families.diamond(F(1, 5)),
+              families.equal_banana(4), families.theta(F(1, 2), F(1, 3), F(1, 6))] + _corpus_graphs():
         topo = FloatTopology(g.vcount, [(a, b) for a, b, _ in g.edges])
         approx = topo.tau([float(e.length) for e in g.edges])
         assert math.isclose(approx, float(tau_of(g)), rel_tol=1e-11)
@@ -36,6 +42,7 @@ def test_float_gradient_matches_exact_within_1e9():
     graphs = [families.complete(4), families.diamond(F(1, 5)),
               families.circle(F(1, 3), F(2, 3))]
     graphs += [families.random_bridgeless(rng, 5, 9) for _ in range(5)]
+    graphs += _corpus_graphs()
     for g in graphs:
         assert exact_gradient_matches_float(g, 1e-9)
 

@@ -6,7 +6,7 @@ import pytest
 from mgt import families
 from mgt.circuit import context, edge_profile
 from mgt.errors import HasBridge, SamePoint
-from mgt.graph import build_graph, insert_point, scale, subdivide_uniform, total_length
+from mgt.graph import build_graph, insert_point, normalize, scale, subdivide_uniform, total_length
 from mgt.rational import INF
 from mgt.tau import (
     apq_checked,
@@ -253,7 +253,10 @@ def test_bounds_random_graphs_never_violate():
     rng = random.Random(73)
     for _ in range(10):
         g = families.random_connected(rng, 6, 10)
-        assert all(c.holds is not False for c in lower_bound_suite(g))
+        checks = lower_bound_suite(g)
+        assert all(c.holds is not False for c in checks)
+        # read off g's own Green matrix, the bounds equal those of the normalized copy
+        assert checks == lower_bound_suite(normalize(g))
 
 
 def _kernel_oracle_graphs():
