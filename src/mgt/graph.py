@@ -46,6 +46,10 @@ class MetrizedGraph:
                 raise BadVertexId(f"edge {i} endpoint out of range")
             if length <= 0:
                 raise NonPositiveLength(f"edge {i} has non-positive length {length}")
+        # decided before _connected allocates per-vertex lists for a huge header
+        if self.vcount > len(self.edges) + 1:
+            raise DisconnectedGraph(f"graph is not connected: {self.vcount} vertices, "
+                                    f"{len(self.edges)} edges")
         if not _connected(self.vcount, self.edges):
             raise DisconnectedGraph("graph is not connected")
 

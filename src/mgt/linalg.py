@@ -1,8 +1,9 @@
 """Exact linear algebra for weighted-Laplacian systems.
 
-The reduced Laplacian is scaled to an integer matrix, eliminated with
-fraction-free (Bareiss) Gaussian elimination so no gcd work happens inside the
-O(n^3) loop, and only the back-substitution runs over rationals.
+The reduced Laplacian is scaled to an integer matrix and eliminated with
+fraction-free (Bareiss) Gaussian elimination, so no gcd work happens inside the
+O(n^3) loop. One fraction-free back-substitution serves every solve: it yields
+integer numerators over the determinant, and Fractions appear only in results.
 """
 
 from __future__ import annotations
@@ -35,33 +36,34 @@ def bareiss_forward(m: list[list[int]], n: int) -> None:
 
 
 def solve_spd(matrix: list[list[int]], rhs_cols: Sequence[Sequence[int]]) -> list[list[Fraction]]:
-    """Solve an SPD integer system for several right-hand sides.
+    """Solve an SPD integer system for several right-hand sides."""
+    n = len(matrix)
+    aug = [list(matrix[i]) + [col[i] for col in rhs_cols] for i in range(n)]
+    cols, det = _solve_augmented(aug, n)
+    return [[Fraction(yi, det) for yi in y] for y in cols]
+
+
+def _solve_augmented(aug: list[list[int]], n: int) -> tuple[list[list[int]], int]:
+    """(solution numerators per right-hand column, determinant) of an augmented matrix.
 
     Back substitution is also fraction-free: after Bareiss elimination the last
-    pivot is the determinant, all solutions have it as common denominator, and
-    every intermediate division is exact. Fractions appear only in the result.
+    pivot is the determinant d, every solution has it as common denominator,
+    and every intermediate division is exact.
     """
-    n = len(matrix)
-    ncols = len(rhs_cols)
-    aug = [list(matrix[i]) + [col[i] for col in rhs_cols] for i in range(n)]
     bareiss_forward(aug, n)
     det = aug[n - 1][n - 1]
-    out: list[list[Fraction]] = []
-    for c in range(ncols):
-        col = n + c
+    cols: list[list[int]] = []
+    for col in range(n, len(aug[0])):
         y = [0] * n
         for i in range(n - 1, -1, -1):
             row = aug[i]
-            if i == n - 1:
-                y[i] = row[col]
-                continue
             s = det * row[col]
             for j in range(i + 1, n):
                 if row[j]:
                     s -= row[j] * y[j]
             y[i] = s // row[i]
-        out.append([Fraction(yi, det) for yi in y])
-    return out
+        cols.append(y)
+    return cols, det
 
 
 def laplacian_int(vcount: int, edges, ground: int = 0) -> tuple[list[list[int]], int, list[int]]:
@@ -109,23 +111,7 @@ def green_numden(vcount: int, edges, ground: int = 0) -> tuple[list[list[int]], 
     m, scale, index = laplacian_int(vcount, edges, ground)
     n = vcount - 1
     aug = [list(m[i]) + [scale if i == j else 0 for j in range(n)] for i in range(n)]
-    bareiss_forward(aug, n)
-    det = aug[n - 1][n - 1]
-    cols: list[list[int]] = []
-    for c in range(n):
-        col = n + c
-        y = [0] * n
-        for i in range(n - 1, -1, -1):
-            row = aug[i]
-            if i == n - 1:
-                y[i] = row[col]
-                continue
-            s = det * row[col]
-            for j in range(i + 1, n):
-                if row[j]:
-                    s -= row[j] * y[j]
-            y[i] = s // row[i]
-        cols.append(y)
+    cols, det = _solve_augmented(aug, n)
     num = [[0] * vcount for _ in range(vcount)]
     for v in range(vcount):
         iv = index[v]

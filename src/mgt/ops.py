@@ -320,32 +320,3 @@ def c_tower(g: MetrizedGraph, p: int, q: int, n: int) -> OpResult:
 
     predicted, notes = _predict("two-point-tower", formula)
     return OpResult(graph, predicted, "two-point-tower", unnormalized=current, notes=notes)
-
-
-def simplify_valence2(g: MetrizedGraph, protected: tuple[int, ...] = ()) -> MetrizedGraph:
-    """Series-merge unprotected valence-2 vertices (tau and resistances unchanged)."""
-    vertices = list(range(g.vcount))
-    edges = list(g.edges)
-    protect = set(protected)
-    changed = True
-    while changed:
-        changed = False
-        for v in vertices:
-            if v in protect:
-                continue
-            incident = [(i, e) for i, e in enumerate(edges) if v in (e.a, e.b)]
-            if len(incident) != 2 or any(e.a == e.b for _, e in incident):
-                continue
-            if len(vertices) == 1:
-                continue
-            (i1, e1), (i2, e2) = incident
-            u = e1.a if e1.b == v else e1.b
-            w = e2.a if e2.b == v else e2.b
-            merged = Edge(u, w, e1.length + e2.length)
-            edges = [e for i, e in enumerate(edges) if i not in (i1, i2)]
-            edges.insert(min(i1, i2), merged)
-            vertices.remove(v)
-            changed = True
-            break
-    remap = {old: new for new, old in enumerate(vertices)}
-    return MetrizedGraph(len(vertices), tuple(Edge(remap[a], remap[b], L) for a, b, L in edges))

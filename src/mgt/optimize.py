@@ -25,10 +25,11 @@ from .tau import apq_identity, tau_gradient, tau_of
 
 POSITIVITY_FLOOR = 1e-9
 RATIO_FLOOR = Fraction(1, 108)  # conjectured universal ratio; violations are reported, not hidden
+NECKLACE_CHECK_LIMIT = 4  # necklaces with more diamonds report the closed form without a direct tau
 _SCAN_KEYS = {  # the parameter keys each scan family reads
     "complete": ("v",),
     "banana": ("m",),
-    "necklace": ("a", "t", "check_limit"),
+    "necklace": ("a", "t"),
     "circle": ("k",),
 }
 
@@ -259,7 +260,6 @@ def family_scan(family: str, params: dict | None = None) -> list[ScanRow]:
     elif family == "necklace":
         grid_a = params.get("a", [Fraction(1, k) for k in (8, 12, 20, 40)])
         grid_t = params.get("t", (2, 3, 4))
-        check = params.get("check_limit", 4)
         for t in grid_t:
             if t < 1:
                 raise BadN(f"a necklace needs t >= 1 diamonds, got {t}")
@@ -269,7 +269,7 @@ def family_scan(family: str, params: dict | None = None) -> list[ScanRow]:
                 if b <= 0:
                     continue
                 closed = families.necklace_tau(a, b, t)
-                if t <= check:
+                if t <= NECKLACE_CHECK_LIMIT:
                     _scan_assert(closed, families.necklace(a, b, t), f"a={a},t={t}")
                 rows.append(ScanRow(family, f"a={a},t={t}", closed, closed))
     elif family == "circle":
@@ -323,14 +323,3 @@ def tau_reducing_sequence(
     if achieved > bound:
         raise AssertionError(f"tau-reduction bound violated: {achieved} > {bound}")
     return m, result
-
-
-def reducing_iteration(g: MetrizedGraph, p: int, q: int, eps: Fraction, steps: int) -> list[Fraction]:
-    """Iterate the reducing construction; tau values strictly decrease."""
-    values = [tau_of(g)]
-    current = g
-    for _ in range(steps):
-        _, result = tau_reducing_sequence(current, p, q, eps)
-        current = result.graph
-        values.append(tau_of(current))
-    return values

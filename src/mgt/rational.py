@@ -79,13 +79,20 @@ INF = _Infinity()
 ExtScalar = Union[Fraction, _Infinity]
 
 
-def is_inf(x: ExtScalar) -> bool:
-    return x is INF
+MAX_SCALAR_DIGITS = 1000  # per parsed scalar: digits written plus the decimal exponent
 
 
 def parse_scalar(text: str) -> Fraction:
-    """Parse ``3``, ``a/b`` or an exact finite decimal such as ``0.25``."""
+    """Parse ``3``, ``a/b`` or an exact finite decimal such as ``0.25``.
+
+    The size is checked before the Fraction is built, so ``1e999999999``
+    never computes a power of ten.
+    """
+    body, _, exponent = text.strip().lower().partition("e")
     try:
+        digits = sum(c.isdigit() for c in body) + (abs(int(exponent)) if exponent else 0)
+        if digits > MAX_SCALAR_DIGITS:
+            raise InputError(f"a scalar of {digits} digits exceeds the limit of {MAX_SCALAR_DIGITS}")
         value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not an exact rational: {text!r}") from exc

@@ -1,8 +1,9 @@
-"""Circuit reduction by local rewrites: series, parallel, delta-wye, star-mesh.
+"""Circuit reduction by local rewrites: star-mesh elimination.
 
 This engine never touches a Laplacian; it eliminates nodes one at a time with
-the star-mesh rule (series reduction is the n=2 case, wye-delta the n=3 case)
-and keeps a trace of every rewrite. It serves as an independent oracle for the
+the star-mesh rule (series reduction is its n=2 case, wye-delta its n=3 case),
+merges parallel resistors and drops self-loops between steps, and keeps a
+trace of every rewrite. It serves as an independent oracle for the
 linear-algebra engine: both must produce identical terminal resistances.
 """
 
@@ -54,41 +55,6 @@ def network_from_graph(g: MetrizedGraph, terminals: tuple[int, ...]) -> Reductio
     )
 
 
-def reduce_series(net: ReductionNetwork, middle: int) -> ReductionNetwork:
-    """Replace the two resistors through a valence-2 node by their sum."""
-    if middle in net.terminals:
-        raise TerminalElimination(f"node {middle} is a terminal")
-    if net.has_loop_at(middle):
-        raise PatternMismatch(f"node {middle} carries a self-loop")
-    incident = [(i, e) for i, e in enumerate(net.edges) if middle in e[:2]]
-    if len(incident) != 2:
-        raise PatternMismatch(f"node {middle} does not have exactly two resistors")
-    (i1, e1), (i2, e2) = incident
-    u = e1[0] if e1[1] == middle else e1[1]
-    w = e2[0] if e2[1] == middle else e2[1]
-    edges = [e for i, e in enumerate(net.edges) if i not in (i1, i2)]
-    edges.append((u, w, e1[2] + e2[2]))
-    return net._replaced(net.nodes - {middle}, edges,
-                         f"series {u}-{middle}-{w} -> {u}-{w}")
-
-
-def reduce_parallel(net: ReductionNetwork, pair: tuple[int, int]) -> ReductionNetwork:
-    """Merge all resistors between a node pair into one."""
-    u, w = pair
-    keep = []
-    group = []
-    for e in net.edges:
-        if {e[0], e[1]} == {u, w} and u != w:
-            group.append(e)
-        else:
-            keep.append(e)
-    if len(group) < 2:
-        raise PatternMismatch(f"no parallel resistors between {u} and {w}")
-    conductance = sum(1 / e[2] for e in group)
-    keep.append((u, w, 1 / conductance))
-    return net._replaced(edges=keep, note=f"parallel x{len(group)} {u}-{w}")
-
-
 def star_mesh(net: ReductionNetwork, center: int) -> ReductionNetwork:
     """Eliminate a node, connecting each pair of its legs with L_i L_j sum(1/L_k).
 
@@ -117,42 +83,6 @@ def star_mesh(net: ReductionNetwork, center: int) -> ReductionNetwork:
                 if qi != qj:
                     keep.append((qi, qj, li * lj * inv_sum))
     return net._replaced(net.nodes - {center}, keep, f"star-mesh n={n} at {center}")
-
-
-def delta_wye(net: ReductionNetwork, triangle: tuple[int, int, int]) -> ReductionNetwork:
-    """Mesh to star: one triangle becomes a Y through a fresh center node."""
-    p, q, s = triangle
-    if len({p, q, s}) != 3:
-        raise PatternMismatch("triangle nodes must be distinct")
-    found = {}
-    keep = []
-    for e in net.edges:
-        key = frozenset(e[:2])
-        if key in (frozenset((p, q)), frozenset((q, s)), frozenset((p, s))) and key not in found:
-            found[key] = e[2]
-        else:
-            keep.append(e)
-    if len(found) != 3:
-        raise PatternMismatch("triangle edges not present")
-    r_pq = found[frozenset((p, q))]
-    r_qs = found[frozenset((q, s))]
-    r_ps = found[frozenset((p, s))]
-    total = r_pq + r_qs + r_ps
-    center = max(net.nodes) + 1
-    keep += [
-        (p, center, r_pq * r_ps / total),
-        (q, center, r_pq * r_qs / total),
-        (s, center, r_qs * r_ps / total),
-    ]
-    return net._replaced(net.nodes | {center}, keep,
-                         f"delta-wye {p},{q},{s} center {center}")
-
-
-def wye_delta(net: ReductionNetwork, center: int) -> ReductionNetwork:
-    """Star to mesh at a degree-3 node; identical to star-mesh with n=3."""
-    if net.degree(center) != 3:
-        raise PatternMismatch(f"node {center} is not degree 3")
-    return star_mesh(net, center)
 
 
 def _cleanup(net: ReductionNetwork) -> ReductionNetwork:

@@ -6,6 +6,11 @@ executable zero-tolerance check over a generated graph. A check either passes
 identity's hypothesis does not hold on the instance; skips always carry the
 reason. Constructions that would grow quadratically also skip, with the size
 recorded, once they exceed a small desk-scale budget.
+
+The six bound entries (``FMM1-bounds``, ``thmeqlength``, ``thmeqlength2``,
+``thmcorineqsumR4``, ``thm2term``, ``corbasic2``) are not derived here: one
+adapter reads them off ``tau.lower_bound_suite``, and ``tests/oracles.py``
+keeps the deletion-profile route that checks those rows.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import families
 from .circuit import EdgeProfile, context
@@ -49,6 +55,7 @@ from .tau import (
     canonical_measure,
     cubic_sum,
     genus_identity_check,
+    lower_bound_suite,
     tau_bridgeless_identity,
     tau_edge_sum,
     tau_of,
@@ -314,65 +321,45 @@ def _check_apq_equivalences(ctx: SuiteContext):
     ])
 
 
-def _check_global_bounds(ctx: SuiteContext):
-    g = ctx.g
-    tau = tau_of(g)
-    ell = total_length(g)
-    if not Fraction(1, 16 * g.ecount) * ell <= tau:
-        return _fail(Fraction(1, 16 * g.ecount) * ell, tau, "lower bound")
-    if not tau <= ell / 4:
-        return _fail(tau, ell / 4, "upper bound")
-    is_tree = genus(g) == 0 and not any(a == b for a, b, _ in g.edges)
-    if (tau == ell / 4) != is_tree:
-        return _fail(tau, ell / 4, "tree equality case")
-    return _pass(tau, ell / 4)
+# The bound entries read tau.lower_bound_suite, whose rows are evaluated at
+# total length one. Per catalog id: whether lhs and rhs are reported at the
+# graph's own scale, and the (bound row, fail tag) pairs in checking order.
+_BOUND_ROWS = {
+    "FMM1-bounds": (True, (("tau-lower-1-16e", "lower bound"),
+                           ("tau-upper-quarter", "upper bound"),
+                           ("tau-tree-equality", "tree equality case"))),
+    "thmeqlength": (False, (("equal-length", ""),)),
+    "thmeqlength2": (False, (("equal-length-sharper", ""),)),
+    "thmcorineqsumR4": (False, (("deleted-resistance-sum", ""),
+                                ("doubled-edges-1-48", "doubled-edge case"))),
+    "thm2term": (False, (("weighted-deleted-square", ""),)),
+    "corbasic2": (True, (("tau-upper-twelfth-bridgeless", ""),)),
+}
 
 
-def _equal_lengths(g: MetrizedGraph) -> bool:
-    return len({e.length for e in g.edges}) == 1
+def _check_bounds(cid: str, ctx: SuiteContext):
+    """One catalog bound entry, read off the graph's bound suite.
 
-
-def _check_equal_length_bound(ctx: SuiteContext):
-    g = ctx.g
-    if not _equal_lengths(g):
-        return _skip("edge lengths not all equal")
-    bound = Fraction(genus(g), g.ecount) ** 2 / 12
-    return _le(bound, tau_of(normalize(g)))
-
-
-def _check_equal_length_bound_sharper(ctx: SuiteContext):
-    g = ctx.g
-    if not _equal_lengths(g):
-        return _skip("edge lengths not all equal")
-    v, e = g.vcount, g.ecount
-    bound = Fraction(genus(g), e) ** 2 / 12 + Fraction(1, 2 * v) * Fraction(v - 1, e) ** 2
-    return _le(bound, tau_of(normalize(g)))
-
-
-def _check_deleted_sum_bound(ctx: SuiteContext):
-    if ctx.bridges:
-        return _skip("a bridge makes the deleted-resistance sum infinite")
-    gn = normalize(ctx.g)
-    sum_r = sum((pr.res_deleted for pr in context(gn).edge_profiles(0)), Fraction(0))
-    bound = 1 / (12 * (1 + sum_r) ** 2)
-    result = _le(bound, tau_of(gn))
-    if result[0] == "fail":
-        return result
-    counts: dict[frozenset, int] = {}
-    for a, b, _ in gn.edges:
-        if a != b:
-            counts[frozenset((a, b))] = counts.get(frozenset((a, b)), 0) + 1
-    if counts and all(n >= 2 for n in counts.values()):
-        return _le(Fraction(1, 48), tau_of(gn), "doubled-edge case")
+    The check skips with the first row's reason when that row does not apply;
+    a later row counts only where it applies. It fails at the first row that
+    does not hold and otherwise passes with the last row that applied.
+    """
+    at_scale, wanted = _BOUND_ROWS[cid]
+    rows = {row.bound: row for row in lower_bound_suite(ctx.g)}
+    first = rows[wanted[0][0]]
+    if not first.applicable:
+        return _skip(first.reason)
+    factor = total_length(ctx.g) if at_scale else 1
+    result = None
+    for name, tag in wanted:
+        row = rows[name]
+        if not row.applicable:
+            continue
+        lhs, rhs = row.lhs * factor, row.rhs * factor
+        if not row.holds:
+            return _fail(lhs, rhs, tag)
+        result = _pass(lhs, rhs)
     return result
-
-
-def _check_weighted_res_inequality(ctx: SuiteContext):
-    gn = normalize(ctx.g)
-    profiles = context(gn).edge_profiles(0)
-    lhs = sum(_weighted_res_sq(pr) for pr in profiles)
-    rhs = sum(_weighted_res(pr) for pr in profiles) ** 2
-    return _le(rhs, lhs)
 
 
 def _check_parallel_split(ctx: SuiteContext):
@@ -447,7 +434,7 @@ def _check_split_implication(ctx: SuiteContext):
     return _pass(tau, Fraction(1, 108))
 
 
-def _small_marked_graphs(rng: random.Random) -> list[tuple[MetrizedGraph, int, int]]:
+def _small_marked_graphs() -> list[tuple[MetrizedGraph, int, int]]:
     return [
         (families.equal_banana(2), 0, 1),
         (families.equal_banana(3), 0, 1),
@@ -456,9 +443,18 @@ def _small_marked_graphs(rng: random.Random) -> list[tuple[MetrizedGraph, int, i
     ]
 
 
+def _immersion_over_budget(gn: MetrizedGraph, betas):
+    """The skip result when immersing ``betas`` into gn's edges would exceed the budget."""
+    built_edges = sum(beta.ecount for beta, _, _ in betas)
+    built_vertices = gn.vcount + sum(beta.vcount - 2 for beta, _, _ in betas)
+    if built_edges > MAX_BUILT_EDGES or built_vertices > MAX_BUILT_VERTICES:
+        return _skip(f"immersion builds {built_edges} edges, over budget")
+    return None
+
+
 def _check_uniform_immersion(ctx: SuiteContext):
     gn = normalize(ctx.g)
-    beta, p, q = ctx.rng.choice(_small_marked_graphs(ctx.rng)[:3])
+    beta, p, q = ctx.rng.choice(_small_marked_graphs()[:3])
     if beta.ecount * gn.ecount > MAX_BUILT_EDGES:
         return _skip("immersion exceeds edge budget")
     r_beta = context(beta).r(p, q)
@@ -477,12 +473,11 @@ def _check_uniform_immersion(ctx: SuiteContext):
 
 def _check_mixed_immersion(ctx: SuiteContext):
     gn = normalize(ctx.g)
-    menu = _small_marked_graphs(ctx.rng)
+    menu = _small_marked_graphs()
     betas = [menu[i % len(menu)] for i in range(gn.ecount)]
-    built_edges = sum(beta.ecount for beta, _, _ in betas)
-    built_vertices = gn.vcount + sum(beta.vcount - 2 for beta, _, _ in betas)
-    if built_edges > MAX_BUILT_EDGES or built_vertices > MAX_BUILT_VERTICES:
-        return _skip(f"immersion builds {built_edges} edges, over budget")
+    over = _immersion_over_budget(gn, betas)
+    if over:
+        return over
     result = immerse(gn, betas)
     size = Fraction(0)
     rhs = tau_of(gn) - Fraction(1, 4)
@@ -507,10 +502,9 @@ def _check_common_resistance_immersion(ctx: SuiteContext):
     ]
     r = Fraction(1, 4)
     betas = [menu[i % 2] for i in range(gn.ecount)]
-    built_edges = sum(beta.ecount for beta, _, _ in betas)
-    built_vertices = gn.vcount + sum(beta.vcount - 2 for beta, _, _ in betas)
-    if built_edges > MAX_BUILT_EDGES or built_vertices > MAX_BUILT_VERTICES:
-        return _skip(f"immersion builds {built_edges} edges, over budget")
+    over = _immersion_over_budget(gn, betas)
+    if over:
+        return over
     result = immerse(gn, betas)
     predicted = r * tau_of(gn) - r / 4
     for (a, b, length), (beta, p, q), profile in zip(
@@ -529,10 +523,9 @@ def _check_single_graph_immersion(ctx: SuiteContext):
     beta = families.circle(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
     pairs = [(0, 1), (1, 2), (0, 2)]
     betas = [(beta, *pairs[i % 3]) for i in range(gn.ecount)]
-    built_edges = 3 * gn.ecount
-    built_vertices = gn.vcount + gn.ecount
-    if built_edges > MAX_BUILT_EDGES or built_vertices > MAX_BUILT_VERTICES:
-        return _skip(f"immersion builds {built_edges} edges, over budget")
+    over = _immersion_over_budget(gn, betas)
+    if over:
+        return over
     result = immerse(gn, betas)
     size = Fraction(0)
     bracket = tau_of(gn) - Fraction(1, 4)
@@ -666,12 +659,6 @@ def _check_bridgeless_identity(ctx: SuiteContext):
         return _skip("graph has a bridge")
     lhs, rhs = tau_bridgeless_identity(ctx.g)
     return _eq(lhs, rhs)
-
-
-def _check_bridgeless_upper_bound(ctx: SuiteContext):
-    if ctx.bridges:
-        return _skip("graph has a bridge")
-    return _le(tau_of(ctx.g), total_length(ctx.g) / 12)
 
 
 def _contract_setup(ctx: SuiteContext):
@@ -852,8 +839,6 @@ def _check_banana_tau(ctx: SuiteContext):
     floor = ell * (Fraction(1, 12) - Fraction(m - 2, 6 * m * m))
     if not floor <= tau_of(graph):
         return _fail(floor, tau_of(graph), "equal-length minimum")
-    if not ell / 16 <= floor + 0:
-        pass
     equal = families.equal_banana(m, ell)
     if tau_of(equal) != floor:
         return _fail(tau_of(equal), floor, "equal-length value")
@@ -902,15 +887,15 @@ CHECKS = [
      "A = -int j_p j_p' j_x' = int j_q j_p' j_x' = int r (j_p')^2 - r^2/2",
      _check_apq_equivalences),
     ("FMM1-bounds", "global tau bounds with the tree equality case",
-     "l/(16e) <= tau <= l/4, upper equality iff tree", _check_global_bounds),
+     "l/(16e) <= tau <= l/4, upper equality iff tree", partial(_check_bounds, "FMM1-bounds")),
     ("thmeqlength", "equal-length lower bound",
-     "tau >= (1/12)(g/e)^2 at unit length", _check_equal_length_bound),
+     "tau >= (1/12)(g/e)^2 at unit length", partial(_check_bounds, "thmeqlength")),
     ("thmeqlength2", "sharper equal-length lower bound",
-     "tau >= (1/12)(g/e)^2 + (1/2v)((v-1)/e)^2", _check_equal_length_bound_sharper),
+     "tau >= (1/12)(g/e)^2 + (1/2v)((v-1)/e)^2", partial(_check_bounds, "thmeqlength2")),
     ("thmcorineqsumR4", "deleted-resistance-sum lower bound",
-     "tau >= 1/(12(1+sum R)^2); >= 1/48 with doubled edges", _check_deleted_sum_bound),
+     "tau >= 1/(12(1+sum R)^2); >= 1/48 with doubled edges", partial(_check_bounds, "thmcorineqsumR4")),
     ("thm2term", "weighted deleted-resistance square inequality",
-     "sum LR^2/(L+R)^2 >= (sum LR/(L+R))^2 at unit length", _check_weighted_res_inequality),
+     "sum LR^2/(L+R)^2 >= (sum LR/(L+R))^2 at unit length", partial(_check_bounds, "thm2term")),
     ("thmdouble", "parallel-split closed form",
      "tau(split n) = tau/n^2 + (l/12)((n-1)/n)^2 + ((n-1)/(6n^2)) sum L^2/(L+R)",
      _check_parallel_split),
@@ -949,7 +934,7 @@ CHECKS = [
     ("thmbasic2", "bridgeless tau identity",
      "tau = l/12 - sum L A/(L+R)^2", _check_bridgeless_identity),
     ("corbasic2", "bridgeless upper bound",
-     "tau <= l/12", _check_bridgeless_upper_bound),
+     "tau <= l/12", partial(_check_bounds, "corbasic2")),
     ("lemcontract1", "contraction values from the deleted graph",
      "tau(contract) = tau(g-e) - R/6 + A/R", _check_contraction_values),
     ("lemcontract2", "contraction deltas from the original graph",

@@ -4,16 +4,18 @@ The first group deliberately avoids linear algebra and rewrite rules:
 resistance comes from weighted spanning-tree enumeration, bridges from
 exhaustive deletion. Only usable on small graphs.
 
-The second group is the paper's deletion route for the per-edge tau terms and
-the gradient: it solves each edge's deleted graph, so it checks the Green-matrix
-kernel of ``mgt.tau`` by an independent computation.
+The second group is the paper's deletion route for the per-edge tau terms,
+the gradient and the deleted-resistance sums of the bound suite: it solves
+each edge's deleted graph, so it checks the Green-matrix kernel of ``mgt.tau``
+by an independent computation.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from mgt.circuit import EdgeProfile, edge_profile
-from mgt.graph import MetrizedGraph
+from mgt.graph import MetrizedGraph, normalize
+from mgt.rational import INF, ExtScalar
 from mgt.tau import deleted_apq
 
 
@@ -125,3 +127,27 @@ def deletion_gradient(g: MetrizedGraph) -> tuple[Fraction, ...]:
             denom = length + profile.res_deleted
             out.append(Fraction(1, 12) - deleted_apq(g, i) / (denom * denom))
     return tuple(out)
+
+
+def deletion_bounds(g: MetrizedGraph) -> tuple[ExtScalar, Fraction, Fraction]:
+    """(sum R, sum L R^2/(L+R)^2, sum L R/(L+R)) over the edges of normalize(g).
+
+    R is each edge's deleted resistance from its own deletion profile. A
+    bridge makes the first sum INF and adds its limit L to each weighted sum.
+    """
+    gn = normalize(g)
+    sum_r: ExtScalar = Fraction(0)
+    weighted_sq = weighted = Fraction(0)
+    for i in range(gn.ecount):
+        profile = edge_profile(gn, i, 0)
+        length = profile.length
+        if profile.bridge:
+            sum_r = INF
+            weighted_sq += length
+            weighted += length
+            continue
+        sum_r = sum_r + profile.res_deleted
+        ratio = profile.res_deleted / (length + profile.res_deleted)
+        weighted_sq += length * ratio * ratio
+        weighted += length * ratio
+    return sum_r, weighted_sq, weighted

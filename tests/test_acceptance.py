@@ -314,8 +314,7 @@ def test_criterion_9_ratio_floor():
     rows = []
     rows += family_scan("complete", {"v": range(2, 13)})
     rows += family_scan("banana", {"m": range(1, 13)})
-    rows += family_scan("necklace", {"a": [F(1, 10), F(1, 30), F(1, 101)], "t": (2, 3, 100),
-                                     "check_limit": 3})
+    rows += family_scan("necklace", {"a": [F(1, 10), F(1, 30), F(1, 101)], "t": (2, 3, 100)})
     rows += family_scan("circle", {"k": range(1, 7)})
     violations = scan_violations(rows)
     observed += [row.ratio for row in rows]

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -228,6 +229,35 @@ def test_scan_rejects_unknown_parameter_key(capsys):
     code, out, err = run_cli(capsys, "scan", "--family", "circle", "--params", "n=0..1")
     assert code == 2 and out == ""
     assert _one_error_line(err) and "unknown key(s): n" in err
+
+
+def test_scan_check_limit_is_not_a_parameter(capsys):
+    code, out, err = run_cli(capsys, "scan", "--family", "necklace", "--params", "check_limit=2")
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "unknown key(s): check_limit" in err
+
+
+def test_huge_length_is_input_error(tmp_path, capsys):
+    # rejected while parsing: tau would not print within Python's int-to-text limit
+    path = tmp_path / "huge.txt"
+    path.write_text("e 0 1 1e400000\n")
+    code, out, err = run_cli(capsys, "tau", str(path))
+    assert code == 3 and out == ""
+    assert _one_error_line(err) and "line 1" in err
+
+
+def test_huge_vertex_header_allocates_nothing(tmp_path):
+    # v - 1 > e rules out connectivity before any per-vertex list is built;
+    # the address-space cap turns a per-vertex allocation into a failure
+    path = tmp_path / "sparse.txt"
+    path.write_text(f"v {10**15}\ne 0 1 1\n")
+    cap = 256 << 20
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-m", "mgt.cli", "tau", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert done.returncode == 3 and done.stdout == ""
+    assert _one_error_line(done.stderr) and "not connected" in done.stderr
 
 
 def test_cli_tau_does_not_load_numpy(circle_file):

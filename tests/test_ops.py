@@ -16,7 +16,6 @@ from mgt.ops import (
     immerse,
     immerse_any,
     immerse_uniform,
-    simplify_valence2,
     union_one_point,
     union_two_points,
 )
@@ -239,18 +238,6 @@ def test_tower():
     g = normalize(families.random_connected(rng, 5, 7))
     if g.vcount >= 2:
         closure(c_tower(g, 0, g.vcount - 1, 2))
-
-
-def test_simplify_valence2():
-    path = families.path(1, 2, 3)
-    merged = simplify_valence2(path)
-    assert merged.ecount == 1 and merged.edges[0].length == 6
-    assert tau_of(merged) == tau_of(path)
-    circ = families.circle(F(1, 3), F(1, 3), F(1, 3))
-    merged = simplify_valence2(circ)
-    assert merged.vcount == 1 and merged.edges[0].length == 1
-    protected = simplify_valence2(circ, protected=(0, 1, 2))
-    assert protected == circ
 
 
 def test_op_renumbering_deterministic():

@@ -16,7 +16,6 @@ from mgt.optimize import (
     family_scan,
     minimize_tau,
     project_simplex,
-    reducing_iteration,
     scan_violations,
     tau_reducing_sequence,
 )
@@ -174,7 +173,12 @@ def test_tau_reducing_sequence_m_from_inequality():
 
 def test_reducing_iteration_strictly_decreases():
     circ = families.circle(F(1, 2), F(1, 2))
-    values = reducing_iteration(circ, 0, 1, F(1, 100), 2)
+    values = [tau_of(circ)]
+    current = circ
+    for _ in range(2):
+        _, result = tau_reducing_sequence(current, 0, 1, F(1, 100))
+        current = result.graph
+        values.append(tau_of(current))
     assert all(x > y for x, y in zip(values, values[1:]))
     with pytest.raises(SamePoint):
         tau_reducing_sequence(circ, 0, 0, F(1, 10))

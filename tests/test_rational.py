@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from mgt.errors import InfArithmeticError, InputError
-from mgt.rational import INF, format_float, format_scalar, is_inf, parse_scalar
+from mgt.rational import INF, format_float, format_scalar, parse_scalar
 
 
 def test_parse_scalar_forms():
@@ -29,7 +29,6 @@ def test_inf_supported_forms():
     assert F(3, 2) + INF is INF
     assert F(1, 2) / INF == 0
     assert INF / (INF + F(5)) == 1
-    assert is_inf(INF) and not is_inf(F(1))
     assert INF > F(10**9) and not INF < F(1)
 
 

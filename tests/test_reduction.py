@@ -1,22 +1,15 @@
 import random
 from fractions import Fraction as F
 
-import pytest
-
 from mgt import families
 from mgt.circuit import context
-from mgt.errors import PatternMismatch, TerminalElimination
 from mgt.graph import build_graph
 from mgt.reduction import (
-    delta_wye,
     network_from_graph,
-    reduce_parallel,
-    reduce_series,
     reduce_to_terminals,
     resistance_via_reduction,
     star_mesh,
     voltage_via_reduction,
-    wye_delta,
 )
 
 
@@ -24,33 +17,9 @@ def _net(g, terminals):
     return network_from_graph(g, terminals)
 
 
-def test_series_reduction():
-    net = _net(families.path(1, 2), (0, 2))
-    out = reduce_series(net, 1)
-    assert out.edges == ((0, 2, F(3)),)
-    assert 1 not in out.nodes
-
-
-def test_series_errors():
-    net = _net(families.path(1, 2), (0, 1, 2))
-    with pytest.raises(TerminalElimination):
-        reduce_series(net, 1)
-    star = _net(build_graph(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)]), (1, 2))
-    with pytest.raises(PatternMismatch):
-        reduce_series(star, 0)
-
-
-def test_parallel_reduction():
-    net = _net(families.banana(1, 1), (0, 1))
-    out = reduce_parallel(net, (0, 1))
-    assert out.edges[0][2] == F(1, 2)
-    with pytest.raises(PatternMismatch):
-        reduce_parallel(out, (0, 1))
-
-
 def test_star_mesh_n2_is_series():
     chain = _net(families.path(F(3, 2), F(5, 2)), (0, 2))
-    assert star_mesh(chain, 1).edges == reduce_series(chain, 1).edges
+    assert star_mesh(chain, 1).edges == ((0, 2, F(4)),)
 
 
 def test_star_mesh_formula():
@@ -63,23 +32,6 @@ def test_star_mesh_formula():
     assert lengths[frozenset((1, 2))] == 1 * 2 * inv
     assert lengths[frozenset((3, 4))] == 3 * 4 * inv
     assert len(out.edges) == 6
-
-
-def test_delta_wye_symmetric():
-    tri = _net(build_graph(3, [(0, 1, 3), (1, 2, 3), (2, 0, 3)]), (0, 1, 2))
-    out = delta_wye(tri, (0, 1, 2))
-    assert sorted(L for _, _, L in out.edges) == [1, 1, 1]
-
-
-def test_wye_delta_inverts_delta_wye():
-    tri = _net(build_graph(3, [(0, 1, F(5, 2)), (1, 2, 2), (2, 0, 3)]), (0, 1, 2))
-    star = delta_wye(tri, (0, 1, 2))
-    center = max(star.nodes)
-    back = wye_delta(star, center)
-    lengths = {frozenset(e[:2]): e[2] for e in back.edges}
-    assert lengths[frozenset((0, 1))] == F(5, 2)
-    assert lengths[frozenset((1, 2))] == 2
-    assert lengths[frozenset((0, 2))] == 3
 
 
 def test_reduce_triangle_to_y():

@@ -282,6 +282,22 @@ def test_kernel_tau_terms_match_deletion_route():
             assert report.tau == tau_of(g)
 
 
+def test_bound_sums_match_deletion_route():
+    # the deleted-resistance-sum and weighted-square rows of the bound suite
+    # equal the sums over the per-edge deletion profiles of the normalized copy
+    from oracles import deletion_bounds
+
+    for g in _kernel_oracle_graphs():
+        rows = {c.bound: c for c in lower_bound_suite(g)}
+        sum_r, weighted_sq, weighted = deletion_bounds(g)
+        deleted = rows["deleted-resistance-sum"]
+        assert deleted.applicable == (sum_r is not INF)
+        if deleted.applicable:
+            assert deleted.lhs == 1 / (12 * (1 + sum_r) ** 2)
+        square = rows["weighted-deleted-square"]
+        assert (square.lhs, square.rhs) == (weighted**2, weighted_sq)
+
+
 def test_kernel_gradient_matches_deletion_route():
     # Rayleigh-rule gradient equals 1/12 - A(g-e)/(L+R)^2 entry for entry
     from oracles import deletion_gradient
