@@ -5,10 +5,13 @@ Laplacian) so that all pairwise resistances, voltage values and per-edge
 deletion resistances come out of a single factorization. The cache is safe for
 concurrent readers: the matrix is computed once under a lock and never mutated.
 
-The per-edge deletion profiles (:class:`EdgeProfile`, :func:`edge_profile`)
-are the paper's deletion route. tau and its relatives in ``mgt.tau`` do not
-use them; they serve the arm and deleted-resistance identities and are the
-oracle that checks the Green-matrix sums.
+The per-edge deletion profiles (:class:`EdgeProfile`) are the paper's
+deletion route, read off the same matrix: a rank-one update for a cycle edge,
+the resistance to the nearer endpoint for a bridge. ``mgt.tau`` does not use
+them; they serve the arm and deleted-resistance identities.
+:func:`edge_profile` (each deleted graph solved anew) and
+:func:`solve_pair_resistances` (the sampled edge-polynomial oracle's solver)
+exist only to check the matrix.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ class GraphContext:
         self._num: list[list[int]] | None = None
         self._den: int = 1
         self._profiles: dict[int, tuple[EdgeProfile, ...]] = {}
-        self.memo: dict = {}  # scratch space for higher layers (tau, A, fits)
+        self.memo: dict = {}  # scratch space for higher layers (tau, A)
 
     def _ensure_green(self) -> None:
         if self._num is None:
@@ -139,19 +142,17 @@ class GraphContext:
                            bridge=False, loop=False)
 
     def _bridge_profile(self, edge_id: int, base: int) -> EdgeProfile:
-        g = self.graph
-        a, b, length = g.edges[edge_id]
-        side_a = _component_of(g, edge_id, a)
-        base_near = a if base in side_a else b
-        arm_base = _component_resistance(g, edge_id, side_a if base in side_a else None,
-                                         base, base_near)
-        if base_near == a:
+        # Across a bridge r(base, b) = r(base, a) + L when base is on a's side,
+        # so the nearer endpoint is base's side and its resistance is the arm.
+        a, b, length = self.graph.edges[edge_id]
+        r_a, r_b = self.r(base, a), self.r(base, b)
+        if r_a < r_b:
             arm_a: ExtScalar = Fraction(0)
             arm_b: ExtScalar = INF
         else:
             arm_a = INF
             arm_b = Fraction(0)
-        return EdgeProfile(edge_id, length, INF, arm_a, arm_b, arm_base,
+        return EdgeProfile(edge_id, length, INF, arm_a, arm_b, min(r_a, r_b),
                            bridge=True, loop=False)
 
 
@@ -246,8 +247,13 @@ def edge_profile(g: MetrizedGraph, edge_id: int, base: int) -> EdgeProfile:
                            r_pa, bridge=False, loop=True)
     side_a = _component_of(g, edge_id, a)
     if b not in side_a:
-        ctx = context(g)
-        return ctx._bridge_profile(edge_id, base)
+        if base in side_a:
+            arm_base = _component_resistance(g, edge_id, side_a, base, a)
+            return EdgeProfile(edge_id, length, INF, Fraction(0), INF, arm_base,
+                               bridge=True, loop=False)
+        arm_base = _component_resistance(g, edge_id, None, base, b)
+        return EdgeProfile(edge_id, length, INF, INF, Fraction(0), arm_base,
+                           bridge=True, loop=False)
     rest = [e for i, e in enumerate(g.edges) if i != edge_id]
     green = green_matrix(g.vcount, rest)
     res_del = resistance_from_green(green, a, b)
@@ -267,7 +273,12 @@ def resistance_matrix(g: MetrizedGraph) -> list[list[Fraction]]:
 
 
 def solve_pair_resistances(g: MetrizedGraph, pairs: list[tuple[int, int]]) -> list[Fraction]:
-    """Resistances for selected vertex pairs from one factorization, no full inverse."""
+    """Resistances for selected vertex pairs from one factorization, no full inverse.
+
+    The solver of the sampled edge-polynomial oracle in the tests: each sample
+    point is inserted as a vertex and solved here, independently of the Green
+    matrix that ``mgt.integration`` reads.
+    """
     if g.vcount == 1:
         return [Fraction(0) for _ in pairs]
     m, scale, index = laplacian_int(g.vcount, g.edges)

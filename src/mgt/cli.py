@@ -32,6 +32,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -48,6 +49,9 @@ def main(argv: list[str] | None = None) -> int:
     except MgtError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -2,9 +2,15 @@
 
 Every integrand handled here is a polynomial in the arclength parameter on
 each edge: voltage functions restricted to an edge are quadratics as long as
-their reference points are vertices. So integration is exact: sample at
-interior rational points, interpolate, check a guard sample, then integrate
-the polynomial algebraically.
+their reference points are vertices. The four tag functions come in closed
+form from the context's resistances: at distance t from a on an edge (a, b)
+of length L,
+
+    r(y, x) = r(y, a) + (r(y, b) - r(y, a)) t/L + t (L - t)(L - r(a, b))/L^2,
+
+and the voltages are linear combinations of r(p, x), r(q, x) and r(p, q).
+Products of them are integrated algebraically. ``fit_edge_function`` still
+fits an arbitrary integrand from sampled interior points with a guard sample.
 """
 
 from __future__ import annotations
@@ -14,8 +20,8 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import BadPoint, NonPolynomialIntegrand
-from .graph import MetrizedGraph, PointOnGraph, insert_point, normalize_point
-from .circuit import context, solve_pair_resistances
+from .graph import MetrizedGraph, PointOnGraph, normalize_point
+from .circuit import context
 
 # Function tags usable in integrate_product. x is the moving point; p, q are
 # fixed vertices.
@@ -24,8 +30,6 @@ TAG_J_BASE_Q = "j_q(x,p)"
 TAG_J_BASE_X = "j_x(p,q)"
 TAG_R_FROM_P = "r(p,x)"
 ALL_TAGS = (TAG_J_BASE_P, TAG_J_BASE_Q, TAG_J_BASE_X, TAG_R_FROM_P)
-
-JDEGREE = 2  # voltage functions are quadratic along an edge
 
 
 @dataclass(frozen=True)
@@ -87,6 +91,11 @@ def interpolate(edge: int, samples: Sequence[tuple[Fraction, Fraction]]) -> Edge
         for k in range(n - 1, 0, -1):
             coeffs[k] = coeffs[k - 1] - xs[level] * coeffs[k]
         coeffs[0] = newton[level] - xs[level] * coeffs[0]
+    return _trimmed(edge, coeffs)
+
+
+def _trimmed(edge: int, coeffs: list[Fraction]) -> EdgePolynomial:
+    """The polynomial with its trailing zero coefficients dropped."""
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return EdgePolynomial(edge, tuple(coeffs))
@@ -118,52 +127,25 @@ def fit_edge_function(
     return poly
 
 
-def _edge_samples(g: MetrizedGraph, p: int, q: int, edge: int,
-                  offsets: Sequence[Fraction]) -> list[tuple[Fraction, Fraction]]:
-    """(r(p,x), r(q,x)) at interior offsets, each via an independent solve."""
-    out = []
-    for t in offsets:
-        gx, w = insert_point(g, (edge, t))
-        if p == q:
-            (rpx,) = solve_pair_resistances(gx, [(p, w)])
-            out.append((rpx, rpx))
-        else:
-            rpx, rqx = solve_pair_resistances(gx, [(p, w), (q, w)])
-            out.append((rpx, rqx))
-    return out
-
-
 def edge_tag_polynomials(g: MetrizedGraph, p: int, q: int, edge: int) -> dict[str, EdgePolynomial]:
-    """Quadratic fits of all four tag functions on one edge, guard-checked.
+    """The four tag functions on one edge, in closed form.
 
-    The moving point is inserted as a temporary vertex and each sample comes
-    from a fresh Laplacian solve, so these fits are independent of the
-    circuit-reduction shortcut formulas they are later checked against.
+    With gamma = (L - r(a,b))/L, r(y, x) has coefficients r(y,a),
+    (r(y,b) - r(y,a))/L + gamma and -gamma/L in the arclength from a.
     """
     ctx = context(g)
-    key = ("tag-polys", p, q, edge)
-    cached = ctx.memo.get(key)
-    if cached is not None:
-        return cached
-    length = g.edges[edge].length
-    npts = JDEGREE + 2
-    offsets = [length * k / (npts + 1) for k in range(1, npts + 1)]
+    a, b, length = g.edges[edge]
+    gamma = (length - ctx.r(a, b)) / length
     rpq = ctx.r(p, q)
-    samples = _edge_samples(g, p, q, edge, offsets)
-    values = {
-        TAG_R_FROM_P: [rpx for rpx, _ in samples],
-        TAG_J_BASE_P: [(rpx + rpq - rqx) / 2 for rpx, rqx in samples],
-        TAG_J_BASE_Q: [(rqx + rpq - rpx) / 2 for rpx, rqx in samples],
-        TAG_J_BASE_X: [(rpx + rqx - rpq) / 2 for rpx, rqx in samples],
+    rp0, rq0 = ctx.r(p, a), ctx.r(q, a)
+    sp, sq = (ctx.r(p, b) - rp0) / length, (ctx.r(q, b) - rq0) / length
+    c2 = -gamma / length
+    return {
+        TAG_R_FROM_P: _trimmed(edge, [rp0, sp + gamma, c2]),
+        TAG_J_BASE_P: _trimmed(edge, [(rp0 + rpq - rq0) / 2, (sp - sq) / 2]),
+        TAG_J_BASE_Q: _trimmed(edge, [(rq0 + rpq - rp0) / 2, (sq - sp) / 2]),
+        TAG_J_BASE_X: _trimmed(edge, [(rp0 + rq0 - rpq) / 2, (sp + sq) / 2 + gamma, c2]),
     }
-    polys = {}
-    for tag, vals in values.items():
-        poly = interpolate(edge, list(zip(offsets[: JDEGREE + 1], vals[: JDEGREE + 1])))
-        if poly(offsets[-1]) != vals[-1]:
-            raise NonPolynomialIntegrand(f"{tag} is not quadratic on edge {edge}")
-        polys[tag] = poly
-    ctx.memo[key] = polys
-    return polys
 
 
 def integrate_product(

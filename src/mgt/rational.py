@@ -9,6 +9,7 @@ slip through as a wrong number.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
@@ -100,10 +101,15 @@ def parse_scalar(text: str) -> Fraction:
 
 
 def format_scalar(x: ExtScalar) -> str:
-    """Canonical text form: lowest-terms ``a/b`` (bare integer if b=1), ``inf``."""
+    """Canonical text form: lowest-terms ``a/b`` (bare integer if b=1), ``inf``.
+
+    The digits go through ``Decimal``, which has no cap on how many digits an
+    integer may print as, unlike ``str(int)``.
+    """
     if x is INF:
         return "inf"
-    return str(x)
+    num = str(Decimal(x.numerator))
+    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
 def format_float(x: ExtScalar) -> str:

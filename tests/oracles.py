@@ -8,13 +8,26 @@ The second group is the paper's deletion route for the per-edge tau terms,
 the gradient and the deleted-resistance sums of the bound suite: it solves
 each edge's deleted graph, so it checks the Green-matrix kernel of ``mgt.tau``
 by an independent computation.
+
+The last is the sampled route for the edge polynomials of
+``mgt.integration``: each sample point is inserted as a vertex and solved on
+its own, and a guard sample checks the quadratic fit.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from mgt.circuit import EdgeProfile, edge_profile
-from mgt.graph import MetrizedGraph, normalize
+from mgt.circuit import EdgeProfile, context, edge_profile, solve_pair_resistances
+from mgt.errors import NonPolynomialIntegrand
+from mgt.graph import MetrizedGraph, insert_point, normalize
+from mgt.integration import (
+    TAG_J_BASE_P,
+    TAG_J_BASE_Q,
+    TAG_J_BASE_X,
+    TAG_R_FROM_P,
+    EdgePolynomial,
+    interpolate,
+)
 from mgt.rational import INF, ExtScalar
 from mgt.tau import deleted_apq
 
@@ -151,3 +164,44 @@ def deletion_bounds(g: MetrizedGraph) -> tuple[ExtScalar, Fraction, Fraction]:
         weighted_sq += length * ratio * ratio
         weighted += length * ratio
     return sum_r, weighted_sq, weighted
+
+
+def _edge_samples(g: MetrizedGraph, p: int, q: int, edge: int,
+                  offsets) -> list[tuple[Fraction, Fraction]]:
+    """(r(p,x), r(q,x)) at interior offsets, each via an independent solve."""
+    out = []
+    for t in offsets:
+        gx, w = insert_point(g, (edge, t))
+        if p == q:
+            (rpx,) = solve_pair_resistances(gx, [(p, w)])
+            out.append((rpx, rpx))
+        else:
+            rpx, rqx = solve_pair_resistances(gx, [(p, w), (q, w)])
+            out.append((rpx, rqx))
+    return out
+
+
+def sampled_tag_polynomials(g: MetrizedGraph, p: int, q: int,
+                            edge: int) -> dict[str, EdgePolynomial]:
+    """The four tag functions on one edge, fitted from four sampled points.
+
+    Three samples fix each quadratic and the fourth is a guard that must
+    match exactly.
+    """
+    length = g.edges[edge].length
+    offsets = [length * k / 5 for k in range(1, 5)]
+    rpq = context(g).r(p, q)
+    samples = _edge_samples(g, p, q, edge, offsets)
+    values = {
+        TAG_R_FROM_P: [rpx for rpx, _ in samples],
+        TAG_J_BASE_P: [(rpx + rpq - rqx) / 2 for rpx, rqx in samples],
+        TAG_J_BASE_Q: [(rqx + rpq - rpx) / 2 for rpx, rqx in samples],
+        TAG_J_BASE_X: [(rpx + rqx - rpq) / 2 for rpx, rqx in samples],
+    }
+    polys = {}
+    for tag, vals in values.items():
+        poly = interpolate(edge, list(zip(offsets[:3], vals[:3])))
+        if poly(offsets[-1]) != vals[-1]:
+            raise NonPolynomialIntegrand(f"{tag} is not quadratic on edge {edge}")
+        polys[tag] = poly
+    return polys

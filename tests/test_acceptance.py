@@ -15,7 +15,7 @@ from fractions import Fraction as F
 from mgt import families
 from mgt.circuit import context, edge_profile
 from mgt.graph import build_graph, bridges, normalize, total_length
-from mgt.integration import apq_direct, tau_via_integral
+from mgt.integration import apq_direct, edge_tag_polynomials, tau_via_integral
 from mgt.ops import c_tower, da_n, immerse_uniform
 from mgt.optimize import (
     exact_gradient_matches_float,
@@ -27,6 +27,7 @@ from mgt.optimize import (
 from mgt.reduction import resistance_via_reduction
 from mgt.suite import GraphGenerator, identity_catalog, necklace_witness, run_graph_checks
 from mgt.tau import apq_identity, deleted_apq, tau_gradient, tau_of
+from oracles import sampled_tag_polynomials
 
 CORPUS_SEED = 1
 CORPUS_SIZE = 200
@@ -128,6 +129,9 @@ def _oracle_chunk(chunk):
             p, q = 0, g.vcount - 1
             if apq_direct(g, p, q) != apq_identity(g, p, q):
                 failures.append((descriptor, "A routes", p, q))
+            for edge in range(g.ecount):
+                if edge_tag_polynomials(g, p, q, edge) != sampled_tag_polynomials(g, p, q, edge):
+                    failures.append((descriptor, "edge polynomials", p, q, edge))
     return failures
 
 

@@ -6,6 +6,7 @@ from mgt import families
 from mgt.circuit import context, edge_profile, resistance, resistance_matrix, voltage
 from mgt.graph import build_graph
 from mgt.rational import INF
+from mgt.tau import tau_of
 from oracles import spanning_tree_resistance
 
 
@@ -108,12 +109,15 @@ def test_edge_profile_self_loop():
 
 def test_fast_profiles_match_direct():
     rng = random.Random(17)
+    bridges = 0
     for _ in range(20):
         g = families.random_connected(rng, 6, 10)
-        base = rng.randrange(g.vcount)
-        fast = context(g).edge_profiles(base)
-        for i in range(g.ecount):
-            assert fast[i] == edge_profile(g, i, base)
+        for base in range(g.vcount):
+            fast = context(g).edge_profiles(base)
+            for i in range(g.ecount):
+                assert fast[i] == edge_profile(g, i, base)
+                bridges += fast[i].bridge
+    assert bridges > 0
 
 
 def test_parallel_consistency():
@@ -170,3 +174,27 @@ def test_context_concurrent_reads():
     for t in threads:
         t.join()
     assert len(set(values)) == 1
+
+
+def test_context_concurrent_first_touch():
+    # a graph no other test builds, so its context starts empty
+    g = build_graph(4, [(0, 1, F(3, 7)), (1, 2, F(5, 11)), (2, 0, F(2, 13)),
+                        (2, 3, F(7, 17)), (3, 3, F(1, 19))])
+    cx = context(g)
+    start = threading.Barrier(8)
+    results = []
+
+    def writer():
+        start.wait()
+        results.append((cx.green_int(), cx.edge_profiles(0), tau_of(g)))
+
+    threads = [threading.Thread(target=writer) for _ in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len(results) == 8
+    first_green, first_profiles, first_tau = results[0]
+    for green, profiles, tau in results:
+        assert green[0] is first_green[0]
+        assert green == first_green and profiles == first_profiles and tau == first_tau

@@ -1,15 +1,19 @@
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
 
+from mgt import cli, families
 from mgt.cli import main
 from mgt.fileio import format_graph_text, load_graph
-from mgt import families
+from mgt.graph import build_graph
+from mgt.tau import tau_of
 
 
 @pytest.fixture
@@ -244,6 +248,31 @@ def test_huge_length_is_input_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "tau", str(path))
     assert code == 3 and out == ""
     assert _one_error_line(err) and "line 1" in err
+
+
+def test_tau_prints_past_int_text_limit(tmp_path, capsys):
+    # lengths within the input limit whose tau has more than 4300 digits
+    rng = random.Random(7)
+    lengths = [F(rng.randrange(10**498, 10**499), rng.randrange(10**498, 10**499))
+               for _ in range(6)]
+    g = build_graph(4, [(a, b, lengths.pop()) for a in range(4) for b in range(a + 1, 4)])
+    path = tmp_path / "k4big.txt"
+    path.write_text(format_graph_text(g))
+    code, out, err = run_cli(capsys, "tau", str(path))
+    assert code == 0 and err == ""
+    num, den = out.strip().split("/")
+    assert len(num) > 4300
+    assert F(int(Decimal(num)), int(Decimal(den))) == tau_of(g)
+
+
+def test_crash_is_internal_error(circle_file, capsys, monkeypatch):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_run_tau", crash)
+    code, out, err = run_cli(capsys, "tau", circle_file)
+    assert code == cli.EXIT_INTERNAL == 4 and out == ""
+    assert err == "internal error: RuntimeError: boom\n"
 
 
 def test_huge_vertex_header_allocates_nothing(tmp_path):

@@ -18,7 +18,9 @@ from mgt.integration import (
     interpolate,
     tau_via_integral,
 )
+from mgt.suite import GraphGenerator
 from mgt.tau import tau_of
+from oracles import sampled_tag_polynomials
 
 
 def test_edge_polynomial_algebra():
@@ -66,6 +68,18 @@ def test_diamond_middle_edge_flat():
     polys = edge_tag_polynomials(dia, 0, 2, 4)  # middle edge id 4
     flat = polys[TAG_J_BASE_P]
     assert flat.derivative().coeffs == (F(0),)
+
+
+def test_closed_form_polynomials_match_sampled_fits():
+    graphs = [families.complete(5), families.necklace(1, 2, 3)]
+    graphs += [g for _, g in GraphGenerator(3, "tree").graphs(5)]
+    graphs += [g for _, g in GraphGenerator(3, "circle_subdivided").graphs(5)]
+    for g in graphs:
+        for p in range(g.vcount):
+            for q in range(g.vcount):
+                for edge in range(g.ecount):
+                    assert edge_tag_polynomials(g, p, q, edge) == \
+                        sampled_tag_polynomials(g, p, q, edge)
 
 
 def test_power_integrals_match_resistance_powers():
