@@ -1,13 +1,16 @@
 """Effective resistance and voltage functions via exact Laplacian solves.
 
 A per-graph :class:`GraphContext` caches the Green matrix (inverse reduced
-Laplacian) so that all pairwise resistances, voltage values and per-edge
-deletion resistances come out of a single factorization. The cache is safe for
-concurrent readers: the matrix is computed once under a lock and never mutated.
+Laplacian) as integer numerators over one denominator d, together with one
+integer row per edge (``edge_int``), so that all pairwise resistances,
+voltage values and per-edge deletion resistances come out of a single
+factorization. The cache is safe for concurrent readers: the matrix is
+computed once under a lock and never mutated.
 
 The per-edge deletion profiles (:class:`EdgeProfile`) are the paper's
-deletion route, read off the same matrix: a rank-one update for a cycle edge,
-the resistance to the nearer endpoint for a bridge. ``mgt.tau`` does not use
+deletion route, read off the same integers: a rank-one update for a cycle
+edge (``r_deleted``; the three arms share the denominator 2 d gap), the
+resistance to the nearer endpoint for a bridge. ``mgt.tau`` does not use
 them; they serve the arm and deleted-resistance identities.
 :func:`edge_profile` (each deleted graph solved anew) and
 :func:`solve_pair_resistances` (the sampled edge-polynomial oracle's solver)
@@ -60,6 +63,7 @@ class GraphContext:
         self._lock = threading.RLock()
         self._num: list[list[int]] | None = None
         self._den: int = 1
+        self._rows: tuple[tuple[int, int, int, int, int, int], ...] = ()
         self._profiles: dict[int, tuple[EdgeProfile, ...]] = {}
         self.memo: dict = {}  # scratch space for higher layers (tau, A)
 
@@ -68,8 +72,14 @@ class GraphContext:
             with self._lock:
                 if self._num is None:
                     num, den = green_numden(self.graph.vcount, self.graph.edges)
+                    rows = []
+                    for a, b, length in self.graph.edges:
+                        ln, ld = length.numerator, length.denominator
+                        rn = num[a][a] + num[b][b] - 2 * num[a][b]
+                        rows.append((a, b, ln, ld, rn, ln * den - rn * ld))
+                    self._rows = tuple(rows)
                     self._den = den
-                    self._num = num
+                    self._num = num  # set last: it marks the state complete
 
     def green_int(self) -> tuple[list[list[int]], int]:
         """The Green matrix as (N, d): integer numerators over one denominator.
@@ -78,6 +88,15 @@ class GraphContext:
         """
         self._ensure_green()
         return self._num, self._den
+
+    def edge_int(self) -> tuple[tuple[int, int, int, int, int, int], ...]:
+        """One integer row (a, b, ln, ld, rn, gap) per edge, over d of ``green_int``.
+
+        L = ln/ld, r(a,b) = rn/d and L - r(a,b) = gap/(ld d), so
+        gap = ln d - rn ld. gap is zero exactly on bridges, rn on self-loops.
+        """
+        self._ensure_green()
+        return self._rows
 
     def r(self, y: int, z: int) -> Fraction:
         self._ensure_green()
@@ -97,21 +116,25 @@ class GraphContext:
     def r_deleted(self, edge_id: int, y: int, z: int) -> Fraction:
         """Resistance between y and z after deleting one edge (rank-one update).
 
-        Requires the deleted graph to stay connected.
+        Requires the deleted graph to stay connected. See ``_deleted_num``.
         """
-        a, b, length = self.graph.edges[edge_id]
+        a, b, _, _, _, gap = self.edge_int()[edge_id]
         if a == b:
             return self.r(y, z)
-        self._ensure_green()
-        num = self._num
-        den = self._den
-        r_ab_num = num[a][a] + num[b][b] - 2 * num[a][b]
-        gap = length * den - r_ab_num  # den * (L - r(a,b))
         if gap == 0:
             raise MgtError("edge is a bridge; deleted resistance is infinite")
-        cross = num[y][a] - num[y][b] - num[z][a] + num[z][b]
-        base = Fraction(num[y][y] + num[z][z] - 2 * num[y][z], den)
-        return base + Fraction(cross * cross, den) / gap
+        return Fraction(self._deleted_num(edge_id, y, z), self._den * gap)
+
+    def _deleted_num(self, edge_id: int, y: int, z: int) -> int:
+        """d gap times the resistance between y and z with a cycle edge deleted.
+
+        With cross = (N[a][y] - N[b][y]) - (N[a][z] - N[b][z]) this is
+        d r(y,z) gap + cross^2 ld (Sherman-Morrison on the Green matrix).
+        """
+        a, b, _, ld, _, gap = self._rows[edge_id]
+        num = self._num
+        cross = num[a][y] - num[b][y] - num[a][z] + num[b][z]
+        return (num[y][y] + num[z][z] - 2 * num[y][z]) * gap + cross * cross * ld
 
     def edge_profiles(self, base: int) -> tuple[EdgeProfile, ...]:
         if base not in self._profiles:
@@ -123,23 +146,27 @@ class GraphContext:
         return self._profiles[base]
 
     def _profile(self, edge_id: int, base: int) -> EdgeProfile:
-        a, b, length = self.graph.edges[edge_id]
+        """One edge's deletion profile from integers over 2 d gap.
+
+        With X_y = d gap r_deleted(y, base) and M = ln rn d = d gap R, the arms
+        are (X_a + M - X_b), (M + X_b - X_a) and (X_a + X_b - M) over 2 d gap.
+        """
+        a, b, ln, _, rn, gap = self.edge_int()[edge_id]
+        length = self.graph.edges[edge_id].length
         if a == b:
             return EdgeProfile(
                 edge_id, length, Fraction(0), Fraction(0), Fraction(0),
                 self.r(base, a), bridge=False, loop=True,
             )
-        r_ab = self.r(a, b)
-        if r_ab == length:  # bridge: the rest of the circuit carries no alternative path
+        if gap == 0:  # bridge: the rest of the circuit carries no alternative path
             return self._bridge_profile(edge_id, base)
-        res_del = length * r_ab / (length - r_ab)
-        ra_p = self.r_deleted(edge_id, a, base)
-        rb_p = self.r_deleted(edge_id, b, base)
-        arm_a = (ra_p + res_del - rb_p) / 2
-        arm_b = res_del - arm_a
-        arm_base = (ra_p + rb_p - res_del) / 2
-        return EdgeProfile(edge_id, length, res_del, arm_a, arm_b, arm_base,
-                           bridge=False, loop=False)
+        x_a = self._deleted_num(edge_id, a, base)
+        x_b = self._deleted_num(edge_id, b, base)
+        mid = ln * rn * self._den
+        over = 2 * self._den * gap
+        return EdgeProfile(edge_id, length, Fraction(ln * rn, gap),
+                           Fraction(x_a + mid - x_b, over), Fraction(mid + x_b - x_a, over),
+                           Fraction(x_a + x_b - mid, over), bridge=False, loop=False)
 
     def _bridge_profile(self, edge_id: int, base: int) -> EdgeProfile:
         # Across a bridge r(base, b) = r(base, a) + L when base is on a's side,

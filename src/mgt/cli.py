@@ -273,7 +273,7 @@ def _run_verify(args) -> int:
     if args.json:
         print(json.dumps([{
             "identity": r.identity, "graph": r.graph, "status": r.status,
-            "lhs": str(r.lhs), "rhs": str(r.rhs), "reason": r.reason,
+            "lhs": _check_value(r.lhs), "rhs": _check_value(r.rhs), "reason": r.reason,
         } for r in results]))
     else:
         for r in results:
@@ -281,12 +281,17 @@ def _run_verify(args) -> int:
             if r.status == "skip":
                 line += f"  ({r.reason})"
             elif r.status == "fail":
-                line += f"  lhs={r.lhs} rhs={r.rhs} {r.reason}"
+                line += f"  lhs={_check_value(r.lhs)} rhs={_check_value(r.rhs)} {r.reason}"
             print(line)
         passes = sum(1 for r in results if r.status == "pass")
         skips = sum(1 for r in results if r.status == "skip")
         print(f"{passes} passed, {skips} skipped, {len(failures)} failed")
     return EXIT_CHECK_FAILED if failures else EXIT_OK
+
+
+def _check_value(value) -> str:
+    """A check's lhs or rhs: exact digits, or ``None`` where the check has none."""
+    return "None" if value is None else format_scalar(value)
 
 
 def _run_minimize(args) -> int:
@@ -357,9 +362,17 @@ def _run_scan(args) -> int:
     return EXIT_OK
 
 
+# operation arguments, the graph file(s) included
+_OP_ARITY = {"delete": 2, "contract": 2, "identify": 3, "add-edge": 4, "da-n": 2,
+             "subdivide": 2, "union1": 4, "union2": 6, "immerse": 4, "tower": 4}
+
+
 def _run_op(args) -> int:
     name = args.name
     a = args.args
+    if len(a) != _OP_ARITY[name]:
+        print(f"error: op {name} takes {_OP_ARITY[name]} arguments, got {len(a)}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         if name == "delete":
             result, g = _single(a, 1, delete_edge, int)

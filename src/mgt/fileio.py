@@ -77,8 +77,11 @@ def graph_to_json(g: MetrizedGraph) -> dict:
 
 
 def load_graph(path: str) -> MetrizedGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read graph file {path!r}: {exc}") from exc
     if path.endswith(".json") or text.lstrip().startswith("{"):
         return parse_graph_json(text)
     return parse_graph_text(text)

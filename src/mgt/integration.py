@@ -3,25 +3,31 @@
 Every integrand handled here is a polynomial in the arclength parameter on
 each edge: voltage functions restricted to an edge are quadratics as long as
 their reference points are vertices. The four tag functions come in closed
-form from the context's resistances: at distance t from a on an edge (a, b)
-of length L,
+form from the context's Green matrix: at distance t = sL from a on an edge
+(a, b) of length L,
 
-    r(y, x) = r(y, a) + (r(y, b) - r(y, a)) t/L + t (L - t)(L - r(a, b))/L^2,
+    r(y, x) = r(y, a) + (r(y, b) - r(y, a)) s + (L - r(a, b)) s (1 - s),
 
 and the voltages are linear combinations of r(p, x), r(q, x) and r(p, q).
-Products of them are integrated algebraically. ``fit_edge_function`` still
-fits an arbitrary integrand from sampled interior points with a guard sample.
+Scaled by 2 d ld (d the Green denominator, L = ln/ld) every tag has integer
+coefficients in s, so ``integrate_product`` multiplies integer rows, integrates
+them with int_0^1 s^k ds = 1/(k+1) and builds one Fraction per integral.
+``edge_tag_polynomials`` reads the same rows as ``EdgePolynomial`` values in
+t. ``fit_edge_function`` still fits an arbitrary integrand from sampled
+interior points with a guard sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Sequence
 
 from .errors import BadPoint, NonPolynomialIntegrand
 from .graph import MetrizedGraph, PointOnGraph, normalize_point
 from .circuit import context
+from .rational import sum_over
 
 # Function tags usable in integrate_product. x is the moving point; p, q are
 # fixed vertices.
@@ -127,25 +133,57 @@ def fit_edge_function(
     return poly
 
 
+# Polynomial degree of each tag along an edge.
+_DEGREE = {TAG_R_FROM_P: 2, TAG_J_BASE_P: 1, TAG_J_BASE_Q: 1, TAG_J_BASE_X: 2}
+
+
+def _tag_coefficients(num: list[list[int]], p: int, q: int, row) -> dict[str, list[int]]:
+    """The four tags on one edge as integers: coefficients in s = t/L, times 2 d ld.
+
+    ``row`` is the edge's (a, b, ln, ld, rn, gap) from ``GraphContext.edge_int``.
+    With Pa = d r(p,a) (likewise Pb, Qa, Qb) and R = d r(p,q), r(p,x) is
+    [2 ld Pa, 2 (ld (Pb - Pa) + gap), -2 gap]; the voltages are half-sums of
+    r(p,x), r(q,x) and r(p,q), so their quadratic parts are -2 gap or cancel.
+    """
+    a, b, _, ld, _, gap = row
+    rp, rq = num[p], num[q]
+    naa, nbb = num[a][a], num[b][b]
+    pa = rp[p] + naa - 2 * rp[a]
+    qa = rq[q] + naa - 2 * rq[a]
+    dp = nbb - naa - 2 * (rp[b] - rp[a])  # Pb - Pa
+    dq = nbb - naa - 2 * (rq[b] - rq[a])  # Qb - Qa
+    big_r = rp[p] + rq[q] - 2 * rp[q]
+    return {
+        TAG_R_FROM_P: [2 * ld * pa, 2 * (ld * dp + gap), -2 * gap],
+        TAG_J_BASE_P: [ld * (pa + big_r - qa), ld * (dp - dq)],
+        TAG_J_BASE_Q: [ld * (qa + big_r - pa), ld * (dq - dp)],
+        TAG_J_BASE_X: [ld * (pa + qa - big_r), ld * (dp + dq) + 2 * gap, -2 * gap],
+    }
+
+
 def edge_tag_polynomials(g: MetrizedGraph, p: int, q: int, edge: int) -> dict[str, EdgePolynomial]:
     """The four tag functions on one edge, in closed form.
 
-    With gamma = (L - r(a,b))/L, r(y, x) has coefficients r(y,a),
-    (r(y,b) - r(y,a))/L + gamma and -gamma/L in the arclength from a.
+    The integer coefficient c_k of s^k = (t/L)^k becomes c_k ld^k/(2 d ld ln^k)
+    in the arclength t from endpoint a.
     """
     ctx = context(g)
-    a, b, length = g.edges[edge]
-    gamma = (length - ctx.r(a, b)) / length
-    rpq = ctx.r(p, q)
-    rp0, rq0 = ctx.r(p, a), ctx.r(q, a)
-    sp, sq = (ctx.r(p, b) - rp0) / length, (ctx.r(q, b) - rq0) / length
-    c2 = -gamma / length
+    num, den = ctx.green_int()
+    row = ctx.edge_int()[edge]
+    ln, ld = row[2], row[3]
+    scale = 2 * den * ld
     return {
-        TAG_R_FROM_P: _trimmed(edge, [rp0, sp + gamma, c2]),
-        TAG_J_BASE_P: _trimmed(edge, [(rp0 + rpq - rq0) / 2, (sp - sq) / 2]),
-        TAG_J_BASE_Q: _trimmed(edge, [(rq0 + rpq - rp0) / 2, (sq - sp) / 2]),
-        TAG_J_BASE_X: _trimmed(edge, [(rp0 + rq0 - rpq) / 2, (sp + sq) / 2 + gamma, c2]),
+        tag: _trimmed(edge, [Fraction(c * ld**k, scale * ln**k) for k, c in enumerate(coeffs)])
+        for tag, coeffs in _tag_coefficients(num, p, q, row).items()
     }
+
+
+def _times(f: list[int], h: list[int]) -> list[int]:
+    out = [0] * (len(f) + len(h) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(h):
+            out[i + j] += x * y
+    return out
 
 
 def integrate_product(
@@ -157,23 +195,36 @@ def integrate_product(
     """Integrate a product of tagged voltage/resistance factors over the graph.
 
     Each term is (tag, differentiate, power) with integer power >= 0.
-    Derivatives are taken coefficient-wise on the fitted polynomials, which is
-    valid on open edges; endpoint kinks have measure zero.
+    Derivatives are taken on open edges; endpoint kinks have measure zero.
+    Per edge, the product of the integer tag rows is integrated in s = t/L:
+    a factor is F(s)/(2 d ld), its t-derivative F'(s)/(2 d ln), dt = L ds and
+    int_0^1 s^k ds = 1/(k+1). The edge sums share one denominator.
     """
     for tag, _, power in terms:
         if tag not in ALL_TAGS:
             raise BadPoint(f"unknown integrand tag {tag!r}")
         if power < 0:
             raise BadPoint("powers must be nonnegative")
-    total = Fraction(0)
-    for edge in range(g.ecount):
-        polys = edge_tag_polynomials(g, p, q, edge)
-        product = EdgePolynomial(edge, (Fraction(1),))
+    plain = sum(power for _, deriv, power in terms if not deriv)
+    slopes = sum(power for _, deriv, power in terms if deriv)
+    top = sum(power * (_DEGREE[tag] - bool(deriv)) for tag, deriv, power in terms)
+    m = lcm(*range(1, top + 2))
+    ctx = context(g)
+    num, den = ctx.green_int()
+    parts = []
+    for row in ctx.edge_int():
+        tags = _tag_coefficients(num, p, q, row)
+        product = [1]
         for tag, deriv, power in terms:
-            factor = polys[tag].derivative() if deriv else polys[tag]
-            product = product * factor.power(power)
-        total += product.integral(g.edges[edge].length)
-    return total
+            factor = tags[tag]
+            if deriv:
+                factor = [k * c for k, c in enumerate(factor)][1:]
+            for _ in range(power):
+                product = _times(product, factor)
+        total = sum(c * (m // (k + 1)) for k, c in enumerate(product))
+        ln, ld = row[2], row[3]
+        parts.append((ln * total, ld ** (plain + 1) * ln**slopes))
+    return sum_over(parts, m * (2 * den) ** (plain + slopes))
 
 
 def tau_via_integral(g: MetrizedGraph, p: int = 0) -> Fraction:

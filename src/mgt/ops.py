@@ -22,8 +22,8 @@ from .errors import (
     SamePoint,
 )
 from .graph import Edge, MetrizedGraph, bridges, normalize, scale, total_length
-from .rational import Scalar
-from .tau import apq_identity, deleted_apq, tau_of
+from .rational import Scalar, sum_over
+from .tau import apq, deleted_apq, tau_of
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def delete_edge(g: MetrizedGraph, edge_id: int) -> OpResult:
 
     def formula():
         profile = context(g).edge_profiles(0)[edge_id]
-        a_del = Fraction(0) if pa == pb else apq_identity(deleted, pa, pb)
+        a_del = apq(deleted, pa, pb)
         return (
             tau_of(g)
             - length / 12
@@ -123,7 +123,7 @@ def identify_points(g: MetrizedGraph, p: int, q: int) -> OpResult:
 
     def formula():
         r = context(g).r(p, q)
-        return tau_of(g) - r / 6 + apq_identity(g, p, q) / r
+        return tau_of(g) - r / 6 + apq(g, p, q) / r
 
     predicted, notes = _predict("point-identification", formula)
     return OpResult(graph, predicted, "point-identification", notes=notes)
@@ -140,7 +140,7 @@ def add_edge(g: MetrizedGraph, p: int, q: int, new_length: Scalar) -> OpResult:
         if p == q:
             return tau_of(g) + new_length / 12
         r = context(g).r(p, q)
-        a_val = apq_identity(g, p, q)
+        a_val = apq(g, p, q)
         return tau_of(g) + new_length / 12 - r / 6 + a_val / (new_length + r)
 
     predicted, notes = _predict("edge-addition", formula)
@@ -184,8 +184,8 @@ def union_two_points(
     def formula():
         r1 = context(g1).r(p1, q1)
         r2 = context(g2).r(p2, q2)
-        a1 = apq_identity(g1, p1, q1)
-        a2 = apq_identity(g2, p2, q2)
+        a1 = apq(g1, p1, q1)
+        a2 = apq(g2, p2, q2)
         return tau_of(g1) + tau_of(g2) - (r1 + r2) / 6 + (a1 + a2) / (r1 + r2)
 
     predicted, notes = _predict("two-point-union", formula)
@@ -193,12 +193,9 @@ def union_two_points(
 
 
 def parallel_sum(g: MetrizedGraph) -> Fraction:
-    """sum L^2/(L+R) over edges, with bridges contributing zero in the limit."""
-    acc = Fraction(0)
-    for profile in context(g).edge_profiles(0):
-        if not profile.bridge:
-            acc += profile.length**2 / (profile.length + profile.res_deleted)
-    return acc
+    """sum L^2/(L+R) = sum (L - r(a,b)) over edges: zero on a bridge, L on a loop."""
+    ctx = context(g)
+    return sum_over([(gap, ld) for _, _, _, ld, _, gap in ctx.edge_int()], ctx.green_int()[1])
 
 
 def da_n(g: MetrizedGraph, n: int) -> OpResult:
@@ -265,7 +262,7 @@ def immerse(
             size += length / r_beta
             rhs += length * tau_of(beta) / r_beta
             if not profile.bridge:
-                a_beta = apq_identity(beta, p, q)
+                a_beta = apq(beta, p, q)
                 rhs += length**2 * a_beta / ((length + profile.res_deleted) * r_beta**2)
         return rhs / size
 
@@ -313,7 +310,7 @@ def c_tower(g: MetrizedGraph, p: int, q: int, n: int) -> OpResult:
 
     def formula():
         r = context(g).r(p, q)
-        a_val = apq_identity(g, p, q)
+        a_val = apq(g, p, q)
         half = Fraction(1, 2**n)
         coeff = -Fraction(1, 6) - half / 6 + Fraction(1, 3 * 4**n)
         return tau_of(g) + (1 - half) * a_val / r + coeff * r

@@ -21,7 +21,7 @@ from .circuit import context
 from .errors import BadN, MgtError, NotBridgeless, SamePoint, UnknownParameter
 from .graph import MetrizedGraph, bridges, normalize, subdivide_uniform, total_length
 from .ops import contract_edge, immerse, parallel_sum, OpResult
-from .tau import apq_identity, tau_gradient, tau_of
+from .tau import apq, tau_gradient, tau_of
 
 POSITIVITY_FLOOR = 1e-9
 RATIO_FLOOR = Fraction(1, 108)  # conjectured universal ratio; violations are reported, not hidden
@@ -310,7 +310,7 @@ def tau_reducing_sequence(
     if eps <= 0:
         raise MgtError("eps must be positive")
     r = context(g).r(p, q)
-    a_val = apq_identity(g, p, q)
+    a_val = apq(g, p, q)
     spread = parallel_sum(g)
     m = max(1, math.ceil(a_val * spread / (r * eps)))
     host = subdivide_uniform(g, m)

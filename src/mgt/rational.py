@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 from .errors import InfArithmeticError, InputError
@@ -110,6 +111,16 @@ def format_scalar(x: ExtScalar) -> str:
         return "inf"
     num = str(Decimal(x.numerator))
     return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+
+
+def sum_over(pairs: list[tuple[int, int]], common: int) -> Fraction:
+    """(sum of n/m over the integer (n, m) pairs) / common, reduced once.
+
+    The m are small (built from length numerators and denominators); the
+    large shared factor, a power of the Green denominator, is ``common``.
+    """
+    m = lcm(*(q for _, q in pairs))
+    return Fraction(sum(n * (m // q) for n, q in pairs), common * m)
 
 
 def format_float(x: ExtScalar) -> str:

@@ -50,8 +50,8 @@ from .ops import (
 )
 from .reduction import resistance_via_reduction, voltage_via_reduction
 from .tau import (
+    apq,
     apq_checked,
-    apq_identity,
     canonical_measure,
     cubic_sum,
     genus_identity_check,
@@ -261,22 +261,13 @@ def _check_scale_covariance(ctx: SuiteContext):
 
 
 def _check_power_integrals(ctx: SuiteContext):
-    from .integration import EdgePolynomial, edge_tag_polynomials
-
     p, q = ctx.vertex_pair()
     if p == q:
         return _skip("needs two vertices")
     g = ctx.g
     r = context(g).r(p, q)
-    totals = [Fraction(0)] * 4
-    for edge in range(g.ecount):
-        j_poly = edge_tag_polynomials(g, p, q, edge)[TAG_J_BASE_P]
-        product = j_poly.derivative().power(2)
-        length = g.edges[edge].length
-        for n in range(4):
-            totals[n] += product.integral(length)
-            product = product * j_poly
-    pairs = [(f"n={n}", totals[n], r ** (n + 1) / (n + 1)) for n in range(4)]
+    pairs = [(f"n={n}", integrate_product(g, p, q, [(TAG_J_BASE_P, True, 2), (TAG_J_BASE_P, False, n)]),
+              r ** (n + 1) / (n + 1)) for n in range(4)]
     return _all_eq(pairs)
 
 
@@ -462,7 +453,7 @@ def _check_uniform_immersion(ctx: SuiteContext):
         tau_of(beta)
         - r_beta / 4
         + r_beta * tau_of(gn)
-        + apq_identity(beta, p, q) / r_beta * parallel_sum(gn)
+        + apq(beta, p, q) / r_beta * parallel_sum(gn)
     )
     built = immerse_uniform(gn, beta, p, q)
     return _all_eq([
@@ -488,7 +479,7 @@ def _check_mixed_immersion(ctx: SuiteContext):
         size += length / r_beta
         rhs += length * tau_of(beta) / r_beta
         if not profile.bridge:
-            rhs += length**2 * apq_identity(beta, p, q) / (
+            rhs += length**2 * apq(beta, p, q) / (
                 (length + profile.res_deleted) * r_beta**2
             )
     return _eq(tau_of(result.graph) * size, rhs)
@@ -513,7 +504,7 @@ def _check_common_resistance_immersion(ctx: SuiteContext):
         predicted += length * tau_of(beta)
         if not profile.bridge:
             predicted += (
-                length**2 / (length + profile.res_deleted) * apq_identity(beta, p, q) / r
+                length**2 / (length + profile.res_deleted) * apq(beta, p, q) / r
             )
     return _eq(predicted, tau_of(result.graph))
 
@@ -536,7 +527,7 @@ def _check_single_graph_immersion(ctx: SuiteContext):
         r_i = cx_beta.r(p, q)
         size += length / r_i
         if not profile.bridge:
-            bracket += length**2 * apq_identity(beta, p, q) / (
+            bracket += length**2 * apq(beta, p, q) / (
                 (length + profile.res_deleted) * r_i**2
             )
     predicted = tau_of(beta) + bracket / size
@@ -552,7 +543,7 @@ def _check_self_immersion_decrease(ctx: SuiteContext):
     if p == q:
         return _skip("needs two vertices")
     r = context(gn).r(p, q)
-    eps = apq_identity(gn, p, q) / r * parallel_sum(gn)
+    eps = apq(gn, p, q) / r * parallel_sum(gn)
     built = immerse_uniform(gn, gn, p, q)
     predicted = tau_of(gn) - r * (Fraction(1, 4) - tau_of(gn)) + eps
     result = _eq(predicted, tau_of(built.graph), "exact value")
@@ -578,7 +569,7 @@ def _check_self_union(ctx: SuiteContext):
     g = ctx.g
     result = union_two_points(g, g, (p, q), (p, q))
     r = context(g).r(p, q)
-    predicted = 2 * tau_of(g) - r / 3 + apq_identity(g, p, q) / r
+    predicted = 2 * tau_of(g) - r / 3 + apq(g, p, q) / r
     return _all_eq([
         ("closed form", predicted, tau_of(result.graph)),
         ("op prediction", result.predicted_tau, tau_of(result.graph)),
@@ -602,7 +593,7 @@ def _check_edge_deletion_energy(ctx: SuiteContext):
     profile = context(g).edge_profiles(0)[edge]
     energy = integrate_product(deleted, p, q, [(TAG_J_BASE_X, True, 2)])
     denom = profile.length + profile.res_deleted
-    predicted = energy / 4 + denom / 12 + apq_identity(deleted, p, q) / denom
+    predicted = energy / 4 + denom / 12 + apq(deleted, p, q) / denom
     return _eq(predicted, tau_of(g))
 
 
@@ -620,7 +611,7 @@ def _check_length_change(ctx: SuiteContext):
         g.edges[:edge] + (g.edges[edge]._replace(length=length + x),) + g.edges[edge + 1 :],
     )
     deleted, (p, q) = delete_edge_graph(g, edge)
-    a_del = apq_identity(deleted, p, q) if p != q else Fraction(0)
+    a_del = apq(deleted, p, q)
     profile = context(g).edge_profiles(0)[edge]
     denom = profile.length + profile.res_deleted
     predicted = tau_of(g) + x / 12 - x * a_del / (denom * (denom + x))
@@ -645,7 +636,7 @@ def _check_successive_length_changes(ctx: SuiteContext):
         )
         if a != b:
             deleted, (p, q) = delete_edge_graph(modified, i)
-            a_del = apq_identity(deleted, p, q)
+            a_del = apq(deleted, p, q)
             res = context(modified).edge_profiles(0)[i].res_deleted
             total += x / 12 - x * a_del / ((length + res) * (length + res + x))
         else:
@@ -668,7 +659,7 @@ def _contract_setup(ctx: SuiteContext):
     g = ctx.g
     deleted, (p, q) = delete_edge_graph(g, edge)
     res = context(g).edge_profiles(0)[edge].res_deleted
-    a_del = apq_identity(deleted, p, q)
+    a_del = apq(deleted, p, q)
     return edge, deleted, p, q, res, a_del
 
 
@@ -730,12 +721,12 @@ def _check_union_apq(ctx: SuiteContext):
     keep_p, keep_q = min(p1, q1), max(p1, q1)
     r1 = context(g).r(p1, q1)
     r2 = context(other).r(0, q2)
-    a1 = apq_identity(g, p1, q1)
-    a2 = apq_identity(other, 0, q2)
+    a1 = apq(g, p1, q1)
+    a2 = apq(other, 0, q2)
     predicted = (r2**2 * a1 + r1**2 * a2) / (r1 + r2) ** 2 + Fraction(1, 6) * (
         r1 * r2 / (r1 + r2)
     ) ** 2
-    return _eq(apq_identity(union, keep_p, keep_q), predicted)
+    return _eq(apq(union, keep_p, keep_q), predicted)
 
 
 def _check_self_union_apq(ctx: SuiteContext):
@@ -744,8 +735,8 @@ def _check_self_union_apq(ctx: SuiteContext):
     if p == q:
         return _skip("needs two vertices")
     union = union_two_points(g, g, (p, q), (p, q)).graph
-    lhs = 2 * apq_identity(union, min(p, q), max(p, q))
-    rhs = context(g).r(p, q) ** 2 / 12 + apq_identity(g, p, q)
+    lhs = 2 * apq(union, min(p, q), max(p, q))
+    rhs = context(g).r(p, q) ** 2 / 12 + apq(g, p, q)
     return _eq(lhs, rhs)
 
 
@@ -758,7 +749,7 @@ def _check_tower(ctx: SuiteContext):
     r = context(gn).r(p, q)
     explicit = (
         tau_of(gn)
-        + Fraction(3, 4) * apq_identity(gn, p, q) / r
+        + Fraction(3, 4) * apq(gn, p, q) / r
         - Fraction(3, 16) * r
     )
     return _all_eq([
@@ -783,10 +774,10 @@ def _check_apq_edge_split(ctx: SuiteContext):
     deleted, (p, q) = delete_edge_graph(g, edge)
     profile = context(g).edge_profiles(0)[edge]
     res = profile.res_deleted
-    predicted = length**2 * apq_identity(deleted, p, q) / (length + res) ** 2 + context(
+    predicted = length**2 * apq(deleted, p, q) / (length + res) ** 2 + context(
         g
     ).r(p, q) ** 2 / 6
-    return _eq(apq_identity(g, p, q), predicted)
+    return _eq(apq(g, p, q), predicted)
 
 
 def _check_tree_apq(ctx: SuiteContext):
@@ -812,10 +803,7 @@ def _check_wedge_apq(ctx: SuiteContext):
     q = image(q2)
     if p == q:
         return _skip("sampled points coincide at the wedge vertex")
-    lhs = apq_identity(wedge, p, q) if p != q else Fraction(0)
-    a1 = apq_identity(g1, p, y1) if p != y1 else Fraction(0)
-    a2 = apq_identity(g2, y2, q2) if y2 != q2 else Fraction(0)
-    return _eq(lhs, a1 + a2)
+    return _eq(apq(wedge, p, q), apq(g1, p, y1) + apq(g2, y2, q2))
 
 
 def _check_banana_apq(ctx: SuiteContext):

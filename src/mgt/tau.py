@@ -1,22 +1,27 @@
-"""tau, the canonical measure, the bound suite and the exact gradient.
+"""tau, the canonical measure, the bound suite, the exact gradient and A.
 
 All of them are closed-form per-edge sums over the one integer Green matrix
-of a graph (numerators N over a determinant d, see ``GraphContext.green_int``).
-For an edge e = (a, b) of length L, with r = r(a,b) and D = r(p,b) - r(p,a)
-for a base vertex p:
+of a graph (numerators N over a determinant d, see ``GraphContext.green_int``
+and the per-edge rows of ``GraphContext.edge_int``). For an edge e = (a, b)
+of length L, with r = r(a,b) and D = r(p,b) - r(p,a) for a base vertex p:
 
 * tau = 1/4 sum_e [D^2/L + (L - r)^2/(3L)], for every base p;
 * the deleted resistance is R = L r/(L - r), so 1/(L+R) = (L - r)/L^2 and
   R/(L+R) = r/L; a bridge has r = L (R infinite), a self-loop r = 0;
 * d r(y,z)/d L_e = i_e(y,z)^2 (Rayleigh), where i_e(y,z) is the current
   through e for a unit current from y to z; the chain rule through the tau
-  sum gives the gradient with no further solve.
+  sum gives the gradient with no further solve;
+* the voltage integral A_{p,q} (``apq``) integrates the edge quadratics of
+  ``mgt.integration`` in closed form, with the current i_e(p,q) constant
+  along each edge.
 
 Sums are accumulated in integers over a common denominator and reduced once.
-The paper's deletion route (per-edge deletion profiles, A of the deleted
-graph) survives only where it is the identity being checked:
-``tau_bridgeless_identity`` here, the contraction formula in ``ops`` and the
-arm and deleted-resistance identities of the suite.
+``apq_identity`` keeps the paper's identification route for A (it factorizes
+the glued graph) as an independent check; ``apq_checked`` compares the closed
+form with it and with the integral. The paper's deletion route (per-edge
+deletion profiles, A of the deleted graph) survives only where it is the
+identity being checked: ``tau_bridgeless_identity`` here, the contraction
+formula in ``ops`` and the arm and deleted-resistance identities of the suite.
 """
 
 from __future__ import annotations
@@ -26,9 +31,9 @@ from fractions import Fraction
 from math import lcm
 
 from .circuit import context
-from .errors import EmptyGraph, HasBridge, SamePoint
+from .errors import EmptyGraph, HasBridge, MgtError, SamePoint
 from .graph import MetrizedGraph, bridges, check_vertices, genus, total_length
-from .rational import INF, ExtScalar
+from .rational import INF, ExtScalar, sum_over
 
 
 @dataclass(frozen=True)
@@ -64,26 +69,14 @@ def _edge_terms(g: MetrizedGraph, base: int = 0) -> tuple[int, list[tuple[int, .
     L = ln/ld, r(a,b) = rn/d, L - r(a,b) = gap/(ld d) and
     r(base,b) - r(base,a) = dn/d. gap is zero exactly on bridges.
     """
-    num, den = context(g).green_int()
+    ctx = context(g)
+    num, den = ctx.green_int()
     row_p = num[base]
     rows = []
-    for a, b, length in g.edges:
-        ln, ld = length.numerator, length.denominator
-        naa, nbb = num[a][a], num[b][b]
-        rn = naa + nbb - 2 * num[a][b]
-        dn = nbb - naa - 2 * (row_p[b] - row_p[a])
-        rows.append((ln, ld, rn, ln * den - rn * ld, dn))
+    for a, b, ln, ld, rn, gap in ctx.edge_int():
+        dn = num[b][b] - num[a][a] - 2 * (row_p[b] - row_p[a])
+        rows.append((ln, ld, rn, gap, dn))
     return den, rows
-
-
-def _over(pairs: list[tuple[int, int]], common: int) -> Fraction:
-    """(sum of n/m over the (n, m) pairs) / common, reduced once.
-
-    The m are small (built from length numerators and denominators); the
-    large shared factor, a power of the Green denominator, is ``common``.
-    """
-    m = lcm(*(q for _, q in pairs))
-    return Fraction(sum(n * (m // q) for n, q in pairs), common * m)
 
 
 def _tau_terms(rows) -> list[tuple[int, int]]:
@@ -94,7 +87,7 @@ def _tau_terms(rows) -> list[tuple[int, int]]:
 def cubic_sum(g: MetrizedGraph) -> Fraction:
     """sum L^3/(L+R)^2 = sum (L - r)^2/L over edges; zero across a bridge."""
     den, rows = _edge_terms(g)
-    return _over([(gap * gap, ln * ld) for ln, ld, _, gap, _ in rows], den * den)
+    return sum_over([(gap * gap, ln * ld) for ln, ld, _, gap, _ in rows], den * den)
 
 
 def tau_edge_sum(g: MetrizedGraph, base: int = 0) -> TauReport:
@@ -110,7 +103,7 @@ def tau_edge_sum(g: MetrizedGraph, base: int = 0) -> TauReport:
     for i, ((n, m), (ln, _, rn, gap, _)) in enumerate(zip(terms, rows)):
         res: ExtScalar = INF if gap == 0 else Fraction(ln * rn, gap)
         per_edge.append((i, Fraction(n, scale * m), res))
-    return TauReport(_over(terms, scale), total_length(g), genus(g), tuple(per_edge), base)
+    return TauReport(sum_over(terms, scale), total_length(g), genus(g), tuple(per_edge), base)
 
 
 def tau_of(g: MetrizedGraph) -> Fraction:
@@ -119,7 +112,7 @@ def tau_of(g: MetrizedGraph) -> Fraction:
     value = ctx.memo.get("tau")
     if value is None:
         den, rows = _edge_terms(g)
-        value = _over(_tau_terms(rows), 12 * den * den)
+        value = sum_over(_tau_terms(rows), 12 * den * den)
         ctx.memo["tau"] = value
     return value
 
@@ -139,16 +132,47 @@ def genus_identity_check(g: MetrizedGraph) -> tuple[Fraction, Fraction]:
     R/(L+R) = r/L, and the two summands of an edge add up to one.
     """
     den, rows = _edge_terms(g)
-    right = _over([(rn * ld, ln) for ln, ld, rn, _, _ in rows], den)
+    right = sum_over([(rn * ld, ln) for ln, ld, rn, _, _ in rows], den)
     return g.ecount - right, right
+
+
+def apq(g: MetrizedGraph, p: int, q: int) -> Fraction:
+    """The voltage integral A = int j_x(p,q) (d/dx j_p(x,q))^2 dx in closed form.
+
+    The current through an edge is constant along it, so each edge adds
+    i_e(p,q)^2 L [(r(p,a) + r(p,b) + r(q,a) + r(q,b))/4 - r(p,q)/2 + (L - r(a,b))/6].
+    Over d: with c_e = (N[a][p] - N[b][p]) - (N[a][q] - N[b][q]) (so
+    i_e = c_e/(d L)), S_e = d (r(p,a) + r(p,b) + r(q,a) + r(q,b)) and
+    R = d r(p,q),
+
+        A = sum_e c_e^2 (3 ld S_e - 6 ld R + 2 gap_e) / (12 ln_e d^3).
+
+    Zero when p = q, where the integrand vanishes identically.
+    """
+    check_vertices(g, p, q)
+    if p == q:
+        return Fraction(0)
+    ctx = context(g)
+    num, den = ctx.green_int()
+    rp, rq = num[p], num[q]
+    npp, nqq = rp[p], rq[q]
+    big_r = npp + nqq - 2 * rp[q]
+    terms = []
+    for a, b, ln, ld, _, gap in ctx.edge_int():
+        c = rp[a] - rp[b] - rq[a] + rq[b]
+        if c:
+            naa, nbb = num[a][a], num[b][b]
+            s_e = 2 * (npp + nqq + naa + nbb) - 2 * (rp[a] + rp[b] + rq[a] + rq[b])
+            terms.append((c * c * (3 * ld * (s_e - 2 * big_r) + 2 * gap), ln))
+    return sum_over(terms, 12 * den ** 3)
 
 
 def apq_identity(g: MetrizedGraph, p: int, q: int) -> Fraction:
     """The voltage integral A via two tau evaluations and one resistance.
 
     A = r(p,q) (tau(identified) - tau) + r(p,q)^2 / 6, where "identified"
-    glues p to q. Cheaper than integrating, and an independent oracle for the
-    direct route.
+    glues p to q. The paper's identification route: it factorizes the glued
+    graph, and is kept as an independent check of ``apq``.
     """
     check_vertices(g, p, q)
     if p == q:
@@ -168,17 +192,16 @@ def apq_identity(g: MetrizedGraph, p: int, q: int) -> Fraction:
 
 
 def apq_checked(g: MetrizedGraph, p: int, q: int) -> Fraction:
-    """A by both routes with exact agreement asserted."""
-    from .errors import MgtError
+    """A by three routes (closed form, identification, integral), asserted equal."""
     from .integration import apq_direct
 
-    via_identity = Fraction(0) if p == q else apq_identity(g, p, q)
-    via_integral = apq_direct(g, p, q)
-    if via_identity != via_integral:
-        raise MgtError(
-            f"A mismatch at ({p},{q}): identity {via_identity} vs integral {via_integral}"
-        )
-    return via_identity
+    value = apq(g, p, q)
+    routes = (("identity", Fraction(0) if p == q else apq_identity(g, p, q)),
+              ("integral", apq_direct(g, p, q)))
+    for name, other in routes:
+        if other != value:
+            raise MgtError(f"A mismatch at ({p},{q}): closed form {value} vs {name} {other}")
+    return value
 
 
 def deleted_apq(g: MetrizedGraph, edge_id: int) -> Fraction:
@@ -189,7 +212,7 @@ def deleted_apq(g: MetrizedGraph, edge_id: int) -> Fraction:
     if a == b:
         return Fraction(0)
     deleted, (pa, pb) = delete_edge_graph(g, edge_id)
-    return apq_identity(deleted, pa, pb)
+    return apq(deleted, pa, pb)
 
 
 def tau_gradient(g: MetrizedGraph) -> GradientVector:
@@ -307,7 +330,7 @@ def lower_bound_suite(g: MetrizedGraph) -> list[BoundCheck]:
                               "some endpoint pair is joined by only one edge",
                               None, None, "<=", None))
     # with R/(L+R) = r/L: sum L (R/(L+R))^2 = sum r^2/L and sum L R/(L+R) = sum r
-    lhs = _over([(rn * rn * ld, ln) for ln, ld, rn, _, _ in rows], den * den) / ell
+    lhs = sum_over([(rn * rn * ld, ln) for ln, ld, rn, _, _ in rows], den * den) / ell
     rhs_inner = Fraction(sum(row[2] for row in rows), den) / ell
     out.append(BoundCheck("weighted-deleted-square", True, "", rhs_inner**2, lhs, "<=",
                           rhs_inner**2 <= lhs))

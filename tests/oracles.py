@@ -9,9 +9,12 @@ the gradient and the deleted-resistance sums of the bound suite: it solves
 each edge's deleted graph, so it checks the Green-matrix kernel of ``mgt.tau``
 by an independent computation.
 
-The last is the sampled route for the edge polynomials of
+The last group is the sampled route for the edge polynomials of
 ``mgt.integration``: each sample point is inserted as a vertex and solved on
-its own, and a guard sample checks the quadratic fit.
+its own, and a guard sample checks the quadratic fit. Next to it,
+``product_integral`` multiplies and integrates those polynomials in
+``Fraction`` arithmetic, the reference for the integer sums of
+``integrate_product``.
 """
 
 from fractions import Fraction
@@ -26,6 +29,7 @@ from mgt.integration import (
     TAG_J_BASE_X,
     TAG_R_FROM_P,
     EdgePolynomial,
+    edge_tag_polynomials,
     interpolate,
 )
 from mgt.rational import INF, ExtScalar
@@ -166,6 +170,16 @@ def deletion_bounds(g: MetrizedGraph) -> tuple[ExtScalar, Fraction, Fraction]:
     return sum_r, weighted_sq, weighted
 
 
+def deletion_parallel_sum(g: MetrizedGraph) -> Fraction:
+    """sum L^2/(L+R) over the deletion profiles of g's edges; a bridge adds 0."""
+    total = Fraction(0)
+    for i in range(g.ecount):
+        profile = edge_profile(g, i, 0)
+        if not profile.bridge:
+            total += profile.length**2 / (profile.length + profile.res_deleted)
+    return total
+
+
 def _edge_samples(g: MetrizedGraph, p: int, q: int, edge: int,
                   offsets) -> list[tuple[Fraction, Fraction]]:
     """(r(p,x), r(q,x)) at interior offsets, each via an independent solve."""
@@ -205,3 +219,21 @@ def sampled_tag_polynomials(g: MetrizedGraph, p: int, q: int,
             raise NonPolynomialIntegrand(f"{tag} is not quadratic on edge {edge}")
         polys[tag] = poly
     return polys
+
+
+def product_integral(g: MetrizedGraph, p: int, q: int, terms) -> Fraction:
+    """int over g of a product of tag factors, in Fraction polynomial arithmetic.
+
+    ``terms`` are (tag, differentiate, power) as for ``integrate_product``;
+    each edge's tag polynomials are differentiated, multiplied and integrated
+    over [0, L] coefficient by coefficient.
+    """
+    total = Fraction(0)
+    for edge in range(g.ecount):
+        polys = edge_tag_polynomials(g, p, q, edge)
+        product = EdgePolynomial(edge, (Fraction(1),))
+        for tag, deriv, power in terms:
+            factor = polys[tag].derivative() if deriv else polys[tag]
+            product = product * factor.power(power)
+        total += product.integral(g.edges[edge].length)
+    return total

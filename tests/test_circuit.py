@@ -4,7 +4,9 @@ from fractions import Fraction as F
 
 from mgt import families
 from mgt.circuit import context, edge_profile, resistance, resistance_matrix, voltage
-from mgt.graph import build_graph
+from mgt.graph import bridges, build_graph
+from mgt.ops import delete_edge_graph
+from mgt.suite import GraphGenerator
 from mgt.rational import INF
 from mgt.tau import tau_of
 from oracles import spanning_tree_resistance
@@ -198,3 +200,20 @@ def test_context_concurrent_first_touch():
     for green, profiles, tau in results:
         assert green[0] is first_green[0]
         assert green == first_green and profiles == first_profiles and tau == first_tau
+
+
+def test_r_deleted_matches_deleted_graph_solve():
+    # the rank-one update equals a fresh factorization of the deleted graph
+    checked = 0
+    for _, g in GraphGenerator(2).graphs(30):
+        cx = context(g)
+        cut = set(bridges(g))
+        for i, (a, b, _) in enumerate(g.edges):
+            if a == b or i in cut:
+                continue
+            solved = context(delete_edge_graph(g, i)[0])
+            for y in range(g.vcount):
+                for z in range(g.vcount):
+                    assert cx.r_deleted(i, y, z) == solved.r(y, z)
+            checked += 1
+    assert checked > 50

@@ -1,18 +1,23 @@
+import contextlib
+import io
 import json
 import os
 import random
 import resource
 import subprocess
 import sys
+import tempfile
 from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mgt import cli, families
 from mgt.cli import main
 from mgt.fileio import format_graph_text, load_graph
-from mgt.graph import build_graph
+from mgt.graph import build_graph, total_length
 from mgt.tau import tau_of
 
 
@@ -298,3 +303,111 @@ def test_cli_tau_does_not_load_numpy(circle_file):
     assert done.returncode == 0 and done.stdout == "1/12\n"
     imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
     assert "mgt.tau" in imported and "numpy" not in imported
+
+
+def test_verify_json_prints_past_int_text_limit(tmp_path, capsys):
+    # check values go through the same digit path as every other exact result
+    rng = random.Random(7)
+    lengths = [F(rng.randrange(10**498, 10**499), rng.randrange(10**498, 10**499))
+               for _ in range(6)]
+    g = build_graph(4, [(a, b, lengths.pop()) for a in range(4) for b in range(a + 1, 4)])
+    path = tmp_path / "k4big.txt"
+    path.write_text(format_graph_text(g))
+    code, out, err = run_cli(capsys, "verify", str(path), "--suite", "FMM1-bounds", "--json")
+    assert code == 0 and err == ""
+    (row,) = json.loads(out)
+    assert row["status"] == "pass" and len(row["rhs"]) > 4300
+    num, den = row["rhs"].split("/")
+    assert F(int(Decimal(num)), int(Decimal(den))) == total_length(g) / 4
+
+
+def test_unreadable_file_is_input_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "tau", str(tmp_path / "missing.txt"))
+    assert code == 3 and out == "" and _one_error_line(err)
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run_cli(capsys, "bounds", str(binary))
+    assert code == 3 and out == "" and _one_error_line(err)
+
+
+def test_op_wrong_argument_count_is_usage_error(k4_file, capsys):
+    # one argument too many used to be read as the graph file
+    code, out, err = run_cli(capsys, "op", "delete", "0", "0", k4_file)
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "takes 2 arguments, got 3" in err
+
+
+_DAMAGE = ("e 0", "w 1 2", "e 0 1 0", "e 0 1 -1", "e 0 1 x", "e 0 9 1", "v 9", "e 0 1 1e3", "# note")
+_IDS = ("all", "genus-identity", "coradding2,cor2twopunion", "thmbasic2", "FMM1-bounds", "bogus")
+_OPS = ("delete", "contract", "identify", "add-edge", "union1", "union2", "da-n",
+        "subdivide", "immerse", "tower", "bogus")
+
+
+@st.composite
+def _graph_texts(draw):
+    # a connected graph (a path plus extra edges and loops); one file in four is damaged
+    v = draw(st.integers(1, 4))
+    extra = draw(st.lists(st.tuples(st.integers(0, v - 1), st.integers(0, v - 1)), max_size=3))
+    lengths = st.sampled_from(("1", "2", "1/2", "3/7", "0.25"))
+    lines = [f"v {v}"] + [f"e {a} {b} {draw(lengths)}"
+                          for a, b in [(i, i + 1) for i in range(v - 1)] + extra]
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_DAMAGE)))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _argvs(draw, path):
+    small = st.integers(-1, 4).map(str)
+    point = st.one_of(small, st.sampled_from(["0:1/2", "1:0", "9:1", "0:x"]))
+    flags = st.lists(st.sampled_from(["--json", "--float", "--per-edge", "--bogus"]), max_size=2)
+    verb = draw(st.sampled_from(["tau", "resistance", "voltage", "apq", "mucan", "gradient",
+                                 "bounds", "verify", "op", "minimize", "nonsense"]))
+    if verb == "tau":
+        argv = [verb, path, *draw(flags)]
+        if draw(st.booleans()):
+            argv += ["--base", draw(small)]
+    elif verb in ("resistance", "voltage"):
+        argv = [verb, path] + draw(st.lists(point, min_size=2, max_size=3))
+    elif verb == "apq":
+        argv = [verb, path, draw(small), draw(small),
+                "--method", draw(st.sampled_from(["direct", "identity", "both", "x"]))]
+    elif verb in ("mucan", "gradient", "bounds"):
+        argv = [verb, path, *draw(flags)]
+    elif verb == "verify":
+        argv = [verb, path, "--suite", draw(st.sampled_from(_IDS)), "--seed", draw(small)]
+        if draw(st.booleans()):
+            argv.append("--json")
+    elif verb == "op":
+        argv = [verb, draw(st.sampled_from(_OPS)), *draw(st.lists(small, max_size=4)), path]
+        if draw(st.booleans()):
+            argv.append("--json")
+    elif verb == "minimize":
+        argv = [verb, path, "--iters", draw(st.sampled_from(["1", "5", "0", "-2"]))]
+    else:
+        argv = [verb, path]
+    return argv
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=list(HealthCheck))
+@given(st.data())
+def test_cli_exit_codes_hold_on_random_input(data):
+    # no input or argument list crashes the CLI; 1 means a check reported a failure
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.txt")
+        with open(path, "w") as fh:
+            fh.write(data.draw(_graph_texts()))
+        argv = data.draw(_argvs(path))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in out + err
+    assert code in (0, 1, 2, 3), (argv, err)
+    if code in (2, 3):
+        assert err
+    if code == 1:
+        reported = ("FAIL " in out or '"status": "fail"' in out or "VIOLATED" in out
+                    or '"holds": false' in out or "DISAGREE" in out)
+        assert argv[0] in ("verify", "bounds", "op") and reported, (argv, out)

@@ -9,7 +9,9 @@ from mgt.errors import NonPolynomialIntegrand
 from mgt.graph import build_graph
 from mgt.integration import (
     TAG_J_BASE_P,
+    TAG_J_BASE_Q,
     TAG_J_BASE_X,
+    TAG_R_FROM_P,
     EdgePolynomial,
     apq_direct,
     edge_tag_polynomials,
@@ -20,7 +22,7 @@ from mgt.integration import (
 )
 from mgt.suite import GraphGenerator
 from mgt.tau import tau_of
-from oracles import sampled_tag_polynomials
+from oracles import product_integral, sampled_tag_polynomials
 
 
 def test_edge_polynomial_algebra():
@@ -70,16 +72,41 @@ def test_diamond_middle_edge_flat():
     assert flat.derivative().coeffs == (F(0),)
 
 
-def test_closed_form_polynomials_match_sampled_fits():
+def _oracle_graphs():
     graphs = [families.complete(5), families.necklace(1, 2, 3)]
     graphs += [g for _, g in GraphGenerator(3, "tree").graphs(5)]
     graphs += [g for _, g in GraphGenerator(3, "circle_subdivided").graphs(5)]
-    for g in graphs:
+    return graphs
+
+
+def test_closed_form_polynomials_match_sampled_fits():
+    for g in _oracle_graphs():
         for p in range(g.vcount):
             for q in range(g.vcount):
                 for edge in range(g.ecount):
                     assert edge_tag_polynomials(g, p, q, edge) == \
                         sampled_tag_polynomials(g, p, q, edge)
+
+
+# every term list the identity catalog and the integral routes pass to integrate_product
+CATALOG_TERMS = [
+    *([(TAG_J_BASE_P, True, 2), (TAG_J_BASE_P, False, n)] for n in range(4)),
+    [(TAG_J_BASE_X, True, 1), (TAG_J_BASE_P, True, 1)],
+    [(TAG_J_BASE_X, True, 2)],
+    [(TAG_J_BASE_X, False, 1), (TAG_J_BASE_P, True, 2)],
+    [(TAG_J_BASE_P, False, 1), (TAG_J_BASE_P, True, 1), (TAG_J_BASE_X, True, 1)],
+    [(TAG_J_BASE_Q, False, 1), (TAG_J_BASE_P, True, 1), (TAG_J_BASE_X, True, 1)],
+    [(TAG_R_FROM_P, False, 1), (TAG_J_BASE_P, True, 2)],
+    [(TAG_R_FROM_P, True, 2)],
+]
+
+
+def test_integer_products_match_fraction_reference():
+    for g in _oracle_graphs():
+        for p in range(g.vcount):
+            for q in range(g.vcount):
+                for terms in CATALOG_TERMS:
+                    assert integrate_product(g, p, q, terms) == product_integral(g, p, q, terms)
 
 
 def test_power_integrals_match_resistance_powers():

@@ -16,6 +16,7 @@ from mgt.ops import (
     immerse,
     immerse_any,
     immerse_uniform,
+    parallel_sum,
     union_one_point,
     union_two_points,
 )
@@ -248,3 +249,14 @@ def test_op_renumbering_deterministic():
     assert u.vcount == 4
     assert u.edges[2].a == 0 and u.edges[2].b == 3
     assert u.edges[3].a == 3 and u.edges[3].b == 2
+
+
+def test_parallel_sum_matches_profile_route():
+    # sum (L - r(a,b)) equals sum L^2/(L+R) over each edge's deletion solve
+    from oracles import deletion_parallel_sum
+    from mgt.suite import GraphGenerator
+
+    graphs = [g for _, g in GraphGenerator(4).graphs(40)]
+    graphs += [families.segment(2), families.circle(F(3, 5)), families.complete(5, F(1, 3))]
+    for g in graphs:
+        assert parallel_sum(g) == deletion_parallel_sum(g)

@@ -5,10 +5,11 @@ import pytest
 
 from mgt import families
 from mgt.circuit import context, edge_profile
-from mgt.errors import HasBridge, SamePoint
+from mgt.errors import HasBridge, MgtError, SamePoint
 from mgt.graph import build_graph, insert_point, normalize, scale, subdivide_uniform, total_length
 from mgt.rational import INF
 from mgt.tau import (
+    apq,
     apq_checked,
     apq_identity,
     canonical_measure,
@@ -304,3 +305,29 @@ def test_kernel_gradient_matches_deletion_route():
 
     for g in _kernel_oracle_graphs():
         assert tau_gradient(g).entries == deletion_gradient(g)
+
+
+def test_apq_closed_form_matches_identification_route():
+    # the per-edge integer sum equals r (tau(g_pq) - tau) + r^2/6 on every ordered pair
+    for g in _kernel_oracle_graphs():
+        for p in range(g.vcount):
+            assert apq(g, p, p) == 0
+            for q in range(g.vcount):
+                if p != q:
+                    assert apq(g, p, q) == apq_identity(g, p, q)
+
+
+@pytest.mark.parametrize("route", ["apq", "apq_identity", "apq_direct"])
+def test_apq_checked_compares_three_routes(monkeypatch, route):
+    import mgt.integration
+    import mgt.tau
+
+    g = families.complete(4, F(2, 3))
+    value = apq_checked(g, 0, 2)
+    module = mgt.integration if route == "apq_direct" else mgt.tau
+    original = getattr(module, route)
+    monkeypatch.setattr(module, route, lambda *args: original(*args) + F(1, 10**9))
+    with pytest.raises(MgtError, match="A mismatch"):
+        apq_checked(g, 0, 2)
+    monkeypatch.undo()
+    assert apq_checked(g, 0, 2) == value
