@@ -208,7 +208,7 @@ def _component_resistance(g: MetrizedGraph, skip_edge: int, side_a: set[int] | N
     relabel = {v: i for i, v in enumerate(verts)}
     edges = [Edge(relabel[a], relabel[b], L) for i, (a, b, L) in enumerate(g.edges)
              if i != skip_edge and a in comp and b in comp]
-    green = green_matrix(len(verts), edges, ground=0)
+    green = green_matrix(len(verts), edges)
     return resistance_from_green(green, relabel[y], relabel[z])
 
 

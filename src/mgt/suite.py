@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from . import families
 from .circuit import EdgeProfile, context
@@ -425,13 +425,27 @@ def _check_split_implication(ctx: SuiteContext):
     return _pass(tau, Fraction(1, 108))
 
 
-def _small_marked_graphs() -> list[tuple[MetrizedGraph, int, int]]:
-    return [
+# The immersion menus are built once: a check that reuses the same graph object
+# finds its solver context by identity, without comparing lengths.
+@cache
+def _small_marked_graphs() -> tuple[tuple[MetrizedGraph, int, int], ...]:
+    return (
         (families.equal_banana(2), 0, 1),
         (families.equal_banana(3), 0, 1),
         (families.segment(1), 0, 1),
         (families.path(Fraction(1, 2), Fraction(1, 2)), 0, 2),
-    ]
+    )
+
+
+@cache
+def _common_resistance_menu() -> tuple[tuple[MetrizedGraph, int, int], ...]:
+    """Two marked graphs with the same resistance 1/4 between their marks."""
+    return (_small_marked_graphs()[0], (families.circle(*([Fraction(1, 4)] * 4)), 0, 2))
+
+
+@cache
+def _three_arc_circle() -> MetrizedGraph:
+    return families.circle(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
 
 
 def _immersion_over_budget(gn: MetrizedGraph, betas):
@@ -487,10 +501,7 @@ def _check_mixed_immersion(ctx: SuiteContext):
 
 def _check_common_resistance_immersion(ctx: SuiteContext):
     gn = normalize(ctx.g)
-    menu = [
-        (families.equal_banana(2), 0, 1),
-        (families.circle(*([Fraction(1, 4)] * 4)), 0, 2),
-    ]
+    menu = _common_resistance_menu()
     r = Fraction(1, 4)
     betas = [menu[i % 2] for i in range(gn.ecount)]
     over = _immersion_over_budget(gn, betas)
@@ -511,7 +522,7 @@ def _check_common_resistance_immersion(ctx: SuiteContext):
 
 def _check_single_graph_immersion(ctx: SuiteContext):
     gn = normalize(ctx.g)
-    beta = families.circle(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
+    beta = _three_arc_circle()
     pairs = [(0, 1), (1, 2), (0, 2)]
     betas = [(beta, *pairs[i % 3]) for i in range(gn.ecount)]
     over = _immersion_over_budget(gn, betas)

@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction as F
 
-from mgt.linalg import green_numden, laplacian_int, solve_spd
-from mgt import families
+from mgt import families, linalg
+from mgt.circuit import GraphContext
+from mgt.graph import build_graph, normalize, scale
+from mgt.linalg import bareiss_forward, green_numden, laplacian_int, solve_spd
+from mgt.ops import immerse_uniform
+from mgt.suite import GraphGenerator
 
 
 def fraction_solve(matrix, rhs):
@@ -24,6 +28,46 @@ def fraction_solve(matrix, rhs):
     return x
 
 
+def fraction_inverse(matrix):
+    """Gauss-Jordan inverse over Fractions, as an oracle."""
+    n = len(matrix)
+    a = [[F(x) for x in row] + [F(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
+    for k in range(n):
+        piv = a[k][k]
+        a[k] = [x / piv for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k]:
+                f = a[i][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return [row[n:] for row in a]
+
+
+def reduced_laplacian(g):
+    """The Laplacian with conductances 1/length, vertex 0 removed, in Fractions."""
+    n = g.vcount
+    lap = [[F(0)] * n for _ in range(n)]
+    for a, b, length in g.edges:
+        if a != b:
+            lap[a][a] += 1 / length
+            lap[b][b] += 1 / length
+            lap[a][b] -= 1 / length
+            lap[b][a] -= 1 / length
+    return [row[1:] for row in lap[1:]]
+
+
+def assert_green_matches_inverse(g):
+    num, den = green_numden(g.vcount, g.edges)
+    assert den > 0
+    assert len(num) == g.vcount and all(len(row) == g.vcount for row in num)
+    assert all(x == 0 for x in num[0]) and all(row[0] == 0 for row in num)
+    if g.vcount == 1:
+        return
+    inverse = fraction_inverse(reduced_laplacian(g))
+    for y in range(1, g.vcount):
+        for z in range(1, g.vcount):
+            assert F(num[y][z], den) == inverse[y - 1][z - 1], (g, y, z)
+
+
 def random_spd(rng, n):
     b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
     return [
@@ -35,11 +79,37 @@ def random_spd(rng, n):
 def test_solve_spd_matches_fraction_elimination():
     rng = random.Random(3)
     for _ in range(60):
-        n = rng.randint(1, 7)
+        n = rng.randint(1, 8)
         m = random_spd(rng, n)
-        rhs = [rng.randint(-9, 9) for _ in range(n)]
-        (got,) = solve_spd(m, [rhs])
-        assert got == fraction_solve(m, rhs)
+        cols = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+        assert solve_spd(m, cols) == [fraction_solve(m, col) for col in cols]
+
+
+def test_green_matches_fraction_inverse_on_random_graphs():
+    # mixed denominators, parallel edges, loops and bridges all occur here
+    rng = random.Random(11)
+    for _ in range(80):
+        assert_green_matches_inverse(families.random_connected(rng, 9, 18))
+    for _ in range(20):
+        assert_green_matches_inverse(families.random_tree(rng, 9))
+
+
+def test_green_matches_fraction_inverse_on_special_graphs():
+    rng = random.Random(12)
+    big = [F(rng.randrange(10**498, 10**499), rng.randrange(10**498, 10**499)) for _ in range(6)]
+    graphs = [
+        build_graph(1, []),
+        build_graph(1, [(0, 0, F(2, 3))]),
+        families.segment(F(5, 7)),
+        build_graph(2, [(0, 1, F(1, 3)), (0, 1, F(2, 9)), (1, 1, F(4)), (1, 0, F(6, 5))]),
+        families.complete(5),
+        families.necklace(F(1, 3), F(1, 7), 3),
+        build_graph(4, [(0, 1, F(2)), (1, 2, F(3, 4)), (2, 3, F(5, 6)), (3, 1, F(7, 8)),
+                        (2, 2, F(1, 9))]),
+        build_graph(4, [(a, b, big.pop()) for a in range(4) for b in range(a + 1, 4)]),
+    ]
+    for g in graphs:
+        assert_green_matches_inverse(g)
 
 
 def test_green_symmetric_with_zero_ground():
@@ -65,3 +135,55 @@ def test_laplacian_row_sums():
     )
     total = sum(sum(row) for row in m)
     assert total == ground_conductance
+
+
+def _spy_on_factorizations(monkeypatch):
+    """Record the determinant of every forward pass, as the benchmark tracer observes it."""
+    dets = []
+
+    def traced(m, n, scales):
+        bareiss_forward(m, n, scales)
+        dets.append(m[n - 1][n - 1])
+
+    monkeypatch.setattr(linalg, "bareiss_forward", traced)
+    return dets
+
+
+def _uniform_lcm_det(g):
+    m, _, _ = laplacian_int(g.vcount, g.edges)
+    n = g.vcount - 1
+    bareiss_forward(m, n, [1] * n)
+    return m[n - 1][n - 1]
+
+
+def test_green_int_factorizes_once_per_context(monkeypatch):
+    dets = _spy_on_factorizations(monkeypatch)
+    rng = random.Random(5)
+    for _ in range(10):
+        g = families.random_connected(rng, 7, 12)
+        ctx = GraphContext(g)
+        before = len(dets)
+        first = ctx.green_int()
+        assert ctx.green_int()[0] is first[0]
+        ctx.r(0, g.vcount - 1)
+        assert len(dets) == before + 1
+
+
+def test_determinant_is_scale_free(monkeypatch):
+    dets = _spy_on_factorizations(monkeypatch)
+    c = F(7, 10**300)
+    rng = random.Random(6)
+    for _ in range(10):
+        g = families.random_connected(rng, 7, 12)
+        GraphContext(g).green_int()
+        GraphContext(scale(g, c)).green_int()
+        assert dets[-1] == dets[-2]
+
+
+def test_self_immersion_determinant_is_small(monkeypatch):
+    dets = _spy_on_factorizations(monkeypatch)
+    _, g = list(GraphGenerator(1).graphs(10))[9]  # v = 3, e = 4; built: v = 7
+    gn = normalize(g)
+    built = immerse_uniform(gn, gn, 0, 1).graph
+    GraphContext(built).green_int()
+    assert dets[-1].bit_length() * 4 < _uniform_lcm_det(built).bit_length()
