@@ -11,10 +11,14 @@ The per-edge deletion profiles (:class:`EdgeProfile`) are the paper's
 deletion route, read off the same integers: a rank-one update for a cycle
 edge (``r_deleted``; the three arms share the denominator 2 d gap), the
 resistance to the nearer endpoint for a bridge. ``mgt.tau`` does not use
-them; they serve the arm and deleted-resistance identities.
-:func:`edge_profile` (each deleted graph solved anew) and
+them; they serve the arm and deleted-resistance identities. A reader of one
+edge's deleted resistance alone calls ``res_deleted``, which builds no
+profile. :func:`edge_profile` (each deleted graph solved anew) and
 :func:`solve_pair_resistances` (the sampled edge-polynomial oracle's solver)
 exist only to check the matrix.
+
+``GraphContext.memo`` holds what higher layers compute once per graph (tau,
+A); the context LRU bounds it with the rest of the context.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ class GraphContext:
         self._den: int = 1
         self._rows: tuple[tuple[int, int, int, int, int, int], ...] = ()
         self._profiles: dict[int, tuple[EdgeProfile, ...]] = {}
-        self.memo: dict = {}  # scratch space for higher layers (tau, A)
+        self.memo: dict = {}  # per-graph values of higher layers: tau, A by vertex pair
 
     def _ensure_green(self) -> None:
         if self._num is None:
@@ -97,6 +101,15 @@ class GraphContext:
         """
         self._ensure_green()
         return self._rows
+
+    def res_deleted(self, edge_id: int) -> ExtScalar:
+        """R = L r(a,b)/(L - r(a,b)) = ln rn/gap between an edge's ends after its deletion.
+
+        Read off the edge's ``edge_int`` row, with no profile built: 0 on a
+        self-loop (rn = 0), INF across a bridge (gap = 0).
+        """
+        _, _, ln, _, rn, gap = self.edge_int()[edge_id]
+        return INF if gap == 0 else Fraction(ln * rn, gap)
 
     def r(self, y: int, z: int) -> Fraction:
         self._ensure_green()
@@ -164,7 +177,7 @@ class GraphContext:
         x_b = self._deleted_num(edge_id, b, base)
         mid = ln * rn * self._den
         over = 2 * self._den * gap
-        return EdgeProfile(edge_id, length, Fraction(ln * rn, gap),
+        return EdgeProfile(edge_id, length, self.res_deleted(edge_id),
                            Fraction(x_a + mid - x_b, over), Fraction(mid + x_b - x_a, over),
                            Fraction(x_a + x_b - mid, over), bridge=False, loop=False)
 

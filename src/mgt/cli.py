@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from . import fileio
 from .circuit import resistance, voltage
-from .errors import InputError, MgtError
+from .errors import BadPoint, InputError, MgtError
 from .graph import MetrizedGraph, PointOnGraph, check_vertices, normalize, subdivide_uniform
 from .integration import apq_direct
 from .ops import (
@@ -146,10 +146,13 @@ def _fmt(args, value) -> str:
 
 
 def _parse_point(text: str) -> PointOnGraph:
-    if ":" in text:
-        edge, offset = text.split(":", 1)
-        return (int(edge), parse_scalar(offset))
-    return int(text)
+    """A vertex id ``V`` or an edge point ``E:OFFSET``."""
+    edge, colon, offset = text.partition(":")
+    try:
+        point = int(edge)
+    except ValueError:
+        raise BadPoint(f"bad point {text!r}: expected a vertex id or EDGE:OFFSET") from None
+    return (point, parse_scalar(offset)) if colon else point
 
 
 def _run_tau(args) -> int:

@@ -4,6 +4,11 @@ A graph is immutable once built. Vertices are dense integers ``0..v-1``; edge
 ids are positions in the construction-order edge list. Endpoint order per edge
 is fixed at construction and is meaningful: several formulas distinguish the
 two ends of an edge.
+
+Because a graph never changes, values derived from it alone are cached on the
+instance the first time they are read: the hash, the total length, the
+normalized graph and the bridge list (see ``_cached``). Racing first readers
+may each compute a value; they compute equal ones, and the first stored wins.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ class MetrizedGraph:
         for i, (a, b, length) in enumerate(self.edges):
             if not (0 <= a < self.vcount and 0 <= b < self.vcount):
                 raise BadVertexId(f"edge {i} endpoint out of range")
-            if length <= 0:
+            if length.numerator <= 0:  # a Fraction's denominator is positive
                 raise NonPositiveLength(f"edge {i} has non-positive length {length}")
         # decided before _connected allocates per-vertex lists for a huge header
         if self.vcount > len(self.edges) + 1:
@@ -56,7 +61,10 @@ class MetrizedGraph:
     def __hash__(self):
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash((self.vcount, self.edges))
+            # from the integers: equal Fractions have equal lowest terms, and
+            # Fraction.__hash__ costs a modular inverse per length
+            h = hash((self.vcount, tuple((a, b, length.numerator, length.denominator)
+                                         for a, b, length in self.edges)))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -76,6 +84,14 @@ class MetrizedGraph:
 
     def incident(self, p: int) -> list[int]:
         return [i for i, (a, b, _) in enumerate(self.edges) if a == p or b == p]
+
+
+def _cached(g: MetrizedGraph, name: str, compute):
+    """``compute(g)``, stored on g under ``name`` by the first reader."""
+    value = g.__dict__.get(name)
+    if value is None:
+        value = g.__dict__.setdefault(name, compute(g))
+    return value
 
 
 def _connected(vcount: int, edges: Sequence[Edge], skip: int | None = None) -> bool:
@@ -108,7 +124,8 @@ def build_graph(vertex_count: int, edge_list: Iterable[tuple[int, int, Scalar]])
 
 
 def total_length(g: MetrizedGraph) -> Fraction:
-    return sum((e.length for e in g.edges), Fraction(0))
+    """Sum of the edge lengths, computed once per graph."""
+    return _cached(g, "_total_length", lambda g: sum((e.length for e in g.edges), Fraction(0)))
 
 
 def genus(g: MetrizedGraph) -> int:
@@ -124,8 +141,8 @@ def scale(g: MetrizedGraph, c: Scalar) -> MetrizedGraph:
 
 
 def normalize(g: MetrizedGraph) -> MetrizedGraph:
-    """Rescale to total length one."""
-    return scale(g, 1 / total_length(g))
+    """Rescale to total length one; every call on one graph returns the same object."""
+    return _cached(g, "_normalized", lambda g: scale(g, 1 / total_length(g)))
 
 
 def check_vertices(g: MetrizedGraph, *vertices: int) -> None:
@@ -224,11 +241,16 @@ def subdivide_uniform(g: MetrizedGraph, m: int) -> MetrizedGraph:
 
 
 def bridges(g: MetrizedGraph) -> list[int]:
-    """Edge ids whose deletion disconnects the graph.
+    """Edge ids whose deletion disconnects the graph, sorted (a fresh list per call).
 
     Iterative lowlink search over edge ids, so parallel edges and self-loops
-    are handled naturally (neither can be a bridge).
+    are handled naturally (neither can be a bridge). The search runs once per
+    graph.
     """
+    return list(_cached(g, "_bridges", _bridge_search))
+
+
+def _bridge_search(g: MetrizedGraph) -> tuple[int, ...]:
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.vcount)]
     for i, (a, b, _) in enumerate(g.edges):
         adj[a].append((b, i))
@@ -263,4 +285,4 @@ def bridges(g: MetrizedGraph) -> list[int]:
                 low[parent] = min(low[parent], low[child])
                 if low[child] > disc[parent]:
                     result.append(entry_edge)
-    return sorted(result)
+    return tuple(sorted(result))

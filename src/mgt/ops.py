@@ -1,16 +1,18 @@
 """Graph operations that transform tau in closed form.
 
-Each operation returns the new graph together with the predicted tau of the
-result where a formula exists; verification code checks prediction against
-direct recomputation, exactly. Vertex ids of results are renumbered
-deterministically: the first operand's ids survive, then the second operand's
-remaining ids in order.
+Each operation returns the new graph together with its formula for the tau
+of the result; the formula runs when ``predicted_tau`` (or ``notes``) is first
+read, so an operation whose prediction nobody reads costs only its graph.
+Verification code checks prediction against direct recomputation, exactly.
+Vertex ids of results are renumbered deterministically: the first operand's
+ids survive, then the second operand's remaining ids in order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import Callable
 
 from .circuit import context
 from .errors import (
@@ -26,20 +28,37 @@ from .rational import Scalar, sum_over
 from .tau import apq, deleted_apq, tau_of
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OpResult:
+    """An operation's result graph and its tau formula, evaluated on first read.
+
+    ``predicted_tau`` is None when the formula raises an MgtError, and
+    ``notes`` then says why; ``input_notes`` record changes made to the inputs.
+    """
+
     graph: MetrizedGraph
-    predicted_tau: Fraction | None
     formula_id: str
+    formula: Callable[[], Fraction] = field(repr=False)
     unnormalized: MetrizedGraph | None = None
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    input_notes: tuple[str, ...] = ()
 
+    @property
+    def predicted_tau(self) -> Fraction | None:
+        return self._prediction()[0]
 
-def _predict(formula_id, fn) -> tuple[Fraction | None, tuple[str, ...]]:
-    try:
-        return fn(), ()
-    except MgtError as exc:
-        return None, (f"prediction {formula_id} unavailable: {exc}",)
+    @property
+    def notes(self) -> tuple[str, ...]:
+        return self._prediction()[1] + self.input_notes
+
+    def _prediction(self) -> tuple[Fraction | None, tuple[str, ...]]:
+        outcome = self.__dict__.get("_outcome")
+        if outcome is None:
+            try:
+                outcome = (self.formula(), ())
+            except MgtError as exc:
+                outcome = (None, (f"prediction {self.formula_id} unavailable: {exc}",))
+            outcome = self.__dict__.setdefault("_outcome", outcome)  # first reader wins
+        return outcome
 
 
 def delete_edge_graph(g: MetrizedGraph, edge_id: int) -> tuple[MetrizedGraph, tuple[int, int]]:
@@ -60,17 +79,10 @@ def delete_edge(g: MetrizedGraph, edge_id: int) -> OpResult:
     deleted, (pa, pb) = delete_edge_graph(g, edge_id)
 
     def formula():
-        profile = context(g).edge_profiles(0)[edge_id]
-        a_del = apq(deleted, pa, pb)
-        return (
-            tau_of(g)
-            - length / 12
-            + profile.res_deleted / 6
-            - a_del / (length + profile.res_deleted)
-        )
+        res = context(g).res_deleted(edge_id)
+        return tau_of(g) - length / 12 + res / 6 - apq(deleted, pa, pb) / (length + res)
 
-    predicted, notes = _predict("edge-deletion", formula)
-    return OpResult(deleted, predicted, "edge-deletion", notes=notes)
+    return OpResult(deleted, "edge-deletion", formula)
 
 
 def _merge_vertices(g: MetrizedGraph, keep: int, drop: int) -> tuple[MetrizedGraph, int]:
@@ -91,22 +103,17 @@ def contract_edge(g: MetrizedGraph, edge_id: int) -> OpResult:
     rest = g.edges[:edge_id] + g.edges[edge_id + 1 :]
     if a == b:
         graph = MetrizedGraph(g.vcount, rest)
-        predicted, notes = _predict("loop-contraction", lambda: tau_of(g) - length / 12)
-        return OpResult(graph, predicted, "loop-contraction", notes=notes)
+        return OpResult(graph, "loop-contraction", lambda: tau_of(g) - length / 12)
     merged, _ = _merge_vertices(g, min(a, b), max(a, b))
     graph = MetrizedGraph(merged.vcount, merged.edges[:edge_id] + merged.edges[edge_id + 1 :])
     if edge_id in bridges(g):
-        predicted, notes = _predict("bridge-contraction", lambda: tau_of(g) - length / 4)
-        return OpResult(graph, predicted, "bridge-contraction", notes=notes)
+        return OpResult(graph, "bridge-contraction", lambda: tau_of(g) - length / 4)
 
     def formula():
-        profile = context(g).edge_profiles(0)[edge_id]
-        a_del = deleted_apq(g, edge_id)
-        res = profile.res_deleted
-        return tau_of(g) - length / 12 + length * a_del / (res * (length + res))
+        res = context(g).res_deleted(edge_id)
+        return tau_of(g) - length / 12 + length * deleted_apq(g, edge_id) / (res * (length + res))
 
-    predicted, notes = _predict("edge-contraction", formula)
-    return OpResult(graph, predicted, "edge-contraction", notes=notes)
+    return OpResult(graph, "edge-contraction", formula)
 
 
 def identify_points_graph(g: MetrizedGraph, p: int, q: int) -> MetrizedGraph:
@@ -125,8 +132,7 @@ def identify_points(g: MetrizedGraph, p: int, q: int) -> OpResult:
         r = context(g).r(p, q)
         return tau_of(g) - r / 6 + apq(g, p, q) / r
 
-    predicted, notes = _predict("point-identification", formula)
-    return OpResult(graph, predicted, "point-identification", notes=notes)
+    return OpResult(graph, "point-identification", formula)
 
 
 def add_edge(g: MetrizedGraph, p: int, q: int, new_length: Scalar) -> OpResult:
@@ -143,8 +149,7 @@ def add_edge(g: MetrizedGraph, p: int, q: int, new_length: Scalar) -> OpResult:
         a_val = apq(g, p, q)
         return tau_of(g) + new_length / 12 - r / 6 + a_val / (new_length + r)
 
-    predicted, notes = _predict("edge-addition", formula)
-    return OpResult(graph, predicted, "edge-addition", notes=notes)
+    return OpResult(graph, "edge-addition", formula)
 
 
 def _shift_graph(g2: MetrizedGraph, mapping: dict[int, int], offset: int) -> tuple[list[Edge], int]:
@@ -162,8 +167,7 @@ def union_one_point(g1: MetrizedGraph, p1: int, g2: MetrizedGraph, p2: int) -> O
     """One-point union; tau is additive across the wedge point."""
     edges2, vcount = _shift_graph(g2, {p2: p1}, g1.vcount)
     graph = MetrizedGraph(vcount, g1.edges + tuple(edges2))
-    predicted, notes = _predict("wedge-additivity", lambda: tau_of(g1) + tau_of(g2))
-    return OpResult(graph, predicted, "wedge-additivity", notes=notes)
+    return OpResult(graph, "wedge-additivity", lambda: tau_of(g1) + tau_of(g2))
 
 
 def union_two_points(
@@ -188,8 +192,7 @@ def union_two_points(
         a2 = apq(g2, p2, q2)
         return tau_of(g1) + tau_of(g2) - (r1 + r2) / 6 + (a1 + a2) / (r1 + r2)
 
-    predicted, notes = _predict("two-point-union", formula)
-    return OpResult(graph, predicted, "two-point-union", notes=notes)
+    return OpResult(graph, "two-point-union", formula)
 
 
 def parallel_sum(g: MetrizedGraph) -> Fraction:
@@ -218,8 +221,7 @@ def da_n(g: MetrizedGraph, n: int) -> OpResult:
             + Fraction(n - 1, 6 * n**2) * parallel_sum(g)
         )
 
-    predicted, notes = _predict("parallel-split", formula)
-    return OpResult(graph, predicted, "parallel-split", notes=notes)
+    return OpResult(graph, "parallel-split", formula)
 
 
 def immerse(
@@ -266,8 +268,7 @@ def immerse(
                 rhs += length**2 * a_beta / ((length + profile.res_deleted) * r_beta**2)
         return rhs / size
 
-    predicted, notes = _predict("edge-immersion", formula)
-    return OpResult(graph, predicted, "edge-immersion", unnormalized=raw, notes=notes)
+    return OpResult(graph, "edge-immersion", formula, unnormalized=raw)
 
 
 def immerse_uniform(g: MetrizedGraph, beta: MetrizedGraph, p: int, q: int) -> OpResult:
@@ -287,9 +288,7 @@ def immerse_any(g: MetrizedGraph, betas: list[tuple[MetrizedGraph, int, int]]) -
             notes.append(f"replacement scaled by {1 / total_length(beta)}")
             beta = normalize(beta)
         fixed.append((beta, p, q))
-    result = immerse(g, fixed)
-    return OpResult(result.graph, result.predicted_tau, result.formula_id,
-                    result.unnormalized, result.notes + tuple(notes))
+    return replace(immerse(g, fixed), input_notes=tuple(notes))
 
 
 def c_tower(g: MetrizedGraph, p: int, q: int, n: int) -> OpResult:
@@ -315,5 +314,4 @@ def c_tower(g: MetrizedGraph, p: int, q: int, n: int) -> OpResult:
         coeff = -Fraction(1, 6) - half / 6 + Fraction(1, 3 * 4**n)
         return tau_of(g) + (1 - half) * a_val / r + coeff * r
 
-    predicted, notes = _predict("two-point-tower", formula)
-    return OpResult(graph, predicted, "two-point-tower", unnormalized=current, notes=notes)
+    return OpResult(graph, "two-point-tower", formula, unnormalized=current)

@@ -86,13 +86,6 @@ class SuiteContext:
         self.descriptor = descriptor
         self.g = g
         self.rng = rng
-        self._bridges = None
-
-    @property
-    def bridges(self) -> list[int]:
-        if self._bridges is None:
-            self._bridges = bridges(self.g)
-        return self._bridges
 
     def vertex_pair(self) -> tuple[int, int]:
         v = self.g.vcount
@@ -106,7 +99,7 @@ class SuiteContext:
 
     def proper_edge(self, avoid_bridges: bool = True) -> int | None:
         """A non-loop edge, optionally also not a bridge."""
-        banned = set(self.bridges) if avoid_bridges else set()
+        banned = set(bridges(self.g)) if avoid_bridges else set()
         ids = [i for i, (a, b, _) in enumerate(self.g.edges) if a != b and i not in banned]
         return self.rng.choice(ids) if ids else None
 
@@ -601,9 +594,8 @@ def _check_edge_deletion_energy(ctx: SuiteContext):
     if edge is None:
         return _skip("every edge is a bridge or a loop")
     deleted, (p, q) = delete_edge_graph(g, edge)
-    profile = context(g).edge_profiles(0)[edge]
     energy = integrate_product(deleted, p, q, [(TAG_J_BASE_X, True, 2)])
-    denom = profile.length + profile.res_deleted
+    denom = g.edges[edge].length + context(g).res_deleted(edge)
     predicted = energy / 4 + denom / 12 + apq(deleted, p, q) / denom
     return _eq(predicted, tau_of(g))
 
@@ -623,15 +615,14 @@ def _check_length_change(ctx: SuiteContext):
     )
     deleted, (p, q) = delete_edge_graph(g, edge)
     a_del = apq(deleted, p, q)
-    profile = context(g).edge_profiles(0)[edge]
-    denom = profile.length + profile.res_deleted
+    denom = length + context(g).res_deleted(edge)
     predicted = tau_of(g) + x / 12 - x * a_del / (denom * (denom + x))
     return _eq(predicted, tau_of(modified), f"x={x}")
 
 
 def _check_successive_length_changes(ctx: SuiteContext):
     g = ctx.g
-    if ctx.bridges:
+    if bridges(ctx.g):
         return _skip("graph has a bridge")
     current = g
     total = tau_of(g)
@@ -648,7 +639,7 @@ def _check_successive_length_changes(ctx: SuiteContext):
         if a != b:
             deleted, (p, q) = delete_edge_graph(modified, i)
             a_del = apq(deleted, p, q)
-            res = context(modified).edge_profiles(0)[i].res_deleted
+            res = context(modified).res_deleted(i)
             total += x / 12 - x * a_del / ((length + res) * (length + res + x))
         else:
             total += x / 12
@@ -657,7 +648,7 @@ def _check_successive_length_changes(ctx: SuiteContext):
 
 
 def _check_bridgeless_identity(ctx: SuiteContext):
-    if ctx.bridges:
+    if bridges(ctx.g):
         return _skip("graph has a bridge")
     lhs, rhs = tau_bridgeless_identity(ctx.g)
     return _eq(lhs, rhs)
@@ -669,7 +660,7 @@ def _contract_setup(ctx: SuiteContext):
         return None
     g = ctx.g
     deleted, (p, q) = delete_edge_graph(g, edge)
-    res = context(g).edge_profiles(0)[edge].res_deleted
+    res = context(g).res_deleted(edge)
     a_del = apq(deleted, p, q)
     return edge, deleted, p, q, res, a_del
 
@@ -783,8 +774,7 @@ def _check_apq_edge_split(ctx: SuiteContext):
         return _skip("every edge is a bridge or a loop")
     a, b, length = g.edges[edge]
     deleted, (p, q) = delete_edge_graph(g, edge)
-    profile = context(g).edge_profiles(0)[edge]
-    res = profile.res_deleted
+    res = context(g).res_deleted(edge)
     predicted = length**2 * apq(deleted, p, q) / (length + res) ** 2 + context(
         g
     ).r(p, q) ** 2 / 6
@@ -848,7 +838,7 @@ def _check_banana_tau(ctx: SuiteContext):
 
 def _check_bridge_contraction(ctx: SuiteContext):
     g = ctx.g
-    if not ctx.bridges:
+    if not bridges(ctx.g):
         return _pass(tau_of(g), tau_of(g))
     current = g
     while True:

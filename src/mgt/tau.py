@@ -16,6 +16,8 @@ of length L, with r = r(a,b) and D = r(p,b) - r(p,a) for a base vertex p:
   along each edge.
 
 Sums are accumulated in integers over a common denominator and reduced once.
+tau (``tau_of``) and A (``apq``, per unordered vertex pair) are memoized in
+the graph's ``GraphContext.memo``, so each is computed once per graph.
 ``apq_identity`` keeps the paper's identification route for A (it factorizes
 the glued graph) as an independent check; ``apq_checked`` compares the closed
 form with it and with the integral. The paper's deletion route (per-edge
@@ -112,8 +114,7 @@ def tau_of(g: MetrizedGraph) -> Fraction:
     value = ctx.memo.get("tau")
     if value is None:
         den, rows = _edge_terms(g)
-        value = sum_over(_tau_terms(rows), 12 * den * den)
-        ctx.memo["tau"] = value
+        value = ctx.memo.setdefault("tau", sum_over(_tau_terms(rows), 12 * den * den))
     return value
 
 
@@ -147,12 +148,22 @@ def apq(g: MetrizedGraph, p: int, q: int) -> Fraction:
 
         A = sum_e c_e^2 (3 ld S_e - 6 ld R + 2 gap_e) / (12 ln_e d^3).
 
-    Zero when p = q, where the integrand vanishes identically.
+    Zero when p = q, where the integrand vanishes identically. A is
+    symmetric in p and q (c_e only changes sign), so each graph's context
+    memoizes it once per unordered pair.
     """
     check_vertices(g, p, q)
     if p == q:
         return Fraction(0)
     ctx = context(g)
+    key = ("A", min(p, q), max(p, q))
+    value = ctx.memo.get(key)
+    if value is None:
+        value = ctx.memo.setdefault(key, _apq_sum(ctx, p, q))
+    return value
+
+
+def _apq_sum(ctx, p: int, q: int) -> Fraction:
     num, den = ctx.green_int()
     rp, rq = num[p], num[q]
     npp, nqq = rp[p], rq[q]
@@ -186,9 +197,7 @@ def apq_identity(g: MetrizedGraph, p: int, q: int) -> Fraction:
 
     r = ctx.r(p, q)
     glued = identify_points_graph(g, p, q)
-    value = r * (tau_of(glued) - tau_of(g)) + r * r / 6
-    ctx.memo[key] = value
-    return value
+    return ctx.memo.setdefault(key, r * (tau_of(glued) - tau_of(g)) + r * r / 6)
 
 
 def apq_checked(g: MetrizedGraph, p: int, q: int) -> Fraction:

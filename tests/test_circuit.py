@@ -1,14 +1,15 @@
 import random
+import sys
 import threading
 from fractions import Fraction as F
 
 from mgt import families
 from mgt.circuit import context, edge_profile, resistance, resistance_matrix, voltage
-from mgt.graph import bridges, build_graph
-from mgt.ops import delete_edge_graph
+from mgt.graph import bridges, build_graph, normalize, total_length
+from mgt.ops import add_edge, delete_edge_graph
 from mgt.suite import GraphGenerator
 from mgt.rational import INF
-from mgt.tau import tau_of
+from mgt.tau import apq, tau_of
 from oracles import spanning_tree_resistance
 
 
@@ -179,27 +180,39 @@ def test_context_concurrent_reads():
 
 
 def test_context_concurrent_first_touch():
-    # a graph no other test builds, so its context starts empty
+    # graphs no other test builds, so their caches and contexts start empty
     g = build_graph(4, [(0, 1, F(3, 7)), (1, 2, F(5, 11)), (2, 0, F(2, 13)),
                         (2, 3, F(7, 17)), (3, 3, F(1, 19))])
+    h = build_graph(3, [(0, 1, F(4, 23)), (1, 2, F(6, 29)), (2, 0, F(8, 31))])
     cx = context(g)
+    op = add_edge(h, 0, 2, F(5, 37))  # its prediction is evaluated on first read
     start = threading.Barrier(8)
     results = []
 
     def writer():
         start.wait()
-        results.append((cx.green_int(), cx.edge_profiles(0), tau_of(g)))
+        results.append((cx.green_int(), cx.edge_profiles(0), tau_of(g), normalize(g),
+                        total_length(g), bridges(g), apq(g, 1, 3), op.predicted_tau))
 
-    threads = [threading.Thread(target=writer) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert len(results) == 8
-    first_green, first_profiles, first_tau = results[0]
-    for green, profiles, tau in results:
-        assert green[0] is first_green[0]
-        assert green == first_green and profiles == first_profiles and tau == first_tau
+    first = results[0]
+    assert first[5] == [3] and first[7] == tau_of(op.graph)
+    for row in results:
+        assert row[0][0] is first[0][0]
+        assert row[:3] == first[:3] and row[5] == first[5]
+        # the first stored value wins, so every thread holds the same object
+        assert all(row[i] is first[i] for i in (3, 4, 6, 7))
 
 
 def test_r_deleted_matches_deleted_graph_solve():

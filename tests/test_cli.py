@@ -337,6 +337,14 @@ def test_op_wrong_argument_count_is_usage_error(k4_file, capsys):
     assert _one_error_line(err) and "takes 2 arguments, got 3" in err
 
 
+def test_malformed_point_is_usage_error(k4_file, capsys):
+    for argv in (("resistance", k4_file, "q", "0"), ("resistance", k4_file, ":1", "0"),
+                 ("voltage", k4_file, "0", "1", "x:1/2")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert _one_error_line(err) and "bad point" in err
+
+
 _DAMAGE = ("e 0", "w 1 2", "e 0 1 0", "e 0 1 -1", "e 0 1 x", "e 0 9 1", "v 9", "e 0 1 1e3", "# note")
 _IDS = ("all", "genus-identity", "coradding2,cor2twopunion", "thmbasic2", "FMM1-bounds", "bogus")
 _OPS = ("delete", "contract", "identify", "add-edge", "union1", "union2", "da-n",
@@ -359,7 +367,7 @@ def _graph_texts(draw):
 @st.composite
 def _argvs(draw, path):
     small = st.integers(-1, 4).map(str)
-    point = st.one_of(small, st.sampled_from(["0:1/2", "1:0", "9:1", "0:x"]))
+    point = st.one_of(small, st.sampled_from(["0:1/2", "1:0", "9:1", "0:x", "q", ":1"]))
     flags = st.lists(st.sampled_from(["--json", "--float", "--per-edge", "--bogus"]), max_size=2)
     verb = draw(st.sampled_from(["tau", "resistance", "voltage", "apq", "mucan", "gradient",
                                  "bounds", "verify", "op", "minimize", "nonsense"]))

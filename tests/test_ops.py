@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from mgt import families
-from mgt.errors import BridgeDeletion, NonPositiveLength, NotNormalized, SamePoint
+from mgt.errors import BridgeDeletion, MgtError, NonPositiveLength, NotNormalized, SamePoint
 from mgt.graph import build_graph, normalize, subdivide_uniform, total_length
 from mgt.ops import (
     add_edge,
@@ -260,3 +260,20 @@ def test_parallel_sum_matches_profile_route():
     graphs += [families.segment(2), families.circle(F(3, 5)), families.complete(5, F(1, 3))]
     for g in graphs:
         assert parallel_sum(g) == deletion_parallel_sum(g)
+
+
+def test_unread_prediction_runs_no_formula(monkeypatch):
+    import mgt.ops
+
+    calls = []
+
+    def unavailable(g):
+        calls.append(g)
+        raise MgtError("no tau here")
+
+    monkeypatch.setattr(mgt.ops, "tau_of", unavailable)
+    result = delete_edge(families.complete(4, F(1, 6)), 0)
+    assert calls == []  # building the result evaluated no formula
+    assert result.notes == ("prediction edge-deletion unavailable: no tau here",)
+    assert result.predicted_tau is None
+    assert len(calls) == 1  # evaluated once, on the first read

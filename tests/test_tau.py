@@ -6,7 +6,15 @@ import pytest
 from mgt import families
 from mgt.circuit import context, edge_profile
 from mgt.errors import HasBridge, MgtError, SamePoint
-from mgt.graph import build_graph, insert_point, normalize, scale, subdivide_uniform, total_length
+from mgt.graph import (
+    bridges,
+    build_graph,
+    insert_point,
+    normalize,
+    scale,
+    subdivide_uniform,
+    total_length,
+)
 from mgt.rational import INF
 from mgt.tau import (
     apq,
@@ -331,3 +339,45 @@ def test_apq_checked_compares_three_routes(monkeypatch, route):
         apq_checked(g, 0, 2)
     monkeypatch.undo()
     assert apq_checked(g, 0, 2) == value
+
+
+def test_apq_symmetric_in_its_pair():
+    # the memo keys A on the unordered pair, so both orders must give one value
+    rng = random.Random(23)
+    seen = dict.fromkeys(("loop", "bridge", "parallel"), False)
+    for _ in range(40):
+        g = families.random_connected(rng, 6, 11)
+        ends = [frozenset((a, b)) for a, b, _ in g.edges]
+        seen["loop"] |= any(len(e) == 1 for e in ends)
+        seen["bridge"] |= bool(bridges(g))
+        seen["parallel"] |= len(set(ends)) < len(ends)
+        memo = context(g).memo
+        for p in range(g.vcount):
+            for q in range(p + 1, g.vcount):
+                memo.clear()
+                forward = apq(g, p, q)
+                memo.clear()
+                assert apq(g, q, p) == forward
+                assert apq(g, p, q) is apq(g, q, p)
+    assert all(seen.values()), seen
+
+
+def test_apq_checked_evaluates_routes_past_the_memo(monkeypatch):
+    import mgt.integration
+    import mgt.tau
+
+    # a graph no other test builds, so its memo holds only what this test puts there
+    g = build_graph(3, [(0, 1, F(2, 9)), (1, 2, F(4, 5)), (2, 0, F(1, 7)), (1, 1, F(3, 4))])
+    memo = context(g).memo
+    value = apq(g, 2, 1)
+    [key] = memo
+    calls = []
+    for module, name in ((mgt.tau, "apq_identity"), (mgt.integration, "apq_direct")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+    assert apq_checked(g, 1, 2) == value
+    assert sorted(calls) == ["apq_direct", "apq_identity"]
+    memo[key] = value + F(1, 10**9)  # a wrong closed-form entry must not pass the check
+    with pytest.raises(MgtError, match="A mismatch"):
+        apq_checked(g, 1, 2)
