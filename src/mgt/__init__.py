@@ -1,66 +1,59 @@
-"""Exact-arithmetic toolkit for metrized graphs and the tau invariant."""
+"""Exact-arithmetic toolkit for metrized graphs and the tau invariant.
 
-from .circuit import EdgeProfile, edge_profile, resistance, resistance_matrix, voltage
-from .errors import MgtError
-from .graph import (
-    Edge,
-    MetrizedGraph,
-    bridges,
-    build_graph,
-    genus,
-    insert_point,
-    normalize,
-    scale,
-    subdivide_uniform,
-    total_length,
-)
-from .integration import apq_direct, fit_edge_function, integrate_product, tau_via_integral
-from .rational import INF, ExtScalar, Scalar
-from .tau import (
-    CanonicalMeasure,
-    GradientVector,
-    TauReport,
-    apq_identity,
-    canonical_measure,
-    genus_identity_check,
-    lower_bound_suite,
-    tau_bridgeless_identity,
-    tau_edge_sum,
-    tau_gradient,
-)
+The exports below are resolved on first access (PEP 562), so importing one
+submodule, ``mgt.cli`` included, loads only what that submodule imports.
+"""
 
-__all__ = [
-    "CanonicalMeasure",
-    "Edge",
-    "EdgeProfile",
-    "ExtScalar",
-    "GradientVector",
-    "INF",
-    "MetrizedGraph",
-    "MgtError",
-    "Scalar",
-    "TauReport",
-    "apq_direct",
-    "apq_identity",
-    "bridges",
-    "build_graph",
-    "canonical_measure",
-    "edge_profile",
-    "fit_edge_function",
-    "genus",
-    "genus_identity_check",
-    "insert_point",
-    "integrate_product",
-    "lower_bound_suite",
-    "normalize",
-    "resistance",
-    "resistance_matrix",
-    "scale",
-    "subdivide_uniform",
-    "tau_bridgeless_identity",
-    "tau_edge_sum",
-    "tau_gradient",
-    "tau_via_integral",
-    "total_length",
-    "voltage",
-]
+import importlib
+
+# export name -> submodule that defines it
+_EXPORTS = {
+    "EdgeProfile": "circuit",
+    "edge_profile": "circuit",
+    "resistance": "circuit",
+    "resistance_matrix": "circuit",
+    "voltage": "circuit",
+    "MgtError": "errors",
+    "Edge": "graph",
+    "MetrizedGraph": "graph",
+    "bridges": "graph",
+    "build_graph": "graph",
+    "genus": "graph",
+    "insert_point": "graph",
+    "normalize": "graph",
+    "scale": "graph",
+    "subdivide_uniform": "graph",
+    "total_length": "graph",
+    "apq_direct": "integration",
+    "fit_edge_function": "integration",
+    "integrate_product": "integration",
+    "tau_via_integral": "integration",
+    "INF": "rational",
+    "ExtScalar": "rational",
+    "Scalar": "rational",
+    "CanonicalMeasure": "tau",
+    "GradientVector": "tau",
+    "TauReport": "tau",
+    "apq_identity": "tau",
+    "canonical_measure": "tau",
+    "genus_identity_check": "tau",
+    "lower_bound_suite": "tau",
+    "tau_bridgeless_identity": "tau",
+    "tau_edge_sum": "tau",
+    "tau_gradient": "tau",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -10,10 +10,9 @@ computed once under a lock and never mutated.
 The per-edge deletion profiles (:class:`EdgeProfile`) are the paper's
 deletion route, read off the same integers: a rank-one update for a cycle
 edge (``r_deleted``; the three arms share the denominator 2 d gap), the
-resistance to the nearer endpoint for a bridge. ``mgt.tau`` does not use
-them; they serve the arm and deleted-resistance identities. A reader of one
-edge's deleted resistance alone calls ``res_deleted``, which builds no
-profile. :func:`edge_profile` (each deleted graph solved anew) and
+resistance to the nearer endpoint for a bridge. Only the suite's arm
+identities read them; a reader of deleted resistances alone calls
+``res_deleted``, which builds no profile. :func:`edge_profile` (each deleted graph solved anew) and
 :func:`solve_pair_resistances` (the sampled edge-polynomial oracle's solver)
 exist only to check the matrix.
 
@@ -25,8 +24,8 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import BadPoint, MgtError
 from .graph import Edge, MetrizedGraph, PointOnGraph, insert_points, normalize_point
@@ -34,8 +33,7 @@ from .linalg import green_matrix, green_numden, laplacian_int, resistance_from_g
 from .rational import INF, ExtScalar, Scalar
 
 
-@dataclass(frozen=True)
-class EdgeProfile:
+class EdgeProfile(NamedTuple):
     """Resistances seen by one edge after its own deletion.
 
     ``res_deleted`` is the resistance between the edge's endpoints in the

@@ -13,7 +13,6 @@ may each compute a value; they compute equal ones, and the first stored wins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -38,25 +37,49 @@ class Edge(NamedTuple):
 PointOnGraph = Union[int, tuple[int, Fraction]]
 
 
-@dataclass(frozen=True)
-class MetrizedGraph:
+class Frozen:
+    """Base of mgt's immutable classes: ``__init__`` sets the attributes past
+    ``__setattr__`` (``object.__setattr__`` or ``__dict__``), and afterwards
+    they can be neither reassigned nor deleted.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class MetrizedGraph(Frozen):
     vcount: int
     edges: tuple[Edge, ...]
 
-    def __post_init__(self):
-        if self.vcount < 1:
+    def __init__(self, vcount: int, edges: tuple[Edge, ...]):
+        if vcount < 1:
             raise BadVertexId("graph needs at least one vertex")
-        for i, (a, b, length) in enumerate(self.edges):
-            if not (0 <= a < self.vcount and 0 <= b < self.vcount):
+        for i, (a, b, length) in enumerate(edges):
+            if not (0 <= a < vcount and 0 <= b < vcount):
                 raise BadVertexId(f"edge {i} endpoint out of range")
             if length.numerator <= 0:  # a Fraction's denominator is positive
                 raise NonPositiveLength(f"edge {i} has non-positive length {length}")
         # decided before _connected allocates per-vertex lists for a huge header
-        if self.vcount > len(self.edges) + 1:
-            raise DisconnectedGraph(f"graph is not connected: {self.vcount} vertices, "
-                                    f"{len(self.edges)} edges")
-        if not _connected(self.vcount, self.edges):
+        if vcount > len(edges) + 1:
+            raise DisconnectedGraph(f"graph is not connected: {vcount} vertices, "
+                                    f"{len(edges)} edges")
+        if not _connected(vcount, edges):
             raise DisconnectedGraph("graph is not connected")
+        object.__setattr__(self, "vcount", vcount)
+        object.__setattr__(self, "edges", edges)
+
+    def __repr__(self):
+        return f"MetrizedGraph(vcount={self.vcount!r}, edges={self.edges!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vcount == other.vcount and self.edges == other.edges
 
     def __hash__(self):
         h = self.__dict__.get("_hash")

@@ -19,13 +19,12 @@ interior points with a guard sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Sequence
 
 from .errors import BadPoint, NonPolynomialIntegrand
-from .graph import MetrizedGraph, PointOnGraph, normalize_point
+from .graph import Frozen, MetrizedGraph, PointOnGraph, normalize_point
 from .circuit import context
 from .rational import sum_over
 
@@ -38,12 +37,28 @@ TAG_R_FROM_P = "r(p,x)"
 ALL_TAGS = (TAG_J_BASE_P, TAG_J_BASE_Q, TAG_J_BASE_X, TAG_R_FROM_P)
 
 
-@dataclass(frozen=True)
-class EdgePolynomial:
+class EdgePolynomial(Frozen):
     """Polynomial in the arclength x from endpoint a of one edge."""
 
-    edge: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("edge", "coeffs")
+
+    def __init__(self, edge: int, coeffs: tuple[Fraction, ...]):
+        object.__setattr__(self, "edge", edge)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __repr__(self):
+        return f"EdgePolynomial(edge={self.edge!r}, coeffs={self.coeffs!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.edge == other.edge and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.edge, self.coeffs))
+
+    def __reduce__(self):
+        return EdgePolynomial, (self.edge, self.coeffs)
 
     def __call__(self, x: Fraction) -> Fraction:
         acc = Fraction(0)

@@ -10,7 +10,6 @@ ids survive, then the second operand's remaining ids in order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -23,24 +22,26 @@ from .errors import (
     NotNormalized,
     SamePoint,
 )
-from .graph import Edge, MetrizedGraph, bridges, normalize, scale, total_length
-from .rational import Scalar, sum_over
+from .graph import Edge, Frozen, MetrizedGraph, bridges, normalize, scale, total_length
+from .rational import INF, Scalar, sum_over
 from .tau import apq, deleted_apq, tau_of
 
 
-@dataclass(frozen=True, eq=False)
-class OpResult:
+class OpResult(Frozen):
     """An operation's result graph and its tau formula, evaluated on first read.
 
     ``predicted_tau`` is None when the formula raises an MgtError, and
     ``notes`` then says why; ``input_notes`` record changes made to the inputs.
     """
 
-    graph: MetrizedGraph
-    formula_id: str
-    formula: Callable[[], Fraction] = field(repr=False)
-    unnormalized: MetrizedGraph | None = None
-    input_notes: tuple[str, ...] = ()
+    def __init__(self, graph: MetrizedGraph, formula_id: str, formula: Callable[[], Fraction],
+                 unnormalized: MetrizedGraph | None = None, input_notes: tuple[str, ...] = ()):
+        self.__dict__.update(graph=graph, formula_id=formula_id, formula=formula,
+                             unnormalized=unnormalized, input_notes=input_notes)
+
+    def __repr__(self):
+        return (f"OpResult(graph={self.graph!r}, formula_id={self.formula_id!r}, "
+                f"unnormalized={self.unnormalized!r}, input_notes={self.input_notes!r})")
 
     @property
     def predicted_tau(self) -> Fraction | None:
@@ -256,16 +257,16 @@ def immerse(
 
     def formula():
         host = context(g)
-        profiles = host.edge_profiles(0)
         size = Fraction(0)
         rhs = tau_of(g) - Fraction(1, 4)
-        for (a, b, length), (beta, p, q), profile in zip(g.edges, betas, profiles):
+        for i, ((a, b, length), (beta, p, q)) in enumerate(zip(g.edges, betas)):
             r_beta = context(beta).r(p, q)
             size += length / r_beta
             rhs += length * tau_of(beta) / r_beta
-            if not profile.bridge:
+            res = host.res_deleted(i)
+            if res is not INF:
                 a_beta = apq(beta, p, q)
-                rhs += length**2 * a_beta / ((length + profile.res_deleted) * r_beta**2)
+                rhs += length**2 * a_beta / ((length + res) * r_beta**2)
         return rhs / size
 
     return OpResult(graph, "edge-immersion", formula, unnormalized=raw)
@@ -288,7 +289,9 @@ def immerse_any(g: MetrizedGraph, betas: list[tuple[MetrizedGraph, int, int]]) -
             notes.append(f"replacement scaled by {1 / total_length(beta)}")
             beta = normalize(beta)
         fixed.append((beta, p, q))
-    return replace(immerse(g, fixed), input_notes=tuple(notes))
+    result = immerse(g, fixed)
+    return OpResult(result.graph, result.formula_id, result.formula, result.unnormalized,
+                    tuple(notes))
 
 
 def c_tower(g: MetrizedGraph, p: int, q: int, n: int) -> OpResult:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,7 @@ _SCAN_KEYS = {  # the parameter keys each scan family reads
 }
 
 
-@dataclass(frozen=True)
-class OptState:
+class OptState(NamedTuple):
     lengths: tuple[float, ...]
     tau: float
     gradient: tuple[float, ...]
@@ -46,8 +45,7 @@ class OptState:
     exact_tau: Fraction
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     family: str
     params: str
     tau: Fraction

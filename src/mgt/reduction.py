@@ -9,21 +9,20 @@ linear-algebra engine: both must produce identical terminal resistances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import PatternMismatch, ReductionStuck, TerminalElimination
 from .graph import MetrizedGraph
 
 
-@dataclass(frozen=True)
-class ReductionNetwork:
+class ReductionNetwork(NamedTuple):
     """Working multigraph of resistors plus up to three marked terminals."""
 
     nodes: frozenset[int]
     edges: tuple[tuple[int, int, Fraction], ...]
     terminals: tuple[int, ...]
-    trace: tuple[str, ...] = field(default_factory=tuple)
+    trace: tuple[str, ...] = ()
 
     def degree(self, node: int) -> int:
         return sum(1 for a, b, _ in self.edges if node in (a, b) and a != b)

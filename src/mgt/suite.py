@@ -16,9 +16,9 @@ keeps the deletion-profile route that checks those rows.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
+from typing import NamedTuple
 
 from . import families
 from .circuit import EdgeProfile, context
@@ -48,6 +48,7 @@ from .ops import (
     union_one_point,
     union_two_points,
 )
+from .rational import INF
 from .reduction import resistance_via_reduction, voltage_via_reduction
 from .tau import (
     apq,
@@ -65,8 +66,7 @@ MAX_BUILT_EDGES = 72
 MAX_BUILT_VERTICES = 28
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     identity: str
     graph: str
     lhs: object
@@ -132,8 +132,9 @@ def _le(lhs, rhs, tag=""):
     return _pass(lhs, rhs) if lhs <= rhs else _fail(lhs, rhs, tag)
 
 
-# Per-edge weights from the deletion profiles, for the identities about arms
-# and deleted resistances; tau itself never goes through them.
+# Per-edge weights for the identities about arms and deleted resistances, from
+# the deletion profiles where the arms enter and from R alone where they do
+# not; tau itself never goes through them.
 
 
 def _weighted_arm_diff_sq(profile: EdgeProfile) -> Fraction:
@@ -153,11 +154,14 @@ def _weighted_res_sq(profile: EdgeProfile) -> Fraction:
     return profile.length * ratio * ratio
 
 
-def _weighted_res(profile: EdgeProfile) -> Fraction:
-    """L R / (L+R), with limit L across a bridge."""
-    if profile.bridge:
-        return profile.length
-    return profile.length * profile.res_deleted / (profile.length + profile.res_deleted)
+def _weighted_res_sum(g: MetrizedGraph) -> Fraction:
+    """sum L R / (L+R) over edges, with limit L across a bridge (R = INF)."""
+    cx = context(g)
+    total = Fraction(0)
+    for i, (_, _, length) in enumerate(g.edges):
+        res = cx.res_deleted(i)
+        total += length if res is INF else length * res / (length + res)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +376,11 @@ def _check_subdivision_transfer(ctx: SuiteContext):
     if g.vcount + (m - 1) * g.ecount > MAX_BUILT_VERTICES:
         return _skip("subdivision exceeds vertex budget")
     gm = subdivide_uniform(g, m)
-    profiles = context(gm).edge_profiles(0)
     pairs = [
         ("square sum", parallel_sum(gm), parallel_sum(g) / m),
         ("cubic sum", cubic_sum(gm), cubic_sum(g) / (m * m)),
-        ("product sum", sum(_weighted_res(pr) for pr in profiles),
-         Fraction(m - 1, m) * total_length(g)
-         + sum(_weighted_res(pr) for pr in context(g).edge_profiles(0)) / m),
+        ("product sum", _weighted_res_sum(gm),
+         Fraction(m - 1, m) * total_length(g) + _weighted_res_sum(g) / m),
     ]
     return _all_eq(pairs)
 
@@ -387,18 +389,15 @@ def _check_parallel_split_resistances(ctx: SuiteContext):
     g = ctx.g
     n = ctx.rng.choice((2, 3))
     built = da_n(g, n).graph
-    built_profiles = context(built).edge_profiles(0)
-    for i, profile in enumerate(context(g).edge_profiles(0)):
-        length = profile.length
-        if profile.loop:
-            expected = Fraction(0)
-        elif profile.bridge:
+    cx, built_cx = context(g), context(built)
+    for i, (_, _, length) in enumerate(g.edges):
+        res = cx.res_deleted(i)  # 0 on a loop, so a loop's copies expect 0
+        if res is INF:
             expected = length / (n * (n - 1))
         else:
-            res = profile.res_deleted
             expected = Fraction(1, n) * length * res / (n * length + (n - 1) * res)
         for k in range(n):
-            actual = built_profiles[i * n + k].res_deleted
+            actual = built_cx.res_deleted(i * n + k)
             if actual != expected:
                 return _fail(actual, expected, f"edge {i} copy {k}")
     lhs = parallel_sum(built)
@@ -479,16 +478,14 @@ def _check_mixed_immersion(ctx: SuiteContext):
     result = immerse(gn, betas)
     size = Fraction(0)
     rhs = tau_of(gn) - Fraction(1, 4)
-    for (a, b, length), (beta, p, q), profile in zip(
-        gn.edges, betas, context(gn).edge_profiles(0)
-    ):
+    cx = context(gn)
+    for i, ((a, b, length), (beta, p, q)) in enumerate(zip(gn.edges, betas)):
         r_beta = context(beta).r(p, q)
         size += length / r_beta
         rhs += length * tau_of(beta) / r_beta
-        if not profile.bridge:
-            rhs += length**2 * apq(beta, p, q) / (
-                (length + profile.res_deleted) * r_beta**2
-            )
+        res = cx.res_deleted(i)
+        if res is not INF:
+            rhs += length**2 * apq(beta, p, q) / ((length + res) * r_beta**2)
     return _eq(tau_of(result.graph) * size, rhs)
 
 
@@ -502,14 +499,12 @@ def _check_common_resistance_immersion(ctx: SuiteContext):
         return over
     result = immerse(gn, betas)
     predicted = r * tau_of(gn) - r / 4
-    for (a, b, length), (beta, p, q), profile in zip(
-        gn.edges, betas, context(gn).edge_profiles(0)
-    ):
+    cx = context(gn)
+    for i, ((a, b, length), (beta, p, q)) in enumerate(zip(gn.edges, betas)):
         predicted += length * tau_of(beta)
-        if not profile.bridge:
-            predicted += (
-                length**2 / (length + profile.res_deleted) * apq(beta, p, q) / r
-            )
+        res = cx.res_deleted(i)
+        if res is not INF:
+            predicted += length**2 / (length + res) * apq(beta, p, q) / r
     return _eq(predicted, tau_of(result.graph))
 
 
@@ -524,16 +519,13 @@ def _check_single_graph_immersion(ctx: SuiteContext):
     result = immerse(gn, betas)
     size = Fraction(0)
     bracket = tau_of(gn) - Fraction(1, 4)
-    cx_beta = context(beta)
-    for (a, b, length), (beta_g, p, q), profile in zip(
-        gn.edges, betas, context(gn).edge_profiles(0)
-    ):
+    cx, cx_beta = context(gn), context(beta)
+    for i, ((a, b, length), (beta_g, p, q)) in enumerate(zip(gn.edges, betas)):
         r_i = cx_beta.r(p, q)
         size += length / r_i
-        if not profile.bridge:
-            bracket += length**2 * apq(beta, p, q) / (
-                (length + profile.res_deleted) * r_i**2
-            )
+        res = cx.res_deleted(i)
+        if res is not INF:
+            bracket += length**2 * apq(beta, p, q) / ((length + res) * r_i**2)
     predicted = tau_of(beta) + bracket / size
     return _eq(predicted, tau_of(result.graph))
 
@@ -960,8 +952,7 @@ def identity_catalog() -> list[tuple[str, str, str]]:
     return [(cid, desc, anchor) for cid, desc, anchor, _ in CHECKS]
 
 
-@dataclass(frozen=True)
-class GraphGenerator:
+class GraphGenerator(NamedTuple):
     """Deterministic family generator: same seed, same sequence."""
 
     seed: int

@@ -20,17 +20,17 @@ tau (``tau_of``) and A (``apq``, per unordered vertex pair) are memoized in
 the graph's ``GraphContext.memo``, so each is computed once per graph.
 ``apq_identity`` keeps the paper's identification route for A (it factorizes
 the glued graph) as an independent check; ``apq_checked`` compares the closed
-form with it and with the integral. The paper's deletion route (per-edge
-deletion profiles, A of the deleted graph) survives only where it is the
-identity being checked: ``tau_bridgeless_identity`` here, the contraction
-formula in ``ops`` and the arm and deleted-resistance identities of the suite.
+form with it and with the integral. The paper's deletion route (deleted
+resistances, A of the deleted graph) survives only where it is the identity
+being checked: ``tau_bridgeless_identity`` here, the contraction formula in
+``ops`` and the arm and deleted-resistance identities of the suite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .circuit import context
 from .errors import EmptyGraph, HasBridge, MgtError, SamePoint
@@ -38,8 +38,7 @@ from .graph import MetrizedGraph, bridges, check_vertices, genus, total_length
 from .rational import INF, ExtScalar, sum_over
 
 
-@dataclass(frozen=True)
-class TauReport:
+class TauReport(NamedTuple):
     tau: Fraction
     total_length: Fraction
     genus: int
@@ -47,8 +46,7 @@ class TauReport:
     base_vertex: int
 
 
-@dataclass(frozen=True)
-class CanonicalMeasure:
+class CanonicalMeasure(NamedTuple):
     vertex_masses: tuple[tuple[int, Fraction], ...]
     edge_densities: tuple[tuple[int, Fraction], ...]
 
@@ -59,8 +57,7 @@ class CanonicalMeasure:
         return mass
 
 
-@dataclass(frozen=True)
-class GradientVector:
+class GradientVector(NamedTuple):
     entries: tuple[Fraction, ...]
     bridge_edges: tuple[int, ...]  # edges reported with the tree-like derivative 1/4
 
@@ -264,17 +261,16 @@ def tau_bridgeless_identity(g: MetrizedGraph) -> tuple[Fraction, Fraction]:
         raise HasBridge("identity requires a bridgeless graph")
     ctx = context(g)
     acc = total_length(g) / 12
-    for profile in ctx.edge_profiles(0):
-        if profile.loop:
+    for i, (a, b, length) in enumerate(g.edges):
+        if a == b:
             continue
-        a_del = deleted_apq(g, profile.edge)
-        denom = profile.length + profile.res_deleted
-        acc -= profile.length * a_del / (denom * denom)
+        a_del = deleted_apq(g, i)
+        denom = length + ctx.res_deleted(i)
+        acc -= length * a_del / (denom * denom)
     return tau_of(g), acc
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     bound: str
     applicable: bool
     reason: str

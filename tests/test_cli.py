@@ -294,15 +294,35 @@ def test_huge_vertex_header_allocates_nothing(tmp_path):
     assert _one_error_line(done.stderr) and "not connected" in done.stderr
 
 
-def test_cli_tau_does_not_load_numpy(circle_file):
-    # numpy is for the float optimizer only (minimize, scan); -X importtime
-    # lists on stderr every module the run imported
+def _imported_modules(argv):
+    """(finished run, names of every module it imported) for ``mgt`` with argv.
+
+    -X importtime lists each import on stderr; -S keeps site hooks, which
+    may import anything, out of the list.
+    """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "mgt.cli", "tau", circle_file],
+    done = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "mgt.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
+    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+    return done, imported
+
+
+def test_cli_tau_does_not_load_numpy(circle_file):
+    # numpy is for the float optimizer only (minimize, scan)
+    done, imported = _imported_modules(["tau", circle_file])
     assert done.returncode == 0 and done.stdout == "1/12\n"
-    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
     assert "mgt.tau" in imported and "numpy" not in imported
+
+
+@pytest.mark.parametrize("options", [[], ["--suite", "genus-identity"]], ids=["tau", "verify"])
+def test_cli_cold_start_skips_dataclasses(k4_file, options):
+    # dataclasses pulls in inspect, ast, dis and tokenize, about 10 ms of
+    # every run; mgt's records are NamedTuples and plain classes instead
+    done, imported = _imported_modules(["verify" if options else "tau", k4_file, *options])
+    assert done.returncode == 0, done.stderr
+    assert "mgt.suite" in imported  # the whole cli import chain ran
+    assert not {"dataclasses", "inspect"} & imported
 
 
 def test_verify_json_prints_past_int_text_limit(tmp_path, capsys):

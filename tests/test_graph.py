@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -19,6 +20,7 @@ from mgt.graph import (
     genus,
     insert_point,
     insert_points,
+    normalize,
     normalize_point,
     scale,
     subdivide_uniform,
@@ -52,6 +54,29 @@ def test_build_bad_inputs():
         build_graph(2, [(0, 1, F(-1, 3))])
     with pytest.raises(BadVertexId):
         build_graph(2, [(0, 2, 1)])
+
+
+def test_graph_is_frozen_and_equal_by_value():
+    edges = [(0, 1, 1), (1, 2, F(1, 2)), (2, 0, 2), (2, 3, 1)]
+    g = build_graph(4, edges)
+    with pytest.raises(AttributeError):
+        g.vcount = 5
+    with pytest.raises(AttributeError):
+        del g.edges
+    with pytest.raises(AttributeError):
+        g.label = "new"
+    assert g.vcount == 4 and g.ecount == 4
+    twin = build_graph(4, edges)
+    assert twin is not g and twin == g and hash(twin) == hash(g)
+    assert g != build_graph(4, edges[:3] + [(2, 3, 2)])
+    assert g != (g.vcount, g.edges)  # a graph equals graphs only
+    assert repr(g).startswith("MetrizedGraph(vcount=4, edges=(Edge(a=0, b=1, length=")
+    assert pickle.loads(pickle.dumps(g)) == g
+    # values derived from the graph alone are cached on it, past the freeze
+    assert normalize(g) is normalize(g)
+    assert bridges(g) == [3] and bridges(g) is not bridges(g)
+    assert vars(g)["_bridges"] == (3,)
+    assert normalize(twin) is not normalize(g) and normalize(twin) == normalize(g)
 
 
 def test_total_length_examples():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -33,6 +35,18 @@ def test_edge_polynomial_algebra():
     assert q.coeffs == (F(0), F(1), F(2), F(3))
     assert p.integral(F(1)) == 1 + 1 + 1
     assert p.power(0).coeffs == (F(1),)
+
+
+def test_edge_polynomial_is_a_frozen_value():
+    p = EdgePolynomial(0, (F(1), F(2)))
+    assert p == EdgePolynomial(0, (F(1), F(2))) and hash(p) == hash(EdgePolynomial(0, (F(1), F(2))))
+    assert p != EdgePolynomial(1, (F(1), F(2))) and p != (0, (F(1), F(2)))
+    assert repr(p) == "EdgePolynomial(edge=0, coeffs=(Fraction(1, 1), Fraction(2, 1)))"
+    assert pickle.loads(pickle.dumps(p)) == p and copy.copy(p) == p
+    with pytest.raises(AttributeError):
+        p.coeffs = ()
+    with pytest.raises(AttributeError):
+        del p.edge
 
 
 def test_interpolate_quadratic():

@@ -7,6 +7,7 @@ from mgt import families
 from mgt.errors import BridgeDeletion, MgtError, NonPositiveLength, NotNormalized, SamePoint
 from mgt.graph import build_graph, normalize, subdivide_uniform, total_length
 from mgt.ops import (
+    OpResult,
     add_edge,
     c_tower,
     contract_edge,
@@ -209,6 +210,17 @@ def test_immerse_requires_normalized():
     closure(wrapped)
 
 
+def test_immerse_any_keeps_input_notes():
+    host, segment = families.complete(4, 2), families.segment(2)
+    wrapped = immerse_any(host, [(segment, 0, 1)] * 6)
+    expected = ("host scaled by 1/2",) + ("replacement scaled by 1/2",) * 6
+    assert wrapped.input_notes == expected
+    assert wrapped.notes == expected  # the formula ran and added no note
+    plain = immerse(normalize(host), [(normalize(segment), 0, 1)] * 6)
+    assert (wrapped.graph, wrapped.formula_id) == (plain.graph, "edge-immersion")
+    assert wrapped.unnormalized == plain.unnormalized and plain.input_notes == ()
+
+
 def test_immerse_mixed_markings():
     g = normalize(families.circle(F(1, 2), F(1, 2)))
     beta = families.circle(F(1, 2), F(1, 3), F(1, 6))
@@ -277,3 +289,27 @@ def test_unread_prediction_runs_no_formula(monkeypatch):
     assert result.notes == ("prediction edge-deletion unavailable: no tau here",)
     assert result.predicted_tau is None
     assert len(calls) == 1  # evaluated once, on the first read
+
+
+def test_op_result_is_frozen_and_evaluates_its_formula_once():
+    calls = []
+
+    def formula():
+        calls.append(1)
+        return F(1, 12)
+
+    g = families.circle(1)
+    result = OpResult(g, "test-formula", formula)
+    assert (result.unnormalized, result.input_notes) == (None, ())
+    assert result.predicted_tau == F(1, 12) and result.notes == ()
+    assert result.predicted_tau == F(1, 12) and calls == [1]
+    with pytest.raises(AttributeError):
+        result.graph = families.circle(2)
+    with pytest.raises(AttributeError):
+        del result.formula_id
+    assert result.graph is g
+    # equality and hashing stay by identity: two results are never merged
+    twin = OpResult(g, "test-formula", formula)
+    assert twin != result and len({twin, result}) == 2
+    assert repr(result) == (f"OpResult(graph={g!r}, formula_id='test-formula', "
+                            "unnormalized=None, input_notes=())")

@@ -1,0 +1,43 @@
+"""The package root resolves its exports on first access (PEP 562)."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import mgt
+from mgt import graph, tau
+
+
+def test_every_export_resolves():
+    for name in mgt.__all__:
+        assert getattr(mgt, name) is not None
+    assert mgt.MetrizedGraph is graph.MetrizedGraph
+    assert mgt.tau_edge_sum is tau.tau_edge_sum
+    assert set(mgt.__all__) <= set(dir(mgt))
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from mgt import *", namespace)
+    assert set(mgt.__all__) <= namespace.keys()
+    assert namespace["TauReport"] is tau.TauReport
+
+
+def test_unknown_name_is_attribute_error():
+    with pytest.raises(AttributeError, match="nonexistent"):
+        mgt.nonexistent
+    assert not hasattr(mgt, "nonexistent")
+
+
+def test_importing_one_module_loads_only_its_imports():
+    # a fresh interpreter, with -S so that no site hook imports anything
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = "import sys, mgt.tau; print(*sorted(m for m in sys.modules if m.startswith('mgt')))"
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "mgt.tau" in loaded
+    assert not {"mgt.integration", "mgt.suite", "mgt.ops"} & loaded

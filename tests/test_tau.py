@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from mgt import families
-from mgt.circuit import context, edge_profile
+from mgt.circuit import EdgeProfile, context, edge_profile
 from mgt.errors import HasBridge, MgtError, SamePoint
 from mgt.graph import (
     bridges,
@@ -15,8 +15,15 @@ from mgt.graph import (
     subdivide_uniform,
     total_length,
 )
+from mgt.optimize import OptState, ScanRow
 from mgt.rational import INF
+from mgt.reduction import ReductionNetwork
+from mgt.suite import CheckResult, GraphGenerator
 from mgt.tau import (
+    BoundCheck,
+    CanonicalMeasure,
+    GradientVector,
+    TauReport,
     apq,
     apq_checked,
     apq_identity,
@@ -100,6 +107,25 @@ def test_tau_report_fields():
     assert report.total_length == 1
     assert report.genus == 6
     assert sum(c for _, c, _ in report.per_edge) == report.tau
+    tau, ell, genus, per_edge, base = report  # records unpack like tuples
+    assert (tau, base) == (report.tau, 2)
+    # every record keeps its fields in order, and its defaults
+    assert EdgeProfile._fields == ("edge", "length", "res_deleted", "arm_a", "arm_b",
+                                   "arm_base", "bridge", "loop")
+    assert TauReport._fields == ("tau", "total_length", "genus", "per_edge", "base_vertex")
+    assert CanonicalMeasure._fields == ("vertex_masses", "edge_densities")
+    assert GradientVector._fields == ("entries", "bridge_edges")
+    assert BoundCheck._fields == ("bound", "applicable", "reason", "lhs", "rhs", "relation",
+                                  "holds")
+    assert CheckResult._fields == ("identity", "graph", "lhs", "rhs", "status", "reason")
+    assert GraphGenerator._fields == ("seed", "family", "max_vertices", "max_edges")
+    assert OptState._fields == ("lengths", "tau", "gradient", "iteration", "converged",
+                                "pinned", "exact_lengths", "exact_tau")
+    assert ScanRow._fields == ("family", "params", "tau", "ratio")
+    assert ReductionNetwork._fields == ("nodes", "edges", "terminals", "trace")
+    assert CheckResult("id", "g", 1, 1, "pass").reason == ""
+    assert GraphGenerator(3) == (3, "random_connected", 8, 16)
+    assert ReductionNetwork(frozenset(), (), ()).trace == ()
 
 
 def test_tau_bridge_and_loop_contributions():
