@@ -111,9 +111,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = cmd("minimize", _run_minimize, help="projected gradient descent on edge lengths")
     p.add_argument("file")
-    p.add_argument("--iters", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--restarts", type=int, default=0)
+    p.add_argument("--iters", type=_non_negative(int), default=500)
+    p.add_argument("--tol", type=_non_negative(float), default=1e-10)
+    p.add_argument("--restarts", type=_non_negative(int), default=0)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", action="store_true")
 
@@ -130,6 +130,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", default=None)
     p.add_argument("--json", action="store_true")
     return parser
+
+
+def _non_negative(kind):
+    """An argparse type: ``kind(text)``, refused when negative or NaN."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not value >= 0:  # also false for NaN
+            raise argparse.ArgumentTypeError(f"must be a non-negative {kind.__name__}, got {text!r}")
+        return value
+    return parse
 
 
 def _output_flags(p: argparse.ArgumentParser) -> None:

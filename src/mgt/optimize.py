@@ -1,7 +1,7 @@
 """Conjecture exploration: minimize tau over edge lengths, scan families.
 
-The search loop runs in floating point: each tau or gradient evaluation is one
-grounded numpy inverse followed by the per-edge sums ``tau.py`` evaluates
+The search loop runs in floating point: one numpy inverse per point, shared by
+tau and its gradient, followed by the per-edge sums ``tau.py`` evaluates
 exactly (tau = 1/4 sum_e [D^2/L + (L - r)^2/(3L)], the gradient by Rayleigh's
 rule). Every reported minimum is re-evaluated exactly at nearby rational
 coordinates, so the evidence trail stays rational end to end.
@@ -59,9 +59,11 @@ class ScanRow(NamedTuple):
 class FloatTopology:
     """Float tau/gradient evaluator for a fixed graph shape.
 
-    Each evaluation does one grounded inverse and then the per-edge sums of
+    Each point costs one grounded inverse, then the per-edge sums of
     ``tau.py`` as numpy expressions, with no deleted or glued sub-graph and no
-    bridge or loop branch (those edges give 1/4 and 1/12 on their own).
+    bridge or loop branch (those edges give 1/4 and 1/12 on their own). The
+    last point's inverse and edge terms are kept, so ``tau(x)`` followed by
+    ``gradient(x)`` inverts once.
     """
 
     def __init__(self, vcount: int, ends: list[tuple[int, int]]):
@@ -72,6 +74,9 @@ class FloatTopology:
         self.incidence = np.zeros((len(ends), vcount))  # zero rows on loops
         self.incidence[rows, self.a] += 1.0
         self.incidence[rows, self.b] -= 1.0
+        # (bytes of L, G, r, D) of the last point, replaced as one tuple so a
+        # concurrent reader never pairs one point's key with another's terms
+        self._last: tuple | None = None
 
     def green(self, lengths) -> np.ndarray:
         """Inverse of B^T diag(1/L) B grounded at vertex 0 (row and column 0 zero)."""
@@ -84,15 +89,19 @@ class FloatTopology:
     def _edge_terms(self, lengths):
         """(L, G, r, D): r = r(a,b) per edge and D = r(0,b) - r(0,a)."""
         L = np.asarray(lengths, dtype=float)
-        green = self.green(L)
-        g = np.diag(green)
-        a, b = self.a, self.b
-        return L, green, g[a] + g[b] - 2 * green[a, b], g[b] - g[a]
+        key = L.tobytes()  # a copy, so an in-place change to the caller's array misses
+        last = self._last
+        if last is None or last[0] != key:
+            green = self.green(L)
+            g = green.diagonal()
+            a, b = self.a, self.b
+            last = self._last = (key, green, g[a] + g[b] - 2 * green[a, b], g[b] - g[a])
+        return L, last[1], last[2], last[3]
 
     def tau(self, lengths) -> float:
         """1/4 sum_e [D^2/L + (L - r)^2/(3L)]."""
         L, _, r, D = self._edge_terms(lengths)
-        return float(np.sum(D * D / L + (L - r) ** 2 / (3 * L)) / 4)
+        return float((D * D / L + (L - r) ** 2 / (3 * L)).sum() / 4)
 
     def gradient(self, lengths) -> np.ndarray:
         """Rayleigh's rule through the tau sum, as ``tau.tau_gradient`` does exactly.
@@ -117,6 +126,7 @@ def project_simplex(x: np.ndarray, floor: float = POSITIVITY_FLOOR) -> np.ndarra
     css = np.cumsum(u) - budget
     ks = np.arange(1, n + 1)
     cond = u - css / ks > 0
+    cond[0] = True  # true in exact arithmetic; rounding can lose it when |x| dwarfs 1
     rho = np.nonzero(cond)[0][-1]
     theta = css[rho] / (rho + 1.0)
     return np.maximum(y - theta, 0.0) + floor
@@ -159,7 +169,13 @@ def minimize_tau(
             raise MgtError(
                 f"start has {len(start)} lengths but the bridge-free topology has {n} edges"
             )
-        x = project_simplex(np.asarray(start, dtype=float))
+        x = np.asarray(start, dtype=float)
+        if not (np.isfinite(x).all() and math.isfinite(sum(abs(v) for v in x.tolist()))):
+            raise MgtError("start lengths must be finite numbers with a finite sum")
+        x = project_simplex(x)
+        if not abs(x.sum() - 1) <= 1e-6:
+            raise MgtError("start lengths are too large to project onto the unit simplex "
+                           "in floating point")
     else:
         x = np.full(n, 1.0 / n)
     value = topo.tau(x)
@@ -184,7 +200,8 @@ def minimize_tau(
         if cand_value > value + 1e-12:
             converged = True
             break
-        move = float(np.linalg.norm(candidate - x))
+        step_vec = candidate - x
+        move = math.sqrt(step_vec @ step_vec)  # np.linalg.norm's own formula, without its dispatch
         x, value = candidate, cand_value
         grad = topo.gradient(x)
         if value < best[0]:

@@ -9,7 +9,8 @@ slip through as a wrong number.
 
 from __future__ import annotations
 
-from decimal import Decimal
+import sys
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from math import lcm
 from typing import Union
@@ -123,7 +124,22 @@ def sum_over(pairs: list[tuple[int, int]], common: int) -> Fraction:
     return Fraction(sum(n * (m // q) for n, q in pairs), common * m)
 
 
+_FLOAT_TEXT = Context(prec=15, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
 def format_float(x: ExtScalar) -> str:
+    """``x`` to 15 significant digits.
+
+    Values past the double range, which ``float`` overflows on or flushes
+    toward zero, go through ``Decimal`` instead.
+    """
     if x is INF:
         return "inf"
-    return format(float(x), ".15g")
+    try:
+        value = float(x)
+        if not x or abs(value) >= sys.float_info.min:
+            return format(value, ".15g")
+    except OverflowError:
+        pass
+    quotient = _FLOAT_TEXT.divide(Decimal(x.numerator), Decimal(x.denominator))
+    return format(_FLOAT_TEXT.normalize(quotient), ".15g")

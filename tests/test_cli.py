@@ -255,6 +255,24 @@ def test_huge_length_is_input_error(tmp_path, capsys):
     assert _one_error_line(err) and "line 1" in err
 
 
+def test_float_past_double_range_prints_digits(tmp_path, capsys):
+    # a 401-digit length: tau = length/12 is past the double range
+    length = 10**400 + 7
+    path = tmp_path / "huge_triangle.txt"
+    path.write_text(f"e 0 1 {length}\ne 1 2 1\ne 2 0 1\n")
+    code, out, err = run_cli(capsys, "tau", str(path), "--float")
+    assert code == 0 and err == ""
+    assert out.strip() == "8.33333333333333e+398"
+
+
+def test_minimize_rejects_bad_flags(k4_file, capsys):
+    for flags in (("--iters", "-1"), ("--restarts", "-2"), ("--tol", "nan"),
+                  ("--tol", "-1e-9"), ("--tol", "-inf")):
+        code, out, err = run_cli(capsys, "minimize", k4_file, *flags)
+        assert code == 2 and out == ""
+        assert f"argument {flags[0]}" in err and "Traceback" not in err
+
+
 def test_tau_prints_past_int_text_limit(tmp_path, capsys):
     # lengths within the input limit whose tau has more than 4300 digits
     rng = random.Random(7)
@@ -412,6 +430,10 @@ def _argvs(draw, path):
             argv.append("--json")
     elif verb == "minimize":
         argv = [verb, path, "--iters", draw(st.sampled_from(["1", "5", "0", "-2"]))]
+        if draw(st.booleans()):
+            argv += ["--restarts", draw(st.sampled_from(["0", "2", "-1"]))]
+        if draw(st.booleans()):
+            argv += ["--tol", draw(st.sampled_from(["1e-10", "0", "nan", "-1e-3"]))]
     else:
         argv = [verb, path]
     return argv
@@ -433,6 +455,8 @@ def test_cli_exit_codes_hold_on_random_input(data):
     out, err = out.getvalue(), err.getvalue()
     assert "Traceback" not in out + err
     assert code in (0, 1, 2, 3), (argv, err)
+    if argv[0] == "minimize" and any(v == "nan" or v.startswith("-") for v in argv[3::2]):
+        assert code == 2, (argv, err)  # a negative count or tolerance, or a NaN tolerance
     if code in (2, 3):
         assert err
     if code == 1:

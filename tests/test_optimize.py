@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgt import families
-from mgt.errors import NotBridgeless, SamePoint
+from mgt.errors import MgtError, NotBridgeless, SamePoint
 from mgt.graph import build_graph
 from mgt.optimize import (
     FloatTopology,
@@ -44,6 +46,122 @@ def test_float_gradient_matches_exact_within_1e9():
     graphs += _corpus_graphs()
     for g in graphs:
         assert exact_gradient_matches_float(g, 1e-9)
+
+
+def _topology(g):
+    return FloatTopology(g.vcount, [(a, b) for a, b, _ in g.edges])
+
+
+def _test_points(g, rng, count=3):
+    points = [np.array([float(e.length) for e in g.edges])]
+    for _ in range(count):
+        x = np.array([rng.random() + 0.01 for _ in g.edges])
+        points.append(x / x.sum())
+    return points
+
+
+def test_memoized_tau_and_gradient_bit_equal_fresh():
+    rng = random.Random(5)
+    graphs = [families.complete(4), families.diamond(F(1, 5)), families.cube()]
+    graphs += [families.random_bridgeless(rng, 5, 9) for _ in range(3)] + _corpus_graphs()[:20]
+    for g in graphs:
+        topo = _topology(g)
+        for x in _test_points(g, rng):
+            value, grad = topo.tau(x), topo.gradient(x)
+            assert value == _topology(g).tau(x)
+            assert np.array_equal(grad, _topology(g).gradient(x))
+            # and in the other order, and again at the same point
+            assert np.array_equal(topo.gradient(x), grad) and topo.tau(x) == value
+
+
+def test_in_place_change_between_tau_and_gradient_is_not_stale():
+    g = families.complete(4)
+    topo = _topology(g)
+    x = np.array([0.1, 0.2, 0.15, 0.25, 0.2, 0.1])
+    old = x.copy()
+    topo.tau(x)
+    x[0], x[3] = 0.3, 0.05
+    assert np.array_equal(topo.gradient(x), _topology(g).gradient(x.copy()))
+    # the memo holds old's point; old then changes in place while y keeps its values
+    topo.tau(old)
+    y = old.copy()
+    old[:] = 1 / 6
+    assert np.array_equal(topo.gradient(y), _topology(g).gradient(y))
+    assert topo.tau(old) == _topology(g).tau(np.full(6, 1 / 6))
+
+
+def test_minimize_inverts_once_per_point(monkeypatch):
+    inverses = []
+    points = []
+    real_inv = np.linalg.inv
+    real_tau, real_gradient = FloatTopology.tau, FloatTopology.gradient
+
+    def counting_inv(m):
+        inverses.append(1)
+        return real_inv(m)
+
+    def tau(self, lengths):
+        points.append(("tau", np.asarray(lengths, dtype=float).tobytes()))
+        return real_tau(self, lengths)
+
+    def gradient(self, lengths):
+        points.append(("gradient", np.asarray(lengths, dtype=float).tobytes()))
+        return real_gradient(self, lengths)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    monkeypatch.setattr(FloatTopology, "tau", tau)
+    monkeypatch.setattr(FloatTopology, "gradient", gradient)
+    rng = random.Random(11)
+    for g in (families.complete(4), families.cube(), families.necklace(1, 1, 2)):
+        for _ in range(2):
+            start = [rng.random() + 0.01 for _ in g.edges]
+            del inverses[:], points[:]
+            minimize_tau(g, start, max_iters=30)
+            taus = sum(1 for kind, _ in points if kind == "tau")
+            distinct = sum(1 for k, p in enumerate(points) if k == 0 or p[1] != points[k - 1][1])
+            # every gradient is taken at the point whose tau was just computed
+            assert all(k > 0 and p == points[k - 1][1]
+                       for k, (kind, p) in enumerate(points) if kind == "gradient")
+            assert len(inverses) == distinct == taus < len(points)
+
+
+def test_float_topology_shared_across_threads():
+    rng = random.Random(3)
+    g = families.complete(5)
+    points = _test_points(g, rng, count=8)
+    fresh = [(_topology(g).tau(x), _topology(g).gradient(x)) for x in points]
+    topo = _topology(g)
+    failures = []
+
+    def worker(k):
+        for i in range(200):
+            j = (k + i) % len(points)
+            value, grad = topo.tau(points[j]), topo.gradient(points[j])
+            if value != fresh[j][0] or not np.array_equal(grad, fresh[j][1]):
+                failures.append((k, j))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+
+
+def test_minimize_rejects_unusable_start():
+    triangle = families.circle(F(1, 3), F(1, 3), F(1, 3))
+    for start in ([math.nan, 1, 1], [math.inf, 1, 1], [1, -math.inf, 1],
+                  [1e308] * 3, [1e300] * 3, [1e17] * 3, [1e300, -1e300, 1]):
+        with pytest.raises(MgtError):
+            minimize_tau(triangle, start, max_iters=5)
+    state = minimize_tau(triangle, [1e6, 2e6, 3e6], max_iters=5)
+    assert abs(sum(state.lengths) - 1) < 1e-12
 
 
 def test_project_simplex_basics():

@@ -24,6 +24,19 @@ def test_format_scalar_canonical():
     assert format_float(F(1, 3)) == format(1 / 3, ".15g")
 
 
+def test_format_float_past_the_double_range():
+    # in range: exactly the text float formatting gives
+    for x in (F(0), F(1, 12), F(-7, 3), F(10**300, 12), F(15 * 10**299), F(1, 10**300)):
+        assert format_float(x) == format(float(x), ".15g")
+    # past it: 15 significant digits through Decimal instead of OverflowError or 0
+    assert format_float(F(10**400, 12)) == "8.33333333333333e+398"
+    assert format_float(F(-10**400, 7)) == "-1.42857142857143e+399"
+    assert format_float(F(15 * 10**399)) == "1.5e+400"
+    assert format_float(F(2**1024)) == "1.79769313486232e+308"
+    assert format_float(F(-1, 10**400)) == "-1e-400"
+    assert format_float(F(1, 3 * 10**320)) == "3.33333333333333e-321"
+
+
 def test_inf_supported_forms():
     assert INF + F(3, 2) is INF
     assert F(3, 2) + INF is INF
