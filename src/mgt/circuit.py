@@ -12,9 +12,12 @@ deletion route, read off the same integers: a rank-one update for a cycle
 edge (``r_deleted``; the three arms share the denominator 2 d gap), the
 resistance to the nearer endpoint for a bridge. Only the suite's arm
 identities read them; a reader of deleted resistances alone calls
-``res_deleted``, which builds no profile. :func:`edge_profile` (each deleted graph solved anew) and
+``res_deleted``, which builds no profile.
+
+:func:`edge_profile` (each deleted graph solved anew) and
 :func:`solve_pair_resistances` (the sampled edge-polynomial oracle's solver)
-exist only to check the matrix.
+exist only to check the matrix. Each solves its own graph through
+``_solved``, which calls ``green_numden`` directly, outside the context LRU.
 
 ``GraphContext.memo`` holds what higher layers compute once per graph (tau,
 A); the context LRU bounds it with the rest of the context.
@@ -29,8 +32,8 @@ from typing import NamedTuple
 
 from .errors import BadPoint, MgtError
 from .graph import Edge, MetrizedGraph, PointOnGraph, insert_points, normalize_point
-from .linalg import green_matrix, green_numden, laplacian_int, resistance_from_green, solve_spd
-from .rational import INF, ExtScalar, Scalar
+from .linalg import green_numden
+from .rational import INF, ExtScalar
 
 
 class EdgeProfile(NamedTuple):
@@ -194,6 +197,12 @@ class GraphContext:
                            bridge=True, loop=False)
 
 
+def _solved(vcount: int, edges):
+    """r(y, z) on a graph solved anew by ``green_numden``, bypassing the context LRU."""
+    num, den = green_numden(vcount, edges)
+    return lambda y, z: Fraction(num[y][y] + num[z][z] - 2 * num[y][z], den)
+
+
 def _component_of(g: MetrizedGraph, skip_edge: int, start: int) -> set[int]:
     seen = {start}
     stack = [start]
@@ -219,8 +228,7 @@ def _component_resistance(g: MetrizedGraph, skip_edge: int, side_a: set[int] | N
     relabel = {v: i for i, v in enumerate(verts)}
     edges = [Edge(relabel[a], relabel[b], L) for i, (a, b, L) in enumerate(g.edges)
              if i != skip_edge and a in comp and b in comp]
-    green = green_matrix(len(verts), edges)
-    return resistance_from_green(green, relabel[y], relabel[z])
+    return _solved(len(verts), edges)(relabel[y], relabel[z])
 
 
 _CACHE_LIMIT = 2048
@@ -248,7 +256,7 @@ def context(g: MetrizedGraph) -> GraphContext:
 
 def resistance(g: MetrizedGraph, x: PointOnGraph, y: PointOnGraph) -> Fraction:
     """Effective resistance r(x, y), inserting interior points as needed."""
-    gx, (vx, vy) = _with_points(g, x, y)
+    gx, (vx, vy) = insert_points(g, [x, y])
     if vx == vy:
         return Fraction(0)
     return context(gx).r(vx, vy)
@@ -256,13 +264,8 @@ def resistance(g: MetrizedGraph, x: PointOnGraph, y: PointOnGraph) -> Fraction:
 
 def voltage(g: MetrizedGraph, x: PointOnGraph, y: PointOnGraph, z: PointOnGraph) -> Fraction:
     """Voltage j_x(y, z): potential at y when unit current runs y -> z, grounded at x."""
-    gx, (vx, vy, vz) = _with_points(g, x, y, z)
+    gx, (vx, vy, vz) = insert_points(g, [x, y, z])
     return context(gx).voltage(vx, vy, vz)
-
-
-def _with_points(g: MetrizedGraph, *points: PointOnGraph):
-    gx, ids = insert_points(g, list(points))
-    return gx, ids
 
 
 def edge_profile(g: MetrizedGraph, edge_id: int, base: int) -> EdgeProfile:
@@ -277,12 +280,10 @@ def edge_profile(g: MetrizedGraph, edge_id: int, base: int) -> EdgeProfile:
     base = normalize_point(g, base)
     if not isinstance(base, int):
         raise BadPoint("base must be a vertex")
+    rest = g.edges[:edge_id] + g.edges[edge_id + 1 :]
     if a == b:
-        rest = [e for i, e in enumerate(g.edges) if i != edge_id]
-        green = green_matrix(g.vcount, rest)
-        r_pa = resistance_from_green(green, base, a)
         return EdgeProfile(edge_id, length, Fraction(0), Fraction(0), Fraction(0),
-                           r_pa, bridge=False, loop=True)
+                           _solved(g.vcount, rest)(base, a), bridge=False, loop=True)
     side_a = _component_of(g, edge_id, a)
     if b not in side_a:
         if base in side_a:
@@ -292,11 +293,8 @@ def edge_profile(g: MetrizedGraph, edge_id: int, base: int) -> EdgeProfile:
         arm_base = _component_resistance(g, edge_id, None, base, b)
         return EdgeProfile(edge_id, length, INF, INF, Fraction(0), arm_base,
                            bridge=True, loop=False)
-    rest = [e for i, e in enumerate(g.edges) if i != edge_id]
-    green = green_matrix(g.vcount, rest)
-    res_del = resistance_from_green(green, a, b)
-    ra_p = resistance_from_green(green, a, base)
-    rb_p = resistance_from_green(green, b, base)
+    r = _solved(g.vcount, rest)
+    res_del, ra_p, rb_p = r(a, b), r(a, base), r(b, base)
     arm_a = (ra_p + res_del - rb_p) / 2
     arm_b = res_del - arm_a
     arm_base = (ra_p + rb_p - res_del) / 2
@@ -311,30 +309,11 @@ def resistance_matrix(g: MetrizedGraph) -> list[list[Fraction]]:
 
 
 def solve_pair_resistances(g: MetrizedGraph, pairs: list[tuple[int, int]]) -> list[Fraction]:
-    """Resistances for selected vertex pairs from one factorization, no full inverse.
+    """Resistances for selected vertex pairs of a graph solved anew.
 
     The solver of the sampled edge-polynomial oracle in the tests: each sample
-    point is inserted as a vertex and solved here, independently of the Green
-    matrix that ``mgt.integration`` reads.
+    point is inserted as a vertex and its graph solved here, apart from the
+    cached contexts that ``mgt.integration`` reads.
     """
-    if g.vcount == 1:
-        return [Fraction(0) for _ in pairs]
-    m, scale, index = laplacian_int(g.vcount, g.edges)
-    rhs = []
-    for y, z in pairs:
-        col = [0] * (g.vcount - 1)
-        if index[y] >= 0:
-            col[index[y]] += scale
-        if index[z] >= 0:
-            col[index[z]] -= scale
-        rhs.append(col)
-    sols = solve_spd(m, rhs)
-    out = []
-    for (y, z), x in zip(pairs, sols):
-        val = Fraction(0)
-        if index[y] >= 0:
-            val += x[index[y]]
-        if index[z] >= 0:
-            val -= x[index[z]]
-        out.append(val)
-    return out
+    r = _solved(g.vcount, g.edges)
+    return [r(y, z) for y, z in pairs]

@@ -122,10 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default="", help="key=lo..hi or key=a,b,c (family specific)")
 
     p = cmd("op", _run_op, help="apply a tau-transforming operation")
-    p.add_argument("name", choices=(
-        "delete", "contract", "identify", "add-edge", "union1", "union2",
-        "da-n", "subdivide", "immerse", "tower",
-    ))
+    p.add_argument("name", choices=tuple(_OPS))
     p.add_argument("args", nargs="*")
     p.add_argument("-o", "--out", default=None)
     p.add_argument("--json", action="store_true")
@@ -272,7 +269,7 @@ def _run_bounds(args) -> int:
 
 def _run_verify(args) -> int:
     wanted = None if args.suite == "all" else args.suite.split(",")
-    seed = args.seed if args.seed is not None else int(os.environ.get("MGT_SEED", "1"))
+    seed = _seed(args, 1)
     if args.random:
         results = run_suite(GraphGenerator(seed=seed), args.count,
                             identities=wanted)
@@ -305,6 +302,17 @@ def _run_verify(args) -> int:
     return EXIT_CHECK_FAILED if failures else EXIT_OK
 
 
+def _seed(args, default: int) -> int:
+    """``--seed``, else ``MGT_SEED``, else ``default``; a malformed ``MGT_SEED`` is a usage error."""
+    if args.seed is not None:
+        return args.seed
+    text = os.environ.get("MGT_SEED", str(default))
+    try:
+        return int(text)
+    except ValueError:
+        raise MgtError(f"MGT_SEED must be an integer, got {text!r}") from None
+
+
 def _check_value(value) -> str:
     """A check's lhs or rhs: exact digits, or ``None`` where the check has none."""
     return "None" if value is None else format_scalar(value)
@@ -316,7 +324,7 @@ def _run_minimize(args) -> int:
     from .optimize import minimize_tau, search_topology  # numpy loads only for this verb and scan
 
     g = _load(args.file)
-    seed = args.seed if args.seed is not None else int(os.environ.get("MGT_SEED", "0"))
+    seed = _seed(args, 0)
     states = [minimize_tau(g, None, args.iters, args.tol)]
     search_size = search_topology(g).ecount  # bridges are contracted away first
     rng = _random.Random(f"mgt-minimize:{seed}")
@@ -345,20 +353,25 @@ def _run_minimize(args) -> int:
     return EXIT_OK
 
 
+_COUNT_KEYS = ("v", "m", "t", "k")  # the scan parameters that count vertices, edges, diamonds or arcs
+
+
 def _parse_params(text: str) -> dict:
+    """``KEY=LO..HI`` or ``KEY=A,B,...`` entries split by ``;``; a malformed one is a usage error."""
     params: dict = {}
-    if not text:
-        return params
-    for part in text.split(";"):
-        key, _, raw = part.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if ".." in raw:
-            lo, hi = raw.split("..", 1)
-            params[key] = range(int(lo), int(hi) + 1)
-        else:
-            values = [parse_scalar(x) for x in raw.split(",")]
-            params[key] = [int(x) if x.denominator == 1 else x for x in values]
+    for part in text.split(";") if text else ():
+        key, _, raw = (x.strip() for x in part.partition("="))
+        try:
+            if ".." in raw:
+                lo, hi = raw.split("..", 1)
+                params[key] = range(int(lo), int(hi) + 1)
+                continue
+            values = [parse_scalar(x) for x in raw.split(",")]  # a part with no "=" has no values
+        except (ValueError, InputError):
+            raise MgtError(f"bad --params entry {part!r}: expected KEY=LO..HI or KEY=A,B,...") from None
+        if key in _COUNT_KEYS and any(x.denominator != 1 for x in values):
+            raise MgtError(f"bad --params entry {part!r}: {key} takes integers")
+        params[key] = [int(x) if x.denominator == 1 else x for x in values]
     return params
 
 
@@ -378,54 +391,40 @@ def _run_scan(args) -> int:
     return EXIT_OK
 
 
-# operation arguments, the graph file(s) included
-_OP_ARITY = {"delete": 2, "contract": 2, "identify": 3, "add-edge": 4, "da-n": 2,
-             "subdivide": 2, "union1": 4, "union2": 6, "immerse": 4, "tower": 4}
+# name -> (argument count, the positions of its graph files, builder); the files
+# load first, then the builder gets every argument in order and returns an
+# OpResult, or for subdivide, which predicts nothing, the graph alone
+_OPS = {
+    "delete": (2, (1,), lambda e, g: delete_edge(g, int(e))),
+    "contract": (2, (1,), lambda e, g: contract_edge(g, int(e))),
+    "identify": (3, (2,), lambda p, q, g: identify_points(g, int(p), int(q))),
+    "add-edge": (4, (3,), lambda p, q, length, g: add_edge(g, int(p), int(q), parse_scalar(length))),
+    "union1": (4, (2, 3), lambda p1, p2, g1, g2: union_one_point(g1, int(p1), g2, int(p2))),
+    "union2": (6, (4, 5), lambda p1, q1, p2, q2, g1, g2: union_two_points(
+        g1, g2, (int(p1), int(q1)), (int(p2), int(q2)))),
+    "da-n": (2, (1,), lambda n, g: da_n(g, int(n))),
+    "subdivide": (2, (1,), lambda m, g: subdivide_uniform(g, int(m))),
+    "immerse": (4, (0, 1), lambda g, beta, p, q: immerse_any(g, [(beta, int(p), int(q))] * g.ecount)),
+    "tower": (4, (3,), lambda p, q, n, g: c_tower(normalize(g), int(p), int(q), int(n))),
+}
 
 
 def _run_op(args) -> int:
     name = args.name
-    a = args.args
-    if len(a) != _OP_ARITY[name]:
-        print(f"error: op {name} takes {_OP_ARITY[name]} arguments, got {len(a)}", file=sys.stderr)
+    count, files, build = _OPS[name]
+    a = list(args.args)
+    if len(a) != count:
+        print(f"error: op {name} takes {count} arguments, got {len(a)}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if name == "delete":
-            result, g = _single(a, 1, delete_edge, int)
-        elif name == "contract":
-            result, g = _single(a, 1, contract_edge, int)
-        elif name == "identify":
-            result, g = _single(a, 2, identify_points, int, int)
-        elif name == "add-edge":
-            result, g = _single(a, 3, add_edge, int, int, parse_scalar)
-        elif name == "da-n":
-            result, g = _single(a, 1, da_n, int)
-        elif name == "subdivide":
-            g = _load(a[1])
-            result = None
-            built = subdivide_uniform(g, int(a[0]))
-        elif name == "union1":
-            g = _load(a[2])
-            g2 = _load(a[3])
-            result = union_one_point(g, int(a[0]), g2, int(a[1]))
-        elif name == "union2":
-            g = _load(a[4])
-            g2 = _load(a[5])
-            result = union_two_points(g, g2, (int(a[0]), int(a[1])), (int(a[2]), int(a[3])))
-        elif name == "immerse":
-            g = _load(a[0])
-            beta = _load(a[1])
-            result = immerse_any(g, [(beta, int(a[2]), int(a[3]))] * g.ecount)
-        elif name == "tower":
-            g = _load(a[3])
-            result = c_tower(normalize(g), int(a[0]), int(a[1]), int(a[2]))
-        else:  # pragma: no cover
-            raise MgtError(name)
+        for i in files:
+            a[i] = _load(a[i])
+        made = build(*a)
     except (IndexError, ValueError) as exc:
         print(f"error: bad arguments for op {name}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if result is not None:
-        built = result.graph
+    result = None if isinstance(made, MetrizedGraph) else made
+    built = made if result is None else result.graph
     actual = tau_edge_sum(built).tau
     predicted = result.predicted_tau if result is not None else None
     if args.json:
@@ -446,12 +445,6 @@ def _run_op(args) -> int:
     if predicted is not None and predicted != actual:
         return EXIT_CHECK_FAILED
     return EXIT_OK
-
-
-def _single(a, argc, fn, *converters):
-    g = _load(a[argc])
-    converted = [conv(x) for conv, x in zip(converters, a[:argc])]
-    return fn(g, *converted), g
 
 
 if __name__ == "__main__":

@@ -20,9 +20,11 @@ from .errors import (
     BadM,
     BadPoint,
     BadVertexId,
+    BridgeDeletion,
     DisconnectedGraph,
     NonPositiveLength,
     NonPositiveScale,
+    SamePoint,
 )
 from .rational import Scalar
 
@@ -105,9 +107,6 @@ class MetrizedGraph(Frozen):
                 n += 1
         return n
 
-    def incident(self, p: int) -> list[int]:
-        return [i for i, (a, b, _) in enumerate(self.edges) if a == p or b == p]
-
 
 def _cached(g: MetrizedGraph, name: str, compute):
     """``compute(g)``, stored on g under ``name`` by the first reader."""
@@ -166,6 +165,26 @@ def scale(g: MetrizedGraph, c: Scalar) -> MetrizedGraph:
 def normalize(g: MetrizedGraph) -> MetrizedGraph:
     """Rescale to total length one; every call on one graph returns the same object."""
     return _cached(g, "_normalized", lambda g: scale(g, 1 / total_length(g)))
+
+
+def delete_edge_graph(g: MetrizedGraph, edge_id: int) -> tuple[MetrizedGraph, tuple[int, int]]:
+    """Graph minus one edge (must not be a bridge); endpoints keep their ids."""
+    a, b, _ = g.edges[edge_id]
+    rest = g.edges[:edge_id] + g.edges[edge_id + 1 :]
+    try:
+        return MetrizedGraph(g.vcount, rest), (a, b)
+    except DisconnectedGraph as exc:
+        raise BridgeDeletion(f"deleting edge {edge_id} disconnects the graph") from exc
+
+
+def identify_points_graph(g: MetrizedGraph, p: int, q: int) -> MetrizedGraph:
+    """Glue two distinct vertices into the smaller id; ids above the larger shift down."""
+    if p == q:
+        raise SamePoint("identify needs two distinct vertices")
+    keep, drop = min(p, q), max(p, q)
+    remap = [v - 1 if v > drop else v for v in range(g.vcount)]
+    remap[drop] = keep
+    return MetrizedGraph(g.vcount - 1, tuple(Edge(remap[a], remap[b], L) for a, b, L in g.edges))
 
 
 def check_vertices(g: MetrizedGraph, *vertices: int) -> None:

@@ -16,14 +16,12 @@ inverse follows by back-substitution from that triangle alone, one half
 mirrored into the other; it skips the zeros of the triangle. A dense matrix
 costs about n^3/2 big-integer multiply-adds in all.
 
-``laplacian_int`` keeps the uniform lcm scaling for ``solve_spd`` and the
-sampled oracle, which share the one forward pass and back-substitution with
-every row scale 1.
+``green_numden`` is the only exact solve in mgt: the cached per-graph
+context and the oracles that solve a deleted or sampled graph anew all call it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
@@ -81,51 +79,6 @@ def _back_substitute(m: list[list[int]], n: int, scales: Sequence[int]) -> list[
     return y
 
 
-def solve_spd(matrix: list[list[int]], rhs_cols: Sequence[Sequence[int]]) -> list[list[Fraction]]:
-    """Solve a symmetric positive definite integer system for several right-hand sides."""
-    n = len(matrix)
-    m = [list(row) for row in matrix]
-    bareiss_forward(m, n, [1] * n)
-    det = m[n - 1][n - 1]
-    inverse = _back_substitute(m, n, [1] * n)
-    return [[Fraction(sum([a * b for a, b in zip(row, col)]), det) for row in inverse]
-            for col in rhs_cols]
-
-
-def laplacian_int(vcount: int, edges, ground: int = 0) -> tuple[list[list[int]], int, list[int]]:
-    """Integer-scaled reduced Laplacian of a multigraph with rational lengths.
-
-    Conductance of an edge is 1/length; self-loops contribute nothing. Returns
-    (matrix, D, index) where D is the lcm of every length numerator, matrix =
-    D * L_reduced, and index maps vertex id to matrix row (ground omitted).
-    """
-    index = [-1] * vcount
-    k = 0
-    for v in range(vcount):
-        if v != ground:
-            index[v] = k
-            k += 1
-    scale = 1
-    for a, b, length in edges:
-        if a != b:
-            scale = lcm(scale, length.numerator)
-    n = vcount - 1
-    m = [[0] * n for _ in range(n)]
-    for a, b, length in edges:
-        if a == b:
-            continue
-        c = length.denominator * (scale // length.numerator)
-        ia, ib = index[a], index[b]
-        if ia >= 0:
-            m[ia][ia] += c
-        if ib >= 0:
-            m[ib][ib] += c
-        if ia >= 0 and ib >= 0:
-            m[ia][ib] -= c
-            m[ib][ia] -= c
-    return m, scale, index
-
-
 def green_numden(vcount: int, edges) -> tuple[list[list[int]], int]:
     """Inverse reduced Laplacian as integer numerators over one denominator.
 
@@ -162,11 +115,3 @@ def green_numden(vcount: int, edges) -> tuple[list[list[int]], int]:
     num += [[0] + [content_num * v for v in row] for row in _back_substitute(m, n, scales)]
     return num, content_den * m[n - 1][n - 1]
 
-
-def green_matrix(vcount: int, edges) -> list[list[Fraction]]:
-    num, den = green_numden(vcount, edges)
-    return [[Fraction(x, den) for x in row] for row in num]
-
-
-def resistance_from_green(green: list[list[Fraction]], y: int, z: int) -> Fraction:
-    return green[y][y] + green[z][z] - 2 * green[y][z]

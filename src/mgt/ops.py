@@ -22,7 +22,8 @@ from .errors import (
     NotNormalized,
     SamePoint,
 )
-from .graph import Edge, Frozen, MetrizedGraph, bridges, normalize, scale, total_length
+from .graph import (Edge, Frozen, MetrizedGraph, bridges, delete_edge_graph, identify_points_graph,
+                    normalize, total_length)
 from .rational import INF, Scalar, sum_over
 from .tau import apq, deleted_apq, tau_of
 
@@ -62,16 +63,6 @@ class OpResult(Frozen):
         return outcome
 
 
-def delete_edge_graph(g: MetrizedGraph, edge_id: int) -> tuple[MetrizedGraph, tuple[int, int]]:
-    """Graph minus one edge (must not be a bridge); endpoints keep their ids."""
-    a, b, _ = g.edges[edge_id]
-    rest = g.edges[:edge_id] + g.edges[edge_id + 1 :]
-    try:
-        return MetrizedGraph(g.vcount, rest), (a, b)
-    except MgtError as exc:
-        raise BridgeDeletion(f"deleting edge {edge_id} disconnects the graph") from exc
-
-
 def delete_edge(g: MetrizedGraph, edge_id: int) -> OpResult:
     """Remove a non-bridge edge; tau drops by L/12 - R/6 + A/(L+R)."""
     a, b, length = g.edges[edge_id]
@@ -86,14 +77,6 @@ def delete_edge(g: MetrizedGraph, edge_id: int) -> OpResult:
     return OpResult(deleted, "edge-deletion", formula)
 
 
-def _merge_vertices(g: MetrizedGraph, keep: int, drop: int) -> tuple[MetrizedGraph, int]:
-    """Identify two distinct vertices; ids above the dropped one shift down."""
-    remap = [v - 1 if v > drop else v for v in range(g.vcount)]
-    remap[drop] = remap[keep]
-    edges = tuple(Edge(remap[a], remap[b], L) for a, b, L in g.edges)
-    return MetrizedGraph(g.vcount - 1, edges), remap[keep]
-
-
 def contract_edge(g: MetrizedGraph, edge_id: int) -> OpResult:
     """Shrink an edge to a point.
 
@@ -101,12 +84,10 @@ def contract_edge(g: MetrizedGraph, edge_id: int) -> OpResult:
     contraction drops L/4; otherwise tau drops L/12 - L A /(R(L+R)).
     """
     a, b, length = g.edges[edge_id]
-    rest = g.edges[:edge_id] + g.edges[edge_id + 1 :]
     if a == b:
-        graph = MetrizedGraph(g.vcount, rest)
+        graph, _ = delete_edge_graph(g, edge_id)
         return OpResult(graph, "loop-contraction", lambda: tau_of(g) - length / 12)
-    merged, _ = _merge_vertices(g, min(a, b), max(a, b))
-    graph = MetrizedGraph(merged.vcount, merged.edges[:edge_id] + merged.edges[edge_id + 1 :])
+    graph, _ = delete_edge_graph(identify_points_graph(g, a, b), edge_id)  # the edge is now a loop
     if edge_id in bridges(g):
         return OpResult(graph, "bridge-contraction", lambda: tau_of(g) - length / 4)
 
@@ -115,14 +96,6 @@ def contract_edge(g: MetrizedGraph, edge_id: int) -> OpResult:
         return tau_of(g) - length / 12 + length * deleted_apq(g, edge_id) / (res * (length + res))
 
     return OpResult(graph, "edge-contraction", formula)
-
-
-def identify_points_graph(g: MetrizedGraph, p: int, q: int) -> MetrizedGraph:
-    """Just the glued graph, no tau prediction (used by the A identity route)."""
-    if p == q:
-        raise SamePoint("identify needs two distinct vertices")
-    graph, _ = _merge_vertices(g, min(p, q), max(p, q))
-    return graph
 
 
 def identify_points(g: MetrizedGraph, p: int, q: int) -> OpResult:

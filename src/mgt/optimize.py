@@ -290,6 +290,8 @@ def family_scan(family: str, params: dict | None = None) -> list[ScanRow]:
     elif family == "circle":
         rng = random.Random("mgt-scan-circle")
         for k in params.get("k", range(1, 9)):
+            if k < 1:
+                raise BadN(f"a circle needs k >= 1 arcs, got {k}")
             arcs = [families.random_length(rng) for _ in range(k)]
             g = normalize(families.circle(*arcs))
             closed = Fraction(1, 12)

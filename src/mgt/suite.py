@@ -23,7 +23,8 @@ from typing import NamedTuple
 from . import families
 from .circuit import EdgeProfile, context
 from .errors import BadN, EmptyGraph, MgtError, UnknownIdentity
-from .graph import MetrizedGraph, bridges, genus, insert_point, normalize, scale, subdivide_uniform, total_length
+from .graph import (MetrizedGraph, bridges, delete_edge_graph, genus, identify_points_graph,
+                    insert_point, normalize, scale, subdivide_uniform, total_length)
 from .integration import (
     TAG_J_BASE_P,
     TAG_J_BASE_Q,
@@ -31,7 +32,6 @@ from .integration import (
     TAG_R_FROM_P,
     apq_direct,
     integrate_product,
-    tau_via_integral,
 )
 from .ops import (
     add_edge,
@@ -39,9 +39,7 @@ from .ops import (
     contract_edge,
     da_n,
     delete_edge,
-    delete_edge_graph,
     identify_points,
-    identify_points_graph,
     immerse,
     immerse_uniform,
     parallel_sum,
@@ -55,6 +53,7 @@ from .tau import (
     apq_checked,
     canonical_measure,
     cubic_sum,
+    deleted_apq,
     genus_identity_check,
     lower_bound_suite,
     tau_bridgeless_identity,
@@ -79,6 +78,10 @@ class CheckResult(NamedTuple):
         return self.status != "fail"
 
 
+class _Skip(Exception):
+    """A draw the graph cannot satisfy; ``run_graph_checks`` reports the check as skipped."""
+
+
 class SuiteContext:
     """One corpus graph plus the deterministic randomness for its checks."""
 
@@ -97,11 +100,19 @@ class SuiteContext:
             q += 1
         return p, q
 
-    def proper_edge(self, avoid_bridges: bool = True) -> int | None:
-        """A non-loop edge, optionally also not a bridge."""
-        banned = set(bridges(self.g)) if avoid_bridges else set()
+    def distinct_pair(self) -> tuple[int, int]:
+        """``vertex_pair``, skipping the check on a one-vertex graph."""
+        if self.g.vcount < 2:
+            raise _Skip("needs two vertices")
+        return self.vertex_pair()
+
+    def proper_edge(self) -> int:
+        """An edge that is neither a loop nor a bridge, skipping the check if there is none."""
+        banned = set(bridges(self.g))
         ids = [i for i, (a, b, _) in enumerate(self.g.edges) if a != b and i not in banned]
-        return self.rng.choice(ids) if ids else None
+        if not ids:
+            raise _Skip("every edge is a bridge or a loop")
+        return self.rng.choice(ids)
 
 
 def _pass(lhs=None, rhs=None):
@@ -258,9 +269,7 @@ def _check_scale_covariance(ctx: SuiteContext):
 
 
 def _check_power_integrals(ctx: SuiteContext):
-    p, q = ctx.vertex_pair()
-    if p == q:
-        return _skip("needs two vertices")
+    p, q = ctx.distinct_pair()
     g = ctx.g
     r = context(g).r(p, q)
     pairs = [(f"n={n}", integrate_product(g, p, q, [(TAG_J_BASE_P, True, 2), (TAG_J_BASE_P, False, n)]),
@@ -269,26 +278,20 @@ def _check_power_integrals(ctx: SuiteContext):
 
 
 def _check_orthogonality(ctx: SuiteContext):
-    p, q = ctx.vertex_pair()
-    if p == q:
-        return _skip("needs two vertices")
+    p, q = ctx.distinct_pair()
     val = integrate_product(ctx.g, p, q, [(TAG_J_BASE_X, True, 1), (TAG_J_BASE_P, True, 1)])
     return _eq(val, Fraction(0))
 
 
 def _check_tau_voltage_form(ctx: SuiteContext):
-    p, q = ctx.vertex_pair()
-    if p == q:
-        return _skip("needs two vertices")
+    p, q = ctx.distinct_pair()
     energy = integrate_product(ctx.g, p, q, [(TAG_J_BASE_X, True, 2)])
     return _eq(4 * tau_of(ctx.g), energy + context(ctx.g).r(p, q))
 
 
 def _check_apq_equivalences(ctx: SuiteContext):
     g = ctx.g
-    p, q = ctx.vertex_pair()
-    if p == q:
-        return _skip("needs two vertices")
+    p, q = ctx.distinct_pair()
     direct = apq_direct(g, p, q)
     form_iv = -integrate_product(
         g, p, q,
@@ -476,17 +479,8 @@ def _check_mixed_immersion(ctx: SuiteContext):
     if over:
         return over
     result = immerse(gn, betas)
-    size = Fraction(0)
-    rhs = tau_of(gn) - Fraction(1, 4)
-    cx = context(gn)
-    for i, ((a, b, length), (beta, p, q)) in enumerate(zip(gn.edges, betas)):
-        r_beta = context(beta).r(p, q)
-        size += length / r_beta
-        rhs += length * tau_of(beta) / r_beta
-        res = cx.res_deleted(i)
-        if res is not INF:
-            rhs += length**2 * apq(beta, p, q) / ((length + res) * r_beta**2)
-    return _eq(tau_of(result.graph) * size, rhs)
+    size = total_length(result.unnormalized)  # sum L_i/r_i, as each beta_i has length one
+    return _eq(tau_of(result.graph) * size, result.predicted_tau * size)
 
 
 def _check_common_resistance_immersion(ctx: SuiteContext):
@@ -535,9 +529,7 @@ def _check_self_immersion_decrease(ctx: SuiteContext):
     e, v = gn.ecount, gn.vcount
     if e * e > MAX_BUILT_EDGES or v + e * (v - 2) > MAX_BUILT_VERTICES:
         return _skip(f"self-immersion builds {e * e} edges, over budget")
-    p, q = ctx.vertex_pair()
-    if p == q:
-        return _skip("needs two vertices")
+    p, q = ctx.distinct_pair()
     r = context(gn).r(p, q)
     eps = apq(gn, p, q) / r * parallel_sum(gn)
     built = immerse_uniform(gn, gn, p, q)
@@ -550,18 +542,14 @@ def _check_self_immersion_decrease(ctx: SuiteContext):
 
 def _check_two_point_union(ctx: SuiteContext):
     other = families.random_connected(ctx.rng, 4, 6)
-    p1, q1 = ctx.vertex_pair()
-    if p1 == q1:
-        return _skip("needs two vertices")
+    p1, q1 = ctx.distinct_pair()
     q2 = 1 if other.vcount > 1 else 0
     result = union_two_points(ctx.g, other, (p1, q1), (0, q2))
     return _eq(result.predicted_tau, tau_of(result.graph))
 
 
 def _check_self_union(ctx: SuiteContext):
-    p, q = ctx.vertex_pair()
-    if p == q:
-        return _skip("needs two vertices")
+    p, q = ctx.distinct_pair()
     g = ctx.g
     result = union_two_points(g, g, (p, q), (p, q))
     r = context(g).r(p, q)
@@ -574,8 +562,6 @@ def _check_self_union(ctx: SuiteContext):
 
 def _check_edge_deletion(ctx: SuiteContext):
     edge = ctx.proper_edge()
-    if edge is None:
-        return _skip("every edge is a bridge or a loop")
     result = delete_edge(ctx.g, edge)
     return _eq(result.predicted_tau, tau_of(result.graph), f"edge {edge}")
 
@@ -583,8 +569,6 @@ def _check_edge_deletion(ctx: SuiteContext):
 def _check_edge_deletion_energy(ctx: SuiteContext):
     g = ctx.g
     edge = ctx.proper_edge()
-    if edge is None:
-        return _skip("every edge is a bridge or a loop")
     deleted, (p, q) = delete_edge_graph(g, edge)
     energy = integrate_product(deleted, p, q, [(TAG_J_BASE_X, True, 2)])
     denom = g.edges[edge].length + context(g).res_deleted(edge)
@@ -595,9 +579,7 @@ def _check_edge_deletion_energy(ctx: SuiteContext):
 def _check_length_change(ctx: SuiteContext):
     g = ctx.g
     edge = ctx.proper_edge()
-    if edge is None:
-        return _skip("every edge is a bridge or a loop")
-    a, b, length = g.edges[edge]
+    length = g.edges[edge].length
     x = families.random_length(ctx.rng) - length / 2  # may shrink, stays positive
     if length + x <= 0:
         x = length / 2
@@ -605,10 +587,8 @@ def _check_length_change(ctx: SuiteContext):
         g.vcount,
         g.edges[:edge] + (g.edges[edge]._replace(length=length + x),) + g.edges[edge + 1 :],
     )
-    deleted, (p, q) = delete_edge_graph(g, edge)
-    a_del = apq(deleted, p, q)
     denom = length + context(g).res_deleted(edge)
-    predicted = tau_of(g) + x / 12 - x * a_del / (denom * (denom + x))
+    predicted = tau_of(g) + x / 12 - x * deleted_apq(g, edge) / (denom * (denom + x))
     return _eq(predicted, tau_of(modified), f"x={x}")
 
 
@@ -628,13 +608,10 @@ def _check_successive_length_changes(ctx: SuiteContext):
             current.edges[:i] + (current.edges[i]._replace(length=length + x),)
             + current.edges[i + 1 :],
         )
+        total += x / 12
         if a != b:
-            deleted, (p, q) = delete_edge_graph(modified, i)
-            a_del = apq(deleted, p, q)
             res = context(modified).res_deleted(i)
-            total += x / 12 - x * a_del / ((length + res) * (length + res + x))
-        else:
-            total += x / 12
+            total -= x * deleted_apq(modified, i) / ((length + res) * (length + res + x))
         current = modified
     return _eq(total, tau_of(current))
 
@@ -648,8 +625,6 @@ def _check_bridgeless_identity(ctx: SuiteContext):
 
 def _contract_setup(ctx: SuiteContext):
     edge = ctx.proper_edge()
-    if edge is None:
-        return None
     g = ctx.g
     deleted, (p, q) = delete_edge_graph(g, edge)
     res = context(g).res_deleted(edge)
@@ -658,10 +633,7 @@ def _contract_setup(ctx: SuiteContext):
 
 
 def _check_contraction_values(ctx: SuiteContext):
-    setup = _contract_setup(ctx)
-    if setup is None:
-        return _skip("every edge is a bridge or a loop")
-    edge, deleted, p, q, res, a_del = setup
+    edge, deleted, p, q, res, a_del = _contract_setup(ctx)
     g = ctx.g
     length = g.edges[edge].length
     shrunk = contract_edge(g, edge).graph
@@ -673,10 +645,7 @@ def _check_contraction_values(ctx: SuiteContext):
 
 
 def _check_contraction_deltas(ctx: SuiteContext):
-    setup = _contract_setup(ctx)
-    if setup is None:
-        return _skip("every edge is a bridge or a loop")
-    edge, deleted, p, q, res, a_del = setup
+    edge, deleted, p, q, res, a_del = _contract_setup(ctx)
     g = ctx.g
     length = g.edges[edge].length
     drop = length * a_del / (res * (length + res))
@@ -695,9 +664,7 @@ def _check_edge_addition(ctx: SuiteContext):
 
 
 def _check_point_identification(ctx: SuiteContext):
-    p, q = ctx.vertex_pair()
-    if p == q:
-        return _skip("needs two vertices")
+    p, q = ctx.distinct_pair()
     result = identify_points(ctx.g, p, q)
     return _eq(result.predicted_tau, tau_of(result.graph))
 
@@ -705,9 +672,7 @@ def _check_point_identification(ctx: SuiteContext):
 def _check_union_apq(ctx: SuiteContext):
     g = ctx.g
     other = families.random_connected(ctx.rng, 4, 6)
-    p1, q1 = ctx.vertex_pair()
-    if p1 == q1:
-        return _skip("needs two vertices")
+    p1, q1 = ctx.distinct_pair()
     q2 = 1 if other.vcount > 1 else 0
     if q2 == 0:
         return _skip("companion graph too small")
@@ -725,9 +690,7 @@ def _check_union_apq(ctx: SuiteContext):
 
 def _check_self_union_apq(ctx: SuiteContext):
     g = ctx.g
-    p, q = ctx.vertex_pair()
-    if p == q:
-        return _skip("needs two vertices")
+    p, q = ctx.distinct_pair()
     union = union_two_points(g, g, (p, q), (p, q)).graph
     lhs = 2 * apq(union, min(p, q), max(p, q))
     rhs = context(g).r(p, q) ** 2 / 12 + apq(g, p, q)
@@ -736,9 +699,7 @@ def _check_self_union_apq(ctx: SuiteContext):
 
 def _check_tower(ctx: SuiteContext):
     gn = normalize(ctx.g)
-    p, q = ctx.vertex_pair()
-    if p == q:
-        return _skip("needs two vertices")
+    p, q = ctx.distinct_pair()
     result = c_tower(gn, p, q, 2)
     r = context(gn).r(p, q)
     explicit = (
@@ -762,14 +723,10 @@ def _check_circle_apq(ctx: SuiteContext):
 def _check_apq_edge_split(ctx: SuiteContext):
     g = ctx.g
     edge = ctx.proper_edge()
-    if edge is None:
-        return _skip("every edge is a bridge or a loop")
-    a, b, length = g.edges[edge]
-    deleted, (p, q) = delete_edge_graph(g, edge)
-    res = context(g).res_deleted(edge)
-    predicted = length**2 * apq(deleted, p, q) / (length + res) ** 2 + context(
-        g
-    ).r(p, q) ** 2 / 6
+    p, q, length = g.edges[edge]
+    cx = context(g)
+    res = cx.res_deleted(edge)
+    predicted = length**2 * deleted_apq(g, edge) / (length + res) ** 2 + cx.r(p, q) ** 2 / 6
     return _eq(apq(g, p, q), predicted)
 
 
@@ -1018,6 +975,8 @@ def run_graph_checks(descriptor: str, g: MetrizedGraph, rng: random.Random,
         ctx = SuiteContext(descriptor, g, rng)
         try:
             status, lhs, rhs, reason = fn(ctx)
+        except _Skip as exc:
+            status, lhs, rhs, reason = _skip(str(exc))
         except MgtError as exc:
             status, lhs, rhs, reason = "fail", None, None, f"error: {exc}"
         results.append(CheckResult(cid, descriptor, lhs, rhs, status, reason))

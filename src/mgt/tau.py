@@ -34,8 +34,9 @@ from typing import NamedTuple
 
 from .circuit import context
 from .errors import EmptyGraph, HasBridge, MgtError, SamePoint
-from .graph import MetrizedGraph, bridges, check_vertices, genus, total_length
-from .rational import INF, ExtScalar, sum_over
+from .graph import (MetrizedGraph, bridges, check_vertices, delete_edge_graph, genus,
+                    identify_points_graph, total_length)
+from .rational import ExtScalar, sum_over
 
 
 class TauReport(NamedTuple):
@@ -98,11 +99,9 @@ def tau_edge_sum(g: MetrizedGraph, base: int = 0) -> TauReport:
     den, rows = _edge_terms(g, base)
     terms = _tau_terms(rows)
     scale = 12 * den * den
-    per_edge = []
-    for i, ((n, m), (ln, _, rn, gap, _)) in enumerate(zip(terms, rows)):
-        res: ExtScalar = INF if gap == 0 else Fraction(ln * rn, gap)
-        per_edge.append((i, Fraction(n, scale * m), res))
-    return TauReport(sum_over(terms, scale), total_length(g), genus(g), tuple(per_edge), base)
+    ctx = context(g)
+    per_edge = tuple((i, Fraction(n, scale * m), ctx.res_deleted(i)) for i, (n, m) in enumerate(terms))
+    return TauReport(sum_over(terms, scale), total_length(g), genus(g), per_edge, base)
 
 
 def tau_of(g: MetrizedGraph) -> Fraction:
@@ -190,8 +189,6 @@ def apq_identity(g: MetrizedGraph, p: int, q: int) -> Fraction:
     value = ctx.memo.get(key)
     if value is not None:
         return value
-    from .ops import identify_points_graph  # late import; ops depends on this module
-
     r = ctx.r(p, q)
     glued = identify_points_graph(g, p, q)
     return ctx.memo.setdefault(key, r * (tau_of(glued) - tau_of(g)) + r * r / 6)
@@ -212,8 +209,6 @@ def apq_checked(g: MetrizedGraph, p: int, q: int) -> Fraction:
 
 def deleted_apq(g: MetrizedGraph, edge_id: int) -> Fraction:
     """A between an edge's endpoints inside the deleted graph (edge not a bridge)."""
-    from .ops import delete_edge_graph
-
     a, b, _ = g.edges[edge_id]
     if a == b:
         return Fraction(0)
@@ -320,7 +315,8 @@ def lower_bound_suite(g: MetrizedGraph) -> list[BoundCheck]:
         for name in ("equal-length", "equal-length-sharper"):
             out.append(BoundCheck(name, False, "edge lengths not all equal", None, None, "<=", None))
     if bridge_free:
-        sum_r = sum((Fraction(ln * rn, gap) for ln, _, rn, gap, _ in rows), Fraction(0)) / ell
+        ctx = context(g)
+        sum_r = sum((ctx.res_deleted(i) for i in range(e)), Fraction(0)) / ell
         bound = 1 / (12 * (1 + sum_r) ** 2)
         out.append(BoundCheck("deleted-resistance-sum", True, "", bound, tau, "<=", bound <= tau))
     else:

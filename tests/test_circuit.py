@@ -5,8 +5,8 @@ from fractions import Fraction as F
 
 from mgt import families
 from mgt.circuit import context, edge_profile, resistance, resistance_matrix, voltage
-from mgt.graph import bridges, build_graph, normalize, total_length
-from mgt.ops import add_edge, delete_edge_graph
+from mgt.graph import bridges, build_graph, delete_edge_graph, normalize, total_length
+from mgt.ops import add_edge
 from mgt.suite import GraphGenerator
 from mgt.rational import INF
 from mgt.tau import apq, tau_of

@@ -159,6 +159,14 @@ def test_mgt_seed_env(monkeypatch, capsys):
     assert out1 == out2
 
 
+def test_malformed_mgt_seed_is_usage_error(k4_file, monkeypatch, capsys):
+    monkeypatch.setenv("MGT_SEED", "abc")
+    for argv in (("verify", k4_file), ("verify", "--random", "--count", "1"), ("minimize", k4_file)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert _one_error_line(err) and "MGT_SEED" in err
+
+
 def test_scan_csv(capsys):
     code, out, _ = run_cli(capsys, "scan", "--family", "banana", "--params", "m=1..6")
     assert code == 0
@@ -232,6 +240,17 @@ def test_edgeless_graph_is_usage_error(tmp_path, capsys):
         assert code == 2 and out == ""
         assert _one_error_line(err)
     assert run_cli(capsys, "tau", str(point))[:2] == (0, "0\n")
+
+
+_BAD_PARAMS = ("v=a..b", "v=2.5", "t=2.5", "v", "k=0")
+
+
+def test_scan_rejects_malformed_parameters(capsys):
+    for family, params in (("complete", "v=a..b"), ("complete", "v=2.5"), ("necklace", "t=2.5"),
+                           ("complete", "v"), ("circle", "k=0"), ("necklace", "a=x")):
+        code, out, err = run_cli(capsys, "scan", "--family", family, "--params", params)
+        assert code == 2 and out == "", (family, params)
+        assert _one_error_line(err)
 
 
 def test_scan_rejects_unknown_parameter_key(capsys):
@@ -408,7 +427,7 @@ def _argvs(draw, path):
     point = st.one_of(small, st.sampled_from(["0:1/2", "1:0", "9:1", "0:x", "q", ":1"]))
     flags = st.lists(st.sampled_from(["--json", "--float", "--per-edge", "--bogus"]), max_size=2)
     verb = draw(st.sampled_from(["tau", "resistance", "voltage", "apq", "mucan", "gradient",
-                                 "bounds", "verify", "op", "minimize", "nonsense"]))
+                                 "bounds", "verify", "op", "minimize", "scan", "nonsense"]))
     if verb == "tau":
         argv = [verb, path, *draw(flags)]
         if draw(st.booleans()):
@@ -434,6 +453,10 @@ def _argvs(draw, path):
             argv += ["--restarts", draw(st.sampled_from(["0", "2", "-1"]))]
         if draw(st.booleans()):
             argv += ["--tol", draw(st.sampled_from(["1e-10", "0", "nan", "-1e-3"]))]
+    elif verb == "scan":
+        params = _BAD_PARAMS + ("v=2..4", "m=1,2", "a=1/8;t=2", "k=1..2")
+        argv = [verb, "--family", draw(st.sampled_from(["complete", "banana", "necklace", "circle"])),
+                "--params", draw(st.sampled_from(params))]
     else:
         argv = [verb, path]
     return argv
@@ -457,6 +480,8 @@ def test_cli_exit_codes_hold_on_random_input(data):
     assert code in (0, 1, 2, 3), (argv, err)
     if argv[0] == "minimize" and any(v == "nan" or v.startswith("-") for v in argv[3::2]):
         assert code == 2, (argv, err)  # a negative count or tolerance, or a NaN tolerance
+    if argv[0] == "scan" and argv[-1] in _BAD_PARAMS:
+        assert code == 2, (argv, err)
     if code in (2, 3):
         assert err
     if code == 1:

@@ -1,31 +1,13 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 from mgt import families, linalg
 from mgt.circuit import GraphContext
 from mgt.graph import build_graph, normalize, scale
-from mgt.linalg import bareiss_forward, green_numden, laplacian_int, solve_spd
+from mgt.linalg import bareiss_forward, green_numden
 from mgt.ops import immerse_uniform
 from mgt.suite import GraphGenerator
-
-
-def fraction_solve(matrix, rhs):
-    """Plain Gaussian elimination over Fractions, as an oracle."""
-    n = len(matrix)
-    a = [[F(matrix[i][j]) for j in range(n)] + [F(rhs[i])] for i in range(n)]
-    for k in range(n):
-        piv = a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] / piv
-            for j in range(k, n + 1):
-                a[i][j] -= f * a[k][j]
-    x = [F(0)] * n
-    for i in range(n - 1, -1, -1):
-        s = a[i][n]
-        for j in range(i + 1, n):
-            s -= a[i][j] * x[j]
-        x[i] = s / a[i][i]
-    return x
 
 
 def fraction_inverse(matrix):
@@ -68,23 +50,6 @@ def assert_green_matches_inverse(g):
             assert F(num[y][z], den) == inverse[y - 1][z - 1], (g, y, z)
 
 
-def random_spd(rng, n):
-    b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-    return [
-        [sum(b[k][i] * b[k][j] for k in range(n)) + (n if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def test_solve_spd_matches_fraction_elimination():
-    rng = random.Random(3)
-    for _ in range(60):
-        n = rng.randint(1, 8)
-        m = random_spd(rng, n)
-        cols = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(rng.randint(1, 4))]
-        assert solve_spd(m, cols) == [fraction_solve(m, col) for col in cols]
-
-
 def test_green_matches_fraction_inverse_on_random_graphs():
     # mixed denominators, parallel edges, loops and bridges all occur here
     rng = random.Random(11)
@@ -124,19 +89,6 @@ def test_green_symmetric_with_zero_ground():
                 assert num[i][j] == num[j][i]
 
 
-def test_laplacian_row_sums():
-    g = families.complete(4)
-    m, scale, index = laplacian_int(g.vcount, g.edges)
-    # reduced row sums equal the conductance into the ground vertex
-    ground_conductance = sum(
-        scale * e.length.denominator // e.length.numerator
-        for e in g.edges
-        if 0 in (e.a, e.b) and e.a != e.b
-    )
-    total = sum(sum(row) for row in m)
-    assert total == ground_conductance
-
-
 def _spy_on_factorizations(monkeypatch):
     """Record the determinant of every forward pass, as the benchmark tracer observes it."""
     dets = []
@@ -150,7 +102,9 @@ def _spy_on_factorizations(monkeypatch):
 
 
 def _uniform_lcm_det(g):
-    m, _, _ = laplacian_int(g.vcount, g.edges)
+    """The determinant when the whole reduced Laplacian is scaled by one lcm of all lengths."""
+    scale = lcm(*(length.numerator for a, b, length in g.edges if a != b))
+    m = [[int(x * scale) for x in row] for row in reduced_laplacian(g)]
     n = g.vcount - 1
     bareiss_forward(m, n, [1] * n)
     return m[n - 1][n - 1]

@@ -1,8 +1,10 @@
 """The package root resolves its exports on first access (PEP 562)."""
 
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,3 +43,19 @@ def test_importing_one_module_loads_only_its_imports():
     loaded = set(done.stdout.split())
     assert "mgt.tau" in loaded
     assert not {"mgt.integration", "mgt.suite", "mgt.ops"} & loaded
+
+
+def test_every_imported_name_is_read():
+    # an import that no line of its module reads is dead code
+    unused = []
+    for path in sorted(Path(mgt.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert not unused
