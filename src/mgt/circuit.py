@@ -10,9 +10,9 @@ computed once under a lock and never mutated.
 The per-edge deletion profiles (:class:`EdgeProfile`) are the paper's
 deletion route, read off the same integers: a rank-one update for a cycle
 edge (``r_deleted``; the three arms share the denominator 2 d gap), the
-resistance to the nearer endpoint for a bridge. Only the suite's arm
-identities read them; a reader of deleted resistances alone calls
-``res_deleted``, which builds no profile.
+resistance to the nearer endpoint for a bridge. Only the tests read them:
+the suite's arm sums and ``tau.deleted_apq`` take ``_deleted_num`` and the
+edge rows directly, and ``res_deleted`` builds no profile either.
 
 :func:`edge_profile` (each deleted graph solved anew) and
 :func:`solve_pair_resistances` (the sampled edge-polynomial oracle's solver)

@@ -169,7 +169,7 @@ def normalize(g: MetrizedGraph) -> MetrizedGraph:
 
 def delete_edge_graph(g: MetrizedGraph, edge_id: int) -> tuple[MetrizedGraph, tuple[int, int]]:
     """Graph minus one edge (must not be a bridge); endpoints keep their ids."""
-    a, b, _ = g.edges[edge_id]
+    a, b, _ = edge_at(g, edge_id)
     rest = g.edges[:edge_id] + g.edges[edge_id + 1 :]
     try:
         return MetrizedGraph(g.vcount, rest), (a, b)
@@ -185,6 +185,13 @@ def identify_points_graph(g: MetrizedGraph, p: int, q: int) -> MetrizedGraph:
     remap = [v - 1 if v > drop else v for v in range(g.vcount)]
     remap[drop] = keep
     return MetrizedGraph(g.vcount - 1, tuple(Edge(remap[a], remap[b], L) for a, b, L in g.edges))
+
+
+def edge_at(g: MetrizedGraph, edge_id: int) -> Edge:
+    """g's edge with this id; BadPoint unless it is one of 0..e-1 (no negative indexing)."""
+    if not isinstance(edge_id, int) or not 0 <= edge_id < g.ecount:
+        raise BadPoint(f"edge {edge_id} out of range 0..{g.ecount - 1}")
+    return g.edges[edge_id]
 
 
 def check_vertices(g: MetrizedGraph, *vertices: int) -> None:

@@ -22,9 +22,9 @@ from .errors import (
     NotNormalized,
     SamePoint,
 )
-from .graph import (Edge, Frozen, MetrizedGraph, bridges, delete_edge_graph, identify_points_graph,
-                    normalize, total_length)
-from .rational import INF, Scalar, sum_over
+from .graph import (Edge, Frozen, MetrizedGraph, bridges, delete_edge_graph, edge_at,
+                    identify_points_graph, normalize, total_length)
+from .rational import Scalar, sum_over
 from .tau import apq, deleted_apq, tau_of
 
 
@@ -65,7 +65,7 @@ class OpResult(Frozen):
 
 def delete_edge(g: MetrizedGraph, edge_id: int) -> OpResult:
     """Remove a non-bridge edge; tau drops by L/12 - R/6 + A/(L+R)."""
-    a, b, length = g.edges[edge_id]
+    a, b, length = edge_at(g, edge_id)
     if a != b and edge_id in bridges(g):
         raise BridgeDeletion(f"edge {edge_id} is a bridge")
     deleted, (pa, pb) = delete_edge_graph(g, edge_id)
@@ -83,7 +83,7 @@ def contract_edge(g: MetrizedGraph, edge_id: int) -> OpResult:
     A self-loop contraction is its deletion (tau drops L/12); a bridge
     contraction drops L/4; otherwise tau drops L/12 - L A /(R(L+R)).
     """
-    a, b, length = g.edges[edge_id]
+    a, b, length = edge_at(g, edge_id)
     if a == b:
         graph, _ = delete_edge_graph(g, edge_id)
         return OpResult(graph, "loop-contraction", lambda: tau_of(g) - length / 12)
@@ -175,6 +175,20 @@ def parallel_sum(g: MetrizedGraph) -> Fraction:
     return sum_over([(gap, ld) for _, _, _, ld, _, gap in ctx.edge_int()], ctx.green_int()[1])
 
 
+def marked_edge_sums(g: MetrizedGraph, betas) -> dict:
+    """Per distinct marked graph (beta, p, q): (sum L, sum L^2/(L+R)) over the edges it replaces.
+
+    L^2/(L+R) = L - r(a,b) = gap/(ld d): zero on a bridge, L on a loop.
+    """
+    ctx = context(g)
+    groups: dict = {}
+    for (_, _, ln, ld, _, gap), marked in zip(ctx.edge_int(), betas):
+        groups.setdefault(marked, []).append((ln, ld, gap))
+    den = ctx.green_int()[1]
+    return {marked: (sum_over([(ln, ld) for ln, ld, _ in rows], 1),
+                     sum_over([(gap, ld) for _, ld, gap in rows], den)) for marked, rows in groups.items()}
+
+
 def da_n(g: MetrizedGraph, n: int) -> OpResult:
     """Replace every edge by n parallel edges of length L/n (total length fixed).
 
@@ -229,17 +243,12 @@ def immerse(
     graph = normalize(raw)
 
     def formula():
-        host = context(g)
         size = Fraction(0)
         rhs = tau_of(g) - Fraction(1, 4)
-        for i, ((a, b, length), (beta, p, q)) in enumerate(zip(g.edges, betas)):
+        for (beta, p, q), (ell, par) in marked_edge_sums(g, betas).items():
             r_beta = context(beta).r(p, q)
-            size += length / r_beta
-            rhs += length * tau_of(beta) / r_beta
-            res = host.res_deleted(i)
-            if res is not INF:
-                a_beta = apq(beta, p, q)
-                rhs += length**2 * a_beta / ((length + res) * r_beta**2)
+            size += ell / r_beta
+            rhs += (ell * tau_of(beta) + par * apq(beta, p, q) / r_beta) / r_beta
         return rhs / size
 
     return OpResult(graph, "edge-immersion", formula, unnormalized=raw)

@@ -21,7 +21,7 @@ from functools import cache, partial
 from typing import NamedTuple
 
 from . import families
-from .circuit import EdgeProfile, context
+from .circuit import context
 from .errors import BadN, EmptyGraph, MgtError, UnknownIdentity
 from .graph import (MetrizedGraph, bridges, delete_edge_graph, genus, identify_points_graph,
                     insert_point, normalize, scale, subdivide_uniform, total_length)
@@ -42,11 +42,12 @@ from .ops import (
     identify_points,
     immerse,
     immerse_uniform,
+    marked_edge_sums,
     parallel_sum,
     union_one_point,
     union_two_points,
 )
-from .rational import INF
+from .rational import INF, sum_over
 from .reduction import resistance_via_reduction, voltage_via_reduction
 from .tau import (
     apq,
@@ -143,36 +144,36 @@ def _le(lhs, rhs, tag=""):
     return _pass(lhs, rhs) if lhs <= rhs else _fail(lhs, rhs, tag)
 
 
-# Per-edge weights for the identities about arms and deleted resistances, from
-# the deletion profiles where the arms enter and from R alone where they do
-# not; tau itself never goes through them.
+# Per-edge sums for the identities about arms and deleted resistances, in
+# integers over the Green denominator d; tau itself never goes through them.
 
 
-def _weighted_arm_diff_sq(profile: EdgeProfile) -> Fraction:
-    """L (arm_a - arm_b)^2 / (L+R)^2, with limit L across a bridge."""
-    if profile.bridge:
-        return profile.length
-    diff = profile.arm_a - profile.arm_b
-    denom = profile.length + profile.res_deleted
-    return profile.length * diff * diff / (denom * denom)
+def _arm_sums(g: MetrizedGraph, base: int) -> tuple[Fraction, Fraction]:
+    """sum L (arm_a - arm_b)^2/(L+R)^2 at a base vertex: over all edges, and over those not at it.
 
-
-def _weighted_res_sq(profile: EdgeProfile) -> Fraction:
-    """L R^2 / (L+R)^2, with limit L across a bridge."""
-    if profile.bridge:
-        return profile.length
-    ratio = profile.res_deleted / (profile.length + profile.res_deleted)
-    return profile.length * ratio * ratio
+    With X_y = d gap r_{g-e}(y, base) (``GraphContext._deleted_num``), the arms
+    differ by (X_a - X_b)/(d gap) and L + R = ln^2 d/(ld gap), so an edge adds
+    ld (X_a - X_b)^2/(ln^3 d^4): 0 on a loop, and the limit L on a bridge.
+    Memoized per base in the graph's context.
+    """
+    cx = context(g)
+    value = cx.memo.get(("arms", base))
+    if value is None:
+        d4 = cx.green_int()[1] ** 4
+        terms, off_base = [], []
+        for i, (a, b, ln, ld, _, gap) in enumerate(cx.edge_int()):
+            x = cx._deleted_num(i, a, base) - cx._deleted_num(i, b, base)
+            terms.append((ld * x * x, ln**3) if gap else (ln * d4, ld))
+            if base not in (a, b):
+                off_base.append(terms[-1])
+        value = cx.memo.setdefault(("arms", base), (sum_over(terms, d4), sum_over(off_base, d4)))
+    return value
 
 
 def _weighted_res_sum(g: MetrizedGraph) -> Fraction:
-    """sum L R / (L+R) over edges, with limit L across a bridge (R = INF)."""
+    """sum L R/(L+R) = sum r(a,b) over edges; a bridge gives its limit L = r."""
     cx = context(g)
-    total = Fraction(0)
-    for i, (_, _, length) in enumerate(g.edges):
-        res = cx.res_deleted(i)
-        total += length if res is INF else length * res / (length + res)
-    return total
+    return sum_over([(rn, 1) for _, _, _, _, rn, _ in cx.edge_int()], cx.green_int()[1])
 
 
 # ---------------------------------------------------------------------------
@@ -223,26 +224,19 @@ def _check_measure_mass(ctx: SuiteContext):
 
 def _check_lem2term(ctx: SuiteContext):
     g = ctx.g
-    cx = context(g)
     v = g.vcount
-    base_profiles = {p: cx.edge_profiles(p) for p in range(v)}
-    lhs = sum(_weighted_arm_diff_sq(pr) for pr in base_profiles[0])
-    rhs = Fraction(2, v) * sum(_weighted_res_sq(pr) for pr in base_profiles[0])
-    for p in range(v):
-        for pr in base_profiles[p]:
-            a, b, _ = g.edges[pr.edge]
-            if p not in (a, b):
-                rhs += Fraction(1, v) * _weighted_arm_diff_sq(pr)
+    cx = context(g)
+    # L R^2/(L+R)^2 = r^2/L, the limit L on a bridge
+    res_sq = sum_over([(rn * rn * ld, ln) for _, _, ln, ld, rn, _ in cx.edge_int()],
+                      cx.green_int()[1] ** 2)
+    lhs = _arm_sums(g, 0)[0]
+    rhs = Fraction(2, v) * res_sq + Fraction(1, v) * sum(_arm_sums(g, p)[1] for p in range(v))
     return _eq(lhs, rhs)
 
 
 def _check_rem2term(ctx: SuiteContext):
     g = ctx.g
-    cx = context(g)
-    values = {
-        p: sum(_weighted_arm_diff_sq(pr) for pr in cx.edge_profiles(p))
-        for p in range(g.vcount)
-    }
+    values = {p: _arm_sums(g, p)[0] for p in range(g.vcount)}
     first = values[0]
     for p, val in values.items():
         if val != first:
@@ -493,12 +487,8 @@ def _check_common_resistance_immersion(ctx: SuiteContext):
         return over
     result = immerse(gn, betas)
     predicted = r * tau_of(gn) - r / 4
-    cx = context(gn)
-    for i, ((a, b, length), (beta, p, q)) in enumerate(zip(gn.edges, betas)):
-        predicted += length * tau_of(beta)
-        res = cx.res_deleted(i)
-        if res is not INF:
-            predicted += length**2 / (length + res) * apq(beta, p, q) / r
+    for (beta, p, q), (ell, par) in marked_edge_sums(gn, betas).items():
+        predicted += ell * tau_of(beta) + par * apq(beta, p, q) / r
     return _eq(predicted, tau_of(result.graph))
 
 
@@ -513,13 +503,10 @@ def _check_single_graph_immersion(ctx: SuiteContext):
     result = immerse(gn, betas)
     size = Fraction(0)
     bracket = tau_of(gn) - Fraction(1, 4)
-    cx, cx_beta = context(gn), context(beta)
-    for i, ((a, b, length), (beta_g, p, q)) in enumerate(zip(gn.edges, betas)):
-        r_i = cx_beta.r(p, q)
-        size += length / r_i
-        res = cx.res_deleted(i)
-        if res is not INF:
-            bracket += length**2 * apq(beta, p, q) / ((length + res) * r_i**2)
+    for (_, p, q), (ell, par) in marked_edge_sums(gn, betas).items():
+        r_i = context(beta).r(p, q)
+        size += ell / r_i
+        bracket += par * apq(beta, p, q) / r_i**2
     predicted = tau_of(beta) + bracket / size
     return _eq(predicted, tau_of(result.graph))
 

@@ -16,14 +16,13 @@ of length L, with r = r(a,b) and D = r(p,b) - r(p,a) for a base vertex p:
   along each edge.
 
 Sums are accumulated in integers over a common denominator and reduced once.
-tau (``tau_of``) and A (``apq``, per unordered vertex pair) are memoized in
-the graph's ``GraphContext.memo``, so each is computed once per graph.
+tau (``tau_of``), A (``apq``, per unordered vertex pair) and A of the graph
+minus one edge (``deleted_apq``, per edge) are memoized in the graph's
+``GraphContext.memo``. ``deleted_apq`` builds no deleted graph: it reads A off
+a rank-one update of g's own integers, through ``_apq_sum``, the one A sum.
 ``apq_identity`` keeps the paper's identification route for A (it factorizes
 the glued graph) as an independent check; ``apq_checked`` compares the closed
-form with it and with the integral. The paper's deletion route (deleted
-resistances, A of the deleted graph) survives only where it is the identity
-being checked: ``tau_bridgeless_identity`` here, the contraction formula in
-``ops`` and the arm and deleted-resistance identities of the suite.
+form with it and with the integral.
 """
 
 from __future__ import annotations
@@ -33,9 +32,9 @@ from math import lcm
 from typing import NamedTuple
 
 from .circuit import context
-from .errors import EmptyGraph, HasBridge, MgtError, SamePoint
-from .graph import (MetrizedGraph, bridges, check_vertices, delete_edge_graph, genus,
-                    identify_points_graph, total_length)
+from .errors import BridgeDeletion, EmptyGraph, HasBridge, MgtError, SamePoint
+from .graph import (MetrizedGraph, bridges, check_vertices, edge_at, genus, identify_points_graph,
+                    total_length)
 from .rational import ExtScalar, sum_over
 
 
@@ -155,17 +154,17 @@ def apq(g: MetrizedGraph, p: int, q: int) -> Fraction:
     key = ("A", min(p, q), max(p, q))
     value = ctx.memo.get(key)
     if value is None:
-        value = ctx.memo.setdefault(key, _apq_sum(ctx, p, q))
+        value = ctx.memo.setdefault(key, _apq_sum(*ctx.green_int(), ctx.edge_int(), p, q))
     return value
 
 
-def _apq_sum(ctx, p: int, q: int) -> Fraction:
-    num, den = ctx.green_int()
+def _apq_sum(num: list[list[int]], den: int, rows, p: int, q: int) -> Fraction:
+    """A_{p,q} from Green numerators N over d and the graph's ``edge_int`` rows."""
     rp, rq = num[p], num[q]
     npp, nqq = rp[p], rq[q]
     big_r = npp + nqq - 2 * rp[q]
     terms = []
-    for a, b, ln, ld, _, gap in ctx.edge_int():
+    for a, b, ln, ld, _, gap in rows:
         c = rp[a] - rp[b] - rq[a] + rq[b]
         if c:
             naa, nbb = num[a][a], num[b][b]
@@ -208,12 +207,32 @@ def apq_checked(g: MetrizedGraph, p: int, q: int) -> Fraction:
 
 
 def deleted_apq(g: MetrizedGraph, edge_id: int) -> Fraction:
-    """A between an edge's endpoints inside the deleted graph (edge not a bridge)."""
-    a, b, _ = g.edges[edge_id]
+    """A between an edge's endpoints in g minus the edge; 0 on a loop, BridgeDeletion on a bridge.
+
+    Deleting e = (a, b) is a rank-one update (see ``GraphContext._deleted_num``): with
+    c = N[a] - N[b], g - e has numerators N gap + ld c c^T over d gap.
+    """
+    a, b, _ = edge_at(g, edge_id)
     if a == b:
         return Fraction(0)
-    deleted, (pa, pb) = delete_edge_graph(g, edge_id)
-    return apq(deleted, pa, pb)
+    ctx = context(g)
+    value = ctx.memo.get(("deleted A", edge_id))
+    if value is None:
+        num, den = ctx.green_int()
+        rows = ctx.edge_int()
+        _, _, _, ld, _, gap = rows[edge_id]
+        if gap == 0:
+            raise BridgeDeletion(f"deleting edge {edge_id} disconnects the graph")
+        c = [x - y for x, y in zip(num[a], num[b])]
+        new = [[n * gap + ld * cy * cz for n, cz in zip(row, c)] for row, cy in zip(num, c)]
+        den *= gap
+        kept = []
+        for i, (fa, fb, ln, fld, _, _) in enumerate(rows):
+            if i != edge_id:
+                rn = new[fa][fa] + new[fb][fb] - 2 * new[fa][fb]
+                kept.append((fa, fb, ln, fld, rn, ln * den - rn * fld))
+        value = ctx.memo.setdefault(("deleted A", edge_id), _apq_sum(new, den, kept, a, b))
+    return value
 
 
 def tau_gradient(g: MetrizedGraph) -> GradientVector:
@@ -255,14 +274,10 @@ def tau_bridgeless_identity(g: MetrizedGraph) -> tuple[Fraction, Fraction]:
     if bridges(g):
         raise HasBridge("identity requires a bridgeless graph")
     ctx = context(g)
-    acc = total_length(g) / 12
-    for i, (a, b, length) in enumerate(g.edges):
-        if a == b:
-            continue
-        a_del = deleted_apq(g, i)
-        denom = length + ctx.res_deleted(i)
-        acc -= length * a_del / (denom * denom)
-    return tau_of(g), acc
+    # L/(L+R)^2 = ld gap^2/(ln^3 d^2); a loop's A is 0
+    drop = sum((deleted_apq(g, i) * Fraction(ld * gap * gap, ln**3)
+                for i, (a, b, ln, ld, _, gap) in enumerate(ctx.edge_int()) if a != b), Fraction(0))
+    return tau_of(g), total_length(g) / 12 - drop / ctx.green_int()[1] ** 2
 
 
 class BoundCheck(NamedTuple):

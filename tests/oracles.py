@@ -7,7 +7,8 @@ exhaustive deletion. Only usable on small graphs.
 The second group is the paper's deletion route for the per-edge tau terms,
 the gradient and the deleted-resistance sums of the bound suite: it solves
 each edge's deleted graph, so it checks the Green-matrix kernel of ``mgt.tau``
-by an independent computation.
+by an independent computation. Next to it, the Fraction weights of one
+deletion profile are the reference for the suite's integer arm sums.
 
 The last group is the sampled route for the edge polynomials of
 ``mgt.integration``: each sample point is inserted as a vertex and solved on
@@ -22,7 +23,7 @@ from itertools import combinations
 
 from mgt.circuit import EdgeProfile, context, edge_profile, solve_pair_resistances
 from mgt.errors import NonPolynomialIntegrand
-from mgt.graph import MetrizedGraph, insert_point, normalize
+from mgt.graph import MetrizedGraph, build_graph, delete_edge_graph, insert_point, normalize
 from mgt.integration import (
     TAG_J_BASE_P,
     TAG_J_BASE_Q,
@@ -33,7 +34,8 @@ from mgt.integration import (
     interpolate,
 )
 from mgt.rational import INF, ExtScalar
-from mgt.tau import deleted_apq
+from mgt.suite import GraphGenerator
+from mgt.tau import apq
 
 
 def _spans(vcount: int, edges, subset) -> bool:
@@ -141,8 +143,9 @@ def deletion_gradient(g: MetrizedGraph) -> tuple[Fraction, ...]:
         elif profile.loop:
             out.append(Fraction(1, 12))
         else:
+            deleted, (p, q) = delete_edge_graph(g, i)
             denom = length + profile.res_deleted
-            out.append(Fraction(1, 12) - deleted_apq(g, i) / (denom * denom))
+            out.append(Fraction(1, 12) - apq(deleted, p, q) / (denom * denom))
     return tuple(out)
 
 
@@ -178,6 +181,31 @@ def deletion_parallel_sum(g: MetrizedGraph) -> Fraction:
         if not profile.bridge:
             total += profile.length**2 / (profile.length + profile.res_deleted)
     return total
+
+
+def weighted_arm_diff_sq(profile: EdgeProfile) -> Fraction:
+    """L (arm_a - arm_b)^2 / (L+R)^2 from one deletion profile, with limit L across a bridge."""
+    if profile.bridge:
+        return profile.length
+    diff = profile.arm_a - profile.arm_b
+    denom = profile.length + profile.res_deleted
+    return profile.length * diff * diff / (denom * denom)
+
+
+def weighted_res_sq(profile: EdgeProfile) -> Fraction:
+    """L R^2 / (L+R)^2 from one deletion profile, with limit L across a bridge."""
+    if profile.bridge:
+        return profile.length
+    ratio = profile.res_deleted / (profile.length + profile.res_deleted)
+    return profile.length * ratio * ratio
+
+
+def deletion_test_graphs() -> list[MetrizedGraph]:
+    """The first 40 seed-1 corpus graphs, a triangle with a pendant bridge and one with a loop."""
+    corpus = [g for _, g in GraphGenerator(1).graphs(40)]
+    triangle = [(0, 1, 1), (1, 2, Fraction(1, 2)), (2, 0, Fraction(1, 3))]
+    return corpus + [build_graph(4, triangle + [(2, 3, Fraction(2, 3))]),
+                     build_graph(3, triangle + [(1, 1, Fraction(3, 4))])]
 
 
 def _edge_samples(g: MetrizedGraph, p: int, q: int, edge: int,

@@ -202,6 +202,15 @@ def _one_error_line(err: str) -> bool:
     return len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb", ["delete", "contract"])
+@pytest.mark.parametrize("edge", ["-1", "6", "99"])
+def test_op_edge_id_out_of_range_is_usage_error(k4_file, capsys, verb, edge):
+    # -1 used to index from the end, build an 11-edge graph and exit 1 with DISAGREE
+    code, out, err = run_cli(capsys, "op", verb, edge, k4_file)
+    assert code == 2 and out == "", err
+    assert _one_error_line(err) and f"edge {edge} out of range" in err
+
+
 def test_apq_bad_vertex_is_usage_error(k4_file, capsys):
     for argv in (("0", "7"), ("7", "7"), ("0", "7", "--method", "direct")):
         code, out, err = run_cli(capsys, "apq", k4_file, *argv)
@@ -482,6 +491,8 @@ def test_cli_exit_codes_hold_on_random_input(data):
         assert code == 2, (argv, err)  # a negative count or tolerance, or a NaN tolerance
     if argv[0] == "scan" and argv[-1] in _BAD_PARAMS:
         assert code == 2, (argv, err)
+    if argv[:2] in (["op", "delete"], ["op", "contract"]) and argv[2].startswith("-"):
+        assert code in (2, 3), (argv, err)  # a negative edge id, or a malformed file
     if code in (2, 3):
         assert err
     if code == 1:

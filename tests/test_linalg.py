@@ -141,3 +141,18 @@ def test_self_immersion_determinant_is_small(monkeypatch):
     built = immerse_uniform(gn, gn, 0, 1).graph
     GraphContext(built).green_int()
     assert dets[-1].bit_length() * 4 < _uniform_lcm_det(built).bit_length()
+
+
+def test_deletion_sums_factorize_only_the_graph_itself(monkeypatch):
+    # deleted A and the arm sums read g's own Green integers; no g - e is solved
+    from mgt.graph import bridges
+    from mgt.suite import run_graph_checks
+    from mgt.tau import deleted_apq
+
+    dets = _spy_on_factorizations(monkeypatch)
+    g = scale(families.random_connected(random.Random(17), 7, 12), F(7919, 104729))  # not cached yet
+    cut = bridges(g)
+    values = [deleted_apq(g, i) for i in range(g.ecount) if i not in cut]
+    results = run_graph_checks("fresh", g, random.Random(1), {"lem2term", "rem2term"})
+    assert len(values) > 3 and [r.status for r in results] == ["pass", "pass"]
+    assert len(dets) == 1

@@ -313,3 +313,32 @@ def test_op_result_is_frozen_and_evaluates_its_formula_once():
     assert twin != result and len({twin, result}) == 2
     assert repr(result) == (f"OpResult(graph={g!r}, formula_id='test-formula', "
                             "unnormalized=None, input_notes=())")
+
+
+def test_immerse_prediction_on_hosts_with_a_bridge_and_a_loop():
+    # the grouped integer sums: L - r(a,b) is 0 on a bridge and L on a loop
+    from oracles import deletion_test_graphs
+
+    arcs = families.circle(F(1, 2), F(1, 3), F(1, 6))
+    menu = [(families.equal_banana(2), 0, 1), (families.segment(1), 0, 1), (arcs, 0, 1),
+            (arcs, 1, 2), (families.path(F(1, 2), F(1, 2)), 2, 0)]
+    bridged, looped = deletion_test_graphs()[-2:]
+    for host in (bridged, looped):
+        g = normalize(host)
+        for kinds in range(1, len(menu) + 1):  # 1..5 marked graphs, so groups span several edges
+            for shift in range(len(menu)):
+                betas = [menu[(shift + i % kinds) % len(menu)] for i in range(g.ecount)]
+                result = immerse(g, betas)
+                assert result.predicted_tau == tau_of(result.graph), (host, kinds, shift)
+
+
+@pytest.mark.parametrize("edge_id", [-1, 4, 99])
+def test_edge_id_outside_the_graph_is_rejected(edge_id):
+    # a negative id used to index from the end and build a graph with repeated edges
+    from mgt.errors import BadPoint
+    from mgt.graph import delete_edge_graph
+
+    g = families.circle(F(1, 2), F(1, 3), F(1, 6), F(1, 4))
+    for make in (delete_edge_graph, delete_edge, contract_edge):
+        with pytest.raises(BadPoint, match=f"edge {edge_id} out of range"):
+            make(g, edge_id)

@@ -127,3 +127,68 @@ def test_operation_formulas_fail_when_a_is_perturbed(monkeypatch):
     monkeypatch.setattr(mgt.ops, "apq", lambda *args: original(*args) + F(1, 1000))
     perturbed = run_graph_checks("k4", g, random.Random(5), wanted)
     assert {r.identity: r.status for r in perturbed} == dict.fromkeys(wanted, "fail")
+
+
+def test_integer_arm_sums_match_the_profile_route():
+    # lem2term and rem2term read integer arm sums; the Fraction profile weights are the reference
+    from oracles import deletion_test_graphs, weighted_arm_diff_sq, weighted_res_sq
+
+    from mgt.suite import _arm_sums
+
+    for g in deletion_test_graphs():
+        cx, v = context(g), g.vcount
+        by_base = {}
+        for p in range(v):
+            profiles = cx.edge_profiles(p)
+            total = sum(weighted_arm_diff_sq(pr) for pr in profiles)
+            off = sum(weighted_arm_diff_sq(pr) for pr in profiles if p not in g.edges[pr.edge][:2])
+            assert _arm_sums(g, p) == (total, off), (g, p)
+            by_base[p] = total, off
+        lhs = by_base[0][0]
+        rhs = (F(2, v) * sum(weighted_res_sq(pr) for pr in cx.edge_profiles(0))
+               + F(1, v) * sum(off for _, off in by_base.values()))
+        lem, rem = run_graph_checks("g", g, random.Random(3), {"lem2term", "rem2term"})
+        assert (lem.status, lem.lhs, lem.rhs) == ("pass", lhs, rhs)
+        assert (rem.status, rem.lhs) == ("pass", lhs)
+
+
+def test_deletion_formulas_fail_when_deleted_a_is_perturbed(monkeypatch):
+    # the length-change, attached-edge and bridgeless identities read A of g - e;
+    # a wrong value must fail them, wherever it is imported
+    import mgt.ops
+    import mgt.suite
+    import mgt.tau
+    from mgt.ops import contract_edge
+    from mgt.tau import tau_of
+
+    g = families.complete(4, F(1, 2))
+    wanted = {"lemedgeext", "lemsuccessedgeext", "lemApq", "thmbasic2"}
+    honest = run_graph_checks("k4", g, random.Random(5), wanted)
+    assert [r.status for r in honest] == ["pass"] * 4
+    contracted = contract_edge(g, 0)
+    assert contracted.predicted_tau == tau_of(contracted.graph)
+    original = mgt.tau.deleted_apq
+    for module in (mgt.suite, mgt.tau, mgt.ops):
+        monkeypatch.setattr(module, "deleted_apq", lambda *args: original(*args) + F(1, 1000))
+    perturbed = run_graph_checks("k4", g, random.Random(5), wanted)
+    assert {r.identity: r.status for r in perturbed} == dict.fromkeys(wanted, "fail")
+    contracted = contract_edge(g, 0)
+    assert contracted.predicted_tau != tau_of(contracted.graph)
+
+
+def test_arm_identities_fail_when_one_base_is_perturbed(monkeypatch):
+    import mgt.suite
+
+    g = families.complete(4, F(1, 2))
+    wanted = {"lem2term", "rem2term"}
+    honest = run_graph_checks("k4", g, random.Random(5), wanted)
+    assert [r.status for r in honest] == ["pass", "pass"]
+    original = mgt.suite._arm_sums
+
+    def perturbed_arms(graph, base):
+        total, off = original(graph, base)
+        return (total + F(1, 1000), off + F(1, 1000)) if base == 1 else (total, off)
+
+    monkeypatch.setattr(mgt.suite, "_arm_sums", perturbed_arms)
+    perturbed = run_graph_checks("k4", g, random.Random(5), wanted)
+    assert {r.identity: r.status for r in perturbed} == dict.fromkeys(wanted, "fail")

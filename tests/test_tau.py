@@ -259,6 +259,7 @@ def test_gradient_finite_perturbation():
 def test_bridgeless_identity():
     circ = families.circle(F(1, 2), F(1, 2))
     assert tau_bridgeless_identity(circ) == (F(1, 12), F(1, 12))
+    assert tau_bridgeless_identity(families.circle(1)) == (F(1, 12), F(1, 12))  # loops only
     lhs, rhs = tau_bridgeless_identity(families.complete(4))
     assert lhs == rhs
     dia = families.diamond(1)
@@ -407,3 +408,29 @@ def test_apq_checked_evaluates_routes_past_the_memo(monkeypatch):
     memo[key] = value + F(1, 10**9)  # a wrong closed-form entry must not pass the check
     with pytest.raises(MgtError, match="A mismatch"):
         apq_checked(g, 1, 2)
+
+
+def test_deleted_apq_matches_apq_of_the_deleted_graph():
+    # the rank-one route against A of g - e solved as its own graph
+    from oracles import deletion_test_graphs
+
+    from mgt.errors import BridgeDeletion
+    from mgt.graph import bridges, delete_edge_graph
+    from mgt.tau import deleted_apq
+
+    seen = {"proper": 0, "loop": 0, "bridge": 0}
+    for g in deletion_test_graphs():
+        cut = set(bridges(g))
+        for i, (a, b, _) in enumerate(g.edges):
+            if a == b:
+                assert deleted_apq(g, i) == 0
+                seen["loop"] += 1
+            elif i in cut:
+                with pytest.raises(BridgeDeletion):
+                    deleted_apq(g, i)
+                seen["bridge"] += 1
+            else:
+                deleted, (p, q) = delete_edge_graph(g, i)
+                assert deleted_apq(g, i) == apq(deleted, p, q)
+                seen["proper"] += 1
+    assert min(seen.values()) > 0, seen
