@@ -11,8 +11,8 @@ The per-edge deletion profiles (:class:`EdgeProfile`) are the paper's
 deletion route, read off the same integers: a rank-one update for a cycle
 edge (``r_deleted``; the three arms share the denominator 2 d gap), the
 resistance to the nearer endpoint for a bridge. Only the tests read them:
-the suite's arm sums and ``tau.deleted_apq`` take ``_deleted_num`` and the
-edge rows directly, and ``res_deleted`` builds no profile either.
+the suite's arm sums take ``deleted_num`` and ``tau.deleted_apq`` takes
+``deleted_int`` (g - e's integers) directly, and ``res_deleted`` builds no profile either.
 
 :func:`edge_profile` (each deleted graph solved anew) and
 :func:`solve_pair_resistances` (the sampled edge-polynomial oracle's solver)
@@ -56,6 +56,16 @@ class EdgeProfile(NamedTuple):
     loop: bool
 
 
+def _edge_rows(edges, num: list[list[int]], den: int) -> tuple[tuple[int, ...], ...]:
+    """The ``edge_int`` rows of ``edges`` over Green numerators num / den."""
+    rows = []
+    for a, b, length in edges:
+        ln, ld = length.numerator, length.denominator
+        rn = num[a][a] + num[b][b] - 2 * num[a][b]
+        rows.append((a, b, ln, ld, rn, ln * den - rn * ld))
+    return tuple(rows)
+
+
 class GraphContext:
     """Cached exact solver state for one immutable graph.
 
@@ -77,12 +87,7 @@ class GraphContext:
             with self._lock:
                 if self._num is None:
                     num, den = green_numden(self.graph.vcount, self.graph.edges)
-                    rows = []
-                    for a, b, length in self.graph.edges:
-                        ln, ld = length.numerator, length.denominator
-                        rn = num[a][a] + num[b][b] - 2 * num[a][b]
-                        rows.append((a, b, ln, ld, rn, ln * den - rn * ld))
-                    self._rows = tuple(rows)
+                    self._rows = _edge_rows(self.graph.edges, num, den)
                     self._den = den
                     self._num = num  # set last: it marks the state complete
 
@@ -130,25 +135,35 @@ class GraphContext:
     def r_deleted(self, edge_id: int, y: int, z: int) -> Fraction:
         """Resistance between y and z after deleting one edge (rank-one update).
 
-        Requires the deleted graph to stay connected. See ``_deleted_num``.
+        Requires the deleted graph to stay connected. See ``deleted_num``.
         """
         a, b, _, _, _, gap = self.edge_int()[edge_id]
         if a == b:
             return self.r(y, z)
         if gap == 0:
             raise MgtError("edge is a bridge; deleted resistance is infinite")
-        return Fraction(self._deleted_num(edge_id, y, z), self._den * gap)
+        return Fraction(self.deleted_num(edge_id, y, z), self._den * gap)
 
-    def _deleted_num(self, edge_id: int, y: int, z: int) -> int:
+    def deleted_num(self, edge_id: int, y: int, z: int) -> int:
         """d gap times the resistance between y and z with a cycle edge deleted.
 
         With cross = (N[a][y] - N[b][y]) - (N[a][z] - N[b][z]) this is
         d r(y,z) gap + cross^2 ld (Sherman-Morrison on the Green matrix).
         """
-        a, b, _, ld, _, gap = self._rows[edge_id]
+        a, b, _, ld, _, gap = self.edge_int()[edge_id]
         num = self._num
         cross = num[a][y] - num[b][y] - num[a][z] + num[b][z]
         return (num[y][y] + num[z][z] - 2 * num[y][z]) * gap + cross * cross * ld
+
+    def deleted_int(self, edge_id: int):
+        """(N', d', rows') of the graph minus a cycle edge e = (a, b): with c = N[a] - N[b],
+        N' = N gap + ld c c^T over d' = d gap (Sherman-Morrison), rows' as in ``edge_int``."""
+        a, b, _, ld, _, gap = self.edge_int()[edge_id]
+        num, den = self._num, self._den * gap
+        c = [x - y for x, y in zip(num[a], num[b])]
+        new = [[n * gap + ld * cy * cz for n, cz in zip(row, c)] for row, cy in zip(num, c)]
+        kept = [e for i, e in enumerate(self.graph.edges) if i != edge_id]
+        return new, den, _edge_rows(kept, new, den)
 
     def edge_profiles(self, base: int) -> tuple[EdgeProfile, ...]:
         if base not in self._profiles:
@@ -174,8 +189,8 @@ class GraphContext:
             )
         if gap == 0:  # bridge: the rest of the circuit carries no alternative path
             return self._bridge_profile(edge_id, base)
-        x_a = self._deleted_num(edge_id, a, base)
-        x_b = self._deleted_num(edge_id, b, base)
+        x_a = self.deleted_num(edge_id, a, base)
+        x_b = self.deleted_num(edge_id, b, base)
         mid = ln * rn * self._den
         over = 2 * self._den * gap
         return EdgeProfile(edge_id, length, self.res_deleted(edge_id),

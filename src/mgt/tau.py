@@ -19,7 +19,8 @@ Sums are accumulated in integers over a common denominator and reduced once.
 tau (``tau_of``), A (``apq``, per unordered vertex pair) and A of the graph
 minus one edge (``deleted_apq``, per edge) are memoized in the graph's
 ``GraphContext.memo``. ``deleted_apq`` builds no deleted graph: it reads A off
-a rank-one update of g's own integers, through ``_apq_sum``, the one A sum.
+a rank-one update of g's own integers (``GraphContext.deleted_int``), through
+``_apq_sum``, the one A sum.
 ``apq_identity`` keeps the paper's identification route for A (it factorizes
 the glued graph) as an independent check; ``apq_checked`` compares the closed
 form with it and with the integral.
@@ -207,31 +208,17 @@ def apq_checked(g: MetrizedGraph, p: int, q: int) -> Fraction:
 
 
 def deleted_apq(g: MetrizedGraph, edge_id: int) -> Fraction:
-    """A between an edge's endpoints in g minus the edge; 0 on a loop, BridgeDeletion on a bridge.
-
-    Deleting e = (a, b) is a rank-one update (see ``GraphContext._deleted_num``): with
-    c = N[a] - N[b], g - e has numerators N gap + ld c c^T over d gap.
-    """
+    """A between an edge's endpoints in g minus the edge; 0 on a loop, BridgeDeletion on a bridge."""
     a, b, _ = edge_at(g, edge_id)
     if a == b:
         return Fraction(0)
     ctx = context(g)
     value = ctx.memo.get(("deleted A", edge_id))
     if value is None:
-        num, den = ctx.green_int()
-        rows = ctx.edge_int()
-        _, _, _, ld, _, gap = rows[edge_id]
-        if gap == 0:
+        if ctx.edge_int()[edge_id][5] == 0:  # gap = 0 marks a bridge
             raise BridgeDeletion(f"deleting edge {edge_id} disconnects the graph")
-        c = [x - y for x, y in zip(num[a], num[b])]
-        new = [[n * gap + ld * cy * cz for n, cz in zip(row, c)] for row, cy in zip(num, c)]
-        den *= gap
-        kept = []
-        for i, (fa, fb, ln, fld, _, _) in enumerate(rows):
-            if i != edge_id:
-                rn = new[fa][fa] + new[fb][fb] - 2 * new[fa][fb]
-                kept.append((fa, fb, ln, fld, rn, ln * den - rn * fld))
-        value = ctx.memo.setdefault(("deleted A", edge_id), _apq_sum(new, den, kept, a, b))
+        value = ctx.memo.setdefault(("deleted A", edge_id),
+                                    _apq_sum(*ctx.deleted_int(edge_id), a, b))
     return value
 
 

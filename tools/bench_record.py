@@ -2,13 +2,14 @@
 
 Usage (from the repository root):
 
-    python3 tools/bench_record.py --label LABEL [--runs 5] [--seconds 12] [--seed 1]
+    python3 tools/bench_record.py --label LABEL
 
-Runs every workload that BENCHMARK.json declares, untraced, ``--runs`` times
-one after another (never two at once) and keeps each end-to-end metric's
-median and its runs. Then runs ``mgt verify --random --seed 1 --count 200
---json`` ``--runs`` times and records its median wall time, the pass/skip/fail
-counts and the sha256 of its output, which must be the same on every run.
+Runs every workload that BENCHMARK.json declares, untraced, at seed 1 and for
+its ``run_seconds``, 5 times one after another (never two at once) and keeps
+each end-to-end metric's median and its runs. Then runs ``mgt verify --random
+--seed 1 --count 200 --json`` 5 times and records its median wall time, the
+pass/skip/fail counts and the sha256 of its output, which must be the same on
+every run.
 Standard library only; writes BENCH_<label>.json in the repository root.
 """
 
@@ -27,7 +28,9 @@ from collections import Counter
 from importlib.metadata import PackageNotFoundError, version
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-VERIFY = ["verify", "--random", "--seed", "1", "--count", "200", "--json"]
+SEED = 1
+RUNS = 5
+VERIFY = ["verify", "--random", "--seed", str(SEED), "--count", "200", "--json"]
 
 
 def _numpy_version() -> str:
@@ -37,9 +40,9 @@ def _numpy_version() -> str:
         return "absent"
 
 
-def _workload(command: list[str], name: str, seed: int, seconds: int) -> dict:
+def _workload(command: list[str], name: str, seconds: int) -> dict:
     """One untraced run: the result object on the last line of stdout."""
-    argv = [sys.executable, *command[1:], "--workload", name, "--seed", str(seed),
+    argv = [sys.executable, *command[1:], "--workload", name, "--seed", str(SEED),
             "--seconds", str(seconds)]
     out = subprocess.run(argv, cwd=ROOT, check=True, capture_output=True, text=True).stdout
     return json.loads(out.strip().splitlines()[-1])
@@ -59,33 +62,29 @@ def _verify() -> tuple[float, bytes]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True)
-    parser.add_argument("--runs", type=int, default=5)
-    parser.add_argument("--seconds", type=int, default=12)
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
+    seconds = bench["run_seconds"]
 
     workloads = {}
     for entry in bench["workloads"]:
         name = entry["name"]
         runs = []
-        for i in range(args.runs):
-            runs.append(_workload(bench["command"], name, args.seed, args.seconds))
-            print(f"{name} run {i + 1}/{args.runs}", file=sys.stderr)
+        for i in range(RUNS):
+            runs.append(_workload(bench["command"], name, seconds))
+            print(f"{name} run {i + 1}/{RUNS}", file=sys.stderr)
         metrics = {}
         for metric in runs[0]["metrics"]:
             values = [run["metrics"][metric]["value"] for run in runs]
             metrics[metric] = {"median": statistics.median(values), "runs": values,
                                "unit": runs[0]["metrics"][metric]["unit"]}
-        workloads[name] = {"seed": args.seed, "seconds": args.seconds, "metrics": metrics,
+        workloads[name] = {"seed": SEED, "seconds": seconds, "metrics": metrics,
                            "attempted": [run["attempted"] for run in runs],
                            "failed": [run["failed"] for run in runs]}
 
     walls, digests = [], set()
-    for _ in range(args.runs):
+    for _ in range(RUNS):
         wall, out = _verify()
         walls.append(wall)
         digests.add(hashlib.sha256(out).hexdigest())
