@@ -4,8 +4,11 @@ A per-graph :class:`GraphContext` caches the Green matrix (inverse reduced
 Laplacian) as integer numerators over one denominator d, together with one
 integer row per edge (``edge_int``), so that all pairwise resistances,
 voltage values and per-edge deletion resistances come out of a single
-factorization. The cache is safe for concurrent readers: the matrix is
-computed once under a lock and never mutated.
+factorization. ``context(g)`` stores it on the graph itself, like the graph's
+other derived values, so it lives exactly as long as the graph; it keeps the
+graph's vertex count and edges, not the graph, so no reference cycle holds
+either. The cache is safe for concurrent readers: the matrix is computed once
+under a lock and never mutated.
 
 The per-edge deletion profiles (:class:`EdgeProfile`) are the paper's
 deletion route, read off the same integers: a rank-one update for a cycle
@@ -17,21 +20,20 @@ the suite's arm sums take ``deleted_num`` and ``tau.deleted_apq`` takes
 :func:`edge_profile` (each deleted graph solved anew) and
 :func:`solve_pair_resistances` (the sampled edge-polynomial oracle's solver)
 exist only to check the matrix. Each solves its own graph through
-``_solved``, which calls ``green_numden`` directly, outside the context LRU.
+``_solved``, which calls ``green_numden`` directly and stores nothing.
 
 ``GraphContext.memo`` holds what higher layers compute once per graph (tau,
-A); the context LRU bounds it with the rest of the context.
+A); it goes with the context when the graph goes.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import BadPoint, MgtError
-from .graph import Edge, MetrizedGraph, PointOnGraph, insert_points, normalize_point
+from .graph import Edge, MetrizedGraph, PointOnGraph, _cached, insert_points, normalize_point
 from .linalg import green_numden
 from .rational import INF, ExtScalar
 
@@ -70,11 +72,13 @@ class GraphContext:
     """Cached exact solver state for one immutable graph.
 
     The Green matrix is kept as integer numerators over one denominator so
-    resistance lookups cost a single Fraction construction.
+    resistance lookups cost a single Fraction construction. The context holds
+    the graph's vertex count and edges, never the graph that holds it.
     """
 
     def __init__(self, g: MetrizedGraph):
-        self.graph = g
+        self.vcount = g.vcount
+        self.edges = g.edges
         self._lock = threading.RLock()
         self._num: list[list[int]] | None = None
         self._den: int = 1
@@ -86,8 +90,8 @@ class GraphContext:
         if self._num is None:
             with self._lock:
                 if self._num is None:
-                    num, den = green_numden(self.graph.vcount, self.graph.edges)
-                    self._rows = _edge_rows(self.graph.edges, num, den)
+                    num, den = green_numden(self.vcount, self.edges)
+                    self._rows = _edge_rows(self.edges, num, den)
                     self._den = den
                     self._num = num  # set last: it marks the state complete
 
@@ -162,7 +166,7 @@ class GraphContext:
         num, den = self._num, self._den * gap
         c = [x - y for x, y in zip(num[a], num[b])]
         new = [[n * gap + ld * cy * cz for n, cz in zip(row, c)] for row, cy in zip(num, c)]
-        kept = [e for i, e in enumerate(self.graph.edges) if i != edge_id]
+        kept = [e for i, e in enumerate(self.edges) if i != edge_id]
         return new, den, _edge_rows(kept, new, den)
 
     def edge_profiles(self, base: int) -> tuple[EdgeProfile, ...]:
@@ -170,7 +174,7 @@ class GraphContext:
             with self._lock:
                 if base not in self._profiles:
                     self._profiles[base] = tuple(
-                        self._profile(i, base) for i in range(self.graph.ecount)
+                        self._profile(i, base) for i in range(len(self.edges))
                     )
         return self._profiles[base]
 
@@ -181,7 +185,7 @@ class GraphContext:
         are (X_a + M - X_b), (M + X_b - X_a) and (X_a + X_b - M) over 2 d gap.
         """
         a, b, ln, _, rn, gap = self.edge_int()[edge_id]
-        length = self.graph.edges[edge_id].length
+        length = self.edges[edge_id].length
         if a == b:
             return EdgeProfile(
                 edge_id, length, Fraction(0), Fraction(0), Fraction(0),
@@ -200,7 +204,7 @@ class GraphContext:
     def _bridge_profile(self, edge_id: int, base: int) -> EdgeProfile:
         # Across a bridge r(base, b) = r(base, a) + L when base is on a's side,
         # so the nearer endpoint is base's side and its resistance is the arm.
-        a, b, length = self.graph.edges[edge_id]
+        a, b, length = self.edges[edge_id]
         r_a, r_b = self.r(base, a), self.r(base, b)
         if r_a < r_b:
             arm_a: ExtScalar = Fraction(0)
@@ -213,7 +217,7 @@ class GraphContext:
 
 
 def _solved(vcount: int, edges):
-    """r(y, z) on a graph solved anew by ``green_numden``, bypassing the context LRU."""
+    """r(y, z) on a graph solved anew by ``green_numden``, apart from any context."""
     num, den = green_numden(vcount, edges)
     return lambda y, z: Fraction(num[y][y] + num[z][z] - 2 * num[y][z], den)
 
@@ -246,27 +250,9 @@ def _component_resistance(g: MetrizedGraph, skip_edge: int, side_a: set[int] | N
     return _solved(len(verts), edges)(relabel[y], relabel[z])
 
 
-_CACHE_LIMIT = 2048
-_context_cache: "OrderedDict[MetrizedGraph, GraphContext]" = OrderedDict()
-_context_lock = threading.Lock()
-
-
 def context(g: MetrizedGraph) -> GraphContext:
-    """Shared solver context for a graph (one computation, many readers).
-
-    Bounded LRU keyed by graph value, so identical graphs built independently
-    share their solve work.
-    """
-    with _context_lock:
-        ctx = _context_cache.get(g)
-        if ctx is not None:
-            _context_cache.move_to_end(g)
-            return ctx
-        ctx = GraphContext(g)
-        _context_cache[g] = ctx
-        while len(_context_cache) > _CACHE_LIMIT:
-            _context_cache.popitem(last=False)
-    return ctx
+    """The graph's solver context, stored on g by its first reader and freed with it."""
+    return _cached(g, "_context", GraphContext)
 
 
 def resistance(g: MetrizedGraph, x: PointOnGraph, y: PointOnGraph) -> Fraction:

@@ -7,8 +7,10 @@ two ends of an edge.
 
 Because a graph never changes, values derived from it alone are cached on the
 instance the first time they are read: the hash, the total length, the
-normalized graph and the bridge list (see ``_cached``). Racing first readers
-may each compute a value; they compute equal ones, and the first stored wins.
+normalized graph, the bridge list and the solver context of
+``mgt.circuit.context`` (see ``_cached``). Each lives exactly as long as its
+graph, and a pickle or copy carries none of them. Racing first readers may
+each compute a value; they compute equal ones, and the first stored wins.
 """
 
 from __future__ import annotations
@@ -77,6 +79,9 @@ class MetrizedGraph(Frozen):
 
     def __repr__(self):
         return f"MetrizedGraph(vcount={self.vcount!r}, edges={self.edges!r})"
+
+    def __reduce__(self):  # pickle and copy rebuild the graph, with no cached values
+        return MetrizedGraph, (self.vcount, self.edges)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -179,6 +184,7 @@ def delete_edge_graph(g: MetrizedGraph, edge_id: int) -> tuple[MetrizedGraph, tu
 
 def identify_points_graph(g: MetrizedGraph, p: int, q: int) -> MetrizedGraph:
     """Glue two distinct vertices into the smaller id; ids above the larger shift down."""
+    check_vertices(g, p, q)
     if p == q:
         raise SamePoint("identify needs two distinct vertices")
     keep, drop = min(p, q), max(p, q)

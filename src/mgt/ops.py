@@ -22,8 +22,8 @@ from .errors import (
     NotNormalized,
     SamePoint,
 )
-from .graph import (Edge, Frozen, MetrizedGraph, bridges, delete_edge_graph, edge_at,
-                    identify_points_graph, normalize, total_length)
+from .graph import (Edge, Frozen, MetrizedGraph, bridges, check_vertices, delete_edge_graph,
+                    edge_at, identify_points_graph, normalize, total_length)
 from .rational import Scalar, sum_over
 from .tau import apq, deleted_apq, tau_of
 
@@ -68,11 +68,11 @@ def delete_edge(g: MetrizedGraph, edge_id: int) -> OpResult:
     a, b, length = edge_at(g, edge_id)
     if a != b and edge_id in bridges(g):
         raise BridgeDeletion(f"edge {edge_id} is a bridge")
-    deleted, (pa, pb) = delete_edge_graph(g, edge_id)
+    deleted, _ = delete_edge_graph(g, edge_id)
 
     def formula():
         res = context(g).res_deleted(edge_id)
-        return tau_of(g) - length / 12 + res / 6 - apq(deleted, pa, pb) / (length + res)
+        return tau_of(g) - length / 12 + res / 6 - deleted_apq(g, edge_id) / (length + res)
 
     return OpResult(deleted, "edge-deletion", formula)
 
@@ -111,6 +111,7 @@ def identify_points(g: MetrizedGraph, p: int, q: int) -> OpResult:
 
 def add_edge(g: MetrizedGraph, p: int, q: int, new_length: Scalar) -> OpResult:
     """Attach a fresh edge between two vertices (possibly equal)."""
+    check_vertices(g, p, q)
     new_length = Fraction(new_length)
     if new_length <= 0:
         raise NonPositiveLength("new edge length must be positive")
@@ -139,6 +140,8 @@ def _shift_graph(g2: MetrizedGraph, mapping: dict[int, int], offset: int) -> tup
 
 def union_one_point(g1: MetrizedGraph, p1: int, g2: MetrizedGraph, p2: int) -> OpResult:
     """One-point union; tau is additive across the wedge point."""
+    check_vertices(g1, p1)
+    check_vertices(g2, p2)
     edges2, vcount = _shift_graph(g2, {p2: p1}, g1.vcount)
     graph = MetrizedGraph(vcount, g1.edges + tuple(edges2))
     return OpResult(graph, "wedge-additivity", lambda: tau_of(g1) + tau_of(g2))
@@ -154,6 +157,8 @@ def union_two_points(
     """
     p1, q1 = pq1
     p2, q2 = pq2
+    check_vertices(g1, p1, q1)
+    check_vertices(g2, p2, q2)
     if p1 == q1 or p2 == q2:
         raise SamePoint("two-point union needs distinct glue points in each part")
     edges2, vcount = _shift_graph(g2, {p2: p1, q2: q1}, g1.vcount)
@@ -230,6 +235,7 @@ def immerse(
     for beta, p, q in betas:
         if total_length(beta) != 1:
             raise NotNormalized("every replacement graph must have total length one")
+        check_vertices(beta, p, q)
         if p == q:
             raise SamePoint("marked points must be distinct")
     edges: list[Edge] = []
@@ -281,6 +287,7 @@ def c_tower(g: MetrizedGraph, p: int, q: int, n: int) -> OpResult:
 
     Predicted tau: tau + (1 - 2^-n) A/r + (-1/6 - 1/(6 2^n) + 1/(3 4^n)) r.
     """
+    check_vertices(g, p, q)
     if p == q:
         raise SamePoint("tower points must be distinct")
     if n < 1:

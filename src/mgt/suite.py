@@ -60,6 +60,8 @@ from .tau import (
     tau_bridgeless_identity,
     tau_edge_sum,
     tau_of,
+    weighted_res_square_sum,
+    weighted_res_sum,
 )
 
 MAX_BUILT_EDGES = 72
@@ -170,12 +172,6 @@ def _arm_sums(g: MetrizedGraph, base: int) -> tuple[Fraction, Fraction]:
     return value
 
 
-def _weighted_res_sum(g: MetrizedGraph) -> Fraction:
-    """sum L R/(L+R) = sum r(a,b) over edges; a bridge gives its limit L = r."""
-    cx = context(g)
-    return sum_over([(rn, 1) for _, _, _, _, rn, _ in cx.edge_int()], cx.green_int()[1])
-
-
 # ---------------------------------------------------------------------------
 # individual checks
 # ---------------------------------------------------------------------------
@@ -225,12 +221,9 @@ def _check_measure_mass(ctx: SuiteContext):
 def _check_lem2term(ctx: SuiteContext):
     g = ctx.g
     v = g.vcount
-    cx = context(g)
-    # L R^2/(L+R)^2 = r^2/L, the limit L on a bridge
-    res_sq = sum_over([(rn * rn * ld, ln) for _, _, ln, ld, rn, _ in cx.edge_int()],
-                      cx.green_int()[1] ** 2)
     lhs = _arm_sums(g, 0)[0]
-    rhs = Fraction(2, v) * res_sq + Fraction(1, v) * sum(_arm_sums(g, p)[1] for p in range(v))
+    off_base = sum(_arm_sums(g, p)[1] for p in range(v))
+    rhs = Fraction(2, v) * weighted_res_square_sum(g) + Fraction(1, v) * off_base
     return _eq(lhs, rhs)
 
 
@@ -376,8 +369,8 @@ def _check_subdivision_transfer(ctx: SuiteContext):
     pairs = [
         ("square sum", parallel_sum(gm), parallel_sum(g) / m),
         ("cubic sum", cubic_sum(gm), cubic_sum(g) / (m * m)),
-        ("product sum", _weighted_res_sum(gm),
-         Fraction(m - 1, m) * total_length(g) + _weighted_res_sum(g) / m),
+        ("product sum", weighted_res_sum(gm),
+         Fraction(m - 1, m) * total_length(g) + weighted_res_sum(g) / m),
     ]
     return _all_eq(pairs)
 
@@ -559,7 +552,7 @@ def _check_edge_deletion_energy(ctx: SuiteContext):
     deleted, (p, q) = delete_edge_graph(g, edge)
     energy = integrate_product(deleted, p, q, [(TAG_J_BASE_X, True, 2)])
     denom = g.edges[edge].length + context(g).res_deleted(edge)
-    predicted = energy / 4 + denom / 12 + apq(deleted, p, q) / denom
+    predicted = energy / 4 + denom / 12 + deleted_apq(g, edge) / denom
     return _eq(predicted, tau_of(g))
 
 
@@ -615,8 +608,7 @@ def _contract_setup(ctx: SuiteContext):
     g = ctx.g
     deleted, (p, q) = delete_edge_graph(g, edge)
     res = context(g).res_deleted(edge)
-    a_del = apq(deleted, p, q)
-    return edge, deleted, p, q, res, a_del
+    return edge, deleted, p, q, res, deleted_apq(g, edge)
 
 
 def _check_contraction_values(ctx: SuiteContext):

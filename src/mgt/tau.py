@@ -63,31 +63,38 @@ class GradientVector(NamedTuple):
     bridge_edges: tuple[int, ...]  # edges reported with the tree-like derivative 1/4
 
 
-def _edge_terms(g: MetrizedGraph, base: int = 0) -> tuple[int, list[tuple[int, ...]]]:
-    """(d, rows): one integer row (ln, ld, rn, gap, dn) per edge, from N/d.
+def _tau_terms(ctx, base: int = 0) -> list[tuple[int, int]]:
+    """Per edge 12 d^2 times its tau share, as (numerator, denominator).
 
-    L = ln/ld, r(a,b) = rn/d, L - r(a,b) = gap/(ld d) and
-    r(base,b) - r(base,a) = dn/d. gap is zero exactly on bridges.
+    Over the context's ``edge_int`` rows, with D = r(base,b) - r(base,a) = dn/d.
     """
-    ctx = context(g)
-    num, den = ctx.green_int()
+    num = ctx.green_int()[0]
     row_p = num[base]
-    rows = []
-    for a, b, ln, ld, rn, gap in ctx.edge_int():
+    terms = []
+    for a, b, ln, ld, _, gap in ctx.edge_int():
         dn = num[b][b] - num[a][a] - 2 * (row_p[b] - row_p[a])
-        rows.append((ln, ld, rn, gap, dn))
-    return den, rows
-
-
-def _tau_terms(rows) -> list[tuple[int, int]]:
-    """Per edge 12 d^2 times its tau share, as (numerator, denominator)."""
-    return [(3 * dn * dn * ld * ld + gap * gap, ln * ld) for ln, ld, _, gap, dn in rows]
+        terms.append((3 * dn * dn * ld * ld + gap * gap, ln * ld))
+    return terms
 
 
 def cubic_sum(g: MetrizedGraph) -> Fraction:
     """sum L^3/(L+R)^2 = sum (L - r)^2/L over edges; zero across a bridge."""
-    den, rows = _edge_terms(g)
-    return sum_over([(gap * gap, ln * ld) for ln, ld, _, gap, _ in rows], den * den)
+    ctx = context(g)
+    return sum_over([(gap * gap, ln * ld) for _, _, ln, ld, _, gap in ctx.edge_int()],
+                    ctx.green_int()[1] ** 2)
+
+
+def weighted_res_sum(g: MetrizedGraph) -> Fraction:
+    """sum L R/(L+R) = sum r(a,b) over edges; a bridge gives its limit L = r."""
+    ctx = context(g)
+    return sum_over([(rn, 1) for _, _, _, _, rn, _ in ctx.edge_int()], ctx.green_int()[1])
+
+
+def weighted_res_square_sum(g: MetrizedGraph) -> Fraction:
+    """sum L R^2/(L+R)^2 = sum r(a,b)^2/L over edges; a bridge gives its limit L."""
+    ctx = context(g)
+    return sum_over([(rn * rn * ld, ln) for _, _, ln, ld, rn, _ in ctx.edge_int()],
+                    ctx.green_int()[1] ** 2)
 
 
 def tau_edge_sum(g: MetrizedGraph, base: int = 0) -> TauReport:
@@ -96,10 +103,9 @@ def tau_edge_sum(g: MetrizedGraph, base: int = 0) -> TauReport:
     Each edge reports (edge, contribution, deleted resistance R).
     """
     check_vertices(g, base)
-    den, rows = _edge_terms(g, base)
-    terms = _tau_terms(rows)
-    scale = 12 * den * den
     ctx = context(g)
+    terms = _tau_terms(ctx, base)
+    scale = 12 * ctx.green_int()[1] ** 2
     per_edge = tuple((i, Fraction(n, scale * m), ctx.res_deleted(i)) for i, (n, m) in enumerate(terms))
     return TauReport(sum_over(terms, scale), total_length(g), genus(g), per_edge, base)
 
@@ -109,17 +115,17 @@ def tau_of(g: MetrizedGraph) -> Fraction:
     ctx = context(g)
     value = ctx.memo.get("tau")
     if value is None:
-        den, rows = _edge_terms(g)
-        value = ctx.memo.setdefault("tau", sum_over(_tau_terms(rows), 12 * den * den))
+        value = ctx.memo.setdefault("tau", sum_over(_tau_terms(ctx), 12 * ctx.green_int()[1] ** 2))
     return value
 
 
 def canonical_measure(g: MetrizedGraph) -> CanonicalMeasure:
     """Point masses 1 - valence/2 plus density 1/(L+R) = (L-r)/L^2 per edge (0 on bridges)."""
-    den, rows = _edge_terms(g)
+    ctx = context(g)
+    den = ctx.green_int()[1]
     masses = tuple((v, 1 - Fraction(g.valence(v), 2)) for v in range(g.vcount))
     densities = tuple((i, Fraction(gap * ld, den * ln * ln))
-                      for i, (ln, ld, _, gap, _) in enumerate(rows))
+                      for i, (_, _, ln, ld, _, gap) in enumerate(ctx.edge_int()))
     return CanonicalMeasure(masses, densities)
 
 
@@ -128,8 +134,8 @@ def genus_identity_check(g: MetrizedGraph) -> tuple[Fraction, Fraction]:
 
     R/(L+R) = r/L, and the two summands of an edge add up to one.
     """
-    den, rows = _edge_terms(g)
-    right = sum_over([(rn * ld, ln) for ln, ld, rn, _, _ in rows], den)
+    ctx = context(g)
+    right = sum_over([(rn * ld, ln) for _, _, ln, ld, rn, _ in ctx.edge_int()], ctx.green_int()[1])
     return g.ecount - right, right
 
 
@@ -236,14 +242,16 @@ def tau_gradient(g: MetrizedGraph) -> GradientVector:
     The weights of the f-sum share the denominator W = 3 d lcm(ln), so it is
     one integer sum per edge. Bridges come out as 1/4 and loops as 1/12.
     """
-    den, rows = _edge_terms(g)
-    num = context(g).green_int()[0]
-    big_l = lcm(*(ln for ln, *_ in rows))
+    ctx = context(g)
+    num, den = ctx.green_int()
+    rows = ctx.edge_int()
+    dns = [num[b][b] - num[a][a] for a, b, *_ in rows]  # D_e = dn/d, as row 0 of N is zero
+    big_l = lcm(*(row[2] for row in rows))
     w = 3 * den * big_l
     weights = [(6 * dn * ld * (big_l // ln), 2 * gap * (big_l // ln), a, b)
-               for (ln, ld, _, gap, dn), (a, b, _) in zip(rows, g.edges)]
+               for (a, b, ln, ld, _, gap), dn in zip(rows, dns)]
     entries = []
-    for (a, b, _), (ln, ld, rn, _, dn) in zip(g.edges, rows):
+    for (a, b, ln, ld, rn, _), dn in zip(rows, dns):
         c = [x - y for x, y in zip(num[a], num[b])]
         cross = 0
         for alpha, beta, fa, fb in weights:
@@ -252,7 +260,7 @@ def tau_gradient(g: MetrizedGraph) -> GradientVector:
             cross += alpha * (y * y - x * x) - beta * (x - y) * (x - y)
         top = (ln * ln * den * den - rn * rn * ld * ld - 3 * dn * dn * ld * ld) * w
         entries.append(Fraction(top + 3 * cross * ld * ld, 12 * w * den * den * ln * ln))
-    bridge_ids = tuple(i for i, row in enumerate(rows) if row[3] == 0)
+    bridge_ids = tuple(i for i, row in enumerate(rows) if row[5] == 0)
     return GradientVector(tuple(entries), bridge_ids)
 
 
@@ -288,12 +296,12 @@ def lower_bound_suite(g: MetrizedGraph) -> list[BoundCheck]:
     e = g.ecount
     if e == 0:
         raise EmptyGraph("the tau bounds need a graph with at least one edge")
-    den, rows = _edge_terms(g)
+    ctx = context(g)
     ell = total_length(g)
     tau = tau_of(g) / ell
     v = g.vcount
     gen = genus(g)
-    bridge_free = all(row[3] for row in rows)
+    bridge_free = all(row[5] for row in ctx.edge_int())
     equal_lengths = len({edge.length for edge in g.edges}) == 1
     out = [
         BoundCheck("tau-upper-quarter", True, "", tau, Fraction(1, 4), "<=", tau <= Fraction(1, 4)),
@@ -317,7 +325,6 @@ def lower_bound_suite(g: MetrizedGraph) -> list[BoundCheck]:
         for name in ("equal-length", "equal-length-sharper"):
             out.append(BoundCheck(name, False, "edge lengths not all equal", None, None, "<=", None))
     if bridge_free:
-        ctx = context(g)
         sum_r = sum((ctx.res_deleted(i) for i in range(e)), Fraction(0)) / ell
         bound = 1 / (12 * (1 + sum_r) ** 2)
         out.append(BoundCheck("deleted-resistance-sum", True, "", bound, tau, "<=", bound <= tau))
@@ -332,9 +339,8 @@ def lower_bound_suite(g: MetrizedGraph) -> list[BoundCheck]:
         out.append(BoundCheck("doubled-edges-1-48", False,
                               "some endpoint pair is joined by only one edge",
                               None, None, "<=", None))
-    # with R/(L+R) = r/L: sum L (R/(L+R))^2 = sum r^2/L and sum L R/(L+R) = sum r
-    lhs = sum_over([(rn * rn * ld, ln) for ln, ld, rn, _, _ in rows], den * den) / ell
-    rhs_inner = Fraction(sum(row[2] for row in rows), den) / ell
+    lhs = weighted_res_square_sum(g) / ell
+    rhs_inner = weighted_res_sum(g) / ell
     out.append(BoundCheck("weighted-deleted-square", True, "", rhs_inner**2, lhs, "<=",
                           rhs_inner**2 <= lhs))
     return out

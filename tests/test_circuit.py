@@ -1,6 +1,8 @@
+import gc
 import random
 import sys
 import threading
+import weakref
 from fractions import Fraction as F
 
 from mgt import families
@@ -11,6 +13,7 @@ from mgt.suite import GraphGenerator
 from mgt.rational import INF
 from mgt.tau import apq, tau_of
 from oracles import spanning_tree_resistance
+from test_linalg import _spy_on_factorizations
 
 
 def test_resistance_examples():
@@ -179,20 +182,24 @@ def test_context_concurrent_reads():
     assert len(set(values)) == 1
 
 
-def test_context_concurrent_first_touch():
-    # graphs no other test builds, so their caches and contexts start empty
+def test_context_concurrent_first_touch(monkeypatch):
+    # graphs no other test builds, so their caches start empty: each graph's first
+    # context() call and its one factorization happen inside the racing threads
+    dets = _spy_on_factorizations(monkeypatch)
     g = build_graph(4, [(0, 1, F(3, 7)), (1, 2, F(5, 11)), (2, 0, F(2, 13)),
                         (2, 3, F(7, 17)), (3, 3, F(1, 19))])
     h = build_graph(3, [(0, 1, F(4, 23)), (1, 2, F(6, 29)), (2, 0, F(8, 31))])
-    cx = context(g)
     op = add_edge(h, 0, 2, F(5, 37))  # its prediction is evaluated on first read
     start = threading.Barrier(8)
     results = []
 
     def writer():
         start.wait()
+        hx = context(h)
+        cx = context(g)
         results.append((cx.green_int(), cx.edge_profiles(0), tau_of(g), normalize(g),
-                        total_length(g), bridges(g), apq(g, 1, 3), op.predicted_tau))
+                        total_length(g), bridges(g), apq(g, 1, 3), op.predicted_tau,
+                        cx, hx, hx.green_int()[0]))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -206,13 +213,29 @@ def test_context_concurrent_first_touch():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert len(results) == 8
+    assert len(dets) == 2  # g and h, once each
     first = results[0]
     assert first[5] == [3] and first[7] == tau_of(op.graph)
+    assert first[8] is context(g) and first[9] is context(h)
     for row in results:
         assert row[0][0] is first[0][0]
         assert row[:3] == first[:3] and row[5] == first[5]
         # the first stored value wins, so every thread holds the same object
-        assert all(row[i] is first[i] for i in (3, 4, 6, 7))
+        assert all(row[i] is first[i] for i in (3, 4, 6, 7, 8, 9, 10))
+
+
+def test_context_is_freed_with_its_graph():
+    # the context keeps the graph's edges, not the graph, so no reference cycle
+    # holds it: refcounting alone frees it when the graph goes
+    gc.disable()
+    try:
+        g = build_graph(3, [(0, 1, F(2, 41)), (1, 2, F(3, 43)), (2, 0, F(5, 47))])
+        assert tau_of(g) and apq(g, 0, 1)
+        ref = weakref.ref(context(g))
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_r_deleted_matches_deleted_graph_solve():

@@ -211,6 +211,25 @@ def test_op_edge_id_out_of_range_is_usage_error(k4_file, capsys, verb, edge):
     assert _one_error_line(err) and f"edge {edge} out of range" in err
 
 
+@pytest.mark.parametrize("argv, vertex", [
+    ("union2 0 1 -1 0 G B", "-1"),  # used to exit 0 with a one-point union and no prediction
+    ("tower -1 0 2 G", "-1"),
+    ("union2 0 1 0 5 G B", "5"),  # used to exit 4 with an IndexError
+    ("tower 0 9 2 G", "9"),
+    ("union1 0 9 G B", "9"),  # used to exit 2 with "graph is not connected"
+    ("immerse G B -1 0", "-1"),
+    ("identify 0 9 G", "9"),
+    ("add-edge 0 9 1 G", "9"),
+])
+def test_op_vertex_out_of_range_is_usage_error(k4_file, tmp_path, capsys, argv, vertex):
+    triangle = tmp_path / "triangle.txt"
+    triangle.write_text("v 3\ne 0 1 1\ne 1 2 2\ne 2 0 1\n")
+    files = {"G": k4_file, "B": str(triangle)}
+    code, out, err = run_cli(capsys, "op", *(files.get(a, a) for a in argv.split()))
+    assert code == 2 and out == "", err
+    assert _one_error_line(err) and f"vertex {vertex} out of range" in err
+
+
 def test_apq_bad_vertex_is_usage_error(k4_file, capsys):
     for argv in (("0", "7"), ("7", "7"), ("0", "7", "--method", "direct")):
         code, out, err = run_cli(capsys, "apq", k4_file, *argv)

@@ -1,3 +1,4 @@
+import copy
 import pickle
 import random
 from fractions import Fraction as F
@@ -27,6 +28,7 @@ from mgt.graph import (
     total_length,
 )
 from mgt import families
+from mgt.tau import apq, tau_of
 from oracles import bridges_by_deletion
 
 
@@ -77,6 +79,13 @@ def test_graph_is_frozen_and_equal_by_value():
     assert bridges(g) == [3] and bridges(g) is not bridges(g)
     assert vars(g)["_bridges"] == (3,)
     assert normalize(twin) is not normalize(g) and normalize(twin) == normalize(g)
+    # a pickle or copy of a graph with cached values (its solver context included)
+    # rebuilds the graph from its vertex count and edges, and carries none of them
+    tau = tau_of(g)
+    apq(g, 0, 2)
+    for twin in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+        assert twin is not g and twin == g and set(vars(twin)) == {"vcount", "edges"}
+        assert tau_of(twin) == tau
 
 
 def test_total_length_examples():

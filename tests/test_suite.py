@@ -116,15 +116,17 @@ def test_necklace_witness():
 
 def test_operation_formulas_fail_when_a_is_perturbed(monkeypatch):
     # immersion, point identification and edge deletion predict tau from the
-    # closed-form A; a wrong A must show up as a failed check, not pass by construction
+    # closed-form A (deletion from A of g - e); a wrong A must show up as a
+    # failed check, not pass by construction
     import mgt.ops
 
     g = families.complete(4, F(1, 2))
     wanted = {"thmmaggen", "coradding2", "cor2twopunion"}
     honest = run_graph_checks("k4", g, random.Random(5), wanted)
     assert [r.status for r in honest] == ["pass", "pass", "pass"]
-    original = mgt.ops.apq
-    monkeypatch.setattr(mgt.ops, "apq", lambda *args: original(*args) + F(1, 1000))
+    for name in ("apq", "deleted_apq"):
+        original = getattr(mgt.ops, name)
+        monkeypatch.setattr(mgt.ops, name, lambda *args, f=original: f(*args) + F(1, 1000))
     perturbed = run_graph_checks("k4", g, random.Random(5), wanted)
     assert {r.identity: r.status for r in perturbed} == dict.fromkeys(wanted, "fail")
 

@@ -1,4 +1,4 @@
-"""Record one BENCH_<label>.json: the machine, taubench medians and the verify digest.
+"""Record one BENCH_<label>.json: the machine, timing medians and the verify digest.
 
 Usage (from the repository root):
 
@@ -9,7 +9,8 @@ its ``run_seconds``, 5 times one after another (never two at once) and keeps
 each end-to-end metric's median and its runs. Then runs ``mgt verify --random
 --seed 1 --count 200 --json`` 5 times and records its median wall time, the
 pass/skip/fail counts and the sha256 of its output, which must be the same on
-every run.
+every run. Last, the median wall time of 5 runs each of the Tier-1 test command
+and of ``python -c "import mgt.cli"``.
 Standard library only; writes BENCH_<label>.json in the repository root.
 """
 
@@ -31,6 +32,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 1
 RUNS = 5
 VERIFY = ["verify", "--random", "--seed", str(SEED), "--count", "200", "--json"]
+TIMED = {  # name -> argv, each run from the root with src on PYTHONPATH
+    "tier1": [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+    "import_cli": [sys.executable, "-c", "import mgt.cli"],
+}
 
 
 def _numpy_version() -> str:
@@ -48,14 +53,14 @@ def _workload(command: list[str], name: str, seconds: int) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
-def _verify() -> tuple[float, bytes]:
+def _timed(argv: list[str]) -> tuple[float, bytes]:
+    """Wall time and stdout of one run, which must exit 0."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", "mgt.cli", *VERIFY], cwd=ROOT, env=env,
-                          capture_output=True)
+    done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True)
     wall = time.perf_counter() - start
     if done.returncode != 0:
-        raise SystemExit(f"verify exited {done.returncode}: {done.stderr.decode()[-500:]}")
+        raise SystemExit(f"{argv[1:]} exited {done.returncode}: {done.stderr.decode()[-500:]}")
     return wall, done.stdout
 
 
@@ -85,12 +90,17 @@ def main() -> int:
 
     walls, digests = [], set()
     for _ in range(RUNS):
-        wall, out = _verify()
+        wall, out = _timed([sys.executable, "-m", "mgt.cli", *VERIFY])
         walls.append(wall)
         digests.add(hashlib.sha256(out).hexdigest())
     if len(digests) != 1:
         raise SystemExit(f"verify output differs between runs: {sorted(digests)}")
     statuses = Counter(result["status"] for result in json.loads(out))
+    timed = {}
+    for name, argv in TIMED.items():
+        runs = [_timed(argv)[0] for _ in range(RUNS)]
+        timed[name] = {"argv": ["python", *argv[1:]], "wall_s_median": statistics.median(runs),
+                       "wall_s_runs": runs}
 
     record = {
         "label": args.label,
@@ -99,6 +109,7 @@ def main() -> int:
         "workloads": workloads,
         "verify": {"argv": ["mgt", *VERIFY], "wall_s_median": statistics.median(walls),
                    "wall_s_runs": walls, "sha256": digests.pop(), "statuses": dict(statuses)},
+        **timed,
     }
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w") as fh:
