@@ -28,7 +28,7 @@ from .errors import (
     NonPositiveScale,
     SamePoint,
 )
-from .rational import Scalar
+from .rational import Scalar, sum_over
 
 
 class Edge(NamedTuple):
@@ -152,7 +152,8 @@ def build_graph(vertex_count: int, edge_list: Iterable[tuple[int, int, Scalar]])
 
 def total_length(g: MetrizedGraph) -> Fraction:
     """Sum of the edge lengths, computed once per graph."""
-    return _cached(g, "_total_length", lambda g: sum((e.length for e in g.edges), Fraction(0)))
+    return _cached(g, "_total_length", lambda g: sum_over(
+        [(length.numerator, length.denominator) for _, _, length in g.edges], 1))
 
 
 def genus(g: MetrizedGraph) -> int:

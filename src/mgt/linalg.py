@@ -2,7 +2,7 @@
 
 The reduced Laplacian is scaled to an integer matrix and eliminated with
 fraction-free (Bareiss) Gaussian elimination, so no gcd work happens inside the
-O(n^3) loop. Fractions appear only in results.
+elimination loop. Fractions appear only in results.
 
 The Green matrix (``green_numden``) is made scale-free first. The common
 content c = gcd(length numerators) / lcm(length denominators) is divided out,
@@ -13,8 +13,21 @@ each Bareiss entry below the diagonal is the mirrored entry times D_i/D_k, so
 the forward pass reads and updates only the upper triangle. The eliminated
 identity right-hand side is zero right of its diagonal, so the symmetric
 inverse follows by back-substitution from that triangle alone, one half
-mirrored into the other; it skips the zeros of the triangle. A dense matrix
-costs about n^3/2 big-integer multiply-adds in all.
+mirrored into the other.
+
+The rows are numbered in a fill-reducing order: fewest neighbours off the
+ground first, ties in vertex order (a static minimum degree). A vertex of
+the series chains that the graph operations build then adds at most one new
+coupling when it is eliminated, and a hub goes last. A symmetric permutation changes neither the determinant nor G, so
+N is mapped back to vertex ids at the end and (N, d) are the same integers in
+any order; the remap, like the content multiply, is skipped where it is the
+identity. Step k of the forward pass updates only the rows that row k couples
+(m[k][i] != 0); a skipped row catches up on its next update by one exact
+division (see ``bareiss_forward``). Back-substitution skips the zeros of the
+triangle. So the forward pass costs one multiply-add per entry of each coupled
+row at each step, and back-substitution n per nonzero of the triangle, in
+big-integer operations: O(n^2) on a chain, and the dense n^3/2 only when every
+row couples every later one, as on a complete graph.
 
 ``green_numden`` is the only exact solve in mgt: the cached per-graph
 context and the oracles that solve a deleted or sampled graph anew all call it.
@@ -33,19 +46,37 @@ def bareiss_forward(m: list[list[int]], n: int, scales: Sequence[int]) -> None:
     row i multiplied by ``scales[i] > 0``; its lower triangle is never read.
     Diagonal pivots never vanish and all divisions are exact. The entry below
     the diagonal that row i needs at step k is the mirrored m[k][i] times
-    scales[i]/scales[k]. m[n-1][n-1] ends as the determinant.
+    scales[i]/scales[k]. Where it is zero, step k would only multiply row i
+    by piv_k/piv_(k-1), so row i is left alone. The skipped factors
+    telescope: a row last updated at the step with pivot q is brought current
+    by prev/q, folded into its next update as one exact division, because
+    every Bareiss entry is an integer minor. Each row is current when it
+    pivots, so the triangle ends as in a dense pass and m[n-1][n-1] as the
+    determinant.
     """
     prev = 1
+    at = [1] * n  # the pivot of the last step that updated each row
     for k in range(n):
         row_k = m[k]
+        q = at[k]
+        if q != prev:
+            row_k[k:] = [x * prev // q for x in row_k[k:]]
         piv = row_k[k]
         if piv == 0:
             raise ZeroDivisionError("zero pivot in SPD elimination")
         s_k = scales[k]
         for i in range(k + 1, n):
-            row_i = m[i]
-            factor = row_k[i] * scales[i] // s_k
-            row_i[i:] = [(piv * x - factor * y) // prev for x, y in zip(row_i[i:], row_k[i:])]
+            u = row_k[i]
+            if u:
+                row_i = m[i]
+                factor = u * scales[i] // s_k
+                q = at[i]
+                if q == prev:  # updated at step k - 1
+                    row_i[i:] = [(piv * x - factor * y) // prev for x, y in zip(row_i[i:], row_k[i:])]
+                else:
+                    a, b, c = piv * prev, factor * q, q * prev
+                    row_i[i:] = [(a * x - b * y) // c for x, y in zip(row_i[i:], row_k[i:])]
+                at[i] = piv
         prev = piv
 
 
@@ -91,27 +122,43 @@ def green_numden(vcount: int, edges) -> tuple[list[list[int]], int]:
     n = vcount - 1
     lines = [(a - 1, b - 1, length.numerator, length.denominator)  # row -1: the ground
              for a, b, length in edges if a != b]
-    content_num = gcd(*[p for _, _, p, _ in lines])
-    content_den = lcm(*[q for _, _, _, q in lines])
+    _, _, nums, dens = zip(*lines)
+    content_num, content_den = gcd(*nums), lcm(*dens)
     # Lengths over the content c = content_num/content_den: coprime integers.
-    ints = [(a, b, p * content_den // (q * content_num)) for a, b, p, q in lines]
+    ints = []
     scales = [1] * n
-    for a, b, w in ints:
+    for a, b, p, q in lines:
+        w = p * content_den // (q * content_num)
+        ints.append((a, b, w))
         if a >= 0:
             scales[a] = lcm(scales[a], w)
         if b >= 0:
             scales[b] = lcm(scales[b], w)
-    m = [[0] * n for _ in range(n)]  # the upper triangle of diag(scales) L_reduced
+    m = [[0] * n for _ in range(n)]  # diag(scales) L_reduced, both triangles
     for a, b, w in ints:
-        if a >= 0:
-            m[a][a] += scales[a] // w
-        if b >= 0:
+        if a < 0:
             m[b][b] += scales[b] // w
-        if a >= 0 and b >= 0:
-            a, b = min(a, b), max(a, b)
-            m[a][b] -= scales[a] // w
+        elif b < 0:
+            m[a][a] += scales[a] // w
+        else:
+            s_a, s_b = scales[a] // w, scales[b] // w
+            row_a, row_b = m[a], m[b]
+            row_a[a] += s_a
+            row_a[b] -= s_a
+            row_b[b] += s_b
+            row_b[a] -= s_b
+    # Fill-reducing order: fewest neighbours off the ground (most zeros) first.
+    zeros = [row.count(0) for row in m]
+    moved = zeros != sorted(zeros, reverse=True)
+    if moved:
+        order = sorted(range(n), key=zeros.__getitem__, reverse=True)
+        m = [[row[j] for j in order] for row in [m[i] for i in order]]
+        scales = [scales[i] for i in order]
     bareiss_forward(m, n, scales)
-    num = [[0] * vcount]
-    num += [[0] + [content_num * v for v in row] for row in _back_substitute(m, n, scales)]
-    return num, content_den * m[n - 1][n - 1]
-
+    rows = _back_substitute(m, n, scales)
+    if moved:
+        place = sorted(range(n), key=order.__getitem__)  # vertex v is row place[v - 1]
+        rows = [[row[j] for j in place] for row in [rows[i] for i in place]]
+    if content_num != 1:
+        rows = [[content_num * x for x in row] for row in rows]
+    return [[0] * vcount] + [[0] + row for row in rows], content_den * m[n - 1][n - 1]

@@ -4,9 +4,9 @@ from math import lcm
 
 from mgt import families, linalg
 from mgt.circuit import GraphContext
-from mgt.graph import build_graph, normalize, scale
+from mgt.graph import build_graph, normalize, scale, subdivide_uniform
 from mgt.linalg import bareiss_forward, green_numden
-from mgt.ops import immerse_uniform
+from mgt.ops import c_tower, immerse_uniform
 from mgt.suite import GraphGenerator
 
 
@@ -77,6 +77,90 @@ def test_green_matches_fraction_inverse_on_special_graphs():
         assert_green_matches_inverse(g)
 
 
+def _chain_heavy_graphs():
+    """Mostly degree-two vertices, as the operations build them, with random lengths."""
+    rng = random.Random(13)
+    host = normalize(build_graph(4, [(a, b, families.random_length(rng))
+                                     for a in range(4) for b in range(a + 1, 4)]))
+    return [
+        families.path(*[families.random_length(rng) for _ in range(29)]),
+        build_graph(9, [(3, v, families.random_length(rng)) for v in range(9) if v != 3]),
+        subdivide_uniform(host, 5),
+        immerse_uniform(host, families.path(F(1, 2), F(1, 2)), 0, 2).graph,
+        c_tower(host, 0, 2, 2).graph,
+    ]
+
+
+def test_green_matches_fraction_inverse_on_chain_heavy_graphs():
+    for g in _chain_heavy_graphs():
+        assert_green_matches_inverse(g)
+
+
+def _relabeled(g, rng):
+    """g with vertices 1..v-1 permuted at random (the ground stays), and the map old -> new."""
+    new = [0] + rng.sample(range(1, g.vcount), g.vcount - 1)
+    return build_graph(g.vcount, [(new[a], new[b], length) for a, b, length in g.edges]), new
+
+
+def test_relabeling_permutes_green_and_keeps_denominator():
+    rng = random.Random(14)
+    graphs = _chain_heavy_graphs() + [families.random_connected(rng, 9, 18) for _ in range(30)]
+    for g in graphs:
+        num, den = green_numden(g.vcount, g.edges)
+        h, new = _relabeled(g, rng)
+        h_num, h_den = green_numden(h.vcount, h.edges)
+        assert h_den == den
+        for y in range(g.vcount):
+            assert [h_num[new[y]][new[z]] for z in range(g.vcount)] == num[y]
+
+
+def dense_bareiss(m, n, scales):
+    """The dense symmetric forward pass: every step updates every row below it."""
+    prev = 1
+    for k in range(n):
+        row_k = m[k]
+        piv = row_k[k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            factor = row_k[i] * scales[i] // scales[k]
+            row_i[i:] = [(piv * x - factor * y) // prev for x, y in zip(row_i[i:], row_k[i:])]
+        prev = piv
+
+
+def test_forward_pass_matches_dense_elimination():
+    # relabeled sparse graphs leave rows uncoupled for several steps in a row
+    rng = random.Random(15)
+    graphs = _chain_heavy_graphs() + [families.random_connected(rng, 9, 14) for _ in range(30)]
+    for g in graphs:
+        g = _relabeled(g, rng)[0]
+        if g.vcount < 2:
+            continue
+        lap = reduced_laplacian(g)
+        n = g.vcount - 1
+        scales = [lcm(*(x.denominator for x in row)) for row in lap]
+        lazy = [[int(x * s) for x in row] for row, s in zip(lap, scales)]
+        dense = [row[:] for row in lazy]
+        bareiss_forward(lazy, n, scales)
+        dense_bareiss(dense, n, scales)
+        assert [row[i:] for i, row in enumerate(lazy)] == [row[i:] for i, row in enumerate(dense)]
+        assert _uniform_lcm_det(g) == _uniform_lcm_det(g, dense_bareiss)
+
+
+def test_order_eliminates_a_star_center_last(monkeypatch):
+    # the center is vertex 3: eliminated in place, it would couple its later leaves pairwise
+    star = _chain_heavy_graphs()[1]
+    triangles = []
+
+    def traced(m, n, scales):
+        bareiss_forward(m, n, scales)
+        triangles.append([row[i:] for i, row in enumerate(m)])
+
+    monkeypatch.setattr(linalg, "bareiss_forward", traced)
+    green_numden(star.vcount, star.edges)
+    (triangle,) = triangles
+    assert sum(len(row) - row.count(0) for row in triangle) == 2 * len(triangle) - 1
+
+
 def test_green_symmetric_with_zero_ground():
     rng = random.Random(8)
     for _ in range(20):
@@ -101,12 +185,15 @@ def _spy_on_factorizations(monkeypatch):
     return dets
 
 
-def _uniform_lcm_det(g):
-    """The determinant when the whole reduced Laplacian is scaled by one lcm of all lengths."""
+def _uniform_lcm_det(g, forward=bareiss_forward):
+    """The determinant when the whole reduced Laplacian is scaled by one lcm of all lengths.
+
+    The forward pass gets the full matrix, both triangles.
+    """
     scale = lcm(*(length.numerator for a, b, length in g.edges if a != b))
     m = [[int(x * scale) for x in row] for row in reduced_laplacian(g)]
     n = g.vcount - 1
-    bareiss_forward(m, n, [1] * n)
+    forward(m, n, [1] * n)
     return m[n - 1][n - 1]
 
 

@@ -194,3 +194,32 @@ def test_arm_identities_fail_when_one_base_is_perturbed(monkeypatch):
     monkeypatch.setattr(mgt.suite, "_arm_sums", perturbed_arms)
     perturbed = run_graph_checks("k4", g, random.Random(5), wanted)
     assert {r.identity: r.status for r in perturbed} == dict.fromkeys(wanted, "fail")
+
+
+def test_later_checks_reuse_the_graphs_earlier_checks_solved(monkeypatch):
+    # each pair draws its vertex pair or edge first, so equal rngs build equal graphs
+    from mgt import linalg
+
+    solves = []
+    forward = linalg.bareiss_forward
+    monkeypatch.setattr(linalg, "bareiss_forward", lambda *args: solves.append(forward(*args)))
+    g = families.random_connected(random.Random(3), 6, 10)
+    for first, later in (("cor1twopunion", "corlem-twopunion-Apq"),
+                         ("lemcontract1", "lemcontract2"), ("cor2twopunion", "cor2twopunion2")):
+        results = run_graph_checks("g", g, random.Random(first), {first})
+        before = len(solves)
+        results += run_graph_checks("g", g, random.Random(first), {later})
+        assert [r.status for r in results] == ["pass", "pass"]
+        assert len(solves) == before, (first, later)
+
+
+def test_shared_finds_the_normalized_graph_in_a_segment_immersion():
+    from mgt.graph import normalize
+    from mgt.ops import immerse_uniform
+    from mgt.suite import SuiteContext
+
+    g = families.random_connected(random.Random(4), 6, 10)
+    gn = normalize(g)
+    built = immerse_uniform(gn, families.segment(1), 0, 1).graph
+    assert built == gn and built is not gn
+    assert SuiteContext("g", g, random.Random(1)).shared(built) is gn
