@@ -71,11 +71,8 @@ def bareiss_forward(m: list[list[int]], n: int, scales: Sequence[int]) -> None:
                 row_i = m[i]
                 factor = u * scales[i] // s_k
                 q = at[i]
-                if q == prev:  # updated at step k - 1
-                    row_i[i:] = [(piv * x - factor * y) // prev for x, y in zip(row_i[i:], row_k[i:])]
-                else:
-                    a, b, c = piv * prev, factor * q, q * prev
-                    row_i[i:] = [(a * x - b * y) // c for x, y in zip(row_i[i:], row_k[i:])]
+                a, b, c = piv * prev, factor * q, q * prev
+                row_i[i:] = [(a * x - b * y) // c for x, y in zip(row_i[i:], row_k[i:])]
                 at[i] = piv
         prev = piv
 

@@ -110,8 +110,12 @@ class SuiteContext:
         A check that rebuilds a glued, contracted, deleted, split or
         self-united graph then reuses the first copy's solver context. The
         table starts with the normalized input, which a segment immersion
-        rebuilds. It lives on the input graph, like its other derived values,
-        so separate ``run_graph_checks`` calls on one graph share it too.
+        rebuilds. The table is kept on the input graph, like its other derived
+        values, so the ``run_graph_checks`` calls that split one catalog pass
+        on a graph share it. It lives, with each kept graph's Green integers,
+        as long as the input graph does, and it grows by every distinct graph
+        that a check builds: a caller that runs the checks on one long-lived
+        graph with ever new rngs keeps every graph those runs built.
         """
         table = _cached(self.g, "_built", lambda g: {normalize(g): normalize(g)})
         return table.setdefault(built, built)
