@@ -105,13 +105,17 @@ def parse_scalar(text: str) -> Fraction:
 def format_scalar(x: ExtScalar) -> str:
     """Canonical text form: lowest-terms ``a/b`` (bare integer if b=1), ``inf``.
 
-    The digits go through ``Decimal``, which has no cap on how many digits an
-    integer may print as, unlike ``str(int)``.
+    ``str(int)`` writes the digits; past the interpreter's int-to-text limit
+    (``sys.get_int_max_str_digits``) it raises ``ValueError``, and ``Decimal``,
+    which has no such cap, writes them instead.
     """
     if x is INF:
         return "inf"
-    num = str(Decimal(x.numerator))
-    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+    n, d = x.as_integer_ratio()
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:
+        return str(Decimal(n)) if d == 1 else f"{Decimal(n)}/{Decimal(d)}"
 
 
 def sum_over(pairs: list[tuple[int, int]], common: int) -> Fraction:

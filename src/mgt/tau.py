@@ -10,17 +10,20 @@ of length L, with r = r(a,b) and D = r(p,b) - r(p,a) for a base vertex p:
   R/(L+R) = r/L; a bridge has r = L (R infinite), a self-loop r = 0;
 * d r(y,z)/d L_e = i_e(y,z)^2 (Rayleigh), where i_e(y,z) is the current
   through e for a unit current from y to z; the chain rule through the tau
-  sum gives the gradient with no further solve;
+  sum gives the gradient with no further solve, its sum over edges f being
+  one quadratic form per graph in the difference of e's two Green rows;
 * the voltage integral A_{p,q} (``apq``) integrates the edge quadratics of
   ``mgt.integration`` in closed form, with the current i_e(p,q) constant
   along each edge.
 
-Sums are accumulated in integers over a common denominator and reduced once.
-tau (``tau_of``), A (``apq``, per unordered vertex pair) and A of the graph
-minus one edge (``deleted_apq``, per edge) are memoized in the graph's
-``GraphContext.memo``. ``deleted_apq`` builds no deleted graph: it reads A off
-a rank-one update of g's own integers (``GraphContext.deleted_int``), through
-``_apq_sum``, the one A sum.
+Sums are accumulated in integers over a common denominator and reduced once,
+so each reported value is one Fraction; the canonical measure's total mass is
+such a sum over the record's own masses and densities, a check of the record.
+tau (``tau_of``), A (``apq``, per unordered vertex pair), A of the graph
+minus one edge (``deleted_apq``, per edge) and the bound suite's rows are
+memoized in the graph's ``GraphContext.memo``. ``deleted_apq`` builds no
+deleted graph: it reads A off a rank-one update of g's own integers
+(``GraphContext.deleted_int``), through ``_apq_sum``, the one A sum.
 ``apq_identity`` keeps the paper's identification route for A (it factorizes
 the glued graph) as an independent check; ``apq_checked`` compares the closed
 form with it and with the integral.
@@ -28,8 +31,10 @@ form with it and with the integral.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import lcm
+from operator import mul, sub
 from typing import NamedTuple
 
 from .circuit import context
@@ -52,10 +57,13 @@ class CanonicalMeasure(NamedTuple):
     edge_densities: tuple[tuple[int, Fraction], ...]
 
     def total_mass(self, g: MetrizedGraph) -> Fraction:
-        mass = sum(m for _, m in self.vertex_masses)
+        """Point masses plus density times length per edge, from this record's values alone."""
+        terms = [m.as_integer_ratio() for _, m in self.vertex_masses]
         for edge_id, density in self.edge_densities:
-            mass += density * g.edges[edge_id].length
-        return mass
+            length = g.edges[edge_id].length
+            terms.append((density.numerator * length.numerator,
+                          density.denominator * length.denominator))
+        return sum_over(terms, 1)
 
 
 class GradientVector(NamedTuple):
@@ -123,7 +131,11 @@ def canonical_measure(g: MetrizedGraph) -> CanonicalMeasure:
     """Point masses 1 - valence/2 plus density 1/(L+R) = (L-r)/L^2 per edge (0 on bridges)."""
     ctx = context(g)
     den = ctx.green_int()[1]
-    masses = tuple((v, 1 - Fraction(g.valence(v), 2)) for v in range(g.vcount))
+    valence = [0] * g.vcount
+    for a, b, _ in g.edges:
+        valence[a] += 1
+        valence[b] += 1
+    masses = tuple((v, Fraction(2 - n, 2)) for v, n in enumerate(valence))
     densities = tuple((i, Fraction(gap * ld, den * ln * ln))
                       for i, (_, _, ln, ld, _, gap) in enumerate(ctx.edge_int()))
     return CanonicalMeasure(masses, densities)
@@ -239,8 +251,14 @@ def tau_gradient(g: MetrizedGraph) -> GradientVector:
                       + sum_f [2 D_f/L_f (i_e(p,b_f)^2 - i_e(p,a_f)^2)
                                - 2 (L_f - r_f)/(3 L_f) i_e(a_f,b_f)^2].
 
-    The weights of the f-sum share the denominator W = 3 d lcm(ln), so it is
-    one integer sum per edge. Bridges come out as 1/4 and loops as 1/12.
+    The weights of the f-sum share the denominator W = 3 d lcm(ln). With
+    k_f = lcm(ln)/ln_f, alpha_f = 6 dn_f ld_f k_f, beta_f = 2 gap_f k_f and
+    c_e[p] = 0, W times the f-sum is the quadratic form c_e^T Q c_e, where Q
+    adds alpha_f - beta_f at (b_f, b_f), -(alpha_f + beta_f) at (a_f, a_f)
+    and 2 beta_f to the pair {a_f, b_f} (parallel edges share one entry; a
+    loop's three terms cancel). Q is built once per call, so each edge costs
+    one product per vertex and per joined pair rather than several per edge.
+    Bridges come out as 1/4 and loops as 1/12.
     """
     ctx = context(g)
     num, den = ctx.green_int()
@@ -248,16 +266,24 @@ def tau_gradient(g: MetrizedGraph) -> GradientVector:
     dns = [num[b][b] - num[a][a] for a, b, *_ in rows]  # D_e = dn/d, as row 0 of N is zero
     big_l = lcm(*(row[2] for row in rows))
     w = 3 * den * big_l
-    weights = [(6 * dn * ld * (big_l // ln), 2 * gap * (big_l // ln), a, b)
-               for (a, b, ln, ld, _, gap), dn in zip(rows, dns)]
+    diag = [0] * g.vcount
+    joined: dict[tuple[int, int], int] = {}
+    for (a, b, ln, ld, _, gap), dn in zip(rows, dns):
+        if a != b:
+            alpha, beta = 6 * dn * ld * (big_l // ln), 2 * gap * (big_l // ln)
+            diag[a] -= alpha + beta
+            diag[b] += alpha - beta
+            pair = (a, b) if a < b else (b, a)
+            joined[pair] = joined.get(pair, 0) + 2 * beta
+    # c[0] = 0 (row 0 of N is zero), so a pair at vertex 0 drops out; bridges have beta = 0
+    off = [(y, z, q) for (y, z), q in joined.items() if y and q]
+    ys, zs, qs = zip(*off) if off else ((), (), ())
     entries = []
     for (a, b, ln, ld, rn, _), dn in zip(rows, dns):
-        c = [x - y for x, y in zip(num[a], num[b])]
-        cross = 0
-        for alpha, beta, fa, fb in weights:
-            # c[p] = 0, so (c[p] - c[b_f])^2 - (c[p] - c[a_f])^2 = y^2 - x^2
-            x, y = c[fa], c[fb]
-            cross += alpha * (y * y - x * x) - beta * (x - y) * (x - y)
+        c = list(map(sub, num[a], num[b]))
+        # sum_y Q[y][y] c[y]^2 + sum_pairs Q[y][z] c[y] c[z], as C-level loops
+        cross = (sum(map(mul, diag, map(mul, c, c)))
+                 + sum(map(mul, qs, map(mul, map(c.__getitem__, ys), map(c.__getitem__, zs)))))
         top = (ln * ln * den * den - rn * rn * ld * ld - 3 * dn * dn * ld * ld) * w
         entries.append(Fraction(top + 3 * cross * ld * ld, 12 * w * den * den * ln * ln))
     bridge_ids = tuple(i for i, row in enumerate(rows) if row[5] == 0)
@@ -291,18 +317,26 @@ def lower_bound_suite(g: MetrizedGraph) -> list[BoundCheck]:
     Every bound here is scale-covariant, so each is evaluated at total length
     1: tau, resistances and the sums below scale linearly with the length, so
     they come from g's own Green matrix divided by the total length. Bounds
-    whose hypotheses fail are reported as skipped with the reason.
+    whose hypotheses fail are reported as skipped with the reason. The rows
+    are memoized in the graph's context; each call returns a fresh list.
     """
-    e = g.ecount
-    if e == 0:
+    if g.ecount == 0:
         raise EmptyGraph("the tau bounds need a graph with at least one edge")
     ctx = context(g)
+    checks = ctx.memo.get("bounds")
+    if checks is None:
+        checks = ctx.memo.setdefault("bounds", _bound_checks(g, ctx.edge_int()))
+    return list(checks)
+
+
+def _bound_checks(g: MetrizedGraph, rows) -> tuple[BoundCheck, ...]:
+    e = g.ecount
     ell = total_length(g)
     tau = tau_of(g) / ell
     v = g.vcount
     gen = genus(g)
-    bridge_free = all(row[5] for row in ctx.edge_int())
-    equal_lengths = len({edge.length for edge in g.edges}) == 1
+    bridge_free = all(row[5] for row in rows)
+    equal_lengths = len({(ln, ld) for _, _, ln, ld, _, _ in rows}) == 1
     out = [
         BoundCheck("tau-upper-quarter", True, "", tau, Fraction(1, 4), "<=", tau <= Fraction(1, 4)),
         BoundCheck("tau-lower-1-16e", True, "", Fraction(1, 16 * e), tau, "<=", Fraction(1, 16 * e) <= tau),
@@ -325,7 +359,8 @@ def lower_bound_suite(g: MetrizedGraph) -> list[BoundCheck]:
         for name in ("equal-length", "equal-length-sharper"):
             out.append(BoundCheck(name, False, "edge lengths not all equal", None, None, "<=", None))
     if bridge_free:
-        sum_r = sum((ctx.res_deleted(i) for i in range(e)), Fraction(0)) / ell
+        # sum R over the edges, R = ln rn/gap (``GraphContext.res_deleted``)
+        sum_r = sum_over([(ln * rn, gap) for _, _, ln, _, rn, gap in rows], 1) / ell
         bound = 1 / (12 * (1 + sum_r) ** 2)
         out.append(BoundCheck("deleted-resistance-sum", True, "", bound, tau, "<=", bound <= tau))
     else:
@@ -343,12 +378,9 @@ def lower_bound_suite(g: MetrizedGraph) -> list[BoundCheck]:
     rhs_inner = weighted_res_sum(g) / ell
     out.append(BoundCheck("weighted-deleted-square", True, "", rhs_inner**2, lhs, "<=",
                           rhs_inner**2 <= lhs))
-    return out
+    return tuple(out)
 
 
 def _every_pair_doubled(g: MetrizedGraph) -> bool:
-    counts: dict[frozenset, int] = {}
-    for a, b, _ in g.edges:
-        if a != b:
-            counts[frozenset((a, b))] = counts.get(frozenset((a, b)), 0) + 1
-    return bool(counts) and all(n >= 2 for n in counts.values())
+    counts = Counter((a, b) if a < b else (b, a) for a, b, _ in g.edges if a != b)
+    return bool(counts) and min(counts.values()) >= 2

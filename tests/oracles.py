@@ -20,6 +20,7 @@ its own, and a guard sample checks the quadratic fit. Next to it,
 
 from fractions import Fraction
 from itertools import combinations
+from weakref import WeakKeyDictionary
 
 from mgt.circuit import EdgeProfile, context, edge_profile, solve_pair_resistances
 from mgt.errors import NonPolynomialIntegrand
@@ -208,18 +209,30 @@ def deletion_test_graphs() -> list[MetrizedGraph]:
                      build_graph(3, triangle + [(1, 1, Fraction(3, 4))])]
 
 
+# per graph: (edge, offset) -> r(y, x) for every vertex y, x the inserted point
+_POINT_SOLVES: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _point_resistances(g: MetrizedGraph, edge: int, t: Fraction) -> tuple[Fraction, ...]:
+    """r(y, x) for every vertex y of g, from one solve of g with x inserted at offset t.
+
+    The point-inserted graph depends only on (edge, t), so it is solved once
+    and every (p, q) reads its pairs from that solve.
+    """
+    solved = _POINT_SOLVES.setdefault(g, {})
+    if (edge, t) not in solved:
+        gx, x = insert_point(g, (edge, t))
+        solved[edge, t] = tuple(solve_pair_resistances(gx, [(y, x) for y in range(g.vcount)]))
+    return solved[edge, t]
+
+
 def _edge_samples(g: MetrizedGraph, p: int, q: int, edge: int,
                   offsets) -> list[tuple[Fraction, Fraction]]:
-    """(r(p,x), r(q,x)) at interior offsets, each via an independent solve."""
+    """(r(p,x), r(q,x)) at interior offsets, each point's graph solved on its own."""
     out = []
     for t in offsets:
-        gx, w = insert_point(g, (edge, t))
-        if p == q:
-            (rpx,) = solve_pair_resistances(gx, [(p, w)])
-            out.append((rpx, rpx))
-        else:
-            rpx, rqx = solve_pair_resistances(gx, [(p, w), (q, w)])
-            out.append((rpx, rqx))
+        r = _point_resistances(g, edge, t)
+        out.append((r[p], r[q]))
     return out
 
 

@@ -59,3 +59,18 @@ def test_every_imported_name_is_read():
                     if name not in read:
                         unused.append(f"{path.name}:{node.lineno}: {name}")
     assert not unused
+
+
+def test_benchmark_tracer_binds_every_name_a_layer_metric_needs():
+    # taubench reports a layer metric as "absent" once a function it names is
+    # renamed or removed; the tracer wraps mgt in a fresh interpreter, so this
+    # process stays unwrapped
+    bench = Path(__file__).resolve().parent.parent / "taubench"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import run, tracer; "
+            "bound = tracer.install(tracer.Tracer()).bound; "
+            "print(*sorted({k for m in run.LAYER_METRICS for k in m[3]} - bound))")
+    done = subprocess.run([sys.executable, "-c", code, str(bench)], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

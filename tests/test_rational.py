@@ -1,3 +1,5 @@
+import sys
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -22,6 +24,19 @@ def test_format_scalar_canonical():
     assert format_scalar(F(6, 2)) == "3"
     assert format_scalar(INF) == "inf"
     assert format_float(F(1, 3)) == format(1 / 3, ".15g")
+
+
+def test_format_scalar_at_the_int_text_limit():
+    # str(int) writes at most this many digits (0: no limit); past it, Decimal writes them
+    limit = sys.get_int_max_str_digits() or 4300
+    for digits in (limit, limit + 1):
+        num, den = 10 ** (digits - 1) + 1, 10 ** (digits - 1)  # coprime, both of ``digits`` digits
+        for sign in (1, -1):
+            assert format_scalar(F(sign * num, den)) == f"{Decimal(sign * num)}/{Decimal(den)}"
+            assert format_scalar(F(sign * num)) == str(Decimal(sign * num))
+    if sys.get_int_max_str_digits():
+        with pytest.raises(ValueError):
+            str(10 ** limit)
 
 
 def test_format_float_past_the_double_range():
