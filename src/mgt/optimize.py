@@ -1,10 +1,12 @@
 """Conjecture exploration: minimize tau over edge lengths, scan families.
 
-The search loop runs in floating point: one numpy inverse per point, shared by
-tau and its gradient, followed by the per-edge sums ``tau.py`` evaluates
-exactly (tau = 1/4 sum_e [D^2/L + (L - r)^2/(3L)], the gradient by Rayleigh's
-rule). Every reported minimum is re-evaluated exactly at nearby rational
-coordinates, so the evidence trail stays rational end to end.
+The search loop runs in floating point: each point is one numpy inverse,
+shared by tau and its gradient, followed by matrix products. tau is the
+per-edge sum ``tau.py`` evaluates exactly (1/4 sum_e [D^2/L + (L - r)^2/(3L)])
+and the gradient is the float form of ``tau.tau_gradient``'s quadratic form
+(Rayleigh's rule). Every reported minimum is re-evaluated exactly at nearby
+rational coordinates, rounded on integer pairs over one common denominator,
+so the evidence trail stays rational end to end.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ import numpy as np
 
 from . import families
 from .circuit import context
-from .errors import BadN, MgtError, NotBridgeless, SamePoint, UnknownParameter
+from .errors import BadN, MgtError, NonPositiveLength, NotBridgeless, SamePoint, UnknownParameter
 from .graph import MetrizedGraph, bridges, normalize, subdivide_uniform, total_length
 from .ops import contract_edge, immerse, parallel_sum, OpResult
-from .tau import apq, tau_gradient, tau_of
+from .tau import apq, tau_of
 
 POSITIVITY_FLOOR = 1e-9
 RATIO_FLOOR = Fraction(1, 108)  # conjectured universal ratio; violations are reported, not hidden
@@ -59,62 +61,60 @@ class ScanRow(NamedTuple):
 class FloatTopology:
     """Float tau/gradient evaluator for a fixed graph shape.
 
-    Each point costs one grounded inverse, then the per-edge sums of
-    ``tau.py`` as numpy expressions, with no deleted or glued sub-graph and no
-    bridge or loop branch (those edges give 1/4 and 1/12 on their own). The
-    last point's inverse and edge terms are kept, so ``tau(x)`` followed by
-    ``gradient(x)`` inverts once.
+    B is the edge-vertex incidence without the grounded vertex 0 (a loop's row
+    is zero). Each point costs one inverse G = (B^T diag(1/L) B)^-1 and the
+    products C = B G, whose row c_e holds the potentials of a unit current
+    from a_e to b_e, and P = C B^T, with P[f, e] = c_f[a_e] - c_f[b_e]. Then
+    r = diag(P) is r(a_e, b_e) and d = B diag(G) = -D, and tau and its
+    gradient are sums over these arrays, with no deleted or glued sub-graph
+    and no bridge or loop branch (those edges give 1/4 and 1/12 on their own).
+    The last point's terms are kept, so ``tau(x)`` followed by ``gradient(x)``
+    inverts once.
     """
 
     def __init__(self, vcount: int, ends: list[tuple[int, int]]):
-        self.vcount = vcount
-        self.a = np.array([a for a, _ in ends], dtype=int)
-        self.b = np.array([b for _, b in ends], dtype=int)
         rows = np.arange(len(ends))
-        self.incidence = np.zeros((len(ends), vcount))  # zero rows on loops
-        self.incidence[rows, self.a] += 1.0
-        self.incidence[rows, self.b] -= 1.0
-        # (bytes of L, G, r, D) of the last point, replaced as one tuple so a
-        # concurrent reader never pairs one point's key with another's terms
+        incidence = np.zeros((len(ends), vcount))
+        incidence[rows, [a for a, _ in ends]] += 1.0
+        incidence[rows, [b for _, b in ends]] -= 1.0
+        self.incidence = np.ascontiguousarray(incidence[:, 1:])
+        self.incidence_t = np.ascontiguousarray(self.incidence.T)
+        # (bytes of L, C, P, r, d, h, w) of the last point, replaced as one
+        # tuple so a concurrent reader never pairs one point's key with
+        # another's terms
         self._last: tuple | None = None
 
-    def green(self, lengths) -> np.ndarray:
-        """Inverse of B^T diag(1/L) B grounded at vertex 0 (row and column 0 zero)."""
-        inc = self.incidence
-        lap = inc.T @ (inc / np.asarray(lengths, dtype=float)[:, None])
-        out = np.zeros((self.vcount, self.vcount))
-        out[1:, 1:] = np.linalg.inv(lap[1:, 1:])
-        return out
-
     def _edge_terms(self, lengths):
-        """(L, G, r, D): r = r(a,b) per edge and D = r(0,b) - r(0,a)."""
+        """(L, C, P, r, d, h, w) with the per-edge weights h = d/L and w = (L - r)/(3L)."""
         L = np.asarray(lengths, dtype=float)
         key = L.tobytes()  # a copy, so an in-place change to the caller's array misses
         last = self._last
         if last is None or last[0] != key:
-            green = self.green(L)
-            g = green.diagonal()
-            a, b = self.a, self.b
-            last = self._last = (key, green, g[a] + g[b] - 2 * green[a, b], g[b] - g[a])
-        return L, last[1], last[2], last[3]
+            inc, inc_t = self.incidence, self.incidence_t
+            green = np.linalg.inv((inc_t / L) @ inc)
+            c = inc @ green
+            p = c @ inc_t
+            r = p.diagonal()
+            d = inc @ green.diagonal()
+            last = self._last = (key, c, p, r, d, d / L, (L - r) / (3 * L))
+        return L, *last[1:]
 
     def tau(self, lengths) -> float:
-        """1/4 sum_e [D^2/L + (L - r)^2/(3L)]."""
-        L, _, r, D = self._edge_terms(lengths)
-        return float((D * D / L + (L - r) ** 2 / (3 * L)).sum() / 4)
+        """1/4 sum_e [d^2/L + (L - r)^2/(3L)] = 1/4 sum_e [d h + (L - r) w]."""
+        L, _, _, r, d, h, w = self._edge_terms(lengths)
+        return float((d * h + (L - r) * w).sum() / 4)
 
     def gradient(self, lengths) -> np.ndarray:
         """Rayleigh's rule through the tau sum, as ``tau.tau_gradient`` does exactly.
 
-        With C = B G, X = C[:, a] and Y = C[:, b],
-        4 L_e^2 dtau/dL_e = (L_e^2 - r_e^2)/3 - D_e^2
-                            + [(Y^2 - X^2) (2D/L) - (X - Y)^2 (2(L - r)/(3L))]_e.
+        4 L_e^2 dtau/dL_e = (L_e^2 - r_e^2)/3 - d_e^2 + c_e^T Q c_e, the float
+        form of that function's quadratic form: Q = -diag(B^T alpha) -
+        B^T diag(beta) B with alpha = -2h and beta = 2w, so the sum over
+        edges f is 2 [(C o C) B^T h - (P o P) w].
         """
-        L, green, r, D = self._edge_terms(lengths)
-        c = self.incidence @ green
-        x, y = c[:, self.a], c[:, self.b]
-        cross = (y * y - x * x) @ (2 * D / L) - (x - y) ** 2 @ (2 * (L - r) / (3 * L))
-        return ((L * L - r * r) / 3 - D * D + cross) / (4 * L * L)
+        L, c, p, r, d, h, w = self._edge_terms(lengths)
+        cross = (c * c) @ (self.incidence_t @ h) - (p * p) @ w
+        return ((L * L - r * r) / 3 - d * d + 2 * cross) / (4 * L * L)
 
 
 def project_simplex(x: np.ndarray, floor: float = POSITIVITY_FLOOR) -> np.ndarray:
@@ -123,11 +123,10 @@ def project_simplex(x: np.ndarray, floor: float = POSITIVITY_FLOOR) -> np.ndarra
     budget = 1.0 - n * floor
     y = x - floor
     u = np.sort(y)[::-1]
-    css = np.cumsum(u) - budget
-    ks = np.arange(1, n + 1)
-    cond = u - css / ks > 0
+    css = u.cumsum() - budget
+    cond = u - css / np.arange(1, n + 1) > 0
     cond[0] = True  # true in exact arithmetic; rounding can lose it when |x| dwarfs 1
-    rho = np.nonzero(cond)[0][-1]
+    rho = cond.nonzero()[0][-1]
     theta = css[rho] / (rho + 1.0)
     return np.maximum(y - theta, 0.0) + floor
 
@@ -189,8 +188,8 @@ def minimize_tau(
         for _ in range(50):
             candidate = project_simplex(x - step * grad)
             cand_value = topo.tau(candidate)
-            gain = float(np.dot(grad, candidate - x))
-            if cand_value <= value + 1e-4 * gain + 1e-15:
+            step_vec = candidate - x
+            if cand_value <= value + 1e-4 * float(grad @ step_vec) + 1e-15:
                 moved = True
                 break
             step *= 0.5
@@ -200,7 +199,6 @@ def minimize_tau(
         if cand_value > value + 1e-12:
             converged = True
             break
-        step_vec = candidate - x
         move = math.sqrt(step_vec @ step_vec)  # np.linalg.norm's own formula, without its dispatch
         x, value = candidate, cand_value
         grad = topo.gradient(x)
@@ -230,22 +228,17 @@ def minimize_tau(
 
 
 def _round_to_simplex(x: np.ndarray, cap: int = 10**6) -> tuple[Fraction, ...]:
-    approx = [Fraction(float(v)).limit_denominator(cap) for v in x]
-    approx = [max(q, Fraction(1, 10 * cap)) for q in approx]
-    total = sum(approx)
-    return tuple(q / total for q in approx)
-
-
-def exact_gradient_matches_float(g: MetrizedGraph, rel: float = 1e-9) -> bool:
-    """Spot check: float gradient within rel of the exact one at g's lengths."""
-    exact = tau_gradient(g).entries
-    topo = FloatTopology(g.vcount, [(a, b) for a, b, _ in g.edges])
-    approx = topo.gradient([float(e.length) for e in g.edges])
-    for e_val, f_val in zip(exact, approx):
-        scale = max(abs(float(e_val)), 1.0)
-        if abs(float(e_val) - f_val) > rel * scale:
-            return False
-    return True
+    """Each coordinate's best rational with denominator <= cap, raised to at
+    least 1/(10 cap), then scaled to sum 1: on integer pairs over one lcm."""
+    pairs = []
+    for v in x.tolist():
+        q = Fraction(v).limit_denominator(cap)
+        n, d = q.numerator, q.denominator
+        pairs.append((1, 10 * cap) if n * 10 * cap < d else (n, d))
+    common = math.lcm(*(d for _, d in pairs))
+    nums = [n * (common // d) for n, d in pairs]
+    total = sum(nums)
+    return tuple(Fraction(n, total) for n in nums)
 
 
 def family_scan(family: str, params: dict | None = None) -> list[ScanRow]:
@@ -273,13 +266,15 @@ def family_scan(family: str, params: dict | None = None) -> list[ScanRow]:
             _scan_assert(closed, g, f"m={m}")
             rows.append(ScanRow(family, f"m={m}", closed, closed))
     elif family == "necklace":
-        grid_a = params.get("a", [Fraction(1, k) for k in (8, 12, 20, 40)])
+        grid_a = [Fraction(a) for a in params.get("a", [Fraction(1, k) for k in (8, 12, 20, 40)])]
         grid_t = params.get("t", (2, 3, 4))
+        for a in grid_a:
+            if a <= 0:
+                raise NonPositiveLength(f"a necklace needs cycle edges of length a > 0, got a={a}")
         for t in grid_t:
             if t < 1:
                 raise BadN(f"a necklace needs t >= 1 diamonds, got {t}")
             for a in grid_a:
-                a = Fraction(a)
                 b = (1 - a * t) / (5 * t)
                 if b <= 0:
                     continue

@@ -16,6 +16,9 @@ its own, and a guard sample checks the quadratic fit. Next to it,
 ``product_integral`` multiplies and integrates those polynomials in
 ``Fraction`` arithmetic, the reference for the integer sums of
 ``integrate_product``.
+
+Last, ``exact_gradient_matches_float`` holds the float gradient of
+``mgt.optimize`` against the exact one of ``mgt.tau``.
 """
 
 from fractions import Fraction
@@ -34,9 +37,10 @@ from mgt.integration import (
     edge_tag_polynomials,
     interpolate,
 )
+from mgt.optimize import FloatTopology
 from mgt.rational import INF, ExtScalar
 from mgt.suite import GraphGenerator
-from mgt.tau import apq
+from mgt.tau import apq, tau_gradient
 
 
 def _spans(vcount: int, edges, subset) -> bool:
@@ -278,3 +282,12 @@ def product_integral(g: MetrizedGraph, p: int, q: int, terms) -> Fraction:
             product = product * factor.power(power)
         total += product.integral(g.edges[edge].length)
     return total
+
+
+def exact_gradient_matches_float(g: MetrizedGraph, rel: float = 1e-9) -> bool:
+    """Spot check: each float gradient entry within rel of the exact one at g's lengths."""
+    exact = tau_gradient(g).entries
+    topo = FloatTopology(g.vcount, [(a, b) for a, b, _ in g.edges])
+    approx = topo.gradient([float(e.length) for e in g.edges])
+    return all(abs(float(e_val) - f_val) <= rel * abs(float(e_val))
+               for e_val, f_val in zip(exact, approx))

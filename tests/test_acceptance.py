@@ -18,7 +18,6 @@ from mgt.graph import build_graph, bridges, normalize, total_length
 from mgt.integration import apq_direct, edge_tag_polynomials, tau_via_integral
 from mgt.ops import c_tower, da_n, immerse_uniform
 from mgt.optimize import (
-    exact_gradient_matches_float,
     family_scan,
     minimize_tau,
     scan_violations,
@@ -27,7 +26,7 @@ from mgt.optimize import (
 from mgt.reduction import resistance_via_reduction
 from mgt.suite import GraphGenerator, identity_catalog, necklace_witness, run_graph_checks
 from mgt.tau import apq_identity, deleted_apq, tau_gradient, tau_of
-from oracles import sampled_tag_polynomials
+from oracles import exact_gradient_matches_float, sampled_tag_polynomials
 
 CORPUS_SEED = 1
 CORPUS_SIZE = 200

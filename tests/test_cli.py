@@ -260,6 +260,14 @@ def test_scan_rejects_empty_families(capsys):
         assert _one_error_line(err)
 
 
+def test_scan_rejects_nonpositive_necklace_length(capsys):
+    # past the direct-check limit no graph is built, so only the scan itself can reject a
+    for params in ("a=-1/100;t=6", "a=0"):
+        code, out, err = run_cli(capsys, "scan", "--family", "necklace", "--params", params)
+        assert code == 2 and out == ""
+        assert _one_error_line(err) and "length a > 0" in err
+
+
 def test_edgeless_graph_is_usage_error(tmp_path, capsys):
     point = tmp_path / "point.txt"
     point.write_text("v 1\n")

@@ -11,18 +11,20 @@ from hypothesis import strategies as st
 
 from mgt import families
 from mgt.errors import MgtError, NotBridgeless, SamePoint
-from mgt.graph import build_graph
+from mgt.graph import MetrizedGraph, build_graph
 from mgt.optimize import (
     FloatTopology,
-    exact_gradient_matches_float,
+    _round_to_simplex,
     family_scan,
     minimize_tau,
     project_simplex,
     scan_violations,
+    search_topology,
     tau_reducing_sequence,
 )
 from mgt.suite import GraphGenerator
 from mgt.tau import tau_of
+from oracles import exact_gradient_matches_float
 
 
 def _corpus_graphs():
@@ -30,9 +32,27 @@ def _corpus_graphs():
     return [g for _, g in GraphGenerator(1).graphs(60)]
 
 
+def _at_lengths(g, lengths):
+    return MetrizedGraph(g.vcount, tuple(e._replace(length=L) for e, L in zip(g.edges, lengths)))
+
+
+def _with_interior_points(graphs, seed):
+    """graphs, then each at two seeded rational points inside the unit simplex."""
+    rng = random.Random(seed)
+    out = list(graphs)
+    for g in graphs:
+        for _ in range(2):
+            weights = [rng.randint(1, 100) for _ in g.edges]
+            out.append(_at_lengths(g, [F(w, sum(weights)) for w in weights]))
+    return out
+
+
 def test_float_tau_matches_exact():
-    for g in [families.complete(4), families.diamond(F(1, 5)),
-              families.equal_banana(4), families.theta(F(1, 2), F(1, 3), F(1, 6))] + _corpus_graphs():
+    rng = random.Random(43)
+    graphs = [families.complete(4), families.diamond(F(1, 5)),
+              families.equal_banana(4), families.theta(F(1, 2), F(1, 3), F(1, 6))]
+    graphs += [families.random_bridgeless(rng, 7, 12) for _ in range(5)] + _corpus_graphs()
+    for g in _with_interior_points(graphs, 44):
         topo = FloatTopology(g.vcount, [(a, b) for a, b, _ in g.edges])
         approx = topo.tau([float(e.length) for e in g.edges])
         assert math.isclose(approx, float(tau_of(g)), rel_tol=1e-11)
@@ -44,7 +64,7 @@ def test_float_gradient_matches_exact_within_1e9():
               families.circle(F(1, 3), F(2, 3))]
     graphs += [families.random_bridgeless(rng, 5, 9) for _ in range(5)]
     graphs += _corpus_graphs()
-    for g in graphs:
+    for g in _with_interior_points(graphs, 98):
         assert exact_gradient_matches_float(g, 1e-9)
 
 
@@ -162,6 +182,37 @@ def test_minimize_rejects_unusable_start():
             minimize_tau(triangle, start, max_iters=5)
     state = minimize_tau(triangle, [1e6, 2e6, 3e6], max_iters=5)
     assert abs(sum(state.lengths) - 1) < 1e-12
+
+
+def _reference_round(x, cap=10**6):
+    """The rounding as Fraction arithmetic: each coordinate's best rational
+    with denominator <= cap, raised to 1/(10 cap), divided by their sum."""
+    approx = [F(float(v)).limit_denominator(cap) for v in x]
+    approx = [max(q, F(1, 10 * cap)) for q in approx]
+    total = sum(approx)
+    return tuple(q / total for q in approx)
+
+
+def test_round_to_simplex_matches_fraction_formula():
+    rng = np.random.default_rng(17)
+    vectors = [rng.normal(size=n) for n in range(1, 13)]  # negatives round up to the floor
+    vectors += [project_simplex(rng.random(n) * 3 - 1) for n in range(2, 13) for _ in range(20)]
+    vectors += [project_simplex(rng.random(n) * 10**k) for n in (3, 9) for k in range(-3, 4)]
+    below = 1 / (10 * 10**6)
+    vectors += [np.array([0.5, 0.0, 0.5]), np.zeros(4), np.array([below / 3, below, 2 * below, 1.0]),
+                np.array([1e-9, 1e-12, 1 - 1e-9]), np.array([below * 0.999, below * 1.001, 0.6])]
+    for x in vectors:
+        rounded = _round_to_simplex(x)
+        assert rounded == _reference_round(x), x
+        assert sum(rounded) == 1
+
+
+def test_minimize_exact_tau_is_tau_of_exact_lengths():
+    bridged = build_graph(5, [(0, 1, 1), (1, 2, 2), (2, 0, 1), (2, 3, 3), (3, 4, 1), (4, 3, 2)])
+    for g in (families.complete(4), families.cube(), bridged):
+        state = minimize_tau(g, max_iters=40)
+        assert sum(state.exact_lengths) == 1
+        assert state.exact_tau == tau_of(_at_lengths(search_topology(g), state.exact_lengths))
 
 
 def test_project_simplex_basics():
