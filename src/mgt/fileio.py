@@ -56,11 +56,17 @@ def format_graph_text(g: MetrizedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_int(x) -> int:
+    if type(x) is not int:  # a float, string or boolean is refused, not truncated
+        raise ValueError(f"expected an integer, got {json.dumps(x)[:40]}")
+    return x
+
+
 def parse_graph_json(text: str) -> MetrizedGraph:
     try:
         doc = json.loads(text)
-        vcount = int(doc["vertices"])
-        edges = [(int(u), int(w), parse_scalar(str(s))) for u, w, s in doc["edges"]]
+        vcount = _json_int(doc["vertices"])
+        edges = [(_json_int(u), _json_int(w), parse_scalar(str(s))) for u, w, s in doc["edges"]]
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise InputError(f"bad graph JSON: {exc}") from exc
     try:

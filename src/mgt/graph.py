@@ -68,7 +68,7 @@ class MetrizedGraph(Frozen):
                 raise BadVertexId(f"edge {i} endpoint out of range")
             if length.numerator <= 0:  # a Fraction's denominator is positive
                 raise NonPositiveLength(f"edge {i} has non-positive length {length}")
-        # decided before _connected allocates per-vertex lists for a huge header
+        # decided before _connected allocates its per-vertex list for a huge header
         if vcount > len(edges) + 1:
             raise DisconnectedGraph(f"graph is not connected: {vcount} vertices, "
                                     f"{len(edges)} edges")
@@ -121,27 +121,22 @@ def _cached(g: MetrizedGraph, name: str, compute):
     return value
 
 
-def _connected(vcount: int, edges: Sequence[Edge], skip: int | None = None) -> bool:
-    if vcount == 1:
-        return True
-    adj: list[list[int]] = [[] for _ in range(vcount)]
-    for i, (a, b, _) in enumerate(edges):
-        if i == skip:
-            continue
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = [False] * vcount
-    stack = [0]
-    seen[0] = True
-    found = 1
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                found += 1
-                stack.append(w)
-    return found == vcount
+def _connected(vcount: int, edges: Sequence[Edge]) -> bool:
+    """Whether the edges join all vcount vertices: union-find with path halving,
+    stopping as soon as one component is left."""
+    parent = list(range(vcount))
+    parts = vcount
+    for a, b, _ in edges:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            parts -= 1
+            if parts == 1:
+                break
+    return parts == 1
 
 
 def build_graph(vertex_count: int, edge_list: Iterable[tuple[int, int, Scalar]]) -> MetrizedGraph:
@@ -165,7 +160,12 @@ def scale(g: MetrizedGraph, c: Scalar) -> MetrizedGraph:
     c = Fraction(c)
     if c <= 0:
         raise NonPositiveScale(f"scale factor must be positive, got {c}")
-    return MetrizedGraph(g.vcount, tuple(Edge(a, b, length * c) for a, b, length in g.edges))
+    return MetrizedGraph(g.vcount, _scaled(g.edges, c.numerator, c.denominator))
+
+
+def _scaled(edges: Iterable[Edge], n: int, d: int) -> tuple[Edge, ...]:
+    """The edges with each length times n/d, one Fraction per length from integer pairs."""
+    return tuple(Edge(a, b, Fraction(ln.numerator * n, ln.denominator * d)) for a, b, ln in edges)
 
 
 def normalize(g: MetrizedGraph) -> MetrizedGraph:
@@ -285,8 +285,7 @@ def subdivide_uniform(g: MetrizedGraph, m: int) -> MetrizedGraph:
         return g
     edges: list[Edge] = []
     next_vertex = g.vcount
-    for a, b, length in g.edges:
-        piece = length / m
+    for a, b, piece in _scaled(g.edges, 1, m):
         prev = a
         for k in range(m - 1):
             edges.append(Edge(prev, next_vertex, piece))

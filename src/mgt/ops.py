@@ -22,8 +22,8 @@ from .errors import (
     NotNormalized,
     SamePoint,
 )
-from .graph import (Edge, Frozen, MetrizedGraph, bridges, check_vertices, delete_edge_graph,
-                    edge_at, identify_points_graph, normalize, total_length)
+from .graph import (Edge, Frozen, MetrizedGraph, _scaled, bridges, check_vertices,
+                    delete_edge_graph, edge_at, identify_points_graph, normalize, total_length)
 from .rational import Scalar, sum_over
 from .tau import apq, deleted_apq, tau_of
 
@@ -36,13 +36,13 @@ class OpResult(Frozen):
     """
 
     def __init__(self, graph: MetrizedGraph, formula_id: str, formula: Callable[[], Fraction],
-                 unnormalized: MetrizedGraph | None = None, input_notes: tuple[str, ...] = ()):
+                 input_notes: tuple[str, ...] = ()):
         self.__dict__.update(graph=graph, formula_id=formula_id, formula=formula,
-                             unnormalized=unnormalized, input_notes=input_notes)
+                             input_notes=input_notes)
 
     def __repr__(self):
         return (f"OpResult(graph={self.graph!r}, formula_id={self.formula_id!r}, "
-                f"unnormalized={self.unnormalized!r}, input_notes={self.input_notes!r})")
+                f"input_notes={self.input_notes!r})")
 
     @property
     def predicted_tau(self) -> Fraction | None:
@@ -127,22 +127,18 @@ def add_edge(g: MetrizedGraph, p: int, q: int, new_length: Scalar) -> OpResult:
     return OpResult(graph, "edge-addition", formula)
 
 
-def _shift_graph(g2: MetrizedGraph, mapping: dict[int, int], offset: int) -> tuple[list[Edge], int]:
-    """Relabel g2's vertices: pinned ids via mapping, the rest after offset."""
-    remap: dict[int, int] = dict(mapping)
-    nxt = offset
-    for v in range(g2.vcount):
-        if v not in remap:
-            remap[v] = nxt
-            nxt += 1
-    return [Edge(remap[a], remap[b], L) for a, b, L in g2.edges], nxt
+def _shift_edges(vcount: int, edges, mapping: dict, offset: int) -> tuple[list[Edge], int]:
+    """Relabel a graph's vertices 0..vcount-1: pinned ids via mapping, the rest after offset."""
+    rest = [v for v in range(vcount) if v not in mapping]
+    remap = {**mapping, **{v: offset + i for i, v in enumerate(rest)}}
+    return [Edge(remap[a], remap[b], L) for a, b, L in edges], offset + len(rest)
 
 
 def union_one_point(g1: MetrizedGraph, p1: int, g2: MetrizedGraph, p2: int) -> OpResult:
     """One-point union; tau is additive across the wedge point."""
     check_vertices(g1, p1)
     check_vertices(g2, p2)
-    edges2, vcount = _shift_graph(g2, {p2: p1}, g1.vcount)
+    edges2, vcount = _shift_edges(g2.vcount, g2.edges, {p2: p1}, g1.vcount)
     graph = MetrizedGraph(vcount, g1.edges + tuple(edges2))
     return OpResult(graph, "wedge-additivity", lambda: tau_of(g1) + tau_of(g2))
 
@@ -161,7 +157,7 @@ def union_two_points(
     check_vertices(g2, p2, q2)
     if p1 == q1 or p2 == q2:
         raise SamePoint("two-point union needs distinct glue points in each part")
-    edges2, vcount = _shift_graph(g2, {p2: p1, q2: q1}, g1.vcount)
+    edges2, vcount = _shift_edges(g2.vcount, g2.edges, {p2: p1, q2: q1}, g1.vcount)
     graph = MetrizedGraph(vcount, g1.edges + tuple(edges2))
 
     def formula():
@@ -201,10 +197,7 @@ def da_n(g: MetrizedGraph, n: int) -> OpResult:
     """
     if n < 1:
         raise BadN("parallel multiplicity must be >= 1")
-    edges = []
-    for a, b, length in g.edges:
-        edges += [Edge(a, b, length / n)] * n
-    graph = MetrizedGraph(g.vcount, tuple(edges))
+    graph = MetrizedGraph(g.vcount, tuple(e for e in _scaled(g.edges, 1, n) for _ in range(n)))
 
     def formula():
         ell = total_length(g)
@@ -221,12 +214,13 @@ def immerse(
     g: MetrizedGraph,
     betas: list[tuple[MetrizedGraph, int, int]],
 ) -> OpResult:
-    """Replace each edge of a normalized graph by a scaled marked graph.
+    """Replace each edge of a normalized graph by a scaled marked graph; normalize.
 
     Edge i becomes a copy of beta_i scaled so the resistance between its two
     marked vertices equals the edge length; endpoint a of the edge lands on
-    the first marked vertex. Returns the normalized result (the unnormalized
-    product graph rides along), with the predicted normalized tau.
+    the first marked vertex. The copies (each beta_i has length one) add up to
+    S = sum L_i/r_i, so only the normalized graph is built, edge e of copy i
+    with length L_e L_i/(r_i S). The prediction is its tau.
     """
     if total_length(g) != 1:
         raise NotNormalized("the host graph must have total length one")
@@ -238,15 +232,15 @@ def immerse(
         check_vertices(beta, p, q)
         if p == q:
             raise SamePoint("marked points must be distinct")
-    edges: list[Edge] = []
-    nxt = g.vcount
-    for (a, b, length), (beta, p, q) in zip(g.edges, betas):
-        r_beta = context(beta).r(p, q)
-        factor = length / r_beta
-        shifted, nxt = _shift_graph(beta, {p: a, q: b}, nxt)
-        edges += [Edge(ea, eb, L * factor) for ea, eb, L in shifted]
-    raw = MetrizedGraph(nxt, tuple(edges))
-    graph = normalize(raw)
+    r_betas = [context(beta).r(p, q) for beta, p, q in betas]
+    ratios = [(ln.numerator * r.denominator, ln.denominator * r.numerator)  # L_i/r_i
+              for (_, _, ln), r in zip(g.edges, r_betas)]
+    size = sum_over(ratios, 1)
+    edges, nxt = [], g.vcount
+    for (a, b, _), (beta, p, q), (n, d) in zip(g.edges, betas, ratios):
+        shifted, nxt = _shift_edges(beta.vcount, beta.edges, {p: a, q: b}, nxt)
+        edges += _scaled(shifted, n * size.denominator, d * size.numerator)
+    graph = MetrizedGraph(nxt, tuple(edges))
 
     def formula():
         size = Fraction(0)
@@ -257,7 +251,7 @@ def immerse(
             rhs += (ell * tau_of(beta) + par * apq(beta, p, q) / r_beta) / r_beta
         return rhs / size
 
-    return OpResult(graph, "edge-immersion", formula, unnormalized=raw)
+    return OpResult(graph, "edge-immersion", formula)
 
 
 def immerse_uniform(g: MetrizedGraph, beta: MetrizedGraph, p: int, q: int) -> OpResult:
@@ -278,12 +272,11 @@ def immerse_any(g: MetrizedGraph, betas: list[tuple[MetrizedGraph, int, int]]) -
             beta = normalize(beta)
         fixed.append((beta, p, q))
     result = immerse(g, fixed)
-    return OpResult(result.graph, result.formula_id, result.formula, result.unnormalized,
-                    tuple(notes))
+    return OpResult(result.graph, result.formula_id, result.formula, tuple(notes))
 
 
 def c_tower(g: MetrizedGraph, p: int, q: int, n: int) -> OpResult:
-    """Union of 2^n copies of a normalized graph along p, q, then normalized.
+    """Union of 2^n copies of a normalized graph along p, q, built once and normalized.
 
     Predicted tau: tau + (1 - 2^-n) A/r + (-1/6 - 1/(6 2^n) + 1/(3 4^n)) r.
     """
@@ -294,10 +287,11 @@ def c_tower(g: MetrizedGraph, p: int, q: int, n: int) -> OpResult:
         raise BadN("tower exponent must be >= 1")
     if total_length(g) != 1:
         raise NotNormalized("tower input must have total length one")
-    current = g
-    for _ in range(n):
-        current = union_two_points(current, current, (p, q), (p, q)).graph
-    graph = normalize(current)
+    vcount, edges = g.vcount, g.edges
+    for _ in range(n):  # the two-point union of the tower so far with a copy of itself
+        shifted, vcount = _shift_edges(vcount, edges, {p: p, q: q}, vcount)
+        edges += tuple(shifted)
+    graph = MetrizedGraph(vcount, _scaled(edges, 1, 2**n))  # total length 2^n before
 
     def formula():
         r = context(g).r(p, q)
@@ -306,4 +300,4 @@ def c_tower(g: MetrizedGraph, p: int, q: int, n: int) -> OpResult:
         coeff = -Fraction(1, 6) - half / 6 + Fraction(1, 3 * 4**n)
         return tau_of(g) + (1 - half) * a_val / r + coeff * r
 
-    return OpResult(graph, "two-point-tower", formula, unnormalized=current)
+    return OpResult(graph, "two-point-tower", formula)

@@ -484,7 +484,8 @@ def _check_mixed_immersion(ctx: SuiteContext):
     if over:
         return over
     result = immerse(gn, betas)
-    size = total_length(result.unnormalized)  # sum L_i/r_i, as each beta_i has length one
+    size = sum(ell / context(beta).r(p, q)  # sum L_i/r_i, the unnormalized product's length
+               for (beta, p, q), (ell, _) in marked_edge_sums(gn, betas).items())
     return _eq(tau_of(result.graph) * size, result.predicted_tau * size)
 
 

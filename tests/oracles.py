@@ -18,7 +18,9 @@ its own, and a guard sample checks the quadratic fit. Next to it,
 ``integrate_product``.
 
 Last, ``exact_gradient_matches_float`` holds the float gradient of
-``mgt.optimize`` against the exact one of ``mgt.tau``.
+``mgt.optimize`` against the exact one of ``mgt.tau``, and
+``two_step_immersion`` builds an immersion the long way, as the reference
+for the one-step construction of ``mgt.ops.immerse``.
 """
 
 from fractions import Fraction
@@ -266,16 +268,23 @@ def sampled_tag_polynomials(g: MetrizedGraph, p: int, q: int,
     return polys
 
 
+# per graph: (p, q) -> each edge's tag polynomials, shared by every term list
+_TAG_POLYS: WeakKeyDictionary = WeakKeyDictionary()
+
+
 def product_integral(g: MetrizedGraph, p: int, q: int, terms) -> Fraction:
     """int over g of a product of tag factors, in Fraction polynomial arithmetic.
 
     ``terms`` are (tag, differentiate, power) as for ``integrate_product``;
     each edge's tag polynomials are differentiated, multiplied and integrated
-    over [0, L] coefficient by coefficient.
+    over [0, L] coefficient by coefficient. The polynomials are built once per
+    (g, p, q) and reused by every term list.
     """
+    solved = _TAG_POLYS.setdefault(g, {})
+    if (p, q) not in solved:
+        solved[p, q] = [edge_tag_polynomials(g, p, q, edge) for edge in range(g.ecount)]
     total = Fraction(0)
-    for edge in range(g.ecount):
-        polys = edge_tag_polynomials(g, p, q, edge)
+    for edge, polys in enumerate(solved[p, q]):
         product = EdgePolynomial(edge, (Fraction(1),))
         for tag, deriv, power in terms:
             factor = polys[tag].derivative() if deriv else polys[tag]
@@ -291,3 +300,25 @@ def exact_gradient_matches_float(g: MetrizedGraph, rel: float = 1e-9) -> bool:
     approx = topo.gradient([float(e.length) for e in g.edges])
     return all(abs(float(e_val) - f_val) <= rel * abs(float(e_val))
                for e_val, f_val in zip(exact, approx))
+
+
+def two_step_immersion(g: MetrizedGraph, betas) -> MetrizedGraph:
+    """The normalized immersion of ``betas`` into g's edges, built in two steps.
+
+    Each beta_i is relabelled onto edge i (its first mark on endpoint a, its
+    second on b, its other vertices numbered on from g's in order) and its
+    lengths are multiplied by L_i/r_i in Fraction arithmetic. The product graph
+    is built, then every length is divided by its total length.
+    """
+    edges = []
+    nxt = g.vcount
+    for (a, b, length), (beta, p, q) in zip(g.edges, betas):
+        factor = length / context(beta).r(p, q)
+        remap = {p: a, q: b}
+        for v in range(beta.vcount):
+            if v not in remap:
+                remap[v], nxt = nxt, nxt + 1
+        edges += [(remap[x], remap[y], ln * factor) for x, y, ln in beta.edges]
+    product = build_graph(nxt, edges)
+    size = sum(ln for _, _, ln in product.edges)
+    return build_graph(nxt, [(x, y, ln / size) for x, y, ln in product.edges])

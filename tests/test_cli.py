@@ -107,6 +107,21 @@ def test_input_error_exit_3(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("doc", [
+    '{"vertices": 2.5, "edges": [[0, 1, "1"]]}',
+    '{"vertices": 2, "edges": [[0, true, "1"]]}',
+    '{"vertices": 2, "edges": [[0.0, 1, "1"]]}',
+    '{"vertices": "2", "edges": [[0, 1, "1"]]}',
+])
+def test_json_counts_and_endpoints_must_be_integers(tmp_path, capsys, doc):
+    # each used to be truncated by int() and exit 0 with tau 1/4
+    path = tmp_path / "graph.json"
+    path.write_text(doc)
+    code, out, err = run_cli(capsys, "tau", str(path))
+    assert code == 3 and out == ""
+    assert _one_error_line(err) and err.startswith("error: bad graph JSON: expected an integer")
+
+
 def test_op_roundtrip_output(tmp_path, circle_file, capsys):
     out_path = tmp_path / "result.txt"
     code, out, _ = run_cli(capsys, "op", "da-n", "3", circle_file, "-o", str(out_path))

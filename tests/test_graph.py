@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mgt.errors import (
@@ -16,6 +16,8 @@ from mgt.errors import (
     NonPositiveScale,
 )
 from mgt.graph import (
+    Edge,
+    MetrizedGraph,
     bridges,
     build_graph,
     genus,
@@ -47,6 +49,53 @@ def test_build_two_banana():
 def test_build_disconnected_rejected():
     with pytest.raises(DisconnectedGraph):
         build_graph(3, [(0, 1, 1), (2, 2, 1)])
+
+
+def _bfs_component_count(vcount, ends) -> int:
+    adj = [[] for _ in range(vcount)]
+    for a, b in ends:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = [False] * vcount
+    count = 0
+    for start in range(vcount):
+        if seen[start]:
+            continue
+        count += 1
+        seen[start] = True
+        queue = [start]
+        for u in queue:
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+    return count
+
+
+@st.composite
+def _vertex_count_and_ends(draw):
+    """v in 1..12 and up to 20 endpoint pairs: loops, parallel edges, isolated vertices."""
+    vcount = draw(st.integers(1, 12))
+    vertex = st.integers(0, vcount - 1)
+    return vcount, draw(st.lists(st.tuples(vertex, vertex), max_size=20))
+
+
+@given(_vertex_count_and_ends())
+@example((12, []))  # v > e + 1: rejected before any union-find
+@example((6, [(0, 1), (1, 2), (2, 2), (3, 4)]))  # v > e + 1 with a loop
+@example((5, [(0, 1), (1, 2), (2, 3), (3, 4)]))  # a path: v = e + 1, connected
+@example((5, [(0, 1), (1, 0), (2, 3), (3, 4)]))  # v = e + 1, two components
+@example((4, [(0, 1), (2, 3), (0, 1), (2, 2), (3, 2)]))  # two components, loop, parallels
+@example((4, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 3), (3, 3)]))  # connected with loops
+@settings(max_examples=400, deadline=None)
+def test_connectivity_matches_bfs(case):
+    vcount, ends = case
+    edges = tuple(Edge(a, b, F(1)) for a, b in ends)
+    if _bfs_component_count(vcount, ends) > 1:
+        with pytest.raises(DisconnectedGraph):
+            MetrizedGraph(vcount, edges)
+    else:
+        assert MetrizedGraph(vcount, edges).edges == edges
 
 
 def test_build_bad_inputs():

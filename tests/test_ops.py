@@ -5,7 +5,7 @@ import pytest
 
 from mgt import families
 from mgt.errors import BridgeDeletion, MgtError, NonPositiveLength, NotNormalized, SamePoint
-from mgt.graph import build_graph, normalize, subdivide_uniform, total_length
+from mgt.graph import build_graph, normalize, scale, subdivide_uniform, total_length
 from mgt.ops import (
     OpResult,
     add_edge,
@@ -22,6 +22,7 @@ from mgt.ops import (
     union_two_points,
 )
 from mgt.tau import apq_identity, tau_of
+from oracles import two_step_immersion
 
 
 def closure(result):
@@ -218,15 +219,54 @@ def test_immerse_any_keeps_input_notes():
     assert wrapped.notes == expected  # the formula ran and added no note
     plain = immerse(normalize(host), [(normalize(segment), 0, 1)] * 6)
     assert (wrapped.graph, wrapped.formula_id) == (plain.graph, "edge-immersion")
-    assert wrapped.unnormalized == plain.unnormalized and plain.input_notes == ()
+    assert plain.input_notes == ()
+    assert wrapped.graph == two_step_immersion(normalize(host), [(normalize(segment), 0, 1)] * 6)
 
 
 def test_immerse_mixed_markings():
     g = normalize(families.circle(F(1, 2), F(1, 2)))
     beta = families.circle(F(1, 2), F(1, 3), F(1, 6))
     result = closure(immerse(g, [(beta, 0, 1), (beta, 1, 2)]))
-    assert result.unnormalized is not None
+    assert result.graph == two_step_immersion(g, [(beta, 0, 1), (beta, 1, 2)])
     assert total_length(result.graph) == 1
+
+
+def test_immerse_matches_two_step_oracle():
+    # the suite's uniform, mixed, common-resistance and three-arc markings
+    from mgt.suite import (GraphGenerator, _common_resistance_menu, _small_marked_graphs,
+                           _three_arc_circle)
+
+    def markings(e):
+        menu, common = _small_marked_graphs(), _common_resistance_menu()
+        yield from ([marked] * e for marked in menu[:3])
+        yield [menu[i % len(menu)] for i in range(e)]
+        yield [common[i % 2] for i in range(e)]
+        pairs = [(0, 1), (1, 2), (0, 2)]
+        yield [(_three_arc_circle(), *pairs[i % 3]) for i in range(e)]
+
+    for _, g in GraphGenerator(1).graphs(40):
+        gn = normalize(g)
+        for betas in markings(gn.ecount):
+            built = immerse(gn, betas).graph
+            reference = two_step_immersion(gn, betas)
+            assert (built.vcount, built.edges) == (reference.vcount, reference.edges)
+
+
+def test_lengths_match_fraction_arithmetic():
+    from mgt.suite import GraphGenerator
+
+    for _, g in GraphGenerator(1).graphs(40):
+        for graph in (g, normalize(g)):
+            lengths = [ln for _, _, ln in graph.edges]
+            for c in (F(3, 7), 5, F(22, 4)):
+                assert [ln for _, _, ln in scale(graph, c).edges] == [ln * F(c) for ln in lengths]
+            total = sum(lengths)
+            assert [ln for _, _, ln in normalize(graph).edges] == [ln * (1 / total) for ln in lengths]
+            for n in (1, 2, 3):
+                split = [ln for _, _, ln in da_n(graph, n).graph.edges]
+                assert split == [ln / n for ln in lengths for _ in range(n)]
+                pieces = [ln for _, _, ln in subdivide_uniform(graph, n).edges]
+                assert pieces == [ln / n for ln in lengths for _ in range(n)]
 
 
 def test_immerse_endpoint_swap_keeps_tau():
@@ -251,6 +291,23 @@ def test_tower():
     g = normalize(families.random_connected(rng, 5, 7))
     if g.vcount >= 2:
         closure(c_tower(g, 0, g.vcount - 1, 2))
+
+
+def test_tower_matches_chained_unions():
+    # the tower, built once, equals n two-point unions followed by normalize
+    from mgt.suite import GraphGenerator
+
+    for _, g in GraphGenerator(1).graphs(12):
+        gn = normalize(g)
+        p, q = 0, gn.vcount - 1
+        if p == q:
+            continue
+        current = gn
+        for n in (1, 2, 3):
+            current = union_two_points(current, current, (p, q), (p, q)).graph
+            built = c_tower(gn, p, q, n).graph
+            reference = normalize(current)
+            assert (built.vcount, built.edges) == (reference.vcount, reference.edges)
 
 
 def test_op_renumbering_deterministic():
@@ -300,7 +357,7 @@ def test_op_result_is_frozen_and_evaluates_its_formula_once():
 
     g = families.circle(1)
     result = OpResult(g, "test-formula", formula)
-    assert (result.unnormalized, result.input_notes) == (None, ())
+    assert result.input_notes == ()
     assert result.predicted_tau == F(1, 12) and result.notes == ()
     assert result.predicted_tau == F(1, 12) and calls == [1]
     with pytest.raises(AttributeError):
@@ -312,7 +369,7 @@ def test_op_result_is_frozen_and_evaluates_its_formula_once():
     twin = OpResult(g, "test-formula", formula)
     assert twin != result and len({twin, result}) == 2
     assert repr(result) == (f"OpResult(graph={g!r}, formula_id='test-formula', "
-                            "unnormalized=None, input_notes=())")
+                            "input_notes=())")
 
 
 def test_immerse_prediction_on_hosts_with_a_bridge_and_a_loop():

@@ -6,11 +6,14 @@ Usage (from the repository root):
 
 Runs every workload that BENCHMARK.json declares, untraced, at seed 1 and for
 its ``run_seconds``, 5 times one after another (never two at once) and keeps
-each end-to-end metric's median and its runs. Then runs ``mgt verify --random
---seed 1 --count 200 --json`` 5 times and records its median wall time, the
-pass/skip/fail counts and the sha256 of its output, which must be the same on
-every run. Last, the median wall time of 5 runs each of the Tier-1 test command
-and of ``python -c "import mgt.cli"``.
+each end-to-end metric's median and its runs. With them go each run's machine
+speed from the diagnostics line before the result: the reference loop's raw
+median ms (``ref_median_ms``) and the ops' summed raw seconds, unnormalized
+(``raw_op_s``), so records made on a busier or quieter machine can be told
+apart. Then runs ``mgt verify --random --seed 1 --count 200 --json`` 5 times
+and records its median wall time, the pass/skip/fail counts and the sha256 of
+its output, which must be the same on every run. Last, the median wall time of
+5 runs each of the Tier-1 test command and of ``python -c "import mgt.cli"``.
 Standard library only; writes BENCH_<label>.json in the repository root.
 """
 
@@ -45,12 +48,14 @@ def _numpy_version() -> str:
         return "absent"
 
 
-def _workload(command: list[str], name: str, seconds: int) -> dict:
-    """One untraced run: the result object on the last line of stdout."""
+def _workload(command: list[str], name: str, seconds: int) -> tuple[dict, dict]:
+    """One untraced run: the result object on the last line of stdout and the
+    diagnostics on the line before it."""
     argv = [sys.executable, *command[1:], "--workload", name, "--seed", str(SEED),
             "--seconds", str(seconds)]
     out = subprocess.run(argv, cwd=ROOT, check=True, capture_output=True, text=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    *_, detail, result = out.strip().splitlines()
+    return json.loads(result), json.loads(detail)["detail"]
 
 
 def _timed(argv: list[str]) -> tuple[float, bytes]:
@@ -75,9 +80,11 @@ def main() -> int:
     workloads = {}
     for entry in bench["workloads"]:
         name = entry["name"]
-        runs = []
+        runs, details = [], []
         for i in range(RUNS):
-            runs.append(_workload(bench["command"], name, seconds))
+            run, detail = _workload(bench["command"], name, seconds)
+            runs.append(run)
+            details.append(detail)
             print(f"{name} run {i + 1}/{RUNS}", file=sys.stderr)
         metrics = {}
         for metric in runs[0]["metrics"]:
@@ -86,7 +93,9 @@ def main() -> int:
                                "unit": runs[0]["metrics"][metric]["unit"]}
         workloads[name] = {"seed": SEED, "seconds": seconds, "metrics": metrics,
                            "attempted": [run["attempted"] for run in runs],
-                           "failed": [run["failed"] for run in runs]}
+                           "failed": [run["failed"] for run in runs],
+                           "ref_median_ms": [d["ref_median_ms"] for d in details],
+                           "raw_op_s": [d["raw_op_s"] for d in details]}
 
     walls, digests = [], set()
     for _ in range(RUNS):
