@@ -361,6 +361,8 @@ def _parse_params(text: str) -> dict:
     params: dict = {}
     for part in text.split(";") if text else ():
         key, _, raw = (x.strip() for x in part.partition("="))
+        if key in params:
+            raise MgtError(f"bad --params: key {key!r} is given more than once")
         try:
             if ".." in raw:
                 lo, hi = raw.split("..", 1)

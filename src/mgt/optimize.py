@@ -1,12 +1,12 @@
 """Conjecture exploration: minimize tau over edge lengths, scan families.
 
-The search loop runs in floating point: each point is one numpy inverse,
-shared by tau and its gradient, followed by matrix products. tau is the
+The search loop runs in floating point: each point is one numpy inverse and
+a few matrix products, which give tau and its gradient together. tau is the
 per-edge sum ``tau.py`` evaluates exactly (1/4 sum_e [D^2/L + (L - r)^2/(3L)])
 and the gradient is the float form of ``tau.tau_gradient``'s quadratic form
 (Rayleigh's rule). Every reported minimum is re-evaluated exactly at nearby
-rational coordinates, rounded on integer pairs over one common denominator,
-so the evidence trail stays rational end to end.
+rational coordinates, found by continued fractions on integers and scaled
+over one common denominator, so the evidence trail stays rational end to end.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ class FloatTopology:
     r = diag(P) is r(a_e, b_e) and d = B diag(G) = -D, and tau and its
     gradient are sums over these arrays, with no deleted or glued sub-graph
     and no bridge or loop branch (those edges give 1/4 and 1/12 on their own).
-    The last point's terms are kept, so ``tau(x)`` followed by ``gradient(x)``
-    inverts once.
+    Both are computed together, and the last point's tau and gradient are
+    kept, so ``tau(x)`` followed by ``gradient(x)`` inverts once.
     """
 
     def __init__(self, vcount: int, ends: list[tuple[int, int]]):
@@ -79,13 +79,19 @@ class FloatTopology:
         incidence[rows, [b for _, b in ends]] -= 1.0
         self.incidence = np.ascontiguousarray(incidence[:, 1:])
         self.incidence_t = np.ascontiguousarray(self.incidence.T)
-        # (bytes of L, C, P, r, d, h, w) of the last point, replaced as one
-        # tuple so a concurrent reader never pairs one point's key with
-        # another's terms
+        # (bytes of L, tau, gradient) of the last point, replaced as one tuple
+        # so a concurrent reader never pairs one point's key with another's values
         self._last: tuple | None = None
 
-    def _edge_terms(self, lengths):
-        """(L, C, P, r, d, h, w) with the per-edge weights h = d/L and w = (L - r)/(3L)."""
+    def _edge_terms(self, lengths) -> tuple:
+        """(bytes of L, tau, gradient), with h = d/L and w = (L - r)/(3L) per edge.
+
+        tau = 1/4 sum_e [d^2/L + (L - r)^2/(3L)] = 1/4 sum_e [d h + (L - r) w].
+        The gradient is Rayleigh's rule through that sum, as ``tau.tau_gradient``
+        takes it exactly: 4 L_e^2 dtau/dL_e = (L_e^2 - r_e^2)/3 - d_e^2 + c_e^T Q c_e,
+        with Q = -diag(B^T alpha) - B^T diag(beta) B, alpha = -2h and beta = 2w,
+        so the sum over edges f is 2 [(C o C) B^T h - (P o P) w].
+        """
         L = np.asarray(lengths, dtype=float)
         key = L.tobytes()  # a copy, so an in-place change to the caller's array misses
         last = self._last
@@ -96,38 +102,36 @@ class FloatTopology:
             p = c @ inc_t
             r = p.diagonal()
             d = inc @ green.diagonal()
-            last = self._last = (key, c, p, r, d, d / L, (L - r) / (3 * L))
-        return L, *last[1:]
+            slack, square = L - r, L * L
+            h, w = d / L, slack / (3 * L)
+            cross = (c * c) @ (inc_t @ h) - (p * p) @ w
+            last = self._last = (key, float((d * h + slack * w).sum() / 4),
+                                 ((square - r * r) / 3 - d * d + 2 * cross) / (4 * square))
+        return last
 
     def tau(self, lengths) -> float:
-        """1/4 sum_e [d^2/L + (L - r)^2/(3L)] = 1/4 sum_e [d h + (L - r) w]."""
-        L, _, _, r, d, h, w = self._edge_terms(lengths)
-        return float((d * h + (L - r) * w).sum() / 4)
+        """tau at these edge lengths."""
+        return self._edge_terms(lengths)[1]
 
     def gradient(self, lengths) -> np.ndarray:
-        """Rayleigh's rule through the tau sum, as ``tau.tau_gradient`` does exactly.
-
-        4 L_e^2 dtau/dL_e = (L_e^2 - r_e^2)/3 - d_e^2 + c_e^T Q c_e, the float
-        form of that function's quadratic form: Q = -diag(B^T alpha) -
-        B^T diag(beta) B with alpha = -2h and beta = 2w, so the sum over
-        edges f is 2 [(C o C) B^T h - (P o P) w].
-        """
-        L, c, p, r, d, h, w = self._edge_terms(lengths)
-        cross = (c * c) @ (self.incidence_t @ h) - (p * p) @ w
-        return ((L * L - r * r) / 3 - d * d + 2 * cross) / (4 * L * L)
+        """dtau/dL_e for each edge e; a copy, so the caller may change it."""
+        return self._edge_terms(lengths)[2].copy()
 
 
 def project_simplex(x: np.ndarray, floor: float = POSITIVITY_FLOOR) -> np.ndarray:
-    """Euclidean projection onto {x >= floor, sum x = 1}."""
-    n = x.size
-    budget = 1.0 - n * floor
+    """Euclidean projection onto {x >= floor, sum x = 1}: a scan down the sorted
+    coordinates, summed in ``cumsum``'s order. k = 1 always counts: true in exact
+    arithmetic, and rounding can lose it when |x| dwarfs 1."""
+    if not x.size:
+        raise ValueError("cannot project an empty vector onto the simplex")
+    budget = 1.0 - x.size * floor
     y = x - floor
-    u = np.sort(y)[::-1]
-    css = u.cumsum() - budget
-    cond = u - css / np.arange(1, n + 1) > 0
-    cond[0] = True  # true in exact arithmetic; rounding can lose it when |x| dwarfs 1
-    rho = cond.nonzero()[0][-1]
-    theta = css[rho] / (rho + 1.0)
+    total = 0.0
+    for k, u in enumerate(sorted(y.tolist(), reverse=True), 1):
+        total += u
+        css = total - budget
+        if k == 1 or u - css / k > 0:
+            theta = css / k
     return np.maximum(y - theta, 0.0) + floor
 
 
@@ -179,7 +183,7 @@ def minimize_tau(
         x = np.full(n, 1.0 / n)
     value = topo.tau(x)
     grad = topo.gradient(x)
-    best = (value, x.copy(), grad.copy())
+    best = (value, x, grad)  # x is always a fresh array, and gradient() returns a copy
     iteration = 0
     converged = False
     for iteration in range(1, max_iters + 1):
@@ -203,7 +207,7 @@ def minimize_tau(
         x, value = candidate, cand_value
         grad = topo.gradient(x)
         if value < best[0]:
-            best = (value, x.copy(), grad.copy())
+            best = (value, x, grad)
         if move < tol:
             converged = True
             break
@@ -232,13 +236,27 @@ def _round_to_simplex(x: np.ndarray, cap: int = 10**6) -> tuple[Fraction, ...]:
     least 1/(10 cap), then scaled to sum 1: on integer pairs over one lcm."""
     pairs = []
     for v in x.tolist():
-        q = Fraction(v).limit_denominator(cap)
-        n, d = q.numerator, q.denominator
+        n, d = _best_rational(v, cap)
         pairs.append((1, 10 * cap) if n * 10 * cap < d else (n, d))
     common = math.lcm(*(d for _, d in pairs))
     nums = [n * (common // d) for n, d in pairs]
     total = sum(nums)
     return tuple(Fraction(n, total) for n in nums)
+
+
+def _best_rational(v: float, cap: int) -> tuple[int, int]:
+    """``Fraction(v).limit_denominator(cap)`` as a reduced pair: its continued-fraction
+    walk on integers, then the nearer of the convergent p1/q1 and the semiconvergent
+    (p0 + k p1)/(q0 + k q1), the convergent on a tie, by Python 3.12's integer test."""
+    num, den = v.as_integer_ratio()  # already in lowest terms
+    if den <= cap:
+        return num, den
+    p0, q0, p1, q1, n, d = 0, 1, 1, 0, num, den
+    while (q2 := q0 + (a := n // d) * q1) <= cap:
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (cap - q0) // q1
+    return (p1, q1) if 2 * d * (q0 + k * q1) <= den else (p0 + k * p1, q0 + k * q1)
 
 
 def family_scan(family: str, params: dict | None = None) -> list[ScanRow]:
@@ -275,9 +293,12 @@ def family_scan(family: str, params: dict | None = None) -> list[ScanRow]:
             if t < 1:
                 raise BadN(f"a necklace needs t >= 1 diamonds, got {t}")
             for a in grid_a:
+                if a * t >= 1:
+                    raise NonPositiveLength(f"a necklace needs a*t < 1 for diamond sides "
+                                            f"b = (1 - a t)/(5t) > 0, got a={a}, t={t}")
+        for t in grid_t:
+            for a in grid_a:
                 b = (1 - a * t) / (5 * t)
-                if b <= 0:
-                    continue
                 closed = families.necklace_tau(a, b, t)
                 if t <= NECKLACE_CHECK_LIMIT:
                     _scan_assert(closed, families.necklace(a, b, t), f"a={a},t={t}")

@@ -20,12 +20,18 @@ its own, and a guard sample checks the quadratic fit. Next to it,
 Last, ``exact_gradient_matches_float`` holds the float gradient of
 ``mgt.optimize`` against the exact one of ``mgt.tau``, and
 ``two_step_immersion`` builds an immersion the long way, as the reference
-for the one-step construction of ``mgt.ops.immerse``.
+for the one-step construction of ``mgt.ops.immerse``. ``float_tau_gradient``
+and ``sort_projection`` keep the float search's first expressions (tau and
+the gradient each from the shared arrays, the projection by numpy's sort and
+cumsum), the bit-for-bit references for ``FloatTopology`` and
+``project_simplex``.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from weakref import WeakKeyDictionary
+
+import numpy as np
 
 from mgt.circuit import EdgeProfile, context, edge_profile, solve_pair_resistances
 from mgt.errors import NonPolynomialIntegrand
@@ -322,3 +328,32 @@ def two_step_immersion(g: MetrizedGraph, betas) -> MetrizedGraph:
     product = build_graph(nxt, edges)
     size = sum(ln for _, _, ln in product.edges)
     return build_graph(nxt, [(x, y, ln / size) for x, y, ln in product.edges])
+
+
+def float_tau_gradient(topo: FloatTopology, lengths) -> tuple[float, np.ndarray]:
+    """tau and its gradient at L, each computed from (L, C, P, r, d, h, w) on its own."""
+    L = np.asarray(lengths, dtype=float)
+    inc, inc_t = topo.incidence, topo.incidence_t
+    green = np.linalg.inv((inc_t / L) @ inc)
+    c = inc @ green
+    p = c @ inc_t
+    r = p.diagonal()
+    d = inc @ green.diagonal()
+    h, w = d / L, (L - r) / (3 * L)
+    tau = float((d * h + (L - r) * w).sum() / 4)
+    cross = (c * c) @ (inc_t @ h) - (p * p) @ w
+    return tau, ((L * L - r * r) / 3 - d * d + 2 * cross) / (4 * L * L)
+
+
+def sort_projection(x: np.ndarray, floor: float = 1e-9) -> np.ndarray:
+    """Euclidean projection onto {x >= floor, sum x = 1} by numpy's sort and cumsum."""
+    n = x.size
+    budget = 1.0 - n * floor
+    y = x - floor
+    u = np.sort(y)[::-1]
+    css = u.cumsum() - budget
+    cond = u - css / np.arange(1, n + 1) > 0
+    cond[0] = True  # true in exact arithmetic; rounding can lose it when |x| dwarfs 1
+    rho = cond.nonzero()[0][-1]
+    theta = css[rho] / (rho + 1.0)
+    return np.maximum(y - theta, 0.0) + floor

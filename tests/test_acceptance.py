@@ -317,7 +317,8 @@ def test_criterion_9_ratio_floor():
     rows = []
     rows += family_scan("complete", {"v": range(2, 13)})
     rows += family_scan("banana", {"m": range(1, 13)})
-    rows += family_scan("necklace", {"a": [F(1, 10), F(1, 30), F(1, 101)], "t": (2, 3, 100)})
+    rows += family_scan("necklace", {"a": [F(1, 10), F(1, 30), F(1, 101)], "t": (2, 3)})
+    rows += family_scan("necklace", {"a": [F(1, 101)], "t": (100,)})  # a t < 1 leaves room for diamonds
     rows += family_scan("circle", {"k": range(1, 7)})
     violations = scan_violations(rows)
     observed += [row.ratio for row in rows]

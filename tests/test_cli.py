@@ -212,6 +212,56 @@ def test_minimize_restarts_on_bridged_topology(tmp_path, capsys):
     assert len(doc["lengths"]) == 6
 
 
+# `minimize --iters 30 --json` output, byte for byte: the float search's tau,
+# lengths and iteration count and the exact re-evaluation at rounded lengths
+_MINIMIZE_PINS = {
+    ("complete4", ()): (
+        '{"tau": 0.052083333333333336, "lengths": [0.16666666666666666, '
+        '0.16666666666666666, 0.16666666666666666, 0.16666666666666666, '
+        '0.16666666666666666, 0.16666666666666666], "iterations": 1, "converged": true, '
+        '"pinned": [], "exact_tau": "5/96", "exact_lengths": ["1/6", "1/6", "1/6", '
+        '"1/6", "1/6", "1/6"]}\n'
+    ),
+    ("cube", ()): (
+        '{"tau": 0.03964120370370368, "lengths": [0.08333333333333331, '
+        '0.08333333333333331, 0.08333333333333331, 0.08333333333333331, '
+        '0.08333333333333331, 0.08333333333333331, 0.08333333333333331, '
+        '0.08333333333333331, 0.08333333333333331, 0.08333333333333331, '
+        '0.08333333333333331, 0.08333333333333331], "iterations": 1, "converged": true, '
+        '"pinned": [], "exact_tau": "137/3456", "exact_lengths": ["1/12", "1/12", '
+        '"1/12", "1/12", "1/12", "1/12", "1/12", "1/12", "1/12", "1/12", "1/12", '
+        '"1/12"]}\n'
+    ),
+    ("necklace2", ("--restarts", "2", "--seed", "1")): (
+        '{"tau": 0.04532495338295815, "lengths": [0.09339888905576868, '
+        '0.09339888905576867, 0.09339888905576865, 0.09339888905576865, '
+        '0.08523486132133992, 0.09339888905576867, 0.09339888905576865, '
+        '0.09339888905576864, 0.09339888905576864, 0.08523486132133992, '
+        '0.041169582455585524, 0.041169582455585385], "iterations": 30, '
+        '"converged": false, "pinned": [], '
+        '"exact_tau": "136058397196605475083626850612995891785/3001843069689666391682523016009120542192", '
+        '"exact_lengths": ["11674060642703923/124991429348729284", '
+        '"11674060642703923/124991429348729284", "11674060642703923/124991429348729284", '
+        '"11674060642703923/124991429348729284", "5326813573399025/62495714674364642", '
+        '"11674060642703923/124991429348729284", "11674060642703923/124991429348729284", '
+        '"11674060642703923/124991429348729284", "11674060642703923/124991429348729284", '
+        '"5326813573399025/62495714674364642", "1286461239187725/31247857337182321", '
+        '"1286461239187725/31247857337182321"]}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("name, extra", list(_MINIMIZE_PINS))
+def test_minimize_json_is_pinned(tmp_path, capsys, name, extra):
+    g = {"complete4": families.complete(4), "cube": families.cube(),
+         "necklace2": families.necklace(1, 1, 2)}[name]
+    path = tmp_path / f"{name}.txt"
+    path.write_text(format_graph_text(g))
+    code, out, err = run_cli(capsys, "minimize", str(path), "--iters", "30", *extra, "--json")
+    assert (code, err) == (0, "")
+    assert out == _MINIMIZE_PINS[name, extra]
+
+
 def _one_error_line(err: str) -> bool:
     lines = err.strip().splitlines()
     return len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in err
@@ -308,6 +358,21 @@ def test_scan_rejects_unknown_parameter_key(capsys):
     code, out, err = run_cli(capsys, "scan", "--family", "circle", "--params", "n=0..1")
     assert code == 2 and out == ""
     assert _one_error_line(err) and "unknown key(s): n" in err
+
+
+def test_scan_rejects_repeated_parameter_key(capsys):
+    for family, params in (("necklace", "t=2;t=3"), ("banana", "m=3;m=4")):
+        code, out, err = run_cli(capsys, "scan", "--family", family, "--params", params)
+        assert code == 2 and out == "", (family, params)
+        assert _one_error_line(err) and f"key {params[0]!r}" in err
+
+
+def test_scan_rejects_necklace_without_room_for_diamonds(capsys):
+    # a t >= 1 leaves diamond sides b = (1 - a t)/(5t) <= 0, so no row could be built
+    for params, pair in (("a=1", "a=1, t=2"), ("a=1/4;t=4,5", "a=1/4, t=4")):
+        code, out, err = run_cli(capsys, "scan", "--family", "necklace", "--params", params)
+        assert code == 2 and out == "", params
+        assert _one_error_line(err) and pair in err
 
 
 def test_scan_check_limit_is_not_a_parameter(capsys):

@@ -14,6 +14,7 @@ from mgt.errors import MgtError, NotBridgeless, SamePoint
 from mgt.graph import MetrizedGraph, build_graph
 from mgt.optimize import (
     FloatTopology,
+    _best_rational,
     _round_to_simplex,
     family_scan,
     minimize_tau,
@@ -24,7 +25,7 @@ from mgt.optimize import (
 )
 from mgt.suite import GraphGenerator
 from mgt.tau import tau_of
-from oracles import exact_gradient_matches_float
+from oracles import exact_gradient_matches_float, float_tau_gradient, sort_projection
 
 
 def _corpus_graphs():
@@ -47,15 +48,37 @@ def _with_interior_points(graphs, seed):
     return out
 
 
-def test_float_tau_matches_exact():
+def _catalog_with_interior_points():
     rng = random.Random(43)
     graphs = [families.complete(4), families.diamond(F(1, 5)),
               families.equal_banana(4), families.theta(F(1, 2), F(1, 3), F(1, 6))]
     graphs += [families.random_bridgeless(rng, 7, 12) for _ in range(5)] + _corpus_graphs()
-    for g in _with_interior_points(graphs, 44):
+    return _with_interior_points(graphs, 44)
+
+
+def test_float_tau_matches_exact():
+    for g in _catalog_with_interior_points():
         topo = FloatTopology(g.vcount, [(a, b) for a, b, _ in g.edges])
         approx = topo.tau([float(e.length) for e in g.edges])
         assert math.isclose(approx, float(tau_of(g)), rel_tol=1e-11)
+
+
+def test_fused_tau_and_gradient_bit_equal_separate_expressions():
+    for g in _catalog_with_interior_points():
+        topo = _topology(g)
+        x = [float(e.length) for e in g.edges]
+        tau, grad = float_tau_gradient(topo, x)
+        assert topo.tau(x) == tau
+        assert np.array_equal(topo.gradient(x), grad)
+
+
+def test_gradient_is_a_copy_of_the_memo():
+    g = families.complete(4)
+    topo = _topology(g)
+    x = np.full(6, 1 / 6)
+    grad = topo.gradient(x)
+    grad[:] = 0.0
+    assert np.array_equal(topo.gradient(x), float_tau_gradient(topo, x)[1])
 
 
 def test_float_gradient_matches_exact_within_1e9():
@@ -207,6 +230,15 @@ def test_round_to_simplex_matches_fraction_formula():
         assert sum(rounded) == 1
 
 
+def test_best_rational_is_limit_denominator_exhaustively():
+    for d in range(1, 61):
+        for n in range(d + 1):
+            q = F(n, d)  # a Fraction gives its reduced pair through as_integer_ratio, as a float does
+            for cap in range(1, 21):
+                best = q.limit_denominator(cap)
+                assert _best_rational(q, cap) == (best.numerator, best.denominator), (n, d, cap)
+
+
 def test_minimize_exact_tau_is_tau_of_exact_lengths():
     bridged = build_graph(5, [(0, 1, 1), (1, 2, 2), (2, 0, 1), (2, 3, 3), (3, 4, 1), (4, 3, 2)])
     for g in (families.complete(4), families.cube(), bridged):
@@ -231,6 +263,24 @@ def test_project_simplex_properties(values):
     p = project_simplex(x)
     assert abs(p.sum() - 1) < 1e-9
     assert p.min() >= 1e-9 - 1e-15
+
+
+_SIGNED_MAGNITUDE = st.builds(lambda sign, m, e: sign * m * 10.0**e, st.sampled_from((-1.0, 1.0)),
+                              st.floats(min_value=1, max_value=10), st.integers(-6, 5))
+
+
+@given(st.lists(st.one_of(_SIGNED_MAGNITUDE, st.sampled_from((0.0, -0.0, 1e-9, 0.5, -0.25, 1e-6))),
+                min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_project_simplex_bit_equal_sort_and_cumsum(values):
+    # the sampled constants repeat, so ties are common
+    x = np.asarray(values)
+    assert np.array_equal(project_simplex(x), sort_projection(x))
+
+
+def test_project_simplex_rejects_empty_vector():
+    with pytest.raises(ValueError):
+        project_simplex(np.zeros(0))
 
 
 def test_minimize_four_banana():
