@@ -36,13 +36,26 @@ EXIT_INTERNAL = 4
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()  # a reader that closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader wants no more output; fd 1 on devnull keeps the exit flush from raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
+
+
+def _main(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv)  # --help prints here
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.run(args)
+    except BrokenPipeError:
+        raise  # a closed stdout, handled by main, is no bug in mgt
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -86,7 +99,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
-    p.add_argument("--method", choices=("direct", "identity", "both"), default="identity")
+    p.add_argument("--method", choices=("direct", "identity", "both"), default="identity",
+                   help="identity: r (tau(p,q glued) - tau) + r^2/6 off the graph's Green integers; "
+                        "direct: the edge-polynomial integral; both: all three routes, must agree")
     _output_flags(p)
 
     p = cmd("mucan", _run_mucan, help="canonical measure: vertex masses and edge densities")
@@ -263,7 +278,7 @@ def _run_bounds(args) -> int:
             print(f"{c.bound}: skipped ({c.reason})")
         else:
             verdict = "ok" if c.holds else "VIOLATED"
-            print(f"{c.bound}: {format_scalar(c.lhs)} {c.relation} {format_scalar(c.rhs)} {verdict}")
+            print(f"{c.bound}: {_fmt(args, c.lhs)} {c.relation} {_fmt(args, c.rhs)} {verdict}")
     return EXIT_OK if all(c.holds is not False for c in checks) else EXIT_CHECK_FAILED
 
 

@@ -19,14 +19,18 @@ of length L, with r = r(a,b) and D = r(p,b) - r(p,a) for a base vertex p:
 Sums are accumulated in integers over a common denominator and reduced once,
 so each reported value is one Fraction; the canonical measure's total mass is
 such a sum over the record's own masses and densities, a check of the record.
-tau (``tau_of``), A (``apq``, per unordered vertex pair), A of the graph
-minus one edge (``deleted_apq``, per edge) and the bound suite's rows are
-memoized in the graph's ``GraphContext.memo``. ``deleted_apq`` builds no
-deleted graph: it reads A off a rank-one update of g's own integers
-(``GraphContext.deleted_int``), through ``_apq_sum``, the one A sum.
-``apq_identity`` keeps the paper's identification route for A (it factorizes
-the glued graph) as an independent check; ``apq_checked`` compares the closed
-form with it and with the integral.
+tau (``tau_of``, also stored by ``tau_edge_sum``), A (``apq``, per unordered
+vertex pair), A of the graph minus one edge (``deleted_apq``, per edge) and
+the bound suite's rows are memoized in the graph's ``GraphContext.memo``.
+``deleted_apq`` builds no deleted graph: it reads A off a rank-one update of
+g's own integers (``GraphContext.deleted_int``), through ``_apq_sum``, the
+one A sum. ``apq_identity`` keeps the paper's identification route for A,
+r(p,q) (tau(glued) - tau) + r(p,q)^2/6, as a check of ``apq`` by a different
+formula; it builds no glued graph either: gluing p to q is the zero-length
+limit of an edge p-q, a rank-one update of the same integers
+(``_glued_tau``), and the glued tau is the same per-edge sum (``_tau_terms``)
+as g's. ``apq_checked`` compares the closed form with it and with the
+integral.
 """
 
 from __future__ import annotations
@@ -39,8 +43,7 @@ from typing import NamedTuple
 
 from .circuit import context
 from .errors import BridgeDeletion, EmptyGraph, HasBridge, MgtError, SamePoint
-from .graph import (MetrizedGraph, bridges, check_vertices, edge_at, genus, identify_points_graph,
-                    total_length)
+from .graph import MetrizedGraph, bridges, check_vertices, edge_at, genus, total_length
 from .rational import ExtScalar, sum_over
 
 
@@ -71,18 +74,51 @@ class GradientVector(NamedTuple):
     bridge_edges: tuple[int, ...]  # edges reported with the tree-like derivative 1/4
 
 
-def _tau_terms(ctx, base: int = 0) -> list[tuple[int, int]]:
+def _memo(ctx, key, compute):
+    """``compute()``, stored in the context's memo under ``key`` by the first reader."""
+    value = ctx.memo.get(key)
+    if value is None:
+        value = ctx.memo.setdefault(key, compute())
+    return value
+
+
+def _base_dns(num: list[list[int]], rows, base: int = 0) -> list[int]:
+    """Per edge dn = d (r(base,b) - r(base,a)), from Green numerators N over d."""
+    row_p = num[base]
+    return [num[b][b] - num[a][a] - 2 * (row_p[b] - row_p[a]) for a, b, *_ in rows]
+
+
+def _tau_terms(rows, dns: list[int]) -> list[tuple[int, int]]:
     """Per edge 12 d^2 times its tau share, as (numerator, denominator).
 
-    Over the context's ``edge_int`` rows, with D = r(base,b) - r(base,a) = dn/d.
+    From the edge's ``edge_int`` row over d and D = r(base,b) - r(base,a) = dn/d.
     """
-    num = ctx.green_int()[0]
-    row_p = num[base]
-    terms = []
-    for a, b, ln, ld, _, gap in ctx.edge_int():
-        dn = num[b][b] - num[a][a] - 2 * (row_p[b] - row_p[a])
-        terms.append((3 * dn * dn * ld * ld + gap * gap, ln * ld))
-    return terms
+    return [(3 * dn * dn * ld * ld + gap * gap, ln * ld)
+            for (_, _, ln, ld, _, gap), dn in zip(rows, dns)]
+
+
+def _glued_tau(num: list[list[int]], den: int, rows, p: int, q: int) -> Fraction:
+    """tau of the graph with vertices p and q glued, from the graph's own integers.
+
+    Gluing is the zero-length limit of an edge p-q. With u = N[p] - N[q] and
+    R = u[p] - u[q] = d r(p,q), Sherman-Morrison gives the glued Green
+    numerators N' = N R - u u^T over d' = d R. u[0] = 0, so row 0 stays zero
+    and base 0 still works, and the tau sum needs only N'[y][y] and, per edge,
+    rn' = rn R - (u[a] - u[b])^2. An edge between p and q becomes a loop
+    (rn' = 0), and a bridge that closes a cycle through the glued vertex gets
+    gap' > 0, both with no branch.
+    """
+    u = list(map(sub, num[p], num[q]))
+    big_r = u[p] - u[q]
+    glued_den = den * big_r
+    diag = [row[y] * big_r - uy * uy for y, (row, uy) in enumerate(zip(num, u))]
+    glued = []
+    for a, b, ln, ld, rn, _ in rows:
+        cross = u[a] - u[b]
+        glued_rn = rn * big_r - cross * cross
+        glued.append((a, b, ln, ld, glued_rn, ln * glued_den - glued_rn * ld))
+    dns = [diag[b] - diag[a] for a, b, *_ in glued]
+    return sum_over(_tau_terms(glued, dns), 12 * glued_den ** 2)
 
 
 def cubic_sum(g: MetrizedGraph) -> Fraction:
@@ -108,23 +144,28 @@ def weighted_res_square_sum(g: MetrizedGraph) -> Fraction:
 def tau_edge_sum(g: MetrizedGraph, base: int = 0) -> TauReport:
     """tau as the per-edge sum relative to a base vertex (value is base-free).
 
-    Each edge reports (edge, contribution, deleted resistance R).
+    Each edge reports (edge, contribution, deleted resistance R). The sum is
+    memoized as the graph's tau, so the report's value is ``tau_of(g)``.
     """
     check_vertices(g, base)
     ctx = context(g)
-    terms = _tau_terms(ctx, base)
-    scale = 12 * ctx.green_int()[1] ** 2
+    num, den = ctx.green_int()
+    terms = _tau_terms(ctx.edge_int(), _base_dns(num, ctx.edge_int(), base))
+    scale = 12 * den ** 2
     per_edge = tuple((i, Fraction(n, scale * m), ctx.res_deleted(i)) for i, (n, m) in enumerate(terms))
-    return TauReport(sum_over(terms, scale), total_length(g), genus(g), per_edge, base)
+    tau = _memo(ctx, "tau", lambda: sum_over(terms, scale))
+    return TauReport(tau, total_length(g), genus(g), per_edge, base)
 
 
 def tau_of(g: MetrizedGraph) -> Fraction:
     """Memoized tau value."""
     ctx = context(g)
-    value = ctx.memo.get("tau")
-    if value is None:
-        value = ctx.memo.setdefault("tau", sum_over(_tau_terms(ctx), 12 * ctx.green_int()[1] ** 2))
-    return value
+
+    def compute():
+        num, den = ctx.green_int()
+        return sum_over(_tau_terms(ctx.edge_int(), _base_dns(num, ctx.edge_int())), 12 * den ** 2)
+
+    return _memo(ctx, "tau", compute)
 
 
 def canonical_measure(g: MetrizedGraph) -> CanonicalMeasure:
@@ -170,11 +211,8 @@ def apq(g: MetrizedGraph, p: int, q: int) -> Fraction:
     if p == q:
         return Fraction(0)
     ctx = context(g)
-    key = ("A", min(p, q), max(p, q))
-    value = ctx.memo.get(key)
-    if value is None:
-        value = ctx.memo.setdefault(key, _apq_sum(*ctx.green_int(), ctx.edge_int(), p, q))
-    return value
+    return _memo(ctx, ("A", min(p, q), max(p, q)),
+                 lambda: _apq_sum(*ctx.green_int(), ctx.edge_int(), p, q))
 
 
 def _apq_sum(num: list[list[int]], den: int, rows, p: int, q: int) -> Fraction:
@@ -193,23 +231,24 @@ def _apq_sum(num: list[list[int]], den: int, rows, p: int, q: int) -> Fraction:
 
 
 def apq_identity(g: MetrizedGraph, p: int, q: int) -> Fraction:
-    """The voltage integral A via two tau evaluations and one resistance.
+    """The voltage integral A via two tau values and one resistance.
 
-    A = r(p,q) (tau(identified) - tau) + r(p,q)^2 / 6, where "identified"
-    glues p to q. The paper's identification route: it factorizes the glued
-    graph, and is kept as an independent check of ``apq``.
+    A = r(p,q) (tau(glued) - tau) + r(p,q)^2 / 6, where "glued" identifies p
+    with q. The paper's identification route, kept as a check of ``apq``: the
+    glued graph's tau is a Sherman-Morrison update of g's own Green integers
+    (``_glued_tau``), so no glued graph is built or factorized.
     """
     check_vertices(g, p, q)
     if p == q:
         raise SamePoint("p and q must differ")
     ctx = context(g)
-    key = ("apq", p, q)
-    value = ctx.memo.get(key)
-    if value is not None:
-        return value
-    r = ctx.r(p, q)
-    glued = identify_points_graph(g, p, q)
-    return ctx.memo.setdefault(key, r * (tau_of(glued) - tau_of(g)) + r * r / 6)
+
+    def compute():
+        r = ctx.r(p, q)
+        glued_tau = _glued_tau(*ctx.green_int(), ctx.edge_int(), p, q)
+        return r * (glued_tau - tau_of(g)) + r * r / 6
+
+    return _memo(ctx, ("apq", p, q), compute)
 
 
 def apq_checked(g: MetrizedGraph, p: int, q: int) -> Fraction:
@@ -231,13 +270,13 @@ def deleted_apq(g: MetrizedGraph, edge_id: int) -> Fraction:
     if a == b:
         return Fraction(0)
     ctx = context(g)
-    value = ctx.memo.get(("deleted A", edge_id))
-    if value is None:
+
+    def compute():
         if ctx.edge_int()[edge_id][5] == 0:  # gap = 0 marks a bridge
             raise BridgeDeletion(f"deleting edge {edge_id} disconnects the graph")
-        value = ctx.memo.setdefault(("deleted A", edge_id),
-                                    _apq_sum(*ctx.deleted_int(edge_id), a, b))
-    return value
+        return _apq_sum(*ctx.deleted_int(edge_id), a, b)
+
+    return _memo(ctx, ("deleted A", edge_id), compute)
 
 
 def tau_gradient(g: MetrizedGraph) -> GradientVector:
@@ -263,7 +302,7 @@ def tau_gradient(g: MetrizedGraph) -> GradientVector:
     ctx = context(g)
     num, den = ctx.green_int()
     rows = ctx.edge_int()
-    dns = [num[b][b] - num[a][a] for a, b, *_ in rows]  # D_e = dn/d, as row 0 of N is zero
+    dns = _base_dns(num, rows)  # D_e = dn/d at base 0
     big_l = lcm(*(row[2] for row in rows))
     w = 3 * den * big_l
     diag = [0] * g.vcount
@@ -323,10 +362,7 @@ def lower_bound_suite(g: MetrizedGraph) -> list[BoundCheck]:
     if g.ecount == 0:
         raise EmptyGraph("the tau bounds need a graph with at least one edge")
     ctx = context(g)
-    checks = ctx.memo.get("bounds")
-    if checks is None:
-        checks = ctx.memo.setdefault("bounds", _bound_checks(g, ctx.edge_int()))
-    return list(checks)
+    return list(_memo(ctx, "bounds", lambda: _bound_checks(g, ctx.edge_int())))
 
 
 def _bound_checks(g: MetrizedGraph, rows) -> tuple[BoundCheck, ...]:

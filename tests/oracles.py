@@ -17,6 +17,10 @@ its own, and a guard sample checks the quadratic fit. Next to it,
 ``Fraction`` arithmetic, the reference for the integer sums of
 ``integrate_product``.
 
+``identification_apq`` is the paper's identification identity for A on the
+glued graph, built and factorized as a graph of its own: the reference for
+``mgt.tau.apq_identity``, which reads the glued tau off g's own integers.
+
 Last, ``exact_gradient_matches_float`` holds the float gradient of
 ``mgt.optimize`` against the exact one of ``mgt.tau``, and
 ``two_step_immersion`` builds an immersion the long way, as the reference
@@ -35,7 +39,8 @@ import numpy as np
 
 from mgt.circuit import EdgeProfile, context, edge_profile, solve_pair_resistances
 from mgt.errors import NonPolynomialIntegrand
-from mgt.graph import MetrizedGraph, build_graph, delete_edge_graph, insert_point, normalize
+from mgt.graph import (MetrizedGraph, build_graph, delete_edge_graph, identify_points_graph,
+                       insert_point, normalize)
 from mgt.integration import (
     TAG_J_BASE_P,
     TAG_J_BASE_Q,
@@ -48,7 +53,7 @@ from mgt.integration import (
 from mgt.optimize import FloatTopology
 from mgt.rational import INF, ExtScalar
 from mgt.suite import GraphGenerator
-from mgt.tau import apq, tau_gradient
+from mgt.tau import apq, tau_gradient, tau_of
 
 
 def _spans(vcount: int, edges, subset) -> bool:
@@ -297,6 +302,13 @@ def product_integral(g: MetrizedGraph, p: int, q: int, terms) -> Fraction:
             product = product * factor.power(power)
         total += product.integral(g.edges[edge].length)
     return total
+
+
+def identification_apq(g: MetrizedGraph, p: int, q: int) -> Fraction:
+    """A_{p,q} = r(p,q) (tau(g_pq) - tau(g)) + r(p,q)^2/6, with g_pq (p glued to q)
+    built as its own graph and factorized by its own context."""
+    r = context(g).r(p, q)
+    return r * (tau_of(identify_points_graph(g, p, q)) - tau_of(g)) + r * r / 6
 
 
 def exact_gradient_matches_float(g: MetrizedGraph, rel: float = 1e-9) -> bool:

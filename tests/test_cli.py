@@ -93,6 +93,35 @@ def test_bounds(k4_file, capsys):
     assert "VIOLATED" not in out
 
 
+def test_bounds_float_prints_digits_and_json_stays_exact(k4_file, capsys):
+    code, out, _ = run_cli(capsys, "bounds", k4_file, "--float")
+    assert code == 0
+    assert out.splitlines()[0] == "tau-upper-quarter: 0.0520833333333333 <= 0.25 ok"
+    assert "/" not in out
+    code, out, _ = run_cli(capsys, "bounds", k4_file, "--float", "--json")
+    assert code == 0 and json.loads(out)[0]["lhs"] == "5/96"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["scan", "--family", "necklace"], ["tau"], ["--help"]],
+                         ids=["scan", "tau", "help"])
+def test_closed_stdout_exits_0_quietly(circle_file, argv, unbuffered):
+    # the reader is gone before mgt writes a byte: buffered, the scan's rows meet
+    # the broken pipe mid-run, tau's one line and the help text only when the
+    # buffer is flushed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), PYTHONUNBUFFERED=unbuffered)
+    argv = argv + [circle_file] if argv == ["tau"] else argv
+    try:
+        done = subprocess.run([sys.executable, "-m", "mgt.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["tau"]) == 2
     assert main(["unknown-verb"]) == 2

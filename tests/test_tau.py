@@ -315,7 +315,7 @@ def test_kernel_tau_terms_match_deletion_route():
             assert [c for _, c, _ in report.per_edge] == [
                 edge_tau_contribution(pr) for pr in profiles]
             assert [res for _, _, res in report.per_edge] == [pr.res_deleted for pr in profiles]
-            assert report.tau == tau_of(g)
+            assert sum(c for _, c, _ in report.per_edge) == report.tau == tau_of(g)
 
 
 def test_bound_sums_match_deletion_route():
@@ -350,6 +350,103 @@ def test_apq_closed_form_matches_identification_route():
             for q in range(g.vcount):
                 if p != q:
                     assert apq(g, p, q) == apq_identity(g, p, q)
+
+
+def _random_bridgeless_graph(rng: random.Random, v: int, e: int):
+    """A cycle through all v vertices plus e - v chords, every length random."""
+    ends = [(i, (i + 1) % v) for i in range(v)]
+    ends += [tuple(rng.sample(range(v), 2)) for _ in range(e - v)]
+    return build_graph(v, [(a, b, families.random_length(rng)) for a, b in ends])
+
+
+def _glued_route_graphs():
+    rng = random.Random(25)
+    big = F(10**19 + 7, 3 * 10**19 + 1)  # 20-digit numerator and denominator
+    explicit = [
+        build_graph(3, [(0, 1, F(1, 2)), (0, 1, F(1, 3)), (1, 2, F(2)), (2, 0, F(1))]),  # parallel p-q
+        build_graph(3, [(0, 1, F(1, 2)), (1, 2, F(3, 4)), (2, 0, F(5, 7)), (1, 1, F(2, 9))]),  # loop
+        build_graph(4, [(0, 1, F(1)), (1, 2, F(2, 3)), (2, 0, F(3, 5)), (2, 3, F(4, 7))]),  # bridge
+        build_graph(2, [(0, 1, F(1, 3))]),
+        build_graph(2, [(0, 1, F(1, 3)), (0, 1, F(2, 5)), (1, 1, F(1, 4))]),
+        build_graph(4, [(0, 1, big), (1, 2, big / 3), (2, 3, F(10**20 - 1, 7)), (3, 0, big),
+                        (0, 2, F(1, 10**19 + 3))]),
+    ]
+    return (_kernel_oracle_graphs() + explicit
+            + [families.necklace(F(1, 10), F(1, 25), t) for t in range(2, 7)]
+            + [families.complete(v, F(3, 7)) for v in range(6, 10)] + [families.cube(F(5, 3))]
+            + [_random_bridgeless_graph(rng, v, v * 3 // 2) for v in range(10, 20, 2)])
+
+
+def test_apq_identity_matches_glued_graph_oracle():
+    # the rank-one glued tau against the glued graph built and factorized on its own,
+    # on every ordered pair: p or q = 0, p-q edges that become loops, a bridge at p-q
+    from oracles import identification_apq
+
+    pairs = 0
+    for g in _glued_route_graphs():
+        for p in range(g.vcount):
+            for q in range(g.vcount):
+                if p != q:
+                    assert apq_identity(g, p, q) == identification_apq(g, p, q), (g, p, q)
+                    pairs += 1
+    assert pairs > 4000
+
+
+def test_apq_identity_builds_and_factorizes_nothing(monkeypatch):
+    import mgt.circuit
+    from oracles import identification_apq
+
+    from mgt.graph import MetrizedGraph
+
+    g = _random_bridgeless_graph(random.Random(7), 12, 18)
+    context(g).green_int()
+    calls = {"green_numden": 0, "graph": 0}
+    factorize, build = mgt.circuit.green_numden, MetrizedGraph.__init__
+
+    def counted_factorize(*args):
+        calls["green_numden"] += 1
+        return factorize(*args)
+
+    def counted_build(self, *args):
+        calls["graph"] += 1
+        build(self, *args)
+
+    monkeypatch.setattr(mgt.circuit, "green_numden", counted_factorize)
+    monkeypatch.setattr(MetrizedGraph, "__init__", counted_build)
+    values = {(p, q): apq_identity(g, p, q) for p in range(4) for q in range(4) if p != q}
+    assert calls == {"green_numden": 0, "graph": 0}
+    identification_apq(g, 0, 1)
+    assert calls["green_numden"] == 1 and calls["graph"] == 1  # the counters do count
+    monkeypatch.undo()
+    assert all(value == identification_apq(g, p, q) for (p, q), value in values.items())
+
+
+def test_tau_edge_sum_stores_tau():
+    g = families.complete(5, F(4, 9))
+    assert tau_edge_sum(g).tau is tau_of(g)
+    h = families.cube(F(7, 2))
+    value = tau_of(h)
+    assert tau_edge_sum(h, 3).tau is value
+    assert sum(c for _, c, _ in tau_edge_sum(h, 3).per_edge) == value
+
+
+@pytest.mark.parametrize("g", [families.complete(4, F(2, 3)), families.cube()], ids=["K4", "cube"])
+@pytest.mark.parametrize("entry", [(1, 1), (2, 2), (1, 2)])
+def test_apq_routes_part_on_a_perturbed_green_matrix(monkeypatch, g, entry):
+    # both A routes read one N; a wrong entry must make them disagree, not agree
+    ctx = context(g)
+    num = [list(row) for row in ctx.green_int()[0]]
+    y, z = entry
+    num[y][z] += 1
+    if y != z:
+        num[z][y] += 1
+    monkeypatch.setattr(ctx, "_num", num)
+    ctx.memo.clear()
+    assert apq(g, 1, 2) != apq_identity(g, 1, 2)
+    with pytest.raises(MgtError, match="A mismatch"):
+        apq_checked(g, 1, 2)
+    monkeypatch.undo()
+    ctx.memo.clear()
 
 
 @pytest.mark.parametrize("route", ["apq", "apq_identity", "apq_direct"])
