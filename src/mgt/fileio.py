@@ -94,9 +94,14 @@ def load_graph(path: str) -> MetrizedGraph:
 
 
 def save_graph(path: str, g: MetrizedGraph) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if path.endswith(".json"):
-            json.dump(graph_to_json(g), fh)
-            fh.write("\n")
-        else:
-            fh.write(format_graph_text(g))
+    # a pipe whose reader has gone raises BrokenPipeError here; as an InputError it
+    # cannot pass for a closed stdout, which the CLI ends with exit 0
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            if path.endswith(".json"):
+                json.dump(graph_to_json(g), fh)
+                fh.write("\n")
+            else:
+                fh.write(format_graph_text(g))
+    except OSError as exc:
+        raise InputError(f"cannot write graph file {path!r}: {exc}") from exc

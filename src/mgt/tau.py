@@ -144,8 +144,9 @@ def weighted_res_square_sum(g: MetrizedGraph) -> Fraction:
 def tau_edge_sum(g: MetrizedGraph, base: int = 0) -> TauReport:
     """tau as the per-edge sum relative to a base vertex (value is base-free).
 
-    Each edge reports (edge, contribution, deleted resistance R). The sum is
-    memoized as the graph's tau, so the report's value is ``tau_of(g)``.
+    Each edge reports (edge, contribution, deleted resistance R). The report
+    carries its own sum at ``base``; the first sum is kept as the graph's
+    memoized tau, so later ``tau_of`` calls read it without a second pass.
     """
     check_vertices(g, base)
     ctx = context(g)
@@ -153,7 +154,8 @@ def tau_edge_sum(g: MetrizedGraph, base: int = 0) -> TauReport:
     terms = _tau_terms(ctx.edge_int(), _base_dns(num, ctx.edge_int(), base))
     scale = 12 * den ** 2
     per_edge = tuple((i, Fraction(n, scale * m), ctx.res_deleted(i)) for i, (n, m) in enumerate(terms))
-    tau = _memo(ctx, "tau", lambda: sum_over(terms, scale))
+    tau = sum_over(terms, scale)
+    ctx.memo.setdefault("tau", tau)
     return TauReport(tau, total_length(g), genus(g), per_edge, base)
 
 

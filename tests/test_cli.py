@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mgt import cli, families
+from mgt import cli, families, fileio
 from mgt.cli import main
 from mgt.fileio import format_graph_text, load_graph
 from mgt.graph import build_graph, total_length
@@ -120,6 +120,28 @@ def test_closed_stdout_exits_0_quietly(circle_file, argv, unbuffered):
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_out_file_on_a_closed_pipe_is_an_error(circle_file, tmp_path, monkeypatch, capsys):
+    # only a closed stdout exits 0: a graph written into a pipe whose reader has
+    # gone is cut short, so the run must fail
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    real_open = open
+
+    def open_for_write_on_the_pipe(path, mode="r", **kwargs):
+        if mode == "w":
+            return os.fdopen(write_end, "w", encoding="utf-8")
+        return real_open(path, mode, **kwargs)
+
+    monkeypatch.setattr(fileio, "open", open_for_write_on_the_pipe, raising=False)
+    code, _, err = run_cli(capsys, "op", "da-n", "3", circle_file, "-o", str(tmp_path / "g.txt"))
+    assert code == 3 and "cannot write graph file" in err and "Broken pipe" in err
+
+
+def test_out_file_unwritable_is_an_error(circle_file, tmp_path, capsys):
+    code, _, err = run_cli(capsys, "op", "da-n", "3", circle_file, "-o", str(tmp_path / "no" / "g.txt"))
+    assert code == 3 and "cannot write graph file" in err and "internal error" not in err
 
 
 def test_usage_error_exit_2(capsys):

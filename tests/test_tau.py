@@ -426,8 +426,11 @@ def test_tau_edge_sum_stores_tau():
     assert tau_edge_sum(g).tau is tau_of(g)
     h = families.cube(F(7, 2))
     value = tau_of(h)
-    assert tau_edge_sum(h, 3).tau is value
-    assert sum(c for _, c, _ in tau_edge_sum(h, 3).per_edge) == value
+    report = tau_edge_sum(h, 3)
+    assert report.tau == value  # its own sum at base 3, not the memo read back
+    assert report.tau is not value
+    assert sum(c for _, c, _ in report.per_edge) == value
+    assert tau_of(h) is value
 
 
 @pytest.mark.parametrize("g", [families.complete(4, F(2, 3)), families.cube()], ids=["K4", "cube"])
