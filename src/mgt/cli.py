@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -12,20 +11,7 @@ from . import fileio
 from .circuit import resistance, voltage
 from .errors import BadPoint, InputError, MgtError
 from .graph import MetrizedGraph, PointOnGraph, check_vertices, normalize, subdivide_uniform
-from .integration import apq_direct
-from .ops import (
-    add_edge,
-    c_tower,
-    contract_edge,
-    da_n,
-    delete_edge,
-    identify_points,
-    immerse_any,
-    union_one_point,
-    union_two_points,
-)
 from .rational import format_float, format_scalar, parse_scalar
-from .suite import GraphGenerator, run_graph_checks, run_suite
 from .tau import apq_checked, apq_identity, canonical_measure, lower_bound_suite, tau_edge_sum, tau_gradient
 
 EXIT_OK = 0
@@ -47,7 +33,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _main(argv: list[str] | None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)  # --help prints here
     except SystemExit as exc:
@@ -67,35 +54,43 @@ def _main(argv: list[str] | None) -> int:
         return EXIT_INTERNAL
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every verb in _VERBS, or of ``verb`` alone when it names one;
+    the usage line lists every verb either way, so help and errors read the same."""
     parser = argparse.ArgumentParser(prog="mgt", description=__doc__)
-    sub = parser.add_subparsers(dest="verb", required=True)
+    one = verb in _VERBS
+    metavar = "{" + ",".join(_VERBS) + "}" if one else None  # left None, a missing verb reads "verb"
+    sub = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
+    for name in (verb,) if one else _VERBS:
+        help_text, add_arguments = _VERBS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=globals()[f"_run_{name}"])  # looked up here, so a patched handler runs
+        add_arguments(p)
+    return parser
 
-    def cmd(name, run, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(run=run)
-        return p
 
-    p = cmd("tau", _run_tau, help="tau invariant of a graph")
+def _output_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--json", action="store_true")
+    p.add_argument("--float", action="store_true", dest="as_float")
+
+
+def _file_verb(*points: str):
+    """The arguments of a verb on one graph file: the file, ``points``, the output flags."""
+    def add(p: argparse.ArgumentParser) -> None:
+        for name in ("file", *points):
+            p.add_argument(name)
+        _output_flags(p)
+    return add
+
+
+def _tau_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--per-edge", action="store_true")
     p.add_argument("--base", type=int, default=0)
     _output_flags(p)
 
-    p = cmd("resistance", _run_resistance, help="effective resistance between two points")
-    p.add_argument("file")
-    p.add_argument("p")
-    p.add_argument("q")
-    _output_flags(p)
 
-    p = cmd("voltage", _run_voltage, help="voltage j_x(p,q)")
-    p.add_argument("file")
-    p.add_argument("x")
-    p.add_argument("p")
-    p.add_argument("q")
-    _output_flags(p)
-
-    p = cmd("apq", _run_apq, help="the voltage integral between two vertices")
+def _apq_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
@@ -104,19 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "direct: the edge-polynomial integral; both: all three routes, must agree")
     _output_flags(p)
 
-    p = cmd("mucan", _run_mucan, help="canonical measure: vertex masses and edge densities")
-    p.add_argument("file")
-    _output_flags(p)
 
-    p = cmd("gradient", _run_gradient, help="exact tau derivatives in each edge length")
-    p.add_argument("file")
-    _output_flags(p)
-
-    p = cmd("bounds", _run_bounds, help="evaluate the closed-form tau bounds")
-    p.add_argument("file")
-    _output_flags(p)
-
-    p = cmd("verify", _run_verify, help="run the identity suite")
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file", nargs="?")
     p.add_argument("--suite", default="all", help="all or comma-separated identity ids")
     p.add_argument("--random", action="store_true")
@@ -124,7 +108,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--json", action="store_true")
 
-    p = cmd("minimize", _run_minimize, help="projected gradient descent on edge lengths")
+
+def _minimize_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--iters", type=_non_negative(int), default=500)
     p.add_argument("--tol", type=_non_negative(float), default=1e-10)
@@ -132,16 +117,34 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", action="store_true")
 
-    p = cmd("scan", _run_scan, help="closed-form family scan, CSV on stdout")
+
+def _scan_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True, choices=("complete", "banana", "necklace", "circle"))
     p.add_argument("--params", default="", help="key=lo..hi or key=a,b,c (family specific)")
 
-    p = cmd("op", _run_op, help="apply a tau-transforming operation")
+
+def _op_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("name", choices=tuple(_OPS))
     p.add_argument("args", nargs="*")
     p.add_argument("-o", "--out", default=None)
     p.add_argument("--json", action="store_true")
-    return parser
+
+
+# verb -> (help, adds its arguments to its subparser), in the order help lists
+# them; the verb's handler is _run_<verb>
+_VERBS = {
+    "tau": ("tau invariant of a graph", _tau_arguments),
+    "resistance": ("effective resistance between two points", _file_verb("p", "q")),
+    "voltage": ("voltage j_x(p,q)", _file_verb("x", "p", "q")),
+    "apq": ("the voltage integral between two vertices", _apq_arguments),
+    "mucan": ("canonical measure: vertex masses and edge densities", _file_verb()),
+    "gradient": ("exact tau derivatives in each edge length", _file_verb()),
+    "bounds": ("evaluate the closed-form tau bounds", _file_verb()),
+    "verify": ("run the identity suite", _verify_arguments),
+    "minimize": ("projected gradient descent on edge lengths", _minimize_arguments),
+    "scan": ("closed-form family scan, CSV on stdout", _scan_arguments),
+    "op": ("apply a tau-transforming operation", _op_arguments),
+}
 
 
 def _non_negative(kind):
@@ -157,9 +160,10 @@ def _non_negative(kind):
     return parse
 
 
-def _output_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--float", action="store_true", dest="as_float")
+def _dumps(doc) -> str:
+    import json  # loaded only by a run that prints JSON
+
+    return json.dumps(doc)
 
 
 def _load(path: str) -> MetrizedGraph:
@@ -193,7 +197,7 @@ def _run_tau(args) -> int:
                 for i, c, res in report.per_edge
             ],
         }
-        print(json.dumps(doc))
+        print(_dumps(doc))
         return EXIT_OK
     print(_fmt(args, report.tau))
     if args.per_edge:
@@ -205,14 +209,14 @@ def _run_tau(args) -> int:
 def _run_resistance(args) -> int:
     g = _load(args.file)
     value = resistance(g, _parse_point(args.p), _parse_point(args.q))
-    print(json.dumps({"resistance": format_scalar(value)}) if args.json else _fmt(args, value))
+    print(_dumps({"resistance": format_scalar(value)}) if args.json else _fmt(args, value))
     return EXIT_OK
 
 
 def _run_voltage(args) -> int:
     g = _load(args.file)
     value = voltage(g, _parse_point(args.x), _parse_point(args.p), _parse_point(args.q))
-    print(json.dumps({"voltage": format_scalar(value)}) if args.json else _fmt(args, value))
+    print(_dumps({"voltage": format_scalar(value)}) if args.json else _fmt(args, value))
     return EXIT_OK
 
 
@@ -220,12 +224,14 @@ def _run_apq(args) -> int:
     g = _load(args.file)
     check_vertices(g, args.p, args.q)
     if args.method == "direct":
+        from .integration import apq_direct
+
         value = apq_direct(g, args.p, args.q)
     elif args.method == "identity":
         value = apq_identity(g, args.p, args.q) if args.p != args.q else Fraction(0)
     else:
         value = apq_checked(g, args.p, args.q)
-    print(json.dumps({"apq": format_scalar(value)}) if args.json else _fmt(args, value))
+    print(_dumps({"apq": format_scalar(value)}) if args.json else _fmt(args, value))
     return EXIT_OK
 
 
@@ -233,7 +239,7 @@ def _run_mucan(args) -> int:
     g = _load(args.file)
     mu = canonical_measure(g)
     if args.json:
-        print(json.dumps({
+        print(_dumps({
             "vertex_masses": [[v, format_scalar(m)] for v, m in mu.vertex_masses],
             "edge_densities": [[i, format_scalar(d)] for i, d in mu.edge_densities],
             "total_mass": format_scalar(mu.total_mass(g)),
@@ -251,7 +257,7 @@ def _run_gradient(args) -> int:
     g = _load(args.file)
     grad = tau_gradient(g)
     if args.json:
-        print(json.dumps({
+        print(_dumps({
             "gradient": [format_scalar(x) for x in grad.entries],
             "bridges": list(grad.bridge_edges),
         }))
@@ -266,7 +272,7 @@ def _run_bounds(args) -> int:
     g = _load(args.file)
     checks = lower_bound_suite(g)
     if args.json:
-        print(json.dumps([{
+        print(_dumps([{
             "bound": c.bound, "applicable": c.applicable, "reason": c.reason,
             "lhs": format_scalar(c.lhs) if c.lhs is not None else None,
             "rhs": format_scalar(c.rhs) if c.rhs is not None else None,
@@ -283,6 +289,8 @@ def _run_bounds(args) -> int:
 
 
 def _run_verify(args) -> int:
+    from .suite import GraphGenerator, run_graph_checks, run_suite
+
     wanted = None if args.suite == "all" else args.suite.split(",")
     seed = _seed(args, 1)
     if args.random:
@@ -299,7 +307,7 @@ def _run_verify(args) -> int:
         return EXIT_USAGE
     failures = [r for r in results if r.status == "fail"]
     if args.json:
-        print(json.dumps([{
+        print(_dumps([{
             "identity": r.identity, "graph": r.graph, "status": r.status,
             "lhs": _check_value(r.lhs), "rhs": _check_value(r.rhs), "reason": r.reason,
         } for r in results]))
@@ -349,7 +357,7 @@ def _run_minimize(args) -> int:
         states.append(minimize_tau(g, [x / total for x in start], args.iters, args.tol))
     best = min(states, key=lambda s: s.tau)
     if args.json:
-        print(json.dumps({
+        print(_dumps({
             "tau": best.tau,
             "lengths": list(best.lengths),
             "iterations": best.iteration,
@@ -409,20 +417,22 @@ def _run_scan(args) -> int:
 
 
 # name -> (argument count, the positions of its graph files, builder); the files
-# load first, then the builder gets every argument in order and returns an
-# OpResult, or for subdivide, which predicts nothing, the graph alone
+# load first, then the builder gets mgt.ops and every argument in order and
+# returns an OpResult, or for subdivide, which predicts nothing, the graph alone
 _OPS = {
-    "delete": (2, (1,), lambda e, g: delete_edge(g, int(e))),
-    "contract": (2, (1,), lambda e, g: contract_edge(g, int(e))),
-    "identify": (3, (2,), lambda p, q, g: identify_points(g, int(p), int(q))),
-    "add-edge": (4, (3,), lambda p, q, length, g: add_edge(g, int(p), int(q), parse_scalar(length))),
-    "union1": (4, (2, 3), lambda p1, p2, g1, g2: union_one_point(g1, int(p1), g2, int(p2))),
-    "union2": (6, (4, 5), lambda p1, q1, p2, q2, g1, g2: union_two_points(
+    "delete": (2, (1,), lambda ops, e, g: ops.delete_edge(g, int(e))),
+    "contract": (2, (1,), lambda ops, e, g: ops.contract_edge(g, int(e))),
+    "identify": (3, (2,), lambda ops, p, q, g: ops.identify_points(g, int(p), int(q))),
+    "add-edge": (4, (3,), lambda ops, p, q, length, g: ops.add_edge(
+        g, int(p), int(q), parse_scalar(length))),
+    "union1": (4, (2, 3), lambda ops, p1, p2, g1, g2: ops.union_one_point(g1, int(p1), g2, int(p2))),
+    "union2": (6, (4, 5), lambda ops, p1, q1, p2, q2, g1, g2: ops.union_two_points(
         g1, g2, (int(p1), int(q1)), (int(p2), int(q2)))),
-    "da-n": (2, (1,), lambda n, g: da_n(g, int(n))),
-    "subdivide": (2, (1,), lambda m, g: subdivide_uniform(g, int(m))),
-    "immerse": (4, (0, 1), lambda g, beta, p, q: immerse_any(g, [(beta, int(p), int(q))] * g.ecount)),
-    "tower": (4, (3,), lambda p, q, n, g: c_tower(normalize(g), int(p), int(q), int(n))),
+    "da-n": (2, (1,), lambda ops, n, g: ops.da_n(g, int(n))),
+    "subdivide": (2, (1,), lambda ops, m, g: subdivide_uniform(g, int(m))),
+    "immerse": (4, (0, 1), lambda ops, g, beta, p, q: ops.immerse_any(
+        g, [(beta, int(p), int(q))] * g.ecount)),
+    "tower": (4, (3,), lambda ops, p, q, n, g: ops.c_tower(normalize(g), int(p), int(q), int(n))),
 }
 
 
@@ -433,10 +443,12 @@ def _run_op(args) -> int:
     if len(a) != count:
         print(f"error: op {name} takes {count} arguments, got {len(a)}", file=sys.stderr)
         return EXIT_USAGE
+    from . import ops
+
     try:
         for i in files:
             a[i] = _load(a[i])
-        made = build(*a)
+        made = build(ops, *a)
     except (IndexError, ValueError) as exc:
         print(f"error: bad arguments for op {name}: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -445,7 +457,7 @@ def _run_op(args) -> int:
     actual = tau_edge_sum(built).tau
     predicted = result.predicted_tau if result is not None else None
     if args.json:
-        print(json.dumps({
+        print(_dumps({
             "predicted_tau": format_scalar(predicted) if predicted is not None else None,
             "tau": format_scalar(actual),
             "vertices": built.vcount,

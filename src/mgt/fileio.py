@@ -12,8 +12,6 @@ JSON equivalent: {"vertices": n, "edges": [[u, w, "a/b"], ...]}.
 
 from __future__ import annotations
 
-import json
-
 from .errors import InputError, MgtError
 from .graph import MetrizedGraph, build_graph
 from .rational import format_scalar, parse_scalar
@@ -58,11 +56,15 @@ def format_graph_text(g: MetrizedGraph) -> str:
 
 def _json_int(x) -> int:
     if type(x) is not int:  # a float, string or boolean is refused, not truncated
+        import json
+
         raise ValueError(f"expected an integer, got {json.dumps(x)[:40]}")
     return x
 
 
 def parse_graph_json(text: str) -> MetrizedGraph:
+    import json  # loaded only when a graph is read or written as JSON
+
     try:
         doc = json.loads(text)
         vcount = _json_int(doc["vertices"])
@@ -99,6 +101,8 @@ def save_graph(path: str, g: MetrizedGraph) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
             if path.endswith(".json"):
+                import json
+
                 json.dump(graph_to_json(g), fh)
                 fh.write("\n")
             else:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mgt import cli, families, fileio
+from mgt import cli, families, fileio, ops
 from mgt.cli import main
 from mgt.fileio import format_graph_text, load_graph
 from mgt.graph import build_graph, total_length
@@ -183,6 +183,44 @@ def test_op_roundtrip_output(tmp_path, circle_file, capsys):
     text1 = format_graph_text(result)
     (tmp_path / "again.txt").write_text(text1)
     assert load_graph(str(tmp_path / "again.txt")) == result
+
+
+def test_op_writes_json_graph_and_json_report(tmp_path, k4_file, capsys):
+    expected = ops.da_n(load_graph(k4_file), 2)
+    path = tmp_path / "out.json"
+    code, out, _ = run_cli(capsys, "op", "da-n", "2", k4_file, "-o", str(path))
+    assert code == 0 and "(agree)" in out
+    assert path.read_text().startswith('{"vertices": 4, ') and load_graph(str(path)) == expected.graph
+    code, out, _ = run_cli(capsys, "op", "da-n", "2", k4_file, "--json")
+    assert code == 0 and json.loads(out) == {
+        "predicted_tau": "7/128", "tau": "7/128", "vertices": 4, "edges": 12,
+        "formula": expected.formula_id}
+
+
+@pytest.mark.parametrize("name", ["k4.json", "k4.graph"])
+def test_tau_reads_a_json_graph_file(tmp_path, capsys, name):
+    # by its .json suffix, or by a leading "{" under any name
+    path = tmp_path / name
+    path.write_text(json.dumps(fileio.graph_to_json(families.complete(4))))
+    assert run_cli(capsys, "tau", str(path)) == (0, "5/96\n", "")
+    code, out, _ = run_cli(capsys, "tau", str(path), "--json")
+    assert code == 0 and json.loads(out)["tau"] == "5/96"
+
+
+def test_point_and_measure_verbs_print_json(tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    path.write_text("e 0 1 2\ne 1 0 2\n")
+    c = str(path)
+    expected = {
+        ("resistance", c, "0", "1"): {"resistance": "1"},
+        ("voltage", c, "0:1", "0", "1"): {"voltage": "1/4"},
+        ("mucan", c): {"vertex_masses": [[0, "0"], [1, "0"]],
+                       "edge_densities": [[0, "1/4"], [1, "1/4"]], "total_mass": "1"},
+        ("gradient", c): {"gradient": ["1/12", "1/12"], "bridges": []},
+    }
+    for argv, doc in expected.items():
+        code, out, err = run_cli(capsys, *argv, "--json")
+        assert (code, err) == (0, "") and json.loads(out) == doc, argv
 
 
 def test_op_union2(tmp_path, capsys):
@@ -519,14 +557,71 @@ def test_cli_tau_does_not_load_numpy(circle_file):
     assert "mgt.tau" in imported and "numpy" not in imported
 
 
-@pytest.mark.parametrize("options", [[], ["--suite", "genus-identity"]], ids=["tau", "verify"])
-def test_cli_cold_start_skips_dataclasses(k4_file, options):
-    # dataclasses pulls in inspect, ast, dis and tokenize, about 10 ms of
-    # every run; mgt's records are NamedTuples and plain classes instead
-    done, imported = _imported_modules(["verify" if options else "tau", k4_file, *options])
+# what the single-graph verbs never need: the identity suite, the operations,
+# the other routes and json, which only --json output and JSON graph files use
+_OTHER_VERBS = {"mgt.suite", "mgt.ops", "mgt.integration", "mgt.reduction", "mgt.families",
+                "mgt.optimize", "json"}
+
+
+@pytest.mark.parametrize("argv, loaded, absent", [
+    (["tau", "K4"], {"mgt.tau"}, _OTHER_VERBS),
+    (["verify", "K4", "--suite", "genus-identity"], {"mgt.suite"}, set()),
+    (["resistance", "K4", "0", "1"], {"mgt.circuit"}, _OTHER_VERBS),
+    (["mucan", "K4"], {"mgt.tau"}, _OTHER_VERBS),
+    (["bounds", "K4"], {"mgt.tau"}, _OTHER_VERBS),
+    (["apq", "K4", "0", "1"], {"mgt.tau"}, _OTHER_VERBS),
+    (["op", "da-n", "2", "K4"], {"mgt.ops"}, {"mgt.suite"}),
+], ids=["tau", "verify", "resistance", "mucan", "bounds", "apq", "op-da-n"])
+def test_cli_cold_start_skips_dataclasses(k4_file, argv, loaded, absent):
+    # each verb imports only the modules it runs. dataclasses pulls in inspect,
+    # ast, dis and tokenize, about 10 ms of every run; mgt's records are
+    # NamedTuples and plain classes instead
+    done, imported = _imported_modules([k4_file if a == "K4" else a for a in argv])
     assert done.returncode == 0, done.stderr
-    assert "mgt.suite" in imported  # the whole cli import chain ran
+    assert loaded <= imported and not absent & imported
     assert not {"dataclasses", "inspect"} & imported
+
+
+def _parse_outcome(parser, argv, capsys):
+    """(parsed arguments or exit code, stdout, stderr) of one parse."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    out, err = capsys.readouterr()
+    return result, out, err
+
+
+_BAD_VALUE = {  # per verb: arguments past the verb that argparse refuses
+    "tau": ["F", "--base", "x"],
+    "resistance": ["F", "0", "1", "--bogus"],
+    "voltage": ["F", "x", "p", "q", "extra"],
+    "apq": ["F", "0", "x"],
+    "mucan": ["F", "--bogus"],
+    "gradient": ["F", "--float", "extra"],
+    "bounds": ["F", "--json", "--bogus"],
+    "verify": ["--count", "x"],
+    "minimize": ["F", "--iters", "-1"],
+    "scan": ["--family", "cube"],
+    "op": ["nope", "x"],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    *([verb, *tail] for verb, bad in _BAD_VALUE.items() for tail in (["--help"], [], bad)),
+    ["--help"], [], ["bogus"], ["-h", "tau"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_verb_parser_matches_full_parser(argv, capsys):
+    # a run builds only the subparser of the verb it names; help, usage errors
+    # and exit codes must read as they do with every verb registered
+    verb = argv[0] if argv else None
+    one = cli._build_parser(verb)
+    verbs = next(action.choices for action in one._actions if action.dest == "verb")
+    assert list(verbs) == ([verb] if verb in _BAD_VALUE else list(_BAD_VALUE))
+    full = _parse_outcome(cli._build_parser(), argv, capsys)
+    assert _parse_outcome(one, argv, capsys) == full
+    if not isinstance(full[0], dict):  # main stops at the parser as well
+        assert run_cli(capsys, *argv) == (cli.EXIT_USAGE if full[0] else cli.EXIT_OK, *full[1:])
 
 
 def test_verify_json_prints_past_int_text_limit(tmp_path, capsys):

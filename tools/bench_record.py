@@ -13,7 +13,9 @@ median ms (``ref_median_ms``) and the ops' summed raw seconds, unnormalized
 apart. Then runs ``mgt verify --random --seed 1 --count 200 --json`` 5 times
 and records its median wall time, the pass/skip/fail counts and the sha256 of
 its output, which must be the same on every run. Last, the median wall time of
-5 runs each of the Tier-1 test command and of ``python -c "import mgt.cli"``.
+5 runs each of the Tier-1 test command, of ``python -c "import mgt.cli"`` and of
+a cold ``python -m mgt.cli tau`` on K4 (parser, dispatch and output as well as
+the imports), with the graph file in a temporary directory.
 Standard library only; writes BENCH_<label>.json in the repository root.
 """
 
@@ -27,6 +29,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from collections import Counter
 from importlib.metadata import PackageNotFoundError, version
@@ -35,10 +38,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 1
 RUNS = 5
 VERIFY = ["verify", "--random", "--seed", str(SEED), "--count", "200", "--json"]
-TIMED = {  # name -> argv, each run from the root with src on PYTHONPATH
+TIMED = {  # name -> argv, each run from the root with src on PYTHONPATH; {graph} is K4_TEXT's file
     "tier1": [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
     "import_cli": [sys.executable, "-c", "import mgt.cli"],
+    "cli_tau": [sys.executable, "-m", "mgt.cli", "tau", "{graph}"],
 }
+K4_TEXT = "v 4\ne 0 1 1\ne 0 2 1\ne 0 3 1\ne 1 2 1\ne 1 3 1\ne 2 3 1\n"
 
 
 def _numpy_version() -> str:
@@ -106,10 +111,14 @@ def main() -> int:
         raise SystemExit(f"verify output differs between runs: {sorted(digests)}")
     statuses = Counter(result["status"] for result in json.loads(out))
     timed = {}
-    for name, argv in TIMED.items():
-        runs = [_timed(argv)[0] for _ in range(RUNS)]
-        timed[name] = {"argv": ["python", *argv[1:]], "wall_s_median": statistics.median(runs),
-                       "wall_s_runs": runs}
+    with tempfile.TemporaryDirectory() as tmp:
+        graph = os.path.join(tmp, "k4.txt")
+        with open(graph, "w") as fh:
+            fh.write(K4_TEXT)
+        for name, argv in TIMED.items():
+            runs = [_timed([a.replace("{graph}", graph) for a in argv])[0] for _ in range(RUNS)]
+            timed[name] = {"argv": ["python", *argv[1:]], "wall_s_median": statistics.median(runs),
+                           "wall_s_runs": runs}
 
     record = {
         "label": args.label,
