@@ -10,12 +10,11 @@ graph's vertex count and edges, not the graph, so no reference cycle holds
 either. The cache is safe for concurrent readers: the matrix is computed once
 under a lock and never mutated.
 
-The per-edge deletion profiles (:class:`EdgeProfile`) are the paper's
-deletion route, read off the same integers: a rank-one update for a cycle
-edge (``r_deleted``; the three arms share the denominator 2 d gap), the
-resistance to the nearer endpoint for a bridge. Only the tests read them:
-the suite's arm sums take ``deleted_num`` and ``tau.deleted_apq`` takes
-``deleted_int`` (g - e's integers) directly, and ``res_deleted`` builds no profile either.
+Deleting an edge and gluing two vertices are read off the same integers,
+with no new graph built: each is one rank-one update that adds an edge
+(:class:`GreenUpdate`), read by ``r_deleted``, the deletion profiles
+(:class:`EdgeProfile`, which only the tests read), the suite's arm sums,
+``tau.deleted_apq`` and ``tau.apq_identity``.
 
 :func:`edge_profile` (each deleted graph solved anew) and
 :func:`solve_pair_resistances` (the sampled edge-polynomial oracle's solver)
@@ -30,9 +29,10 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from operator import sub
 from typing import NamedTuple
 
-from .errors import BadPoint, MgtError
+from .errors import BadPoint, BridgeDeletion
 from .graph import Edge, MetrizedGraph, PointOnGraph, _cached, insert_points, normalize_point
 from .linalg import green_numden
 from .rational import INF, ExtScalar
@@ -68,12 +68,56 @@ def _edge_rows(edges, num: list[list[int]], den: int) -> tuple[tuple[int, ...], 
     return tuple(rows)
 
 
+class GreenUpdate:
+    """g's Green integers after adding an edge of length m/n between a and b.
+
+    With c = N[a] - N[b] and s = m d + n rn(a,b), Sherman-Morrison gives
+    N' = N s - n c c^T over d' = d s (s and n negated when s < 0, so d' > 0).
+    Deletion is m/n = -L; gluing is m = 0, n = 1, where an edge a-b becomes a
+    loop and a bridge closed into a cycle gets gap' > 0, with no branch. c is
+    built with the update; an entry, the diagonal, a row and the edge rows
+    are each worked out only when read.
+    """
+
+    def __init__(self, num: list[list[int]], den: int, a: int, b: int, m: int, n: int):
+        self._c = c = list(map(sub, num[a], num[b]))
+        s = m * den + n * (c[a] - c[b])
+        if s < 0:
+            s, n = -s, -n
+        self._num, self._s, self._n = num, s, n
+        self.den = den * s
+
+    def res_num(self, y: int, z: int) -> int:
+        """d' r'(y,z) in O(1), from three entries of N and two of c."""
+        num, c = self._num, self._c
+        cross = c[y] - c[z]
+        return (num[y][y] + num[z][z] - 2 * num[y][z]) * self._s - self._n * cross * cross
+
+    def diag(self) -> list[int]:
+        s, n = self._s, self._n
+        return [row[y] * s - n * cy * cy for y, (row, cy) in enumerate(zip(self._num, self._c))]
+
+    def row(self, y: int) -> list[int]:
+        s, c = self._s, self._c
+        ncy = self._n * c[y]
+        return [x * s - ncy * cz for x, cz in zip(self._num[y], c)]
+
+    def rows(self, rows) -> list[tuple[int, int, int, int, int, int]]:
+        """g's own ``edge_int`` rows updated to d': rn' = rn s - n (c[a] - c[b])^2."""
+        c, s, n, den = self._c, self._s, self._n, self.den
+        out = []
+        for a, b, ln, ld, rn, _ in rows:
+            cross = c[a] - c[b]
+            rn = rn * s - n * cross * cross
+            out.append((a, b, ln, ld, rn, ln * den - rn * ld))
+        return out
+
+
 class GraphContext:
-    """Cached exact solver state for one immutable graph.
+    """Cached exact solver state for one immutable graph (its vertex count and edges, not the graph).
 
     The Green matrix is kept as integer numerators over one denominator so
-    resistance lookups cost a single Fraction construction. The context holds
-    the graph's vertex count and edges, never the graph that holds it.
+    resistance lookups cost a single Fraction construction.
     """
 
     def __init__(self, g: MetrizedGraph):
@@ -127,47 +171,22 @@ class GraphContext:
         return Fraction(num[y][y] + num[z][z] - 2 * num[y][z], self._den)
 
     def voltage(self, x: int, y: int, z: int) -> Fraction:
+        """j_x(y,z) = (r(x,y) + r(x,z) - r(y,z))/2, whose diagonal terms at y and z cancel."""
         self._ensure_green()
         num = self._num
-        combined = (
-            (num[x][x] + num[y][y] - 2 * num[x][y])
-            + (num[x][x] + num[z][z] - 2 * num[x][z])
-            - (num[y][y] + num[z][z] - 2 * num[y][z])
-        )
-        return Fraction(combined, 2 * self._den)
+        return Fraction(num[x][x] - num[x][y] - num[x][z] + num[y][z], self._den)
+
+    def deleted(self, edge_id: int) -> GreenUpdate:
+        """g - e's integers: e in parallel with length -L, so d' = d gap; BridgeDeletion if gap = 0."""
+        a, b, ln, ld, _, gap = self.edge_int()[edge_id]
+        if gap == 0:
+            raise BridgeDeletion(f"deleting edge {edge_id} disconnects the graph")
+        return GreenUpdate(*self.green_int(), a, b, -ln, ld)
 
     def r_deleted(self, edge_id: int, y: int, z: int) -> Fraction:
-        """Resistance between y and z after deleting one edge (rank-one update).
-
-        Requires the deleted graph to stay connected. See ``deleted_num``.
-        """
-        a, b, _, _, _, gap = self.edge_int()[edge_id]
-        if a == b:
-            return self.r(y, z)
-        if gap == 0:
-            raise MgtError("edge is a bridge; deleted resistance is infinite")
-        return Fraction(self.deleted_num(edge_id, y, z), self._den * gap)
-
-    def deleted_num(self, edge_id: int, y: int, z: int) -> int:
-        """d gap times the resistance between y and z with a cycle edge deleted.
-
-        With cross = (N[a][y] - N[b][y]) - (N[a][z] - N[b][z]) this is
-        d r(y,z) gap + cross^2 ld (Sherman-Morrison on the Green matrix).
-        """
-        a, b, _, ld, _, gap = self.edge_int()[edge_id]
-        num = self._num
-        cross = num[a][y] - num[b][y] - num[a][z] + num[b][z]
-        return (num[y][y] + num[z][z] - 2 * num[y][z]) * gap + cross * cross * ld
-
-    def deleted_int(self, edge_id: int):
-        """(N', d', rows') of the graph minus a cycle edge e = (a, b): with c = N[a] - N[b],
-        N' = N gap + ld c c^T over d' = d gap (Sherman-Morrison), rows' as in ``edge_int``."""
-        a, b, _, ld, _, gap = self.edge_int()[edge_id]
-        num, den = self._num, self._den * gap
-        c = [x - y for x, y in zip(num[a], num[b])]
-        new = [[n * gap + ld * cy * cz for n, cz in zip(row, c)] for row, cy in zip(num, c)]
-        kept = [e for i, e in enumerate(self.edges) if i != edge_id]
-        return new, den, _edge_rows(kept, new, den)
+        """Resistance between y and z after deleting one edge; a loop (c = 0) leaves r unchanged."""
+        update = self.deleted(edge_id)
+        return Fraction(update.res_num(y, z), update.den)
 
     def edge_profiles(self, base: int) -> tuple[EdgeProfile, ...]:
         if base not in self._profiles:
@@ -183,23 +202,19 @@ class GraphContext:
 
         With X_y = d gap r_deleted(y, base) and M = ln rn d = d gap R, the arms
         are (X_a + M - X_b), (M + X_b - X_a) and (X_a + X_b - M) over 2 d gap.
+        A loop (rn = 0, c = 0) comes out with zero arms and arm_base r(base, a).
         """
         a, b, ln, _, rn, gap = self.edge_int()[edge_id]
-        length = self.edges[edge_id].length
-        if a == b:
-            return EdgeProfile(
-                edge_id, length, Fraction(0), Fraction(0), Fraction(0),
-                self.r(base, a), bridge=False, loop=True,
-            )
         if gap == 0:  # bridge: the rest of the circuit carries no alternative path
             return self._bridge_profile(edge_id, base)
-        x_a = self.deleted_num(edge_id, a, base)
-        x_b = self.deleted_num(edge_id, b, base)
+        update = self.deleted(edge_id)
+        x_a = update.res_num(a, base)
+        x_b = update.res_num(b, base)
         mid = ln * rn * self._den
-        over = 2 * self._den * gap
-        return EdgeProfile(edge_id, length, self.res_deleted(edge_id),
+        over = 2 * update.den
+        return EdgeProfile(edge_id, self.edges[edge_id].length, self.res_deleted(edge_id),
                            Fraction(x_a + mid - x_b, over), Fraction(mid + x_b - x_a, over),
-                           Fraction(x_a + x_b - mid, over), bridge=False, loop=False)
+                           Fraction(x_a + x_b - mid, over), bridge=False, loop=(a == b))
 
     def _bridge_profile(self, edge_id: int, base: int) -> EdgeProfile:
         # Across a bridge r(base, b) = r(base, a) + L when base is on a's side,

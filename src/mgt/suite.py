@@ -170,7 +170,7 @@ def _le(lhs, rhs, tag=""):
 def _arm_sums(g: MetrizedGraph, base: int) -> tuple[Fraction, Fraction]:
     """sum L (arm_a - arm_b)^2/(L+R)^2 at a base vertex: over all edges, and over those not at it.
 
-    With X_y = d gap r_{g-e}(y, base) (``GraphContext.deleted_num``), the arms
+    With X_y = d gap r_{g-e}(y, base) (``GraphContext.deleted``), the arms
     differ by (X_a - X_b)/(d gap) and L + R = ln^2 d/(ld gap), so an edge adds
     ld (X_a - X_b)^2/(ln^3 d^4): 0 on a loop, and the limit L on a bridge.
     Memoized per base in the graph's context.
@@ -181,7 +181,9 @@ def _arm_sums(g: MetrizedGraph, base: int) -> tuple[Fraction, Fraction]:
         d4 = cx.green_int()[1] ** 4
         terms, off_base = [], []
         for i, (a, b, ln, ld, _, gap) in enumerate(cx.edge_int()):
-            x = cx.deleted_num(i, a, base) - cx.deleted_num(i, b, base)
+            if gap:  # a bridge has no deletion update
+                deleted = cx.deleted(i)
+                x = deleted.res_num(a, base) - deleted.res_num(b, base)
             terms.append((ld * x * x, ln**3) if gap else (ln * d4, ld))
             if base not in (a, b):
                 off_base.append(terms[-1])

@@ -22,15 +22,14 @@ such a sum over the record's own masses and densities, a check of the record.
 tau (``tau_of``, also stored by ``tau_edge_sum``), A (``apq``, per unordered
 vertex pair), A of the graph minus one edge (``deleted_apq``, per edge) and
 the bound suite's rows are memoized in the graph's ``GraphContext.memo``.
-``deleted_apq`` builds no deleted graph: it reads A off a rank-one update of
-g's own integers (``GraphContext.deleted_int``), through ``_apq_sum``, the
-one A sum. ``apq_identity`` keeps the paper's identification route for A,
-r(p,q) (tau(glued) - tau) + r(p,q)^2/6, as a check of ``apq`` by a different
-formula; it builds no glued graph either: gluing p to q is the zero-length
-limit of an edge p-q, a rank-one update of the same integers
-(``_glued_tau``), and the glued tau is the same per-edge sum (``_tau_terms``)
-as g's. ``apq_checked`` compares the closed form with it and with the
-integral.
+tau at any base is one sum (``_tau_sum``) and A one sum (``_apq_sum``), over
+a diagonal and rows of Green numerators: g's own, or those of a rank-one
+update of them (``circuit.GreenUpdate``) for g minus an edge (``deleted_apq``)
+or for g with p and q glued, the zero-length limit of an edge p-q, so neither
+graph is built. ``apq_identity`` keeps the paper's identification route for
+A, r(p,q) (tau(glued) - tau) + r(p,q)^2/6, as a check of ``apq`` by a
+different formula; ``apq_checked`` compares the closed form with it and with
+the integral.
 """
 
 from __future__ import annotations
@@ -41,8 +40,8 @@ from math import lcm
 from operator import mul, sub
 from typing import NamedTuple
 
-from .circuit import context
-from .errors import BridgeDeletion, EmptyGraph, HasBridge, MgtError, SamePoint
+from .circuit import GreenUpdate, context
+from .errors import EmptyGraph, HasBridge, MgtError, SamePoint
 from .graph import MetrizedGraph, bridges, check_vertices, edge_at, genus, total_length
 from .rational import ExtScalar, sum_over
 
@@ -82,43 +81,24 @@ def _memo(ctx, key, compute):
     return value
 
 
-def _base_dns(num: list[list[int]], rows, base: int = 0) -> list[int]:
-    """Per edge dn = d (r(base,b) - r(base,a)), from Green numerators N over d."""
+def _potentials(num: list[list[int]], base: int = 0) -> list[int]:
+    """N[y][y] - 2 N[p][y] = d r(p,y) - N[p][p] per vertex y at base p. Row 0 of N is zero,
+    so at base 0 this is the diagonal, and a diagonal alone (g's or an update's) serves."""
     row_p = num[base]
-    return [num[b][b] - num[a][a] - 2 * (row_p[b] - row_p[a]) for a, b, *_ in rows]
+    return [row[y] - 2 * row_p[y] for y, row in enumerate(num)]
 
 
-def _tau_terms(rows, dns: list[int]) -> list[tuple[int, int]]:
-    """Per edge 12 d^2 times its tau share, as (numerator, denominator).
-
-    From the edge's ``edge_int`` row over d and D = r(base,b) - r(base,a) = dn/d.
-    """
-    return [(3 * dn * dn * ld * ld + gap * gap, ln * ld)
-            for (_, _, ln, ld, _, gap), dn in zip(rows, dns)]
+def _base_dns(pot: list[int], rows) -> list[int]:
+    """Per edge dn = d (r(p,b) - r(p,a)), from ``_potentials`` at base p."""
+    return [pot[b] - pot[a] for a, b, *_ in rows]
 
 
-def _glued_tau(num: list[list[int]], den: int, rows, p: int, q: int) -> Fraction:
-    """tau of the graph with vertices p and q glued, from the graph's own integers.
-
-    Gluing is the zero-length limit of an edge p-q. With u = N[p] - N[q] and
-    R = u[p] - u[q] = d r(p,q), Sherman-Morrison gives the glued Green
-    numerators N' = N R - u u^T over d' = d R. u[0] = 0, so row 0 stays zero
-    and base 0 still works, and the tau sum needs only N'[y][y] and, per edge,
-    rn' = rn R - (u[a] - u[b])^2. An edge between p and q becomes a loop
-    (rn' = 0), and a bridge that closes a cycle through the glued vertex gets
-    gap' > 0, both with no branch.
-    """
-    u = list(map(sub, num[p], num[q]))
-    big_r = u[p] - u[q]
-    glued_den = den * big_r
-    diag = [row[y] * big_r - uy * uy for y, (row, uy) in enumerate(zip(num, u))]
-    glued = []
-    for a, b, ln, ld, rn, _ in rows:
-        cross = u[a] - u[b]
-        glued_rn = rn * big_r - cross * cross
-        glued.append((a, b, ln, ld, glued_rn, ln * glued_den - glued_rn * ld))
-    dns = [diag[b] - diag[a] for a, b, *_ in glued]
-    return sum_over(_tau_terms(glued, dns), 12 * glued_den ** 2)
+def _tau_sum(rows, pot: list[int], den: int) -> tuple[Fraction, list[tuple[int, int]]]:
+    """tau, and per edge 12 d^2 times its tau share as (numerator, denominator), from the
+    ``edge_int`` rows over d and D = r(p,b) - r(p,a) (``_base_dns``)."""
+    terms = [(3 * dn * dn * ld * ld + gap * gap, ln * ld)
+             for (_, _, ln, ld, _, gap), dn in zip(rows, _base_dns(pot, rows))]
+    return sum_over(terms, 12 * den ** 2), terms
 
 
 def cubic_sum(g: MetrizedGraph) -> Fraction:
@@ -151,10 +131,9 @@ def tau_edge_sum(g: MetrizedGraph, base: int = 0) -> TauReport:
     check_vertices(g, base)
     ctx = context(g)
     num, den = ctx.green_int()
-    terms = _tau_terms(ctx.edge_int(), _base_dns(num, ctx.edge_int(), base))
+    tau, terms = _tau_sum(ctx.edge_int(), _potentials(num, base), den)
     scale = 12 * den ** 2
     per_edge = tuple((i, Fraction(n, scale * m), ctx.res_deleted(i)) for i, (n, m) in enumerate(terms))
-    tau = sum_over(terms, scale)
     ctx.memo.setdefault("tau", tau)
     return TauReport(tau, total_length(g), genus(g), per_edge, base)
 
@@ -165,7 +144,7 @@ def tau_of(g: MetrizedGraph) -> Fraction:
 
     def compute():
         num, den = ctx.green_int()
-        return sum_over(_tau_terms(ctx.edge_int(), _base_dns(num, ctx.edge_int())), 12 * den ** 2)
+        return _tau_sum(ctx.edge_int(), _potentials(num), den)[0]
 
     return _memo(ctx, "tau", compute)
 
@@ -213,21 +192,21 @@ def apq(g: MetrizedGraph, p: int, q: int) -> Fraction:
     if p == q:
         return Fraction(0)
     ctx = context(g)
+    num, den = ctx.green_int()
     return _memo(ctx, ("A", min(p, q), max(p, q)),
-                 lambda: _apq_sum(*ctx.green_int(), ctx.edge_int(), p, q))
+                 lambda: _apq_sum(num[p], num[q], _potentials(num), den, ctx.edge_int(), p, q))
 
 
-def _apq_sum(num: list[list[int]], den: int, rows, p: int, q: int) -> Fraction:
-    """A_{p,q} from Green numerators N over d and the graph's ``edge_int`` rows."""
-    rp, rq = num[p], num[q]
-    npp, nqq = rp[p], rq[q]
+def _apq_sum(rp: list[int], rq: list[int], diag: list[int], den: int, rows,
+             p: int, q: int) -> Fraction:
+    """A_{p,q} from rows p and q and the diagonal of Green numerators N over d, and ``edge_int`` rows."""
+    npp, nqq = diag[p], diag[q]
     big_r = npp + nqq - 2 * rp[q]
     terms = []
     for a, b, ln, ld, _, gap in rows:
         c = rp[a] - rp[b] - rq[a] + rq[b]
         if c:
-            naa, nbb = num[a][a], num[b][b]
-            s_e = 2 * (npp + nqq + naa + nbb) - 2 * (rp[a] + rp[b] + rq[a] + rq[b])
+            s_e = 2 * (npp + nqq + diag[a] + diag[b]) - 2 * (rp[a] + rp[b] + rq[a] + rq[b])
             terms.append((c * c * (3 * ld * (s_e - 2 * big_r) + 2 * gap), ln))
     return sum_over(terms, 12 * den ** 3)
 
@@ -237,8 +216,8 @@ def apq_identity(g: MetrizedGraph, p: int, q: int) -> Fraction:
 
     A = r(p,q) (tau(glued) - tau) + r(p,q)^2 / 6, where "glued" identifies p
     with q. The paper's identification route, kept as a check of ``apq``: the
-    glued graph's tau is a Sherman-Morrison update of g's own Green integers
-    (``_glued_tau``), so no glued graph is built or factorized.
+    glued graph's Green integers are a rank-one update of g's own
+    (``circuit.GreenUpdate``), so no glued graph is built or factorized.
     """
     check_vertices(g, p, q)
     if p == q:
@@ -247,7 +226,8 @@ def apq_identity(g: MetrizedGraph, p: int, q: int) -> Fraction:
 
     def compute():
         r = ctx.r(p, q)
-        glued_tau = _glued_tau(*ctx.green_int(), ctx.edge_int(), p, q)
+        glued = GreenUpdate(*ctx.green_int(), p, q, 0, 1)  # the zero-length limit of an edge p-q
+        glued_tau = _tau_sum(glued.rows(ctx.edge_int()), glued.diag(), glued.den)[0]
         return r * (glued_tau - tau_of(g)) + r * r / 6
 
     return _memo(ctx, ("apq", p, q), compute)
@@ -269,14 +249,13 @@ def apq_checked(g: MetrizedGraph, p: int, q: int) -> Fraction:
 def deleted_apq(g: MetrizedGraph, edge_id: int) -> Fraction:
     """A between an edge's endpoints in g minus the edge; 0 on a loop, BridgeDeletion on a bridge."""
     a, b, _ = edge_at(g, edge_id)
-    if a == b:
-        return Fraction(0)
     ctx = context(g)
 
     def compute():
-        if ctx.edge_int()[edge_id][5] == 0:  # gap = 0 marks a bridge
-            raise BridgeDeletion(f"deleting edge {edge_id} disconnects the graph")
-        return _apq_sum(*ctx.deleted_int(edge_id), a, b)
+        deleted = ctx.deleted(edge_id)  # BridgeDeletion on a bridge
+        rows = ctx.edge_int()
+        return _apq_sum(deleted.row(a), deleted.row(b), deleted.diag(), deleted.den,
+                        deleted.rows(rows[:edge_id] + rows[edge_id + 1:]), a, b)
 
     return _memo(ctx, ("deleted A", edge_id), compute)
 
@@ -304,7 +283,7 @@ def tau_gradient(g: MetrizedGraph) -> GradientVector:
     ctx = context(g)
     num, den = ctx.green_int()
     rows = ctx.edge_int()
-    dns = _base_dns(num, rows)  # D_e = dn/d at base 0
+    dns = _base_dns(_potentials(num), rows)  # D_e = dn/d at base 0
     big_l = lcm(*(row[2] for row in rows))
     w = 3 * den * big_l
     diag = [0] * g.vcount

@@ -3,11 +3,16 @@ import random
 import sys
 import threading
 import weakref
+from collections import Counter
 from fractions import Fraction as F
 
+import pytest
+
 from mgt import families
-from mgt.circuit import context, edge_profile, resistance, resistance_matrix, voltage
-from mgt.graph import bridges, build_graph, delete_edge_graph, normalize, total_length
+from mgt.circuit import GreenUpdate, context, edge_profile, resistance, resistance_matrix, voltage
+from mgt.errors import BridgeDeletion
+from mgt.graph import (bridges, build_graph, delete_edge_graph, identify_points_graph, normalize,
+                       total_length)
 from mgt.ops import add_edge
 from mgt.suite import GraphGenerator
 from mgt.rational import INF
@@ -239,17 +244,68 @@ def test_context_is_freed_with_its_graph():
 
 
 def test_r_deleted_matches_deleted_graph_solve():
-    # the rank-one update equals a fresh factorization of the deleted graph
-    checked = 0
+    # the rank-one update equals a fresh factorization of the deleted graph; a
+    # loop's deletion leaves r unchanged, and a bridge has no deleted graph
+    checked = Counter()
     for _, g in GraphGenerator(2).graphs(30):
         cx = context(g)
         cut = set(bridges(g))
         for i, (a, b, _) in enumerate(g.edges):
-            if a == b or i in cut:
+            if i in cut:
+                with pytest.raises(BridgeDeletion):
+                    cx.r_deleted(i, a, b)
+                checked["bridge"] += 1
                 continue
             solved = context(delete_edge_graph(g, i)[0])
             for y in range(g.vcount):
                 for z in range(g.vcount):
                     assert cx.r_deleted(i, y, z) == solved.r(y, z)
-            checked += 1
-    assert checked > 50
+            checked["loop" if a == b else "cycle"] += 1
+    assert checked["cycle"] > 50 and checked["loop"] > 3 and checked["bridge"] > 3
+
+
+def test_green_update_matches_the_graph_built_anew():
+    # one rank-one update, three ways: an edge of length m/n > 0 added, a cycle
+    # edge deleted (m/n = -L) and two vertices glued (m = 0); every resistance,
+    # the diagonal, each row and each edge row agree with the graph built and
+    # factorized anew
+    rng = random.Random(27)
+    kinds, signs = Counter(), set()
+    for _, g in GraphGenerator(3).graphs(150):
+        num, den = context(g).green_int()
+        v, edges, rows = g.vcount, g.edges, context(g).edge_int()
+        a, b = rng.randrange(v), rng.randrange(v)
+        length = F(rng.randint(1, 9), rng.randint(1, 9))
+        same = list(range(v))
+        cases = [("added", a, b, length.numerator, length.denominator,
+                  build_graph(v, [*edges, (a, b, length)]), same, None)]
+        cycle = [i for i in range(g.ecount) if i not in set(bridges(g))]
+        if cycle:
+            i = rng.choice(cycle)
+            a, b, length = edges[i]
+            cases.append(("deleted", a, b, -length.numerator, length.denominator,
+                          delete_edge_graph(g, i)[0], same, i))
+        if v > 1:
+            a, b = rng.sample(range(v), 2)
+            keep, drop = min(a, b), max(a, b)
+            glued_ids = [keep if y == drop else y - (y > drop) for y in range(v)]
+            cases.append(("glued", a, b, 0, 1, identify_points_graph(g, a, b), glued_ids, None))
+        for kind, a, b, m, n, built, ids, skip in cases:
+            signs.add(m * den + n * (num[a][a] + num[b][b] - 2 * num[a][b]) > 0)
+            update = GreenUpdate(num, den, a, b, m, n)
+            assert update.den > 0
+            solved = context(built)
+            diag = update.diag()
+            for y in range(v):
+                row = update.row(y)
+                for z in range(v):
+                    r = F(update.res_num(y, z), update.den)
+                    assert r == solved.r(ids[y], ids[z]), (kind, g, a, b, y, z)
+                    assert r == F(diag[y] + diag[z] - 2 * row[z], update.den)
+            kept = [row for j, row in enumerate(rows) if j != skip]
+            for ea, eb, ln, ld, rn, gap in update.rows(kept):
+                r = solved.r(ids[ea], ids[eb])
+                assert (F(rn, update.den), F(gap, ld * update.den)) == (r, F(ln, ld) - r)
+            kinds[kind] += 1
+    assert signs == {True, False}
+    assert min(kinds[k] for k in ("added", "deleted", "glued")) > 100

@@ -231,10 +231,13 @@ def test_self_immersion_determinant_is_small(monkeypatch):
 
 
 def test_deletion_sums_factorize_only_the_graph_itself(monkeypatch):
-    # deleted A and the arm sums read g's own Green integers; no g - e is solved
+    # every reader of the rank-one update (deleted A, the arm sums, deleted
+    # resistances, the deletion profiles, A by gluing) reads g's own Green
+    # integers; no g - e and no glued graph is solved
+    from mgt.circuit import context
     from mgt.graph import bridges
     from mgt.suite import run_graph_checks
-    from mgt.tau import deleted_apq
+    from mgt.tau import apq_identity, deleted_apq
 
     dets = _spy_on_factorizations(monkeypatch)
     g = scale(families.random_connected(random.Random(17), 7, 12), F(7919, 104729))  # not cached yet
@@ -242,4 +245,9 @@ def test_deletion_sums_factorize_only_the_graph_itself(monkeypatch):
     values = [deleted_apq(g, i) for i in range(g.ecount) if i not in cut]
     results = run_graph_checks("fresh", g, random.Random(1), {"lem2term", "rem2term"})
     assert len(values) > 3 and [r.status for r in results] == ["pass", "pass"]
+    cx = context(g)
+    deleted_r = [cx.r_deleted(i, 0, g.vcount - 1) for i in range(g.ecount) if i not in cut]
+    profiles = [cx.edge_profiles(p) for p in range(g.vcount)]
+    glued = [apq_identity(g, p, q) for p in range(g.vcount) for q in range(p + 1, g.vcount)]
+    assert len(deleted_r) == len(values) and len(profiles[0]) == g.ecount and len(glued) == g.vcount * (g.vcount - 1) // 2 > 10
     assert len(dets) == 1

@@ -74,3 +74,20 @@ def test_benchmark_tracer_binds_every_name_a_layer_metric_needs():
                           text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []
+
+
+def test_bench_record_counts_lines_as_wc_does():
+    # the record's ``lines`` block is where the line-count aim is read off
+    root = Path(__file__).resolve().parent.parent
+    sys.path.insert(0, str(root / "tools"))
+    try:
+        import bench_record
+    finally:
+        sys.path.remove(str(root / "tools"))
+    counts = bench_record._line_counts()
+    for folder in ("src/mgt", "tests"):
+        paths = sorted((root / folder).glob("*.py"))
+        wc = subprocess.run(["wc", "-l", *map(str, paths)], capture_output=True, text=True,
+                            check=True).stdout.split()
+        assert counts[folder]["total"] == int(wc[-2])  # "<n> total" closes wc's listing
+        assert sorted(counts[folder]["files"]) == [p.name for p in paths]

@@ -15,13 +15,16 @@ and records its median wall time, the pass/skip/fail counts and the sha256 of
 its output, which must be the same on every run. Last, the median wall time of
 5 runs each of the Tier-1 test command, of ``python -c "import mgt.cli"`` and of
 a cold ``python -m mgt.cli tau`` on K4 (parser, dispatch and output as well as
-the imports), with the graph file in a temporary directory.
+the imports), with the graph file in a temporary directory. The ``lines``
+block holds the line count of each ``src/mgt/*.py`` and ``tests/*.py`` file
+and their totals, as ``wc -l`` counts them.
 Standard library only; writes BENCH_<label>.json in the repository root.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import hashlib
 import json
 import os
@@ -61,6 +64,18 @@ def _workload(command: list[str], name: str, seconds: int) -> tuple[dict, dict]:
     out = subprocess.run(argv, cwd=ROOT, check=True, capture_output=True, text=True).stdout
     *_, detail, result = out.strip().splitlines()
     return json.loads(result), json.loads(detail)["detail"]
+
+
+def _line_counts() -> dict:
+    """Per folder, the newline count of each ``*.py`` file in it and their total."""
+    counts = {}
+    for folder in ("src/mgt", "tests"):
+        files = {}
+        for path in sorted(glob.glob(os.path.join(ROOT, folder, "*.py"))):
+            with open(path, "rb") as fh:
+                files[os.path.basename(path)] = fh.read().count(b"\n")
+        counts[folder] = {"total": sum(files.values()), "files": files}
+    return counts
 
 
 def _timed(argv: list[str]) -> tuple[float, bytes]:
@@ -128,6 +143,7 @@ def main() -> int:
         "verify": {"argv": ["mgt", *VERIFY], "wall_s_median": statistics.median(walls),
                    "wall_s_runs": walls, "sha256": digests.pop(), "statuses": dict(statuses)},
         **timed,
+        "lines": _line_counts(),
     }
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w") as fh:
