@@ -9,9 +9,7 @@ import importlib
 # export name -> submodule that defines it
 _EXPORTS = {
     "EdgeProfile": "circuit",
-    "edge_profile": "circuit",
     "resistance": "circuit",
-    "resistance_matrix": "circuit",
     "voltage": "circuit",
     "MgtError": "errors",
     "Edge": "graph",

@@ -14,12 +14,12 @@ Deleting an edge and gluing two vertices are read off the same integers,
 with no new graph built: each is one rank-one update that adds an edge
 (:class:`GreenUpdate`), read by ``r_deleted``, the deletion profiles
 (:class:`EdgeProfile`, which only the tests read), the suite's arm sums,
-``tau.deleted_apq`` and ``tau.apq_identity``.
+``tau.deleted_apq`` and ``tau.apq_identity``. Their reference, each deleted
+graph built and solved anew, lives in ``tests/oracles.py``.
 
-:func:`edge_profile` (each deleted graph solved anew) and
 :func:`solve_pair_resistances` (the sampled edge-polynomial oracle's solver)
-exist only to check the matrix. Each solves its own graph through
-``_solved``, which calls ``green_numden`` directly and stores nothing.
+exists only to check the matrix: it calls ``green_numden`` directly and
+stores nothing.
 
 ``GraphContext.memo`` holds what higher layers compute once per graph (tau,
 A); it goes with the context when the graph goes.
@@ -32,8 +32,8 @@ from fractions import Fraction
 from operator import sub
 from typing import NamedTuple
 
-from .errors import BadPoint, BridgeDeletion
-from .graph import Edge, MetrizedGraph, PointOnGraph, _cached, insert_points, normalize_point
+from .errors import BridgeDeletion
+from .graph import MetrizedGraph, PointOnGraph, _cached, insert_points
 from .linalg import green_numden
 from .rational import INF, ExtScalar
 
@@ -231,40 +231,6 @@ class GraphContext:
                            bridge=True, loop=False)
 
 
-def _solved(vcount: int, edges):
-    """r(y, z) on a graph solved anew by ``green_numden``, apart from any context."""
-    num, den = green_numden(vcount, edges)
-    return lambda y, z: Fraction(num[y][y] + num[z][z] - 2 * num[y][z], den)
-
-
-def _component_of(g: MetrizedGraph, skip_edge: int, start: int) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for i, (a, b, _) in enumerate(g.edges):
-            if i == skip_edge:
-                continue
-            for w in ((b,) if a == u else (a,) if b == u else ()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return seen
-
-
-def _component_resistance(g: MetrizedGraph, skip_edge: int, side_a: set[int] | None,
-                          y: int, z: int) -> Fraction:
-    """Resistance between y and z inside their component of the deleted graph."""
-    if y == z:
-        return Fraction(0)
-    comp = side_a if side_a is not None else _component_of(g, skip_edge, y)
-    verts = sorted(comp)
-    relabel = {v: i for i, v in enumerate(verts)}
-    edges = [Edge(relabel[a], relabel[b], L) for i, (a, b, L) in enumerate(g.edges)
-             if i != skip_edge and a in comp and b in comp]
-    return _solved(len(verts), edges)(relabel[y], relabel[z])
-
-
 def context(g: MetrizedGraph) -> GraphContext:
     """The graph's solver context, stored on g by its first reader and freed with it."""
     return _cached(g, "_context", GraphContext)
@@ -284,46 +250,6 @@ def voltage(g: MetrizedGraph, x: PointOnGraph, y: PointOnGraph, z: PointOnGraph)
     return context(gx).voltage(vx, vy, vz)
 
 
-def edge_profile(g: MetrizedGraph, edge_id: int, base: int) -> EdgeProfile:
-    """Direct recomputation of one edge profile from the deleted graph.
-
-    Unlike the cached fast path this actually builds the deleted graph and
-    solves it, so the two routes cross-check each other.
-    """
-    if not 0 <= edge_id < g.ecount:
-        raise BadPoint(f"edge {edge_id} out of range")
-    a, b, length = g.edges[edge_id]
-    base = normalize_point(g, base)
-    if not isinstance(base, int):
-        raise BadPoint("base must be a vertex")
-    rest = g.edges[:edge_id] + g.edges[edge_id + 1 :]
-    if a == b:
-        return EdgeProfile(edge_id, length, Fraction(0), Fraction(0), Fraction(0),
-                           _solved(g.vcount, rest)(base, a), bridge=False, loop=True)
-    side_a = _component_of(g, edge_id, a)
-    if b not in side_a:
-        if base in side_a:
-            arm_base = _component_resistance(g, edge_id, side_a, base, a)
-            return EdgeProfile(edge_id, length, INF, Fraction(0), INF, arm_base,
-                               bridge=True, loop=False)
-        arm_base = _component_resistance(g, edge_id, None, base, b)
-        return EdgeProfile(edge_id, length, INF, INF, Fraction(0), arm_base,
-                           bridge=True, loop=False)
-    r = _solved(g.vcount, rest)
-    res_del, ra_p, rb_p = r(a, b), r(a, base), r(b, base)
-    arm_a = (ra_p + res_del - rb_p) / 2
-    arm_b = res_del - arm_a
-    arm_base = (ra_p + rb_p - res_del) / 2
-    return EdgeProfile(edge_id, length, res_del, arm_a, arm_b, arm_base,
-                       bridge=False, loop=False)
-
-
-def resistance_matrix(g: MetrizedGraph) -> list[list[Fraction]]:
-    """Symmetric table of pairwise vertex resistances."""
-    ctx = context(g)
-    return [[ctx.r(y, z) for z in range(g.vcount)] for y in range(g.vcount)]
-
-
 def solve_pair_resistances(g: MetrizedGraph, pairs: list[tuple[int, int]]) -> list[Fraction]:
     """Resistances for selected vertex pairs of a graph solved anew.
 
@@ -331,5 +257,5 @@ def solve_pair_resistances(g: MetrizedGraph, pairs: list[tuple[int, int]]) -> li
     point is inserted as a vertex and its graph solved here, apart from the
     cached contexts that ``mgt.integration`` reads.
     """
-    r = _solved(g.vcount, g.edges)
-    return [r(y, z) for y, z in pairs]
+    num, den = green_numden(g.vcount, g.edges)
+    return [Fraction(num[y][y] + num[z][z] - 2 * num[y][z], den) for y, z in pairs]

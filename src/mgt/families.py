@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 from .errors import BadM
-from .graph import Edge, MetrizedGraph, build_graph
+from .graph import MetrizedGraph, build_graph
 from .rational import Scalar
 
 
@@ -112,8 +112,7 @@ def random_length(rng: random.Random, max_num: int = 16, max_den: int = 16) -> F
     return Fraction(rng.randint(1, max_num), rng.randint(1, max_den))
 
 
-def random_connected(rng: random.Random, max_vertices: int = 8, max_edges: int = 16,
-                     allow_loops: bool = True) -> MetrizedGraph:
+def random_connected(rng: random.Random, max_vertices: int = 8, max_edges: int = 16) -> MetrizedGraph:
     """Random connected multigraph: a random spanning tree plus extra edges.
 
     One draw in five uses a single shared length so that equal-length
@@ -129,8 +128,6 @@ def random_connected(rng: random.Random, max_vertices: int = 8, max_edges: int =
     for _ in range(extra):
         x = rng.randrange(v)
         y = rng.randrange(v)
-        if x == y and not allow_loops:
-            continue
         edges.append((x, y, draw()))
     rng.shuffle(edges)
     return build_graph(v, edges)
@@ -139,20 +136,3 @@ def random_connected(rng: random.Random, max_vertices: int = 8, max_edges: int =
 def random_tree(rng: random.Random, max_vertices: int = 8) -> MetrizedGraph:
     v = rng.randint(2, max_vertices)
     return build_graph(v, [(rng.randrange(w), w, random_length(rng)) for w in range(1, v)])
-
-
-def random_bridgeless(rng: random.Random, max_vertices: int = 6, max_edges: int = 12) -> MetrizedGraph:
-    """Random connected graph with every non-loop edge doubled into a cycle cover."""
-    from .graph import bridges
-
-    for _ in range(64):
-        g = random_connected(rng, max_vertices, max_edges)
-        if not bridges(g):
-            return g
-    # fall back: double every bridge
-    g = random_connected(rng, max_vertices, max_edges // 2)
-    edges = list(g.edges)
-    for i in bridges(g):
-        a, b, L = g.edges[i]
-        edges.append(Edge(a, b, L))
-    return MetrizedGraph(g.vcount, tuple(edges))

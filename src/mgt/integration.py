@@ -13,8 +13,10 @@ Scaled by 2 d ld (d the Green denominator, L = ln/ld) every tag has integer
 coefficients in s, so ``integrate_product`` multiplies integer rows, integrates
 them with int_0^1 s^k ds = 1/(k+1) and builds one Fraction per integral.
 ``edge_tag_polynomials`` reads the same rows as ``EdgePolynomial`` values in
-t. ``fit_edge_function`` still fits an arbitrary integrand from sampled
-interior points with a guard sample.
+t, and ``fit_edge_function`` fits an arbitrary integrand from sampled
+interior points with a guard sample. An ``EdgePolynomial`` is a value that
+can be evaluated; the Fraction products and integrals that check
+``integrate_product`` are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -64,32 +66,6 @@ class EdgePolynomial(Frozen):
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "EdgePolynomial":
-        d = tuple(k * c for k, c in enumerate(self.coeffs) if k > 0)
-        return EdgePolynomial(self.edge, d or (Fraction(0),))
-
-    def __mul__(self, other: "EdgePolynomial") -> "EdgePolynomial":
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return EdgePolynomial(self.edge, tuple(out))
-
-    def power(self, n: int) -> "EdgePolynomial":
-        result = EdgePolynomial(self.edge, (Fraction(1),))
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def integral(self, upper: Fraction) -> Fraction:
-        """Definite integral over [0, upper]."""
-        acc = Fraction(0)
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            acc = (acc + self.coeffs[k] / (k + 1)) * upper
         return acc
 
 

@@ -19,13 +19,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import families
-from .circuit import context
-from .errors import BadN, MgtError, NonPositiveLength, NotBridgeless, SamePoint, UnknownParameter
-from .graph import MetrizedGraph, bridges, normalize, subdivide_uniform, total_length
-from .ops import contract_edge, immerse, parallel_sum, OpResult
-from .tau import apq, tau_of
+from .errors import BadN, MgtError, NonPositiveLength, NotBridgeless, UnknownParameter
+from .graph import MetrizedGraph, bridges, normalize
+from .ops import contract_edge
+from .tau import tau_of
 
 POSITIVITY_FLOOR = 1e-9
+ROUND_CAP = 10**6  # largest denominator of a rounded minimum's coordinate
 RATIO_FLOOR = Fraction(1, 108)  # conjectured universal ratio; violations are reported, not hidden
 NECKLACE_CHECK_LIMIT = 4  # necklaces with more diamonds report the closed form without a direct tau
 _SCAN_KEYS = {  # the parameter keys each scan family reads
@@ -118,21 +118,21 @@ class FloatTopology:
         return self._edge_terms(lengths)[2].copy()
 
 
-def project_simplex(x: np.ndarray, floor: float = POSITIVITY_FLOOR) -> np.ndarray:
-    """Euclidean projection onto {x >= floor, sum x = 1}: a scan down the sorted
+def project_simplex(x: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto {x >= POSITIVITY_FLOOR, sum x = 1}: a scan down the sorted
     coordinates, summed in ``cumsum``'s order. k = 1 always counts: true in exact
     arithmetic, and rounding can lose it when |x| dwarfs 1."""
     if not x.size:
         raise ValueError("cannot project an empty vector onto the simplex")
-    budget = 1.0 - x.size * floor
-    y = x - floor
+    budget = 1.0 - x.size * POSITIVITY_FLOOR
+    y = x - POSITIVITY_FLOOR
     total = 0.0
     for k, u in enumerate(sorted(y.tolist(), reverse=True), 1):
         total += u
         css = total - budget
         if k == 1 or u - css / k > 0:
             theta = css / k
-    return np.maximum(y - theta, 0.0) + floor
+    return np.maximum(y - theta, 0.0) + POSITIVITY_FLOOR
 
 
 def _contract_bridges(g: MetrizedGraph) -> tuple[MetrizedGraph, int]:
@@ -231,13 +231,13 @@ def minimize_tau(
     )
 
 
-def _round_to_simplex(x: np.ndarray, cap: int = 10**6) -> tuple[Fraction, ...]:
-    """Each coordinate's best rational with denominator <= cap, raised to at
-    least 1/(10 cap), then scaled to sum 1: on integer pairs over one lcm."""
+def _round_to_simplex(x: np.ndarray) -> tuple[Fraction, ...]:
+    """Each coordinate's best rational with denominator <= ROUND_CAP, raised to at
+    least 1/(10 ROUND_CAP), then scaled to sum 1: on integer pairs over one lcm."""
     pairs = []
     for v in x.tolist():
-        n, d = _best_rational(v, cap)
-        pairs.append((1, 10 * cap) if n * 10 * cap < d else (n, d))
+        n, d = _best_rational(v, ROUND_CAP)
+        pairs.append((1, 10 * ROUND_CAP) if n * 10 * ROUND_CAP < d else (n, d))
     common = math.lcm(*(d for _, d in pairs))
     nums = [n * (common // d) for n, d in pairs]
     total = sum(nums)
@@ -324,35 +324,3 @@ def _scan_assert(closed: Fraction, g: MetrizedGraph, tag: str) -> None:
 
 def scan_violations(rows: list[ScanRow]) -> list[ScanRow]:
     return [row for row in rows if not row.conjecture_ok]
-
-
-def tau_reducing_sequence(
-    g: MetrizedGraph, p: int, q: int, eps: Fraction
-) -> tuple[int, OpResult]:
-    """Build a normalized graph with tau below tau(g) - r(p,q)(1/4 - tau(g)) + eps.
-
-    The subdivision order m is solved exactly from (A/(m r)) sum L^2/(L+R) <= eps
-    rather than searched; the immersion of g into its own m-subdivision then
-    realizes the bound, and the result's exact tau is checked against it.
-    """
-    if p == q:
-        raise SamePoint("need two distinct points")
-    if total_length(g) != 1:
-        raise MgtError("input graph must be normalized")
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise MgtError("eps must be positive")
-    r = context(g).r(p, q)
-    a_val = apq(g, p, q)
-    spread = parallel_sum(g)
-    m = max(1, math.ceil(a_val * spread / (r * eps)))
-    host = subdivide_uniform(g, m)
-    result = immerse(host, [(g, p, q)] * host.ecount)
-    achieved = tau_of(result.graph)
-    predicted = tau_of(g) - r * (Fraction(1, 4) - tau_of(g)) + a_val * spread / (m * r)
-    if achieved != predicted:
-        raise AssertionError(f"immersion value mismatch: {achieved} vs {predicted}")
-    bound = tau_of(g) - r * (Fraction(1, 4) - tau_of(g)) + eps
-    if achieved > bound:
-        raise AssertionError(f"tau-reduction bound violated: {achieved} > {bound}")
-    return m, result

@@ -173,22 +173,29 @@ def _arm_sums(g: MetrizedGraph, base: int) -> tuple[Fraction, Fraction]:
     With X_y = d gap r_{g-e}(y, base) (``GraphContext.deleted``), the arms
     differ by (X_a - X_b)/(d gap) and L + R = ln^2 d/(ld gap), so an edge adds
     ld (X_a - X_b)^2/(ln^3 d^4): 0 on a loop, and the limit L on a bridge.
-    Memoized per base in the graph's context.
+    Each edge's deletion update serves every base, so all bases are summed in
+    one pass and memoized together in the graph's context.
     """
     cx = context(g)
-    value = cx.memo.get(("arms", base))
-    if value is None:
+    sums = cx.memo.get("arms")
+    if sums is None:
         d4 = cx.green_int()[1] ** 4
-        terms, off_base = [], []
+        bases = range(cx.vcount)
+        terms = [[] for _ in bases]
+        off_base = [[] for _ in bases]
         for i, (a, b, ln, ld, _, gap) in enumerate(cx.edge_int()):
             if gap:  # a bridge has no deletion update
                 deleted = cx.deleted(i)
-                x = deleted.res_num(a, base) - deleted.res_num(b, base)
-            terms.append((ld * x * x, ln**3) if gap else (ln * d4, ld))
-            if base not in (a, b):
-                off_base.append(terms[-1])
-        value = cx.memo.setdefault(("arms", base), (sum_over(terms, d4), sum_over(off_base, d4)))
-    return value
+            for p in bases:
+                if gap:
+                    x = deleted.res_num(a, p) - deleted.res_num(b, p)
+                term = (ld * x * x, ln**3) if gap else (ln * d4, ld)
+                terms[p].append(term)
+                if p not in (a, b):
+                    off_base[p].append(term)
+        sums = cx.memo.setdefault("arms", tuple((sum_over(t, d4), sum_over(o, d4))
+                                                for t, o in zip(terms, off_base)))
+    return sums[base]
 
 
 # ---------------------------------------------------------------------------
@@ -982,63 +989,3 @@ def run_graph_checks(descriptor: str, g: MetrizedGraph, rng: random.Random,
             status, lhs, rhs, reason = "fail", None, None, f"error: {exc}"
         results.append(CheckResult(cid, descriptor, lhs, rhs, status, reason))
     return results
-
-
-def necklace_witness() -> tuple[CheckResult, CheckResult]:
-    """The normalized necklace instance that separates tau from the cubic sum.
-
-    Uses the closed-form tau (verified against the direct engine on small
-    instances) and symmetry classes for the per-edge deleted resistances:
-    600 edges fall into three classes whose deleted graphs reduce to five-node
-    networks.
-    """
-    t = 100
-    a = Fraction(1, 101)
-    b = (1 - a * t) / (5 * t)
-    g = families.necklace(a, b, t)
-    assert total_length(g) == 1
-    tau = families.necklace_tau(a, b, t)
-    term = necklace_cubic_sum(a, b, t) / 12
-    r1 = CheckResult(
-        "necklace-tau-above", f"necklace(a={a},b={b},t={t})",
-        tau, Fraction(10, 121),
-        "pass" if tau > Fraction(10, 121) else "fail",
-    )
-    r2 = CheckResult(
-        "necklace-cubic-below", f"necklace(a={a},b={b},t={t})",
-        term, Fraction(1, 5000),
-        "pass" if term < Fraction(1, 5000) else "fail",
-    )
-    return r1, r2
-
-
-def necklace_cubic_sum(a, b, t: int) -> Fraction:
-    """sum L^3/(L+R)^2 on the necklace via its three edge symmetry classes."""
-    a = Fraction(a)
-    b = Fraction(b)
-    res = necklace_edge_resistances(a, b, t)
-    return (
-        t * a**3 / (a + res["ring"]) ** 2
-        + 4 * t * b**3 / (b + res["side"]) ** 2
-        + t * b**3 / (b + res["diagonal"]) ** 2
-    )
-
-
-def necklace_edge_resistances(a, b, t: int) -> dict[str, Fraction]:
-    """Deleted-edge resistances per symmetry class of the necklace.
-
-    Each diamond sees the rest of the necklace as a single resistor of value
-    t a + (t-1) b between its two ring attachment points, so every class
-    reduces to a five-node network.
-    """
-    a = Fraction(a)
-    b = Fraction(b)
-    outside = t * a + (t - 1) * b
-    # vertices: p=0, corner1=1, q=2, corner2=3; ring closure p-q through outside
-    diamond = [(0, 1, b), (1, 2, b), (2, 3, b), (3, 0, b), (1, 3, b)]
-    ring = (t - 1) * a + t * b
-    side_net = families.build_graph(4, diamond[1:] + [(0, 2, outside)])
-    side = context(side_net).r(0, 1)
-    diag_net = families.build_graph(4, diamond[:4] + [(0, 2, outside)])
-    diagonal = context(diag_net).r(1, 3)
-    return {"ring": ring, "side": side, "diagonal": diagonal}

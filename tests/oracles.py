@@ -1,27 +1,28 @@
-"""Independent brute-force oracles used only by tests.
+"""Independent brute-force oracles and paper constructions used only by tests.
 
 The first group deliberately avoids linear algebra and rewrite rules:
 resistance comes from weighted spanning-tree enumeration, bridges from
 exhaustive deletion. Only usable on small graphs.
 
 The second group is the paper's deletion route for the per-edge tau terms,
-the gradient and the deleted-resistance sums of the bound suite: it solves
-each edge's deleted graph, so it checks the Green-matrix kernel of ``mgt.tau``
-by an independent computation. Next to it, the Fraction weights of one
-deletion profile are the reference for the suite's integer arm sums.
+the gradient and the deleted-resistance sums of the bound suite:
+``edge_profile`` builds and solves each edge's deleted graph, so it checks the
+Green-matrix kernel of ``mgt.circuit`` and ``mgt.tau`` by an independent
+computation. Next to it, the Fraction weights of one deletion profile are the
+reference for the suite's integer arm sums.
 
-The last group is the sampled route for the edge polynomials of
+The third group is the sampled route for the edge polynomials of
 ``mgt.integration``: each sample point is inserted as a vertex and solved on
-its own, and a guard sample checks the quadratic fit. Next to it,
-``product_integral`` multiplies and integrates those polynomials in
-``Fraction`` arithmetic, the reference for the integer sums of
-``integrate_product``.
+its own, and ``fit_edge_function``'s guard sample checks the quadratic fit.
+Next to it, ``product_integral`` differentiates, multiplies and integrates
+those polynomials in ``Fraction`` arithmetic, the reference for the integer
+sums of ``integrate_product``.
 
 ``identification_apq`` is the paper's identification identity for A on the
 glued graph, built and factorized as a graph of its own: the reference for
 ``mgt.tau.apq_identity``, which reads the glued tau off g's own integers.
 
-Last, ``exact_gradient_matches_float`` holds the float gradient of
+``exact_gradient_matches_float`` holds the float gradient of
 ``mgt.optimize`` against the exact one of ``mgt.tau``, and
 ``two_step_immersion`` builds an immersion the long way, as the reference
 for the one-step construction of ``mgt.ops.immerse``. ``float_tau_gradient``
@@ -29,18 +30,28 @@ and ``sort_projection`` keep the float search's first expressions (tau and
 the gradient each from the shared arrays, the projection by numpy's sort and
 cumsum), the bit-for-bit references for ``FloatTopology`` and
 ``project_simplex``.
+
+Last, the paper's constructions that the tests replay: ``random_bridgeless``
+graphs, the ``tau_reducing_sequence`` of immersions into a subdivision, and
+the ``necklace_witness`` that separates tau from the cubic sum, whose deleted
+resistances come from the necklace's three edge symmetry classes.
 """
 
+import math
+import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from mgt.circuit import EdgeProfile, context, edge_profile, solve_pair_resistances
-from mgt.errors import NonPolynomialIntegrand
-from mgt.graph import (MetrizedGraph, build_graph, delete_edge_graph, identify_points_graph,
-                       insert_point, normalize)
+from mgt import families
+from mgt.circuit import EdgeProfile, context, solve_pair_resistances
+from mgt.errors import MgtError, SamePoint
+from mgt.graph import (Edge, MetrizedGraph, bridges, build_graph, delete_edge_graph,
+                       identify_points_graph, insert_point, normalize, subdivide_uniform,
+                       total_length)
 from mgt.integration import (
     TAG_J_BASE_P,
     TAG_J_BASE_Q,
@@ -48,11 +59,12 @@ from mgt.integration import (
     TAG_R_FROM_P,
     EdgePolynomial,
     edge_tag_polynomials,
-    interpolate,
+    fit_edge_function,
 )
+from mgt.ops import OpResult, immerse, parallel_sum
 from mgt.optimize import FloatTopology
 from mgt.rational import INF, ExtScalar
-from mgt.suite import GraphGenerator
+from mgt.suite import CheckResult, GraphGenerator
 from mgt.tau import apq, tau_gradient, tau_of
 
 
@@ -110,26 +122,61 @@ def _relabel(edges, removed: int, vcount: int):
     return [(remap[a], remap[b], L) for a, b, L in edges]
 
 
+def _reach(g: MetrizedGraph, skip_edge: int, start: int) -> set[int]:
+    """The vertices joined to start in g without edge skip_edge, by depth-first search."""
+    adj = [[] for _ in range(g.vcount)]
+    for j, (a, b, _) in enumerate(g.edges):
+        if j != skip_edge:
+            adj[a].append(b)
+            adj[b].append(a)
+    seen = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for w in adj[u]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
 def bridges_by_deletion(g: MetrizedGraph) -> list[int]:
     """Exhaustive check: an edge is a bridge iff removing it disconnects."""
-    out = []
-    for i in range(g.ecount):
-        adj = [[] for _ in range(g.vcount)]
-        for j, (a, b, _) in enumerate(g.edges):
-            if j != i:
-                adj[a].append(b)
-                adj[b].append(a)
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != g.vcount:
-            out.append(i)
-    return out
+    return [i for i in range(g.ecount) if len(_reach(g, i, 0)) != g.vcount]
+
+
+def _component_resistance(g: MetrizedGraph, skip_edge: int, y: int, z: int) -> Fraction:
+    """Resistance between y and z inside their component of g without edge skip_edge."""
+    if y == z:
+        return Fraction(0)
+    verts = sorted(_reach(g, skip_edge, y))
+    relabel = {v: i for i, v in enumerate(verts)}
+    edges = [(relabel[a], relabel[b], L) for i, (a, b, L) in enumerate(g.edges)
+             if i != skip_edge and a in relabel and b in relabel]
+    return context(build_graph(len(verts), edges)).r(relabel[y], relabel[z])
+
+
+def edge_profile(g: MetrizedGraph, edge_id: int, base: int) -> EdgeProfile:
+    """One edge's deletion profile from the deleted graph, built and solved anew.
+
+    The reference for ``GraphContext.edge_profiles``, which reads every
+    profile off g's own Green integers.
+    """
+    a, b, length = g.edges[edge_id]
+    side_a = _reach(g, edge_id, a)
+    if b not in side_a:  # a bridge: base's side has arm 0, the other INF
+        near_a = base in side_a
+        arm_base = _component_resistance(g, edge_id, base, a if near_a else b)
+        arms = (Fraction(0), INF) if near_a else (INF, Fraction(0))
+        return EdgeProfile(edge_id, length, INF, *arms, arm_base, bridge=True, loop=False)
+    # a loop (a = b) comes out with res_del = 0, zero arms and arm_base r(a, base)
+    r = context(delete_edge_graph(g, edge_id)[0]).r
+    res_del, ra_p, rb_p = r(a, b), r(a, base), r(b, base)
+    arm_a = (ra_p + res_del - rb_p) / 2
+    arm_b = res_del - arm_a
+    arm_base = (ra_p + rb_p - res_del) / 2
+    return EdgeProfile(edge_id, length, res_del, arm_a, arm_b, arm_base,
+                       bridge=False, loop=(a == b))
 
 
 def edge_tau_contribution(profile: EdgeProfile) -> Fraction:
@@ -243,40 +290,60 @@ def _point_resistances(g: MetrizedGraph, edge: int, t: Fraction) -> tuple[Fracti
     return solved[edge, t]
 
 
-def _edge_samples(g: MetrizedGraph, p: int, q: int, edge: int,
-                  offsets) -> list[tuple[Fraction, Fraction]]:
-    """(r(p,x), r(q,x)) at interior offsets, each point's graph solved on its own."""
-    out = []
-    for t in offsets:
-        r = _point_resistances(g, edge, t)
-        out.append((r[p], r[q]))
-    return out
-
-
 def sampled_tag_polynomials(g: MetrizedGraph, p: int, q: int,
                             edge: int) -> dict[str, EdgePolynomial]:
-    """The four tag functions on one edge, fitted from four sampled points.
+    """The four tag functions on one edge, each fitted as a quadratic by ``fit_edge_function``.
 
-    Three samples fix each quadratic and the fourth is a guard that must
-    match exactly.
+    Its four interior samples read r(p,x) and r(q,x) off the point-inserted
+    graphs; three fix each quadratic and the fourth is a guard that must match
+    exactly.
     """
-    length = g.edges[edge].length
-    offsets = [length * k / 5 for k in range(1, 5)]
     rpq = context(g).r(p, q)
-    samples = _edge_samples(g, p, q, edge, offsets)
-    values = {
-        TAG_R_FROM_P: [rpx for rpx, _ in samples],
-        TAG_J_BASE_P: [(rpx + rpq - rqx) / 2 for rpx, rqx in samples],
-        TAG_J_BASE_Q: [(rqx + rpq - rpx) / 2 for rpx, rqx in samples],
-        TAG_J_BASE_X: [(rpx + rqx - rpq) / 2 for rpx, rqx in samples],
+
+    @cache  # the four tags share their samples
+    def at(t):
+        r = _point_resistances(g, edge, t)
+        return r[p], r[q]
+
+    def fit(tag_value):
+        return fit_edge_function(g, edge, lambda point: tag_value(*at(point[1])), 2)
+
+    return {
+        TAG_R_FROM_P: fit(lambda rpx, rqx: rpx),
+        TAG_J_BASE_P: fit(lambda rpx, rqx: (rpx + rpq - rqx) / 2),
+        TAG_J_BASE_Q: fit(lambda rpx, rqx: (rqx + rpq - rpx) / 2),
+        TAG_J_BASE_X: fit(lambda rpx, rqx: (rpx + rqx - rpq) / 2),
     }
-    polys = {}
-    for tag, vals in values.items():
-        poly = interpolate(edge, list(zip(offsets[:3], vals[:3])))
-        if poly(offsets[-1]) != vals[-1]:
-            raise NonPolynomialIntegrand(f"{tag} is not quadratic on edge {edge}")
-        polys[tag] = poly
-    return polys
+
+
+def derivative(poly: EdgePolynomial) -> EdgePolynomial:
+    d = tuple(k * c for k, c in enumerate(poly.coeffs) if k > 0)
+    return EdgePolynomial(poly.edge, d or (Fraction(0),))
+
+
+def product(poly: EdgePolynomial, other: EdgePolynomial) -> EdgePolynomial:
+    out = [Fraction(0)] * (len(poly.coeffs) + len(other.coeffs) - 1)
+    for i, a in enumerate(poly.coeffs):
+        if a:
+            for j, b in enumerate(other.coeffs):
+                if b:
+                    out[i + j] += a * b
+    return EdgePolynomial(poly.edge, tuple(out))
+
+
+def power(poly: EdgePolynomial, n: int) -> EdgePolynomial:
+    result = EdgePolynomial(poly.edge, (Fraction(1),))
+    for _ in range(n):
+        result = product(result, poly)
+    return result
+
+
+def integral(poly: EdgePolynomial, upper: Fraction) -> Fraction:
+    """Definite integral over [0, upper]."""
+    acc = Fraction(0)
+    for k in range(len(poly.coeffs) - 1, -1, -1):
+        acc = (acc + poly.coeffs[k] / (k + 1)) * upper
+    return acc
 
 
 # per graph: (p, q) -> each edge's tag polynomials, shared by every term list
@@ -296,11 +363,11 @@ def product_integral(g: MetrizedGraph, p: int, q: int, terms) -> Fraction:
         solved[p, q] = [edge_tag_polynomials(g, p, q, edge) for edge in range(g.ecount)]
     total = Fraction(0)
     for edge, polys in enumerate(solved[p, q]):
-        product = EdgePolynomial(edge, (Fraction(1),))
-        for tag, deriv, power in terms:
-            factor = polys[tag].derivative() if deriv else polys[tag]
-            product = product * factor.power(power)
-        total += product.integral(g.edges[edge].length)
+        result = EdgePolynomial(edge, (Fraction(1),))
+        for tag, deriv, n in terms:
+            factor = derivative(polys[tag]) if deriv else polys[tag]
+            result = product(result, power(factor, n))
+        total += integral(result, g.edges[edge].length)
     return total
 
 
@@ -369,3 +436,110 @@ def sort_projection(x: np.ndarray, floor: float = 1e-9) -> np.ndarray:
     rho = cond.nonzero()[0][-1]
     theta = css[rho] / (rho + 1.0)
     return np.maximum(y - theta, 0.0) + floor
+
+
+def random_bridgeless(rng: random.Random, max_vertices: int = 6, max_edges: int = 12) -> MetrizedGraph:
+    """Random connected graph with every non-loop edge doubled into a cycle cover."""
+    for _ in range(64):
+        g = families.random_connected(rng, max_vertices, max_edges)
+        if not bridges(g):
+            return g
+    # fall back: double every bridge
+    g = families.random_connected(rng, max_vertices, max_edges // 2)
+    edges = list(g.edges)
+    for i in bridges(g):
+        a, b, L = g.edges[i]
+        edges.append(Edge(a, b, L))
+    return MetrizedGraph(g.vcount, tuple(edges))
+
+
+def tau_reducing_sequence(
+    g: MetrizedGraph, p: int, q: int, eps: Fraction
+) -> tuple[int, OpResult]:
+    """Build a normalized graph with tau below tau(g) - r(p,q)(1/4 - tau(g)) + eps.
+
+    The subdivision order m is solved exactly from (A/(m r)) sum L^2/(L+R) <= eps
+    rather than searched; the immersion of g into its own m-subdivision then
+    realizes the bound, and the result's exact tau is checked against it.
+    """
+    if p == q:
+        raise SamePoint("need two distinct points")
+    if total_length(g) != 1:
+        raise MgtError("input graph must be normalized")
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise MgtError("eps must be positive")
+    r = context(g).r(p, q)
+    a_val = apq(g, p, q)
+    spread = parallel_sum(g)
+    m = max(1, math.ceil(a_val * spread / (r * eps)))
+    host = subdivide_uniform(g, m)
+    result = immerse(host, [(g, p, q)] * host.ecount)
+    achieved = tau_of(result.graph)
+    predicted = tau_of(g) - r * (Fraction(1, 4) - tau_of(g)) + a_val * spread / (m * r)
+    if achieved != predicted:
+        raise AssertionError(f"immersion value mismatch: {achieved} vs {predicted}")
+    bound = tau_of(g) - r * (Fraction(1, 4) - tau_of(g)) + eps
+    if achieved > bound:
+        raise AssertionError(f"tau-reduction bound violated: {achieved} > {bound}")
+    return m, result
+
+
+def necklace_witness() -> tuple[CheckResult, CheckResult]:
+    """The normalized necklace instance that separates tau from the cubic sum.
+
+    Uses the closed-form tau (verified against the direct engine on small
+    instances) and symmetry classes for the per-edge deleted resistances:
+    600 edges fall into three classes whose deleted graphs reduce to five-node
+    networks.
+    """
+    t = 100
+    a = Fraction(1, 101)
+    b = (1 - a * t) / (5 * t)
+    g = families.necklace(a, b, t)
+    assert total_length(g) == 1
+    tau = families.necklace_tau(a, b, t)
+    term = necklace_cubic_sum(a, b, t) / 12
+    r1 = CheckResult(
+        "necklace-tau-above", f"necklace(a={a},b={b},t={t})",
+        tau, Fraction(10, 121),
+        "pass" if tau > Fraction(10, 121) else "fail",
+    )
+    r2 = CheckResult(
+        "necklace-cubic-below", f"necklace(a={a},b={b},t={t})",
+        term, Fraction(1, 5000),
+        "pass" if term < Fraction(1, 5000) else "fail",
+    )
+    return r1, r2
+
+
+def necklace_cubic_sum(a, b, t: int) -> Fraction:
+    """sum L^3/(L+R)^2 on the necklace via its three edge symmetry classes."""
+    a = Fraction(a)
+    b = Fraction(b)
+    res = necklace_edge_resistances(a, b, t)
+    return (
+        t * a**3 / (a + res["ring"]) ** 2
+        + 4 * t * b**3 / (b + res["side"]) ** 2
+        + t * b**3 / (b + res["diagonal"]) ** 2
+    )
+
+
+def necklace_edge_resistances(a, b, t: int) -> dict[str, Fraction]:
+    """Deleted-edge resistances per symmetry class of the necklace.
+
+    Each diamond sees the rest of the necklace as a single resistor of value
+    t a + (t-1) b between its two ring attachment points, so every class
+    reduces to a five-node network.
+    """
+    a = Fraction(a)
+    b = Fraction(b)
+    outside = t * a + (t - 1) * b
+    # vertices: p=0, corner1=1, q=2, corner2=3; ring closure p-q through outside
+    diamond = [(0, 1, b), (1, 2, b), (2, 3, b), (3, 0, b), (1, 3, b)]
+    ring = (t - 1) * a + t * b
+    side_net = build_graph(4, diamond[1:] + [(0, 2, outside)])
+    side = context(side_net).r(0, 1)
+    diag_net = build_graph(4, diamond[:4] + [(0, 2, outside)])
+    diagonal = context(diag_net).r(1, 3)
+    return {"ring": ring, "side": side, "diagonal": diagonal}

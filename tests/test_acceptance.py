@@ -13,20 +13,16 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction as F
 
 from mgt import families
-from mgt.circuit import context, edge_profile
+from mgt.circuit import context
 from mgt.graph import build_graph, bridges, normalize, total_length
 from mgt.integration import apq_direct, edge_tag_polynomials, tau_via_integral
 from mgt.ops import c_tower, da_n, immerse_uniform
-from mgt.optimize import (
-    family_scan,
-    minimize_tau,
-    scan_violations,
-    tau_reducing_sequence,
-)
+from mgt.optimize import family_scan, minimize_tau, scan_violations
 from mgt.reduction import resistance_via_reduction
-from mgt.suite import GraphGenerator, identity_catalog, necklace_witness, run_graph_checks
+from mgt.suite import GraphGenerator, identity_catalog, run_graph_checks
 from mgt.tau import apq_identity, deleted_apq, tau_gradient, tau_of
-from oracles import exact_gradient_matches_float, sampled_tag_polynomials
+from oracles import (exact_gradient_matches_float, necklace_witness, random_bridgeless,
+                     sampled_tag_polynomials, tau_reducing_sequence)
 
 CORPUS_SEED = 1
 CORPUS_SIZE = 200
@@ -270,7 +266,7 @@ def test_criterion_6_gradient():
         done += 1
     # Euler identity and float agreement
     for g in (families.complete(4), families.diamond(F(1, 5)),
-              families.random_bridgeless(rng, 6, 10),
+              random_bridgeless(rng, 6, 10),
               families.random_connected(rng, 6, 10)):
         grad = tau_gradient(g)
         assert sum(L * d for (_, _, L), d in zip(g.edges, grad.entries)) == tau_of(g)

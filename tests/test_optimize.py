@@ -21,11 +21,11 @@ from mgt.optimize import (
     project_simplex,
     scan_violations,
     search_topology,
-    tau_reducing_sequence,
 )
 from mgt.suite import GraphGenerator
 from mgt.tau import tau_of
-from oracles import exact_gradient_matches_float, float_tau_gradient, sort_projection
+from oracles import (exact_gradient_matches_float, float_tau_gradient, random_bridgeless,
+                     sort_projection, tau_reducing_sequence)
 
 
 def _corpus_graphs():
@@ -52,7 +52,7 @@ def _catalog_with_interior_points():
     rng = random.Random(43)
     graphs = [families.complete(4), families.diamond(F(1, 5)),
               families.equal_banana(4), families.theta(F(1, 2), F(1, 3), F(1, 6))]
-    graphs += [families.random_bridgeless(rng, 7, 12) for _ in range(5)] + _corpus_graphs()
+    graphs += [random_bridgeless(rng, 7, 12) for _ in range(5)] + _corpus_graphs()
     return _with_interior_points(graphs, 44)
 
 
@@ -85,7 +85,7 @@ def test_float_gradient_matches_exact_within_1e9():
     rng = random.Random(97)
     graphs = [families.complete(4), families.diamond(F(1, 5)),
               families.circle(F(1, 3), F(2, 3))]
-    graphs += [families.random_bridgeless(rng, 5, 9) for _ in range(5)]
+    graphs += [random_bridgeless(rng, 5, 9) for _ in range(5)]
     graphs += _corpus_graphs()
     for g in _with_interior_points(graphs, 98):
         assert exact_gradient_matches_float(g, 1e-9)
@@ -106,7 +106,7 @@ def _test_points(g, rng, count=3):
 def test_memoized_tau_and_gradient_bit_equal_fresh():
     rng = random.Random(5)
     graphs = [families.complete(4), families.diamond(F(1, 5)), families.cube()]
-    graphs += [families.random_bridgeless(rng, 5, 9) for _ in range(3)] + _corpus_graphs()[:20]
+    graphs += [random_bridgeless(rng, 5, 9) for _ in range(3)] + _corpus_graphs()[:20]
     for g in graphs:
         topo = _topology(g)
         for x in _test_points(g, rng):

@@ -61,6 +61,37 @@ def test_every_imported_name_is_read():
     assert not unused
 
 
+def _names_read(tree, dotted=False):
+    """Every name a module loads or reads as an attribute; with ``dotted``, also the
+    names it imports and each part of a dotted string such as "circuit.context"."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif dotted and isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+        elif dotted and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from node.value.split(".")
+
+
+def test_every_public_definition_is_run_outside_the_tests():
+    # code that only the tests reach belongs in tests/oracles.py: each public
+    # module-level function or class of mgt is read elsewhere in mgt, exported,
+    # or named by the benchmark or the tools
+    root = Path(__file__).resolve().parent.parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(mgt.__file__).parent.glob("*.py"))}
+    used = {name for tree in trees.values() for name in _names_read(tree)} | set(mgt.__all__)
+    for folder in ("taubench", "tools"):
+        for path in sorted((root / folder).glob("*.py")):
+            used |= set(_names_read(ast.parse(path.read_text(encoding="utf-8")), dotted=True))
+    unrun = [f"{name}:{node.lineno}: {node.name}" for name, tree in trees.items() for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and not node.name.startswith("_") and node.name not in used]
+    assert not unrun
+
+
 def test_benchmark_tracer_binds_every_name_a_layer_metric_needs():
     # taubench reports a layer metric as "absent" once a function it names is
     # renamed or removed; the tracer wraps mgt in a fresh interpreter, so this

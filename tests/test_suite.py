@@ -6,14 +6,12 @@ from mgt.suite import (
     CHECKS,
     GraphGenerator,
     identity_catalog,
-    necklace_cubic_sum,
-    necklace_edge_resistances,
-    necklace_witness,
     run_graph_checks,
     run_suite,
 )
 from mgt.circuit import context
 from mgt.tau import cubic_sum
+from oracles import necklace_cubic_sum, necklace_edge_resistances, necklace_witness
 
 REQUIRED_IDS = [
     "eq1.1-voltage", "genus-identity", "lem2term", "rem2term",

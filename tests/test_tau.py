@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from mgt import families
-from mgt.circuit import EdgeProfile, context, edge_profile
+from mgt.circuit import EdgeProfile, context
 from mgt.errors import HasBridge, MgtError, SamePoint
 from mgt.graph import (
     bridges,
@@ -237,9 +237,11 @@ def test_gradient_euler_identity():
 
 def test_gradient_finite_perturbation():
     # exact finite-difference identity for a single length change
+    from oracles import random_bridgeless
+
     rng = random.Random(71)
     for _ in range(10):
-        g = families.random_bridgeless(rng, 5, 9)
+        g = random_bridgeless(rng, 5, 9)
         i = rng.randrange(g.ecount)
         a, b, L = g.edges[i]
         if a == b:
@@ -306,7 +308,7 @@ def _kernel_oracle_graphs():
 def test_kernel_tau_terms_match_deletion_route():
     # every per-edge term of the Green-matrix sum, for every base vertex,
     # equals the deletion-profile contribution (L^3 + 3L(Ra-Rb)^2)/(12(L+R)^2)
-    from oracles import edge_tau_contribution
+    from oracles import edge_profile, edge_tau_contribution
 
     for g in _kernel_oracle_graphs():
         for p in range(g.vcount):
