@@ -49,18 +49,6 @@ class EmptyGraph(MgtError):
     """A graph with no edges where the computation needs at least one."""
 
 
-class PatternMismatch(MgtError):
-    pass
-
-
-class TerminalElimination(MgtError):
-    pass
-
-
-class ReductionStuck(MgtError):
-    """Internal invariant violation: a non-terminal node could not be eliminated."""
-
-
 class NonPolynomialIntegrand(MgtError):
     """A guard sample did not match the fitted polynomial."""
 

@@ -250,31 +250,16 @@ def insert_point(g: MetrizedGraph, x: PointOnGraph) -> tuple[MetrizedGraph, int]
 
 
 def insert_points(g: MetrizedGraph, points: Sequence[PointOnGraph]) -> tuple[MetrizedGraph, list[int]]:
-    """Insert several points, tracking how earlier splits shift later ones."""
+    """Insert several points, each distinct edge point once.
+
+    They go in descending (edge, offset) order: a split moves only the edges
+    after it and keeps the first piece's offsets, so no point still to come moves.
+    """
     staged = [normalize_point(g, x) for x in points]
-    order = sorted(
-        (i for i, x in enumerate(staged) if not isinstance(x, int)),
-        key=lambda i: (staged[i][0], staged[i][1]),
-    )
-    ids: list[int | None] = [x if isinstance(x, int) else None for x in staged]
-    shift = 0  # edges inserted so far
-    prev_edge = None
-    consumed = Fraction(0)
-    current = g
-    for i in order:
-        edge_id, offset = staged[i]
-        if edge_id != prev_edge:
-            consumed = Fraction(0)
-        if edge_id == prev_edge and offset == consumed:  # duplicate point
-            ids[i] = current.vcount - 1
-            continue
-        current, vid = insert_point(current, (edge_id + shift, offset - consumed))
-        ids[i] = vid
-        shift += 1
-        prev_edge = edge_id
-        consumed = offset
-    assert all(v is not None for v in ids)
-    return current, ids  # type: ignore[return-value]
+    ids = {}
+    for x in sorted({x for x in staged if not isinstance(x, int)}, reverse=True):
+        g, ids[x] = insert_point(g, x)
+    return g, [x if isinstance(x, int) else ids[x] for x in staged]
 
 
 def subdivide_uniform(g: MetrizedGraph, m: int) -> MetrizedGraph:

@@ -26,7 +26,7 @@ from math import lcm
 from typing import Callable, Sequence
 
 from .errors import BadPoint, NonPolynomialIntegrand
-from .graph import Frozen, MetrizedGraph, PointOnGraph, normalize_point
+from .graph import Frozen, MetrizedGraph, PointOnGraph, check_vertices, normalize_point
 from .circuit import context
 from .rational import sum_over
 
@@ -231,9 +231,7 @@ def apq_direct(g: MetrizedGraph, p: int, q: int) -> Fraction:
 
     Defined as zero when p = q, where the integrand vanishes identically.
     """
-    for v in (p, q):
-        if not isinstance(v, int) or not 0 <= v < g.vcount:
-            raise BadPoint("p and q must be vertices")
+    check_vertices(g, p, q)
     if p == q:
         return Fraction(0)
     return integrate_product(

@@ -46,9 +46,13 @@ def test_importing_one_module_loads_only_its_imports():
 
 
 def test_every_imported_name_is_read():
-    # an import that no line of its module reads is dead code
+    # an import that no line of its module reads is dead code, in the package,
+    # its tests and its tools alike
+    root = Path(__file__).resolve().parent.parent
+    paths = [path for folder in (Path(mgt.__file__).parent, root / "tests", root / "tools")
+             for path in sorted(folder.glob("*.py"))]
     unused = []
-    for path in sorted(Path(mgt.__file__).parent.glob("*.py")):
+    for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):

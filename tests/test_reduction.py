@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -5,39 +6,48 @@ from mgt import families
 from mgt.circuit import context
 from mgt.graph import build_graph
 from mgt.reduction import (
-    network_from_graph,
     reduce_to_terminals,
     resistance_via_reduction,
     star_mesh,
     voltage_via_reduction,
 )
+from mgt.suite import GraphGenerator
 
 
-def _net(g, terminals):
-    return network_from_graph(g, terminals)
+def _net(g):
+    # with every vertex a terminal nothing is eliminated: the graph's own network
+    return reduce_to_terminals(g, tuple(range(g.vcount)))
+
+
+def _matches_context(g):
+    cx = context(g)
+    for y, z in itertools.product(range(g.vcount), repeat=2):
+        assert resistance_via_reduction(g, y, z) == cx.r(y, z)
+    for x, p, q in itertools.product(range(g.vcount), repeat=3):
+        assert voltage_via_reduction(g, x, p, q) == cx.voltage(x, p, q)
 
 
 def test_star_mesh_n2_is_series():
-    chain = _net(families.path(F(3, 2), F(5, 2)), (0, 2))
-    assert star_mesh(chain, 1).edges == ((0, 2, F(4)),)
+    chain = _net(families.path(F(3, 2), F(5, 2)))
+    star_mesh(chain, 1)
+    assert chain == {0: {2: F(1, 4)}, 2: {0: F(1, 4)}}
 
 
 def test_star_mesh_formula():
     # four legs from a center: new edge lengths L_i L_j sum(1/L_k)
     g = build_graph(5, [(0, 1, 1), (0, 2, 2), (0, 3, 3), (0, 4, 4)])
-    net = _net(g, (1, 2))
-    out = star_mesh(net, 0)
+    net = _net(g)
+    star_mesh(net, 0)
     inv = 1 + F(1, 2) + F(1, 3) + F(1, 4)
-    lengths = {frozenset(e[:2]): e[2] for e in out.edges}
-    assert lengths[frozenset((1, 2))] == 1 * 2 * inv
-    assert lengths[frozenset((3, 4))] == 3 * 4 * inv
-    assert len(out.edges) == 6
+    assert 1 / net[1][2] == 1 * 2 * inv
+    assert 1 / net[3][4] == 3 * 4 * inv
+    assert all(len(legs) == 3 for legs in net.values())  # six edges, no loops
 
 
 def test_reduce_triangle_to_y():
     tri = build_graph(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
-    net = reduce_to_terminals(tri, (0, 1, 2))
-    assert sorted(L for _, _, L in net.edges) == [F(1, 3)] * 3
+    for x, p, q in itertools.permutations(range(3)):
+        assert voltage_via_reduction(tri, x, p, q) == F(1, 3)
 
 
 def test_reduce_tree_two_terminals():
@@ -75,31 +85,41 @@ def test_three_terminal_legs_are_voltages():
 def test_every_rewrite_preserves_terminal_resistance():
     g = families.complete(5)
     expected = context(g).r(0, 1)
-    net = network_from_graph(g, (0, 1))
-    from mgt.reduction import _cleanup
-
-    # after each single star-mesh step, finishing the reduction still gives
-    # the same two-terminal resistance
+    net = _net(g)
+    # after each single star-mesh step, finishing the reduction by hand, in
+    # id order, still gives the same two-terminal resistance
     for node in (4, 3, 2):
-        net = _cleanup(star_mesh(net, node))
-        assert reduce_to_terminals_from_net(net) == expected
+        star_mesh(net, node)
+        rest = {v: dict(legs) for v, legs in net.items()}
+        for v in sorted(set(rest) - {0, 1}):
+            star_mesh(rest, v)
+        assert 1 / rest[0][1] == expected
 
 
-def reduce_to_terminals_from_net(net):
-    # finish the reduction by hand: eliminate interior, merge parallels
-    from mgt.reduction import _cleanup, star_mesh as sm
-
-    while True:
-        interior = sorted(net.nodes - set(net.terminals))
-        if not interior:
-            break
-        net = _cleanup(sm(net, interior[0]))
-    net = _cleanup(net)
-    assert len(net.edges) == 1
-    return net.edges[0][2]
+def test_reduced_triangle_missing_edges():
+    # on a path the reduced triangle keeps only the edges along the path
+    g = families.path(F(1, 2), 3, F(2, 7), 5)
+    net = reduce_to_terminals(g, (1, 3, 4))
+    assert 1 not in net[4]
+    _matches_context(g)
 
 
-def test_trace_records_rewrites():
-    tri = build_graph(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
-    net = reduce_to_terminals(tri, (0, 1))
-    assert any("star-mesh" in step for step in net.trace)
+def test_parallel_edges_and_loops():
+    # parallel edges and loops at terminal 0 and at interior vertex 2
+    g = build_graph(4, [(0, 1, 1), (0, 1, 2), (0, 0, 7), (1, 2, 1), (2, 2, 5), (2, 3, 2),
+                        (3, 2, 3), (3, 0, 1)])
+    net = reduce_to_terminals(g, (0, 1))
+    assert list(net) == [0, 1] and 1 / net[0][1] == context(g).r(0, 1)
+    assert _net(g)[0] == {1: F(3, 2), 3: F(1)}
+    _matches_context(g)
+
+
+def test_every_pair_and_triple_on_the_corpus():
+    # r and j_x(p,q) are symmetric in the pair, so each unordered pair is read once
+    for _, g in GraphGenerator(1).graphs(40):
+        cx = context(g)
+        for y, z in itertools.combinations(range(g.vcount), 2):
+            assert resistance_via_reduction(g, y, z) == cx.r(y, z)
+        for x in range(g.vcount):
+            for p, q in itertools.combinations(set(range(g.vcount)) - {x}, 2):
+                assert voltage_via_reduction(g, x, p, q) == cx.voltage(x, p, q)

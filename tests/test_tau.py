@@ -13,11 +13,9 @@ from mgt.graph import (
     normalize,
     scale,
     subdivide_uniform,
-    total_length,
 )
 from mgt.optimize import OptState, ScanRow
 from mgt.rational import INF
-from mgt.reduction import ReductionNetwork
 from mgt.suite import CheckResult, GraphGenerator
 from mgt.tau import (
     BoundCheck,
@@ -122,10 +120,8 @@ def test_tau_report_fields():
     assert OptState._fields == ("lengths", "tau", "gradient", "iteration", "converged",
                                 "pinned", "exact_lengths", "exact_tau")
     assert ScanRow._fields == ("family", "params", "tau", "ratio")
-    assert ReductionNetwork._fields == ("nodes", "edges", "terminals", "trace")
     assert CheckResult("id", "g", 1, 1, "pass").reason == ""
     assert GraphGenerator(3) == (3, "random_connected", 8, 16)
-    assert ReductionNetwork(frozenset(), (), ()).trace == ()
 
 
 def test_tau_bridge_and_loop_contributions():
