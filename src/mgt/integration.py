@@ -10,8 +10,9 @@ form from the context's Green matrix: at distance t = sL from a on an edge
 
 and the voltages are linear combinations of r(p, x), r(q, x) and r(p, q).
 Scaled by 2 d ld (d the Green denominator, L = ln/ld) every tag has integer
-coefficients in s, so ``integrate_product`` multiplies integer rows, integrates
-them with int_0^1 s^k ds = 1/(k+1) and builds one Fraction per integral.
+coefficients in s, so ``integrate_product`` builds the rows of the tags its
+terms name, multiplies them, integrates them with int_0^1 s^k ds = 1/(k+1)
+and builds one Fraction per integral.
 ``edge_tag_polynomials`` reads the same rows as ``EdgePolynomial`` values in
 t, and ``fit_edge_function`` fits an arbitrary integrand from sampled
 interior points with a guard sample. An ``EdgePolynomial`` is a value that
@@ -23,10 +24,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Callable, Sequence
 
 from .errors import BadPoint, NonPolynomialIntegrand
-from .graph import Frozen, MetrizedGraph, PointOnGraph, check_vertices, normalize_point
+from .graph import Frozen, MetrizedGraph, PointOnGraph, check_vertices, edge_at, normalize_point
 from .circuit import context
 from .rational import sum_over
 
@@ -128,10 +130,11 @@ def fit_edge_function(
 _DEGREE = {TAG_R_FROM_P: 2, TAG_J_BASE_P: 1, TAG_J_BASE_Q: 1, TAG_J_BASE_X: 2}
 
 
-def _tag_coefficients(num: list[list[int]], p: int, q: int, row) -> dict[str, list[int]]:
-    """The four tags on one edge as integers: coefficients in s = t/L, times 2 d ld.
+def _tag_rows(num: list[list[int]], p: int, q: int, row, tags: Sequence[str]) -> list[list[int]]:
+    """The named tags on one edge as integers: coefficients in s = t/L, times 2 d ld.
 
-    ``row`` is the edge's (a, b, ln, ld, rn, gap) from ``GraphContext.edge_int``.
+    ``row`` is the edge's (a, b, ln, ld, rn, gap) from ``GraphContext.edge_int``;
+    one row per tag comes back, in the order of ``tags``, and no other tag is built.
     With Pa = d r(p,a) (likewise Pb, Qa, Qb) and R = d r(p,q), r(p,x) is
     [2 ld Pa, 2 (ld (Pb - Pa) + gap), -2 gap]; the voltages are half-sums of
     r(p,x), r(q,x) and r(p,q), so their quadratic parts are -2 gap or cancel.
@@ -144,12 +147,17 @@ def _tag_coefficients(num: list[list[int]], p: int, q: int, row) -> dict[str, li
     dp = nbb - naa - 2 * (rp[b] - rp[a])  # Pb - Pa
     dq = nbb - naa - 2 * (rq[b] - rq[a])  # Qb - Qa
     big_r = rp[p] + rq[q] - 2 * rp[q]
-    return {
-        TAG_R_FROM_P: [2 * ld * pa, 2 * (ld * dp + gap), -2 * gap],
-        TAG_J_BASE_P: [ld * (pa + big_r - qa), ld * (dp - dq)],
-        TAG_J_BASE_Q: [ld * (qa + big_r - pa), ld * (dq - dp)],
-        TAG_J_BASE_X: [ld * (pa + qa - big_r), ld * (dp + dq) + 2 * gap, -2 * gap],
-    }
+    rows = []
+    for tag in tags:
+        if tag == TAG_J_BASE_P:
+            rows.append([ld * (pa + big_r - qa), ld * (dp - dq)])
+        elif tag == TAG_J_BASE_X:
+            rows.append([ld * (pa + qa - big_r), ld * (dp + dq) + 2 * gap, -2 * gap])
+        elif tag == TAG_J_BASE_Q:
+            rows.append([ld * (qa + big_r - pa), ld * (dq - dp)])
+        else:
+            rows.append([2 * ld * pa, 2 * (ld * dp + gap), -2 * gap])
+    return rows
 
 
 def edge_tag_polynomials(g: MetrizedGraph, p: int, q: int, edge: int) -> dict[str, EdgePolynomial]:
@@ -158,6 +166,8 @@ def edge_tag_polynomials(g: MetrizedGraph, p: int, q: int, edge: int) -> dict[st
     The integer coefficient c_k of s^k = (t/L)^k becomes c_k ld^k/(2 d ld ln^k)
     in the arclength t from endpoint a.
     """
+    check_vertices(g, p, q)
+    edge_at(g, edge)
     ctx = context(g)
     num, den = ctx.green_int()
     row = ctx.edge_int()[edge]
@@ -165,16 +175,8 @@ def edge_tag_polynomials(g: MetrizedGraph, p: int, q: int, edge: int) -> dict[st
     scale = 2 * den * ld
     return {
         tag: _trimmed(edge, [Fraction(c * ld**k, scale * ln**k) for k, c in enumerate(coeffs)])
-        for tag, coeffs in _tag_coefficients(num, p, q, row).items()
+        for tag, coeffs in zip(ALL_TAGS, _tag_rows(num, p, q, row, ALL_TAGS))
     }
-
-
-def _times(f: list[int], h: list[int]) -> list[int]:
-    out = [0] * (len(f) + len(h) - 1)
-    for i, x in enumerate(f):
-        for j, y in enumerate(h):
-            out[i + j] += x * y
-    return out
 
 
 def integrate_product(
@@ -185,36 +187,52 @@ def integrate_product(
 ) -> Fraction:
     """Integrate a product of tagged voltage/resistance factors over the graph.
 
-    Each term is (tag, differentiate, power) with integer power >= 0.
+    Each term is (tag, differentiate, power) with an int power >= 0.
     Derivatives are taken on open edges; endpoint kinks have measure zero.
-    Per edge, the product of the integer tag rows is integrated in s = t/L:
-    a factor is F(s)/(2 d ld), its t-derivative F'(s)/(2 d ln), dt = L ds and
-    int_0^1 s^k ds = 1/(k+1). The edge sums share one denominator.
+    Per edge, only the tags that terms name with a positive power are built
+    (``_tag_rows``) and their integer rows in s = t/L multiplied out inline,
+    a linear tag's constant slope as a scalar power: a factor is F(s)/(2 d ld),
+    its t-derivative F'(s)/(2 d ln), dt = L ds and int_0^1 s^k ds = 1/(k+1).
+    The edge sums share one denominator.
     """
+    check_vertices(g, p, q)
     for tag, _, power in terms:
         if tag not in ALL_TAGS:
             raise BadPoint(f"unknown integrand tag {tag!r}")
-        if power < 0:
-            raise BadPoint("powers must be nonnegative")
+        if not isinstance(power, int) or power < 0:
+            raise BadPoint(f"power {power!r} is not a non-negative int")
     plain = sum(power for _, deriv, power in terms if not deriv)
     slopes = sum(power for _, deriv, power in terms if deriv)
     top = sum(power * (_DEGREE[tag] - bool(deriv)) for tag, deriv, power in terms)
     m = lcm(*range(1, top + 2))
+    weights = [m // (k + 1) for k in range(top + 1)]
+    tags = list(dict.fromkeys(tag for tag, _, power in terms if power))
+    factors = [(tags.index(tag), deriv, power) for tag, deriv, power in terms if power]
     ctx = context(g)
     num, den = ctx.green_int()
     parts = []
     for row in ctx.edge_int():
-        tags = _tag_coefficients(num, p, q, row)
-        product = [1]
-        for tag, deriv, power in terms:
-            factor = tags[tag]
+        rows = _tag_rows(num, p, q, row, tags)
+        product, scalar = [1], 1
+        for index, deriv, power in factors:
+            factor = rows[index]
             if deriv:
-                factor = [k * c for k, c in enumerate(factor)][1:]
+                if len(factor) == 2:  # a linear tag's slope
+                    scalar *= factor[1] ** power
+                    continue
+                factor = [factor[1], 2 * factor[2]]
             for _ in range(power):
-                product = _times(product, factor)
-        total = sum(c * (m // (k + 1)) for k, c in enumerate(product))
+                if len(product) == 1:  # still [1]: every factor here has two or more terms
+                    product = factor
+                    continue
+                out = [0] * (len(product) + len(factor) - 1)
+                for i, x in enumerate(product):
+                    for j, y in enumerate(factor):
+                        out[i + j] += x * y
+                product = out
         ln, ld = row[2], row[3]
-        parts.append((ln * total, ld ** (plain + 1) * ln**slopes))
+        total = sum(map(mul, product, weights))
+        parts.append((ln * scalar * total, ld ** (plain + 1) * ln**slopes))
     return sum_over(parts, m * (2 * den) ** (plain + slopes))
 
 

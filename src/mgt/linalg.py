@@ -18,16 +18,21 @@ mirrored into the other.
 The rows are numbered in a fill-reducing order: fewest neighbours off the
 ground first, ties in vertex order (a static minimum degree). A vertex of
 the series chains that the graph operations build then adds at most one new
-coupling when it is eliminated, and a hub goes last. A symmetric permutation changes neither the determinant nor G, so
-N is mapped back to vertex ids at the end and (N, d) are the same integers in
-any order; the remap, like the content multiply, is skipped where it is the
-identity. Step k of the forward pass updates only the rows that row k couples
+coupling when it is eliminated, and a hub goes last. A symmetric permutation
+changes neither the determinant nor G, so (N, d) are the same integers in any
+order. Step k of the forward pass updates only the rows that row k couples
 (m[k][i] != 0); a skipped row catches up on its next update by one exact
-division (see ``bareiss_forward``). Back-substitution skips the zeros of the
-triangle. So the forward pass costs one multiply-add per entry of each coupled
-row at each step, and back-substitution n per nonzero of the triangle, in
-big-integer operations: O(n^2) on a chain, and the dense n^3/2 only when every
-row couples every later one, as on a complete graph.
+division (see ``bareiss_forward``). Back-substitution writes N in one pass,
+straight into vertex order and with the content folded into its right-hand
+side.
+
+Cost model: most factorizations are small (the identity suite's graphs have
+at most 8 vertices), where a row slice, a ``zip`` or a temporary row costs
+more than the integer arithmetic it feeds, so both passes work entry by
+entry. The forward pass costs one multiply-add per entry of each coupled row
+at each step, and back-substitution one per nonzero of the triangle's row i
+for each entry (i, j >= i) of N: O(n^2) on a chain, about n^3/6 and n^3/3 on
+a complete graph.
 
 ``green_numden`` is the only exact solve in mgt: the cached per-graph
 context and the oracles that solve a deleted or sampled graph anew all call it.
@@ -60,7 +65,8 @@ def bareiss_forward(m: list[list[int]], n: int, scales: Sequence[int]) -> None:
         row_k = m[k]
         q = at[k]
         if q != prev:
-            row_k[k:] = [x * prev // q for x in row_k[k:]]
+            for j in range(k, n):
+                row_k[j] = row_k[j] * prev // q
         piv = row_k[k]
         if piv == 0:
             raise ZeroDivisionError("zero pivot in SPD elimination")
@@ -72,39 +78,47 @@ def bareiss_forward(m: list[list[int]], n: int, scales: Sequence[int]) -> None:
                 factor = u * scales[i] // s_k
                 q = at[i]
                 a, b, c = piv * prev, factor * q, q * prev
-                row_i[i:] = [(a * x - b * y) // c for x, y in zip(row_i[i:], row_k[i:])]
+                for j in range(i, n):
+                    row_i[j] = (a * row_i[j] - b * row_k[j]) // c
                 at[i] = piv
         prev = piv
 
 
-def _back_substitute(m: list[list[int]], n: int, scales: Sequence[int]) -> list[list[int]]:
-    """det * A^-1 as full rows, from ``bareiss_forward`` on diag(scales) A.
+def _back_substitute(m: list[list[int]], n: int, scales: Sequence[int], ids: Sequence[int],
+                     content: int) -> list[list[int]]:
+    """content * det * A^-1 by vertex id, from ``bareiss_forward`` on diag(scales) A.
 
-    Eliminating the right-hand side diag(scales) with the same steps would
-    leave row i zero right of the diagonal and scales[i] times the previous
-    pivot on it (column j stays zero above row j), so that right-hand side is
-    never formed. From the bottom row up, row i of the symmetric inverse needs
-    right of its diagonal only the rows below it, completed by mirroring, and
-    its diagonal entry then needs only row i itself. Each division is exact,
-    and zero entries of the triangle cost nothing.
+    Row i of m is vertex ids[i]; row and column 0, the ground, stay zero.
+    Eliminating the right-hand side content * diag(scales) with the same steps
+    would leave row i zero right of the diagonal and content * scales[i] times
+    the previous pivot on it, so it is never formed. From the bottom row up,
+    entry (i, j > i) is one sum over the nonzeros m[i][k], k > i, of entries
+    (k, j) already found, written with its mirror; the diagonal entry is the
+    same sum over the entries (k, i) just written. Each division is exact.
     """
     det = m[n - 1][n - 1]
-    y = [[0] * n for _ in range(n)]
+    num = [[0] * (n + 1) for _ in range(n + 1)]
     for i in range(n - 1, -1, -1):
         row = m[i]
-        acc = [0] * (n - i - 1)
+        piv = row[i]
+        v = ids[i]
+        num_v = num[v]
+        coupled = []  # (row of num for vertex ids[k], m[i][k]) over the nonzeros, k > i
         for k in range(i + 1, n):
             u = row[k]
             if u:
-                acc = [a - u * b for a, b in zip(acc, y[k][i + 1:])]
-        piv = row[i]
-        y_i = y[i]
-        y_i[i + 1:] = right = [a // piv for a in acc]
-        diag = det * scales[i] * (m[i - 1][i - 1] if i else 1)
-        y_i[i] = (diag - sum([u * v for u, v in zip(row[i + 1:], right)])) // piv
-        for k in range(i + 1, n):
-            y[k][i] = y_i[k]
-    return y
+                coupled.append((num[ids[k]], u))
+        for j in range(i + 1, n):
+            w = ids[j]
+            acc = 0
+            for num_k, u in coupled:
+                acc -= u * num_k[w]
+            num_v[w] = num[w][v] = acc // piv
+        acc = content * det * scales[i] * (m[i - 1][i - 1] if i else 1)
+        for num_k, u in coupled:  # num_k[v] was just written: the inverse is symmetric
+            acc -= u * num_k[v]
+        num_v[v] = acc // piv
+    return num
 
 
 def green_numden(vcount: int, edges) -> tuple[list[list[int]], int]:
@@ -146,16 +160,10 @@ def green_numden(vcount: int, edges) -> tuple[list[list[int]], int]:
             row_b[a] -= s_b
     # Fill-reducing order: fewest neighbours off the ground (most zeros) first.
     zeros = [row.count(0) for row in m]
-    moved = zeros != sorted(zeros, reverse=True)
-    if moved:
-        order = sorted(range(n), key=zeros.__getitem__, reverse=True)
+    order = sorted(range(n), key=zeros.__getitem__, reverse=True)
+    if zeros != sorted(zeros, reverse=True):
         m = [[row[j] for j in order] for row in [m[i] for i in order]]
         scales = [scales[i] for i in order]
     bareiss_forward(m, n, scales)
-    rows = _back_substitute(m, n, scales)
-    if moved:
-        place = sorted(range(n), key=order.__getitem__)  # vertex v is row place[v - 1]
-        rows = [[row[j] for j in place] for row in [rows[i] for i in place]]
-    if content_num != 1:
-        rows = [[content_num * x for x in row] for row in rows]
-    return [[0] * vcount] + [[0] + row for row in rows], content_den * m[n - 1][n - 1]
+    num = _back_substitute(m, n, scales, [v + 1 for v in order], content_num)
+    return num, content_den * m[n - 1][n - 1]

@@ -346,7 +346,8 @@ def integral(poly: EdgePolynomial, upper: Fraction) -> Fraction:
     return acc
 
 
-# per graph: (p, q) -> each edge's tag polynomials, shared by every term list
+# per graph: (p, q) -> per edge, its tag polynomials, its factors by (tag, differentiate,
+# power) and L^k/k for k = 1, 2, ... as far as read so far
 _TAG_POLYS: WeakKeyDictionary = WeakKeyDictionary()
 
 
@@ -355,19 +356,28 @@ def product_integral(g: MetrizedGraph, p: int, q: int, terms) -> Fraction:
 
     ``terms`` are (tag, differentiate, power) as for ``integrate_product``;
     each edge's tag polynomials are differentiated, multiplied and integrated
-    over [0, L] coefficient by coefficient. The polynomials are built once per
-    (g, p, q) and reused by every term list.
+    over [0, L] coefficient by coefficient, as the sum of c_k L^(k+1)/(k+1).
+    Once per (g, p, q) and edge, and shared by every term list, are built:
+    the tag polynomials, the factor of each term (its tag, differentiated or
+    not, to the power) and each L^(k+1)/(k+1).
     """
     solved = _TAG_POLYS.setdefault(g, {})
     if (p, q) not in solved:
-        solved[p, q] = [edge_tag_polynomials(g, p, q, edge) for edge in range(g.ecount)]
+        solved[p, q] = [(edge_tag_polynomials(g, p, q, edge), {}, [])
+                        for edge in range(g.ecount)]
     total = Fraction(0)
-    for edge, polys in enumerate(solved[p, q]):
-        result = EdgePolynomial(edge, (Fraction(1),))
-        for tag, deriv, n in terms:
-            factor = derivative(polys[tag]) if deriv else polys[tag]
-            result = product(result, power(factor, n))
-        total += integral(result, g.edges[edge].length)
+    for (polys, factors, monomials), edge in zip(solved[p, q], g.edges):
+        result = None
+        for term in terms:
+            if term not in factors:
+                tag, deriv, n = term
+                factors[term] = power(derivative(polys[tag]) if deriv else polys[tag], n)
+            result = factors[term] if result is None else product(result, factors[term])
+        coeffs = (Fraction(1),) if result is None else result.coeffs
+        while len(monomials) < len(coeffs):
+            k = len(monomials) + 1
+            monomials.append(edge.length ** k / k)
+        total += sum(c * w for c, w in zip(coeffs, monomials) if c)
     return total
 
 

@@ -7,8 +7,8 @@ import pytest
 
 from mgt import families
 from mgt.circuit import context, resistance, voltage
-from mgt.errors import NonPolynomialIntegrand
-from mgt.graph import build_graph
+from mgt.errors import BadPoint, BadVertexId, NonPolynomialIntegrand
+from mgt.graph import build_graph, total_length
 from mgt.integration import (
     TAG_J_BASE_P,
     TAG_J_BASE_Q,
@@ -121,6 +121,45 @@ def test_integer_products_match_fraction_reference():
             for q in range(g.vcount):
                 for terms in CATALOG_TERMS:
                     assert integrate_product(g, p, q, terms) == product_integral(g, p, q, terms)
+
+
+# single factors: each tag as a value and as a slope at powers 0-3, then the empty product;
+# the catalog never passes most of these alone
+SINGLE_TERMS = [[(tag, deriv, n)] for tag in (TAG_J_BASE_P, TAG_J_BASE_Q, TAG_J_BASE_X, TAG_R_FROM_P)
+                for deriv in (False, True) for n in range(4)] + [[]]
+
+
+def test_single_factors_match_fraction_reference():
+    # a complete graph, a tree (every edge a bridge) and a subdivided circle
+    graphs = _oracle_graphs()
+    for g in (graphs[0], graphs[2], graphs[11]):
+        for p in range(g.vcount):
+            for q in range(g.vcount):
+                for terms in SINGLE_TERMS:
+                    assert integrate_product(g, p, q, terms) == product_integral(g, p, q, terms)
+        assert integrate_product(g, 0, 0, []) == total_length(g)
+
+
+def test_integrate_product_checks_its_inputs():
+    k4 = families.complete(4)
+    for p, q in [(-1, 0), (0, -1), (4, 0), (0, 4), (1.0, 0)]:
+        with pytest.raises(BadVertexId):
+            integrate_product(k4, p, q, [(TAG_J_BASE_P, True, 2)])
+    for n in (-1, 1.0, 1.5, "2", None):
+        with pytest.raises(BadPoint):
+            integrate_product(k4, 0, 1, [(TAG_J_BASE_P, True, n)])
+    with pytest.raises(BadPoint):
+        integrate_product(k4, 0, 1, [("r(q,x)", False, 1)])
+
+
+def test_edge_tag_polynomials_checks_its_inputs():
+    k4 = families.complete(4)
+    for edge in (-1, k4.ecount, 1.0):
+        with pytest.raises(BadPoint):
+            edge_tag_polynomials(k4, 0, 1, edge)
+    for p, q in [(-1, 0), (0, 4)]:
+        with pytest.raises(BadVertexId):
+            edge_tag_polynomials(k4, p, q, 0)
 
 
 def test_power_integrals_match_resistance_powers():

@@ -15,7 +15,10 @@ and records its median wall time, the pass/skip/fail counts and the sha256 of
 its output, which must be the same on every run. Last, the median wall time of
 5 runs each of the Tier-1 test command, of ``python -c "import mgt.cli"`` and of
 a cold ``python -m mgt.cli tau`` on K4 (parser, dispatch and output as well as
-the imports), with the graph file in a temporary directory. The ``lines``
+the imports), with the graph file in a temporary directory. The
+``kernel_digest`` block holds the sha256 that ``tools/kernel_digest.py``
+prints over the Green integers of every factorization in the seed-1
+``corpus`` and ``ladder`` op lists, and how many there were. The ``lines``
 block holds the line count of each ``src/mgt/*.py`` and ``tests/*.py`` file
 and their totals, as ``wc -l`` counts them.
 Standard library only; writes BENCH_<label>.json in the repository root.
@@ -135,6 +138,11 @@ def main() -> int:
             timed[name] = {"argv": ["python", *argv[1:]], "wall_s_median": statistics.median(runs),
                            "wall_s_runs": runs}
 
+    done = subprocess.run([sys.executable, os.path.join(ROOT, "tools", "kernel_digest.py")],
+                          cwd=ROOT, check=True, capture_output=True, text=True)
+    kernel = {"argv": ["python", "tools/kernel_digest.py"], "sha256": done.stdout.strip(),
+              "inputs": int(done.stderr.split()[0])}
+
     record = {
         "label": args.label,
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
@@ -143,6 +151,7 @@ def main() -> int:
         "verify": {"argv": ["mgt", *VERIFY], "wall_s_median": statistics.median(walls),
                    "wall_s_runs": walls, "sha256": digests.pop(), "statuses": dict(statuses)},
         **timed,
+        "kernel_digest": kernel,
         "lines": _line_counts(),
     }
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
