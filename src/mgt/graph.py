@@ -24,6 +24,7 @@ from .errors import (
     BadVertexId,
     BridgeDeletion,
     DisconnectedGraph,
+    MgtError,
     NonPositiveLength,
     NonPositiveScale,
     SamePoint,
@@ -39,6 +40,13 @@ class Edge(NamedTuple):
 
 # Either a vertex id or (edge id, offset from endpoint a).
 PointOnGraph = Union[int, tuple[int, Fraction]]
+
+# The largest graph that an operation or a family scan builds from a count it is
+# given (``check_size``). A random multigraph at both limits with unit lengths
+# peaks at 150 MB resident while it is factorized; more digits per length make
+# the Green integers longer.
+MAX_VERTICES = 500
+MAX_EDGES = 50_000
 
 
 class Frozen:
@@ -208,6 +216,13 @@ def check_vertices(g: MetrizedGraph, *vertices: int) -> None:
             raise BadVertexId(f"vertex {v} out of range 0..{g.vcount - 1}")
 
 
+def check_size(vcount: int, ecount: int, error: type[MgtError], what: str) -> None:
+    """Raise ``error`` if a graph of vcount vertices and ecount edges is over MAX_VERTICES
+    or MAX_EDGES; callers pass the counts of a graph they are about to build."""
+    if vcount > MAX_VERTICES or ecount > MAX_EDGES:
+        raise error(f"{what} exceeds the limit of {MAX_VERTICES} vertices and {MAX_EDGES} edges")
+
+
 def normalize_point(g: MetrizedGraph, x: PointOnGraph) -> PointOnGraph:
     """Canonical form of a point: endpoint offsets collapse to the vertex itself."""
     if isinstance(x, int):
@@ -268,6 +283,7 @@ def subdivide_uniform(g: MetrizedGraph, m: int) -> MetrizedGraph:
         raise BadM(f"subdivision count must be >= 1, got {m}")
     if m == 1:
         return g
+    check_size(g.vcount + (m - 1) * g.ecount, m * g.ecount, BadM, f"a subdivision by m={m}")
     edges: list[Edge] = []
     next_vertex = g.vcount
     for a, b, piece in _scaled(g.edges, 1, m):

@@ -22,8 +22,9 @@ from .errors import (
     NotNormalized,
     SamePoint,
 )
-from .graph import (Edge, Frozen, MetrizedGraph, _scaled, bridges, check_vertices,
-                    delete_edge_graph, edge_at, identify_points_graph, normalize, total_length)
+from .graph import (MAX_EDGES, Edge, Frozen, MetrizedGraph, _scaled, bridges, check_size,
+                    check_vertices, delete_edge_graph, edge_at, identify_points_graph, normalize,
+                    total_length)
 from .rational import Scalar, sum_over
 from .tau import apq, deleted_apq, tau_of
 
@@ -197,6 +198,7 @@ def da_n(g: MetrizedGraph, n: int) -> OpResult:
     """
     if n < 1:
         raise BadN("parallel multiplicity must be >= 1")
+    check_size(g.vcount, n * g.ecount, BadN, f"a parallel split by n={n}")
     graph = MetrizedGraph(g.vcount, tuple(e for e in _scaled(g.edges, 1, n) for _ in range(n)))
 
     def formula():
@@ -287,6 +289,8 @@ def c_tower(g: MetrizedGraph, p: int, q: int, n: int) -> OpResult:
         raise BadN("tower exponent must be >= 1")
     if total_length(g) != 1:
         raise NotNormalized("tower input must have total length one")
+    copies = 2 ** min(n, MAX_EDGES.bit_length())  # more copies are over the edge limit too
+    check_size(copies * (g.vcount - 2) + 2, copies * g.ecount, BadN, f"a tower of 2^{n} copies")
     vcount, edges = g.vcount, g.edges
     for _ in range(n):  # the two-point union of the tower so far with a copy of itself
         shifted, vcount = _shift_edges(vcount, edges, {p: p, q: q}, vcount)

@@ -19,8 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import families
-from .errors import BadN, MgtError, NonPositiveLength, NotBridgeless, UnknownParameter
-from .graph import MetrizedGraph, bridges, normalize
+from .errors import BadM, BadN, MgtError, NonPositiveLength, NotBridgeless, UnknownParameter
+from .graph import MetrizedGraph, bridges, check_size, normalize
 from .ops import contract_edge
 from .tau import tau_of
 
@@ -270,15 +270,21 @@ def family_scan(family: str, params: dict | None = None) -> list[ScanRow]:
                                f"unknown key(s): {', '.join(unknown)}")
     rows: list[ScanRow] = []
     if family == "complete":
-        for v in params.get("v", range(2, 13)):
+        grid = params.get("v", range(2, 13))
+        for v in grid:
             if v < 2:
                 raise BadN(f"the complete-graph closed form needs v >= 2, got {v}")
+            check_size(v, v * (v - 1) // 2, BadN, f"the complete graph on v={v} vertices")
+        for v in grid:
             g = families.complete(v)
             closed = (Fraction(1, 12) * (1 - Fraction(2, v)) ** 2 + Fraction(2, v**3))
             _scan_assert(closed, g, f"v={v}")
             rows.append(ScanRow(family, f"v={v}", closed, closed))
     elif family == "banana":
-        for m in params.get("m", range(1, 13)):
+        grid = params.get("m", range(1, 13))
+        for m in grid:
+            check_size(2, m, BadM, f"the banana graph of m={m} edges")
+        for m in grid:
             g = families.equal_banana(m)
             closed = Fraction(m * m - 2 * m + 4, 12 * m * m)
             _scan_assert(closed, g, f"m={m}")
@@ -305,9 +311,12 @@ def family_scan(family: str, params: dict | None = None) -> list[ScanRow]:
                 rows.append(ScanRow(family, f"a={a},t={t}", closed, closed))
     elif family == "circle":
         rng = random.Random("mgt-scan-circle")
-        for k in params.get("k", range(1, 9)):
+        grid = params.get("k", range(1, 9))
+        for k in grid:
             if k < 1:
                 raise BadN(f"a circle needs k >= 1 arcs, got {k}")
+            check_size(k, k, BadN, f"the circle of k={k} arcs")
+        for k in grid:
             arcs = [families.random_length(rng) for _ in range(k)]
             g = normalize(families.circle(*arcs))
             closed = Fraction(1, 12)

@@ -23,9 +23,8 @@ from typing import NamedTuple
 from . import families
 from .circuit import context
 from .errors import BadN, EmptyGraph, MgtError, UnknownIdentity
-from .graph import (MetrizedGraph, _cached, bridges, delete_edge_graph, genus,
-                    identify_points_graph, insert_point, normalize, scale, subdivide_uniform,
-                    total_length)
+from .graph import (MetrizedGraph, bridges, delete_edge_graph, genus, identify_points_graph,
+                    insert_point, normalize, scale, subdivide_uniform, total_length)
 from .integration import (
     TAG_J_BASE_P,
     TAG_J_BASE_Q,
@@ -103,22 +102,6 @@ class SuiteContext:
         if q >= p:
             q += 1
         return p, q
-
-    def shared(self, built: MetrizedGraph) -> MetrizedGraph:
-        """``built``, or the equal graph that a check on this input passed here first.
-
-        A check that rebuilds a glued, contracted, deleted, split or
-        self-united graph then reuses the first copy's solver context. The
-        table starts with the normalized input, which a segment immersion
-        rebuilds. The table is kept on the input graph, like its other derived
-        values, so the ``run_graph_checks`` calls that split one catalog pass
-        on a graph share it. It lives, with each kept graph's Green integers,
-        as long as the input graph does, and it grows by every distinct graph
-        that a check builds: a caller that runs the checks on one long-lived
-        graph with ever new rngs keeps every graph those runs built.
-        """
-        table = _cached(self.g, "_built", lambda g: {normalize(g): normalize(g)})
-        return table.setdefault(built, built)
 
     def distinct_pair(self) -> tuple[int, int]:
         """``vertex_pair``, skipping the check on a one-vertex graph."""
@@ -369,7 +352,7 @@ def _check_bounds(cid: str, ctx: SuiteContext):
 def _check_parallel_split(ctx: SuiteContext):
     n = ctx.rng.choice((2, 3, 4))
     result = da_n(ctx.g, n)
-    return _eq(result.predicted_tau, tau_of(ctx.shared(result.graph)), f"n={n}")
+    return _eq(result.predicted_tau, tau_of(result.graph), f"n={n}")
 
 
 def _check_split_and_subdivide(ctx: SuiteContext):
@@ -404,7 +387,7 @@ def _check_subdivision_transfer(ctx: SuiteContext):
 def _check_parallel_split_resistances(ctx: SuiteContext):
     g = ctx.g
     n = ctx.rng.choice((2, 3))
-    built = ctx.shared(da_n(g, n).graph)
+    built = da_n(g, n).graph
     cx, built_cx = context(g), context(built)
     for i, (_, _, length) in enumerate(g.edges):
         res = cx.res_deleted(i)  # 0 on a loop, so a loop's copies expect 0
@@ -478,7 +461,7 @@ def _check_uniform_immersion(ctx: SuiteContext):
         + apq(beta, p, q) / r_beta * parallel_sum(gn)
     )
     built = immerse_uniform(gn, beta, p, q)
-    tau_built = tau_of(ctx.shared(built.graph))
+    tau_built = tau_of(built.graph)
     return _all_eq([
         ("closed form", predicted, tau_built),
         ("op prediction", built.predicted_tau, tau_built),
@@ -562,7 +545,7 @@ def _check_self_union(ctx: SuiteContext):
     result = union_two_points(g, g, (p, q), (p, q))
     r = context(g).r(p, q)
     predicted = 2 * tau_of(g) - r / 3 + apq(g, p, q) / r
-    tau_union = tau_of(ctx.shared(result.graph))
+    tau_union = tau_of(result.graph)
     return _all_eq([
         ("closed form", predicted, tau_union),
         ("op prediction", result.predicted_tau, tau_union),
@@ -572,14 +555,14 @@ def _check_self_union(ctx: SuiteContext):
 def _check_edge_deletion(ctx: SuiteContext):
     edge = ctx.proper_edge()
     result = delete_edge(ctx.g, edge)
-    return _eq(result.predicted_tau, tau_of(ctx.shared(result.graph)), f"edge {edge}")
+    return _eq(result.predicted_tau, tau_of(result.graph), f"edge {edge}")
 
 
 def _check_edge_deletion_energy(ctx: SuiteContext):
     g = ctx.g
     edge = ctx.proper_edge()
     deleted, (p, q) = delete_edge_graph(g, edge)
-    energy = integrate_product(ctx.shared(deleted), p, q, [(TAG_J_BASE_X, True, 2)])
+    energy = integrate_product(deleted, p, q, [(TAG_J_BASE_X, True, 2)])
     denom = g.edges[edge].length + context(g).res_deleted(edge)
     predicted = energy / 4 + denom / 12 + deleted_apq(g, edge) / denom
     return _eq(predicted, tau_of(g))
@@ -637,15 +620,15 @@ def _contract_setup(ctx: SuiteContext):
     g = ctx.g
     deleted, (p, q) = delete_edge_graph(g, edge)
     res = context(g).res_deleted(edge)
-    return edge, ctx.shared(deleted), p, q, res, deleted_apq(g, edge)
+    return edge, deleted, p, q, res, deleted_apq(g, edge)
 
 
 def _check_contraction_values(ctx: SuiteContext):
     edge, deleted, p, q, res, a_del = _contract_setup(ctx)
     g = ctx.g
     length = g.edges[edge].length
-    shrunk = ctx.shared(contract_edge(g, edge).graph)
-    looped = ctx.shared(identify_points_graph(g, p, q))
+    shrunk = contract_edge(g, edge).graph
+    looped = identify_points_graph(g, p, q)
     return _all_eq([
         ("contracted", tau_of(shrunk), tau_of(deleted) - res / 6 + a_del / res),
         ("looped", tau_of(looped), tau_of(deleted) + length / 12 - res / 6 + a_del / res),
@@ -657,8 +640,8 @@ def _check_contraction_deltas(ctx: SuiteContext):
     g = ctx.g
     length = g.edges[edge].length
     drop = length * a_del / (res * (length + res))
-    shrunk = ctx.shared(contract_edge(g, edge).graph)
-    looped = ctx.shared(identify_points_graph(g, p, q))
+    shrunk = contract_edge(g, edge).graph
+    looped = identify_points_graph(g, p, q)
     return _all_eq([
         ("contracted", tau_of(g), tau_of(shrunk) + length / 12 - drop),
         ("looped", tau_of(g), tau_of(looped) - drop),
@@ -674,7 +657,7 @@ def _check_edge_addition(ctx: SuiteContext):
 def _check_point_identification(ctx: SuiteContext):
     p, q = ctx.distinct_pair()
     result = identify_points(ctx.g, p, q)
-    return _eq(result.predicted_tau, tau_of(ctx.shared(result.graph)))
+    return _eq(result.predicted_tau, tau_of(result.graph))
 
 
 def _check_union_apq(ctx: SuiteContext):
@@ -699,7 +682,7 @@ def _check_union_apq(ctx: SuiteContext):
 def _check_self_union_apq(ctx: SuiteContext):
     g = ctx.g
     p, q = ctx.distinct_pair()
-    union = ctx.shared(union_two_points(g, g, (p, q), (p, q)).graph)
+    union = union_two_points(g, g, (p, q), (p, q)).graph
     lhs = 2 * apq(union, min(p, q), max(p, q))
     rhs = context(g).r(p, q) ** 2 / 12 + apq(g, p, q)
     return _eq(lhs, rhs)

@@ -223,14 +223,10 @@ def apq_identity(g: MetrizedGraph, p: int, q: int) -> Fraction:
     if p == q:
         raise SamePoint("p and q must differ")
     ctx = context(g)
-
-    def compute():
-        r = ctx.r(p, q)
-        glued = GreenUpdate(*ctx.green_int(), p, q, 0, 1)  # the zero-length limit of an edge p-q
-        glued_tau = _tau_sum(glued.rows(ctx.edge_int()), glued.diag(), glued.den)[0]
-        return r * (glued_tau - tau_of(g)) + r * r / 6
-
-    return _memo(ctx, ("apq", p, q), compute)
+    r = ctx.r(p, q)
+    glued = GreenUpdate(*ctx.green_int(), p, q, 0, 1)  # the zero-length limit of an edge p-q
+    glued_tau = _tau_sum(glued.rows(ctx.edge_int()), glued.diag(), glued.den)[0]
+    return r * (glued_tau - tau_of(g)) + r * r / 6
 
 
 def apq_checked(g: MetrizedGraph, p: int, q: int) -> Fraction:

@@ -536,6 +536,25 @@ def test_huge_vertex_header_allocates_nothing(tmp_path):
     assert _one_error_line(done.stderr) and "not connected" in done.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["op", "da-n", "99999999", "K4"], ["op", "subdivide", "99999999", "K4"],
+    ["op", "tower", "0", "1", "60", "K4"],
+    ["scan", "--family", "complete", "--params", "v=100000"],
+    ["scan", "--family", "banana", "--params", "m=100000000"],
+    ["scan", "--family", "circle", "--params", "k=100000000"],
+], ids=["da-n", "subdivide", "tower", "complete", "banana", "circle"])
+def test_too_large_result_is_usage_error(k4_file, argv):
+    # the result's size is counted from the arguments before anything is built;
+    # the address-space cap makes a build that starts anyway fail fast with exit 4
+    cap = 512 << 20
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-m", "mgt.cli", *(k4_file if a == "K4" else a for a in argv)],
+                          capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert done.returncode == 2 and done.stdout == "", done.stderr
+    assert _one_error_line(done.stderr) and "exceeds the limit" in done.stderr
+
+
 def _imported_modules(argv):
     """(finished run, names of every module it imported) for ``mgt`` with argv.
 

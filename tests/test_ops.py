@@ -4,8 +4,10 @@ from fractions import Fraction as F
 import pytest
 
 from mgt import families
-from mgt.errors import BridgeDeletion, MgtError, NonPositiveLength, NotNormalized, SamePoint
-from mgt.graph import build_graph, normalize, scale, subdivide_uniform, total_length
+from mgt.errors import (BadM, BadN, BridgeDeletion, MgtError, NonPositiveLength, NotNormalized,
+                        SamePoint)
+from mgt.graph import (MAX_EDGES, MAX_VERTICES, build_graph, normalize, scale, subdivide_uniform,
+                       total_length)
 from mgt.ops import (
     OpResult,
     add_edge,
@@ -399,3 +401,22 @@ def test_edge_id_outside_the_graph_is_rejected(edge_id):
     for make in (delete_edge_graph, delete_edge, contract_edge):
         with pytest.raises(BadPoint, match=f"edge {edge_id} out of range"):
             make(g, edge_id)
+
+
+def test_size_limit_admits_the_largest_result_and_refuses_the_next():
+    # each operation counts its result from its arguments: the largest admitted
+    # argument builds a graph of exactly the counted size, one more is refused
+    k4 = families.complete(4)  # 4 vertices, 6 edges
+    m = (MAX_VERTICES - 4) // 6 + 1  # 4 + 6 (m - 1) vertices
+    assert subdivide_uniform(k4, m).vcount == 4 + 6 * (m - 1) > MAX_VERTICES - 6
+    with pytest.raises(BadM, match="exceeds the limit"):
+        subdivide_uniform(k4, m + 1)
+    n = MAX_EDGES // 6
+    assert da_n(k4, n).graph.ecount == 6 * n > MAX_EDGES - 6
+    with pytest.raises(BadN, match="exceeds the limit"):
+        da_n(k4, n + 1)
+    circ = normalize(families.circle(1, 2, 3))  # 2^n + 2 vertices after n doublings
+    n = (MAX_VERTICES - 2).bit_length() - 1
+    assert c_tower(circ, 0, 1, n).graph.vcount == 2**n + 2
+    with pytest.raises(BadN, match="exceeds the limit"):
+        c_tower(circ, 0, 1, n + 1)

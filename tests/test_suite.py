@@ -194,30 +194,29 @@ def test_arm_identities_fail_when_one_base_is_perturbed(monkeypatch):
     assert {r.identity: r.status for r in perturbed} == dict.fromkeys(wanted, "fail")
 
 
-def test_later_checks_reuse_the_graphs_earlier_checks_solved(monkeypatch):
-    # each pair draws its vertex pair or edge first, so equal rngs build equal graphs
-    from mgt import linalg
+def test_the_catalog_keeps_no_graph_it_builds(monkeypatch):
+    # after the whole catalog the only graphs still holding a solver context are
+    # the input, its normalized copy and the suite's module-level menus
+    import gc
+    import weakref
 
-    solves = []
-    forward = linalg.bareiss_forward
-    monkeypatch.setattr(linalg, "bareiss_forward", lambda *args: solves.append(forward(*args)))
-    g = families.random_connected(random.Random(3), 6, 10)
-    for first, later in (("cor1twopunion", "corlem-twopunion-Apq"),
-                         ("lemcontract1", "lemcontract2"), ("cor2twopunion", "cor2twopunion2")):
-        results = run_graph_checks("g", g, random.Random(first), {first})
-        before = len(solves)
-        results += run_graph_checks("g", g, random.Random(first), {later})
-        assert [r.status for r in results] == ["pass", "pass"]
-        assert len(solves) == before, (first, later)
-
-
-def test_shared_finds_the_normalized_graph_in_a_segment_immersion():
+    import mgt.suite as suite
+    from mgt.circuit import GraphContext
     from mgt.graph import normalize
-    from mgt.ops import immerse_uniform
-    from mgt.suite import SuiteContext
 
-    g = families.random_connected(random.Random(4), 6, 10)
-    gn = normalize(g)
-    built = immerse_uniform(gn, families.segment(1), 0, 1).graph
-    assert built == gn and built is not gn
-    assert SuiteContext("g", g, random.Random(1)).shared(built) is gn
+    solved = []
+    init = GraphContext.__init__
+    monkeypatch.setattr(GraphContext, "__init__",
+                        lambda self, g: solved.append(weakref.ref(g)) or init(self, g))
+    menus = (suite._small_marked_graphs, suite._common_resistance_menu, suite._three_arc_circle)
+    for menu in menus:  # built anew, so their contexts are counted here too
+        menu.cache_clear()
+    descriptor, g = list(GraphGenerator(1).graphs(6))[5]
+    results = run_graph_checks(descriptor, g, random.Random("mgt-checks:1:5"))
+    assert "fail" not in {r.status for r in results}
+    gc.collect()
+    alive = {id(x) for x in (ref() for ref in solved) if x is not None}
+    kept = {id(g), id(normalize(g)), id(suite._three_arc_circle())}
+    kept |= {id(beta) for menu in menus[:2] for beta, _, _ in menu()}
+    assert len(solved) > 20 and alive == kept
+    assert len(alive) == 8

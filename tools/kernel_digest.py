@@ -10,7 +10,9 @@ that reaches ``mgt.linalg.green_numden`` (vertex count and edge list), in
 call order. Then it factorizes each recorded input again and prints the
 sha256 over the (N, d) pairs it gets, one ``repr`` per pair in that order.
 Two versions of the kernel that print the same digest give bit-identical
-Green integers on every factorization those workloads make. The input count
+Green integers on every factorization those workloads make. The digest also
+covers the list of calls itself, so it moves when the workloads factorize more
+or fewer graphs, even with ``mgt.linalg`` untouched. The input count
 and the seconds of the second round of factorizations go to stderr.
 Standard library only.
 """
