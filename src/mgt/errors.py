@@ -37,6 +37,12 @@ class BadN(MgtError):
     pass
 
 
+class TooLarge(MgtError):
+    """A graph an operation or a family scan would build is over the limit of
+    ``graph.check_size``. The identity suite reports a check that meets one as
+    skipped: the limit says nothing about the identity."""
+
+
 class UnknownIdentity(MgtError):
     """An identity id that is not in the suite catalog."""
 

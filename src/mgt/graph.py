@@ -24,10 +24,10 @@ from .errors import (
     BadVertexId,
     BridgeDeletion,
     DisconnectedGraph,
-    MgtError,
     NonPositiveLength,
     NonPositiveScale,
     SamePoint,
+    TooLarge,
 )
 from .rational import Scalar, sum_over
 
@@ -216,11 +216,13 @@ def check_vertices(g: MetrizedGraph, *vertices: int) -> None:
             raise BadVertexId(f"vertex {v} out of range 0..{g.vcount - 1}")
 
 
-def check_size(vcount: int, ecount: int, error: type[MgtError], what: str) -> None:
-    """Raise ``error`` if a graph of vcount vertices and ecount edges is over MAX_VERTICES
-    or MAX_EDGES; callers pass the counts of a graph they are about to build."""
-    if vcount > MAX_VERTICES or ecount > MAX_EDGES:
-        raise error(f"{what} exceeds the limit of {MAX_VERTICES} vertices and {MAX_EDGES} edges")
+def check_size(vcount: int, ecount: int, what: str, g: MetrizedGraph | None = None) -> None:
+    """Raise TooLarge if a graph of vcount vertices and ecount edges, about to be built
+    (from g, if given), is over MAX_VERTICES or MAX_EDGES. A count of g's own that is
+    over the limit already may be kept, since g was accepted, but not grown."""
+    v0, e0 = (g.vcount, g.ecount) if g is not None else (0, 0)
+    if vcount > max(MAX_VERTICES, v0) or ecount > max(MAX_EDGES, e0):
+        raise TooLarge(f"{what} exceeds the limit of {MAX_VERTICES} vertices and {MAX_EDGES} edges")
 
 
 def normalize_point(g: MetrizedGraph, x: PointOnGraph) -> PointOnGraph:
@@ -283,7 +285,7 @@ def subdivide_uniform(g: MetrizedGraph, m: int) -> MetrizedGraph:
         raise BadM(f"subdivision count must be >= 1, got {m}")
     if m == 1:
         return g
-    check_size(g.vcount + (m - 1) * g.ecount, m * g.ecount, BadM, f"a subdivision by m={m}")
+    check_size(g.vcount + (m - 1) * g.ecount, m * g.ecount, f"a subdivision by m={m}", g)
     edges: list[Edge] = []
     next_vertex = g.vcount
     for a, b, piece in _scaled(g.edges, 1, m):

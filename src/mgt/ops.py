@@ -198,7 +198,7 @@ def da_n(g: MetrizedGraph, n: int) -> OpResult:
     """
     if n < 1:
         raise BadN("parallel multiplicity must be >= 1")
-    check_size(g.vcount, n * g.ecount, BadN, f"a parallel split by n={n}")
+    check_size(g.vcount, n * g.ecount, f"a parallel split by n={n}", g)
     graph = MetrizedGraph(g.vcount, tuple(e for e in _scaled(g.edges, 1, n) for _ in range(n)))
 
     def formula():
@@ -290,7 +290,7 @@ def c_tower(g: MetrizedGraph, p: int, q: int, n: int) -> OpResult:
     if total_length(g) != 1:
         raise NotNormalized("tower input must have total length one")
     copies = 2 ** min(n, MAX_EDGES.bit_length())  # more copies are over the edge limit too
-    check_size(copies * (g.vcount - 2) + 2, copies * g.ecount, BadN, f"a tower of 2^{n} copies")
+    check_size(copies * (g.vcount - 2) + 2, copies * g.ecount, f"a tower of 2^{n} copies", g)
     vcount, edges = g.vcount, g.edges
     for _ in range(n):  # the two-point union of the tower so far with a copy of itself
         shifted, vcount = _shift_edges(vcount, edges, {p: p, q: q}, vcount)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import families
-from .errors import BadM, BadN, MgtError, NonPositiveLength, NotBridgeless, UnknownParameter
+from .errors import BadN, MgtError, NonPositiveLength, NotBridgeless, UnknownParameter
 from .graph import MetrizedGraph, bridges, check_size, normalize
 from .ops import contract_edge
 from .tau import tau_of
@@ -274,7 +274,7 @@ def family_scan(family: str, params: dict | None = None) -> list[ScanRow]:
         for v in grid:
             if v < 2:
                 raise BadN(f"the complete-graph closed form needs v >= 2, got {v}")
-            check_size(v, v * (v - 1) // 2, BadN, f"the complete graph on v={v} vertices")
+            check_size(v, v * (v - 1) // 2, f"the complete graph on v={v} vertices")
         for v in grid:
             g = families.complete(v)
             closed = (Fraction(1, 12) * (1 - Fraction(2, v)) ** 2 + Fraction(2, v**3))
@@ -283,7 +283,7 @@ def family_scan(family: str, params: dict | None = None) -> list[ScanRow]:
     elif family == "banana":
         grid = params.get("m", range(1, 13))
         for m in grid:
-            check_size(2, m, BadM, f"the banana graph of m={m} edges")
+            check_size(2, m, f"the banana graph of m={m} edges")
         for m in grid:
             g = families.equal_banana(m)
             closed = Fraction(m * m - 2 * m + 4, 12 * m * m)
@@ -315,7 +315,7 @@ def family_scan(family: str, params: dict | None = None) -> list[ScanRow]:
         for k in grid:
             if k < 1:
                 raise BadN(f"a circle needs k >= 1 arcs, got {k}")
-            check_size(k, k, BadN, f"the circle of k={k} arcs")
+            check_size(k, k, f"the circle of k={k} arcs")
         for k in grid:
             arcs = [families.random_length(rng) for _ in range(k)]
             g = normalize(families.circle(*arcs))

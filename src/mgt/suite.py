@@ -5,7 +5,8 @@ executable zero-tolerance check over a generated graph. A check either passes
 (exact rational equality / comparison), fails, or is skipped because the
 identity's hypothesis does not hold on the instance; skips always carry the
 reason. Constructions that would grow quadratically also skip, with the size
-recorded, once they exceed a small desk-scale budget.
+recorded, once they exceed a small desk-scale budget; so does a check whose
+operation refuses a result over ``graph.check_size``'s limit (``TooLarge``).
 
 The six bound entries (``FMM1-bounds``, ``thmeqlength``, ``thmeqlength2``,
 ``thmcorineqsumR4``, ``thm2term``, ``corbasic2``) are not derived here: one
@@ -22,7 +23,7 @@ from typing import NamedTuple
 
 from . import families
 from .circuit import context
-from .errors import BadN, EmptyGraph, MgtError, UnknownIdentity
+from .errors import BadN, EmptyGraph, MgtError, TooLarge, UnknownIdentity
 from .graph import (MetrizedGraph, bridges, delete_edge_graph, genus, identify_points_graph,
                     insert_point, normalize, scale, subdivide_uniform, total_length)
 from .integration import (
@@ -966,7 +967,7 @@ def run_graph_checks(descriptor: str, g: MetrizedGraph, rng: random.Random,
         ctx = SuiteContext(descriptor, g, rng)
         try:
             status, lhs, rhs, reason = fn(ctx)
-        except _Skip as exc:
+        except (_Skip, TooLarge) as exc:
             status, lhs, rhs, reason = _skip(str(exc))
         except MgtError as exc:
             status, lhs, rhs, reason = "fail", None, None, f"error: {exc}"

@@ -4,8 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from mgt import families
-from mgt.errors import (BadM, BadN, BridgeDeletion, MgtError, NonPositiveLength, NotNormalized,
-                        SamePoint)
+from mgt.errors import (BridgeDeletion, MgtError, NonPositiveLength, NotNormalized, SamePoint,
+                        TooLarge)
 from mgt.graph import (MAX_EDGES, MAX_VERTICES, build_graph, normalize, scale, subdivide_uniform,
                        total_length)
 from mgt.ops import (
@@ -409,14 +409,28 @@ def test_size_limit_admits_the_largest_result_and_refuses_the_next():
     k4 = families.complete(4)  # 4 vertices, 6 edges
     m = (MAX_VERTICES - 4) // 6 + 1  # 4 + 6 (m - 1) vertices
     assert subdivide_uniform(k4, m).vcount == 4 + 6 * (m - 1) > MAX_VERTICES - 6
-    with pytest.raises(BadM, match="exceeds the limit"):
+    with pytest.raises(TooLarge, match="exceeds the limit"):
         subdivide_uniform(k4, m + 1)
     n = MAX_EDGES // 6
     assert da_n(k4, n).graph.ecount == 6 * n > MAX_EDGES - 6
-    with pytest.raises(BadN, match="exceeds the limit"):
+    with pytest.raises(TooLarge, match="exceeds the limit"):
         da_n(k4, n + 1)
     circ = normalize(families.circle(1, 2, 3))  # 2^n + 2 vertices after n doublings
     n = (MAX_VERTICES - 2).bit_length() - 1
     assert c_tower(circ, 0, 1, n).graph.vcount == 2**n + 2
-    with pytest.raises(BadN, match="exceeds the limit"):
+    with pytest.raises(TooLarge, match="exceeds the limit"):
         c_tower(circ, 0, 1, n + 1)
+
+
+def test_size_limit_lets_an_operation_keep_but_not_grow_an_input_count(monkeypatch):
+    # an input over the limit was accepted as given: a parallel split keeps its
+    # vertex count, while a subdivision or a tower grows it and is refused
+    import mgt.graph
+
+    monkeypatch.setattr(mgt.graph, "MAX_VERTICES", 3)
+    k4 = normalize(families.complete(4))
+    assert da_n(k4, 2).graph.vcount == 4
+    with pytest.raises(TooLarge, match="exceeds the limit"):
+        subdivide_uniform(k4, 2)
+    with pytest.raises(TooLarge, match="exceeds the limit"):
+        c_tower(k4, 0, 1, 1)

@@ -89,6 +89,24 @@ def test_run_graph_checks_on_fixed_graph():
     assert all(r.status != "fail" for r in results)
 
 
+def test_a_build_over_the_size_limit_is_a_skip_not_a_fail(monkeypatch):
+    # the size limit refuses the split, subdivision and tower that these checks
+    # build from K5; that says nothing about the identities, so they skip
+    import mgt.graph
+
+    over = {"thmdouble", "thmdoubledivision", "lemdivisione", "thmdoubleimp-implication",
+            "thm-twopunion2-tower"}
+    g = families.complete(5)  # 5 vertices, 10 edges; a tower of 4 copies has 14 vertices
+    passed = {r.identity: r.status for r in run_graph_checks("K5", g, random.Random("t"), over)}
+    assert set(passed.values()) == {"pass"}
+    monkeypatch.setattr(mgt.graph, "MAX_VERTICES", 10)
+    monkeypatch.setattr(mgt.graph, "MAX_EDGES", 15)
+    results = run_graph_checks("K5", g, random.Random("t"), over)
+    assert {r.identity for r in results} == over
+    for r in results:
+        assert r.status == "skip" and "exceeds the limit" in r.reason, r
+
+
 def test_necklace_class_resistances_match_direct_engine():
     # validate the symmetry-class reduction against per-edge deletion
     for a, b, t in ((F(1, 10), F(1, 12), 2), (F(1, 20), F(1, 50), 3)):
