@@ -1,14 +1,14 @@
 """Effective resistance and voltage functions via exact Laplacian solves.
 
-A per-graph :class:`GraphContext` caches the Green matrix (inverse reduced
-Laplacian) as integer numerators over one denominator d, together with one
-integer row per edge (``edge_int``), so that all pairwise resistances,
-voltage values and per-edge deletion resistances come out of a single
-factorization. ``context(g)`` stores it on the graph itself, like the graph's
-other derived values, so it lives exactly as long as the graph; it keeps the
-graph's vertex count and edges, not the graph, so no reference cycle holds
-either. The cache is safe for concurrent readers: the matrix is computed once
-under a lock and never mutated.
+A per-graph :class:`GraphContext` holds the Green matrix (inverse reduced
+Laplacian) as integer numerators over one denominator d (``num``, ``den``),
+together with one integer row per edge (``rows``), so that all pairwise
+resistances, voltage values and per-edge deletion resistances come out of a
+single factorization, made when the context is. ``context(g)`` stores it on
+the graph itself through ``graph._cached``, like the graph's other derived
+values, so it lives exactly as long as the graph; it keeps the graph's edges,
+not the graph, so no reference cycle holds either. Each graph is factorized
+once, by its first reader, and the integers are never mutated.
 
 Deleting an edge and gluing two vertices are read off the same integers,
 with no new graph built: each is one rank-one update that adds an edge
@@ -22,12 +22,12 @@ exists only to check the matrix: it calls ``green_numden`` directly and
 stores nothing.
 
 ``GraphContext.memo`` holds what higher layers compute once per graph (tau,
-A); it goes with the context when the graph goes.
+A, the deletion profiles), each read through ``graph._cached``; it goes with
+the context when the graph goes.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from operator import sub
 from typing import NamedTuple
@@ -59,7 +59,7 @@ class EdgeProfile(NamedTuple):
 
 
 def _edge_rows(edges, num: list[list[int]], den: int) -> tuple[tuple[int, ...], ...]:
-    """The ``edge_int`` rows of ``edges`` over Green numerators num / den."""
+    """The ``GraphContext.rows`` of ``edges`` over Green numerators num / den."""
     rows = []
     for a, b, length in edges:
         ln, ld = length.numerator, length.denominator
@@ -103,7 +103,7 @@ class GreenUpdate:
         return [x * s - ncy * cz for x, cz in zip(self._num[y], c)]
 
     def rows(self, rows) -> list[tuple[int, int, int, int, int, int]]:
-        """g's own ``edge_int`` rows updated to d': rn' = rn s - n (c[a] - c[b])^2."""
+        """g's own ``GraphContext.rows`` updated to d': rn' = rn s - n (c[a] - c[b])^2."""
         c, s, n, den = self._c, self._s, self._n, self.den
         out = []
         for a, b, ln, ld, rn, _ in rows:
@@ -114,74 +114,46 @@ class GreenUpdate:
 
 
 class GraphContext:
-    """Cached exact solver state for one immutable graph (its vertex count and edges, not the graph).
+    """Exact solver state for one immutable graph (its edges, not the graph), factorized when made.
 
-    The Green matrix is kept as integer numerators over one denominator so
-    resistance lookups cost a single Fraction construction.
+    ``num`` and ``den`` are the Green matrix as integer numerators over one
+    denominator d, so a resistance costs a single Fraction construction;
+    readers share ``num`` and must not mutate it. ``rows`` holds one integer
+    row (a, b, ln, ld, rn, gap) per edge: L = ln/ld, r(a,b) = rn/d and
+    L - r(a,b) = gap/(ld d), so gap = ln d - rn ld, zero exactly on bridges,
+    and rn is zero on self-loops.
     """
 
     def __init__(self, g: MetrizedGraph):
-        self.vcount = g.vcount
         self.edges = g.edges
-        self._lock = threading.RLock()
-        self._num: list[list[int]] | None = None
-        self._den: int = 1
-        self._rows: tuple[tuple[int, int, int, int, int, int], ...] = ()
-        self._profiles: dict[int, tuple[EdgeProfile, ...]] = {}
-        self.memo: dict = {}  # per-graph values of higher layers: tau, A by vertex pair
-
-    def _ensure_green(self) -> None:
-        if self._num is None:
-            with self._lock:
-                if self._num is None:
-                    num, den = green_numden(self.vcount, self.edges)
-                    self._rows = _edge_rows(self.edges, num, den)
-                    self._den = den
-                    self._num = num  # set last: it marks the state complete
-
-    def green_int(self) -> tuple[list[list[int]], int]:
-        """The Green matrix as (N, d): integer numerators over one denominator.
-
-        Shared by every reader of this context; callers must not mutate N.
-        """
-        self._ensure_green()
-        return self._num, self._den
-
-    def edge_int(self) -> tuple[tuple[int, int, int, int, int, int], ...]:
-        """One integer row (a, b, ln, ld, rn, gap) per edge, over d of ``green_int``.
-
-        L = ln/ld, r(a,b) = rn/d and L - r(a,b) = gap/(ld d), so
-        gap = ln d - rn ld. gap is zero exactly on bridges, rn on self-loops.
-        """
-        self._ensure_green()
-        return self._rows
+        self.num, self.den = green_numden(g.vcount, g.edges)
+        self.rows = _edge_rows(g.edges, self.num, self.den)
+        self.memo: dict = {}  # per-graph values of higher layers, read through ``_cached``
 
     def res_deleted(self, edge_id: int) -> ExtScalar:
         """R = L r(a,b)/(L - r(a,b)) = ln rn/gap between an edge's ends after its deletion.
 
-        Read off the edge's ``edge_int`` row, with no profile built: 0 on a
+        Read off the edge's row, with no profile built: 0 on a
         self-loop (rn = 0), INF across a bridge (gap = 0).
         """
-        _, _, ln, _, rn, gap = self.edge_int()[edge_id]
+        _, _, ln, _, rn, gap = self.rows[edge_id]
         return INF if gap == 0 else Fraction(ln * rn, gap)
 
     def r(self, y: int, z: int) -> Fraction:
-        self._ensure_green()
-        num = self._num
-        return Fraction(num[y][y] + num[z][z] - 2 * num[y][z], self._den)
+        num = self.num
+        return Fraction(num[y][y] + num[z][z] - 2 * num[y][z], self.den)
 
     def voltage(self, x: int, y: int, z: int) -> Fraction:
         """j_x(y,z) = (r(x,y) + r(x,z) - r(y,z))/2, whose diagonal terms at y and z cancel."""
-        self._ensure_green()
-        num = self._num
-        return Fraction(num[x][x] - num[x][y] - num[x][z] + num[y][z], self._den)
+        num = self.num
+        return Fraction(num[x][x] - num[x][y] - num[x][z] + num[y][z], self.den)
 
     def deleted(self, edge_id: int) -> GreenUpdate:
         """g - e's integers: e in parallel with length -L, so d' = d gap; BridgeDeletion if gap = 0."""
-        a, b, ln, ld, _, gap = self.edge_int()[edge_id]
+        a, b, ln, ld, _, gap = self.rows[edge_id]
         if gap == 0:
             raise BridgeDeletion(f"deleting edge {edge_id} disconnects the graph")
-        return GreenUpdate(*self.green_int(), a, b, -ln, ld)
+        return GreenUpdate(self.num, self.den, a, b, -ln, ld)
 
     def r_deleted(self, edge_id: int, y: int, z: int) -> Fraction:
         """Resistance between y and z after deleting one edge; a loop (c = 0) leaves r unchanged."""
@@ -189,13 +161,8 @@ class GraphContext:
         return Fraction(update.res_num(y, z), update.den)
 
     def edge_profiles(self, base: int) -> tuple[EdgeProfile, ...]:
-        if base not in self._profiles:
-            with self._lock:
-                if base not in self._profiles:
-                    self._profiles[base] = tuple(
-                        self._profile(i, base) for i in range(len(self.edges))
-                    )
-        return self._profiles[base]
+        return _cached(self.memo, ("profiles", base), lambda: tuple(
+            self._profile(i, base) for i in range(len(self.edges))))
 
     def _profile(self, edge_id: int, base: int) -> EdgeProfile:
         """One edge's deletion profile from integers over 2 d gap.
@@ -204,13 +171,13 @@ class GraphContext:
         are (X_a + M - X_b), (M + X_b - X_a) and (X_a + X_b - M) over 2 d gap.
         A loop (rn = 0, c = 0) comes out with zero arms and arm_base r(base, a).
         """
-        a, b, ln, _, rn, gap = self.edge_int()[edge_id]
+        a, b, ln, _, rn, gap = self.rows[edge_id]
         if gap == 0:  # bridge: the rest of the circuit carries no alternative path
             return self._bridge_profile(edge_id, base)
         update = self.deleted(edge_id)
         x_a = update.res_num(a, base)
         x_b = update.res_num(b, base)
-        mid = ln * rn * self._den
+        mid = ln * rn * self.den
         over = 2 * update.den
         return EdgeProfile(edge_id, self.edges[edge_id].length, self.res_deleted(edge_id),
                            Fraction(x_a + mid - x_b, over), Fraction(mid + x_b - x_a, over),
@@ -233,7 +200,7 @@ class GraphContext:
 
 def context(g: MetrizedGraph) -> GraphContext:
     """The graph's solver context, stored on g by its first reader and freed with it."""
-    return _cached(g, "_context", GraphContext)
+    return _cached(g.__dict__, "_context", GraphContext, g)
 
 
 def resistance(g: MetrizedGraph, x: PointOnGraph, y: PointOnGraph) -> Fraction:

@@ -8,13 +8,14 @@ two ends of an edge.
 Because a graph never changes, values derived from it alone are cached on the
 instance the first time they are read: the hash, the total length, the
 normalized graph, the bridge list and the solver context of
-``mgt.circuit.context`` (see ``_cached``). Each lives exactly as long as its
-graph, and a pickle or copy carries none of them. Racing first readers may
-each compute a value; they compute equal ones, and the first stored wins.
+``mgt.circuit.context``. Each lives exactly as long as its graph, and a pickle
+or copy carries none of them. ``_cached`` is mgt's one cache of per-object
+values, these and the per-graph values of higher layers alike.
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -97,14 +98,10 @@ class MetrizedGraph(Frozen):
         return self.vcount == other.vcount and self.edges == other.edges
 
     def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            # from the integers: equal Fractions have equal lowest terms, and
-            # Fraction.__hash__ costs a modular inverse per length
-            h = hash((self.vcount, tuple((a, b, length.numerator, length.denominator)
-                                         for a, b, length in self.edges)))
-            object.__setattr__(self, "_hash", h)
-        return h
+        # from the integers: equal Fractions have equal lowest terms, and
+        # Fraction.__hash__ costs a modular inverse per length
+        return _cached(self.__dict__, "_hash", lambda: hash((self.vcount, tuple(
+            (a, b, length.numerator, length.denominator) for a, b, length in self.edges))))
 
     @property
     def ecount(self) -> int:
@@ -121,11 +118,23 @@ class MetrizedGraph(Frozen):
         return n
 
 
-def _cached(g: MetrizedGraph, name: str, compute):
-    """``compute(g)``, stored on g under ``name`` by the first reader."""
-    value = g.__dict__.get(name)
+_CACHE_LOCK = threading.RLock()
+
+
+def _cached(store: dict, key, compute, *args):
+    """``compute(*args)``, stored in ``store`` under ``key`` by its first reader.
+
+    A hit takes no lock. A miss computes under one lock, so racing first readers
+    compute a value once; it is reentrant because some values read others while
+    they compute (``normalize`` reads ``total_length``). ``compute`` never
+    returns None, which marks a miss.
+    """
+    value = store.get(key)
     if value is None:
-        value = g.__dict__.setdefault(name, compute(g))
+        with _CACHE_LOCK:
+            value = store.get(key)
+            if value is None:
+                value = store[key] = compute(*args)
     return value
 
 
@@ -155,7 +164,7 @@ def build_graph(vertex_count: int, edge_list: Iterable[tuple[int, int, Scalar]])
 
 def total_length(g: MetrizedGraph) -> Fraction:
     """Sum of the edge lengths, computed once per graph."""
-    return _cached(g, "_total_length", lambda g: sum_over(
+    return _cached(g.__dict__, "_total_length", lambda: sum_over(
         [(length.numerator, length.denominator) for _, _, length in g.edges], 1))
 
 
@@ -178,7 +187,7 @@ def _scaled(edges: Iterable[Edge], n: int, d: int) -> tuple[Edge, ...]:
 
 def normalize(g: MetrizedGraph) -> MetrizedGraph:
     """Rescale to total length one; every call on one graph returns the same object."""
-    return _cached(g, "_normalized", lambda g: scale(g, 1 / total_length(g)))
+    return _cached(g.__dict__, "_normalized", lambda: scale(g, 1 / total_length(g)))
 
 
 def delete_edge_graph(g: MetrizedGraph, edge_id: int) -> tuple[MetrizedGraph, tuple[int, int]]:
@@ -305,7 +314,7 @@ def bridges(g: MetrizedGraph) -> list[int]:
     are handled naturally (neither can be a bridge). The search runs once per
     graph.
     """
-    return list(_cached(g, "_bridges", _bridge_search))
+    return list(_cached(g.__dict__, "_bridges", _bridge_search, g))
 
 
 def _bridge_search(g: MetrizedGraph) -> tuple[int, ...]:

@@ -133,7 +133,7 @@ _DEGREE = {TAG_R_FROM_P: 2, TAG_J_BASE_P: 1, TAG_J_BASE_Q: 1, TAG_J_BASE_X: 2}
 def _tag_rows(num: list[list[int]], p: int, q: int, row, tags: Sequence[str]) -> list[list[int]]:
     """The named tags on one edge as integers: coefficients in s = t/L, times 2 d ld.
 
-    ``row`` is the edge's (a, b, ln, ld, rn, gap) from ``GraphContext.edge_int``;
+    ``row`` is the edge's (a, b, ln, ld, rn, gap) from ``GraphContext.rows``;
     one row per tag comes back, in the order of ``tags``, and no other tag is built.
     With Pa = d r(p,a) (likewise Pb, Qa, Qb) and R = d r(p,q), r(p,x) is
     [2 ld Pa, 2 (ld (Pb - Pa) + gap), -2 gap]; the voltages are half-sums of
@@ -169,8 +169,8 @@ def edge_tag_polynomials(g: MetrizedGraph, p: int, q: int, edge: int) -> dict[st
     check_vertices(g, p, q)
     edge_at(g, edge)
     ctx = context(g)
-    num, den = ctx.green_int()
-    row = ctx.edge_int()[edge]
+    num, den = ctx.num, ctx.den
+    row = ctx.rows[edge]
     ln, ld = row[2], row[3]
     scale = 2 * den * ld
     return {
@@ -209,9 +209,9 @@ def integrate_product(
     tags = list(dict.fromkeys(tag for tag, _, power in terms if power))
     factors = [(tags.index(tag), deriv, power) for tag, deriv, power in terms if power]
     ctx = context(g)
-    num, den = ctx.green_int()
+    num, den = ctx.num, ctx.den
     parts = []
-    for row in ctx.edge_int():
+    for row in ctx.rows:
         rows = _tag_rows(num, p, q, row, tags)
         product, scalar = [1], 1
         for index, deriv, power in factors:

@@ -22,7 +22,7 @@ from .errors import (
     NotNormalized,
     SamePoint,
 )
-from .graph import (MAX_EDGES, Edge, Frozen, MetrizedGraph, _scaled, bridges, check_size,
+from .graph import (MAX_EDGES, Edge, Frozen, MetrizedGraph, _cached, _scaled, bridges, check_size,
                     check_vertices, delete_edge_graph, edge_at, identify_points_graph, normalize,
                     total_length)
 from .rational import Scalar, sum_over
@@ -54,14 +54,13 @@ class OpResult(Frozen):
         return self._prediction()[1] + self.input_notes
 
     def _prediction(self) -> tuple[Fraction | None, tuple[str, ...]]:
-        outcome = self.__dict__.get("_outcome")
-        if outcome is None:
-            try:
-                outcome = (self.formula(), ())
-            except MgtError as exc:
-                outcome = (None, (f"prediction {self.formula_id} unavailable: {exc}",))
-            outcome = self.__dict__.setdefault("_outcome", outcome)  # first reader wins
-        return outcome
+        return _cached(self.__dict__, "_outcome", self._evaluate)
+
+    def _evaluate(self) -> tuple[Fraction | None, tuple[str, ...]]:
+        try:
+            return self.formula(), ()
+        except MgtError as exc:
+            return None, (f"prediction {self.formula_id} unavailable: {exc}",)
 
 
 def delete_edge(g: MetrizedGraph, edge_id: int) -> OpResult:
@@ -174,7 +173,7 @@ def union_two_points(
 def parallel_sum(g: MetrizedGraph) -> Fraction:
     """sum L^2/(L+R) = sum (L - r(a,b)) over edges: zero on a bridge, L on a loop."""
     ctx = context(g)
-    return sum_over([(gap, ld) for _, _, _, ld, _, gap in ctx.edge_int()], ctx.green_int()[1])
+    return sum_over([(gap, ld) for _, _, _, ld, _, gap in ctx.rows], ctx.den)
 
 
 def marked_edge_sums(g: MetrizedGraph, betas) -> dict:
@@ -184,9 +183,9 @@ def marked_edge_sums(g: MetrizedGraph, betas) -> dict:
     """
     ctx = context(g)
     groups: dict = {}
-    for (_, _, ln, ld, _, gap), marked in zip(ctx.edge_int(), betas):
+    for (_, _, ln, ld, _, gap), marked in zip(ctx.rows, betas):
         groups.setdefault(marked, []).append((ln, ld, gap))
-    den = ctx.green_int()[1]
+    den = ctx.den
     return {marked: (sum_over([(ln, ld) for ln, ld, _ in rows], 1),
                      sum_over([(gap, ld) for _, ld, gap in rows], den)) for marked, rows in groups.items()}
 

@@ -24,7 +24,7 @@ from typing import NamedTuple
 from . import families
 from .circuit import context
 from .errors import BadN, EmptyGraph, MgtError, TooLarge, UnknownIdentity
-from .graph import (MetrizedGraph, bridges, delete_edge_graph, genus, identify_points_graph,
+from .graph import (MetrizedGraph, _cached, bridges, delete_edge_graph, genus, identify_points_graph,
                     insert_point, normalize, scale, subdivide_uniform, total_length)
 from .integration import (
     TAG_J_BASE_P,
@@ -161,25 +161,25 @@ def _arm_sums(g: MetrizedGraph, base: int) -> tuple[Fraction, Fraction]:
     one pass and memoized together in the graph's context.
     """
     cx = context(g)
-    sums = cx.memo.get("arms")
-    if sums is None:
-        d4 = cx.green_int()[1] ** 4
-        bases = range(cx.vcount)
-        terms = [[] for _ in bases]
-        off_base = [[] for _ in bases]
-        for i, (a, b, ln, ld, _, gap) in enumerate(cx.edge_int()):
-            if gap:  # a bridge has no deletion update
-                deleted = cx.deleted(i)
-            for p in bases:
-                if gap:
-                    x = deleted.res_num(a, p) - deleted.res_num(b, p)
-                term = (ld * x * x, ln**3) if gap else (ln * d4, ld)
-                terms[p].append(term)
-                if p not in (a, b):
-                    off_base[p].append(term)
-        sums = cx.memo.setdefault("arms", tuple((sum_over(t, d4), sum_over(o, d4))
-                                                for t, o in zip(terms, off_base)))
-    return sums[base]
+    return _cached(cx.memo, "arms", _all_arm_sums, cx, g.vcount)[base]
+
+
+def _all_arm_sums(cx, vcount: int) -> tuple[tuple[Fraction, Fraction], ...]:
+    d4 = cx.den ** 4
+    bases = range(vcount)
+    terms = [[] for _ in bases]
+    off_base = [[] for _ in bases]
+    for i, (a, b, ln, ld, _, gap) in enumerate(cx.rows):
+        if gap:  # a bridge has no deletion update
+            deleted = cx.deleted(i)
+        for p in bases:
+            if gap:
+                x = deleted.res_num(a, p) - deleted.res_num(b, p)
+            term = (ld * x * x, ln**3) if gap else (ln * d4, ld)
+            terms[p].append(term)
+            if p not in (a, b):
+                off_base[p].append(term)
+    return tuple((sum_over(t, d4), sum_over(o, d4)) for t, o in zip(terms, off_base))
 
 
 # ---------------------------------------------------------------------------

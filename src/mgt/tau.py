@@ -1,8 +1,8 @@
 """tau, the canonical measure, the bound suite, the exact gradient and A.
 
 All of them are closed-form per-edge sums over the one integer Green matrix
-of a graph (numerators N over a determinant d, see ``GraphContext.green_int``
-and the per-edge rows of ``GraphContext.edge_int``). For an edge e = (a, b)
+of a graph (numerators N over a determinant d, ``GraphContext.num`` and
+``den``, and the per-edge rows ``GraphContext.rows``). For an edge e = (a, b)
 of length L, with r = r(a,b) and D = r(p,b) - r(p,a) for a base vertex p:
 
 * tau = 1/4 sum_e [D^2/L + (L - r)^2/(3L)], for every base p;
@@ -21,7 +21,8 @@ so each reported value is one Fraction; the canonical measure's total mass is
 such a sum over the record's own masses and densities, a check of the record.
 tau (``tau_of``, also stored by ``tau_edge_sum``), A (``apq``, per unordered
 vertex pair), A of the graph minus one edge (``deleted_apq``, per edge) and
-the bound suite's rows are memoized in the graph's ``GraphContext.memo``.
+the bound suite's rows are memoized in the graph's ``GraphContext.memo``
+through ``graph._cached``.
 tau at any base is one sum (``_tau_sum``) and A one sum (``_apq_sum``), over
 a diagonal and rows of Green numerators: g's own, or those of a rank-one
 update of them (``circuit.GreenUpdate``) for g minus an edge (``deleted_apq``)
@@ -42,7 +43,7 @@ from typing import NamedTuple
 
 from .circuit import GreenUpdate, context
 from .errors import EmptyGraph, HasBridge, MgtError, SamePoint
-from .graph import MetrizedGraph, bridges, check_vertices, edge_at, genus, total_length
+from .graph import MetrizedGraph, _cached, bridges, check_vertices, edge_at, genus, total_length
 from .rational import ExtScalar, sum_over
 
 
@@ -73,14 +74,6 @@ class GradientVector(NamedTuple):
     bridge_edges: tuple[int, ...]  # edges reported with the tree-like derivative 1/4
 
 
-def _memo(ctx, key, compute):
-    """``compute()``, stored in the context's memo under ``key`` by the first reader."""
-    value = ctx.memo.get(key)
-    if value is None:
-        value = ctx.memo.setdefault(key, compute())
-    return value
-
-
 def _potentials(num: list[list[int]], base: int = 0) -> list[int]:
     """N[y][y] - 2 N[p][y] = d r(p,y) - N[p][p] per vertex y at base p. Row 0 of N is zero,
     so at base 0 this is the diagonal, and a diagonal alone (g's or an update's) serves."""
@@ -95,7 +88,7 @@ def _base_dns(pot: list[int], rows) -> list[int]:
 
 def _tau_sum(rows, pot: list[int], den: int) -> tuple[Fraction, list[tuple[int, int]]]:
     """tau, and per edge 12 d^2 times its tau share as (numerator, denominator), from the
-    ``edge_int`` rows over d and D = r(p,b) - r(p,a) (``_base_dns``)."""
+    ``GraphContext.rows`` over d and D = r(p,b) - r(p,a) (``_base_dns``)."""
     terms = [(3 * dn * dn * ld * ld + gap * gap, ln * ld)
              for (_, _, ln, ld, _, gap), dn in zip(rows, _base_dns(pot, rows))]
     return sum_over(terms, 12 * den ** 2), terms
@@ -104,21 +97,19 @@ def _tau_sum(rows, pot: list[int], den: int) -> tuple[Fraction, list[tuple[int, 
 def cubic_sum(g: MetrizedGraph) -> Fraction:
     """sum L^3/(L+R)^2 = sum (L - r)^2/L over edges; zero across a bridge."""
     ctx = context(g)
-    return sum_over([(gap * gap, ln * ld) for _, _, ln, ld, _, gap in ctx.edge_int()],
-                    ctx.green_int()[1] ** 2)
+    return sum_over([(gap * gap, ln * ld) for _, _, ln, ld, _, gap in ctx.rows], ctx.den ** 2)
 
 
 def weighted_res_sum(g: MetrizedGraph) -> Fraction:
     """sum L R/(L+R) = sum r(a,b) over edges; a bridge gives its limit L = r."""
     ctx = context(g)
-    return sum_over([(rn, 1) for _, _, _, _, rn, _ in ctx.edge_int()], ctx.green_int()[1])
+    return sum_over([(rn, 1) for _, _, _, _, rn, _ in ctx.rows], ctx.den)
 
 
 def weighted_res_square_sum(g: MetrizedGraph) -> Fraction:
     """sum L R^2/(L+R)^2 = sum r(a,b)^2/L over edges; a bridge gives its limit L."""
     ctx = context(g)
-    return sum_over([(rn * rn * ld, ln) for _, _, ln, ld, rn, _ in ctx.edge_int()],
-                    ctx.green_int()[1] ** 2)
+    return sum_over([(rn * rn * ld, ln) for _, _, ln, ld, rn, _ in ctx.rows], ctx.den ** 2)
 
 
 def tau_edge_sum(g: MetrizedGraph, base: int = 0) -> TauReport:
@@ -130,8 +121,8 @@ def tau_edge_sum(g: MetrizedGraph, base: int = 0) -> TauReport:
     """
     check_vertices(g, base)
     ctx = context(g)
-    num, den = ctx.green_int()
-    tau, terms = _tau_sum(ctx.edge_int(), _potentials(num, base), den)
+    den = ctx.den
+    tau, terms = _tau_sum(ctx.rows, _potentials(ctx.num, base), den)
     scale = 12 * den ** 2
     per_edge = tuple((i, Fraction(n, scale * m), ctx.res_deleted(i)) for i, (n, m) in enumerate(terms))
     ctx.memo.setdefault("tau", tau)
@@ -141,25 +132,20 @@ def tau_edge_sum(g: MetrizedGraph, base: int = 0) -> TauReport:
 def tau_of(g: MetrizedGraph) -> Fraction:
     """Memoized tau value."""
     ctx = context(g)
-
-    def compute():
-        num, den = ctx.green_int()
-        return _tau_sum(ctx.edge_int(), _potentials(num), den)[0]
-
-    return _memo(ctx, "tau", compute)
+    return _cached(ctx.memo, "tau", lambda: _tau_sum(ctx.rows, _potentials(ctx.num), ctx.den)[0])
 
 
 def canonical_measure(g: MetrizedGraph) -> CanonicalMeasure:
     """Point masses 1 - valence/2 plus density 1/(L+R) = (L-r)/L^2 per edge (0 on bridges)."""
     ctx = context(g)
-    den = ctx.green_int()[1]
+    den = ctx.den
     valence = [0] * g.vcount
     for a, b, _ in g.edges:
         valence[a] += 1
         valence[b] += 1
     masses = tuple((v, Fraction(2 - n, 2)) for v, n in enumerate(valence))
     densities = tuple((i, Fraction(gap * ld, den * ln * ln))
-                      for i, (_, _, ln, ld, _, gap) in enumerate(ctx.edge_int()))
+                      for i, (_, _, ln, ld, _, gap) in enumerate(ctx.rows))
     return CanonicalMeasure(masses, densities)
 
 
@@ -169,7 +155,7 @@ def genus_identity_check(g: MetrizedGraph) -> tuple[Fraction, Fraction]:
     R/(L+R) = r/L, and the two summands of an edge add up to one.
     """
     ctx = context(g)
-    right = sum_over([(rn * ld, ln) for _, _, ln, ld, rn, _ in ctx.edge_int()], ctx.green_int()[1])
+    right = sum_over([(rn * ld, ln) for _, _, ln, ld, rn, _ in ctx.rows], ctx.den)
     return g.ecount - right, right
 
 
@@ -192,14 +178,14 @@ def apq(g: MetrizedGraph, p: int, q: int) -> Fraction:
     if p == q:
         return Fraction(0)
     ctx = context(g)
-    num, den = ctx.green_int()
-    return _memo(ctx, ("A", min(p, q), max(p, q)),
-                 lambda: _apq_sum(num[p], num[q], _potentials(num), den, ctx.edge_int(), p, q))
+    num = ctx.num
+    return _cached(ctx.memo, ("A", min(p, q), max(p, q)),
+                   lambda: _apq_sum(num[p], num[q], _potentials(num), ctx.den, ctx.rows, p, q))
 
 
 def _apq_sum(rp: list[int], rq: list[int], diag: list[int], den: int, rows,
              p: int, q: int) -> Fraction:
-    """A_{p,q} from rows p and q and the diagonal of Green numerators N over d, and ``edge_int`` rows."""
+    """A_{p,q} from rows p and q and the diagonal of Green numerators N over d, and the edge rows."""
     npp, nqq = diag[p], diag[q]
     big_r = npp + nqq - 2 * rp[q]
     terms = []
@@ -224,8 +210,8 @@ def apq_identity(g: MetrizedGraph, p: int, q: int) -> Fraction:
         raise SamePoint("p and q must differ")
     ctx = context(g)
     r = ctx.r(p, q)
-    glued = GreenUpdate(*ctx.green_int(), p, q, 0, 1)  # the zero-length limit of an edge p-q
-    glued_tau = _tau_sum(glued.rows(ctx.edge_int()), glued.diag(), glued.den)[0]
+    glued = GreenUpdate(ctx.num, ctx.den, p, q, 0, 1)  # the zero-length limit of an edge p-q
+    glued_tau = _tau_sum(glued.rows(ctx.rows), glued.diag(), glued.den)[0]
     return r * (glued_tau - tau_of(g)) + r * r / 6
 
 
@@ -249,11 +235,11 @@ def deleted_apq(g: MetrizedGraph, edge_id: int) -> Fraction:
 
     def compute():
         deleted = ctx.deleted(edge_id)  # BridgeDeletion on a bridge
-        rows = ctx.edge_int()
+        rows = ctx.rows
         return _apq_sum(deleted.row(a), deleted.row(b), deleted.diag(), deleted.den,
                         deleted.rows(rows[:edge_id] + rows[edge_id + 1:]), a, b)
 
-    return _memo(ctx, ("deleted A", edge_id), compute)
+    return _cached(ctx.memo, ("deleted A", edge_id), compute)
 
 
 def tau_gradient(g: MetrizedGraph) -> GradientVector:
@@ -277,8 +263,7 @@ def tau_gradient(g: MetrizedGraph) -> GradientVector:
     Bridges come out as 1/4 and loops as 1/12.
     """
     ctx = context(g)
-    num, den = ctx.green_int()
-    rows = ctx.edge_int()
+    num, den, rows = ctx.num, ctx.den, ctx.rows
     dns = _base_dns(_potentials(num), rows)  # D_e = dn/d at base 0
     big_l = lcm(*(row[2] for row in rows))
     w = 3 * den * big_l
@@ -313,8 +298,8 @@ def tau_bridgeless_identity(g: MetrizedGraph) -> tuple[Fraction, Fraction]:
     ctx = context(g)
     # L/(L+R)^2 = ld gap^2/(ln^3 d^2); a loop's A is 0
     drop = sum((deleted_apq(g, i) * Fraction(ld * gap * gap, ln**3)
-                for i, (a, b, ln, ld, _, gap) in enumerate(ctx.edge_int()) if a != b), Fraction(0))
-    return tau_of(g), total_length(g) / 12 - drop / ctx.green_int()[1] ** 2
+                for i, (a, b, ln, ld, _, gap) in enumerate(ctx.rows) if a != b), Fraction(0))
+    return tau_of(g), total_length(g) / 12 - drop / ctx.den ** 2
 
 
 class BoundCheck(NamedTuple):
@@ -339,7 +324,7 @@ def lower_bound_suite(g: MetrizedGraph) -> list[BoundCheck]:
     if g.ecount == 0:
         raise EmptyGraph("the tau bounds need a graph with at least one edge")
     ctx = context(g)
-    return list(_memo(ctx, "bounds", lambda: _bound_checks(g, ctx.edge_int())))
+    return list(_cached(ctx.memo, "bounds", _bound_checks, g, ctx.rows))
 
 
 def _bound_checks(g: MetrizedGraph, rows) -> tuple[BoundCheck, ...]:

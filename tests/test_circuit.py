@@ -2,6 +2,7 @@ import gc
 import random
 import sys
 import threading
+import time
 import weakref
 from collections import Counter
 from fractions import Fraction as F
@@ -13,10 +14,10 @@ from mgt.circuit import GreenUpdate, context, resistance, voltage
 from mgt.errors import BridgeDeletion
 from mgt.graph import (bridges, build_graph, delete_edge_graph, identify_points_graph, normalize,
                        total_length)
-from mgt.ops import add_edge
+from mgt.ops import OpResult, add_edge
 from mgt.suite import GraphGenerator
 from mgt.rational import INF
-from mgt.tau import apq, tau_of
+from mgt.tau import apq, lower_bound_suite, tau_of
 from oracles import edge_profile, spanning_tree_resistance
 from test_linalg import _spy_on_factorizations
 
@@ -202,9 +203,9 @@ def test_context_concurrent_first_touch(monkeypatch):
         start.wait()
         hx = context(h)
         cx = context(g)
-        results.append((cx.green_int(), cx.edge_profiles(0), tau_of(g), normalize(g),
+        results.append(((cx.num, cx.den), cx.edge_profiles(0), tau_of(g), normalize(g),
                         total_length(g), bridges(g), apq(g, 1, 3), op.predicted_tau,
-                        cx, hx, hx.green_int()[0]))
+                        cx, hx, hx.num))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -227,6 +228,44 @@ def test_context_concurrent_first_touch(monkeypatch):
         assert row[:3] == first[:3] and row[5] == first[5]
         # the first stored value wins, so every thread holds the same object
         assert all(row[i] is first[i] for i in (3, 4, 6, 7, 8, 9, 10))
+
+
+def test_racing_first_readers_compute_each_value_once(monkeypatch):
+    # each computation is slowed, so the other readers arrive while it runs: they
+    # must wait for its value, not compute their own
+    import mgt.graph
+    import mgt.tau
+
+    calls = Counter()
+
+    def slowed(name, compute):
+        def spy(*args):
+            calls[name] += 1
+            time.sleep(0.01)
+            return compute(*args)
+        return spy
+
+    for module, name in ((mgt.graph, "_bridge_search"), (mgt.tau, "_tau_sum"),
+                         (mgt.tau, "_bound_checks")):
+        monkeypatch.setattr(module, name, slowed(name, getattr(module, name)))
+    # a graph no other test builds, so its caches start empty
+    g = build_graph(4, [(0, 1, F(5, 53)), (1, 2, F(7, 59)), (2, 0, F(3, 61)), (2, 3, F(2, 67))])
+    op = OpResult(g, "spied", slowed("prediction", lambda: tau_of(g) / 2))
+    start = threading.Barrier(8)
+    results = []
+
+    def reader():
+        start.wait()
+        results.append((bridges(g), tau_of(g), lower_bound_suite(g), op.predicted_tau))
+
+    threads = [threading.Thread(target=reader) for _ in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert len(results) == 8 and all(row == results[0] for row in results)
+    assert results[0][0] == [3]
+    assert calls == {"_bridge_search": 1, "_tau_sum": 1, "_bound_checks": 1, "prediction": 1}
 
 
 def test_context_is_freed_with_its_graph():
@@ -272,8 +311,8 @@ def test_green_update_matches_the_graph_built_anew():
     rng = random.Random(27)
     kinds, signs = Counter(), set()
     for _, g in GraphGenerator(3).graphs(150):
-        num, den = context(g).green_int()
-        v, edges, rows = g.vcount, g.edges, context(g).edge_int()
+        num, den = context(g).num, context(g).den
+        v, edges, rows = g.vcount, g.edges, context(g).rows
         a, b = rng.randrange(v), rng.randrange(v)
         length = F(rng.randint(1, 9), rng.randint(1, 9))
         same = list(range(v))

@@ -202,11 +202,13 @@ def test_green_int_factorizes_once_per_context(monkeypatch):
     rng = random.Random(5)
     for _ in range(10):
         g = families.random_connected(rng, 7, 12)
-        ctx = GraphContext(g)
         before = len(dets)
-        first = ctx.green_int()
-        assert ctx.green_int()[0] is first[0]
+        ctx = GraphContext(g)
+        first = ctx.num
         ctx.r(0, g.vcount - 1)
+        ctx.voltage(0, 1, g.vcount - 1)
+        ctx.edge_profiles(0)
+        assert ctx.num is first
         assert len(dets) == before + 1
 
 
@@ -216,8 +218,8 @@ def test_determinant_is_scale_free(monkeypatch):
     rng = random.Random(6)
     for _ in range(10):
         g = families.random_connected(rng, 7, 12)
-        GraphContext(g).green_int()
-        GraphContext(scale(g, c)).green_int()
+        GraphContext(g)
+        GraphContext(scale(g, c))
         assert dets[-1] == dets[-2]
 
 
@@ -226,7 +228,7 @@ def test_self_immersion_determinant_is_small(monkeypatch):
     _, g = list(GraphGenerator(1).graphs(10))[9]  # v = 3, e = 4; built: v = 7
     gn = normalize(g)
     built = immerse_uniform(gn, gn, 0, 1).graph
-    GraphContext(built).green_int()
+    GraphContext(built)
     assert dets[-1].bit_length() * 4 < _uniform_lcm_det(built).bit_length()
 
 

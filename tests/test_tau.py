@@ -397,7 +397,7 @@ def test_apq_identity_builds_and_factorizes_nothing(monkeypatch):
     from mgt.graph import MetrizedGraph
 
     g = _random_bridgeless_graph(random.Random(7), 12, 18)
-    context(g).green_int()
+    context(g)
     calls = {"green_numden": 0, "graph": 0}
     factorize, build = mgt.circuit.green_numden, MetrizedGraph.__init__
 
@@ -436,12 +436,12 @@ def test_tau_edge_sum_stores_tau():
 def test_apq_routes_part_on_a_perturbed_green_matrix(monkeypatch, g, entry):
     # both A routes read one N; a wrong entry must make them disagree, not agree
     ctx = context(g)
-    num = [list(row) for row in ctx.green_int()[0]]
+    num = [list(row) for row in ctx.num]
     y, z = entry
     num[y][z] += 1
     if y != z:
         num[z][y] += 1
-    monkeypatch.setattr(ctx, "_num", num)
+    monkeypatch.setattr(ctx, "num", num)
     ctx.memo.clear()
     assert apq(g, 1, 2) != apq_identity(g, 1, 2)
     with pytest.raises(MgtError, match="A mismatch"):
