@@ -133,8 +133,8 @@ class GraphContext:
     def res_deleted(self, edge_id: int) -> ExtScalar:
         """R = L r(a,b)/(L - r(a,b)) = ln rn/gap between an edge's ends after its deletion.
 
-        Read off the edge's row, with no profile built: 0 on a
-        self-loop (rn = 0), INF across a bridge (gap = 0).
+        Read off the edge's row, with no profile built: 0 on a self-loop
+        (rn = 0), INF across a bridge (gap = 0).
         """
         _, _, ln, _, rn, gap = self.rows[edge_id]
         return INF if gap == 0 else Fraction(ln * rn, gap)

@@ -233,6 +233,8 @@ def immerse(
         check_vertices(beta, p, q)
         if p == q:
             raise SamePoint("marked points must be distinct")
+    check_size(g.vcount + sum(beta.vcount - 2 for beta, _, _ in betas),
+               sum(beta.ecount for beta, _, _ in betas), "an immersion", g)
     r_betas = [context(beta).r(p, q) for beta, p, q in betas]
     ratios = [(ln.numerator * r.denominator, ln.denominator * r.numerator)  # L_i/r_i
               for (_, _, ln), r in zip(g.edges, r_betas)]

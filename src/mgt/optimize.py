@@ -19,8 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import families
-from .errors import BadN, MgtError, NonPositiveLength, NotBridgeless, UnknownParameter
-from .graph import MetrizedGraph, bridges, check_size, normalize
+from .errors import BadN, MgtError, NonPositiveLength, NotBridgeless, TooLarge, UnknownParameter
+from .graph import MAX_EDGES, MetrizedGraph, bridges, check_size, normalize
 from .ops import contract_edge
 from .tau import tau_of
 
@@ -290,8 +290,12 @@ def family_scan(family: str, params: dict | None = None) -> list[ScanRow]:
             _scan_assert(closed, g, f"m={m}")
             rows.append(ScanRow(family, f"m={m}", closed, closed))
     elif family == "necklace":
-        grid_a = [Fraction(a) for a in params.get("a", [Fraction(1, k) for k in (8, 12, 20, 40)])]
+        grid_a = params.get("a", [Fraction(1, k) for k in (8, 12, 20, 40)])
         grid_t = params.get("t", (2, 3, 4))
+        if len(grid_a) * len(grid_t) > MAX_EDGES:
+            raise TooLarge(f"a necklace grid of {len(grid_a)} x {len(grid_t)} rows exceeds "
+                           f"the limit of {MAX_EDGES} rows")
+        grid_a = [Fraction(a) for a in grid_a]
         for a in grid_a:
             if a <= 0:
                 raise NonPositiveLength(f"a necklace needs cycle edges of length a > 0, got a={a}")

@@ -22,8 +22,7 @@ Network = dict[int, dict[int, Fraction]]
 
 def _join(net: Network, a: int, b: int, c: Fraction) -> None:
     """Add a conductance c between a and b, in parallel with any already there."""
-    net[a][b] = net[a].get(b, 0) + c
-    net[b][a] = net[b].get(a, 0) + c
+    net[a][b] = net[b][a] = net[a].get(b, 0) + c  # the maps are symmetric
 
 
 def star_mesh(net: Network, center: int) -> None:
@@ -33,8 +32,9 @@ def star_mesh(net: Network, center: int) -> None:
     for a, _ in legs:
         del net[a][center]
     for i, (a, ca) in enumerate(legs):
+        share = ca / total
         for b, cb in legs[i + 1:]:
-            _join(net, a, b, ca * cb / total)
+            _join(net, a, b, share * cb)
 
 
 def reduce_to_terminals(g: MetrizedGraph, terminals: tuple[int, ...]) -> Network:

@@ -542,13 +542,19 @@ def test_huge_vertex_header_allocates_nothing(tmp_path):
     ["scan", "--family", "complete", "--params", "v=100000"],
     ["scan", "--family", "banana", "--params", "m=100000000"],
     ["scan", "--family", "circle", "--params", "k=100000000"],
-], ids=["da-n", "subdivide", "tower", "complete", "banana", "circle"])
-def test_too_large_result_is_usage_error(k4_file, argv):
-    # the result's size is counted from the arguments before anything is built;
-    # the address-space cap makes a build that starts anyway fail fast with exit 4
+    ["op", "immerse", "C300", "C300", "0", "150"],
+    ["scan", "--family", "necklace", "--params", "a=1/100000000000;t=5..30000000"],
+], ids=["da-n", "subdivide", "tower", "complete", "banana", "circle", "immerse", "necklace"])
+def test_too_large_result_is_usage_error(k4_file, tmp_path, argv):
+    # the result's size is counted from the arguments, or from the input files'
+    # sizes, before anything is built; the address-space cap makes a build that
+    # starts anyway fail fast with exit 4
+    circle = tmp_path / "c300.txt"
+    circle.write_text(format_graph_text(families.circle(*[1] * 300)))
+    files = {"K4": k4_file, "C300": str(circle)}
     cap = 512 << 20
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    done = subprocess.run([sys.executable, "-m", "mgt.cli", *(k4_file if a == "K4" else a for a in argv)],
+    done = subprocess.run([sys.executable, "-m", "mgt.cli", *(files.get(a, a) for a in argv)],
                           capture_output=True, text=True, env=env, timeout=60,
                           preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
     assert done.returncode == 2 and done.stdout == "", done.stderr
