@@ -125,7 +125,7 @@ def tau_edge_sum(g: MetrizedGraph, base: int = 0) -> TauReport:
     tau, terms = _tau_sum(ctx.rows, _potentials(ctx.num, base), den)
     scale = 12 * den ** 2
     per_edge = tuple((i, Fraction(n, scale * m), ctx.res_deleted(i)) for i, (n, m) in enumerate(terms))
-    ctx.memo.setdefault("tau", tau)
+    _cached(ctx.memo, "tau", lambda: tau)
     return TauReport(tau, total_length(g), genus(g), per_edge, base)
 
 
