@@ -5,12 +5,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from . import fileio
 from .circuit import resistance, voltage
 from .errors import BadPoint, InputError, MgtError
-from .graph import MetrizedGraph, PointOnGraph, check_vertices, normalize, subdivide_uniform
+from .graph import MetrizedGraph, PointOnGraph, check_vertices, subdivide_uniform
 from .rational import format_float, format_scalar, parse_scalar
 from .tau import apq_checked, apq_identity, canonical_measure, lower_bound_suite, tau_edge_sum, tau_gradient
 
@@ -228,7 +227,7 @@ def _run_apq(args) -> int:
 
         value = apq_direct(g, args.p, args.q)
     elif args.method == "identity":
-        value = apq_identity(g, args.p, args.q) if args.p != args.q else Fraction(0)
+        value = apq_identity(g, args.p, args.q)
     else:
         value = apq_checked(g, args.p, args.q)
     print(_dumps({"apq": format_scalar(value)}) if args.json else _fmt(args, value))
@@ -430,9 +429,9 @@ _OPS = {
         g1, g2, (int(p1), int(q1)), (int(p2), int(q2)))),
     "da-n": (2, (1,), lambda ops, n, g: ops.da_n(g, int(n))),
     "subdivide": (2, (1,), lambda ops, m, g: subdivide_uniform(g, int(m))),
-    "immerse": (4, (0, 1), lambda ops, g, beta, p, q: ops.immerse_any(
+    "immerse": (4, (0, 1), lambda ops, g, beta, p, q: ops.immerse(
         g, [(beta, int(p), int(q))] * g.ecount)),
-    "tower": (4, (3,), lambda ops, p, q, n, g: ops.c_tower(normalize(g), int(p), int(q), int(n))),
+    "tower": (4, (3,), lambda ops, p, q, n, g: ops.c_tower(g, int(p), int(q), int(n))),
 }
 
 

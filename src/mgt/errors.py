@@ -75,9 +75,5 @@ class NotBridgeless(MgtError):
     pass
 
 
-class NotNormalized(MgtError):
-    pass
-
-
 class InfArithmeticError(MgtError):
     """An infinity combination outside the supported limit forms."""

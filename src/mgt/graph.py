@@ -25,6 +25,7 @@ from .errors import (
     BadVertexId,
     BridgeDeletion,
     DisconnectedGraph,
+    EmptyGraph,
     NonPositiveLength,
     NonPositiveScale,
     SamePoint,
@@ -107,16 +108,6 @@ class MetrizedGraph(Frozen):
     def ecount(self) -> int:
         return len(self.edges)
 
-    def valence(self, p: int) -> int:
-        """Number of edge directions emanating from p (a self-loop counts twice)."""
-        n = 0
-        for a, b, _ in self.edges:
-            if a == p:
-                n += 1
-            if b == p:
-                n += 1
-        return n
-
 
 _CACHE_LOCK = threading.RLock()
 
@@ -186,7 +177,12 @@ def _scaled(edges: Iterable[Edge], n: int, d: int) -> tuple[Edge, ...]:
 
 
 def normalize(g: MetrizedGraph) -> MetrizedGraph:
-    """Rescale to total length one; every call on one graph returns the same object."""
+    """Rescale to total length one; every call on one graph returns the same object,
+    g itself when its total length is one already. EmptyGraph on a graph with no edges."""
+    if not g.edges:
+        raise EmptyGraph("a graph with no edges cannot be normalized")
+    if total_length(g) == 1:
+        return g
     return _cached(g.__dict__, "_normalized", lambda: scale(g, 1 / total_length(g)))
 
 
@@ -236,21 +232,22 @@ def check_size(vcount: int, ecount: int, what: str, g: MetrizedGraph | None = No
 
 def normalize_point(g: MetrizedGraph, x: PointOnGraph) -> PointOnGraph:
     """Canonical form of a point: endpoint offsets collapse to the vertex itself."""
-    if isinstance(x, int):
-        if not 0 <= x < g.vcount:
+    if not isinstance(x, tuple):
+        if not isinstance(x, int) or not 0 <= x < g.vcount:
             raise BadPoint(f"vertex {x} out of range")
         return x
-    edge_id, offset = x
-    if not 0 <= edge_id < g.ecount:
-        raise BadPoint(f"edge {edge_id} out of range")
-    offset = Fraction(offset)
-    edge = g.edges[edge_id]
-    if offset < 0 or offset > edge.length:
-        raise BadPoint(f"offset {offset} outside edge of length {edge.length}")
+    try:
+        edge_id, offset = x
+        offset = Fraction(offset)
+    except (TypeError, ValueError, OverflowError):
+        raise BadPoint(f"bad point {x!r}: expected a vertex id or (edge id, offset)") from None
+    a, b, length = edge_at(g, edge_id)
+    if offset < 0 or offset > length:
+        raise BadPoint(f"offset {offset} outside edge of length {length}")
     if offset == 0:
-        return edge.a
-    if offset == edge.length:
-        return edge.b
+        return a
+    if offset == length:
+        return b
     return (edge_id, offset)
 
 

@@ -112,9 +112,7 @@ def fit_edge_function(
     polynomial and the last one is a guard that must match exactly, otherwise
     the integrand was not a polynomial of the declared degree on this edge.
     """
-    if not 0 <= edge < g.ecount:
-        raise BadPoint(f"edge {edge} out of range")
-    length = g.edges[edge].length
+    length = edge_at(g, edge).length
     offsets = [length * k / (degree + 3) for k in range(1, degree + 3)]  # strictly interior
     values = [f((edge, t)) for t in offsets]
     poly = interpolate(edge, list(zip(offsets[: degree + 1], values[: degree + 1])))

@@ -1,8 +1,9 @@
 """Graph operations that transform tau in closed form.
 
 Each operation returns the new graph together with its formula for the tau
-of the result; the formula runs when ``predicted_tau`` (or ``notes``) is first
-read, so an operation whose prediction nobody reads costs only its graph.
+of the result; the formula runs when ``predicted_tau`` is first read, so an
+operation whose prediction nobody reads costs only its graph. An MgtError the
+formula raises reaches the reader.
 Verification code checks prediction against direct recomputation, exactly.
 Vertex ids of results are renumbered deterministically: the first operand's
 ids survive, then the second operand's remaining ids in order.
@@ -14,14 +15,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .circuit import context
-from .errors import (
-    BadN,
-    BridgeDeletion,
-    MgtError,
-    NonPositiveLength,
-    NotNormalized,
-    SamePoint,
-)
+from .errors import BadN, BridgeDeletion, MgtError, NonPositiveLength, SamePoint
 from .graph import (MAX_EDGES, Edge, Frozen, MetrizedGraph, _cached, _scaled, bridges, check_size,
                     check_vertices, delete_edge_graph, edge_at, identify_points_graph, normalize,
                     total_length)
@@ -30,37 +24,17 @@ from .tau import apq, deleted_apq, tau_of
 
 
 class OpResult(Frozen):
-    """An operation's result graph and its tau formula, evaluated on first read.
+    """An operation's result graph and its tau formula, evaluated on first read."""
 
-    ``predicted_tau`` is None when the formula raises an MgtError, and
-    ``notes`` then says why; ``input_notes`` record changes made to the inputs.
-    """
-
-    def __init__(self, graph: MetrizedGraph, formula_id: str, formula: Callable[[], Fraction],
-                 input_notes: tuple[str, ...] = ()):
-        self.__dict__.update(graph=graph, formula_id=formula_id, formula=formula,
-                             input_notes=input_notes)
+    def __init__(self, graph: MetrizedGraph, formula_id: str, formula: Callable[[], Fraction]):
+        self.__dict__.update(graph=graph, formula_id=formula_id, formula=formula)
 
     def __repr__(self):
-        return (f"OpResult(graph={self.graph!r}, formula_id={self.formula_id!r}, "
-                f"input_notes={self.input_notes!r})")
+        return f"OpResult(graph={self.graph!r}, formula_id={self.formula_id!r})"
 
     @property
-    def predicted_tau(self) -> Fraction | None:
-        return self._prediction()[0]
-
-    @property
-    def notes(self) -> tuple[str, ...]:
-        return self._prediction()[1] + self.input_notes
-
-    def _prediction(self) -> tuple[Fraction | None, tuple[str, ...]]:
-        return _cached(self.__dict__, "_outcome", self._evaluate)
-
-    def _evaluate(self) -> tuple[Fraction | None, tuple[str, ...]]:
-        try:
-            return self.formula(), ()
-        except MgtError as exc:
-            return None, (f"prediction {self.formula_id} unavailable: {exc}",)
+    def predicted_tau(self) -> Fraction:
+        return _cached(self.__dict__, "_predicted", self.formula)
 
 
 def delete_edge(g: MetrizedGraph, edge_id: int) -> OpResult:
@@ -96,6 +70,16 @@ def contract_edge(g: MetrizedGraph, edge_id: int) -> OpResult:
         return tau_of(g) - length / 12 + length * deleted_apq(g, edge_id) / (res * (length + res))
 
     return OpResult(graph, "edge-contraction", formula)
+
+
+def contract_bridges(g: MetrizedGraph) -> MetrizedGraph:
+    """g with every bridge contracted, lowest id first; g itself when it has none.
+
+    Each contraction lowers tau by L/4, and a tree ends as a single point.
+    """
+    while ids := bridges(g):
+        g = contract_edge(g, ids[0]).graph
+    return g
 
 
 def identify_points(g: MetrizedGraph, p: int, q: int) -> OpResult:
@@ -215,21 +199,20 @@ def immerse(
     g: MetrizedGraph,
     betas: list[tuple[MetrizedGraph, int, int]],
 ) -> OpResult:
-    """Replace each edge of a normalized graph by a scaled marked graph; normalize.
+    """Replace each edge of a graph by a scaled marked graph; normalize.
 
-    Edge i becomes a copy of beta_i scaled so the resistance between its two
+    Host and marked graphs are normalized first (tau(c g) = c tau(g)). Edge i
+    then becomes a copy of beta_i scaled so the resistance between its two
     marked vertices equals the edge length; endpoint a of the edge lands on
     the first marked vertex. The copies (each beta_i has length one) add up to
     S = sum L_i/r_i, so only the normalized graph is built, edge e of copy i
     with length L_e L_i/(r_i S). The prediction is its tau.
     """
-    if total_length(g) != 1:
-        raise NotNormalized("the host graph must have total length one")
+    g = normalize(g)
+    betas = [(normalize(beta), p, q) for beta, p, q in betas]
     if len(betas) != g.ecount:
         raise MgtError("need one marked graph per edge")
     for beta, p, q in betas:
-        if total_length(beta) != 1:
-            raise NotNormalized("every replacement graph must have total length one")
         check_vertices(beta, p, q)
         if p == q:
             raise SamePoint("marked points must be distinct")
@@ -257,29 +240,8 @@ def immerse(
     return OpResult(graph, "edge-immersion", formula)
 
 
-def immerse_uniform(g: MetrizedGraph, beta: MetrizedGraph, p: int, q: int) -> OpResult:
-    """Immerse the same marked graph into every edge."""
-    return immerse(g, [(beta, p, q)] * g.ecount)
-
-
-def immerse_any(g: MetrizedGraph, betas: list[tuple[MetrizedGraph, int, int]]) -> OpResult:
-    """Convenience wrapper that normalizes all inputs first and records it."""
-    notes = []
-    if total_length(g) != 1:
-        notes.append(f"host scaled by {1 / total_length(g)}")
-        g = normalize(g)
-    fixed = []
-    for beta, p, q in betas:
-        if total_length(beta) != 1:
-            notes.append(f"replacement scaled by {1 / total_length(beta)}")
-            beta = normalize(beta)
-        fixed.append((beta, p, q))
-    result = immerse(g, fixed)
-    return OpResult(result.graph, result.formula_id, result.formula, tuple(notes))
-
-
 def c_tower(g: MetrizedGraph, p: int, q: int, n: int) -> OpResult:
-    """Union of 2^n copies of a normalized graph along p, q, built once and normalized.
+    """Union of 2^n copies of the normalized graph along p, q, built once and normalized.
 
     Predicted tau: tau + (1 - 2^-n) A/r + (-1/6 - 1/(6 2^n) + 1/(3 4^n)) r.
     """
@@ -288,8 +250,7 @@ def c_tower(g: MetrizedGraph, p: int, q: int, n: int) -> OpResult:
         raise SamePoint("tower points must be distinct")
     if n < 1:
         raise BadN("tower exponent must be >= 1")
-    if total_length(g) != 1:
-        raise NotNormalized("tower input must have total length one")
+    g = normalize(g)
     copies = 2 ** min(n, MAX_EDGES.bit_length())  # more copies are over the edge limit too
     check_size(copies * (g.vcount - 2) + 2, copies * g.ecount, f"a tower of 2^{n} copies", g)
     vcount, edges = g.vcount, g.edges

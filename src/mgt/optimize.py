@@ -20,8 +20,8 @@ import numpy as np
 
 from . import families
 from .errors import BadN, MgtError, NonPositiveLength, NotBridgeless, TooLarge, UnknownParameter
-from .graph import MAX_EDGES, MetrizedGraph, bridges, check_size, normalize
-from .ops import contract_edge
+from .graph import MAX_EDGES, MetrizedGraph, check_size, normalize
+from .ops import contract_bridges
 from .tau import tau_of
 
 POSITIVITY_FLOOR = 1e-9
@@ -135,21 +135,12 @@ def project_simplex(x: np.ndarray) -> np.ndarray:
     return np.maximum(y - theta, 0.0) + POSITIVITY_FLOOR
 
 
-def _contract_bridges(g: MetrizedGraph) -> tuple[MetrizedGraph, int]:
-    contracted = 0
-    while True:
-        if g.ecount == 0:
-            raise NotBridgeless("topology is a point once bridges are contracted")
-        ids = bridges(g)
-        if not ids:
-            return g, contracted
-        g = contract_edge(g, ids[0]).graph
-        contracted += 1
-
-
 def search_topology(g: MetrizedGraph) -> MetrizedGraph:
     """The bridge-free topology the optimizer actually searches over."""
-    return _contract_bridges(g)[0]
+    g = contract_bridges(g)
+    if g.ecount == 0:
+        raise NotBridgeless("topology is a point once bridges are contracted")
+    return g
 
 
 def minimize_tau(
@@ -164,7 +155,7 @@ def minimize_tau(
     the minimum pushes their length to zero). Candidate minima are re-evaluated
     in exact arithmetic at rounded rational coordinates.
     """
-    g, contracted = _contract_bridges(topology)
+    g = search_topology(topology)
     topo = FloatTopology(g.vcount, [(a, b) for a, b, _ in g.edges])
     n = g.ecount
     if start is not None:

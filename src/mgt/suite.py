@@ -37,12 +37,12 @@ from .integration import (
 from .ops import (
     add_edge,
     c_tower,
+    contract_bridges,
     contract_edge,
     da_n,
     delete_edge,
     identify_points,
     immerse,
-    immerse_uniform,
     marked_edge_sums,
     parallel_sum,
     union_one_point,
@@ -89,8 +89,7 @@ class _Skip(Exception):
 class SuiteContext:
     """One corpus graph plus the deterministic randomness for its checks."""
 
-    def __init__(self, descriptor: str, g: MetrizedGraph, rng: random.Random):
-        self.descriptor = descriptor
+    def __init__(self, g: MetrizedGraph, rng: random.Random):
         self.g = g
         self.rng = rng
 
@@ -125,10 +124,6 @@ def _pass(lhs=None, rhs=None):
 
 def _fail(lhs, rhs, reason=""):
     return ("fail", lhs, rhs, reason)
-
-
-def _skip(reason):
-    return ("skip", None, None, reason)
 
 
 def _eq(lhs, rhs, tag=""):
@@ -194,7 +189,7 @@ def _check_voltage_circuit(ctx: SuiteContext):
     if v < 3:
         p, q = 0, min(1, v - 1)
         if p == q:
-            return _skip("needs at least two vertices")
+            raise _Skip("needs at least two vertices")
         lhs = resistance_via_reduction(g, p, q)
         return _eq(lhs, context(g).r(p, q), "two-terminal")
     triples = [(x, p, q) for x in range(v) for p in range(v) for q in range(v)
@@ -336,7 +331,7 @@ def _check_bounds(cid: str, ctx: SuiteContext):
     rows = {row.bound: row for row in lower_bound_suite(ctx.g)}
     first = rows[wanted[0][0]]
     if not first.applicable:
-        return _skip(first.reason)
+        raise _Skip(first.reason)
     factor = total_length(ctx.g) if at_scale else 1
     result = None
     for name, tag in wanted:
@@ -360,7 +355,7 @@ def _check_split_and_subdivide(ctx: SuiteContext):
     g = ctx.g
     m, n = 2, 2
     if m * n * g.ecount > MAX_BUILT_EDGES or g.vcount + (m - 1) * g.ecount > MAX_BUILT_VERTICES:
-        return _skip(f"built size {m * n * g.ecount} edges exceeds budget")
+        raise _Skip(f"built size {m * n * g.ecount} edges exceeds budget")
     built = da_n(subdivide_uniform(g, m), n).graph
     predicted = (
         tau_of(g) / n**2
@@ -374,7 +369,7 @@ def _check_subdivision_transfer(ctx: SuiteContext):
     g = ctx.g
     m = 3 if g.vcount + 2 * g.ecount <= MAX_BUILT_VERTICES else 2
     if g.vcount + (m - 1) * g.ecount > MAX_BUILT_VERTICES:
-        return _skip("subdivision exceeds vertex budget")
+        raise _Skip("subdivision exceeds vertex budget")
     gm = subdivide_uniform(g, m)
     pairs = [
         ("square sum", parallel_sum(gm), parallel_sum(g) / m),
@@ -440,20 +435,19 @@ def _three_arc_circle() -> MetrizedGraph:
     return families.circle(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
 
 
-def _immersion_over_budget(gn: MetrizedGraph, betas):
-    """The skip result when immersing ``betas`` into gn's edges would exceed the budget."""
+def _skip_if_over_budget(gn: MetrizedGraph, betas) -> None:
+    """Skip the check when immersing ``betas`` into gn's edges would exceed the budget."""
     built_edges = sum(beta.ecount for beta, _, _ in betas)
     built_vertices = gn.vcount + sum(beta.vcount - 2 for beta, _, _ in betas)
     if built_edges > MAX_BUILT_EDGES or built_vertices > MAX_BUILT_VERTICES:
-        return _skip(f"immersion builds {built_edges} edges, over budget")
-    return None
+        raise _Skip(f"immersion builds {built_edges} edges, over budget")
 
 
 def _check_uniform_immersion(ctx: SuiteContext):
     gn = normalize(ctx.g)
     beta, p, q = ctx.rng.choice(_small_marked_graphs()[:3])
     if beta.ecount * gn.ecount > MAX_BUILT_EDGES:
-        return _skip("immersion exceeds edge budget")
+        raise _Skip("immersion exceeds edge budget")
     r_beta = context(beta).r(p, q)
     predicted = (
         tau_of(beta)
@@ -461,7 +455,7 @@ def _check_uniform_immersion(ctx: SuiteContext):
         + r_beta * tau_of(gn)
         + apq(beta, p, q) / r_beta * parallel_sum(gn)
     )
-    built = immerse_uniform(gn, beta, p, q)
+    built = immerse(gn, [(beta, p, q)] * gn.ecount)
     tau_built = tau_of(built.graph)
     return _all_eq([
         ("closed form", predicted, tau_built),
@@ -473,9 +467,7 @@ def _check_mixed_immersion(ctx: SuiteContext):
     gn = normalize(ctx.g)
     menu = _small_marked_graphs()
     betas = [menu[i % len(menu)] for i in range(gn.ecount)]
-    over = _immersion_over_budget(gn, betas)
-    if over:
-        return over
+    _skip_if_over_budget(gn, betas)
     result = immerse(gn, betas)
     size = sum(ell / context(beta).r(p, q)  # sum L_i/r_i, the unnormalized product's length
                for (beta, p, q), (ell, _) in marked_edge_sums(gn, betas).items())
@@ -487,9 +479,7 @@ def _check_common_resistance_immersion(ctx: SuiteContext):
     menu = _common_resistance_menu()
     r = Fraction(1, 4)
     betas = [menu[i % 2] for i in range(gn.ecount)]
-    over = _immersion_over_budget(gn, betas)
-    if over:
-        return over
+    _skip_if_over_budget(gn, betas)
     result = immerse(gn, betas)
     predicted = r * tau_of(gn) - r / 4
     for (beta, p, q), (ell, par) in marked_edge_sums(gn, betas).items():
@@ -502,9 +492,7 @@ def _check_single_graph_immersion(ctx: SuiteContext):
     beta = _three_arc_circle()
     pairs = [(0, 1), (1, 2), (0, 2)]
     betas = [(beta, *pairs[i % 3]) for i in range(gn.ecount)]
-    over = _immersion_over_budget(gn, betas)
-    if over:
-        return over
+    _skip_if_over_budget(gn, betas)
     result = immerse(gn, betas)
     size = Fraction(0)
     bracket = tau_of(gn) - Fraction(1, 4)
@@ -520,11 +508,11 @@ def _check_self_immersion_decrease(ctx: SuiteContext):
     gn = normalize(ctx.g)
     e, v = gn.ecount, gn.vcount
     if e * e > MAX_BUILT_EDGES or v + e * (v - 2) > MAX_BUILT_VERTICES:
-        return _skip(f"self-immersion builds {e * e} edges, over budget")
+        raise _Skip(f"self-immersion builds {e * e} edges, over budget")
     p, q = ctx.distinct_pair()
     r = context(gn).r(p, q)
     eps = apq(gn, p, q) / r * parallel_sum(gn)
-    built = immerse_uniform(gn, gn, p, q)
+    built = immerse(gn, [(gn, p, q)] * gn.ecount)
     predicted = tau_of(gn) - r * (Fraction(1, 4) - tau_of(gn)) + eps
     result = _eq(predicted, tau_of(built.graph), "exact value")
     if result[0] != "pass":
@@ -588,7 +576,7 @@ def _check_length_change(ctx: SuiteContext):
 def _check_successive_length_changes(ctx: SuiteContext):
     g = ctx.g
     if bridges(ctx.g):
-        return _skip("graph has a bridge")
+        raise _Skip("graph has a bridge")
     current = g
     total = tau_of(g)
     for i in range(g.ecount):
@@ -611,7 +599,7 @@ def _check_successive_length_changes(ctx: SuiteContext):
 
 def _check_bridgeless_identity(ctx: SuiteContext):
     if bridges(ctx.g):
-        return _skip("graph has a bridge")
+        raise _Skip("graph has a bridge")
     lhs, rhs = tau_bridgeless_identity(ctx.g)
     return _eq(lhs, rhs)
 
@@ -667,7 +655,7 @@ def _check_union_apq(ctx: SuiteContext):
     p1, q1 = ctx.distinct_pair()
     q2 = 1 if other.vcount > 1 else 0
     if q2 == 0:
-        return _skip("companion graph too small")
+        raise _Skip("companion graph too small")
     union = union_two_points(g, other, (p1, q1), (0, q2)).graph
     keep_p, keep_q = min(p1, q1), max(p1, q1)
     r1 = context(g).r(p1, q1)
@@ -744,7 +732,7 @@ def _check_wedge_apq(ctx: SuiteContext):
         return g1.vcount + rank
     q = image(q2)
     if p == q:
-        return _skip("sampled points coincide at the wedge vertex")
+        raise _Skip("sampled points coincide at the wedge vertex")
     return _eq(apq(wedge, p, q), apq(g1, p, y1) + apq(g2, y2, q2))
 
 
@@ -779,14 +767,7 @@ def _check_banana_tau(ctx: SuiteContext):
 
 def _check_bridge_contraction(ctx: SuiteContext):
     g = ctx.g
-    if not bridges(ctx.g):
-        return _pass(tau_of(g), tau_of(g))
-    current = g
-    while True:
-        bridge_ids = bridges(current)
-        if not bridge_ids:
-            break
-        current = contract_edge(current, bridge_ids[0]).graph
+    current = contract_bridges(g)
     drop = (total_length(g) - total_length(current)) / 4
     return _eq(tau_of(g), tau_of(current) + drop)
 
@@ -902,41 +883,16 @@ def identity_catalog() -> list[tuple[str, str, str]]:
 
 
 class GraphGenerator(NamedTuple):
-    """Deterministic family generator: same seed, same sequence."""
+    """Deterministic random connected graphs (<= 8 vertices, <= 16 edges): same seed,
+    same sequence."""
 
     seed: int
-    family: str = "random_connected"
-    max_vertices: int = 8
-    max_edges: int = 16
 
     def graphs(self, count: int):
-        rng = random.Random(f"mgt-corpus:{self.seed}:{self.family}")
+        rng = random.Random(f"mgt-corpus:{self.seed}:random_connected")
         for index in range(count):
-            yield self._one(rng, index)
-
-    def _one(self, rng: random.Random, index: int) -> tuple[str, MetrizedGraph]:
-        fam = self.family
-        if fam == "random_connected":
-            g = families.random_connected(rng, self.max_vertices, self.max_edges)
-        elif fam == "complete":
-            g = families.complete(2 + index % 7)
-        elif fam == "banana":
-            g = families.equal_banana(1 + index % 10)
-        elif fam == "circle_subdivided":
-            arcs = [families.random_length(rng) for _ in range(1 + index % 6)]
-            g = families.circle(*arcs)
-        elif fam == "diamond_necklace":
-            g = families.necklace(families.random_length(rng), families.random_length(rng),
-                                  2 + index % 2)
-        elif fam == "tree":
-            g = families.random_tree(rng, self.max_vertices)
-        elif fam == "theta":
-            g = families.theta(*(families.random_length(rng) for _ in range(3)))
-        elif fam == "cube-like":
-            g = families.cube(families.random_length(rng))
-        else:
-            raise MgtError(f"unknown family {fam!r}")
-        return f"{fam}#{index}(v={g.vcount},e={g.ecount})", g
+            g = families.random_connected(rng, 8, 16)
+            yield f"random_connected#{index}(v={g.vcount},e={g.ecount})", g
 
 
 def run_suite(gen: GraphGenerator, count: int, identities: list[str] | None = None) -> list[CheckResult]:
@@ -964,11 +920,11 @@ def run_graph_checks(descriptor: str, g: MetrizedGraph, rng: random.Random,
     for cid, _desc, _anchor, fn in CHECKS:
         if wanted is not None and cid not in wanted:
             continue
-        ctx = SuiteContext(descriptor, g, rng)
+        ctx = SuiteContext(g, rng)
         try:
             status, lhs, rhs, reason = fn(ctx)
         except (_Skip, TooLarge) as exc:
-            status, lhs, rhs, reason = _skip(str(exc))
+            status, lhs, rhs, reason = "skip", None, None, str(exc)
         except MgtError as exc:
             status, lhs, rhs, reason = "fail", None, None, f"error: {exc}"
         results.append(CheckResult(cid, descriptor, lhs, rhs, status, reason))

@@ -42,7 +42,7 @@ from operator import mul, sub
 from typing import NamedTuple
 
 from .circuit import GreenUpdate, context
-from .errors import EmptyGraph, HasBridge, MgtError, SamePoint
+from .errors import EmptyGraph, HasBridge, MgtError
 from .graph import MetrizedGraph, _cached, bridges, check_vertices, edge_at, genus, total_length
 from .rational import ExtScalar, sum_over
 
@@ -204,10 +204,11 @@ def apq_identity(g: MetrizedGraph, p: int, q: int) -> Fraction:
     with q. The paper's identification route, kept as a check of ``apq``: the
     glued graph's Green integers are a rank-one update of g's own
     (``circuit.GreenUpdate``), so no glued graph is built or factorized.
+    Zero when p = q, as ``apq`` is.
     """
     check_vertices(g, p, q)
     if p == q:
-        raise SamePoint("p and q must differ")
+        return Fraction(0)
     ctx = context(g)
     r = ctx.r(p, q)
     glued = GreenUpdate(ctx.num, ctx.den, p, q, 0, 1)  # the zero-length limit of an edge p-q
@@ -220,8 +221,7 @@ def apq_checked(g: MetrizedGraph, p: int, q: int) -> Fraction:
     from .integration import apq_direct
 
     value = apq(g, p, q)
-    routes = (("identity", Fraction(0) if p == q else apq_identity(g, p, q)),
-              ("integral", apq_direct(g, p, q)))
+    routes = (("identity", apq_identity(g, p, q)), ("integral", apq_direct(g, p, q)))
     for name, other in routes:
         if other != value:
             raise MgtError(f"A mismatch at ({p},{q}): closed form {value} vs {name} {other}")

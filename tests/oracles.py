@@ -31,8 +31,8 @@ the gradient each from the shared arrays, the projection by numpy's sort and
 cumsum), the bit-for-bit references for ``FloatTopology`` and
 ``project_simplex``.
 
-Last, the paper's constructions that the tests replay: ``random_bridgeless``
-graphs, the ``tau_reducing_sequence`` of immersions into a subdivision, and
+Last, the paper's constructions that the tests replay: the named
+``family_graphs`` and ``random_bridgeless`` graphs, the ``tau_reducing_sequence`` of immersions into a subdivision, and
 the ``necklace_witness`` that separates tau from the cubic sum, whose deleted
 resistances come from the necklace's three edge symmetry classes.
 """
@@ -446,6 +446,27 @@ def sort_projection(x: np.ndarray, floor: float = 1e-9) -> np.ndarray:
     rho = cond.nonzero()[0][-1]
     theta = css[rho] / (rho + 1.0)
     return np.maximum(y - theta, 0.0) + floor
+
+
+def family_graphs(seed: int, family: str, count: int) -> list[tuple[str, MetrizedGraph]]:
+    """``count`` (descriptor, graph) pairs of one named family, drawn from the random
+    stream ``mgt-corpus:{seed}:{family}`` as the corpus draws its random connected graphs."""
+    rng = random.Random(f"mgt-corpus:{seed}:{family}")
+
+    def lengths(k):
+        return [families.random_length(rng) for _ in range(k)]
+
+    make = {
+        "complete": lambda i: families.complete(2 + i % 7),
+        "banana": lambda i: families.equal_banana(1 + i % 10),
+        "circle_subdivided": lambda i: families.circle(*lengths(1 + i % 6)),
+        "diamond_necklace": lambda i: families.necklace(*lengths(2), 2 + i % 2),
+        "tree": lambda i: families.random_tree(rng, 8),
+        "theta": lambda i: families.theta(*lengths(3)),
+        "cube-like": lambda i: families.cube(*lengths(1)),
+    }[family]
+    graphs = [make(i) for i in range(count)]
+    return [(f"{family}#{i}(v={g.vcount},e={g.ecount})", g) for i, g in enumerate(graphs)]
 
 
 def random_bridgeless(rng: random.Random, max_vertices: int = 6, max_edges: int = 12) -> MetrizedGraph:

@@ -16,7 +16,7 @@ from mgt import families
 from mgt.circuit import context
 from mgt.graph import build_graph, bridges, normalize, total_length
 from mgt.integration import apq_direct, edge_tag_polynomials, tau_via_integral
-from mgt.ops import c_tower, da_n, immerse_uniform
+from mgt.ops import c_tower, da_n, immerse
 from mgt.optimize import family_scan, minimize_tau, scan_violations
 from mgt.reduction import resistance_via_reduction
 from mgt.suite import GraphGenerator, identity_catalog, run_graph_checks
@@ -228,7 +228,7 @@ def test_criterion_5_operation_closure():
         assert split.predicted_tau == F(1, 4 * n * n) + F(1, 12) * F(n - 1, n) ** 2
     host = normalize(families.diamond(F(1, 5)))
     for n in (2, 3):
-        assert immerse_uniform(host, families.equal_banana(n), 0, 1).graph == da_n(host, n).graph
+        assert immerse(host, [(families.equal_banana(n), 0, 1)] * host.ecount).graph == da_n(host, n).graph
     circ = families.circle(F(1, 2), F(1, 2))
     tower = c_tower(circ, 0, 1, 2)
     r = context(circ).r(0, 1)

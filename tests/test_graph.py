@@ -12,6 +12,7 @@ from mgt.errors import (
     BadPoint,
     BadVertexId,
     DisconnectedGraph,
+    EmptyGraph,
     NonPositiveLength,
     NonPositiveScale,
 )
@@ -30,7 +31,8 @@ from mgt.graph import (
     total_length,
 )
 from mgt import families
-from mgt.tau import apq, tau_of
+from mgt.circuit import context, resistance, voltage
+from mgt.tau import apq, canonical_measure, tau_of
 from oracles import bridges_by_deletion
 
 
@@ -225,10 +227,12 @@ def test_bridges_match_exhaustive_deletion():
 
 
 def test_handshake():
+    # the canonical measure's vertex masses are 1 - valence/2, and valences sum to 2e
     rng = random.Random(5)
     for _ in range(20):
         g = families.random_connected(rng, 7, 12)
-        assert sum(g.valence(p) for p in range(g.vcount)) == 2 * g.ecount
+        masses = canonical_measure(g).vertex_masses
+        assert sum(mass for _, mass in masses) == g.vcount - g.ecount
 
 
 def test_insert_preserves_genus_and_length():
@@ -267,3 +271,26 @@ def test_normalize_point_validation():
         normalize_point(g, (0, F(3, 2)))
     with pytest.raises(BadPoint):
         normalize_point(g, (1, F(1, 2)))
+
+
+@pytest.mark.parametrize("x", [2.0, F(1), "0", (0.5, F(0)), (F(0), F(1, 2)), (1.0, 0),
+                               (0, None), (0, "x"), (0, float("inf")), (0, F(1, 4), 1)])
+def test_a_malformed_point_is_a_bad_point(x):
+    # a float vertex or edge id, or an offset that is no number, used to escape the
+    # exported resistance and voltage as a TypeError, ValueError or OverflowError
+    g = families.circle(F(1, 2), F(1, 2))
+    for read in (lambda: normalize_point(g, x), lambda: resistance(g, x, 0),
+                 lambda: voltage(g, 0, x, 1)):
+        with pytest.raises(BadPoint):
+            read()
+
+
+def test_normalize_keeps_a_unit_length_graph_and_its_context():
+    g = families.circle(F(1, 2), F(1, 2))
+    ctx = context(g)
+    assert normalize(g) is g and context(normalize(g)) is ctx
+    assert "_normalized" not in vars(g)  # no entry that points back at the graph
+    longer = scale(g, 3)
+    assert normalize(longer) == g and normalize(normalize(longer)) is normalize(longer)
+    with pytest.raises(EmptyGraph):
+        normalize(build_graph(1, []))

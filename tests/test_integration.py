@@ -22,9 +22,9 @@ from mgt.integration import (
     interpolate,
     tau_via_integral,
 )
-from mgt.suite import GraphGenerator
 from mgt.tau import tau_of
-from oracles import derivative, integral, power, product, product_integral, sampled_tag_polynomials
+from oracles import (derivative, family_graphs, integral, power, product, product_integral,
+                     sampled_tag_polynomials)
 
 
 def test_edge_polynomial_algebra():
@@ -71,6 +71,14 @@ def test_fit_guard_detects_degree_undershoot():
         fit_edge_function(circ, 0, lambda x: resistance(circ, x, 0), 1)
 
 
+@pytest.mark.parametrize("edge", [0.5, F(0), -1, 2])
+def test_fit_edge_id_must_be_an_edge(edge):
+    # a float id used to pass the range check and fail as a TypeError
+    circ = families.circle(F(1, 2), F(1, 2))
+    with pytest.raises(BadPoint, match="out of range"):
+        fit_edge_function(circ, edge, lambda x: F(0), 0)
+
+
 def test_fit_quadratic_voltage_on_circle():
     circ = families.circle(F(1, 2), F(1, 2))
     poly = fit_edge_function(circ, 0, lambda x: voltage(circ, x, 0, 1), 2)
@@ -88,8 +96,8 @@ def test_diamond_middle_edge_flat():
 
 def _oracle_graphs():
     graphs = [families.complete(5), families.necklace(1, 2, 3)]
-    graphs += [g for _, g in GraphGenerator(3, "tree").graphs(5)]
-    graphs += [g for _, g in GraphGenerator(3, "circle_subdivided").graphs(5)]
+    graphs += [g for _, g in family_graphs(3, "tree", 5)]
+    graphs += [g for _, g in family_graphs(3, "circle_subdivided", 5)]
     return graphs
 
 

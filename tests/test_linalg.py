@@ -6,7 +6,7 @@ from mgt import families, linalg
 from mgt.circuit import GraphContext
 from mgt.graph import build_graph, normalize, scale, subdivide_uniform
 from mgt.linalg import bareiss_forward, green_numden
-from mgt.ops import c_tower, immerse_uniform
+from mgt.ops import c_tower, immerse
 from mgt.suite import GraphGenerator
 
 
@@ -86,7 +86,7 @@ def _chain_heavy_graphs():
         families.path(*[families.random_length(rng) for _ in range(29)]),
         build_graph(9, [(3, v, families.random_length(rng)) for v in range(9) if v != 3]),
         subdivide_uniform(host, 5),
-        immerse_uniform(host, families.path(F(1, 2), F(1, 2)), 0, 2).graph,
+        immerse(host, [(families.path(F(1, 2), F(1, 2)), 0, 2)] * host.ecount).graph,
         c_tower(host, 0, 2, 2).graph,
     ]
 
@@ -227,7 +227,7 @@ def test_self_immersion_determinant_is_small(monkeypatch):
     dets = _spy_on_factorizations(monkeypatch)
     _, g = list(GraphGenerator(1).graphs(10))[9]  # v = 3, e = 4; built: v = 7
     gn = normalize(g)
-    built = immerse_uniform(gn, gn, 0, 1).graph
+    built = immerse(gn, [(gn, 0, 1)] * gn.ecount).graph
     GraphContext(built)
     assert dets[-1].bit_length() * 4 < _uniform_lcm_det(built).bit_length()
 

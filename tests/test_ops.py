@@ -4,8 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from mgt import families
-from mgt.errors import (BridgeDeletion, MgtError, NonPositiveLength, NotNormalized, SamePoint,
-                        TooLarge)
+from mgt.errors import BridgeDeletion, MgtError, NonPositiveLength, SamePoint, TooLarge
 from mgt.graph import (MAX_EDGES, MAX_VERTICES, build_graph, normalize, scale, subdivide_uniform,
                        total_length)
 from mgt.ops import (
@@ -16,9 +15,8 @@ from mgt.ops import (
     da_n,
     delete_edge,
     identify_points,
+    contract_bridges,
     immerse,
-    immerse_any,
-    immerse_uniform,
     parallel_sum,
     union_one_point,
     union_two_points,
@@ -28,7 +26,6 @@ from oracles import two_step_immersion
 
 
 def closure(result):
-    assert result.predicted_tau is not None, result.notes
     assert result.predicted_tau == tau_of(result.graph)
     return result
 
@@ -81,6 +78,16 @@ def test_contract_self_loop():
 
 def test_contract_k4_edge():
     closure(contract_edge(families.complete(4), 2))
+
+
+def test_contract_bridges_lowers_tau_by_a_quarter_of_their_length():
+    k4 = families.complete(4)
+    assert contract_bridges(k4) is k4
+    assert contract_bridges(families.path(1, 2, 4)) == build_graph(1, [])  # a tree ends as a point
+    g = build_graph(4, [(0, 1, 1), (1, 2, 2), (2, 0, F(1, 2)), (2, 3, F(1, 3)), (3, 3, F(1, 5))])
+    core = contract_bridges(g)
+    assert (core.vcount, core.ecount) == (3, 4)
+    assert tau_of(g) == tau_of(core) + F(1, 3) / 4
 
 
 def test_identify_banana_becomes_wedge():
@@ -194,35 +201,25 @@ def test_immerse_banana_equals_da_n():
     g = normalize(families.diamond(F(1, 5)))
     for n in (2, 3):
         beta = families.equal_banana(n)
-        via_immersion = immerse_uniform(g, beta, 0, 1)
+        via_immersion = immerse(g, [(beta, 0, 1)] * g.ecount)
         closure(via_immersion)
         assert via_immersion.graph == da_n(g, n).graph
 
 
 def test_immerse_segments_change_nothing():
     g = normalize(families.complete(4))
-    result = closure(immerse_uniform(g, families.segment(1), 0, 1))
+    result = closure(immerse(g, [(families.segment(1), 0, 1)] * g.ecount))
     assert result.graph == g
 
 
 def test_immerse_requires_normalized():
-    with pytest.raises(NotNormalized):
-        immerse_uniform(families.complete(4, 2), families.segment(1), 0, 1)
-    wrapped = immerse_any(families.complete(4, 2), [(families.segment(2), 0, 1)] * 6)
-    assert wrapped.notes  # records the scaling it applied
-    closure(wrapped)
-
-
-def test_immerse_any_keeps_input_notes():
+    # an unnormalized host and marked graph give the immersion of their normalized forms
     host, segment = families.complete(4, 2), families.segment(2)
-    wrapped = immerse_any(host, [(segment, 0, 1)] * 6)
-    expected = ("host scaled by 1/2",) + ("replacement scaled by 1/2",) * 6
-    assert wrapped.input_notes == expected
-    assert wrapped.notes == expected  # the formula ran and added no note
+    result = closure(immerse(host, [(segment, 0, 1)] * 6))
     plain = immerse(normalize(host), [(normalize(segment), 0, 1)] * 6)
-    assert (wrapped.graph, wrapped.formula_id) == (plain.graph, "edge-immersion")
-    assert plain.input_notes == ()
-    assert wrapped.graph == two_step_immersion(normalize(host), [(normalize(segment), 0, 1)] * 6)
+    assert (result.graph, result.formula_id) == (plain.graph, "edge-immersion")
+    assert result.predicted_tau == plain.predicted_tau
+    assert result.graph == two_step_immersion(normalize(host), [(normalize(segment), 0, 1)] * 6)
 
 
 def test_immerse_mixed_markings():
@@ -293,6 +290,9 @@ def test_tower():
     g = normalize(families.random_connected(rng, 5, 7))
     if g.vcount >= 2:
         closure(c_tower(g, 0, g.vcount - 1, 2))
+    # an unnormalized input gives the tower of its normalized form
+    scaled = closure(c_tower(scale(circ, F(7, 3)), 0, 1, 2))
+    assert (scaled.graph, scaled.predicted_tau) == (n2.graph, n2.predicted_tau)
 
 
 def test_tower_matches_chained_unions():
@@ -345,9 +345,9 @@ def test_unread_prediction_runs_no_formula(monkeypatch):
     monkeypatch.setattr(mgt.ops, "tau_of", unavailable)
     result = delete_edge(families.complete(4, F(1, 6)), 0)
     assert calls == []  # building the result evaluated no formula
-    assert result.notes == ("prediction edge-deletion unavailable: no tau here",)
-    assert result.predicted_tau is None
-    assert len(calls) == 1  # evaluated once, on the first read
+    with pytest.raises(MgtError, match="no tau here"):  # the formula's error reaches the reader
+        result.predicted_tau
+    assert len(calls) == 1
 
 
 def test_op_result_is_frozen_and_evaluates_its_formula_once():
@@ -359,8 +359,7 @@ def test_op_result_is_frozen_and_evaluates_its_formula_once():
 
     g = families.circle(1)
     result = OpResult(g, "test-formula", formula)
-    assert result.input_notes == ()
-    assert result.predicted_tau == F(1, 12) and result.notes == ()
+    assert result.predicted_tau == F(1, 12)
     assert result.predicted_tau == F(1, 12) and calls == [1]
     with pytest.raises(AttributeError):
         result.graph = families.circle(2)
@@ -370,8 +369,7 @@ def test_op_result_is_frozen_and_evaluates_its_formula_once():
     # equality and hashing stay by identity: two results are never merged
     twin = OpResult(g, "test-formula", formula)
     assert twin != result and len({twin, result}) == 2
-    assert repr(result) == (f"OpResult(graph={g!r}, formula_id='test-formula', "
-                            "input_notes=())")
+    assert repr(result) == f"OpResult(graph={g!r}, formula_id='test-formula')"
 
 
 def test_immerse_prediction_on_hosts_with_a_bridge_and_a_loop():

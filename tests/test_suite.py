@@ -11,7 +11,7 @@ from mgt.suite import (
 )
 from mgt.circuit import context
 from mgt.tau import cubic_sum
-from oracles import necklace_cubic_sum, necklace_edge_resistances, necklace_witness
+from oracles import family_graphs, necklace_cubic_sum, necklace_edge_resistances, necklace_witness
 
 REQUIRED_IDS = [
     "eq1.1-voltage", "genus-identity", "lem2term", "rem2term",
@@ -64,18 +64,20 @@ def test_suite_passes_on_random_corpus():
 
 
 def test_suite_family_generators():
+    # every check passes or skips on the named families, each graph with its own
+    # rng as run_suite seeds it
     for family in ("complete", "banana", "circle_subdivided", "tree", "theta",
                    "cube-like", "diamond_necklace"):
-        gen = GraphGenerator(seed=3, family=family)
-        results = run_suite(gen, 2)
-        failures = [r for r in results if r.status == "fail"]
-        assert not failures, (family, failures[:3])
+        for index, (descriptor, g) in enumerate(family_graphs(3, family, 2)):
+            results = run_graph_checks(descriptor, g, random.Random(f"mgt-checks:3:{index}"))
+            failures = [r for r in results if r.status == "fail"]
+            assert not failures, (family, failures[:3])
 
 
 def test_equal_length_identities_pass_on_equal_families():
-    results = run_suite(GraphGenerator(seed=4, family="complete"), 3)
-    eq = [r for r in results if r.identity == "thmeqlength"]
-    assert eq and all(r.status == "pass" for r in eq)
+    eq = [r for descriptor, g in family_graphs(4, "complete", 3)
+          for r in run_graph_checks(descriptor, g, random.Random("t"), {"thmeqlength"})]
+    assert len(eq) == 3 and all(r.status == "pass" for r in eq)
 
 
 def test_identity_subset_filter():
