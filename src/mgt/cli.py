@@ -8,10 +8,10 @@ import sys
 
 from . import fileio
 from .circuit import resistance, voltage
-from .errors import BadPoint, InputError, MgtError
+from .errors import BadN, BadPoint, InputError, MgtError
 from .graph import MetrizedGraph, PointOnGraph, check_vertices, subdivide_uniform
 from .rational import format_float, format_scalar, parse_scalar
-from .tau import apq_checked, apq_identity, canonical_measure, lower_bound_suite, tau_edge_sum, tau_gradient
+from .tau import apq_checked, apq_identity, canonical_measure, lower_bound_suite, tau_edge_sum, tau_gradient, tau_of
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -103,7 +103,7 @@ def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file", nargs="?")
     p.add_argument("--suite", default="all", help="all or comma-separated identity ids")
     p.add_argument("--random", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--json", action="store_true")
 
@@ -113,7 +113,7 @@ def _minimize_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--iters", type=_non_negative(int), default=500)
     p.add_argument("--tol", type=_non_negative(float), default=1e-10)
     p.add_argument("--restarts", type=_non_negative(int), default=0)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
 
 
@@ -288,22 +288,18 @@ def _run_bounds(args) -> int:
 
 
 def _run_verify(args) -> int:
-    from .suite import GraphGenerator, run_graph_checks, run_suite
+    from .suite import GraphGenerator, run_suite
 
-    wanted = None if args.suite == "all" else args.suite.split(",")
-    seed = _seed(args, 1)
     if args.random:
-        results = run_suite(GraphGenerator(seed=seed), args.count,
-                            identities=wanted)
+        if args.count < 1:
+            raise BadN(f"graph count must be >= 1, got {args.count}")
+        graphs = GraphGenerator(args.seed).graphs(args.count)
     elif args.file:
-        import random as _random
-
-        g = _load(args.file)
-        results = run_graph_checks(args.file, g, _random.Random(f"mgt-checks:{seed}:0"),
-                                   set(wanted) if wanted else None)
+        graphs = [(args.file, _load(args.file))]
     else:
         print("error: need a FILE or --random", file=sys.stderr)
         return EXIT_USAGE
+    results = run_suite(graphs, args.seed, None if args.suite == "all" else args.suite.split(","))
     failures = [r for r in results if r.status == "fail"]
     if args.json:
         print(_dumps([{
@@ -324,17 +320,6 @@ def _run_verify(args) -> int:
     return EXIT_CHECK_FAILED if failures else EXIT_OK
 
 
-def _seed(args, default: int) -> int:
-    """``--seed``, else ``MGT_SEED``, else ``default``; a malformed ``MGT_SEED`` is a usage error."""
-    if args.seed is not None:
-        return args.seed
-    text = os.environ.get("MGT_SEED", str(default))
-    try:
-        return int(text)
-    except ValueError:
-        raise MgtError(f"MGT_SEED must be an integer, got {text!r}") from None
-
-
 def _check_value(value) -> str:
     """A check's lhs or rhs: exact digits, or ``None`` where the check has none."""
     return "None" if value is None else format_scalar(value)
@@ -346,10 +331,9 @@ def _run_minimize(args) -> int:
     from .optimize import minimize_tau, search_topology  # numpy loads only for this verb and scan
 
     g = _load(args.file)
-    seed = _seed(args, 0)
     states = [minimize_tau(g, None, args.iters, args.tol)]
     search_size = search_topology(g).ecount  # bridges are contracted away first
-    rng = _random.Random(f"mgt-minimize:{seed}")
+    rng = _random.Random(f"mgt-minimize:{args.seed}")
     for _ in range(args.restarts):
         start = [rng.random() + 0.01 for _ in range(search_size)]
         total = sum(start)
@@ -453,7 +437,7 @@ def _run_op(args) -> int:
         return EXIT_USAGE
     result = None if isinstance(made, MetrizedGraph) else made
     built = made if result is None else result.graph
-    actual = tau_edge_sum(built).tau
+    actual = tau_of(built)
     predicted = result.predicted_tau if result is not None else None
     if args.json:
         print(_dumps({

@@ -73,7 +73,3 @@ class HasBridge(MgtError):
 
 class NotBridgeless(MgtError):
     pass
-
-
-class InfArithmeticError(MgtError):
-    """An infinity combination outside the supported limit forms."""

@@ -210,7 +210,8 @@ def identify_points_graph(g: MetrizedGraph, p: int, q: int) -> MetrizedGraph:
 def edge_at(g: MetrizedGraph, edge_id: int) -> Edge:
     """g's edge with this id; BadPoint unless it is one of 0..e-1 (no negative indexing)."""
     if not isinstance(edge_id, int) or not 0 <= edge_id < g.ecount:
-        raise BadPoint(f"edge {edge_id} out of range 0..{g.ecount - 1}")
+        span = f"out of range 0..{g.ecount - 1}" if g.ecount else "does not exist: the graph has no edges"
+        raise BadPoint(f"edge {edge_id} {span}")
     return g.edges[edge_id]
 
 

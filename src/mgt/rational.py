@@ -1,10 +1,10 @@
 """Exact scalars: arbitrary-precision rationals plus a distinguished infinity.
 
 Finite values are plain ``fractions.Fraction`` (always lowest terms, positive
-denominator). ``INF`` stands for the resistance across a deleted bridge. Only
-the limit forms that the circuit formulas actually produce are defined on it;
-everything else raises ``InfArithmeticError`` so that broken algebra cannot
-slip through as a wrong number.
+denominator). ``INF`` marks the resistance across a deleted bridge. It is a
+bare marker with no arithmetic: a formula that meets a bridge takes its limit
+in closed form, and readers test ``x is INF``. Any arithmetic or ordering on
+it raises ``TypeError``, so broken algebra cannot slip through as a number.
 """
 
 from __future__ import annotations
@@ -15,66 +15,18 @@ from fractions import Fraction
 from math import lcm
 from typing import Union
 
-from .errors import InfArithmeticError, InputError
+from .errors import InputError
 
 Scalar = Fraction
 
 
 class _Infinity:
-    """Singleton positive infinity with deliberately minimal arithmetic."""
+    """The singleton marker for an infinite resistance; it has no arithmetic."""
 
     __slots__ = ()
 
     def __repr__(self) -> str:
         return "INF"
-
-    # INF + s = INF (and s + INF); this is the only additive form needed.
-    def __add__(self, other):
-        if isinstance(other, (Fraction, int)) or other is INF:
-            return INF
-        return NotImplemented
-
-    __radd__ = __add__
-
-    # s / INF = 0 for finite s; INF / INF = 1 covers R/(L+R) with R infinite,
-    # since L+R collapses to INF before the division.
-    def __rtruediv__(self, other):
-        if isinstance(other, (Fraction, int)):
-            return Fraction(0)
-        return NotImplemented
-
-    def __truediv__(self, other):
-        if other is INF:
-            return Fraction(1)
-        raise InfArithmeticError("INF may only be divided by INF")
-
-    def __mul__(self, other):
-        raise InfArithmeticError("multiplication with INF is not defined")
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        raise InfArithmeticError("subtraction with INF is not defined")
-
-    __rsub__ = __sub__
-
-    def __eq__(self, other):
-        return other is INF
-
-    def __hash__(self):
-        return hash("mgt-infinity")
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is INF
-
-    def __gt__(self, other):
-        return other is not INF
-
-    def __ge__(self, other):
-        return True
 
 
 INF = _Infinity()

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from . import families
 from .circuit import context
-from .errors import BadN, EmptyGraph, MgtError, TooLarge, UnknownIdentity
+from .errors import EmptyGraph, MgtError, TooLarge, UnknownIdentity
 from .graph import (MetrizedGraph, _cached, bridges, delete_edge_graph, genus, identify_points_graph,
                     insert_point, normalize, scale, subdivide_uniform, total_length)
 from .integration import (
@@ -895,15 +895,16 @@ class GraphGenerator(NamedTuple):
             yield f"random_connected#{index}(v={g.vcount},e={g.ecount})", g
 
 
-def run_suite(gen: GraphGenerator, count: int, identities: list[str] | None = None) -> list[CheckResult]:
-    """Run the catalog over generated graphs; failures are results, not errors."""
-    if count < 1:
-        raise BadN(f"graph count must be >= 1, got {count}")
+def run_suite(graphs, seed: int, identities: list[str] | None = None) -> list[CheckResult]:
+    """Run the catalog over (descriptor, graph) pairs; failures are results, not errors.
+
+    Graph ``index`` gets the rng ``mgt-checks:{seed}:{index}``, the one place
+    where the checks' random choices are seeded.
+    """
     wanted = set(identities) if identities else None
     results: list[CheckResult] = []
-    for index, (descriptor, g) in enumerate(gen.graphs(count)):
-        results.extend(run_graph_checks(descriptor, g,
-                                        random.Random(f"mgt-checks:{gen.seed}:{index}"),
+    for index, (descriptor, g) in enumerate(graphs):
+        results.extend(run_graph_checks(descriptor, g, random.Random(f"mgt-checks:{seed}:{index}"),
                                         wanted))
     return results
 

@@ -231,7 +231,8 @@ def deletion_bounds(g: MetrizedGraph) -> tuple[ExtScalar, Fraction, Fraction]:
             weighted_sq += length
             weighted += length
             continue
-        sum_r = sum_r + profile.res_deleted
+        if sum_r is not INF:  # INF has no arithmetic: the sum stays INF after a bridge
+            sum_r += profile.res_deleted
         ratio = profile.res_deleted / (length + profile.res_deleted)
         weighted_sq += length * ratio * ratio
         weighted += length * ratio

@@ -19,6 +19,7 @@ from mgt import cli, families, fileio, ops
 from mgt.cli import main
 from mgt.fileio import format_graph_text, load_graph
 from mgt.graph import build_graph, total_length
+from mgt.suite import GraphGenerator
 from mgt.tau import tau_of
 
 
@@ -264,20 +265,36 @@ def test_verify_deterministic_output(capsys):
     assert (code1, out1) == (code2, out2)
 
 
-def test_mgt_seed_env(monkeypatch, capsys):
-    monkeypatch.setenv("MGT_SEED", "17")
-    code1, out1, _ = run_cli(capsys, "verify", "--random", "--count", "1", "--suite", "thmbasic")
-    code2, out2, _ = run_cli(capsys, "verify", "--random", "--seed", "17", "--count", "1",
-                             "--suite", "thmbasic")
-    assert out1 == out2
+def test_mgt_seed_env(k4_file, monkeypatch, capsys):
+    # --seed is the one seed source: verify defaults to 1, minimize to 0, and
+    # MGT_SEED, well-formed or not, changes nothing
+    def outputs(verify_seed=(), minimize_seed=()):
+        return [run_cli(capsys, *args)[:2] for args in (
+            ("verify", "--random", "--count", "1", "--suite", "thmbasic,lemApq", *verify_seed),
+            ("verify", k4_file, "--suite", "lemApq", *verify_seed),
+            ("minimize", k4_file, "--iters", "5", "--restarts", "2", "--json", *minimize_seed))]
+
+    defaults = outputs(("--seed", "1"), ("--seed", "0"))
+    assert outputs(("--seed", "2"), ("--seed", "3")) != defaults
+    for value in ("17", "abc"):
+        monkeypatch.setenv("MGT_SEED", value)
+        assert outputs() == defaults
 
 
-def test_malformed_mgt_seed_is_usage_error(k4_file, monkeypatch, capsys):
-    monkeypatch.setenv("MGT_SEED", "abc")
-    for argv in (("verify", k4_file), ("verify", "--random", "--count", "1"), ("minimize", k4_file)):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2 and out == "", argv
-        assert _one_error_line(err) and "MGT_SEED" in err
+def test_verify_file_and_random_seed_their_checks_alike(tmp_path, capsys):
+    # verify FILE checks its graph with the rng of corpus graph #0 of the same seed
+    (descriptor, g), = GraphGenerator(1).graphs(1)
+    path = tmp_path / "g0.txt"
+    fileio.save_graph(str(path), g)
+    code1, out1, _ = run_cli(capsys, "verify", str(path), "--seed", "1", "--json")
+    code2, out2, _ = run_cli(capsys, "verify", "--random", "--seed", "1", "--count", "1", "--json")
+    from_file, generated = json.loads(out1), json.loads(out2)
+    assert code1 == code2 == 0 and len(from_file) == len(generated) > 40
+    assert {r["graph"] for r in from_file} == {str(path)}
+    assert {r["graph"] for r in generated} == {descriptor}
+    for r in from_file + generated:
+        del r["graph"]
+    assert from_file == generated
 
 
 def test_scan_csv(capsys):
@@ -372,6 +389,17 @@ def test_op_edge_id_out_of_range_is_usage_error(k4_file, capsys, verb, edge):
     code, out, err = run_cli(capsys, "op", verb, edge, k4_file)
     assert code == 2 and out == "", err
     assert _one_error_line(err) and f"edge {edge} out of range" in err
+
+
+@pytest.mark.parametrize("argv", [("op", "delete", "0", "G"), ("op", "contract", "0", "G"),
+                                  ("resistance", "G", "0:1/3", "0"), ("voltage", "G", "0", "0:1/2", "0")])
+def test_an_edge_of_a_graph_with_no_edges_is_usage_error(tmp_path, capsys, argv):
+    # the message used to give the empty range 0..-1
+    point = tmp_path / "point.txt"
+    point.write_text("v 1\n")
+    code, out, err = run_cli(capsys, *(str(point) if a == "G" else a for a in argv))
+    assert code == 2 and out == "", err
+    assert _one_error_line(err) and "edge 0 does not exist: the graph has no edges" in err
 
 
 @pytest.mark.parametrize("argv, vertex", [

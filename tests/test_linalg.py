@@ -1,6 +1,9 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from math import lcm
+from pathlib import Path
 
 from mgt import families, linalg
 from mgt.circuit import GraphContext
@@ -253,3 +256,13 @@ def test_deletion_sums_factorize_only_the_graph_itself(monkeypatch):
     glued = [apq_identity(g, p, q) for p in range(g.vcount) for q in range(p + 1, g.vcount)]
     assert len(deleted_r) == len(values) and len(profiles[0]) == g.ecount and len(glued) == g.vcount * (g.vcount - 1) // 2 > 10
     assert len(dets) == 1
+
+
+def test_kernel_digest_is_pinned():
+    # tools/kernel_digest.py hashes the Green integers of every factorization the
+    # seed-1 corpus and ladder op lists make; a change to any of them moves it
+    tool = Path(__file__).resolve().parent.parent / "tools" / "kernel_digest.py"
+    done = subprocess.run([sys.executable, str(tool)], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.startswith("1996 inputs, ")
+    assert done.stdout == "0c87e8754cc05ef5dcdaf683b57b89aca6af07cec45c55e41fd4ebe571d5f1b2\n"

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from mgt.errors import InfArithmeticError, InputError
+from mgt.errors import InputError
 from mgt.rational import INF, format_float, format_scalar, parse_scalar
 
 
@@ -52,20 +52,10 @@ def test_format_float_past_the_double_range():
     assert format_float(F(1, 3 * 10**320)) == "3.33333333333333e-321"
 
 
-def test_inf_supported_forms():
-    assert INF + F(3, 2) is INF
-    assert F(3, 2) + INF is INF
-    assert F(1, 2) / INF == 0
-    assert INF / (INF + F(5)) == 1
-    assert INF > F(10**9) and not INF < F(1)
-
-
-def test_inf_undefined_forms_raise():
-    with pytest.raises(InfArithmeticError):
-        INF * F(2)
-    with pytest.raises(InfArithmeticError):
-        INF - F(1)
-    with pytest.raises(InfArithmeticError):
-        F(1) - INF
-    with pytest.raises(InfArithmeticError):
-        INF / F(2)
+def test_inf_is_a_marker_with_no_arithmetic():
+    # formulas take a bridge's limit in closed form; arithmetic or ordering on INF is a bug
+    assert repr(INF) == "INF" and INF != F(10**9)
+    for op in (lambda: INF + F(1), lambda: F(1) + INF, lambda: F(1) / INF, lambda: INF / INF,
+               lambda: INF * F(2), lambda: F(1) - INF, lambda: INF < F(1), lambda: F(1) <= INF):
+        with pytest.raises(TypeError):
+            op()

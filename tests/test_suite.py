@@ -47,15 +47,16 @@ def test_catalog_entries_resolve_to_checks():
 
 
 def test_suite_deterministic():
-    a = run_suite(GraphGenerator(seed=5), 4)
-    b = run_suite(GraphGenerator(seed=5), 4)
+    a = run_suite(GraphGenerator(5).graphs(4), 5)
+    b = run_suite(GraphGenerator(5).graphs(4), 5)
     assert a == b
-    c = run_suite(GraphGenerator(seed=6), 4)
-    assert a != c
+    assert run_suite(GraphGenerator(6).graphs(4), 6) != a
+    # the seed of the checks' rng alone changes what they draw
+    assert run_suite(GraphGenerator(5).graphs(4), 6) != a
 
 
 def test_suite_passes_on_random_corpus():
-    results = run_suite(GraphGenerator(seed=2), 12)
+    results = run_suite(GraphGenerator(2).graphs(12), 2)
     failures = [r for r in results if r.status == "fail"]
     assert not failures, failures[:3]
     for r in results:
@@ -64,14 +65,11 @@ def test_suite_passes_on_random_corpus():
 
 
 def test_suite_family_generators():
-    # every check passes or skips on the named families, each graph with its own
-    # rng as run_suite seeds it
+    # every check passes or skips on the named families
     for family in ("complete", "banana", "circle_subdivided", "tree", "theta",
                    "cube-like", "diamond_necklace"):
-        for index, (descriptor, g) in enumerate(family_graphs(3, family, 2)):
-            results = run_graph_checks(descriptor, g, random.Random(f"mgt-checks:3:{index}"))
-            failures = [r for r in results if r.status == "fail"]
-            assert not failures, (family, failures[:3])
+        failures = [r for r in run_suite(family_graphs(3, family, 2), 3) if r.status == "fail"]
+        assert not failures, (family, failures[:3])
 
 
 def test_equal_length_identities_pass_on_equal_families():
@@ -81,7 +79,7 @@ def test_equal_length_identities_pass_on_equal_families():
 
 
 def test_identity_subset_filter():
-    results = run_suite(GraphGenerator(seed=1), 2, identities=["thmbasic", "genus-identity"])
+    results = run_suite(GraphGenerator(1).graphs(2), 1, ["thmbasic", "genus-identity"])
     assert {r.identity for r in results} == {"thmbasic", "genus-identity"}
 
 
