@@ -290,16 +290,17 @@ def _run_bounds(args) -> int:
 def _run_verify(args) -> int:
     from .suite import GraphGenerator, run_suite
 
+    if bool(args.file) == args.random:
+        print("error: need a FILE or --random, not both", file=sys.stderr)
+        return EXIT_USAGE
     if args.random:
         if args.count < 1:
             raise BadN(f"graph count must be >= 1, got {args.count}")
         graphs = GraphGenerator(args.seed).graphs(args.count)
-    elif args.file:
-        graphs = [(args.file, _load(args.file))]
     else:
-        print("error: need a FILE or --random", file=sys.stderr)
-        return EXIT_USAGE
-    results = run_suite(graphs, args.seed, None if args.suite == "all" else args.suite.split(","))
+        graphs = [(args.file, _load(args.file))]
+    ids = None if args.suite == "all" else [cid.strip() for cid in args.suite.split(",")]
+    results = run_suite(graphs, args.seed, ids)
     failures = [r for r in results if r.status == "fail"]
     if args.json:
         print(_dumps([{

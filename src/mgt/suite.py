@@ -1,12 +1,15 @@
 """Randomized verification harness: every supported identity as an exact check.
 
 Each catalog entry turns one closed-form identity or inequality into an
-executable zero-tolerance check over a generated graph. A check either passes
-(exact rational equality / comparison), fails, or is skipped because the
-identity's hypothesis does not hold on the instance; skips always carry the
-reason. Constructions that would grow quadratically also skip, with the size
-recorded, once they exceed a small desk-scale budget; so does a check whose
-operation refuses a result over ``graph.check_size``'s limit (``TooLarge``).
+executable zero-tolerance check over a generated graph. A check is a plain
+function ``fn(g, rng)`` that returns the ``(lhs, rhs)`` it compared (exact
+rational equality / comparison). It raises ``_Fail`` when a comparison does not
+hold, and ``_Skip`` when the identity's hypothesis does not hold on the
+instance; skips always carry the reason. Constructions that would grow
+quadratically also skip, with the size recorded, once they exceed a small
+desk-scale budget; so does a check whose operation refuses a result over
+``graph.check_size``'s limit (``TooLarge``). ``run_graph_checks`` is the one
+place that turns a return or a raise into a ``CheckResult``.
 
 The six bound entries (``FMM1-bounds``, ``thmeqlength``, ``thmeqlength2``,
 ``thmcorineqsumR4``, ``thm2term``, ``corbasic2``) are not derived here: one
@@ -77,69 +80,63 @@ class CheckResult(NamedTuple):
     status: str  # pass | fail | skip
     reason: str = ""
 
-    @property
-    def ok(self) -> bool:
-        return self.status != "fail"
-
 
 class _Skip(Exception):
     """A draw the graph cannot satisfy; ``run_graph_checks`` reports the check as skipped."""
 
 
-class SuiteContext:
-    """One corpus graph plus the deterministic randomness for its checks."""
+class _Fail(Exception):
+    """A comparison that does not hold; ``run_graph_checks`` reports its sides and reason."""
 
-    def __init__(self, g: MetrizedGraph, rng: random.Random):
-        self.g = g
-        self.rng = rng
-
-    def vertex_pair(self) -> tuple[int, int]:
-        v = self.g.vcount
-        if v < 2:
-            return 0, 0
-        p = self.rng.randrange(v)
-        q = self.rng.randrange(v - 1)
-        if q >= p:
-            q += 1
-        return p, q
-
-    def distinct_pair(self) -> tuple[int, int]:
-        """``vertex_pair``, skipping the check on a one-vertex graph."""
-        if self.g.vcount < 2:
-            raise _Skip("needs two vertices")
-        return self.vertex_pair()
-
-    def proper_edge(self) -> int:
-        """An edge that is neither a loop nor a bridge, skipping the check if there is none."""
-        banned = set(bridges(self.g))
-        ids = [i for i, (a, b, _) in enumerate(self.g.edges) if a != b and i not in banned]
-        if not ids:
-            raise _Skip("every edge is a bridge or a loop")
-        return self.rng.choice(ids)
-
-
-def _pass(lhs=None, rhs=None):
-    return ("pass", lhs, rhs, "")
-
-
-def _fail(lhs, rhs, reason=""):
-    return ("fail", lhs, rhs, reason)
+    def __init__(self, lhs, rhs, reason=""):
+        super().__init__(reason)
+        self.lhs, self.rhs, self.reason = lhs, rhs, reason
 
 
 def _eq(lhs, rhs, tag=""):
-    return _pass(lhs, rhs) if lhs == rhs else _fail(lhs, rhs, tag)
-
-
-def _all_eq(pairs):
-    for tag, lhs, rhs in pairs:
-        if lhs != rhs:
-            return _fail(lhs, rhs, tag)
-    first = pairs[0]
-    return _pass(first[1], first[2])
+    if lhs != rhs:
+        raise _Fail(lhs, rhs, tag)
+    return lhs, rhs
 
 
 def _le(lhs, rhs, tag=""):
-    return _pass(lhs, rhs) if lhs <= rhs else _fail(lhs, rhs, tag)
+    if not lhs <= rhs:
+        raise _Fail(lhs, rhs, tag)
+    return lhs, rhs
+
+
+def _all_eq(pairs):
+    """``_eq`` on each (tag, lhs, rhs) in turn; the first pair's sides."""
+    for tag, lhs, rhs in pairs:
+        _eq(lhs, rhs, tag)
+    return pairs[0][1:]
+
+
+def _vertex_pair(g: MetrizedGraph, rng: random.Random) -> tuple[int, int]:
+    v = g.vcount
+    if v < 2:
+        return 0, 0
+    p = rng.randrange(v)
+    q = rng.randrange(v - 1)
+    if q >= p:
+        q += 1
+    return p, q
+
+
+def _distinct_pair(g: MetrizedGraph, rng: random.Random) -> tuple[int, int]:
+    """``_vertex_pair``, skipping the check on a one-vertex graph."""
+    if g.vcount < 2:
+        raise _Skip("needs two vertices")
+    return _vertex_pair(g, rng)
+
+
+def _proper_edge(g: MetrizedGraph, rng: random.Random) -> int:
+    """An edge that is neither a loop nor a bridge, skipping the check if there is none."""
+    banned = set(bridges(g))
+    ids = [i for i, (a, b, _) in enumerate(g.edges) if a != b and i not in banned]
+    if not ids:
+        raise _Skip("every edge is a bridge or a loop")
+    return rng.choice(ids)
 
 
 # Per-edge sums for the identities about arms and deleted resistances, in
@@ -182,49 +179,39 @@ def _all_arm_sums(cx, vcount: int) -> tuple[tuple[Fraction, Fraction], ...]:
 # ---------------------------------------------------------------------------
 
 
-def _check_voltage_circuit(ctx: SuiteContext):
+def _check_voltage_circuit(g: MetrizedGraph, rng: random.Random):
     """Y-reduction legs agree with the resistance combination for j."""
-    g = ctx.g
     v = g.vcount
     if v < 3:
         p, q = 0, min(1, v - 1)
         if p == q:
             raise _Skip("needs at least two vertices")
-        lhs = resistance_via_reduction(g, p, q)
-        return _eq(lhs, context(g).r(p, q), "two-terminal")
+        return _eq(resistance_via_reduction(g, p, q), context(g).r(p, q), "two-terminal")
     triples = [(x, p, q) for x in range(v) for p in range(v) for q in range(v)
                if len({x, p, q}) == 3]
-    ctx.rng.shuffle(triples)
+    rng.shuffle(triples)
     cx = context(g)
     for x, p, q in triples[:6]:
-        lhs = voltage_via_reduction(g, x, p, q)
-        rhs = cx.voltage(x, p, q)
-        if lhs != rhs:
-            return _fail(lhs, rhs, f"j_{x}({p},{q})")
-        if lhs < 0:
-            return _fail(lhs, 0, "voltage must be nonnegative")
-        if cx.voltage(x, x, q) != 0:
-            return _fail(cx.voltage(x, x, q), 0, "grounding")
-        if cx.voltage(x, q, q) != cx.r(x, q):
-            return _fail(cx.voltage(x, q, q), cx.r(x, q), "collapse to resistance")
-    return _pass(rhs, rhs)
+        lhs, rhs = _eq(voltage_via_reduction(g, x, p, q), cx.voltage(x, p, q), f"j_{x}({p},{q})")
+        _le(0, lhs, "voltage must be nonnegative")
+        _eq(cx.voltage(x, x, q), 0, "grounding")
+        _eq(cx.voltage(x, q, q), cx.r(x, q), "collapse to resistance")
+    return rhs, rhs
 
 
-def _check_genus_identity(ctx: SuiteContext):
-    left, right = genus_identity_check(ctx.g)
+def _check_genus_identity(g: MetrizedGraph, rng: random.Random):
+    left, right = genus_identity_check(g)
     return _all_eq([
-        ("length part", left, Fraction(genus(ctx.g))),
-        ("resistance part", right, Fraction(ctx.g.vcount - 1)),
+        ("length part", left, Fraction(genus(g))),
+        ("resistance part", right, Fraction(g.vcount - 1)),
     ])
 
 
-def _check_measure_mass(ctx: SuiteContext):
-    mu = canonical_measure(ctx.g)
-    return _eq(mu.total_mass(ctx.g), Fraction(1))
+def _check_measure_mass(g: MetrizedGraph, rng: random.Random):
+    return _eq(canonical_measure(g).total_mass(g), Fraction(1))
 
 
-def _check_lem2term(ctx: SuiteContext):
-    g = ctx.g
+def _check_lem2term(g: MetrizedGraph, rng: random.Random):
     v = g.vcount
     lhs = _arm_sums(g, 0)[0]
     off_base = sum(_arm_sums(g, p)[1] for p in range(v))
@@ -232,58 +219,46 @@ def _check_lem2term(ctx: SuiteContext):
     return _eq(lhs, rhs)
 
 
-def _check_rem2term(ctx: SuiteContext):
-    g = ctx.g
-    values = {p: _arm_sums(g, p)[0] for p in range(g.vcount)}
-    first = values[0]
-    for p, val in values.items():
-        if val != first:
-            return _fail(val, first, f"base {p}")
-    return _pass(first, first)
+def _check_rem2term(g: MetrizedGraph, rng: random.Random):
+    values = [_arm_sums(g, p)[0] for p in range(g.vcount)]
+    return _all_eq([(f"base {p}", val, values[0]) for p, val in enumerate(values)])
 
 
-def _check_valence_independence(ctx: SuiteContext):
-    g = ctx.g
-    taus = {p: tau_edge_sum(g, p).tau for p in range(g.vcount)}
-    first = taus[0]
-    for p, val in taus.items():
-        if val != first:
-            return _fail(val, first, f"base {p}")
-    edge = ctx.rng.randrange(g.ecount)
-    midpoint = (edge, g.edges[edge].length / 2)
-    enlarged, _ = insert_point(g, midpoint)
-    return _eq(tau_of(enlarged), first, "valence-2 vertex insertion")
+def _check_valence_independence(g: MetrizedGraph, rng: random.Random):
+    taus = [tau_edge_sum(g, p).tau for p in range(g.vcount)]
+    _all_eq([(f"base {p}", val, taus[0]) for p, val in enumerate(taus)])
+    edge = rng.randrange(g.ecount)
+    enlarged, _ = insert_point(g, (edge, g.edges[edge].length / 2))
+    return _eq(tau_of(enlarged), taus[0], "valence-2 vertex insertion")
 
 
-def _check_scale_covariance(ctx: SuiteContext):
-    c = families.random_length(ctx.rng)
-    return _eq(tau_of(scale(ctx.g, c)), c * tau_of(ctx.g))
+def _check_scale_covariance(g: MetrizedGraph, rng: random.Random):
+    c = families.random_length(rng)
+    return _eq(tau_of(scale(g, c)), c * tau_of(g))
 
 
-def _check_power_integrals(ctx: SuiteContext):
-    p, q = ctx.distinct_pair()
-    g = ctx.g
+def _check_power_integrals(g: MetrizedGraph, rng: random.Random):
+    p, q = _distinct_pair(g, rng)
     r = context(g).r(p, q)
     pairs = [(f"n={n}", integrate_product(g, p, q, [(TAG_J_BASE_P, True, 2), (TAG_J_BASE_P, False, n)]),
               r ** (n + 1) / (n + 1)) for n in range(4)]
     return _all_eq(pairs)
 
 
-def _check_orthogonality(ctx: SuiteContext):
-    p, q = ctx.distinct_pair()
-    val = integrate_product(ctx.g, p, q, [(TAG_J_BASE_X, True, 1), (TAG_J_BASE_P, True, 1)])
+def _check_orthogonality(g: MetrizedGraph, rng: random.Random):
+    p, q = _distinct_pair(g, rng)
+    val = integrate_product(g, p, q, [(TAG_J_BASE_X, True, 1), (TAG_J_BASE_P, True, 1)])
     return _eq(val, Fraction(0))
 
 
-def _check_tau_voltage_form(ctx: SuiteContext):
-    p, q = ctx.distinct_pair()
-    energy = integrate_product(ctx.g, p, q, [(TAG_J_BASE_X, True, 2)])
-    return _eq(4 * tau_of(ctx.g), energy + context(ctx.g).r(p, q))
+def _check_tau_voltage_form(g: MetrizedGraph, rng: random.Random):
+    p, q = _distinct_pair(g, rng)
+    energy = integrate_product(g, p, q, [(TAG_J_BASE_X, True, 2)])
+    return _eq(4 * tau_of(g), energy + context(g).r(p, q))
 
 
-def _check_apq_equivalences(ctx: SuiteContext):
-    g = ctx.g
-    p, q = ctx.distinct_pair()
+def _check_apq_equivalences(g: MetrizedGraph, rng: random.Random):
+    p, q = _distinct_pair(g, rng)
     direct = apq_direct(g, p, q)
     form_iv = -integrate_product(
         g, p, q,
@@ -320,7 +295,7 @@ _BOUND_ROWS = {
 }
 
 
-def _check_bounds(cid: str, ctx: SuiteContext):
+def _check_bounds(cid: str, g: MetrizedGraph, rng: random.Random):
     """One catalog bound entry, read off the graph's bound suite.
 
     The check skips with the first row's reason when that row does not apply;
@@ -328,31 +303,27 @@ def _check_bounds(cid: str, ctx: SuiteContext):
     does not hold and otherwise passes with the last row that applied.
     """
     at_scale, wanted = _BOUND_ROWS[cid]
-    rows = {row.bound: row for row in lower_bound_suite(ctx.g)}
+    rows = {row.bound: row for row in lower_bound_suite(g)}
     first = rows[wanted[0][0]]
     if not first.applicable:
         raise _Skip(first.reason)
-    factor = total_length(ctx.g) if at_scale else 1
-    result = None
+    factor = total_length(g) if at_scale else 1
     for name, tag in wanted:
         row = rows[name]
-        if not row.applicable:
-            continue
-        lhs, rhs = row.lhs * factor, row.rhs * factor
-        if not row.holds:
-            return _fail(lhs, rhs, tag)
-        result = _pass(lhs, rhs)
-    return result
+        if row.applicable:
+            lhs, rhs = row.lhs * factor, row.rhs * factor
+            if not row.holds:
+                raise _Fail(lhs, rhs, tag)
+    return lhs, rhs
 
 
-def _check_parallel_split(ctx: SuiteContext):
-    n = ctx.rng.choice((2, 3, 4))
-    result = da_n(ctx.g, n)
+def _check_parallel_split(g: MetrizedGraph, rng: random.Random):
+    n = rng.choice((2, 3, 4))
+    result = da_n(g, n)
     return _eq(result.predicted_tau, tau_of(result.graph), f"n={n}")
 
 
-def _check_split_and_subdivide(ctx: SuiteContext):
-    g = ctx.g
+def _check_split_and_subdivide(g: MetrizedGraph, rng: random.Random):
     m, n = 2, 2
     if m * n * g.ecount > MAX_BUILT_EDGES or g.vcount + (m - 1) * g.ecount > MAX_BUILT_VERTICES:
         raise _Skip(f"built size {m * n * g.ecount} edges exceeds budget")
@@ -365,8 +336,7 @@ def _check_split_and_subdivide(ctx: SuiteContext):
     return _eq(predicted, tau_of(built))
 
 
-def _check_subdivision_transfer(ctx: SuiteContext):
-    g = ctx.g
+def _check_subdivision_transfer(g: MetrizedGraph, rng: random.Random):
     m = 3 if g.vcount + 2 * g.ecount <= MAX_BUILT_VERTICES else 2
     if g.vcount + (m - 1) * g.ecount > MAX_BUILT_VERTICES:
         raise _Skip("subdivision exceeds vertex budget")
@@ -380,9 +350,8 @@ def _check_subdivision_transfer(ctx: SuiteContext):
     return _all_eq(pairs)
 
 
-def _check_parallel_split_resistances(ctx: SuiteContext):
-    g = ctx.g
-    n = ctx.rng.choice((2, 3))
+def _check_parallel_split_resistances(g: MetrizedGraph, rng: random.Random):
+    n = rng.choice((2, 3))
     built = da_n(g, n).graph
     cx, built_cx = context(g), context(built)
     for i, (_, _, length) in enumerate(g.edges):
@@ -392,24 +361,20 @@ def _check_parallel_split_resistances(ctx: SuiteContext):
         else:
             expected = Fraction(1, n) * length * res / (n * length + (n - 1) * res)
         for k in range(n):
-            actual = built_cx.res_deleted(i * n + k)
-            if actual != expected:
-                return _fail(actual, expected, f"edge {i} copy {k}")
+            _eq(built_cx.res_deleted(i * n + k), expected, f"edge {i} copy {k}")
     lhs = parallel_sum(built)
     rhs = Fraction(n - 1, n) * total_length(g) + parallel_sum(g) / n
     return _eq(lhs, rhs, "square-sum transfer")
 
 
-def _check_split_implication(ctx: SuiteContext):
-    gn = normalize(ctx.g)
+def _check_split_implication(g: MetrizedGraph, rng: random.Random):
+    gn = normalize(g)
     tau = tau_of(gn)
     for n, threshold in ((2, Fraction(1, 27)), (3, Fraction(49, 972))):
-        if threshold != Fraction(1, 108) * Fraction(3 * n - 2, n) ** 2:
-            return _fail(threshold, Fraction(1, 108) * Fraction(3 * n - 2, n) ** 2, "constant")
-        split_tau = da_n(gn, n).predicted_tau
-        if split_tau >= threshold and not tau >= Fraction(1, 108):
-            return _fail(tau, Fraction(1, 108), f"implication broken at n={n}")
-    return _pass(tau, Fraction(1, 108))
+        _eq(threshold, Fraction(1, 108) * Fraction(3 * n - 2, n) ** 2, "constant")
+        if da_n(gn, n).predicted_tau >= threshold:
+            _le(Fraction(1, 108), tau, f"implication broken at n={n}")
+    return tau, Fraction(1, 108)
 
 
 # The immersion menus are built once: a check that reuses the same graph object
@@ -443,9 +408,9 @@ def _skip_if_over_budget(gn: MetrizedGraph, betas) -> None:
         raise _Skip(f"immersion builds {built_edges} edges, over budget")
 
 
-def _check_uniform_immersion(ctx: SuiteContext):
-    gn = normalize(ctx.g)
-    beta, p, q = ctx.rng.choice(_small_marked_graphs()[:3])
+def _check_uniform_immersion(g: MetrizedGraph, rng: random.Random):
+    gn = normalize(g)
+    beta, p, q = rng.choice(_small_marked_graphs()[:3])
     if beta.ecount * gn.ecount > MAX_BUILT_EDGES:
         raise _Skip("immersion exceeds edge budget")
     r_beta = context(beta).r(p, q)
@@ -463,8 +428,8 @@ def _check_uniform_immersion(ctx: SuiteContext):
     ])
 
 
-def _check_mixed_immersion(ctx: SuiteContext):
-    gn = normalize(ctx.g)
+def _check_mixed_immersion(g: MetrizedGraph, rng: random.Random):
+    gn = normalize(g)
     menu = _small_marked_graphs()
     betas = [menu[i % len(menu)] for i in range(gn.ecount)]
     _skip_if_over_budget(gn, betas)
@@ -474,8 +439,8 @@ def _check_mixed_immersion(ctx: SuiteContext):
     return _eq(tau_of(result.graph) * size, result.predicted_tau * size)
 
 
-def _check_common_resistance_immersion(ctx: SuiteContext):
-    gn = normalize(ctx.g)
+def _check_common_resistance_immersion(g: MetrizedGraph, rng: random.Random):
+    gn = normalize(g)
     menu = _common_resistance_menu()
     r = Fraction(1, 4)
     betas = [menu[i % 2] for i in range(gn.ecount)]
@@ -487,8 +452,8 @@ def _check_common_resistance_immersion(ctx: SuiteContext):
     return _eq(predicted, tau_of(result.graph))
 
 
-def _check_single_graph_immersion(ctx: SuiteContext):
-    gn = normalize(ctx.g)
+def _check_single_graph_immersion(g: MetrizedGraph, rng: random.Random):
+    gn = normalize(g)
     beta = _three_arc_circle()
     pairs = [(0, 1), (1, 2), (0, 2)]
     betas = [(beta, *pairs[i % 3]) for i in range(gn.ecount)]
@@ -504,33 +469,28 @@ def _check_single_graph_immersion(ctx: SuiteContext):
     return _eq(predicted, tau_of(result.graph))
 
 
-def _check_self_immersion_decrease(ctx: SuiteContext):
-    gn = normalize(ctx.g)
+def _check_self_immersion_decrease(g: MetrizedGraph, rng: random.Random):
+    gn = normalize(g)
     e, v = gn.ecount, gn.vcount
     if e * e > MAX_BUILT_EDGES or v + e * (v - 2) > MAX_BUILT_VERTICES:
         raise _Skip(f"self-immersion builds {e * e} edges, over budget")
-    p, q = ctx.distinct_pair()
+    p, q = _distinct_pair(g, rng)
     r = context(gn).r(p, q)
     eps = apq(gn, p, q) / r * parallel_sum(gn)
     built = immerse(gn, [(gn, p, q)] * gn.ecount)
     predicted = tau_of(gn) - r * (Fraction(1, 4) - tau_of(gn)) + eps
-    result = _eq(predicted, tau_of(built.graph), "exact value")
-    if result[0] != "pass":
-        return result
+    _eq(predicted, tau_of(built.graph), "exact value")
     return _le(tau_of(built.graph), predicted, "decrease bound")
 
 
-def _check_two_point_union(ctx: SuiteContext):
-    other = families.random_connected(ctx.rng, 4, 6)
-    p1, q1 = ctx.distinct_pair()
-    q2 = 1 if other.vcount > 1 else 0
-    result = union_two_points(ctx.g, other, (p1, q1), (0, q2))
+def _check_two_point_union(g: MetrizedGraph, rng: random.Random):
+    other = families.random_connected(rng, 4, 6)  # at least two vertices
+    result = union_two_points(g, other, _distinct_pair(g, rng), (0, 1))
     return _eq(result.predicted_tau, tau_of(result.graph))
 
 
-def _check_self_union(ctx: SuiteContext):
-    p, q = ctx.distinct_pair()
-    g = ctx.g
+def _check_self_union(g: MetrizedGraph, rng: random.Random):
+    p, q = _distinct_pair(g, rng)
     result = union_two_points(g, g, (p, q), (p, q))
     r = context(g).r(p, q)
     predicted = 2 * tau_of(g) - r / 3 + apq(g, p, q) / r
@@ -541,15 +501,14 @@ def _check_self_union(ctx: SuiteContext):
     ])
 
 
-def _check_edge_deletion(ctx: SuiteContext):
-    edge = ctx.proper_edge()
-    result = delete_edge(ctx.g, edge)
+def _check_edge_deletion(g: MetrizedGraph, rng: random.Random):
+    edge = _proper_edge(g, rng)
+    result = delete_edge(g, edge)
     return _eq(result.predicted_tau, tau_of(result.graph), f"edge {edge}")
 
 
-def _check_edge_deletion_energy(ctx: SuiteContext):
-    g = ctx.g
-    edge = ctx.proper_edge()
+def _check_edge_deletion_energy(g: MetrizedGraph, rng: random.Random):
+    edge = _proper_edge(g, rng)
     deleted, (p, q) = delete_edge_graph(g, edge)
     energy = integrate_product(deleted, p, q, [(TAG_J_BASE_X, True, 2)])
     denom = g.edges[edge].length + context(g).res_deleted(edge)
@@ -557,129 +516,108 @@ def _check_edge_deletion_energy(ctx: SuiteContext):
     return _eq(predicted, tau_of(g))
 
 
-def _check_length_change(ctx: SuiteContext):
-    g = ctx.g
-    edge = ctx.proper_edge()
+def _with_length(g: MetrizedGraph, edge: int, length: Fraction) -> MetrizedGraph:
+    """g with one edge's length changed."""
+    return MetrizedGraph(g.vcount, g.edges[:edge] + (g.edges[edge]._replace(length=length),)
+                         + g.edges[edge + 1 :])
+
+
+def _check_length_change(g: MetrizedGraph, rng: random.Random):
+    edge = _proper_edge(g, rng)
     length = g.edges[edge].length
-    x = families.random_length(ctx.rng) - length / 2  # may shrink, stays positive
-    if length + x <= 0:
-        x = length / 2
-    modified = MetrizedGraph(
-        g.vcount,
-        g.edges[:edge] + (g.edges[edge]._replace(length=length + x),) + g.edges[edge + 1 :],
-    )
+    x = families.random_length(rng) - length / 2  # may shrink, stays positive
+    modified = _with_length(g, edge, length + x)
     denom = length + context(g).res_deleted(edge)
     predicted = tau_of(g) + x / 12 - x * deleted_apq(g, edge) / (denom * (denom + x))
     return _eq(predicted, tau_of(modified), f"x={x}")
 
 
-def _check_successive_length_changes(ctx: SuiteContext):
-    g = ctx.g
-    if bridges(ctx.g):
+def _check_successive_length_changes(g: MetrizedGraph, rng: random.Random):
+    if bridges(g):
         raise _Skip("graph has a bridge")
     current = g
     total = tau_of(g)
     for i in range(g.ecount):
         a, b, length = current.edges[i]
-        x = families.random_length(ctx.rng, 8, 8) - length / 2
-        if length + x <= 0:
-            x = length / 3
-        modified = MetrizedGraph(
-            current.vcount,
-            current.edges[:i] + (current.edges[i]._replace(length=length + x),)
-            + current.edges[i + 1 :],
-        )
+        x = families.random_length(rng, 8, 8) - length / 2  # may shrink, stays positive
+        current = _with_length(current, i, length + x)
         total += x / 12
         if a != b:
-            res = context(modified).res_deleted(i)
-            total -= x * deleted_apq(modified, i) / ((length + res) * (length + res + x))
-        current = modified
+            res = context(current).res_deleted(i)
+            total -= x * deleted_apq(current, i) / ((length + res) * (length + res + x))
     return _eq(total, tau_of(current))
 
 
-def _check_bridgeless_identity(ctx: SuiteContext):
-    if bridges(ctx.g):
+def _check_bridgeless_identity(g: MetrizedGraph, rng: random.Random):
+    if bridges(g):
         raise _Skip("graph has a bridge")
-    lhs, rhs = tau_bridgeless_identity(ctx.g)
-    return _eq(lhs, rhs)
+    return _eq(*tau_bridgeless_identity(g))
 
 
-def _contract_setup(ctx: SuiteContext):
-    edge = ctx.proper_edge()
-    g = ctx.g
+def _contract_setup(g: MetrizedGraph, rng: random.Random):
+    """A proper edge's length, R and A of g - e, then g - e, g / e and g with its ends glued."""
+    edge = _proper_edge(g, rng)
     deleted, (p, q) = delete_edge_graph(g, edge)
-    res = context(g).res_deleted(edge)
-    return edge, deleted, p, q, res, deleted_apq(g, edge)
+    res, a_del = context(g).res_deleted(edge), deleted_apq(g, edge)
+    return (g.edges[edge].length, res, a_del, deleted, contract_edge(g, edge).graph,
+            identify_points_graph(g, p, q))
 
 
-def _check_contraction_values(ctx: SuiteContext):
-    edge, deleted, p, q, res, a_del = _contract_setup(ctx)
-    g = ctx.g
-    length = g.edges[edge].length
-    shrunk = contract_edge(g, edge).graph
-    looped = identify_points_graph(g, p, q)
+def _check_contraction_values(g: MetrizedGraph, rng: random.Random):
+    length, res, a_del, deleted, shrunk, looped = _contract_setup(g, rng)
     return _all_eq([
         ("contracted", tau_of(shrunk), tau_of(deleted) - res / 6 + a_del / res),
         ("looped", tau_of(looped), tau_of(deleted) + length / 12 - res / 6 + a_del / res),
     ])
 
 
-def _check_contraction_deltas(ctx: SuiteContext):
-    edge, deleted, p, q, res, a_del = _contract_setup(ctx)
-    g = ctx.g
-    length = g.edges[edge].length
+def _check_contraction_deltas(g: MetrizedGraph, rng: random.Random):
+    length, res, a_del, _, shrunk, looped = _contract_setup(g, rng)
     drop = length * a_del / (res * (length + res))
-    shrunk = contract_edge(g, edge).graph
-    looped = identify_points_graph(g, p, q)
     return _all_eq([
         ("contracted", tau_of(g), tau_of(shrunk) + length / 12 - drop),
         ("looped", tau_of(g), tau_of(looped) - drop),
     ])
 
 
-def _check_edge_addition(ctx: SuiteContext):
-    p, q = ctx.vertex_pair()
-    result = add_edge(ctx.g, p, q, families.random_length(ctx.rng))
+def _check_edge_addition(g: MetrizedGraph, rng: random.Random):
+    p, q = _vertex_pair(g, rng)
+    result = add_edge(g, p, q, families.random_length(rng))
     return _eq(result.predicted_tau, tau_of(result.graph))
 
 
-def _check_point_identification(ctx: SuiteContext):
-    p, q = ctx.distinct_pair()
-    result = identify_points(ctx.g, p, q)
+def _check_point_identification(g: MetrizedGraph, rng: random.Random):
+    p, q = _distinct_pair(g, rng)
+    result = identify_points(g, p, q)
     return _eq(result.predicted_tau, tau_of(result.graph))
 
 
-def _check_union_apq(ctx: SuiteContext):
-    g = ctx.g
-    other = families.random_connected(ctx.rng, 4, 6)
-    p1, q1 = ctx.distinct_pair()
-    q2 = 1 if other.vcount > 1 else 0
-    if q2 == 0:
-        raise _Skip("companion graph too small")
-    union = union_two_points(g, other, (p1, q1), (0, q2)).graph
+def _check_union_apq(g: MetrizedGraph, rng: random.Random):
+    other = families.random_connected(rng, 4, 6)  # at least two vertices
+    p1, q1 = _distinct_pair(g, rng)
+    union = union_two_points(g, other, (p1, q1), (0, 1)).graph
     keep_p, keep_q = min(p1, q1), max(p1, q1)
     r1 = context(g).r(p1, q1)
-    r2 = context(other).r(0, q2)
+    r2 = context(other).r(0, 1)
     a1 = apq(g, p1, q1)
-    a2 = apq(other, 0, q2)
+    a2 = apq(other, 0, 1)
     predicted = (r2**2 * a1 + r1**2 * a2) / (r1 + r2) ** 2 + Fraction(1, 6) * (
         r1 * r2 / (r1 + r2)
     ) ** 2
     return _eq(apq(union, keep_p, keep_q), predicted)
 
 
-def _check_self_union_apq(ctx: SuiteContext):
-    g = ctx.g
-    p, q = ctx.distinct_pair()
+def _check_self_union_apq(g: MetrizedGraph, rng: random.Random):
+    p, q = _distinct_pair(g, rng)
     union = union_two_points(g, g, (p, q), (p, q)).graph
     lhs = 2 * apq(union, min(p, q), max(p, q))
     rhs = context(g).r(p, q) ** 2 / 12 + apq(g, p, q)
     return _eq(lhs, rhs)
 
 
-def _check_tower(ctx: SuiteContext):
-    gn = normalize(ctx.g)
-    p, q = ctx.distinct_pair()
+def _check_tower(g: MetrizedGraph, rng: random.Random):
+    gn = normalize(g)
+    p, q = _distinct_pair(g, rng)
     result = c_tower(gn, p, q, 2)
     r = context(gn).r(p, q)
     explicit = (
@@ -693,16 +631,15 @@ def _check_tower(ctx: SuiteContext):
     ])
 
 
-def _check_circle_apq(ctx: SuiteContext):
-    a = families.random_length(ctx.rng)
-    b = families.random_length(ctx.rng)
+def _check_circle_apq(g: MetrizedGraph, rng: random.Random):
+    a = families.random_length(rng)
+    b = families.random_length(rng)
     circle = families.circle(a, b)
     return _eq(apq_checked(circle, 0, 1), a**2 * b**2 / (6 * (a + b) ** 2))
 
 
-def _check_apq_edge_split(ctx: SuiteContext):
-    g = ctx.g
-    edge = ctx.proper_edge()
+def _check_apq_edge_split(g: MetrizedGraph, rng: random.Random):
+    edge = _proper_edge(g, rng)
     p, q, length = g.edges[edge]
     cx = context(g)
     res = cx.res_deleted(edge)
@@ -710,63 +647,50 @@ def _check_apq_edge_split(ctx: SuiteContext):
     return _eq(apq(g, p, q), predicted)
 
 
-def _check_tree_apq(ctx: SuiteContext):
-    tree = families.random_tree(ctx.rng, 7)
-    p, q = 0, tree.vcount - 1
-    return _eq(apq_checked(tree, p, q), Fraction(0))
+def _check_tree_apq(g: MetrizedGraph, rng: random.Random):
+    tree = families.random_tree(rng, 7)
+    return _eq(apq_checked(tree, 0, tree.vcount - 1), Fraction(0))
 
 
-def _check_wedge_apq(ctx: SuiteContext):
-    g1 = ctx.g
-    g2 = families.random_connected(ctx.rng, 4, 6)
-    y1 = ctx.rng.randrange(g1.vcount)
-    y2 = ctx.rng.randrange(g2.vcount)
-    p = ctx.rng.randrange(g1.vcount)
-    q2 = ctx.rng.randrange(g2.vcount)
-    wedge = union_one_point(g1, y1, g2, y2).graph
-    # image ids: g1 keeps ids; g2's vertex v maps to y1 if v == y2 else offset rank
-    def image(v2: int) -> int:
-        if v2 == y2:
-            return y1
-        rank = sum(1 for w in range(v2) if w != y2)
-        return g1.vcount + rank
-    q = image(q2)
+def _check_wedge_apq(g: MetrizedGraph, rng: random.Random):
+    g2 = families.random_connected(rng, 4, 6)
+    y1 = rng.randrange(g.vcount)
+    y2 = rng.randrange(g2.vcount)
+    p = rng.randrange(g.vcount)
+    q2 = rng.randrange(g2.vcount)
+    wedge = union_one_point(g, y1, g2, y2).graph
+    # image ids: g keeps ids; g2's vertex v maps to y1 if v == y2 else offset rank
+    q = y1 if q2 == y2 else g.vcount + q2 - (q2 > y2)
     if p == q:
         raise _Skip("sampled points coincide at the wedge vertex")
-    return _eq(apq(wedge, p, q), apq(g1, p, y1) + apq(g2, y2, q2))
+    return _eq(apq(wedge, p, q), apq(g, p, y1) + apq(g2, y2, q2))
 
 
-def _check_banana_apq(ctx: SuiteContext):
-    m = ctx.rng.randint(1, 6)
-    lengths = [families.random_length(ctx.rng) for _ in range(m)]
-    graph = families.banana(*lengths)
-    r = context(graph).r(0, 1)
+def _random_banana(rng: random.Random) -> MetrizedGraph:
+    """A banana of 1 to 6 edges of random lengths."""
+    return families.banana(*[families.random_length(rng) for _ in range(rng.randint(1, 6))])
+
+
+def _check_banana_apq(g: MetrizedGraph, rng: random.Random):
+    graph = _random_banana(rng)
+    m, r = graph.ecount, context(graph).r(0, 1)
     return _eq(apq_checked(graph, 0, 1), (m - 1) * r * r / 6)
 
 
-def _check_banana_tau(ctx: SuiteContext):
-    m = ctx.rng.randint(1, 6)
-    lengths = [families.random_length(ctx.rng) for _ in range(m)]
-    graph = families.banana(*lengths)
-    r = context(graph).r(0, 1)
+def _check_banana_tau(g: MetrizedGraph, rng: random.Random):
+    graph = _random_banana(rng)
+    m, r = graph.ecount, context(graph).r(0, 1)
     ell = total_length(graph)
-    expected = ell / 12 - Fraction(m - 2, 6) * r
-    result = _eq(tau_of(graph), expected)
-    if result[0] != "pass":
-        return result
+    result = _eq(tau_of(graph), ell / 12 - Fraction(m - 2, 6) * r)
     floor = ell * (Fraction(1, 12) - Fraction(m - 2, 6 * m * m))
-    if not floor <= tau_of(graph):
-        return _fail(floor, tau_of(graph), "equal-length minimum")
+    _le(floor, tau_of(graph), "equal-length minimum")
     equal = families.equal_banana(m, ell)
-    if tau_of(equal) != floor:
-        return _fail(tau_of(equal), floor, "equal-length value")
-    if not total_length(equal) / 16 <= tau_of(equal):
-        return _fail(total_length(equal) / 16, tau_of(equal), "sixteenth bound")
+    _eq(tau_of(equal), floor, "equal-length value")
+    _le(total_length(equal) / 16, tau_of(equal), "sixteenth bound")
     return result
 
 
-def _check_bridge_contraction(ctx: SuiteContext):
-    g = ctx.g
+def _check_bridge_contraction(g: MetrizedGraph, rng: random.Random):
     current = contract_bridges(g)
     drop = (total_length(g) - total_length(current)) / 4
     return _eq(tau_of(g), tau_of(current) + drop)
@@ -895,17 +819,20 @@ class GraphGenerator(NamedTuple):
             yield f"random_connected#{index}(v={g.vcount},e={g.ecount})", g
 
 
+def _checks_rng(seed: int, index: int) -> random.Random:
+    """The rng of the checks on graph ``index`` of a seeded run: the one place it is seeded."""
+    return random.Random(f"mgt-checks:{seed}:{index}")
+
+
 def run_suite(graphs, seed: int, identities: list[str] | None = None) -> list[CheckResult]:
     """Run the catalog over (descriptor, graph) pairs; failures are results, not errors.
 
-    Graph ``index`` gets the rng ``mgt-checks:{seed}:{index}``, the one place
-    where the checks' random choices are seeded.
+    Graph ``index`` gets the rng ``_checks_rng(seed, index)``.
     """
     wanted = set(identities) if identities else None
     results: list[CheckResult] = []
     for index, (descriptor, g) in enumerate(graphs):
-        results.extend(run_graph_checks(descriptor, g, random.Random(f"mgt-checks:{seed}:{index}"),
-                                        wanted))
+        results.extend(run_graph_checks(descriptor, g, _checks_rng(seed, index), wanted))
     return results
 
 
@@ -914,19 +841,20 @@ def run_graph_checks(descriptor: str, g: MetrizedGraph, rng: random.Random,
     if wanted is not None:
         unknown = sorted(wanted - {entry[0] for entry in CHECKS})
         if unknown:
-            raise UnknownIdentity(f"unknown identity id(s): {', '.join(unknown)}")
+            raise UnknownIdentity(f"unknown identity id(s): {', '.join(map(repr, unknown))}")
     if g.ecount == 0:
         raise EmptyGraph(f"{descriptor}: the identities need a graph with at least one edge")
     results = []
     for cid, _desc, _anchor, fn in CHECKS:
         if wanted is not None and cid not in wanted:
             continue
-        ctx = SuiteContext(g, rng)
         try:
-            status, lhs, rhs, reason = fn(ctx)
+            result = CheckResult(cid, descriptor, *fn(g, rng), "pass")
+        except _Fail as exc:
+            result = CheckResult(cid, descriptor, exc.lhs, exc.rhs, "fail", exc.reason)
         except (_Skip, TooLarge) as exc:
-            status, lhs, rhs, reason = "skip", None, None, str(exc)
+            result = CheckResult(cid, descriptor, None, None, "skip", str(exc))
         except MgtError as exc:
-            status, lhs, rhs, reason = "fail", None, None, f"error: {exc}"
-        results.append(CheckResult(cid, descriptor, lhs, rhs, status, reason))
+            result = CheckResult(cid, descriptor, None, None, "fail", f"error: {exc}")
+        results.append(result)
     return results

@@ -19,7 +19,7 @@ from mgt.integration import apq_direct, edge_tag_polynomials, tau_via_integral
 from mgt.ops import c_tower, da_n, immerse
 from mgt.optimize import family_scan, minimize_tau, scan_violations
 from mgt.reduction import resistance_via_reduction
-from mgt.suite import GraphGenerator, identity_catalog, run_graph_checks
+from mgt.suite import GraphGenerator, _checks_rng, identity_catalog, run_graph_checks
 from mgt.tau import apq_identity, deleted_apq, tau_gradient, tau_of
 from oracles import (exact_gradient_matches_float, necklace_witness, random_bridgeless,
                      sampled_tag_polynomials, tau_reducing_sequence)
@@ -149,8 +149,7 @@ def test_criterion_3_oracle_equivalence():
 def _suite_chunk(indexed_chunk):
     out = []
     for index, (descriptor, g) in indexed_chunk:
-        rng = random.Random(f"mgt-checks:{CORPUS_SEED}:{index}")
-        for r in run_graph_checks(descriptor, g, rng):
+        for r in run_graph_checks(descriptor, g, _checks_rng(CORPUS_SEED, index)):
             out.append((index, r.identity, r.status, str(r.lhs), str(r.rhs), r.reason))
     return out
 
@@ -198,8 +197,7 @@ OP_CLOSURE_IDS = (
 def _ops_chunk(indexed_chunk):
     failures = []
     for index, (descriptor, g) in indexed_chunk:
-        rng = random.Random(f"mgt-checks:{CORPUS_SEED}:{index}")
-        for r in run_graph_checks(descriptor, g, rng, set(OP_CLOSURE_IDS)):
+        for r in run_graph_checks(descriptor, g, _checks_rng(CORPUS_SEED, index), set(OP_CLOSURE_IDS)):
             if r.status == "fail":
                 failures.append((descriptor, r.identity, str(r.lhs), str(r.rhs)))
     return failures

@@ -10,6 +10,7 @@ import sys
 import tempfile
 from decimal import Decimal
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -377,6 +378,16 @@ def test_minimize_json_is_pinned(tmp_path, capsys, name, extra):
     assert out == _MINIMIZE_PINS[name, extra]
 
 
+def test_cli_sweep_is_pinned():
+    # tools/cli_sweep.py hashes argv, exit code, stdout and stderr of 171 valid
+    # command lines over every verb but minimize; any change of output moves it
+    tool = Path(__file__).resolve().parent.parent / "tools" / "cli_sweep.py"
+    done = subprocess.run([sys.executable, str(tool)], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.startswith("171 calls, ")
+    assert done.stdout == "a4666dc01fa3947e2019cbc67e14b62d0e83559c0b7e41e53694d2dd480f4cb5\n"
+
+
 def _one_error_line(err: str) -> bool:
     lines = err.strip().splitlines()
     return len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in err
@@ -435,6 +446,21 @@ def test_verify_rejects_unknown_identity(k4_file, capsys):
     code, _, err = run_cli(capsys, "verify", "--random", "--count", "1",
                            "--suite", "thmbasic,nope")
     assert code == 2 and "nope" in err
+
+
+def test_verify_refuses_a_file_together_with_random(k4_file, capsys):
+    code, out, err = run_cli(capsys, "verify", k4_file, "--random", "--count", "1")
+    assert (code, out) == (2, "")
+    assert _one_error_line(err) and "not both" in err
+
+
+def test_verify_strips_suite_ids_and_names_an_empty_one(k4_file, capsys):
+    code, out, err = run_cli(capsys, "verify", k4_file, "--suite", "thmbasic, genus-identity")
+    assert (code, err) == (0, "") and out.endswith("2 passed, 0 skipped, 0 failed\n")
+    for suite in ("", "thmbasic,", "thmbasic, ,genus-identity"):
+        code, out, err = run_cli(capsys, "verify", k4_file, "--suite", suite)
+        assert (code, out) == (2, "")
+        assert _one_error_line(err) and err.rstrip().endswith("''"), (suite, err)
 
 
 def test_verify_rejects_count_below_one(capsys):

@@ -83,6 +83,38 @@ def test_identity_subset_filter():
     assert {r.identity for r in results} == {"thmbasic", "genus-identity"}
 
 
+def test_each_return_or_raise_of_a_check_is_one_result(monkeypatch):
+    # run_graph_checks is the one place that turns what a check does into a CheckResult
+    import mgt.suite as suite
+    from mgt.errors import MgtError, TooLarge
+
+    def raising(exc):
+        def check(g, rng):
+            raise exc
+        return check
+
+    cid, description, anchor, _ = CHECKS[0]
+    cases = [
+        (lambda g, rng: (1, 1), (1, 1, "pass", "")),
+        (raising(suite._Fail(1, 2, "tag")), (1, 2, "fail", "tag")),
+        (raising(suite._Skip("why")), (None, None, "skip", "why")),
+        (raising(TooLarge("big")), (None, None, "skip", "big")),
+        (raising(MgtError("x")), (None, None, "fail", "error: x")),
+    ]
+    for fn, expected in cases:
+        monkeypatch.setattr(suite, "CHECKS", [(cid, description, anchor, fn), *CHECKS[1:]])
+        assert run_graph_checks("g", families.diamond(1), random.Random(0), {cid}) == [
+            (cid, "g", *expected)]
+
+
+def test_a_check_called_alone_returns_what_the_runner_reports():
+    g = families.complete(4, F(1, 2))
+    fn = {cid: fn for cid, _, _, fn in CHECKS}["thmtwopunion"]  # draws a companion graph and a pair
+    lhs, rhs = fn(g, random.Random("alone"))
+    (result,) = run_graph_checks("k4", g, random.Random("alone"), {"thmtwopunion"})
+    assert (result.status, result.lhs, result.rhs) == ("pass", lhs, rhs)
+
+
 def test_run_graph_checks_on_fixed_graph():
     g = families.diamond(1)
     results = run_graph_checks("diamond", g, random.Random("t"), None)
@@ -230,7 +262,7 @@ def test_the_catalog_keeps_no_graph_it_builds(monkeypatch):
     for menu in menus:  # built anew, so their contexts are counted here too
         menu.cache_clear()
     descriptor, g = list(GraphGenerator(1).graphs(6))[5]
-    results = run_graph_checks(descriptor, g, random.Random("mgt-checks:1:5"))
+    results = run_graph_checks(descriptor, g, suite._checks_rng(1, 5))
     assert "fail" not in {r.status for r in results}
     gc.collect()
     alive = {id(x) for x in (ref() for ref in solved) if x is not None}
