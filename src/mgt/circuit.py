@@ -62,7 +62,7 @@ def _edge_rows(edges, num: list[list[int]], den: int) -> tuple[tuple[int, ...], 
     """The ``GraphContext.rows`` of ``edges`` over Green numerators num / den."""
     rows = []
     for a, b, length in edges:
-        ln, ld = length.numerator, length.denominator
+        ln, ld = length.as_integer_ratio()
         rn = num[a][a] + num[b][b] - 2 * num[a][b]
         rows.append((a, b, ln, ld, rn, ln * den - rn * ld))
     return tuple(rows)

@@ -104,7 +104,7 @@ def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--suite", default="all", help="all or comma-separated identity ids")
     p.add_argument("--random", action="store_true")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", type=int, default=None, help="graphs for --random (default 10)")
     p.add_argument("--json", action="store_true")
 
 
@@ -294,9 +294,13 @@ def _run_verify(args) -> int:
         print("error: need a FILE or --random, not both", file=sys.stderr)
         return EXIT_USAGE
     if args.random:
-        if args.count < 1:
-            raise BadN(f"graph count must be >= 1, got {args.count}")
-        graphs = GraphGenerator(args.seed).graphs(args.count)
+        count = 10 if args.count is None else args.count
+        if count < 1:
+            raise BadN(f"graph count must be >= 1, got {count}")
+        graphs = GraphGenerator(args.seed).graphs(count)
+    elif args.count is not None:
+        print("error: --count applies to --random only, not to a FILE", file=sys.stderr)
+        return EXIT_USAGE
     else:
         graphs = [(args.file, _load(args.file))]
     ids = None if args.suite == "all" else [cid.strip() for cid in args.suite.split(",")]

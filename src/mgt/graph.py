@@ -173,7 +173,8 @@ def scale(g: MetrizedGraph, c: Scalar) -> MetrizedGraph:
 
 def _scaled(edges: Iterable[Edge], n: int, d: int) -> tuple[Edge, ...]:
     """The edges with each length times n/d, one Fraction per length from integer pairs."""
-    return tuple(Edge(a, b, Fraction(ln.numerator * n, ln.denominator * d)) for a, b, ln in edges)
+    return tuple(Edge(a, b, Fraction(p * n, q * d))
+                 for a, b, length in edges for p, q in (length.as_integer_ratio(),))
 
 
 def normalize(g: MetrizedGraph) -> MetrizedGraph:

@@ -32,7 +32,12 @@ more than the integer arithmetic it feeds, so both passes work entry by
 entry. The forward pass costs one multiply-add per entry of each coupled row
 at each step, and back-substitution one per nonzero of the triangle's row i
 for each entry (i, j >= i) of N: O(n^2) on a chain, about n^3/6 and n^3/3 on
-a complete graph.
+a complete graph. On such small inputs the set-up (the lengths as integers,
+the content and row scales, the matrix, the zero counts and the reordering)
+costs about as much as both passes: 48-53% of the time over the 1 945
+multi-vertex factorizations of the benchmark's seed-1 ``corpus`` and
+``ladder`` op lists. So it reads each length once (``as_integer_ratio``) and
+copies the matrix only when the order moves a row.
 
 ``green_numden`` is the only exact solve in mgt: the cached per-graph
 context and the oracles that solve a deleted or sampled graph anew all call it.
@@ -131,8 +136,8 @@ def green_numden(vcount: int, edges) -> tuple[list[list[int]], int]:
     if vcount == 1:
         return [[0]], 1
     n = vcount - 1
-    lines = [(a - 1, b - 1, length.numerator, length.denominator)  # row -1: the ground
-             for a, b, length in edges if a != b]
+    lines = [(a - 1, b - 1, p, q)  # row -1: the ground
+             for a, b, length in edges if a != b for p, q in (length.as_integer_ratio(),)]
     _, _, nums, dens = zip(*lines)
     content_num, content_den = gcd(*nums), lcm(*dens)
     # Lengths over the content c = content_num/content_den: coprime integers.
@@ -161,7 +166,7 @@ def green_numden(vcount: int, edges) -> tuple[list[list[int]], int]:
     # Fill-reducing order: fewest neighbours off the ground (most zeros) first.
     zeros = [row.count(0) for row in m]
     order = sorted(range(n), key=zeros.__getitem__, reverse=True)
-    if zeros != sorted(zeros, reverse=True):
+    if order != list(range(n)):  # a stable sort moves nothing iff the counts never rise
         m = [[row[j] for j in order] for row in [m[i] for i in order]]
         scales = [scales[i] for i in order]
     bareiss_forward(m, n, scales)

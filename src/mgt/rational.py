@@ -12,7 +12,7 @@ from __future__ import annotations
 import sys
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
-from math import lcm
+from math import gcd
 from typing import Union
 
 from .errors import InputError
@@ -71,13 +71,21 @@ def format_scalar(x: ExtScalar) -> str:
 
 
 def sum_over(pairs: list[tuple[int, int]], common: int) -> Fraction:
-    """(sum of n/m over the integer (n, m) pairs) / common, reduced once.
+    """(sum of n/q over the integer (n, q) pairs, each q > 0) / common, reduced once.
 
-    The m are small (built from length numerators and denominators); the
+    The q are small (built from length numerators and denominators); the
     large shared factor, a power of the Green denominator, is ``common``.
+    One pass keeps the sum over m, the lcm of the q read so far, and widens
+    both when a q does not divide m.
     """
-    m = lcm(*(q for _, q in pairs))
-    return Fraction(sum(n * (m // q) for n, q in pairs), common * m)
+    total, m = 0, 1
+    for n, q in pairs:
+        if m % q:
+            step = q // gcd(m, q)
+            total *= step
+            m *= step
+        total += n * (m // q)
+    return Fraction(total, common * m)
 
 
 _FLOAT_TEXT = Context(prec=15, Emax=MAX_EMAX, Emin=MIN_EMIN)

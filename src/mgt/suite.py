@@ -827,9 +827,10 @@ def _checks_rng(seed: int, index: int) -> random.Random:
 def run_suite(graphs, seed: int, identities: list[str] | None = None) -> list[CheckResult]:
     """Run the catalog over (descriptor, graph) pairs; failures are results, not errors.
 
-    Graph ``index`` gets the rng ``_checks_rng(seed, index)``.
+    Graph ``index`` gets the rng ``_checks_rng(seed, index)``. ``identities``
+    None runs every identity; an empty list names none and raises ``UnknownIdentity``.
     """
-    wanted = set(identities) if identities else None
+    wanted = None if identities is None else set(identities)
     results: list[CheckResult] = []
     for index, (descriptor, g) in enumerate(graphs):
         results.extend(run_graph_checks(descriptor, g, _checks_rng(seed, index), wanted))
@@ -839,6 +840,8 @@ def run_suite(graphs, seed: int, identities: list[str] | None = None) -> list[Ch
 def run_graph_checks(descriptor: str, g: MetrizedGraph, rng: random.Random,
                      wanted: set[str] | None = None) -> list[CheckResult]:
     if wanted is not None:
+        if not wanted:
+            raise UnknownIdentity("an empty identity list names no identity")
         unknown = sorted(wanted - {entry[0] for entry in CHECKS})
         if unknown:
             raise UnknownIdentity(f"unknown identity id(s): {', '.join(map(repr, unknown))}")

@@ -88,9 +88,11 @@ def _base_dns(pot: list[int], rows) -> list[int]:
 
 def _tau_sum(rows, pot: list[int], den: int) -> tuple[Fraction, list[tuple[int, int]]]:
     """tau, and per edge 12 d^2 times its tau share as (numerator, denominator), from the
-    ``GraphContext.rows`` over d and D = r(p,b) - r(p,a) (``_base_dns``)."""
-    terms = [(3 * dn * dn * ld * ld + gap * gap, ln * ld)
-             for (_, _, ln, ld, _, gap), dn in zip(rows, _base_dns(pot, rows))]
+    ``GraphContext.rows`` over d and D = r(p,b) - r(p,a), read off ``_potentials`` at p."""
+    terms = []
+    for a, b, ln, ld, _, gap in rows:
+        dl = (pot[b] - pot[a]) * ld  # d D ld
+        terms.append((3 * dl * dl + gap * gap, ln * ld))
     return sum_over(terms, 12 * den ** 2), terms
 
 

@@ -454,6 +454,16 @@ def test_verify_refuses_a_file_together_with_random(k4_file, capsys):
     assert _one_error_line(err) and "not both" in err
 
 
+def test_verify_refuses_count_with_a_file(k4_file, capsys):
+    # --count sizes the random corpus only; with a FILE it used to be dropped silently
+    for count in ("0", "1", "10"):
+        code, out, err = run_cli(capsys, "verify", k4_file, "--count", count)
+        assert (code, out) == (2, "")
+        assert _one_error_line(err) and "--count" in err
+    code, out, _ = run_cli(capsys, "verify", "--random", "--suite", "genus-identity")
+    assert code == 0 and out.endswith("10 passed, 0 skipped, 0 failed\n")
+
+
 def test_verify_strips_suite_ids_and_names_an_empty_one(k4_file, capsys):
     code, out, err = run_cli(capsys, "verify", k4_file, "--suite", "thmbasic, genus-identity")
     assert (code, err) == (0, "") and out.endswith("2 passed, 0 skipped, 0 failed\n")

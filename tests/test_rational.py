@@ -3,9 +3,11 @@ from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mgt.errors import InputError
-from mgt.rational import INF, format_float, format_scalar, parse_scalar
+from mgt.rational import INF, format_float, format_scalar, parse_scalar, sum_over
 
 
 def test_parse_scalar_forms():
@@ -59,3 +61,24 @@ def test_inf_is_a_marker_with_no_arithmetic():
                lambda: INF * F(2), lambda: F(1) - INF, lambda: INF < F(1), lambda: F(1) <= INF):
         with pytest.raises(TypeError):
             op()
+
+
+_DENOMINATORS = st.one_of(st.just(1), st.integers(1, 60),
+                          st.integers(10**499, 10**500 - 1))  # 500-digit q
+
+
+@st.composite
+def _pairs(draw):
+    """(n, q) pairs whose q come from a small pool, so repeats are common."""
+    pool = draw(st.lists(_DENOMINATORS, min_size=1, max_size=4))
+    return draw(st.lists(st.tuples(st.integers(-10**30, 10**30), st.sampled_from(pool)), max_size=12))
+
+
+@given(_pairs(), st.integers(1, 10**40))
+@settings(max_examples=300, deadline=None)
+@example([], 7)
+@example([(5, 1), (-5, 1)], 3)
+@example([(1, 6), (1, 6), (-1, 4), (1, 10**499 + 3)], 1)
+def test_sum_over_matches_a_fraction_sum(pairs, common):
+    # one pass with a running lcm gives the reduced value of the plain Fraction sum
+    assert sum_over(pairs, common) == sum((F(n, q) for n, q in pairs), F(0)) / common

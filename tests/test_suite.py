@@ -83,6 +83,21 @@ def test_identity_subset_filter():
     assert {r.identity for r in results} == {"thmbasic", "genus-identity"}
 
 
+def test_an_empty_identity_list_is_refused():
+    # None means every identity; an empty list names none, and used to run all 48
+    import pytest
+
+    from mgt.errors import UnknownIdentity
+
+    graphs = list(GraphGenerator(1).graphs(1))
+    assert len(run_suite(graphs, 1, None)) == len(CHECKS)
+    for empty in ([], ()):
+        with pytest.raises(UnknownIdentity):
+            run_suite(graphs, 1, empty)
+    with pytest.raises(UnknownIdentity):
+        run_graph_checks("k4", families.complete(4), random.Random(0), set())
+
+
 def test_each_return_or_raise_of_a_check_is_one_result(monkeypatch):
     # run_graph_checks is the one place that turns what a check does into a CheckResult
     import mgt.suite as suite
