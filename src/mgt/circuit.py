@@ -17,6 +17,13 @@ with no new graph built: each is one rank-one update that adds an edge
 ``tau.deleted_apq`` and ``tau.apq_identity``. Their reference, each deleted
 graph built and solved anew, lives in ``tests/oracles.py``.
 
+A change of one edge's length is the same update, an edge added in parallel.
+:class:`KirchhoffState` carries the integers through a sequence of such
+changes without factorizing, each step materialized over the changed graph's
+Kirchhoff number so that every division is exact; the suite's successive
+length-change check reads it, and ``tests/oracles.py`` builds and factorizes
+each step's graph as its reference.
+
 :func:`solve_pair_resistances` (the sampled edge-polynomial oracle's solver)
 exists only to check the matrix: it calls ``green_numden`` directly and
 stores nothing.
@@ -33,8 +40,8 @@ from operator import sub
 from typing import NamedTuple
 
 from .errors import BridgeDeletion
-from .graph import MetrizedGraph, PointOnGraph, _cached, insert_points
-from .linalg import green_numden
+from .graph import Edge, MetrizedGraph, PointOnGraph, _cached, insert_points
+from .linalg import green_numden, kirchhoff_ratio
 from .rational import INF, ExtScalar
 
 
@@ -111,6 +118,71 @@ class GreenUpdate:
             rn = rn * s - n * cross * cross
             out.append((a, b, ln, ld, rn, ln * den - rn * ld))
         return out
+
+    def divided(self, h: int) -> list[list[int]]:
+        """N' / h, for an h that divides every entry of N' = N s - n c c^T.
+
+        Only the upper triangle is worked out, each entry shared with its
+        mirror; row and column 0, the ground, stay zero.
+        """
+        num, c, s, n = self._num, self._c, self._s, self._n
+        out = [[0] * len(c)]
+        for y in range(1, len(c)):
+            ncy = n * c[y]
+            out.append([0] + [row[y] for row in out[1:]]
+                       + [(x * s - ncy * cz) // h for x, cz in zip(num[y][y:], c[y:])])
+        return out
+
+
+class KirchhoffState:
+    """Green integers over the Kirchhoff number, carried through edge-length changes.
+
+    kappa is the sum over spanning trees T of prod(ld_e, e in T)
+    prod(ln_e, e not in T) over the non-loop edges (``linalg.kirchhoff_ratio``),
+    and ``num`` is kappa G, an integer matrix; ``edges`` are the graph's edges
+    at their current lengths and ``rows`` their rows (a, b, ln, ld, rn, gap)
+    over kappa, as in ``GraphContext``. Changing edge e's length L = ln/ld to
+    L' = pn/pd adds in parallel an edge of length -L L'/(L' - L), the
+    ``GreenUpdate`` with m/n = -ln pn/(pn ld - ln pd).
+    Split kappa = ld alpha + ln beta by the trees with e and those without;
+    then rn = ln alpha, so s = m kappa + n rn = -ln^2 (pd alpha + pn beta)
+    = -ln^2 kappa'. The update over kappa ln^2 is therefore the new state
+    exactly, as each step of fraction-free elimination divides exactly by the
+    pivot before it: one rank-one update and one exact division per entry,
+    with integers of the changed graph's own size and no factorization. A
+    loop and a zero change leave kappa and G as they are; only the edge's
+    row takes its new length.
+    """
+
+    def __init__(self, num: list[list[int]], den: int, edges: list[Edge]):
+        self.num, self.den, self.edges = num, den, edges
+        self.rows = _edge_rows(edges, num, den)
+
+    @classmethod
+    def of(cls, g: MetrizedGraph) -> KirchhoffState:
+        """g's state, scaled from its own context's (N, d) by kappa/d = p/q."""
+        ctx = context(g)
+        p, q = kirchhoff_ratio(g.vcount, g.edges).as_integer_ratio()
+        return cls([[x * p // q for x in row] for row in ctx.num], ctx.den * p // q, list(g.edges))
+
+    def deleted(self, edge_id: int) -> GreenUpdate:
+        """The state minus one edge, as ``GraphContext.deleted`` (no bridge check)."""
+        a, b, ln, ld, _, _ = self.rows[edge_id]
+        return GreenUpdate(self.num, self.den, a, b, -ln, ld)
+
+    def with_length(self, edge_id: int, length: Fraction) -> KirchhoffState:
+        """The state after edge ``edge_id``'s length becomes ``length``."""
+        a, b, ln, ld, _, _ = self.rows[edge_id]
+        pn, pd = length.as_integer_ratio()
+        n = pn * ld - ln * pd
+        num, den = self.num, self.den
+        if a != b and n:
+            update = GreenUpdate(num, den, a, b, -ln * pn, n)
+            h = den * ln * ln
+            num, den = update.divided(h), update.den // h
+        edges = self.edges.copy()
+        edges[edge_id] = Edge(a, b, length)
+        return KirchhoffState(num, den, edges)
 
 
 class GraphContext:

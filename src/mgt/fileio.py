@@ -54,22 +54,50 @@ def format_graph_text(g: MetrizedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_int(x) -> int:
-    if type(x) is not int:  # a float, string or boolean is refused, not truncated
-        import json
+def _json_text(x) -> str:
+    import json
 
-        raise ValueError(f"expected an integer, got {json.dumps(x)[:40]}")
+    return json.dumps(x)[:40]
+
+
+def _json_int(x, field: str) -> int:
+    if type(x) is not int:  # a float, string or boolean is refused, not truncated
+        raise ValueError(f"expected an integer for {field}, got {_json_text(x)}")
     return x
+
+
+def _json_graph(doc) -> tuple[int, list]:
+    """The vertex count and edge list of a parsed JSON graph; ValueError names the field at fault."""
+    if type(doc) is not dict:
+        raise ValueError(f'expected an object with "vertices" and "edges", got {_json_text(doc)}')
+    for key in ("vertices", "edges"):
+        if key not in doc:
+            raise ValueError(f'missing "{key}"')
+    vcount = _json_int(doc["vertices"], '"vertices"')
+    rows = doc["edges"]
+    if type(rows) is not list:
+        raise ValueError(f'"edges" must be a list of [u, w, length], got {_json_text(rows)}')
+    edges = []
+    for i, row in enumerate(rows):
+        if type(row) is not list or len(row) != 3:
+            raise ValueError(f"edge {i} must be [u, w, length], got {_json_text(row)}")
+        u, w, length = row
+        if type(length) not in (str, int, float):
+            raise ValueError(f"edge {i}'s length must be a string or a number, got {_json_text(length)}")
+        try:
+            value = parse_scalar(str(length))
+        except InputError as exc:
+            raise ValueError(f"edge {i}'s length: {exc}") from exc
+        edges.append((_json_int(u, f"edge {i}'s u"), _json_int(w, f"edge {i}'s w"), value))
+    return vcount, edges
 
 
 def parse_graph_json(text: str) -> MetrizedGraph:
     import json  # loaded only when a graph is read or written as JSON
 
     try:
-        doc = json.loads(text)
-        vcount = _json_int(doc["vertices"])
-        edges = [(_json_int(u), _json_int(w), parse_scalar(str(s))) for u, w, s in doc["edges"]]
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        vcount, edges = _json_graph(json.loads(text))
+    except ValueError as exc:  # json.JSONDecodeError is one
         raise InputError(f"bad graph JSON: {exc}") from exc
     try:
         return build_graph(vcount, edges)

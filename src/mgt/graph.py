@@ -156,7 +156,7 @@ def build_graph(vertex_count: int, edge_list: Iterable[tuple[int, int, Scalar]])
 def total_length(g: MetrizedGraph) -> Fraction:
     """Sum of the edge lengths, computed once per graph."""
     return _cached(g.__dict__, "_total_length", lambda: sum_over(
-        [(length.numerator, length.denominator) for _, _, length in g.edges], 1))
+        [length.as_integer_ratio() for _, _, length in g.edges], 1))
 
 
 def genus(g: MetrizedGraph) -> int:

@@ -45,7 +45,8 @@ context and the oracles that solve a deleted or sampled graph anew all call it.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from fractions import Fraction
+from math import gcd, lcm, prod
 from typing import Sequence
 
 
@@ -126,6 +127,46 @@ def _back_substitute(m: list[list[int]], n: int, scales: Sequence[int], ids: Seq
     return num
 
 
+def _scaled_lengths(n: int, edges):
+    """The set-up of ``green_numden``: each non-loop edge as (a - 1, b - 1, w), row -1
+    being the ground, with w its length over the content c = content_num/content_den
+    (coprime integers), each row's scale (the lcm of its w), the length
+    numerators, and content_num and content_den."""
+    lines = [(a - 1, b - 1, p, q)
+             for a, b, length in edges if a != b for p, q in (length.as_integer_ratio(),)]
+    _, _, nums, dens = zip(*lines)
+    content_num, content_den = gcd(*nums), lcm(*dens)
+    ints = []
+    scales = [1] * n
+    for a, b, p, q in lines:
+        w = p * content_den // (q * content_num)
+        ints.append((a, b, w))
+        if a >= 0:
+            scales[a] = lcm(scales[a], w)
+        if b >= 0:
+            scales[b] = lcm(scales[b], w)
+    return ints, scales, nums, content_num, content_den
+
+
+def kirchhoff_ratio(vcount: int, edges) -> Fraction:
+    """kappa / d, for the d that ``green_numden`` returns on the same input.
+
+    kappa is the graph's Kirchhoff number: the sum over spanning trees T of
+    prod(ld_e, e in T) prod(ln_e, e not in T), over the non-loop edges of lengths
+    ln_e/ld_e. kappa times G is an integer matrix, each entry a sum over spanning
+    2-forests in the same way, so ``circuit.KirchhoffState`` can carry G through
+    length changes with every division exact. With L_red the reduced Laplacian,
+    det L_red = kappa / prod(ln_e); the scaled matrix has determinant
+    prod(scales) (c_num/c_den)^n det L_red, and d is c_den times it, so
+    kappa / d = prod(ln_e) c_den^(n-1) / (prod(scales) c_num^n).
+    """
+    if vcount == 1:
+        return Fraction(1)
+    n = vcount - 1
+    _, scales, nums, content_num, content_den = _scaled_lengths(n, edges)
+    return Fraction(prod(nums) * content_den ** (n - 1), prod(scales) * content_num ** n)
+
+
 def green_numden(vcount: int, edges) -> tuple[list[list[int]], int]:
     """Inverse reduced Laplacian as integer numerators over one denominator.
 
@@ -136,20 +177,7 @@ def green_numden(vcount: int, edges) -> tuple[list[list[int]], int]:
     if vcount == 1:
         return [[0]], 1
     n = vcount - 1
-    lines = [(a - 1, b - 1, p, q)  # row -1: the ground
-             for a, b, length in edges if a != b for p, q in (length.as_integer_ratio(),)]
-    _, _, nums, dens = zip(*lines)
-    content_num, content_den = gcd(*nums), lcm(*dens)
-    # Lengths over the content c = content_num/content_den: coprime integers.
-    ints = []
-    scales = [1] * n
-    for a, b, p, q in lines:
-        w = p * content_den // (q * content_num)
-        ints.append((a, b, w))
-        if a >= 0:
-            scales[a] = lcm(scales[a], w)
-        if b >= 0:
-            scales[b] = lcm(scales[b], w)
+    ints, scales, _, content_num, content_den = _scaled_lengths(n, edges)
     m = [[0] * n for _ in range(n)]  # diag(scales) L_reduced, both triangles
     for a, b, w in ints:
         if a < 0:

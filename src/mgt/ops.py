@@ -219,8 +219,10 @@ def immerse(
     check_size(g.vcount + sum(beta.vcount - 2 for beta, _, _ in betas),
                sum(beta.ecount for beta, _, _ in betas), "an immersion", g)
     r_betas = [context(beta).r(p, q) for beta, p, q in betas]
-    ratios = [(ln.numerator * r.denominator, ln.denominator * r.numerator)  # L_i/r_i
-              for (_, _, ln), r in zip(g.edges, r_betas)]
+    ratios = []  # L_i/r_i
+    for (_, _, length), r in zip(g.edges, r_betas):
+        (ln, ld), (rn, rd) = length.as_integer_ratio(), r.as_integer_ratio()
+        ratios.append((ln * rd, ld * rn))
     size = sum_over(ratios, 1)
     edges, nxt = [], g.vcount
     for (a, b, _), (beta, p, q), (n, d) in zip(g.edges, betas, ratios):

@@ -25,7 +25,7 @@ from functools import cache, partial
 from typing import NamedTuple
 
 from . import families
-from .circuit import context
+from .circuit import KirchhoffState, context
 from .errors import EmptyGraph, MgtError, TooLarge, UnknownIdentity
 from .graph import (MetrizedGraph, _cached, bridges, delete_edge_graph, genus, identify_points_graph,
                     insert_point, normalize, scale, subdivide_uniform, total_length)
@@ -59,6 +59,7 @@ from .tau import (
     canonical_measure,
     cubic_sum,
     deleted_apq,
+    deleted_apq_of,
     genus_identity_check,
     lower_bound_suite,
     tau_bridgeless_identity,
@@ -533,19 +534,25 @@ def _check_length_change(g: MetrizedGraph, rng: random.Random):
 
 
 def _check_successive_length_changes(g: MetrizedGraph, rng: random.Random):
+    """tau(g_e) = tau(g) + sum_i [x_i/12 - x_i A_i/((L_i+R_i)(L_i+R_i+x_i))], where g_i is
+    g_(i-1) with edge i's length L_i changed by x_i, and R_i, A_i are of g_i - e_i =
+    g_(i-1) - e_i. Those are read off g_(i-1)'s Green integers, carried from g's by one
+    length-change update per step (``circuit.KirchhoffState``); only g_e is factorized."""
     if bridges(g):
         raise _Skip("graph has a bridge")
-    current = g
-    total = tau_of(g)
+    state = KirchhoffState.of(g)
+    terms = []
     for i in range(g.ecount):
-        a, b, length = current.edges[i]
-        x = families.random_length(rng, 8, 8) - length / 2  # may shrink, stays positive
-        current = _with_length(current, i, length + x)
-        total += x / 12
+        a, b, ln, ld, _, gap = state.rows[i]  # edge i still has g's length L = ln/ld
+        pn, pd = families.random_length(rng, 8, 8).as_integer_ratio()
+        xn, xd = 2 * ld * pn - ln * pd, 2 * ld * pd  # x = p/q - L/2: may shrink, stays positive
+        terms.append((xn, 12 * xd))
         if a != b:
-            res = context(current).res_deleted(i)
-            total -= x * deleted_apq(current, i) / ((length + res) * (length + res + x))
-    return _eq(total, tau_of(current))
+            big, small = ln * ln * state.den, ld * gap  # L + R = big/small
+            an, ad = deleted_apq_of(state, i).as_integer_ratio()
+            terms.append((-xn * an * small * small, ad * big * (big * xd + xn * small)))
+        state = state.with_length(i, Fraction(ln * pd + 2 * ld * pn, xd))  # L + x
+    return _eq(tau_of(g) + sum_over(terms, 1), tau_of(MetrizedGraph(g.vcount, tuple(state.edges))))
 
 
 def _check_bridgeless_identity(g: MetrizedGraph, rng: random.Random):

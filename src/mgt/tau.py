@@ -63,9 +63,8 @@ class CanonicalMeasure(NamedTuple):
         """Point masses plus density times length per edge, from this record's values alone."""
         terms = [m.as_integer_ratio() for _, m in self.vertex_masses]
         for edge_id, density in self.edge_densities:
-            length = g.edges[edge_id].length
-            terms.append((density.numerator * length.numerator,
-                          density.denominator * length.denominator))
+            (mn, md), (ln, ld) = density.as_integer_ratio(), g.edges[edge_id].length.as_integer_ratio()
+            terms.append((mn * ln, md * ld))
         return sum_over(terms, 1)
 
 
@@ -232,16 +231,18 @@ def apq_checked(g: MetrizedGraph, p: int, q: int) -> Fraction:
 
 def deleted_apq(g: MetrizedGraph, edge_id: int) -> Fraction:
     """A between an edge's endpoints in g minus the edge; 0 on a loop, BridgeDeletion on a bridge."""
-    a, b, _ = edge_at(g, edge_id)
-    ctx = context(g)
+    edge_at(g, edge_id)
+    ctx = context(g)  # its ``deleted`` raises BridgeDeletion on a bridge
+    return _cached(ctx.memo, ("deleted A", edge_id), deleted_apq_of, ctx, edge_id)
 
-    def compute():
-        deleted = ctx.deleted(edge_id)  # BridgeDeletion on a bridge
-        rows = ctx.rows
-        return _apq_sum(deleted.row(a), deleted.row(b), deleted.diag(), deleted.den,
-                        deleted.rows(rows[:edge_id] + rows[edge_id + 1:]), a, b)
 
-    return _cached(ctx.memo, ("deleted A", edge_id), compute)
+def deleted_apq_of(green, edge_id: int) -> Fraction:
+    """``deleted_apq`` read off the deletion update of any Green integers with edge rows:
+    a ``GraphContext`` or a ``circuit.KirchhoffState``; not memoized."""
+    deleted, rows = green.deleted(edge_id), green.rows
+    a, b = rows[edge_id][:2]
+    return _apq_sum(deleted.row(a), deleted.row(b), deleted.diag(), deleted.den,
+                    deleted.rows(rows[:edge_id] + rows[edge_id + 1:]), a, b)
 
 
 def tau_gradient(g: MetrizedGraph) -> GradientVector:

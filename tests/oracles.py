@@ -21,6 +21,10 @@ sums of ``integrate_product``.
 ``identification_apq`` is the paper's identification identity for A on the
 glued graph, built and factorized as a graph of its own: the reference for
 ``mgt.tau.apq_identity``, which reads the glued tau off g's own integers.
+``successive_length_steps`` builds each graph of the successive length
+changes and factorizes each deleted graph on its own: the reference for the
+rank-one chain that the ``lemsuccessedgeext`` check carries instead, whose
+Kirchhoff normalization ``kirchhoff_number`` counts by spanning trees.
 
 ``exact_gradient_matches_float`` holds the float gradient of
 ``mgt.optimize`` against the exact one of ``mgt.tau``, and
@@ -387,6 +391,40 @@ def identification_apq(g: MetrizedGraph, p: int, q: int) -> Fraction:
     built as its own graph and factorized by its own context."""
     r = context(g).r(p, q)
     return r * (tau_of(identify_points_graph(g, p, q)) - tau_of(g)) + r * r / 6
+
+
+def kirchhoff_number(g: MetrizedGraph) -> int:
+    """sum over spanning trees T of prod(ld_e, e in T) prod(ln_e, e not in T), over the
+    non-loop edges of lengths ln_e/ld_e, by enumeration: the reference for the kappa of
+    ``mgt.linalg.kirchhoff_ratio``."""
+    edges = [e for e in g.edges if e.a != e.b]
+    total = 0
+    for subset in combinations(range(len(edges)), g.vcount - 1):
+        if _spans(g.vcount, edges, subset):
+            term = 1
+            for i, (_, _, length) in enumerate(edges):
+                term *= length.denominator if i in subset else length.numerator
+            total += term
+    return total
+
+
+def successive_length_steps(g: MetrizedGraph, lengths) -> list:
+    """Per edge i, (R, A) of g_i - e_i, where g_i is g_(i-1) with edge i's length set to
+    lengths[i]: each g_i and g_i - e_i built, and g_i - e_i factorized on its own; None
+    at a loop. The per-step route of the ``lemsuccessedgeext`` check, kept as the
+    reference for the length-change chain of ``mgt.circuit.KirchhoffState``."""
+    current = g
+    steps = []
+    for i, length in enumerate(lengths):
+        a, b, _ = current.edges[i]
+        current = MetrizedGraph(current.vcount,
+                                current.edges[:i] + (Edge(a, b, length),) + current.edges[i + 1:])
+        if a == b:
+            steps.append(None)
+            continue
+        deleted, (p, q) = delete_edge_graph(current, i)
+        steps.append((context(deleted).r(p, q), apq(deleted, p, q)))
+    return steps
 
 
 def exact_gradient_matches_float(g: MetrizedGraph, rel: float = 1e-9) -> bool:

@@ -10,15 +10,15 @@ from fractions import Fraction as F
 import pytest
 
 from mgt import families
-from mgt.circuit import GreenUpdate, context, resistance, voltage
+from mgt.circuit import GreenUpdate, KirchhoffState, context, resistance, voltage
 from mgt.errors import BridgeDeletion
 from mgt.graph import (bridges, build_graph, delete_edge_graph, identify_points_graph, normalize,
                        total_length)
 from mgt.ops import OpResult, add_edge
 from mgt.suite import GraphGenerator
 from mgt.rational import INF
-from mgt.tau import apq, lower_bound_suite, tau_of
-from oracles import edge_profile, spanning_tree_resistance
+from mgt.tau import apq, deleted_apq_of, lower_bound_suite, tau_of
+from oracles import edge_profile, kirchhoff_number, spanning_tree_resistance, successive_length_steps
 from test_linalg import _spy_on_factorizations
 
 
@@ -348,3 +348,65 @@ def test_green_update_matches_the_graph_built_anew():
             kinds[kind] += 1
     assert signs == {True, False}
     assert min(kinds[k] for k in ("added", "deleted", "glued")) > 100
+
+
+def _chain(g, lengths):
+    """(R, A) of each g_i - e_i read off the carried states, None at a loop, and the last state."""
+    state = KirchhoffState.of(g)
+    steps = []
+    for i, length in enumerate(lengths):
+        a, b, ln, _, rn, gap = state.rows[i]
+        steps.append(None if a == b else (F(ln * rn, gap), deleted_apq_of(state, i)))
+        state = state.with_length(i, length)
+    return steps, state
+
+
+def _assert_chain_matches_fresh(g, lengths):
+    steps, state = _chain(g, lengths)
+    assert steps == successive_length_steps(g, lengths)
+    # the last state is the changed graph's own Green matrix, over its Kirchhoff number
+    changed = build_graph(g.vcount, [(a, b, length) for (a, b, _), length in zip(g.edges, lengths)])
+    solved = context(changed)
+    assert all(x * solved.den == y * state.den
+               for row, solved_row in zip(state.num, solved.num) for x, y in zip(row, solved_row))
+    assert state.rows == KirchhoffState.of(changed).rows
+
+
+def test_length_chain_matches_fresh_deletions_on_the_corpus():
+    # R and A of g_i - e_i from the carried rank-one chain equal those of g_i - e_i
+    # built and factorized on its own, at every step on every bridgeless graph
+    shrinks = checked = 0
+    for index, (_, g) in enumerate(GraphGenerator(1).graphs(200)):
+        if bridges(g):
+            continue
+        rng = random.Random(index)
+        lengths = [length / 2 + families.random_length(rng, 8, 8) for _, _, length in g.edges]
+        shrinks += sum(new < old for new, (_, _, old) in zip(lengths, g.edges))
+        _assert_chain_matches_fresh(g, lengths)
+        checked += 1
+    assert checked > 100 and shrinks > 100
+
+
+def test_length_chain_takes_shrinks_unchanged_lengths_and_loops():
+    g = build_graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, F(3, 2)), (3, 0, 1), (0, 2, 2), (1, 3, 1),
+                        (2, 2, F(1, 3)), (0, 1, F(2, 5))])
+    # edges 0 and 4 shrink, edges 1 and 5 keep their length (x = 0), edge 6 is a loop
+    lengths = [F(1, 3), F(1), F(7, 2), F(5), F(2, 9), F(1), F(4), F(3, 7)]
+    _assert_chain_matches_fresh(g, lengths)
+    steps, _ = _chain(g, lengths)
+    assert steps[6] is None and steps[0] is not None
+
+
+def test_kirchhoff_number_is_the_spanning_tree_sum():
+    # kappa = d kappa/d counts spanning trees with each edge's numerator off the
+    # tree and its denominator on it; each length change keeps the state over it
+    graphs = [g for _, g in GraphGenerator(1).graphs(40) if g.ecount <= 12]
+    graphs.append(build_graph(3, [(0, 1, F(2, 3)), (1, 2, F(5, 7)), (2, 0, 4), (1, 1, F(9, 2)), (0, 1, 6)]))
+    for g in graphs:
+        assert KirchhoffState.of(g).den == kirchhoff_number(g)
+    g = graphs[-1]
+    state = KirchhoffState.of(g)
+    for i, length in enumerate([F(1, 6), F(5, 7), F(3), F(1, 2), F(8, 3)]):
+        state = state.with_length(i, length)
+        g = build_graph(3, [(a, b, length if j == i else old) for j, (a, b, old) in enumerate(g.edges)])
+        assert state.den == kirchhoff_number(g)

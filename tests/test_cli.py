@@ -176,6 +176,28 @@ def test_json_counts_and_endpoints_must_be_integers(tmp_path, capsys, doc):
     assert _one_error_line(err) and err.startswith("error: bad graph JSON: expected an integer")
 
 
+@pytest.mark.parametrize("doc, message", [
+    # each used to print Python's own exception text (shown after the #)
+    ('[]', 'expected an object with "vertices" and "edges", got []'),  # list indices must be ...
+    ('"s"', 'expected an object with "vertices" and "edges", got "s"'),  # string indices must be ...
+    ('{"vertices": 2}', 'missing "edges"'),  # 'edges'
+    ('{"vertices": 2, "edges": [[0, 1, "1/2", 5]]}',  # too many values to unpack (expected 3)
+     'edge 0 must be [u, w, length], got [0, 1, "1/2", 5]'),
+    ('{"vertices": 2, "edges": {"e": [0, 1, "1"]}}',  # not enough values to unpack (expected 3, got 1)
+     '"edges" must be a list of [u, w, length], got {"e": [0, 1, "1"]}'),
+    ('{"vertices": 2, "edges": "e"}', '"edges" must be a list of [u, w, length], got "e"'),  # same
+    ('{"vertices": 2, "edges": [[0, 1, null]]}',  # not an exact rational: 'None'
+     "edge 0's length must be a string or a number, got null"),
+    ('{"vertices": 2, "edges": [[0, 1, "1"], [1, 0, "1/0"]]}', "edge 1's length: not an exact rational"),
+])
+def test_damaged_json_shape_names_the_field(tmp_path, capsys, doc, message):
+    path = tmp_path / "graph.json"
+    path.write_text(doc)
+    code, out, err = run_cli(capsys, "tau", str(path))
+    assert code == 3 and out == ""
+    assert _one_error_line(err) and err.startswith(f"error: bad graph JSON: {message}")
+
+
 def test_op_roundtrip_output(tmp_path, circle_file, capsys):
     out_path = tmp_path / "result.txt"
     code, out, _ = run_cli(capsys, "op", "da-n", "3", circle_file, "-o", str(out_path))

@@ -264,5 +264,5 @@ def test_kernel_digest_is_pinned():
     tool = Path(__file__).resolve().parent.parent / "tools" / "kernel_digest.py"
     done = subprocess.run([sys.executable, str(tool)], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stderr.startswith("1996 inputs, ")
-    assert done.stdout == "0c87e8754cc05ef5dcdaf683b57b89aca6af07cec45c55e41fd4ebe571d5f1b2\n"
+    assert done.stderr.startswith("1756 inputs, ")
+    assert done.stdout == "c79071182787804aa9e11fb63aa93c3db201e6e1e1e3b2e4c37116ae40f1fd87\n"

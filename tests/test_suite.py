@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from mgt import families
+from mgt.graph import bridges
 from mgt.suite import (
     CHECKS,
     GraphGenerator,
@@ -9,9 +12,10 @@ from mgt.suite import (
     run_graph_checks,
     run_suite,
 )
-from mgt.circuit import context
+from mgt.circuit import GreenUpdate, KirchhoffState, context
 from mgt.tau import cubic_sum
 from oracles import family_graphs, necklace_cubic_sum, necklace_edge_resistances, necklace_witness
+from test_linalg import _spy_on_factorizations
 
 REQUIRED_IDS = [
     "eq1.1-voltage", "genus-identity", "lem2term", "rem2term",
@@ -219,7 +223,7 @@ def test_integer_arm_sums_match_the_profile_route():
 
 def test_deletion_formulas_fail_when_deleted_a_is_perturbed(monkeypatch):
     # the length-change, attached-edge and bridgeless identities read A of g - e;
-    # a wrong value must fail them, wherever it is imported
+    # a wrong value must fail them, wherever it is imported and by whichever name
     import mgt.ops
     import mgt.suite
     import mgt.tau
@@ -235,6 +239,9 @@ def test_deletion_formulas_fail_when_deleted_a_is_perturbed(monkeypatch):
     original = mgt.tau.deleted_apq
     for module in (mgt.suite, mgt.tau, mgt.ops):
         monkeypatch.setattr(module, "deleted_apq", lambda *args: original(*args) + F(1, 1000))
+    # the successive changes read A off their carried states, not a graph's memo
+    original_of = mgt.tau.deleted_apq_of
+    monkeypatch.setattr(mgt.suite, "deleted_apq_of", lambda *args: original_of(*args) + F(1, 1000))
     perturbed = run_graph_checks("k4", g, random.Random(5), wanted)
     assert {r.identity: r.status for r in perturbed} == dict.fromkeys(wanted, "fail")
     contracted = contract_edge(g, 0)
@@ -285,3 +292,57 @@ def test_the_catalog_keeps_no_graph_it_builds(monkeypatch):
     kept |= {id(beta) for menu in menus[:2] for beta, _, _ in menu()}
     assert len(solved) > 20 and alive == kept
     assert len(alive) == 8
+
+
+def _successive_changes_failed(graphs) -> int:
+    """How many of the seeded graphs fail ``lemsuccessedgeext``, each checked alone."""
+    import mgt.suite as suite
+
+    failed = 0
+    for index, (_, g) in enumerate(graphs):
+        try:
+            suite._check_successive_length_changes(g, suite._checks_rng(1, index))
+        except suite._Fail:
+            failed += 1
+        except suite._Skip:
+            pass
+    return failed
+
+
+def test_successive_changes_factorize_only_g_and_the_changed_graph(monkeypatch):
+    # the formula side carries g's integers through every length change, so the
+    # check factorizes g and, as the built side, the changed graph: no g_i
+    graphs = [(d, g) for d, g in GraphGenerator(1).graphs(48) if g.vcount > 1]  # one vertex: no pass
+    dets = _spy_on_factorizations(monkeypatch)
+    assert _successive_changes_failed(graphs) == 0
+    bridgeless = sum(not bridges(g) for _, g in graphs)
+    assert bridgeless > 20 and len(dets) == 2 * bridgeless
+
+
+@pytest.mark.parametrize("fault", ["carried numerator", "update entry"])
+def test_successive_changes_fail_under_a_fault_in_the_chain(monkeypatch, fault):
+    # +1 on one numerator of a carried state, or on one entry that a length-change
+    # update hands out, must fail the check: it compares the chain with a
+    # factorization of the changed graph, never the kernel with itself
+    graphs = list(GraphGenerator(1).graphs(48))
+    assert _successive_changes_failed(graphs) == 0
+    if fault == "carried numerator":
+        with_length = KirchhoffState.with_length
+
+        def faulty(self, edge_id, length):
+            state = with_length(self, edge_id, length)
+            num = list(state.num)
+            num[-1] = num[-1][:-1] + [num[-1][-1] + 1]
+            return KirchhoffState(num, state.den, state.edges)
+
+        monkeypatch.setattr(KirchhoffState, "with_length", faulty)
+    else:
+        divided = GreenUpdate.divided
+
+        def faulty(self, h):
+            out = divided(self, h)
+            out[-1][-1] += 1
+            return out
+
+        monkeypatch.setattr(GreenUpdate, "divided", faulty)
+    assert _successive_changes_failed(graphs) == sum(not bridges(g) for _, g in graphs)
