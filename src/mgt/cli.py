@@ -118,7 +118,9 @@ def _minimize_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _scan_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", required=True, choices=("complete", "banana", "necklace", "circle"))
+    from .families import SCAN_FAMILIES  # loaded when the scan parser is built, by no other verb
+
+    p.add_argument("--family", required=True, choices=tuple(SCAN_FAMILIES))
     p.add_argument("--params", default="", help="key=lo..hi or key=a,b,c (family specific)")
 
 
@@ -333,7 +335,7 @@ def _check_value(value) -> str:
 def _run_minimize(args) -> int:
     import random as _random
 
-    from .optimize import minimize_tau, search_topology  # numpy loads only for this verb and scan
+    from .optimize import minimize_tau, search_topology  # numpy loads only for this verb
 
     g = _load(args.file)
     states = [minimize_tau(g, None, args.iters, args.tol)]
@@ -364,11 +366,11 @@ def _run_minimize(args) -> int:
     return EXIT_OK
 
 
-_COUNT_KEYS = ("v", "m", "t", "k")  # the scan parameters that count vertices, edges, diamonds or arcs
-
-
 def _parse_params(text: str) -> dict:
     """``KEY=LO..HI`` or ``KEY=A,B,...`` entries split by ``;``; a malformed one is a usage error."""
+    from .families import SCAN_FAMILIES
+
+    counts = {key for _, keys in SCAN_FAMILIES.values() for key, (_, count) in keys.items() if count}
     params: dict = {}
     for part in text.split(";") if text else ():
         key, _, raw = (x.strip() for x in part.partition("="))
@@ -382,14 +384,14 @@ def _parse_params(text: str) -> dict:
             values = [parse_scalar(x) for x in raw.split(",")]  # a part with no "=" has no values
         except (ValueError, InputError):
             raise MgtError(f"bad --params entry {part!r}: expected KEY=LO..HI or KEY=A,B,...") from None
-        if key in _COUNT_KEYS and any(x.denominator != 1 for x in values):
+        if key in counts and any(x.denominator != 1 for x in values):
             raise MgtError(f"bad --params entry {part!r}: {key} takes integers")
         params[key] = [int(x) if x.denominator == 1 else x for x in values]
     return params
 
 
 def _run_scan(args) -> int:
-    from .optimize import family_scan, scan_violations
+    from .families import family_scan, scan_violations
 
     rows = family_scan(args.family, _parse_params(args.params))
     print("family,params,tau,ratio")
@@ -444,6 +446,8 @@ def _run_op(args) -> int:
     built = made if result is None else result.graph
     actual = tau_of(built)
     predicted = result.predicted_tau if result is not None else None
+    if args.out:  # written first, so a failed write prints no result
+        fileio.save_graph(args.out, built)
     if args.json:
         print(_dumps({
             "predicted_tau": format_scalar(predicted) if predicted is not None else None,
@@ -457,8 +461,6 @@ def _run_op(args) -> int:
             agree = "agree" if predicted == actual else "DISAGREE"
             print(f"predicted tau: {format_scalar(predicted)} ({agree})")
         print(f"tau: {format_scalar(actual)}  (v={built.vcount}, e={built.ecount})")
-    if args.out:
-        fileio.save_graph(args.out, built)
     if predicted is not None and predicted != actual:
         return EXIT_CHECK_FAILED
     return EXIT_OK

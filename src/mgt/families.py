@@ -1,13 +1,18 @@
-"""Builders for the graph families used in scans, tests and generated corpora."""
+"""Builders for the graph families used in scans, tests and generated corpora, and the
+exact scans: each closed form of a lower-bound class, checked against ``tau_of``."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
-from .errors import BadM
-from .graph import MetrizedGraph, build_graph
+from .errors import BadM, BadN, MgtError, NonPositiveLength, TooLarge, UnknownParameter
+from .graph import MAX_EDGES, MetrizedGraph, build_graph, check_size, normalize
 from .rational import Scalar
+
+RATIO_FLOOR = Fraction(1, 108)  # conjectured universal ratio; violations are reported, not hidden
+NECKLACE_CHECK_LIMIT = 4  # necklaces with more diamonds report the closed form without a direct tau
 
 
 def segment(length: Scalar = 1) -> MetrizedGraph:
@@ -18,15 +23,11 @@ def circle(*arcs: Scalar) -> MetrizedGraph:
     """Cycle through vertices 0..n-1 with the given arc lengths (one arc = self-loop)."""
     arcs = arcs or (Fraction(1),)
     n = len(arcs)
-    if n == 1:
-        return build_graph(1, [(0, 0, arcs[0])])
     return build_graph(n, [(i, (i + 1) % n, arc) for i, arc in enumerate(arcs)])
 
 
 def banana(*lengths: Scalar) -> MetrizedGraph:
     """Two vertices joined by parallel edges of the given lengths."""
-    if len(lengths) == 1:
-        return segment(lengths[0])
     return build_graph(2, [(0, 1, L) for L in lengths])
 
 
@@ -41,8 +42,6 @@ def complete(v: int, total: Scalar = 1) -> MetrizedGraph:
     """Complete graph on v vertices with equal edge lengths summing to total."""
     total = Fraction(total)
     pairs = [(a, b) for a in range(v) for b in range(a + 1, v)]
-    if v == 2:
-        return segment(total)
     return build_graph(v, [(a, b, total / len(pairs)) for a, b in pairs])
 
 
@@ -62,15 +61,10 @@ def diamond(side: Scalar = 1) -> MetrizedGraph:
 
 def theta(a: Scalar, b: Scalar, c: Scalar) -> MetrizedGraph:
     """Two vertices joined by three internally disjoint two-edge paths."""
-    halves = []
-    for L in (a, b, c):
-        L = Fraction(L)
-        halves.append((L / 2, L / 2))
     edges = []
-    mid = 2
-    for h1, h2 in halves:
-        edges += [(0, mid, h1), (mid, 1, h2)]
-        mid += 1
+    for mid, L in enumerate((a, b, c), 2):
+        half = Fraction(L) / 2
+        edges += [(0, mid, half), (mid, 1, half)]
     return build_graph(5, edges)
 
 
@@ -136,3 +130,102 @@ def random_connected(rng: random.Random, max_vertices: int = 8, max_edges: int =
 def random_tree(rng: random.Random, max_vertices: int = 8) -> MetrizedGraph:
     v = rng.randint(2, max_vertices)
     return build_graph(v, [(rng.randrange(w), w, random_length(rng)) for w in range(1, v)])
+
+
+class ScanRow(NamedTuple):
+    family: str
+    params: str
+    tau: Fraction
+    ratio: Fraction
+
+
+def _complete_cases(grid):
+    for v in grid:
+        if v < 2:
+            raise BadN(f"the complete-graph closed form needs v >= 2, got {v}")
+        check_size(v, v * (v - 1) // 2, f"the complete graph on v={v} vertices")
+    for v in grid:
+        yield f"v={v}", complete(v), Fraction(1, 12) * (1 - Fraction(2, v)) ** 2 + Fraction(2, v**3)
+
+
+def _banana_cases(grid):
+    for m in grid:
+        check_size(2, m, f"the banana graph of m={m} edges")
+    for m in grid:
+        yield f"m={m}", equal_banana(m), Fraction(m * m - 2 * m + 4, 12 * m * m)
+
+
+def _necklace_cases(grid_a, grid_t):
+    if len(grid_a) * len(grid_t) > MAX_EDGES:
+        raise TooLarge(f"a necklace grid of {len(grid_a)} x {len(grid_t)} rows exceeds "
+                       f"the limit of {MAX_EDGES} rows")
+    grid_a = [Fraction(a) for a in grid_a]
+    for a in grid_a:
+        if a <= 0:
+            raise NonPositiveLength(f"a necklace needs cycle edges of length a > 0, got a={a}")
+    for t in grid_t:
+        if t < 1:
+            raise BadN(f"a necklace needs t >= 1 diamonds, got {t}")
+        for a in grid_a:
+            if a * t >= 1:
+                raise NonPositiveLength(f"a necklace needs a*t < 1 for diamond sides "
+                                        f"b = (1 - a t)/(5t) > 0, got a={a}, t={t}")
+    for t in grid_t:
+        for a in grid_a:
+            b = (1 - a * t) / (5 * t)
+            yield (f"a={a},t={t}", necklace(a, b, t) if t <= NECKLACE_CHECK_LIMIT else None,
+                   necklace_tau(a, b, t))
+
+
+def _circle_cases(grid):
+    rng = random.Random("mgt-scan-circle")
+    for k in grid:
+        if k < 1:
+            raise BadN(f"a circle needs k >= 1 arcs, got {k}")
+        check_size(k, k, f"the circle of k={k} arcs")
+    for k in grid:
+        yield f"k={k}", normalize(circle(*(random_length(rng) for _ in range(k)))), Fraction(1, 12)
+
+
+# family -> (its cases, {its --params key: (default grid, whether the key counts
+# vertices, edges, diamonds or arcs and so takes integers only)}). The cases take one
+# grid per key, in this order, and check them all before they yield (label, the graph
+# to check the closed form on or None, the closed form) per row; the graph comes
+# first, so a builder's refusal (a banana of m=0) precedes the closed form's arithmetic.
+SCAN_FAMILIES = {
+    "complete": (_complete_cases, {"v": (range(2, 13), True)}),
+    "banana": (_banana_cases, {"m": (range(1, 13), True)}),
+    "necklace": (_necklace_cases, {"a": (tuple(Fraction(1, k) for k in (8, 12, 20, 40)), False),
+                                   "t": ((2, 3, 4), True)}),
+    "circle": (_circle_cases, {"k": (range(1, 9), True)}),
+}
+
+
+def family_scan(family: str, params: dict | None = None) -> list[ScanRow]:
+    """Exact tau over a closed-form family, cross-checked against the engine."""
+    params = params or {}
+    if family not in SCAN_FAMILIES:
+        raise MgtError(f"unknown scan family {family!r}")
+    cases, keys = SCAN_FAMILIES[family]
+    unknown = sorted(set(params) - set(keys))
+    if unknown:
+        raise UnknownParameter(f"scan family {family!r} reads only {', '.join(keys)}; "
+                               f"unknown key(s): {', '.join(unknown)}")
+    rows: list[ScanRow] = []
+    for label, g, closed in cases(*(params.get(key, grid) for key, (grid, _) in keys.items())):
+        if g is not None:
+            _scan_assert(closed, g, label)
+        rows.append(ScanRow(family, label, closed, closed))
+    return rows
+
+
+def _scan_assert(closed: Fraction, g: MetrizedGraph, tag: str) -> None:
+    from .tau import tau_of  # loaded by a scan, not by every reader of the builders above
+
+    direct = tau_of(g)
+    if direct != closed:
+        raise AssertionError(f"closed form mismatch at {tag}: {closed} vs {direct}")
+
+
+def scan_violations(rows: list[ScanRow]) -> list[ScanRow]:
+    return [row for row in rows if row.ratio < RATIO_FLOOR]

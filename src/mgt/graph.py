@@ -202,10 +202,15 @@ def identify_points_graph(g: MetrizedGraph, p: int, q: int) -> MetrizedGraph:
     check_vertices(g, p, q)
     if p == q:
         raise SamePoint("identify needs two distinct vertices")
-    keep, drop = min(p, q), max(p, q)
-    remap = [v - 1 if v > drop else v for v in range(g.vcount)]
-    remap[drop] = keep
-    return MetrizedGraph(g.vcount - 1, tuple(Edge(remap[a], remap[b], L) for a, b, L in g.edges))
+    edges, vcount = _shift_edges(g.vcount, g.edges, {max(p, q): min(p, q)}, 0)
+    return MetrizedGraph(vcount, tuple(edges))
+
+
+def _shift_edges(vcount: int, edges, mapping: dict, offset: int) -> tuple[list[Edge], int]:
+    """Relabel a graph's vertices 0..vcount-1: pinned ids via mapping, the rest after offset."""
+    rest = [v for v in range(vcount) if v not in mapping]
+    remap = {**mapping, **{v: offset + i for i, v in enumerate(rest)}}
+    return [Edge(remap[a], remap[b], L) for a, b, L in edges], offset + len(rest)
 
 
 def edge_at(g: MetrizedGraph, edge_id: int) -> Edge:
@@ -236,7 +241,7 @@ def normalize_point(g: MetrizedGraph, x: PointOnGraph) -> PointOnGraph:
     """Canonical form of a point: endpoint offsets collapse to the vertex itself."""
     if not isinstance(x, tuple):
         if not isinstance(x, int) or not 0 <= x < g.vcount:
-            raise BadPoint(f"vertex {x} out of range")
+            raise BadPoint(f"vertex {x} out of range 0..{g.vcount - 1}")
         return x
     try:
         edge_id, offset = x

@@ -16,9 +16,9 @@ from typing import Callable
 
 from .circuit import context
 from .errors import BadN, BridgeDeletion, MgtError, NonPositiveLength, SamePoint
-from .graph import (MAX_EDGES, Edge, Frozen, MetrizedGraph, _cached, _scaled, bridges, check_size,
-                    check_vertices, delete_edge_graph, edge_at, identify_points_graph, normalize,
-                    total_length)
+from .graph import (MAX_EDGES, Edge, Frozen, MetrizedGraph, _cached, _scaled, _shift_edges, bridges,
+                    check_size, check_vertices, delete_edge_graph, edge_at, identify_points_graph,
+                    normalize, total_length)
 from .rational import Scalar, sum_over
 from .tau import apq, deleted_apq, tau_of
 
@@ -61,7 +61,9 @@ def contract_edge(g: MetrizedGraph, edge_id: int) -> OpResult:
     if a == b:
         graph, _ = delete_edge_graph(g, edge_id)
         return OpResult(graph, "loop-contraction", lambda: tau_of(g) - length / 12)
-    graph, _ = delete_edge_graph(identify_points_graph(g, a, b), edge_id)  # the edge is now a loop
+    rest = g.edges[:edge_id] + g.edges[edge_id + 1 :]  # glued as identify_points_graph glues
+    edges, vcount = _shift_edges(g.vcount, rest, {max(a, b): min(a, b)}, 0)
+    graph = MetrizedGraph(vcount, tuple(edges))
     if edge_id in bridges(g):
         return OpResult(graph, "bridge-contraction", lambda: tau_of(g) - length / 4)
 
@@ -109,13 +111,6 @@ def add_edge(g: MetrizedGraph, p: int, q: int, new_length: Scalar) -> OpResult:
         return tau_of(g) + new_length / 12 - r / 6 + a_val / (new_length + r)
 
     return OpResult(graph, "edge-addition", formula)
-
-
-def _shift_edges(vcount: int, edges, mapping: dict, offset: int) -> tuple[list[Edge], int]:
-    """Relabel a graph's vertices 0..vcount-1: pinned ids via mapping, the rest after offset."""
-    rest = [v for v in range(vcount) if v not in mapping]
-    remap = {**mapping, **{v: offset + i for i, v in enumerate(rest)}}
-    return [Edge(remap[a], remap[b], L) for a, b, L in edges], offset + len(rest)
 
 
 def union_one_point(g1: MetrizedGraph, p1: int, g2: MetrizedGraph, p2: int) -> OpResult:

@@ -1,4 +1,4 @@
-"""Conjecture exploration: minimize tau over edge lengths, scan families.
+"""Conjecture exploration: minimize tau over edge lengths.
 
 The search loop runs in floating point: each point is one numpy inverse and
 a few matrix products, which give tau and its gradient together. tau is the
@@ -12,28 +12,18 @@ over one common denominator, so the evidence trail stays rational end to end.
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from . import families
-from .errors import BadN, MgtError, NonPositiveLength, NotBridgeless, TooLarge, UnknownParameter
-from .graph import MAX_EDGES, MetrizedGraph, check_size, normalize
+from .errors import MgtError, NotBridgeless
+from .graph import MetrizedGraph
 from .ops import contract_bridges
 from .tau import tau_of
 
 POSITIVITY_FLOOR = 1e-9
 ROUND_CAP = 10**6  # largest denominator of a rounded minimum's coordinate
-RATIO_FLOOR = Fraction(1, 108)  # conjectured universal ratio; violations are reported, not hidden
-NECKLACE_CHECK_LIMIT = 4  # necklaces with more diamonds report the closed form without a direct tau
-_SCAN_KEYS = {  # the parameter keys each scan family reads
-    "complete": ("v",),
-    "banana": ("m",),
-    "necklace": ("a", "t"),
-    "circle": ("k",),
-}
 
 
 class OptState(NamedTuple):
@@ -45,17 +35,6 @@ class OptState(NamedTuple):
     pinned: tuple[int, ...]  # coordinates stuck at the positivity floor
     exact_lengths: tuple[Fraction, ...]
     exact_tau: Fraction
-
-
-class ScanRow(NamedTuple):
-    family: str
-    params: str
-    tau: Fraction
-    ratio: Fraction
-
-    @property
-    def conjecture_ok(self) -> bool:
-        return self.ratio >= RATIO_FLOOR
 
 
 class FloatTopology:
@@ -248,83 +227,3 @@ def _best_rational(v: float, cap: int) -> tuple[int, int]:
         n, d = d, n - a * d
     k = (cap - q0) // q1
     return (p1, q1) if 2 * d * (q0 + k * q1) <= den else (p0 + k * p1, q0 + k * q1)
-
-
-def family_scan(family: str, params: dict | None = None) -> list[ScanRow]:
-    """Exact tau over a closed-form family, cross-checked against the engine."""
-    params = params or {}
-    if family not in _SCAN_KEYS:
-        raise MgtError(f"unknown scan family {family!r}")
-    unknown = sorted(set(params) - set(_SCAN_KEYS[family]))
-    if unknown:
-        raise UnknownParameter(f"scan family {family!r} reads only {', '.join(_SCAN_KEYS[family])}; "
-                               f"unknown key(s): {', '.join(unknown)}")
-    rows: list[ScanRow] = []
-    if family == "complete":
-        grid = params.get("v", range(2, 13))
-        for v in grid:
-            if v < 2:
-                raise BadN(f"the complete-graph closed form needs v >= 2, got {v}")
-            check_size(v, v * (v - 1) // 2, f"the complete graph on v={v} vertices")
-        for v in grid:
-            g = families.complete(v)
-            closed = (Fraction(1, 12) * (1 - Fraction(2, v)) ** 2 + Fraction(2, v**3))
-            _scan_assert(closed, g, f"v={v}")
-            rows.append(ScanRow(family, f"v={v}", closed, closed))
-    elif family == "banana":
-        grid = params.get("m", range(1, 13))
-        for m in grid:
-            check_size(2, m, f"the banana graph of m={m} edges")
-        for m in grid:
-            g = families.equal_banana(m)
-            closed = Fraction(m * m - 2 * m + 4, 12 * m * m)
-            _scan_assert(closed, g, f"m={m}")
-            rows.append(ScanRow(family, f"m={m}", closed, closed))
-    elif family == "necklace":
-        grid_a = params.get("a", [Fraction(1, k) for k in (8, 12, 20, 40)])
-        grid_t = params.get("t", (2, 3, 4))
-        if len(grid_a) * len(grid_t) > MAX_EDGES:
-            raise TooLarge(f"a necklace grid of {len(grid_a)} x {len(grid_t)} rows exceeds "
-                           f"the limit of {MAX_EDGES} rows")
-        grid_a = [Fraction(a) for a in grid_a]
-        for a in grid_a:
-            if a <= 0:
-                raise NonPositiveLength(f"a necklace needs cycle edges of length a > 0, got a={a}")
-        for t in grid_t:
-            if t < 1:
-                raise BadN(f"a necklace needs t >= 1 diamonds, got {t}")
-            for a in grid_a:
-                if a * t >= 1:
-                    raise NonPositiveLength(f"a necklace needs a*t < 1 for diamond sides "
-                                            f"b = (1 - a t)/(5t) > 0, got a={a}, t={t}")
-        for t in grid_t:
-            for a in grid_a:
-                b = (1 - a * t) / (5 * t)
-                closed = families.necklace_tau(a, b, t)
-                if t <= NECKLACE_CHECK_LIMIT:
-                    _scan_assert(closed, families.necklace(a, b, t), f"a={a},t={t}")
-                rows.append(ScanRow(family, f"a={a},t={t}", closed, closed))
-    elif family == "circle":
-        rng = random.Random("mgt-scan-circle")
-        grid = params.get("k", range(1, 9))
-        for k in grid:
-            if k < 1:
-                raise BadN(f"a circle needs k >= 1 arcs, got {k}")
-            check_size(k, k, f"the circle of k={k} arcs")
-        for k in grid:
-            arcs = [families.random_length(rng) for _ in range(k)]
-            g = normalize(families.circle(*arcs))
-            closed = Fraction(1, 12)
-            _scan_assert(closed, g, f"k={k}")
-            rows.append(ScanRow(family, f"k={k}", closed, closed))
-    return rows
-
-
-def _scan_assert(closed: Fraction, g: MetrizedGraph, tag: str) -> None:
-    direct = tau_of(g)
-    if direct != closed:
-        raise AssertionError(f"closed form mismatch at {tag}: {closed} vs {direct}")
-
-
-def scan_violations(rows: list[ScanRow]) -> list[ScanRow]:
-    return [row for row in rows if not row.conjecture_ok]

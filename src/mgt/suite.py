@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache, partial
+from math import gcd
 from typing import NamedTuple
 
 from . import families
@@ -541,18 +542,21 @@ def _check_successive_length_changes(g: MetrizedGraph, rng: random.Random):
     if bridges(g):
         raise _Skip("graph has a bridge")
     state = KirchhoffState.of(g)
-    terms = []
+    num, den = 0, 1  # the sum so far, tau(g_i) - tau(g), reduced once per step
     for i in range(g.ecount):
         a, b, ln, ld, _, gap = state.rows[i]  # edge i still has g's length L = ln/ld
         pn, pd = families.random_length(rng, 8, 8).as_integer_ratio()
         xn, xd = 2 * ld * pn - ln * pd, 2 * ld * pd  # x = p/q - L/2: may shrink, stays positive
-        terms.append((xn, 12 * xd))
+        num, den = num * 12 * xd + xn * den, den * 12 * xd
         if a != b:
             big, small = ln * ln * state.den, ld * gap  # L + R = big/small
             an, ad = deleted_apq_of(state, i).as_integer_ratio()
-            terms.append((-xn * an * small * small, ad * big * (big * xd + xn * small)))
+            q = ad * big * (big * xd + xn * small)
+            num, den = num * q - xn * an * small * small * den, den * q
+        common = gcd(num, den)
+        num, den = num // common, den // common
         state = state.with_length(i, Fraction(ln * pd + 2 * ld * pn, xd))  # L + x
-    return _eq(tau_of(g) + sum_over(terms, 1), tau_of(MetrizedGraph(g.vcount, tuple(state.edges))))
+    return _eq(tau_of(g) + Fraction(num, den), tau_of(MetrizedGraph(g.vcount, tuple(state.edges))))
 
 
 def _check_bridgeless_identity(g: MetrizedGraph, rng: random.Random):

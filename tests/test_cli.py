@@ -138,13 +138,14 @@ def test_out_file_on_a_closed_pipe_is_an_error(circle_file, tmp_path, monkeypatc
         return real_open(path, mode, **kwargs)
 
     monkeypatch.setattr(fileio, "open", open_for_write_on_the_pipe, raising=False)
-    code, _, err = run_cli(capsys, "op", "da-n", "3", circle_file, "-o", str(tmp_path / "g.txt"))
-    assert code == 3 and "cannot write graph file" in err and "Broken pipe" in err
+    code, out, err = run_cli(capsys, "op", "da-n", "3", circle_file, "-o", str(tmp_path / "g.txt"))
+    assert code == 3 and out == "" and "cannot write graph file" in err and "Broken pipe" in err
 
 
 def test_out_file_unwritable_is_an_error(circle_file, tmp_path, capsys):
-    code, _, err = run_cli(capsys, "op", "da-n", "3", circle_file, "-o", str(tmp_path / "no" / "g.txt"))
-    assert code == 3 and "cannot write graph file" in err and "internal error" not in err
+    # the file is written before the result is printed, so a failed write prints nothing
+    code, out, err = run_cli(capsys, "op", "da-n", "3", circle_file, "-o", str(tmp_path / "no" / "g.txt"))
+    assert code == 3 and out == "" and "cannot write graph file" in err and "internal error" not in err
 
 
 def test_usage_error_exit_2(capsys):
@@ -444,14 +445,17 @@ def test_an_edge_of_a_graph_with_no_edges_is_usage_error(tmp_path, capsys, argv)
     ("immerse G B -1 0", "-1"),
     ("identify 0 9 G", "9"),
     ("add-edge 0 9 1 G", "9"),
+    ("resistance G 0 9", "9"),  # a verb of its own; it used to print no range
+    ("voltage G 0 9 1", "9"),
 ])
 def test_op_vertex_out_of_range_is_usage_error(k4_file, tmp_path, capsys, argv, vertex):
     triangle = tmp_path / "triangle.txt"
     triangle.write_text("v 3\ne 0 1 1\ne 1 2 2\ne 2 0 1\n")
     files = {"G": k4_file, "B": str(triangle)}
-    code, out, err = run_cli(capsys, "op", *(files.get(a, a) for a in argv.split()))
+    words = [files.get(a, a) for a in argv.split()]
+    code, out, err = run_cli(capsys, *(() if words[0] in cli._VERBS else ("op",)), *words)
     assert code == 2 and out == "", err
-    assert _one_error_line(err) and f"vertex {vertex} out of range" in err
+    assert _one_error_line(err) and f"vertex {vertex} out of range 0.." in err
 
 
 def test_apq_bad_vertex_is_usage_error(k4_file, capsys):
@@ -687,10 +691,13 @@ def _imported_modules(argv):
 
 
 def test_cli_tau_does_not_load_numpy(circle_file):
-    # numpy is for the float optimizer only (minimize, scan)
+    # numpy is for the float optimizer only (minimize); the scans are exact
     done, imported = _imported_modules(["tau", circle_file])
     assert done.returncode == 0 and done.stdout == "1/12\n"
     assert "mgt.tau" in imported and "numpy" not in imported
+    done, imported = _imported_modules(["scan", "--family", "banana"])
+    assert done.returncode == 0 and done.stdout.startswith("family,params,tau,ratio\nbanana,m=1,")
+    assert "mgt.families" in imported and not {"numpy", "mgt.optimize"} & imported
 
 
 # what the single-graph verbs never need: the identity suite, the operations,

@@ -5,8 +5,8 @@ import pytest
 
 from mgt import families
 from mgt.errors import BridgeDeletion, MgtError, NonPositiveLength, SamePoint, TooLarge
-from mgt.graph import (MAX_EDGES, MAX_VERTICES, build_graph, normalize, scale, subdivide_uniform,
-                       total_length)
+from mgt.graph import (MAX_EDGES, MAX_VERTICES, build_graph, delete_edge_graph, identify_points_graph,
+                       normalize, scale, subdivide_uniform, total_length)
 from mgt.ops import (
     OpResult,
     add_edge,
@@ -78,6 +78,20 @@ def test_contract_self_loop():
 
 def test_contract_k4_edge():
     closure(contract_edge(families.complete(4), 2))
+
+
+def test_contract_edge_builds_what_identify_then_delete_builds():
+    # a non-loop contraction builds its graph once, with the ids and edge order of
+    # gluing the edge's ends and then deleting the loop that the glue made of it
+    from mgt.suite import GraphGenerator
+
+    contracted = 0
+    for _, g in GraphGenerator(1).graphs(200):
+        for i, (a, b, _) in enumerate(g.edges):
+            if a != b:
+                assert contract_edge(g, i).graph == delete_edge_graph(identify_points_graph(g, a, b), i)[0]
+                contracted += 1
+    assert contracted > 1000
 
 
 def test_contract_bridges_lowers_tau_by_a_quarter_of_their_length():

@@ -11,15 +11,14 @@ from hypothesis import strategies as st
 
 from mgt import families
 from mgt.errors import MgtError, NotBridgeless, SamePoint
+from mgt.families import family_scan, scan_violations
 from mgt.graph import MetrizedGraph, build_graph
 from mgt.optimize import (
     FloatTopology,
     _best_rational,
     _round_to_simplex,
-    family_scan,
     minimize_tau,
     project_simplex,
-    scan_violations,
     search_topology,
 )
 from mgt.suite import GraphGenerator

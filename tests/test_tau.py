@@ -14,7 +14,8 @@ from mgt.graph import (
     scale,
     subdivide_uniform,
 )
-from mgt.optimize import OptState, ScanRow
+from mgt.families import ScanRow
+from mgt.optimize import OptState
 from mgt.rational import INF
 from mgt.suite import CheckResult, GraphGenerator
 from mgt.tau import (

@@ -13,7 +13,8 @@ call's argv, exit code, stdout and stderr, in order; the call count and the
 seconds the sweep took go to stderr. Two versions of mgt that print the same
 digest give byte-identical output on every call of the sweep. ``minimize`` is
 left out: ``tests/test_cli.py::test_minimize_json_is_pinned`` pins its output.
-Standard library only.
+Standard library only. No call needs numpy, which only ``minimize`` loads, so
+an interpreter without numpy runs the whole sweep and prints the same digest.
 """
 
 from __future__ import annotations
