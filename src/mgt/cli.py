@@ -293,16 +293,14 @@ def _run_verify(args) -> int:
     from .suite import GraphGenerator, run_suite
 
     if bool(args.file) == args.random:
-        print("error: need a FILE or --random, not both", file=sys.stderr)
-        return EXIT_USAGE
+        raise MgtError("need a FILE or --random, not both")
     if args.random:
         count = 10 if args.count is None else args.count
         if count < 1:
             raise BadN(f"graph count must be >= 1, got {count}")
         graphs = GraphGenerator(args.seed).graphs(count)
     elif args.count is not None:
-        print("error: --count applies to --random only, not to a FILE", file=sys.stderr)
-        return EXIT_USAGE
+        raise MgtError("--count applies to --random only, not to a FILE")
     else:
         graphs = [(args.file, _load(args.file))]
     ids = None if args.suite == "all" else [cid.strip() for cid in args.suite.split(",")]
@@ -366,11 +364,12 @@ def _run_minimize(args) -> int:
     return EXIT_OK
 
 
-def _parse_params(text: str) -> dict:
-    """``KEY=LO..HI`` or ``KEY=A,B,...`` entries split by ``;``; a malformed one is a usage error."""
+def _parse_params(family: str, text: str) -> dict:
+    """``KEY=LO..HI`` or ``KEY=A,B,...`` entries split by ``;``; a malformed one is a usage error,
+    and so is a fraction for a key that counts in ``family``."""
     from .families import SCAN_FAMILIES
 
-    counts = {key for _, keys in SCAN_FAMILIES.values() for key, (_, count) in keys.items() if count}
+    counts = {key for key, (_, count) in SCAN_FAMILIES[family][1].items() if count}
     params: dict = {}
     for part in text.split(";") if text else ():
         key, _, raw = (x.strip() for x in part.partition("="))
@@ -393,7 +392,7 @@ def _parse_params(text: str) -> dict:
 def _run_scan(args) -> int:
     from .families import family_scan, scan_violations
 
-    rows = family_scan(args.family, _parse_params(args.params))
+    rows = family_scan(args.family, _parse_params(args.family, args.params))
     print("family,params,tau,ratio")
     for row in rows:
         print(f"{row.family},{row.params},{format_scalar(row.tau)},{format_scalar(row.ratio)}")
@@ -431,8 +430,7 @@ def _run_op(args) -> int:
     count, files, build = _OPS[name]
     a = list(args.args)
     if len(a) != count:
-        print(f"error: op {name} takes {count} arguments, got {len(a)}", file=sys.stderr)
-        return EXIT_USAGE
+        raise MgtError(f"op {name} takes {count} arguments, got {len(a)}")
     from . import ops
 
     try:
@@ -440,8 +438,7 @@ def _run_op(args) -> int:
             a[i] = _load(a[i])
         made = build(ops, *a)
     except (IndexError, ValueError) as exc:
-        print(f"error: bad arguments for op {name}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise MgtError(f"bad arguments for op {name}: {exc}") from exc
     result = None if isinstance(made, MetrizedGraph) else made
     built = made if result is None else result.graph
     actual = tau_of(built)

@@ -51,6 +51,10 @@ class UnknownParameter(MgtError):
     """A scan parameter key that the family does not read."""
 
 
+class EmptyGrid(MgtError):
+    """A scan parameter whose grid holds no value, so the scan would check nothing."""
+
+
 class EmptyGraph(MgtError):
     """A graph with no edges where the computation needs at least one."""
 

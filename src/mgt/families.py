@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import BadM, BadN, MgtError, NonPositiveLength, TooLarge, UnknownParameter
+from .errors import BadM, BadN, EmptyGrid, MgtError, NonPositiveLength, TooLarge, UnknownParameter
 from .graph import MAX_EDGES, MetrizedGraph, build_graph, check_size, normalize
 from .rational import Scalar
 
@@ -211,6 +211,9 @@ def family_scan(family: str, params: dict | None = None) -> list[ScanRow]:
     if unknown:
         raise UnknownParameter(f"scan family {family!r} reads only {', '.join(keys)}; "
                                f"unknown key(s): {', '.join(unknown)}")
+    for key, grid in params.items():
+        if not grid:
+            raise EmptyGrid(f"scan family {family!r} got no value of {key}; an empty grid checks nothing")
     rows: list[ScanRow] = []
     for label, g, closed in cases(*(params.get(key, grid) for key, (grid, _) in keys.items())):
         if g is not None:

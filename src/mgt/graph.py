@@ -326,34 +326,29 @@ def _bridge_search(g: MetrizedGraph) -> tuple[int, ...]:
     for i, (a, b, _) in enumerate(g.edges):
         adj[a].append((b, i))
         adj[b].append((a, i))
-    disc = [-1] * g.vcount
+    disc = [0] + [-1] * (g.vcount - 1)  # a MetrizedGraph is connected: one search from 0 sees all
     low = [0] * g.vcount
     result: list[int] = []
-    counter = 0
-    for root in range(g.vcount):
-        if disc[root] != -1:
-            continue
-        stack: list[tuple[int, int, int]] = [(root, -1, 0)]  # (vertex, entry edge, next index)
-        disc[root] = low[root] = counter
-        counter += 1
-        while stack:
-            u, entry_edge, idx = stack.pop()
-            if idx < len(adj[u]):
-                stack.append((u, entry_edge, idx + 1))
-                w, eid = adj[u][idx]
-                if eid == entry_edge or w == u:
-                    continue
-                if disc[w] == -1:
-                    disc[w] = low[w] = counter
-                    counter += 1
-                    stack.append((w, eid, 0))
-                else:
-                    low[u] = min(low[u], disc[w])
-            elif entry_edge != -1:
-                a, b, _ = g.edges[entry_edge]
-                parent = a if disc[a] < disc[b] else b
-                child = b if parent == a else a
-                low[parent] = min(low[parent], low[child])
-                if low[child] > disc[parent]:
-                    result.append(entry_edge)
+    stack: list[tuple[int, int, int]] = [(0, -1, 0)]  # (vertex, entry edge, next index)
+    counter = 1
+    while stack:
+        u, entry_edge, idx = stack.pop()
+        if idx < len(adj[u]):
+            stack.append((u, entry_edge, idx + 1))
+            w, eid = adj[u][idx]
+            if eid == entry_edge or w == u:
+                continue
+            if disc[w] == -1:
+                disc[w] = low[w] = counter
+                counter += 1
+                stack.append((w, eid, 0))
+            else:
+                low[u] = min(low[u], disc[w])
+        elif entry_edge != -1:
+            a, b, _ = g.edges[entry_edge]
+            parent = a if disc[a] < disc[b] else b
+            child = b if parent == a else a
+            low[parent] = min(low[parent], low[child])
+            if low[child] > disc[parent]:
+                result.append(entry_edge)
     return tuple(sorted(result))

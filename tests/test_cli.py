@@ -507,10 +507,13 @@ def test_verify_rejects_count_below_one(capsys):
 
 
 def test_scan_rejects_empty_families(capsys):
-    for family, params in (("banana", "m=0..2"), ("complete", "v=1..3"), ("necklace", "t=0..2")):
+    # an empty grid (LO > HI) would check nothing: it is refused by its key, not passed
+    for family, params, named in (("banana", "m=0..2", ""), ("complete", "v=1..3", ""),
+                                  ("necklace", "t=0..2", ""), ("complete", "v=5..2", "no value of v"),
+                                  ("necklace", "a=3..2", "no value of a")):
         code, out, err = run_cli(capsys, "scan", "--family", family, "--params", params)
-        assert code == 2 and out == ""
-        assert _one_error_line(err)
+        assert code == 2 and out == "", (family, params)
+        assert _one_error_line(err) and named in err
 
 
 def test_scan_rejects_nonpositive_necklace_length(capsys):
@@ -559,9 +562,11 @@ def test_scan_rejects_malformed_parameters(capsys):
 
 
 def test_scan_rejects_unknown_parameter_key(capsys):
-    code, out, err = run_cli(capsys, "scan", "--family", "circle", "--params", "n=0..1")
-    assert code == 2 and out == ""
-    assert _one_error_line(err) and "unknown key(s): n" in err
+    # a key that counts in another family is still unknown here, fraction or not
+    for params, key in (("n=0..1", "n"), ("v=1.5", "v")):
+        code, out, err = run_cli(capsys, "scan", "--family", "circle", "--params", params)
+        assert code == 2 and out == ""
+        assert _one_error_line(err) and f"unknown key(s): {key}" in err
 
 
 def test_scan_rejects_repeated_parameter_key(capsys):

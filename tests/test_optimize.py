@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgt import families
-from mgt.errors import MgtError, NotBridgeless, SamePoint
+from mgt.errors import EmptyGrid, MgtError, NotBridgeless, SamePoint
 from mgt.families import family_scan, scan_violations
 from mgt.graph import MetrizedGraph, build_graph
 from mgt.optimize import (
@@ -350,6 +350,10 @@ def test_family_scan_banana():
     best = min(rows, key=lambda r: r.ratio)
     assert best.params == "m=4" and best.ratio == F(1, 16)
     assert not scan_violations(rows)
+    # an empty grid would check nothing, so it is refused rather than passed
+    for grid in ([], range(3, 1)):
+        with pytest.raises(EmptyGrid, match="no value of m"):
+            family_scan("banana", {"m": grid})
 
 
 def test_family_scan_necklace():

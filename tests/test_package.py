@@ -126,3 +126,32 @@ def test_bench_record_counts_lines_as_wc_does():
                             check=True).stdout.split()
         assert counts[folder]["total"] == int(wc[-2])  # "<n> total" closes wc's listing
         assert sorted(counts[folder]["files"]) == [p.name for p in paths]
+
+
+def test_bench_record_summary_counts_strict_wins_and_resolves_past_the_parent_iqr():
+    # the record's summary is where a claimed gain is read off
+    root = Path(__file__).resolve().parent.parent
+    sys.path.insert(0, str(root / "tools"))
+    try:
+        import bench_record
+    finally:
+        sys.path.remove(str(root / "tools"))
+
+    def summary(parent, change, better):
+        pairs = [{"parent": {"m": p}, "change": {"m": c}} for p, c in zip(parent, change)]
+        return bench_record._summary(pairs, "m", better)
+
+    parent = [1, 2, 3, 4]  # median 2.5, quartiles 1.25 and 3.75: an IQR of 2.5
+    mixed = summary(parent, [1, 3, 2, 4], "higher")  # one better, one worse, two ties
+    assert mixed["wins"] == 1 and summary(parent, [1, 3, 2, 4], "lower")["wins"] == 1
+    assert (mixed["parent_q1"], mixed["parent_median"], mixed["parent_q3"]) == (1.25, 2.5, 3.75)
+    assert not mixed["resolved"] and mixed["pairs"] == 4
+    # resolved iff the medians lie further apart than the parent's IQR, in either direction
+    assert not summary(parent, [5] * 4, "higher")["resolved"]  # a gap of 2.5 exactly
+    assert summary(parent, [5.5] * 4, "higher")["resolved"]
+    assert not summary(parent, [0] * 4, "lower")["resolved"]
+    assert summary(parent, [-0.5] * 4, "lower")["resolved"]
+    assert summary(parent, [5.5] * 4, "lower")["wins"] == 0
+    one = summary([2], [3], "higher")  # one pair: its parent value is every quartile
+    assert one["wins"] == 1 and one["resolved"] and one["change_over_parent"] == 1.5
+    assert (one["parent_q1"], one["parent_q3"]) == (2, 2)

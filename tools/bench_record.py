@@ -1,27 +1,34 @@
-"""Record one BENCH_<label>.json: the machine, timing medians and the verify digest.
+"""Record one BENCH_<label>.json: parent/change pairs per workload, the machine and the verify digest.
 
 Usage (from the repository root):
 
-    python3 tools/bench_record.py --label LABEL
+    python3 tools/bench_record.py --label LABEL PARENT [--workload NAME ...] [--pairs K]
 
-Runs every workload that BENCHMARK.json declares, untraced, at seed 1 and for
-its ``run_seconds``, 5 times one after another (never two at once) and keeps
-each end-to-end metric's median and its runs. With them go each run's machine
-speed from the diagnostics line before the result: the reference loop's raw
-median ms (``ref_median_ms``) and the ops' summed raw seconds, unnormalized
-(``raw_op_s``), so records made on a busier or quieter machine can be told
-apart. Then runs ``mgt verify --random --seed 1 --count 200 --json`` 5 times
-and records its median wall time, the pass/skip/fail counts and the sha256 of
-its output, which must be the same on every run. Last, the median wall time of
-5 runs each of the Tier-1 test command, of ``python -c "import mgt.cli"`` and of
-a cold ``python -m mgt.cli tau`` on K4 (parser, dispatch and output as well as
-the imports), with the graph file in a temporary directory. The
-``kernel_digest`` block holds the sha256 that ``tools/kernel_digest.py``
-prints over the Green integers of every factorization in the seed-1
-``corpus`` and ``ladder`` op lists, and how many there were. The ``lines``
-block holds the line count of each ``src/mgt/*.py`` and ``tests/*.py`` file
-and their totals, as ``wc -l`` counts them.
-Standard library only; writes BENCH_<label>.json in the repository root.
+PARENT is any commit (``HEAD`` gives A/A pairs); it is exported with ``git
+archive`` into a temporary directory, and the change is this working tree.
+Per workload (default: all of BENCHMARK.json's) it runs K pairs (default 10)
+of untraced ``taubench/run.py --workload NAME --seed 1 --seconds T``, T being
+``run_seconds``, each side with its own ``taubench/``, one run at a time. The
+parent goes first in even pairs, so drift over a batch favours neither side.
+Each workload entry holds:
+- ``pairs``: which side ran ``first`` and, per side, the end-to-end metrics,
+  the reference loop's raw median ms (``ref_median_ms``) and the ops' summed
+  raw seconds (``raw_op_s``), which tell a busy machine from a quiet one;
+- ``summary``: per metric, the change's wins (strictly better in the metric's
+  direction; a tie counts for neither side), both medians and the parent's
+  quartiles (``statistics.quantiles``, n=4); a gain is ``resolved`` when the
+  gap between the medians exceeds the parent's interquartile range;
+- ``metrics`` (median, runs, unit), ``attempted``, ``failed``,
+  ``ref_median_ms`` and ``raw_op_s`` over the change side's K runs.
+
+On the change alone it then records ``mgt verify --random --seed 1 --count 200
+--json`` (median wall of 5 runs, status counts, the sha256 of its output, which
+must not vary), the median wall of 5 runs each of the Tier-1 command, of
+``python -c "import mgt.cli"`` and of a cold ``python -m mgt.cli tau`` on K4,
+the ``kernel_digest`` that ``tools/kernel_digest.py`` prints with its input
+count, and ``lines``: each ``src/mgt/*.py`` and ``tests/*.py`` file's line
+count as ``wc -l`` counts it. A run that exits non-zero stops the record with
+one line that holds its stderr tail. Standard library only.
 """
 
 from __future__ import annotations
@@ -29,12 +36,14 @@ from __future__ import annotations
 import argparse
 import glob
 import hashlib
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 from collections import Counter
@@ -59,14 +68,64 @@ def _numpy_version() -> str:
         return "absent"
 
 
-def _workload(command: list[str], name: str, seconds: int) -> tuple[dict, dict]:
-    """One untraced run: the result object on the last line of stdout and the
-    diagnostics on the line before it."""
-    argv = [sys.executable, *command[1:], "--workload", name, "--seed", str(SEED),
-            "--seconds", str(seconds)]
-    out = subprocess.run(argv, cwd=ROOT, check=True, capture_output=True, text=True).stdout
-    *_, detail, result = out.strip().splitlines()
+def _run(argv: list[str], cwd: str, env: dict | None = None) -> subprocess.CompletedProcess:
+    """One run, which must exit 0; otherwise the record stops with its stderr tail."""
+    done = subprocess.run(argv, cwd=cwd, env=env, capture_output=True)
+    if done.returncode != 0:
+        tail = done.stderr.decode(errors="replace")[-500:]
+        raise SystemExit(f"{cwd}: {' '.join(argv[1:])} exited {done.returncode}: {tail}")
+    return done
+
+
+def _git(*args: str) -> bytes:
+    return _run(["git", *args], ROOT).stdout
+
+
+def _workload(root: str, bench: dict, name: str) -> tuple[dict, dict]:
+    """One untraced run in ``root``: its result line (the last) and its diagnostics."""
+    argv = [sys.executable, *bench["command"][1:], "--workload", name, "--seed", str(SEED),
+            "--seconds", str(bench["run_seconds"])]
+    *_, detail, result = _run(argv, root).stdout.decode().strip().splitlines()
     return json.loads(result), json.loads(detail)["detail"]
+
+
+def _summary(pairs: list[dict], metric: str, better: str) -> dict:
+    parent = [pair["parent"][metric] for pair in pairs]
+    change = [pair["change"][metric] for pair in pairs]
+    sign = 1 if better == "higher" else -1
+    q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else (parent[0],) * 3
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    return {"better": better, "wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+            "pairs": len(pairs), "parent_median": p_med, "change_median": c_med,
+            "change_over_parent": c_med / p_med if p_med else None,
+            "parent_q1": q1, "parent_q3": q3, "resolved": abs(c_med - p_med) > q3 - q1}
+
+
+def _pairs(sides: dict, bench: dict, name: str, count: int) -> dict:
+    """One workload's entry: ``count`` alternating pairs and the change side's runs."""
+    pairs, results = [], []
+    for i in range(count):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"first": order[0]}
+        for side in order:
+            result, detail = _workload(sides[side], bench, name)
+            pair[side] = {**{k: m["value"] for k, m in result["metrics"].items()},
+                          "ref_median_ms": detail["ref_median_ms"], "raw_op_s": detail["raw_op_s"]}
+            if side == "change":
+                results.append(result)
+        pairs.append(pair)
+        shown = {side: {k: round(v, 3) for k, v in pair[side].items()} for side in sides}
+        print(f"{name} pair {i + 1}/{count} ({order[0]} first): {shown}", file=sys.stderr)
+    metrics = results[0]["metrics"]
+    change = {k: [pair["change"][k] for pair in pairs] for k in pairs[0]["change"]}
+    better = {metric["name"]: metric["better"] for metric in bench["end_to_end"]}
+    return {"seed": SEED, "seconds": bench["run_seconds"], "pairs": pairs,
+            "metrics": {k: {"median": statistics.median(change[k]), "runs": change[k], "unit": m["unit"]}
+                        for k, m in metrics.items()},
+            "summary": {k: _summary(pairs, k, better[k]) for k in metrics},
+            "attempted": [result["attempted"] for result in results],
+            "failed": [result["failed"] for result in results],
+            "ref_median_ms": change["ref_median_ms"], "raw_op_s": change["raw_op_s"]}
 
 
 def _line_counts() -> dict:
@@ -81,53 +140,42 @@ def _line_counts() -> dict:
     return counts
 
 
-def _timed(argv: list[str]) -> tuple[float, bytes]:
-    """Wall time and stdout of one run, which must exit 0."""
+def _timed(argv: list[str]) -> tuple[float, subprocess.CompletedProcess]:
+    """Wall time and the finished run, from the root with src on PYTHONPATH."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     start = time.perf_counter()
-    done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True)
-    wall = time.perf_counter() - start
-    if done.returncode != 0:
-        raise SystemExit(f"{argv[1:]} exited {done.returncode}: {done.stderr.decode()[-500:]}")
-    return wall, done.stdout
+    done = _run(argv, ROOT, env)
+    return time.perf_counter() - start, done
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True)
-    args = parser.parse_args()
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    seconds = bench["run_seconds"]
+    names = [entry["name"] for entry in bench["workloads"]]
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True)
+    parser.add_argument("parent", metavar="PARENT")
+    parser.add_argument("--workload", action="append", choices=names)
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args()
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    commit = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}").decode().strip()
 
-    workloads = {}
-    for entry in bench["workloads"]:
-        name = entry["name"]
-        runs, details = [], []
-        for i in range(RUNS):
-            run, detail = _workload(bench["command"], name, seconds)
-            runs.append(run)
-            details.append(detail)
-            print(f"{name} run {i + 1}/{RUNS}", file=sys.stderr)
-        metrics = {}
-        for metric in runs[0]["metrics"]:
-            values = [run["metrics"][metric]["value"] for run in runs]
-            metrics[metric] = {"median": statistics.median(values), "runs": values,
-                               "unit": runs[0]["metrics"][metric]["unit"]}
-        workloads[name] = {"seed": SEED, "seconds": seconds, "metrics": metrics,
-                           "attempted": [run["attempted"] for run in runs],
-                           "failed": [run["failed"] for run in runs],
-                           "ref_median_ms": [d["ref_median_ms"] for d in details],
-                           "raw_op_s": [d["raw_op_s"] for d in details]}
+    with tempfile.TemporaryDirectory(prefix="bench_record.") as tmp:
+        with tarfile.open(fileobj=io.BytesIO(_git("archive", commit))) as tar:
+            tar.extractall(tmp, filter="data")
+        sides = {"parent": tmp, "change": ROOT}
+        workloads = {name: _pairs(sides, bench, name, args.pairs) for name in args.workload or names}
 
     walls, digests = [], set()
     for _ in range(RUNS):
-        wall, out = _timed([sys.executable, "-m", "mgt.cli", *VERIFY])
+        wall, done = _timed([sys.executable, "-m", "mgt.cli", *VERIFY])
         walls.append(wall)
-        digests.add(hashlib.sha256(out).hexdigest())
+        digests.add(hashlib.sha256(done.stdout).hexdigest())
     if len(digests) != 1:
         raise SystemExit(f"verify output differs between runs: {sorted(digests)}")
-    statuses = Counter(result["status"] for result in json.loads(out))
+    statuses = Counter(result["status"] for result in json.loads(done.stdout))
     timed = {}
     with tempfile.TemporaryDirectory() as tmp:
         graph = os.path.join(tmp, "k4.txt")
@@ -138,13 +186,14 @@ def main() -> int:
             timed[name] = {"argv": ["python", *argv[1:]], "wall_s_median": statistics.median(runs),
                            "wall_s_runs": runs}
 
-    done = subprocess.run([sys.executable, os.path.join(ROOT, "tools", "kernel_digest.py")],
-                          cwd=ROOT, check=True, capture_output=True, text=True)
-    kernel = {"argv": ["python", "tools/kernel_digest.py"], "sha256": done.stdout.strip(),
+    done = _run([sys.executable, os.path.join(ROOT, "tools", "kernel_digest.py")], ROOT)
+    kernel = {"argv": ["python", "tools/kernel_digest.py"], "sha256": done.stdout.decode().strip(),
               "inputs": int(done.stderr.split()[0])}
 
     record = {
         "label": args.label,
+        "parent": commit,
+        "change": "working tree at " + _git("rev-parse", "HEAD").decode().strip(),
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": _numpy_version(), "platform": platform.platform()},
         "workloads": workloads,
