@@ -25,7 +25,6 @@ _EXPORTS = {
     "apq_direct": "integration",
     "fit_edge_function": "integration",
     "integrate_product": "integration",
-    "tau_via_integral": "integration",
     "INF": "rational",
     "ExtScalar": "rational",
     "Scalar": "rational",

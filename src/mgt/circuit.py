@@ -1,14 +1,15 @@
 """Effective resistance and voltage functions via exact Laplacian solves.
 
-A per-graph :class:`GraphContext` holds the Green matrix (inverse reduced
-Laplacian) as integer numerators over one denominator d (``num``, ``den``),
-together with one integer row per edge (``rows``), so that all pairwise
-resistances, voltage values and per-edge deletion resistances come out of a
-single factorization, made when the context is. ``context(g)`` stores it on
-the graph itself through ``graph._cached``, like the graph's other derived
-values, so it lives exactly as long as the graph; it keeps the graph's edges,
-not the graph, so no reference cycle holds either. Each graph is factorized
-once, by its first reader, and the integers are never mutated.
+A :class:`GraphContext` holds the Green matrix (inverse reduced Laplacian) of
+a list of edges as integer numerators over one denominator d (``num``,
+``den``), together with one integer row per edge (``rows``), so that all
+pairwise resistances, voltage values and per-edge deletion resistances come
+out of a single factorization. ``GraphContext.of(g)`` factorizes g, and
+``context(g)`` stores that context on the graph itself through
+``graph._cached``, like the graph's other derived values, so it lives exactly
+as long as the graph; it keeps the graph's edges, not the graph, so no
+reference cycle holds either. Each graph is factorized once, by its first
+reader, and the integers are never mutated.
 
 Deleting an edge and gluing two vertices are read off the same integers,
 with no new graph built: each is one rank-one update that adds an edge
@@ -18,15 +19,16 @@ with no new graph built: each is one rank-one update that adds an edge
 graph built and solved anew, lives in ``tests/oracles.py``.
 
 A change of one edge's length is the same update, an edge added in parallel.
-:class:`KirchhoffState` carries the integers through a sequence of such
-changes without factorizing, each step materialized over the changed graph's
-Kirchhoff number so that every division is exact; the suite's successive
+:class:`KirchhoffState` is a ``GraphContext`` over the changed graph's
+Kirchhoff number, so that every division is exact, carried through a
+sequence of such changes without factorizing; it reads everything else, the
+bridge-checked deletion included, as a context. The suite's successive
 length-change check reads it, and ``tests/oracles.py`` builds and factorizes
 each step's graph as its reference.
 
 :func:`solve_pair_resistances` (the sampled edge-polynomial oracle's solver)
-exists only to check the matrix: it calls ``green_numden`` directly and
-stores nothing.
+exists only to check the matrix: it factorizes through ``GraphContext.of``
+and stores nothing.
 
 ``GraphContext.memo`` holds what higher layers compute once per graph (tau,
 A, the deletion profiles), each read through ``graph._cached``; it goes with
@@ -63,16 +65,6 @@ class EdgeProfile(NamedTuple):
     arm_base: Fraction
     bridge: bool
     loop: bool
-
-
-def _edge_rows(edges, num: list[list[int]], den: int) -> tuple[tuple[int, ...], ...]:
-    """The ``GraphContext.rows`` of ``edges`` over Green numerators num / den."""
-    rows = []
-    for a, b, length in edges:
-        ln, ld = length.as_integer_ratio()
-        rn = num[a][a] + num[b][b] - 2 * num[a][b]
-        rows.append((a, b, ln, ld, rn, ln * den - rn * ld))
-    return tuple(rows)
 
 
 class GreenUpdate:
@@ -134,73 +126,31 @@ class GreenUpdate:
         return out
 
 
-class KirchhoffState:
-    """Green integers over the Kirchhoff number, carried through edge-length changes.
-
-    kappa is the sum over spanning trees T of prod(ld_e, e in T)
-    prod(ln_e, e not in T) over the non-loop edges (``linalg.kirchhoff_ratio``),
-    and ``num`` is kappa G, an integer matrix; ``edges`` are the graph's edges
-    at their current lengths and ``rows`` their rows (a, b, ln, ld, rn, gap)
-    over kappa, as in ``GraphContext``. Changing edge e's length L = ln/ld to
-    L' = pn/pd adds in parallel an edge of length -L L'/(L' - L), the
-    ``GreenUpdate`` with m/n = -ln pn/(pn ld - ln pd).
-    Split kappa = ld alpha + ln beta by the trees with e and those without;
-    then rn = ln alpha, so s = m kappa + n rn = -ln^2 (pd alpha + pn beta)
-    = -ln^2 kappa'. The update over kappa ln^2 is therefore the new state
-    exactly, as each step of fraction-free elimination divides exactly by the
-    pivot before it: one rank-one update and one exact division per entry,
-    with integers of the changed graph's own size and no factorization. A
-    loop and a zero change leave kappa and G as they are; only the edge's
-    row takes its new length.
-    """
-
-    def __init__(self, num: list[list[int]], den: int, edges: list[Edge]):
-        self.num, self.den, self.edges = num, den, edges
-        self.rows = _edge_rows(edges, num, den)
-
-    @classmethod
-    def of(cls, g: MetrizedGraph) -> KirchhoffState:
-        """g's state, scaled from its own context's (N, d) by kappa/d = p/q."""
-        ctx = context(g)
-        p, q = kirchhoff_ratio(g.vcount, g.edges).as_integer_ratio()
-        return cls([[x * p // q for x in row] for row in ctx.num], ctx.den * p // q, list(g.edges))
-
-    def deleted(self, edge_id: int) -> GreenUpdate:
-        """The state minus one edge, as ``GraphContext.deleted`` (no bridge check)."""
-        a, b, ln, ld, _, _ = self.rows[edge_id]
-        return GreenUpdate(self.num, self.den, a, b, -ln, ld)
-
-    def with_length(self, edge_id: int, length: Fraction) -> KirchhoffState:
-        """The state after edge ``edge_id``'s length becomes ``length``."""
-        a, b, ln, ld, _, _ = self.rows[edge_id]
-        pn, pd = length.as_integer_ratio()
-        n = pn * ld - ln * pd
-        num, den = self.num, self.den
-        if a != b and n:
-            update = GreenUpdate(num, den, a, b, -ln * pn, n)
-            h = den * ln * ln
-            num, den = update.divided(h), update.den // h
-        edges = self.edges.copy()
-        edges[edge_id] = Edge(a, b, length)
-        return KirchhoffState(num, den, edges)
-
-
 class GraphContext:
-    """Exact solver state for one immutable graph (its edges, not the graph), factorized when made.
+    """Exact solver state for one immutable graph (its edges, not the graph).
 
     ``num`` and ``den`` are the Green matrix as integer numerators over one
     denominator d, so a resistance costs a single Fraction construction;
     readers share ``num`` and must not mutate it. ``rows`` holds one integer
     row (a, b, ln, ld, rn, gap) per edge: L = ln/ld, r(a,b) = rn/d and
     L - r(a,b) = gap/(ld d), so gap = ln d - rn ld, zero exactly on bridges,
-    and rn is zero on self-loops.
+    and rn is zero on self-loops. ``of`` factorizes a graph into one.
     """
 
-    def __init__(self, g: MetrizedGraph):
-        self.edges = g.edges
-        self.num, self.den = green_numden(g.vcount, g.edges)
-        self.rows = _edge_rows(g.edges, self.num, self.den)
+    def __init__(self, edges, num: list[list[int]], den: int):
+        self.edges, self.num, self.den = edges, num, den
+        rows = []
+        for a, b, length in edges:
+            ln, ld = length.as_integer_ratio()
+            rn = num[a][a] + num[b][b] - 2 * num[a][b]
+            rows.append((a, b, ln, ld, rn, ln * den - rn * ld))
+        self.rows = tuple(rows)
         self.memo: dict = {}  # per-graph values of higher layers, read through ``_cached``
+
+    @classmethod
+    def of(cls, g: MetrizedGraph) -> GraphContext:
+        """g's context, factorized here."""
+        return cls(g.edges, *green_numden(g.vcount, g.edges))
 
     def res_deleted(self, edge_id: int) -> ExtScalar:
         """R = L r(a,b)/(L - r(a,b)) = ln rn/gap between an edge's ends after its deletion.
@@ -270,9 +220,52 @@ class GraphContext:
                            bridge=True, loop=False)
 
 
+class KirchhoffState(GraphContext):
+    """Green integers over the Kirchhoff number, carried through edge-length changes.
+
+    kappa is the sum over spanning trees T of prod(ld_e, e in T)
+    prod(ln_e, e not in T) over the non-loop edges (``linalg.kirchhoff_ratio``),
+    and ``num`` is kappa G, an integer matrix; ``edges`` are the graph's edges
+    at their current lengths and ``rows`` their rows over kappa, so every
+    reader of a context (``deleted`` with its bridge check included) reads a
+    state too. Changing edge e's length L = ln/ld to
+    L' = pn/pd adds in parallel an edge of length -L L'/(L' - L), the
+    ``GreenUpdate`` with m/n = -ln pn/(pn ld - ln pd).
+    Split kappa = ld alpha + ln beta by the trees with e and those without;
+    then rn = ln alpha, so s = m kappa + n rn = -ln^2 (pd alpha + pn beta)
+    = -ln^2 kappa'. The update over kappa ln^2 is therefore the new state
+    exactly, as each step of fraction-free elimination divides exactly by the
+    pivot before it: one rank-one update and one exact division per entry,
+    with integers of the changed graph's own size and no factorization. A
+    loop and a zero change leave kappa and G as they are; only the edge's
+    row takes its new length.
+    """
+
+    @classmethod
+    def of(cls, g: MetrizedGraph) -> KirchhoffState:
+        """g's state, scaled from its own context's (N, d) by kappa/d = p/q."""
+        ctx = context(g)
+        p, q = kirchhoff_ratio(g.vcount, g.edges).as_integer_ratio()
+        return cls(g.edges, [[x * p // q for x in row] for row in ctx.num], ctx.den * p // q)
+
+    def with_length(self, edge_id: int, length: Fraction) -> KirchhoffState:
+        """The state after edge ``edge_id``'s length becomes ``length``."""
+        a, b, ln, ld, _, _ = self.rows[edge_id]
+        pn, pd = length.as_integer_ratio()
+        n = pn * ld - ln * pd
+        num, den = self.num, self.den
+        if a != b and n:
+            update = GreenUpdate(num, den, a, b, -ln * pn, n)
+            h = den * ln * ln
+            num, den = update.divided(h), update.den // h
+        edges = list(self.edges)
+        edges[edge_id] = Edge(a, b, length)
+        return KirchhoffState(edges, num, den)
+
+
 def context(g: MetrizedGraph) -> GraphContext:
     """The graph's solver context, stored on g by its first reader and freed with it."""
-    return _cached(g.__dict__, "_context", GraphContext, g)
+    return _cached(g.__dict__, "_context", GraphContext.of, g)
 
 
 def resistance(g: MetrizedGraph, x: PointOnGraph, y: PointOnGraph) -> Fraction:
@@ -296,5 +289,5 @@ def solve_pair_resistances(g: MetrizedGraph, pairs: list[tuple[int, int]]) -> li
     point is inserted as a vertex and its graph solved here, apart from the
     cached contexts that ``mgt.integration`` reads.
     """
-    num, den = green_numden(g.vcount, g.edges)
-    return [Fraction(num[y][y] + num[z][z] - 2 * num[y][z], den) for y, z in pairs]
+    r = GraphContext.of(g).r
+    return [r(y, z) for y, z in pairs]

@@ -175,6 +175,15 @@ def _fmt(args, value) -> str:
     return format_float(value) if getattr(args, "as_float", False) else format_scalar(value)
 
 
+def _number(text: str, what: str):
+    """A number typed on the command line: one that does not parse is a usage
+    error (exit 2), where ``parse_scalar``'s ``InputError`` would read as a bad file."""
+    try:
+        return parse_scalar(text)
+    except InputError as exc:
+        raise MgtError(f"bad {what}: {exc}") from None
+
+
 def _parse_point(text: str) -> PointOnGraph:
     """A vertex id ``V`` or an edge point ``E:OFFSET``."""
     edge, colon, offset = text.partition(":")
@@ -182,7 +191,7 @@ def _parse_point(text: str) -> PointOnGraph:
         point = int(edge)
     except ValueError:
         raise BadPoint(f"bad point {text!r}: expected a vertex id or EDGE:OFFSET") from None
-    return (point, parse_scalar(offset)) if colon else point
+    return (point, _number(offset, f"point {text!r}")) if colon else point
 
 
 def _run_tau(args) -> int:
@@ -203,7 +212,7 @@ def _run_tau(args) -> int:
     print(_fmt(args, report.tau))
     if args.per_edge:
         for i, c, res in report.per_edge:
-            print(f"edge {i}: contribution {_fmt(args, c)} R {format_scalar(res)}")
+            print(f"edge {i}: contribution {_fmt(args, c)} R {_fmt(args, res)}")
     return EXIT_OK
 
 
@@ -393,9 +402,9 @@ def _run_scan(args) -> int:
     from .families import family_scan, scan_violations
 
     rows = family_scan(args.family, _parse_params(args.family, args.params))
-    print("family,params,tau,ratio")
+    print("family,params,ratio")
     for row in rows:
-        print(f"{row.family},{row.params},{format_scalar(row.tau)},{format_scalar(row.ratio)}")
+        print(f"{row.family},{row.params},{format_scalar(row.ratio)}")
     bad = scan_violations(rows)
     if bad:
         for row in bad:
@@ -413,7 +422,7 @@ _OPS = {
     "contract": (2, (1,), lambda ops, e, g: ops.contract_edge(g, int(e))),
     "identify": (3, (2,), lambda ops, p, q, g: ops.identify_points(g, int(p), int(q))),
     "add-edge": (4, (3,), lambda ops, p, q, length, g: ops.add_edge(
-        g, int(p), int(q), parse_scalar(length))),
+        g, int(p), int(q), _number(length, "length"))),
     "union1": (4, (2, 3), lambda ops, p1, p2, g1, g2: ops.union_one_point(g1, int(p1), g2, int(p2))),
     "union2": (6, (4, 5), lambda ops, p1, q1, p2, q2, g1, g2: ops.union_two_points(
         g1, g2, (int(p1), int(q1)), (int(p2), int(q2)))),

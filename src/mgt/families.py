@@ -133,9 +133,10 @@ def random_tree(rng: random.Random, max_vertices: int = 8) -> MetrizedGraph:
 
 
 class ScanRow(NamedTuple):
+    """One scan row; every family is built at total length one, so ``ratio`` is also its tau."""
+
     family: str
     params: str
-    tau: Fraction
     ratio: Fraction
 
 
@@ -218,7 +219,7 @@ def family_scan(family: str, params: dict | None = None) -> list[ScanRow]:
     for label, g, closed in cases(*(params.get(key, grid) for key, (grid, _) in keys.items())):
         if g is not None:
             _scan_assert(closed, g, label)
-        rows.append(ScanRow(family, label, closed, closed))
+        rows.append(ScanRow(family, label, closed))
     return rows
 
 

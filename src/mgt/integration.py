@@ -28,7 +28,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .errors import BadPoint, NonPolynomialIntegrand
-from .graph import Frozen, MetrizedGraph, PointOnGraph, check_vertices, edge_at, normalize_point
+from .graph import Frozen, MetrizedGraph, PointOnGraph, check_vertices, edge_at
 from .circuit import context
 from .rational import sum_over
 
@@ -232,14 +232,6 @@ def integrate_product(
         total = sum(map(mul, product, weights))
         parts.append((ln * scalar * total, ld ** (plain + 1) * ln**slopes))
     return sum_over(parts, m * (2 * den) ** (plain + slopes))
-
-
-def tau_via_integral(g: MetrizedGraph, p: int = 0) -> Fraction:
-    """The tau invariant as a quarter of the energy of x -> r(p, x)."""
-    p = normalize_point(g, p)
-    if not isinstance(p, int):
-        raise BadPoint("base point must be a vertex")
-    return integrate_product(g, p, p, [(TAG_R_FROM_P, True, 2)]) / 4
 
 
 def apq_direct(g: MetrizedGraph, p: int, q: int) -> Fraction:

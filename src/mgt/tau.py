@@ -27,10 +27,11 @@ tau at any base is one sum (``_tau_sum``) and A one sum (``_apq_sum``), over
 a diagonal and rows of Green numerators: g's own, or those of a rank-one
 update of them (``circuit.GreenUpdate``) for g minus an edge (``deleted_apq``)
 or for g with p and q glued, the zero-length limit of an edge p-q, so neither
-graph is built. ``apq_identity`` keeps the paper's identification route for
-A, r(p,q) (tau(glued) - tau) + r(p,q)^2/6, as a check of ``apq`` by a
-different formula; ``apq_checked`` compares the closed form with it and with
-the integral.
+graph is built. ``deleted_apq_of`` is that deletion sum, unmemoized, on any
+context, a ``circuit.KirchhoffState`` included. ``apq_identity`` keeps the
+paper's identification route for A, r(p,q) (tau(glued) - tau) + r(p,q)^2/6,
+as a check of ``apq`` by a different formula; ``apq_checked`` compares the
+closed form with it and with the integral.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from math import lcm
 from operator import mul, sub
 from typing import NamedTuple
 
-from .circuit import GreenUpdate, context
+from .circuit import GraphContext, GreenUpdate, context
 from .errors import EmptyGraph, HasBridge, MgtError
 from .graph import MetrizedGraph, _cached, bridges, check_vertices, edge_at, genus, total_length
 from .rational import ExtScalar, sum_over
@@ -236,10 +237,10 @@ def deleted_apq(g: MetrizedGraph, edge_id: int) -> Fraction:
     return _cached(ctx.memo, ("deleted A", edge_id), deleted_apq_of, ctx, edge_id)
 
 
-def deleted_apq_of(green, edge_id: int) -> Fraction:
-    """``deleted_apq`` read off the deletion update of any Green integers with edge rows:
-    a ``GraphContext`` or a ``circuit.KirchhoffState``; not memoized."""
-    deleted, rows = green.deleted(edge_id), green.rows
+def deleted_apq_of(ctx: GraphContext, edge_id: int) -> Fraction:
+    """``deleted_apq`` read off the deletion update of a context, a ``circuit.KirchhoffState``
+    included; BridgeDeletion on a bridge; not memoized."""
+    deleted, rows = ctx.deleted(edge_id), ctx.rows
     a, b = rows[edge_id][:2]
     return _apq_sum(deleted.row(a), deleted.row(b), deleted.diag(), deleted.den,
                     deleted.rows(rows[:edge_id] + rows[edge_id + 1:]), a, b)

@@ -16,7 +16,9 @@ The third group is the sampled route for the edge polynomials of
 its own, and ``fit_edge_function``'s guard sample checks the quadratic fit.
 Next to it, ``product_integral`` differentiates, multiplies and integrates
 those polynomials in ``Fraction`` arithmetic, the reference for the integer
-sums of ``integrate_product``.
+sums of ``integrate_product``. ``tau_via_integral`` reads tau as a quarter of
+the energy of x -> r(p, x) through ``integrate_product``, a second route to
+the tau sum of ``mgt.tau``.
 
 ``identification_apq`` is the paper's identification identity for A on the
 glued graph, built and factorized as a graph of its own: the reference for
@@ -64,6 +66,7 @@ from mgt.integration import (
     EdgePolynomial,
     edge_tag_polynomials,
     fit_edge_function,
+    integrate_product,
 )
 from mgt.ops import OpResult, immerse, parallel_sum
 from mgt.optimize import FloatTopology
@@ -384,6 +387,11 @@ def product_integral(g: MetrizedGraph, p: int, q: int, terms) -> Fraction:
             monomials.append(edge.length ** k / k)
         total += sum(c * w for c, w in zip(coeffs, monomials) if c)
     return total
+
+
+def tau_via_integral(g: MetrizedGraph, p: int = 0) -> Fraction:
+    """The tau invariant as a quarter of the energy of x -> r(p, x), for a vertex p."""
+    return integrate_product(g, p, p, [(TAG_R_FROM_P, True, 2)]) / 4
 
 
 def identification_apq(g: MetrizedGraph, p: int, q: int) -> Fraction:

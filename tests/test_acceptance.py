@@ -16,14 +16,14 @@ from mgt import families
 from mgt.circuit import context
 from mgt.families import family_scan, scan_violations
 from mgt.graph import build_graph, bridges, normalize, total_length
-from mgt.integration import apq_direct, edge_tag_polynomials, tau_via_integral
+from mgt.integration import apq_direct, edge_tag_polynomials
 from mgt.ops import c_tower, da_n, immerse
 from mgt.optimize import minimize_tau
 from mgt.reduction import resistance_via_reduction
 from mgt.suite import GraphGenerator, _checks_rng, identity_catalog, run_graph_checks
 from mgt.tau import apq_identity, deleted_apq, tau_gradient, tau_of
 from oracles import (exact_gradient_matches_float, necklace_witness, random_bridgeless,
-                     sampled_tag_polynomials, tau_reducing_sequence)
+                     sampled_tag_polynomials, tau_reducing_sequence, tau_via_integral)
 
 CORPUS_SEED = 1
 CORPUS_SIZE = 200

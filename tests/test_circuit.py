@@ -410,3 +410,14 @@ def test_kirchhoff_number_is_the_spanning_tree_sum():
         state = state.with_length(i, length)
         g = build_graph(3, [(a, b, length if j == i else old) for j, (a, b, old) in enumerate(g.edges)])
         assert state.den == kirchhoff_number(g)
+
+
+def test_a_carried_state_refuses_to_delete_a_bridge():
+    # a KirchhoffState is a context, so its deletion keeps the context's bridge
+    # check, before and after a length change, where 0/0 used to come out
+    g = build_graph(3, [(0, 1, 1), (1, 2, F(1, 2)), (2, 1, F(1, 3))])  # edge 0 is a bridge
+    state = KirchhoffState.of(g)
+    for green in (context(g), state, state.with_length(1, F(2)), state.with_length(0, F(3))):
+        with pytest.raises(BridgeDeletion):
+            deleted_apq_of(green, 0)
+    assert deleted_apq_of(state, 1) == deleted_apq_of(context(g), 1)

@@ -65,6 +65,20 @@ def test_tau_float_digits(circle_file, capsys):
     assert out.strip() == format(1 / 12, ".15g")
 
 
+@pytest.mark.parametrize("argv", [["tau", "--per-edge"], ["resistance", "0:1/4", "1"],
+                                  ["voltage", "0:1/4", "0", "1"], ["apq", "0", "1"],
+                                  ["mucan"], ["gradient"], ["bounds"]])
+def test_float_output_holds_no_fraction(tmp_path, capsys, argv):
+    # a bridge (R = inf), parallel edges and a loop: every value --float prints is a float
+    path = tmp_path / "bridge_loop.txt"
+    path.write_text("v 3\ne 0 1 1/2\ne 1 2 1/3\ne 1 2 1/4\ne 2 2 1/5\n")
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:], "--float")
+    assert code == 0 and err == "" and out
+    assert not [line for line in out.splitlines() if "/" in line]
+    if argv[0] == "tau":
+        assert "R inf" in out
+
+
 def test_resistance_and_voltage_with_point_syntax(tmp_path, capsys):
     path = tmp_path / "c.txt"
     path.write_text("e 0 1 2\ne 1 0 2\n")
@@ -148,9 +162,18 @@ def test_out_file_unwritable_is_an_error(circle_file, tmp_path, capsys):
     assert code == 3 and out == "" and "cannot write graph file" in err and "internal error" not in err
 
 
-def test_usage_error_exit_2(capsys):
+def test_usage_error_exit_2(tmp_path, capsys):
     assert main(["tau"]) == 2
     assert main(["unknown-verb"]) == 2
+    # a number typed on the command line is a usage error, not a bad input file
+    path = tmp_path / "tri.txt"
+    path.write_text("e 0 1 1\ne 1 2 1\ne 2 0 1\n")
+    capsys.readouterr()
+    for argv in (["resistance", str(path), "0:abc", "1"], ["resistance", str(path), "0:1e2000", "1"],
+                 ["resistance", str(path), "0:1/0", "1"], ["voltage", str(path), "0", "0:1/0", "1"],
+                 ["op", "add-edge", "0", "1", "abc", str(path)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and _one_error_line(err), (argv, err)
 
 
 def test_input_error_exit_3(tmp_path, capsys):
@@ -325,7 +348,7 @@ def test_scan_csv(capsys):
     code, out, _ = run_cli(capsys, "scan", "--family", "banana", "--params", "m=1..6")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "family,params,tau,ratio"
+    assert lines[0] == "family,params,ratio"
     assert any(line.startswith("banana,m=4,1/16") for line in lines)
 
 
@@ -408,7 +431,7 @@ def test_cli_sweep_is_pinned():
     done = subprocess.run([sys.executable, str(tool)], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stderr.startswith("171 calls, ")
-    assert done.stdout == "a4666dc01fa3947e2019cbc67e14b62d0e83559c0b7e41e53694d2dd480f4cb5\n"
+    assert done.stdout == "9757a4af9a26edc21b77762eaf73c39e7a46b70a4ff70c170031cc819b6516a4\n"
 
 
 def _one_error_line(err: str) -> bool:
@@ -701,7 +724,7 @@ def test_cli_tau_does_not_load_numpy(circle_file):
     assert done.returncode == 0 and done.stdout == "1/12\n"
     assert "mgt.tau" in imported and "numpy" not in imported
     done, imported = _imported_modules(["scan", "--family", "banana"])
-    assert done.returncode == 0 and done.stdout.startswith("family,params,tau,ratio\nbanana,m=1,")
+    assert done.returncode == 0 and done.stdout.startswith("family,params,ratio\nbanana,m=1,")
     assert "mgt.families" in imported and not {"numpy", "mgt.optimize"} & imported
 
 

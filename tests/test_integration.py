@@ -20,11 +20,10 @@ from mgt.integration import (
     fit_edge_function,
     integrate_product,
     interpolate,
-    tau_via_integral,
 )
 from mgt.tau import tau_of
 from oracles import (derivative, family_graphs, integral, power, product, product_integral,
-                     sampled_tag_polynomials)
+                     sampled_tag_polynomials, tau_via_integral)
 
 
 def test_edge_polynomial_algebra():

@@ -206,7 +206,7 @@ def test_green_int_factorizes_once_per_context(monkeypatch):
     for _ in range(10):
         g = families.random_connected(rng, 7, 12)
         before = len(dets)
-        ctx = GraphContext(g)
+        ctx = GraphContext.of(g)
         first = ctx.num
         ctx.r(0, g.vcount - 1)
         ctx.voltage(0, 1, g.vcount - 1)
@@ -221,8 +221,8 @@ def test_determinant_is_scale_free(monkeypatch):
     rng = random.Random(6)
     for _ in range(10):
         g = families.random_connected(rng, 7, 12)
-        GraphContext(g)
-        GraphContext(scale(g, c))
+        GraphContext.of(g)
+        GraphContext.of(scale(g, c))
         assert dets[-1] == dets[-2]
 
 
@@ -231,7 +231,7 @@ def test_self_immersion_determinant_is_small(monkeypatch):
     _, g = list(GraphGenerator(1).graphs(10))[9]  # v = 3, e = 4; built: v = 7
     gn = normalize(g)
     built = immerse(gn, [(gn, 0, 1)] * gn.ecount).graph
-    GraphContext(built)
+    GraphContext.of(built)
     assert dets[-1].bit_length() * 4 < _uniform_lcm_det(built).bit_length()
 
 

@@ -120,7 +120,7 @@ def test_tau_report_fields():
     assert GraphGenerator._fields == ("seed",)
     assert OptState._fields == ("lengths", "tau", "gradient", "iteration", "converged",
                                 "pinned", "exact_lengths", "exact_tau")
-    assert ScanRow._fields == ("family", "params", "tau", "ratio")
+    assert ScanRow._fields == ("family", "params", "ratio")
     assert CheckResult("id", "g", 1, 1, "pass").reason == ""
     assert GraphGenerator(3) == (3,)
 
