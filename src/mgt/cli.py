@@ -4,20 +4,25 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from . import fileio
 from .circuit import resistance, voltage
 from .errors import BadN, BadPoint, InputError, MgtError
-from .graph import MetrizedGraph, PointOnGraph, check_vertices, subdivide_uniform
+from .graph import MetrizedGraph, PointOnGraph, subdivide_uniform
 from .rational import format_float, format_scalar, parse_scalar
-from .tau import apq_checked, apq_identity, canonical_measure, lower_bound_suite, tau_edge_sum, tau_gradient, tau_of
+from .tau import apq, canonical_measure, lower_bound_suite, tau_edge_sum, tau_gradient, tau_of
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_INTERNAL = 4
+
+# -<digit> or -.<digit> (-1/2, -1e3) is a value, not an option; argparse's own pattern
+# takes -2 and -0.5 only. mgt has no such option, and it checks each number itself
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -63,6 +68,7 @@ def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     for name in (verb,) if one else _VERBS:
         help_text, add_arguments = _VERBS[name]
         p = sub.add_parser(name, help=help_text)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         p.set_defaults(run=globals()[f"_run_{name}"])  # looked up here, so a patched handler runs
         add_arguments(p)
     return parser
@@ -93,9 +99,6 @@ def _apq_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
-    p.add_argument("--method", choices=("direct", "identity", "both"), default="identity",
-                   help="identity: r (tau(p,q glued) - tau) + r^2/6 off the graph's Green integers; "
-                        "direct: the edge-polynomial integral; both: all three routes, must agree")
     _output_flags(p)
 
 
@@ -167,10 +170,6 @@ def _dumps(doc) -> str:
     return json.dumps(doc)
 
 
-def _load(path: str) -> MetrizedGraph:
-    return fileio.load_graph(path)
-
-
 def _fmt(args, value) -> str:
     return format_float(value) if getattr(args, "as_float", False) else format_scalar(value)
 
@@ -195,7 +194,7 @@ def _parse_point(text: str) -> PointOnGraph:
 
 
 def _run_tau(args) -> int:
-    g = _load(args.file)
+    g = fileio.load_graph(args.file)
     report = tau_edge_sum(g, args.base)
     if args.json:
         doc = {
@@ -217,36 +216,27 @@ def _run_tau(args) -> int:
 
 
 def _run_resistance(args) -> int:
-    g = _load(args.file)
+    g = fileio.load_graph(args.file)
     value = resistance(g, _parse_point(args.p), _parse_point(args.q))
     print(_dumps({"resistance": format_scalar(value)}) if args.json else _fmt(args, value))
     return EXIT_OK
 
 
 def _run_voltage(args) -> int:
-    g = _load(args.file)
+    g = fileio.load_graph(args.file)
     value = voltage(g, _parse_point(args.x), _parse_point(args.p), _parse_point(args.q))
     print(_dumps({"voltage": format_scalar(value)}) if args.json else _fmt(args, value))
     return EXIT_OK
 
 
 def _run_apq(args) -> int:
-    g = _load(args.file)
-    check_vertices(g, args.p, args.q)
-    if args.method == "direct":
-        from .integration import apq_direct
-
-        value = apq_direct(g, args.p, args.q)
-    elif args.method == "identity":
-        value = apq_identity(g, args.p, args.q)
-    else:
-        value = apq_checked(g, args.p, args.q)
+    value = apq(fileio.load_graph(args.file), args.p, args.q)
     print(_dumps({"apq": format_scalar(value)}) if args.json else _fmt(args, value))
     return EXIT_OK
 
 
 def _run_mucan(args) -> int:
-    g = _load(args.file)
+    g = fileio.load_graph(args.file)
     mu = canonical_measure(g)
     if args.json:
         print(_dumps({
@@ -264,7 +254,7 @@ def _run_mucan(args) -> int:
 
 
 def _run_gradient(args) -> int:
-    g = _load(args.file)
+    g = fileio.load_graph(args.file)
     grad = tau_gradient(g)
     if args.json:
         print(_dumps({
@@ -279,7 +269,7 @@ def _run_gradient(args) -> int:
 
 
 def _run_bounds(args) -> int:
-    g = _load(args.file)
+    g = fileio.load_graph(args.file)
     checks = lower_bound_suite(g)
     if args.json:
         print(_dumps([{
@@ -311,7 +301,7 @@ def _run_verify(args) -> int:
     elif args.count is not None:
         raise MgtError("--count applies to --random only, not to a FILE")
     else:
-        graphs = [(args.file, _load(args.file))]
+        graphs = [(args.file, fileio.load_graph(args.file))]
     ids = None if args.suite == "all" else [cid.strip() for cid in args.suite.split(",")]
     results = run_suite(graphs, args.seed, ids)
     failures = [r for r in results if r.status == "fail"]
@@ -344,7 +334,7 @@ def _run_minimize(args) -> int:
 
     from .optimize import minimize_tau, search_topology  # numpy loads only for this verb
 
-    g = _load(args.file)
+    g = fileio.load_graph(args.file)
     states = [minimize_tau(g, None, args.iters, args.tol)]
     search_size = search_topology(g).ecount  # bridges are contracted away first
     rng = _random.Random(f"mgt-minimize:{args.seed}")
@@ -444,7 +434,7 @@ def _run_op(args) -> int:
 
     try:
         for i in files:
-            a[i] = _load(a[i])
+            a[i] = fileio.load_graph(a[i])
         made = build(ops, *a)
     except (IndexError, ValueError) as exc:
         raise MgtError(f"bad arguments for op {name}: {exc}") from exc

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .circuit import context
-from .errors import BadN, BridgeDeletion, MgtError, NonPositiveLength, SamePoint
+from .errors import BadN, MgtError, NonPositiveLength, SamePoint
 from .graph import (MAX_EDGES, Edge, Frozen, MetrizedGraph, _cached, _scaled, _shift_edges, bridges,
                     check_size, check_vertices, delete_edge_graph, edge_at, identify_points_graph,
                     normalize, total_length)
@@ -39,10 +39,8 @@ class OpResult(Frozen):
 
 def delete_edge(g: MetrizedGraph, edge_id: int) -> OpResult:
     """Remove a non-bridge edge; tau drops by L/12 - R/6 + A/(L+R)."""
-    a, b, length = edge_at(g, edge_id)
-    if a != b and edge_id in bridges(g):
-        raise BridgeDeletion(f"edge {edge_id} is a bridge")
-    deleted, _ = delete_edge_graph(g, edge_id)
+    deleted, _ = delete_edge_graph(g, edge_id)  # checks the id; BridgeDeletion on a bridge
+    length = g.edges[edge_id].length
 
     def formula():
         res = context(g).res_deleted(edge_id)

@@ -14,7 +14,10 @@ place that turns a return or a raise into a ``CheckResult``.
 The six bound entries (``FMM1-bounds``, ``thmeqlength``, ``thmeqlength2``,
 ``thmcorineqsumR4``, ``thm2term``, ``corbasic2``) are not derived here: one
 adapter reads them off ``tau.lower_bound_suite``, and ``tests/oracles.py``
-keeps the deletion-profile route that checks those rows.
+keeps the deletion-profile route that checks those rows. The voltage integral
+A has its oracle routes here: ``_apq_checked`` compares the kernel's closed
+form ``tau.apq`` with the identification route and the integral, and
+``thmremain-equivalences`` compares the integral with it.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from .rational import INF, sum_over
 from .reduction import resistance_via_reduction, voltage_via_reduction
 from .tau import (
     apq,
-    apq_checked,
+    apq_identity,
     canonical_measure,
     cubic_sum,
     deleted_apq,
@@ -112,6 +115,14 @@ def _all_eq(pairs):
     for tag, lhs, rhs in pairs:
         _eq(lhs, rhs, tag)
     return pairs[0][1:]
+
+
+def _apq_checked(g: MetrizedGraph, p: int, q: int) -> Fraction:
+    """A_{p,q} in closed form, after ``_all_eq`` against the identification route and the integral."""
+    value = apq(g, p, q)
+    _all_eq([("identification", value, apq_identity(g, p, q)),
+             ("integral", value, apq_direct(g, p, q))])
+    return value
 
 
 def _vertex_pair(g: MetrizedGraph, rng: random.Random) -> tuple[int, int]:
@@ -278,6 +289,7 @@ def _check_apq_equivalences(g: MetrizedGraph, rng: random.Random):
         ("product form", direct, form_iv),
         ("swapped base form", direct, form_v),
         ("resistance form", direct, form_vi),
+        ("closed form", direct, apq(g, p, q)),
     ])
 
 
@@ -646,7 +658,7 @@ def _check_circle_apq(g: MetrizedGraph, rng: random.Random):
     a = families.random_length(rng)
     b = families.random_length(rng)
     circle = families.circle(a, b)
-    return _eq(apq_checked(circle, 0, 1), a**2 * b**2 / (6 * (a + b) ** 2))
+    return _eq(_apq_checked(circle, 0, 1), a**2 * b**2 / (6 * (a + b) ** 2))
 
 
 def _check_apq_edge_split(g: MetrizedGraph, rng: random.Random):
@@ -660,7 +672,7 @@ def _check_apq_edge_split(g: MetrizedGraph, rng: random.Random):
 
 def _check_tree_apq(g: MetrizedGraph, rng: random.Random):
     tree = families.random_tree(rng, 7)
-    return _eq(apq_checked(tree, 0, tree.vcount - 1), Fraction(0))
+    return _eq(_apq_checked(tree, 0, tree.vcount - 1), Fraction(0))
 
 
 def _check_wedge_apq(g: MetrizedGraph, rng: random.Random):
@@ -685,7 +697,7 @@ def _random_banana(rng: random.Random) -> MetrizedGraph:
 def _check_banana_apq(g: MetrizedGraph, rng: random.Random):
     graph = _random_banana(rng)
     m, r = graph.ecount, context(graph).r(0, 1)
-    return _eq(apq_checked(graph, 0, 1), (m - 1) * r * r / 6)
+    return _eq(_apq_checked(graph, 0, 1), (m - 1) * r * r / 6)
 
 
 def _check_banana_tau(g: MetrizedGraph, rng: random.Random):
@@ -729,7 +741,7 @@ CHECKS = [
      "int j_x' j_p' = 0", _check_orthogonality),
     ("thmbasic", "tau from the moving-base voltage energy",
      "4 tau = int (j_x')^2 + r(p,q)", _check_tau_voltage_form),
-    ("thmremain-equivalences", "four integral forms of the voltage integral agree",
+    ("thmremain-equivalences", "four integral forms of the voltage integral and its closed form agree",
      "A = -int j_p j_p' j_x' = int j_q j_p' j_x' = int r (j_p')^2 - r^2/2",
      _check_apq_equivalences),
     ("FMM1-bounds", "global tau bounds with the tree equality case",

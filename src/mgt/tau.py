@@ -30,7 +30,7 @@ or for g with p and q glued, the zero-length limit of an edge p-q, so neither
 graph is built. ``deleted_apq_of`` is that deletion sum, unmemoized, on any
 context, a ``circuit.KirchhoffState`` included. ``apq_identity`` keeps the
 paper's identification route for A, r(p,q) (tau(glued) - tau) + r(p,q)^2/6,
-as a check of ``apq`` by a different formula; ``apq_checked`` compares the
+as a check of ``apq`` by a different formula; ``mgt.suite`` compares the
 closed form with it and with the integral.
 """
 
@@ -43,7 +43,7 @@ from operator import mul, sub
 from typing import NamedTuple
 
 from .circuit import GraphContext, GreenUpdate, context
-from .errors import EmptyGraph, HasBridge, MgtError
+from .errors import EmptyGraph, HasBridge
 from .graph import MetrizedGraph, _cached, bridges, check_vertices, edge_at, genus, total_length
 from .rational import ExtScalar, sum_over
 
@@ -216,18 +216,6 @@ def apq_identity(g: MetrizedGraph, p: int, q: int) -> Fraction:
     glued = GreenUpdate(ctx.num, ctx.den, p, q, 0, 1)  # the zero-length limit of an edge p-q
     glued_tau = _tau_sum(glued.rows(ctx.rows), glued.diag(), glued.den)[0]
     return r * (glued_tau - tau_of(g)) + r * r / 6
-
-
-def apq_checked(g: MetrizedGraph, p: int, q: int) -> Fraction:
-    """A by three routes (closed form, identification, integral), asserted equal."""
-    from .integration import apq_direct
-
-    value = apq(g, p, q)
-    routes = (("identity", apq_identity(g, p, q)), ("integral", apq_direct(g, p, q)))
-    for name, other in routes:
-        if other != value:
-            raise MgtError(f"A mismatch at ({p},{q}): closed form {value} vs {name} {other}")
-    return value
 
 
 def deleted_apq(g: MetrizedGraph, edge_id: int) -> Fraction:

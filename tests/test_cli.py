@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -20,8 +21,9 @@ from mgt import cli, families, fileio, ops
 from mgt.cli import main
 from mgt.fileio import format_graph_text, load_graph
 from mgt.graph import build_graph, total_length
+from mgt.rational import format_float, format_scalar
 from mgt.suite import GraphGenerator
-from mgt.tau import tau_of
+from mgt.tau import apq, tau_of
 
 
 @pytest.fixture
@@ -88,13 +90,15 @@ def test_resistance_and_voltage_with_point_syntax(tmp_path, capsys):
     assert code == 0 and out.strip() == "1/4"
 
 
-def test_apq_methods_agree(k4_file, capsys):
-    values = set()
-    for method in ("direct", "identity", "both"):
-        code, out, _ = run_cli(capsys, "apq", k4_file, "0", "1", "--method", method)
-        assert code == 0
-        values.add(out.strip())
-    assert len(values) == 1
+def test_apq_prints_the_closed_form(k4_file, capsys):
+    # the kernel's A, the one every op formula reads; the other routes are the suite's checks
+    value = apq(load_graph(k4_file), 0, 1)
+    text = format_scalar(value)
+    expected = {(): text, ("--json",): json.dumps({"apq": text}), ("--float",): format_float(value)}
+    for flags, line in expected.items():
+        assert run_cli(capsys, "apq", k4_file, "0", "1", *flags) == (0, line + "\n", "")
+    code, out, err = run_cli(capsys, "apq", k4_file, "0", "1", "--method", "identity")
+    assert code == 2 and out == "" and "unrecognized arguments: --method" in err
 
 
 def test_mucan_and_gradient(circle_file, capsys):
@@ -171,7 +175,10 @@ def test_usage_error_exit_2(tmp_path, capsys):
     capsys.readouterr()
     for argv in (["resistance", str(path), "0:abc", "1"], ["resistance", str(path), "0:1e2000", "1"],
                  ["resistance", str(path), "0:1/0", "1"], ["voltage", str(path), "0", "0:1/0", "1"],
-                 ["op", "add-edge", "0", "1", "abc", str(path)]):
+                 ["op", "add-edge", "0", "1", "abc", str(path)],
+                 # a signed number is a value, as -2 and -0.5 are, so mgt's own check refuses it
+                 ["op", "add-edge", "0", "1", "-1/2", str(path)], ["resistance", str(path), "-1/2", "1"],
+                 ["op", "add-edge", "0", "1", "-1e3", str(path)], ["op", "add-edge", "0", "1", "-1/2/3", str(path)]):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and _one_error_line(err), (argv, err)
 
@@ -425,13 +432,13 @@ def test_minimize_json_is_pinned(tmp_path, capsys, name, extra):
 
 
 def test_cli_sweep_is_pinned():
-    # tools/cli_sweep.py hashes argv, exit code, stdout and stderr of 171 valid
+    # tools/cli_sweep.py hashes argv, exit code, stdout and stderr of 147 valid
     # command lines over every verb but minimize; any change of output moves it
     tool = Path(__file__).resolve().parent.parent / "tools" / "cli_sweep.py"
     done = subprocess.run([sys.executable, str(tool)], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stderr.startswith("171 calls, ")
-    assert done.stdout == "9757a4af9a26edc21b77762eaf73c39e7a46b70a4ff70c170031cc819b6516a4\n"
+    assert done.stderr.startswith("147 calls, ")
+    assert done.stdout == "ee10defa42f66745e666720c53ca380284cc0110563075004a0c8b40f873a707\n"
 
 
 def _one_error_line(err: str) -> bool:
@@ -481,8 +488,15 @@ def test_op_vertex_out_of_range_is_usage_error(k4_file, tmp_path, capsys, argv, 
     assert _one_error_line(err) and f"vertex {vertex} out of range 0.." in err
 
 
+def test_op_delete_of_a_bridge_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "bridge_loop.txt"
+    path.write_text("v 3\ne 0 1 1/2\ne 1 2 1/3\ne 1 2 1/4\ne 2 2 1/5\n")
+    code, out, err = run_cli(capsys, "op", "delete", "0", str(path))
+    assert (code, out, err) == (2, "", "error: deleting edge 0 disconnects the graph\n")
+
+
 def test_apq_bad_vertex_is_usage_error(k4_file, capsys):
-    for argv in (("0", "7"), ("7", "7"), ("0", "7", "--method", "direct")):
+    for argv in (("0", "7"), ("7", "7"), ("0", "7", "--json")):
         code, out, err = run_cli(capsys, "apq", k4_file, *argv)
         assert code == 2 and out == ""
         assert _one_error_line(err) and "vertex 7" in err
@@ -795,6 +809,23 @@ def test_verb_parser_matches_full_parser(argv, capsys):
         assert run_cli(capsys, *argv) == (cli.EXIT_USAGE if full[0] else cli.EXIT_OK, *full[1:])
 
 
+def test_readme_synopsis_names_every_option_of_each_verb():
+    # per verb, the options on its lines of README's CLI block, comments left out
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    synopsis: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        mgt, verb, *rest = line.split("#", 1)[0].split()
+        assert mgt == "mgt", line
+        synopsis.setdefault(verb, set()).update(re.findall(r"(?<![\w-])--?[a-z][\w-]*", " ".join(rest)))
+    assert sorted(synopsis) == sorted(cli._VERBS)
+    for verb in cli._VERBS:
+        parser = cli._build_parser(verb)
+        [verbs] = [action for action in parser._actions if action.dest == "verb"]
+        accepted = {s for action in verbs.choices[verb]._actions for s in action.option_strings}
+        assert synopsis[verb] == accepted - {"-h", "--help"}, verb
+
+
 def test_verify_json_prints_past_int_text_limit(tmp_path, capsys):
     # check values go through the same digit path as every other exact result
     rng = random.Random(7)
@@ -869,7 +900,7 @@ def _argvs(draw, path):
         argv = [verb, path] + draw(st.lists(point, min_size=2, max_size=3))
     elif verb == "apq":
         argv = [verb, path, draw(small), draw(small),
-                "--method", draw(st.sampled_from(["direct", "identity", "both", "x"]))]
+                *draw(st.lists(st.sampled_from(["--json", "--float"]), max_size=2))]
     elif verb in ("mucan", "gradient", "bounds"):
         argv = [verb, path, *draw(flags)]
     elif verb == "verify":

@@ -248,6 +248,39 @@ def test_deletion_formulas_fail_when_deleted_a_is_perturbed(monkeypatch):
     assert contracted.predicted_tau != tau_of(contracted.graph)
 
 
+def test_a_fault_in_the_closed_form_a_fails_the_integral_forms(monkeypatch):
+    # the last leg of thmremain-equivalences: verify FILE compares the kernel's A
+    # with the integral on the user's own graph
+    import mgt.suite
+
+    g = families.complete(4, F(1, 2))
+    [honest] = run_graph_checks("k4", g, random.Random(5), {"thmremain-equivalences"})
+    assert honest.status == "pass"
+    original = mgt.suite.apq
+    monkeypatch.setattr(mgt.suite, "apq", lambda *args: original(*args) + F(1, 10**9))
+    [faulty] = run_graph_checks("k4", g, random.Random(5), {"thmremain-equivalences"})
+    assert (faulty.status, faulty.reason) == ("fail", "closed form")
+    assert (faulty.lhs, faulty.rhs - faulty.lhs) == (honest.lhs, F(1, 10**9))
+
+
+@pytest.mark.parametrize("route, tag", [("apq_identity", "identification"), ("apq_direct", "integral")])
+def test_a_fault_in_an_oracle_route_of_a_fails_the_a_checks(monkeypatch, route, tag):
+    # a failed comparison, with both sides and the route's tag, not an "error:" string
+    import mgt.suite
+
+    g = families.complete(4, F(1, 2))
+    wanted = {"corpropAcircle", "propAtree", "propAbanana"}
+    honest = run_graph_checks("k4", g, random.Random(5), wanted)
+    assert [r.status for r in honest] == ["pass"] * 3
+    original = getattr(mgt.suite, route)
+    monkeypatch.setattr(mgt.suite, route, lambda *args: original(*args) + F(1, 10**9))
+    faulty = run_graph_checks("k4", g, random.Random(5), wanted)
+    assert [r.identity for r in faulty] == [r.identity for r in honest]
+    for r, h in zip(faulty, honest):
+        assert (r.status, r.reason) == ("fail", tag)
+        assert (r.lhs, r.rhs - r.lhs) == (h.lhs, F(1, 10**9))
+
+
 def test_arm_identities_fail_when_one_base_is_perturbed(monkeypatch):
     import mgt.suite
 

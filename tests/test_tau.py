@@ -5,7 +5,7 @@ import pytest
 
 from mgt import families
 from mgt.circuit import EdgeProfile, context
-from mgt.errors import HasBridge, MgtError
+from mgt.errors import HasBridge
 from mgt.graph import (
     bridges,
     build_graph,
@@ -17,14 +17,13 @@ from mgt.graph import (
 from mgt.families import ScanRow
 from mgt.optimize import OptState
 from mgt.rational import INF
-from mgt.suite import CheckResult, GraphGenerator
+from mgt.suite import CheckResult, GraphGenerator, _apq_checked, _Fail
 from mgt.tau import (
     BoundCheck,
     CanonicalMeasure,
     GradientVector,
     TauReport,
     apq,
-    apq_checked,
     apq_identity,
     canonical_measure,
     genus_identity_check,
@@ -196,15 +195,15 @@ def test_apq_identity_matches_direct_and_nonnegative():
         q = rng.randrange(g.vcount)
         if p == q:
             continue
-        assert apq_checked(g, p, q) >= 0  # raises on route mismatch
+        assert _apq_checked(g, p, q) >= 0  # fails on a route mismatch
 
 
 def test_apq_banana_and_same_point():
     g = families.banana(F(1, 2), F(1, 3), F(1, 4))
     r = context(g).r(0, 1)
-    assert apq_checked(g, 0, 1) == 2 * r * r / 6
+    assert _apq_checked(g, 0, 1) == 2 * r * r / 6
     # at p = q every route reads 0, as the integrand vanishes
-    assert apq_identity(g, 1, 1) == apq(g, 1, 1) == apq_checked(g, 1, 1) == 0
+    assert apq_identity(g, 1, 1) == apq(g, 1, 1) == _apq_checked(g, 1, 1) == 0
 
 
 def test_gradient_examples():
@@ -445,26 +444,30 @@ def test_apq_routes_part_on_a_perturbed_green_matrix(monkeypatch, g, entry):
     monkeypatch.setattr(ctx, "num", num)
     ctx.memo.clear()
     assert apq(g, 1, 2) != apq_identity(g, 1, 2)
-    with pytest.raises(MgtError, match="A mismatch"):
-        apq_checked(g, 1, 2)
+    with pytest.raises(_Fail) as failed:
+        _apq_checked(g, 1, 2)
+    assert failed.value.reason == "identification"
+    assert (failed.value.lhs, failed.value.rhs) == (apq(g, 1, 2), apq_identity(g, 1, 2))
     monkeypatch.undo()
     ctx.memo.clear()
 
 
 @pytest.mark.parametrize("route", ["apq", "apq_identity", "apq_direct"])
 def test_apq_checked_compares_three_routes(monkeypatch, route):
-    import mgt.integration
-    import mgt.tau
+    import mgt.suite
 
     g = families.complete(4, F(2, 3))
-    value = apq_checked(g, 0, 2)
-    module = mgt.integration if route == "apq_direct" else mgt.tau
-    original = getattr(module, route)
-    monkeypatch.setattr(module, route, lambda *args: original(*args) + F(1, 10**9))
-    with pytest.raises(MgtError, match="A mismatch"):
-        apq_checked(g, 0, 2)
+    value = _apq_checked(g, 0, 2)
+    original = getattr(mgt.suite, route)
+    monkeypatch.setattr(mgt.suite, route, lambda *args: original(*args) + F(1, 10**9))
+    with pytest.raises(_Fail) as failed:
+        _apq_checked(g, 0, 2)
+    # the closed form on the left, the route on the right; one of them is off by the fault
+    assert failed.value.reason == ("integral" if route == "apq_direct" else "identification")
+    assert failed.value.lhs - failed.value.rhs == (F(1, 10**9) if route == "apq" else -F(1, 10**9))
+    assert value in (failed.value.lhs, failed.value.rhs)
     monkeypatch.undo()
-    assert apq_checked(g, 0, 2) == value
+    assert _apq_checked(g, 0, 2) == value
 
 
 def test_apq_symmetric_in_its_pair():
@@ -489,8 +492,7 @@ def test_apq_symmetric_in_its_pair():
 
 
 def test_apq_checked_evaluates_routes_past_the_memo(monkeypatch):
-    import mgt.integration
-    import mgt.tau
+    import mgt.suite
 
     # a graph no other test builds, so its memo holds only what this test puts there
     g = build_graph(3, [(0, 1, F(2, 9)), (1, 2, F(4, 5)), (2, 0, F(1, 7)), (1, 1, F(3, 4))])
@@ -498,15 +500,16 @@ def test_apq_checked_evaluates_routes_past_the_memo(monkeypatch):
     value = apq(g, 2, 1)
     [key] = memo
     calls = []
-    for module, name in ((mgt.tau, "apq_identity"), (mgt.integration, "apq_direct")):
-        original = getattr(module, name)
-        monkeypatch.setattr(module, name,
+    for name in ("apq_identity", "apq_direct"):
+        original = getattr(mgt.suite, name)
+        monkeypatch.setattr(mgt.suite, name,
                             lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
-    assert apq_checked(g, 1, 2) == value
+    assert _apq_checked(g, 1, 2) == value
     assert sorted(calls) == ["apq_direct", "apq_identity"]
     memo[key] = value + F(1, 10**9)  # a wrong closed-form entry must not pass the check
-    with pytest.raises(MgtError, match="A mismatch"):
-        apq_checked(g, 1, 2)
+    with pytest.raises(_Fail) as failed:
+        _apq_checked(g, 1, 2)
+    assert (failed.value.reason, failed.value.lhs, failed.value.rhs) == ("identification", memo[key], value)
 
 
 def test_deleted_apq_matches_apq_of_the_deleted_graph():

@@ -60,11 +60,9 @@ def calls() -> list[list[str]]:
         argvs += [["tau", name, *flags] for flags in (*OUTPUT_FLAGS, ("--per-edge",),
                                                       ("--per-edge", "--float"))]
         for verb, *points in (("resistance", "0", "1"), ("resistance", "0:1/4", "1"),
-                              ("voltage", "0:1/4", "0", "1"), ("mucan",), ("gradient",),
-                              ("bounds",)):
+                              ("voltage", "0:1/4", "0", "1"), ("apq", "0", "1"), ("mucan",),
+                              ("gradient",), ("bounds",)):
             argvs += [[verb, name, *points, *flags] for flags in OUTPUT_FLAGS]
-        for method in ("direct", "identity", "both"):
-            argvs += [["apq", name, "0", "1", "--method", method, *flags] for flags in OUTPUT_FLAGS]
         argvs += [["verify", name], ["verify", name, "--json"]]
     argvs += [["op", *args, *flags] for args in OPS for flags in ((), ("--json",))]
     argvs += [["scan", "--family", family] for family in ("complete", "banana", "necklace", "circle")]
