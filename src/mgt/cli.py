@@ -183,6 +183,15 @@ def _number(text: str, what: str):
         raise MgtError(f"bad {what}: {exc}") from None
 
 
+def _integer(text: str, what: str) -> int:
+    """An integer typed on the command line (a vertex or edge id, a count): anything
+    else is a usage error that names the argument."""
+    try:
+        return int(text)
+    except ValueError:
+        raise MgtError(f"bad {what}: expected an integer, got {text!r}") from None
+
+
 def _parse_point(text: str) -> PointOnGraph:
     """A vertex id ``V`` or an edge point ``E:OFFSET``."""
     edge, colon, offset = text.partition(":")
@@ -408,19 +417,21 @@ def _run_scan(args) -> int:
 # load first, then the builder gets mgt.ops and every argument in order and
 # returns an OpResult, or for subdivide, which predicts nothing, the graph alone
 _OPS = {
-    "delete": (2, (1,), lambda ops, e, g: ops.delete_edge(g, int(e))),
-    "contract": (2, (1,), lambda ops, e, g: ops.contract_edge(g, int(e))),
-    "identify": (3, (2,), lambda ops, p, q, g: ops.identify_points(g, int(p), int(q))),
+    "delete": (2, (1,), lambda ops, e, g: ops.delete_edge(g, _integer(e, "edge"))),
+    "contract": (2, (1,), lambda ops, e, g: ops.contract_edge(g, _integer(e, "edge"))),
+    "identify": (3, (2,), lambda ops, p, q, g: ops.identify_points(g, _integer(p, "p"), _integer(q, "q"))),
     "add-edge": (4, (3,), lambda ops, p, q, length, g: ops.add_edge(
-        g, int(p), int(q), _number(length, "length"))),
-    "union1": (4, (2, 3), lambda ops, p1, p2, g1, g2: ops.union_one_point(g1, int(p1), g2, int(p2))),
+        g, _integer(p, "p"), _integer(q, "q"), _number(length, "length"))),
+    "union1": (4, (2, 3), lambda ops, p1, p2, g1, g2: ops.union_one_point(
+        g1, _integer(p1, "p1"), g2, _integer(p2, "p2"))),
     "union2": (6, (4, 5), lambda ops, p1, q1, p2, q2, g1, g2: ops.union_two_points(
-        g1, g2, (int(p1), int(q1)), (int(p2), int(q2)))),
-    "da-n": (2, (1,), lambda ops, n, g: ops.da_n(g, int(n))),
-    "subdivide": (2, (1,), lambda ops, m, g: subdivide_uniform(g, int(m))),
+        g1, g2, (_integer(p1, "p1"), _integer(q1, "q1")), (_integer(p2, "p2"), _integer(q2, "q2")))),
+    "da-n": (2, (1,), lambda ops, n, g: ops.da_n(g, _integer(n, "n"))),
+    "subdivide": (2, (1,), lambda ops, m, g: subdivide_uniform(g, _integer(m, "m"))),
     "immerse": (4, (0, 1), lambda ops, g, beta, p, q: ops.immerse(
-        g, [(beta, int(p), int(q))] * g.ecount)),
-    "tower": (4, (3,), lambda ops, p, q, n, g: ops.c_tower(g, int(p), int(q), int(n))),
+        g, [(beta, _integer(p, "p"), _integer(q, "q"))] * g.ecount)),
+    "tower": (4, (3,), lambda ops, p, q, n, g: ops.c_tower(
+        g, _integer(p, "p"), _integer(q, "q"), _integer(n, "n"))),
 }
 
 

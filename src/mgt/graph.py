@@ -7,8 +7,8 @@ two ends of an edge.
 
 Because a graph never changes, values derived from it alone are cached on the
 instance the first time they are read: the hash, the total length, the
-normalized graph, the bridge list and the solver context of
-``mgt.circuit.context``. Each lives exactly as long as its graph, and a pickle
+normalized graph, the bridge list, the solver context of
+``mgt.circuit.context`` and the conductance network of ``mgt.reduction``. Each lives exactly as long as its graph, and a pickle
 or copy carries none of them. ``_cached`` is mgt's one cache of per-object
 values, these and the per-graph values of higher layers alike.
 """

@@ -211,10 +211,11 @@ def immerse(
             raise SamePoint("marked points must be distinct")
     check_size(g.vcount + sum(beta.vcount - 2 for beta, _, _ in betas),
                sum(beta.ecount for beta, _, _ in betas), "an immersion", g)
-    r_betas = [context(beta).r(p, q) for beta, p, q in betas]
+    # r_i once per distinct marked graph: the menus repeat a few of them over every edge
+    r_of = {(beta, p, q): context(beta).r(p, q) for beta, p, q in dict.fromkeys(betas)}
     ratios = []  # L_i/r_i
-    for (_, _, length), r in zip(g.edges, r_betas):
-        (ln, ld), (rn, rd) = length.as_integer_ratio(), r.as_integer_ratio()
+    for (_, _, length), marked in zip(g.edges, betas):
+        (ln, ld), (rn, rd) = length.as_integer_ratio(), r_of[marked].as_integer_ratio()
         ratios.append((ln * rd, ld * rn))
     size = sum_over(ratios, 1)
     edges, nxt = [], g.vcount
@@ -227,7 +228,7 @@ def immerse(
         size = Fraction(0)
         rhs = tau_of(g) - Fraction(1, 4)
         for (beta, p, q), (ell, par) in marked_edge_sums(g, betas).items():
-            r_beta = context(beta).r(p, q)
+            r_beta = r_of[beta, p, q]
             size += ell / r_beta
             rhs += (ell * tau_of(beta) + par * apq(beta, p, q) / r_beta) / r_beta
         return rhs / size

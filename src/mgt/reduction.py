@@ -3,18 +3,19 @@
 This engine never touches a Laplacian or the Green integers. The network is
 one dict per vertex, mapping each neighbour to the conductance (1/length)
 between them: parallel edges add up as the graph is read, and self-loops,
-which carry no current, are never stored. Interior vertices are eliminated one
-at a time by the star-mesh rule (Kron reduction; series reduction is its n=2
-case, wye-delta its n=3 case). It is the second route of the suite's
-eq1.1-voltage check: its resistances and voltages must equal the Green
-kernel's exactly.
+which carry no current, are never stored. The graph's network is built once
+and kept on the graph through ``graph._cached``; each reduction copies it
+before it eliminates. Interior vertices are eliminated one at a time by the
+star-mesh rule (Kron reduction; series reduction is its n=2 case, wye-delta
+its n=3 case). It is the second route of the suite's eq1.1-voltage check: its
+resistances and voltages must equal the Green kernel's exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .graph import MetrizedGraph, check_vertices
+from .graph import MetrizedGraph, _cached, check_vertices
 
 # vertex -> {neighbour: conductance}, kept symmetric
 Network = dict[int, dict[int, Fraction]]
@@ -22,14 +23,16 @@ Network = dict[int, dict[int, Fraction]]
 
 def _join(net: Network, a: int, b: int, c: Fraction) -> None:
     """Add a conductance c between a and b, in parallel with any already there."""
-    net[a][b] = net[b][a] = net[a].get(b, 0) + c  # the maps are symmetric
+    old = net[a].get(b)
+    net[a][b] = net[b][a] = c if old is None else old + c  # the maps are symmetric
 
 
 def star_mesh(net: Network, center: int) -> None:
     """Eliminate center in place: legs c_i and c_j join with c_i c_j / sum(c_k)."""
     legs = list(net.pop(center).items())
-    total = sum(c for _, c in legs)
-    for a, _ in legs:
+    total = None
+    for a, c in legs:
+        total = c if total is None else total + c
         del net[a][center]
     for i, (a, ca) in enumerate(legs):
         share = ca / total
@@ -37,16 +40,23 @@ def star_mesh(net: Network, center: int) -> None:
             _join(net, a, b, share * cb)
 
 
-def reduce_to_terminals(g: MetrizedGraph, terminals: tuple[int, ...]) -> Network:
-    """The conductance maps left once every non-terminal vertex is eliminated.
-
-    Vertices go fewest neighbours first, ties by id.
-    """
-    check_vertices(g, *terminals)
+def _network(g: MetrizedGraph) -> Network:
+    """The graph's own network, before any elimination."""
     net: Network = {v: {} for v in range(g.vcount)}
     for a, b, length in g.edges:
         if a != b:
-            _join(net, a, b, 1 / length)
+            _join(net, a, b, Fraction(length.denominator, length.numerator))
+    return net
+
+
+def reduce_to_terminals(g: MetrizedGraph, terminals: tuple[int, ...]) -> Network:
+    """The conductance maps left once every non-terminal vertex is eliminated.
+
+    Vertices go fewest neighbours first, ties by id. The result is the
+    caller's own: it shares no dict with the graph's stored network.
+    """
+    check_vertices(g, *terminals)
+    net = {v: dict(legs) for v, legs in _cached(g.__dict__, "_network", _network, g).items()}
     interior = set(net) - set(terminals)
     while interior:
         node = min(interior, key=lambda v: (len(net[v]), v))
@@ -57,6 +67,7 @@ def reduce_to_terminals(g: MetrizedGraph, terminals: tuple[int, ...]) -> Network
 
 def resistance_via_reduction(g: MetrizedGraph, x: int, y: int) -> Fraction:
     """Two-terminal resistance computed purely by rewrites."""
+    check_vertices(g, x, y)
     if x == y:
         return Fraction(0)
     return 1 / reduce_to_terminals(g, (x, y))[x][y]
@@ -67,6 +78,7 @@ def voltage_via_reduction(g: MetrizedGraph, x: int, p: int, q: int) -> Fraction:
 
     An edge missing from the triangle has conductance 0.
     """
+    check_vertices(g, x, p, q)
     if x == p:
         return Fraction(0)
     if p == q:

@@ -181,6 +181,11 @@ def test_usage_error_exit_2(tmp_path, capsys):
                  ["op", "add-edge", "0", "1", "-1e3", str(path)], ["op", "add-edge", "0", "1", "-1/2/3", str(path)]):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and _one_error_line(err), (argv, err)
+    # an integer argument of op that does not parse is named, with what was expected
+    for argv, line in ((["op", "tower", "0", "1", "-1/2", str(path)], "bad n: expected an integer, got '-1/2'"),
+                       (["op", "delete", "1.5", str(path)], "bad edge: expected an integer, got '1.5'"),
+                       (["op", "immerse", str(path), str(path), "0", "x"], "bad q: expected an integer, got 'x'")):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {line}\n"), argv
 
 
 def test_input_error_exit_3(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The package root resolves its exports on first access (PEP 562)."""
 
 import ast
+import hashlib
 import os
 import subprocess
 import sys
@@ -111,14 +112,21 @@ def test_benchmark_tracer_binds_every_name_a_layer_metric_needs():
     assert done.stdout.split() == []
 
 
-def test_bench_record_counts_lines_as_wc_does():
-    # the record's ``lines`` block is where the line-count aim is read off
-    root = Path(__file__).resolve().parent.parent
-    sys.path.insert(0, str(root / "tools"))
+def _bench_record():
+    """``tools/bench_record.py`` as a module."""
+    tools = str(Path(__file__).resolve().parent.parent / "tools")
+    sys.path.insert(0, tools)
     try:
         import bench_record
     finally:
-        sys.path.remove(str(root / "tools"))
+        sys.path.remove(tools)
+    return bench_record
+
+
+def test_bench_record_counts_lines_as_wc_does():
+    # the record's ``lines`` block is where the line-count aim is read off
+    root = Path(__file__).resolve().parent.parent
+    bench_record = _bench_record()
     counts = bench_record._line_counts()
     for folder in ("src/mgt", "tests"):
         paths = sorted((root / folder).glob("*.py"))
@@ -130,12 +138,7 @@ def test_bench_record_counts_lines_as_wc_does():
 
 def test_bench_record_summary_counts_strict_wins_and_resolves_past_the_parent_iqr():
     # the record's summary is where a claimed gain is read off
-    root = Path(__file__).resolve().parent.parent
-    sys.path.insert(0, str(root / "tools"))
-    try:
-        import bench_record
-    finally:
-        sys.path.remove(str(root / "tools"))
+    bench_record = _bench_record()
 
     def summary(parent, change, better):
         pairs = [{"parent": {"m": p}, "change": {"m": c}} for p, c in zip(parent, change)]
@@ -155,3 +158,17 @@ def test_bench_record_summary_counts_strict_wins_and_resolves_past_the_parent_iq
     one = summary([2], [3], "higher")  # one pair: its parent value is every quartile
     assert one["wins"] == 1 and one["resolved"] and one["change_over_parent"] == 1.5
     assert (one["parent_q1"], one["parent_q3"]) == (2, 2)
+
+
+def test_bench_record_verify_entry_compares_the_parent_digest():
+    # the record alone shows whether a change moved a number of verify's output
+    bench_record = _bench_record()
+    out = b'[{"status": "pass"}, {"status": "skip"}, {"status": "pass"}]'
+    entry = bench_record._verify_entry([3.0, 1.0, 2.0], [out] * 3, out)
+    assert entry["sha256"] == entry["parent_sha256"] == hashlib.sha256(out).hexdigest()
+    assert entry["same"] is True and entry["statuses"] == {"pass": 2, "skip": 1}
+    assert entry["wall_s_median"] == 2.0 and entry["argv"][:2] == ["mgt", "verify"]
+    moved = bench_record._verify_entry([1.0], [out], out.replace(b"skip", b"pass"))
+    assert moved["same"] is False and moved["sha256"] == entry["sha256"] != moved["parent_sha256"]
+    with pytest.raises(SystemExit, match="differs between runs"):
+        bench_record._verify_entry([1.0, 1.0], [out, out + b"\n"], out)

@@ -1,17 +1,21 @@
 import itertools
 import random
+import re
 from fractions import Fraction as F
+
+import pytest
 
 from mgt import families
 from mgt.circuit import context
-from mgt.graph import build_graph
+from mgt.errors import BadVertexId
+from mgt.graph import MetrizedGraph, build_graph
 from mgt.reduction import (
     reduce_to_terminals,
     resistance_via_reduction,
     star_mesh,
     voltage_via_reduction,
 )
-from mgt.suite import GraphGenerator
+from mgt.suite import GraphGenerator, run_graph_checks
 
 
 def _net(g):
@@ -123,3 +127,52 @@ def test_every_pair_and_triple_on_the_corpus():
         for x in range(g.vcount):
             for p, q in itertools.combinations(set(range(g.vcount)) - {x}, 2):
                 assert voltage_via_reduction(g, x, p, q) == cx.voltage(x, p, q)
+
+
+def test_a_bad_vertex_id_raises_before_any_shortcut():
+    # x == y and x == p used to return 0 before the ids were checked
+    k4 = families.complete(4)
+    for call in (lambda: resistance_via_reduction(k4, 9, 9), lambda: voltage_via_reduction(k4, 9, 9, 1),
+                 lambda: voltage_via_reduction(k4, 0, 1, 9), lambda: reduce_to_terminals(k4, (0, -1))):
+        with pytest.raises(BadVertexId):
+            call()
+
+
+def test_the_route_reads_no_green_integer(monkeypatch):
+    import mgt.circuit
+
+    g = families.complete(5, F(2, 3))
+    cx = context(g)
+    kernel = ([cx.r(0, y) for y in range(5)], [cx.voltage(x, 1, 2) for x in range(5)])
+
+    def refuse(*args):
+        raise AssertionError("the reduction route factorized a Laplacian")
+
+    monkeypatch.setattr(mgt.circuit, "green_numden", refuse)
+    fresh = MetrizedGraph(g.vcount, g.edges)  # no context, no network yet
+    assert ([resistance_via_reduction(fresh, 0, y) for y in range(5)],
+            [voltage_via_reduction(fresh, x, 1, 2) for x in range(5)]) == kernel
+
+
+def test_a_returned_network_is_the_callers_own():
+    g = families.complete(4, F(1, 2))
+    net = reduce_to_terminals(g, (0, 1, 2, 3))
+    expected = reduce_to_terminals(g, (0, 1))
+    net[0][1] += 1
+    net[2].clear()
+    del net[3]
+    assert reduce_to_terminals(g, (0, 1)) == expected
+    assert resistance_via_reduction(g, 0, 1) == context(g).r(0, 1)
+
+
+def test_a_fault_in_a_stored_conductance_fails_the_voltage_check():
+    # eq1.1-voltage compares the rewrites with the kernel, so the route must not agree with a wrong network
+    descriptor, g = next((d, g) for d, g in GraphGenerator(1).graphs(48) if g.vcount >= 4)
+    wanted = {"eq1.1-voltage"}
+    assert run_graph_checks(descriptor, g, random.Random(2), wanted)[0].status == "pass"
+    reduce_to_terminals(g, ())  # stores the graph's network
+    a, b, _ = next(e for e in g.edges if e.a != e.b)
+    stored = g.__dict__["_network"]
+    stored[a][b] = stored[b][a] = stored[a][b] + 1
+    (result,) = run_graph_checks(descriptor, g, random.Random(2), wanted)
+    assert result.status == "fail" and re.fullmatch(r"j_\d+\(\d+,\d+\)", result.reason), result

@@ -379,3 +379,23 @@ def test_successive_changes_fail_under_a_fault_in_the_chain(monkeypatch, fault):
 
         monkeypatch.setattr(GreenUpdate, "divided", faulty)
     assert _successive_changes_failed(graphs) == sum(not bridges(g) for _, g in graphs)
+
+
+def test_valence_independence_fails_under_a_fault_at_one_base(monkeypatch):
+    # every base's tau is its own sum: one unit more in one potential at base p > 0 fails base p
+    import mgt.suite
+
+    descriptor, g = next((d, g) for d, g in GraphGenerator(1).graphs(48) if g.vcount >= 3)
+    wanted = {"valence-independence"}
+    assert run_graph_checks(descriptor, g, random.Random(3), wanted)[0].status == "pass"
+    original, base = mgt.suite._potentials, g.vcount - 1
+
+    def faulted(num, p=0):
+        pot = original(num, p)
+        if p == base:
+            pot[0] += 1
+        return pot
+
+    monkeypatch.setattr(mgt.suite, "_potentials", faulted)
+    (result,) = run_graph_checks(descriptor, g, random.Random(3), wanted)
+    assert (result.status, result.reason) == ("fail", f"base {base}")

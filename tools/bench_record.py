@@ -21,9 +21,12 @@ Each workload entry holds:
 - ``metrics`` (median, runs, unit), ``attempted``, ``failed``,
   ``ref_median_ms`` and ``raw_op_s`` over the change side's K runs.
 
-On the change alone it then records ``mgt verify --random --seed 1 --count 200
---json`` (median wall of 5 runs, status counts, the sha256 of its output, which
-must not vary), the median wall of 5 runs each of the Tier-1 command, of
+It runs the parent's ``mgt verify --random --seed 1 --count 200 --json`` once,
+and the change's 5 times; the ``verify`` entry holds the change's median wall,
+status counts and the sha256 of its output, which must not vary, beside the
+parent's sha256 (``parent_sha256``) and whether the two are equal (``same``),
+so the record alone shows whether a change moved a number. On the change alone
+it then records the median wall of 5 runs each of the Tier-1 command, of
 ``python -c "import mgt.cli"`` and of a cold ``python -m mgt.cli tau`` on K4,
 the ``kernel_digest`` that ``tools/kernel_digest.py`` prints with its input
 count, and ``lines``: each ``src/mgt/*.py`` and ``tests/*.py`` file's line
@@ -140,12 +143,24 @@ def _line_counts() -> dict:
     return counts
 
 
-def _timed(argv: list[str]) -> tuple[float, subprocess.CompletedProcess]:
-    """Wall time and the finished run, from the root with src on PYTHONPATH."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+def _timed(argv: list[str], root: str = ROOT) -> tuple[float, subprocess.CompletedProcess]:
+    """Wall time and the finished run, from ``root`` with its src on PYTHONPATH."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     start = time.perf_counter()
-    done = _run(argv, ROOT, env)
+    done = _run(argv, root, env)
     return time.perf_counter() - start, done
+
+
+def _verify_entry(walls: list[float], outputs: list[bytes], parent_output: bytes) -> dict:
+    """The record's ``verify`` entry: the change's runs (walls and outputs) against the parent's output."""
+    digests = {hashlib.sha256(out).hexdigest() for out in outputs}
+    if len(digests) != 1:
+        raise SystemExit(f"verify output differs between runs: {sorted(digests)}")
+    sha256, parent_sha256 = digests.pop(), hashlib.sha256(parent_output).hexdigest()
+    statuses = Counter(result["status"] for result in json.loads(outputs[0]))
+    return {"argv": ["mgt", *VERIFY], "wall_s_median": statistics.median(walls), "wall_s_runs": walls,
+            "sha256": sha256, "statuses": dict(statuses), "parent_sha256": parent_sha256,
+            "same": sha256 == parent_sha256}
 
 
 def main() -> int:
@@ -167,15 +182,10 @@ def main() -> int:
             tar.extractall(tmp, filter="data")
         sides = {"parent": tmp, "change": ROOT}
         workloads = {name: _pairs(sides, bench, name, args.pairs) for name in args.workload or names}
+        parent_verify = _timed([sys.executable, "-m", "mgt.cli", *VERIFY], tmp)[1].stdout
 
-    walls, digests = [], set()
-    for _ in range(RUNS):
-        wall, done = _timed([sys.executable, "-m", "mgt.cli", *VERIFY])
-        walls.append(wall)
-        digests.add(hashlib.sha256(done.stdout).hexdigest())
-    if len(digests) != 1:
-        raise SystemExit(f"verify output differs between runs: {sorted(digests)}")
-    statuses = Counter(result["status"] for result in json.loads(done.stdout))
+    runs = [_timed([sys.executable, "-m", "mgt.cli", *VERIFY]) for _ in range(RUNS)]
+    verify = _verify_entry([wall for wall, _ in runs], [done.stdout for _, done in runs], parent_verify)
     timed = {}
     with tempfile.TemporaryDirectory() as tmp:
         graph = os.path.join(tmp, "k4.txt")
@@ -197,8 +207,7 @@ def main() -> int:
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": _numpy_version(), "platform": platform.platform()},
         "workloads": workloads,
-        "verify": {"argv": ["mgt", *VERIFY], "wall_s_median": statistics.median(walls),
-                   "wall_s_runs": walls, "sha256": digests.pop(), "statuses": dict(statuses)},
+        "verify": verify,
         **timed,
         "kernel_digest": kernel,
         "lines": _line_counts(),
