@@ -42,7 +42,7 @@ from operator import sub
 from typing import NamedTuple
 
 from .errors import BridgeDeletion
-from .graph import Edge, MetrizedGraph, PointOnGraph, _cached, insert_points
+from .graph import Edge, MetrizedGraph, PointOnGraph, _cached, edge_at, insert_points
 from .linalg import green_numden, kirchhoff_ratio
 from .rational import INF, ExtScalar
 
@@ -172,6 +172,7 @@ class GraphContext:
 
     def deleted(self, edge_id: int) -> GreenUpdate:
         """g - e's integers: e in parallel with length -L, so d' = d gap; BridgeDeletion if gap = 0."""
+        edge_at(self, edge_id)  # BadPoint unless an edge id, where rows[-1] would wrap
         a, b, ln, ld, _, gap = self.rows[edge_id]
         if gap == 0:
             raise BridgeDeletion(f"deleting edge {edge_id} disconnects the graph")

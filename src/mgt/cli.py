@@ -10,7 +10,7 @@ import sys
 from . import fileio
 from .circuit import resistance, voltage
 from .errors import BadN, BadPoint, InputError, MgtError
-from .graph import MetrizedGraph, PointOnGraph, subdivide_uniform
+from .graph import PointOnGraph
 from .rational import format_float, format_scalar, parse_scalar
 from .tau import apq, canonical_measure, lower_bound_suite, tau_edge_sum, tau_gradient, tau_of
 
@@ -372,12 +372,8 @@ def _run_minimize(args) -> int:
     return EXIT_OK
 
 
-def _parse_params(family: str, text: str) -> dict:
-    """``KEY=LO..HI`` or ``KEY=A,B,...`` entries split by ``;``; a malformed one is a usage error,
-    and so is a fraction for a key that counts in ``family``."""
-    from .families import SCAN_FAMILIES
-
-    counts = {key for key, (_, count) in SCAN_FAMILIES[family][1].items() if count}
+def _parse_params(text: str) -> dict:
+    """``KEY=LO..HI`` or ``KEY=A,B,...`` entries split by ``;``; a malformed one is a usage error."""
     params: dict = {}
     for part in text.split(";") if text else ():
         key, _, raw = (x.strip() for x in part.partition("="))
@@ -391,8 +387,6 @@ def _parse_params(family: str, text: str) -> dict:
             values = [parse_scalar(x) for x in raw.split(",")]  # a part with no "=" has no values
         except (ValueError, InputError):
             raise MgtError(f"bad --params entry {part!r}: expected KEY=LO..HI or KEY=A,B,...") from None
-        if key in counts and any(x.denominator != 1 for x in values):
-            raise MgtError(f"bad --params entry {part!r}: {key} takes integers")
         params[key] = [int(x) if x.denominator == 1 else x for x in values]
     return params
 
@@ -400,7 +394,7 @@ def _parse_params(family: str, text: str) -> dict:
 def _run_scan(args) -> int:
     from .families import family_scan, scan_violations
 
-    rows = family_scan(args.family, _parse_params(args.family, args.params))
+    rows = family_scan(args.family, _parse_params(args.params))
     print("family,params,ratio")
     for row in rows:
         print(f"{row.family},{row.params},{format_scalar(row.ratio)}")
@@ -415,7 +409,7 @@ def _run_scan(args) -> int:
 
 # name -> (argument count, the positions of its graph files, builder); the files
 # load first, then the builder gets mgt.ops and every argument in order and
-# returns an OpResult, or for subdivide, which predicts nothing, the graph alone
+# returns an OpResult
 _OPS = {
     "delete": (2, (1,), lambda ops, e, g: ops.delete_edge(g, _integer(e, "edge"))),
     "contract": (2, (1,), lambda ops, e, g: ops.contract_edge(g, _integer(e, "edge"))),
@@ -427,7 +421,7 @@ _OPS = {
     "union2": (6, (4, 5), lambda ops, p1, q1, p2, q2, g1, g2: ops.union_two_points(
         g1, g2, (_integer(p1, "p1"), _integer(q1, "q1")), (_integer(p2, "p2"), _integer(q2, "q2")))),
     "da-n": (2, (1,), lambda ops, n, g: ops.da_n(g, _integer(n, "n"))),
-    "subdivide": (2, (1,), lambda ops, m, g: subdivide_uniform(g, _integer(m, "m"))),
+    "subdivide": (2, (1,), lambda ops, m, g: ops.subdivide(g, _integer(m, "m"))),
     "immerse": (4, (0, 1), lambda ops, g, beta, p, q: ops.immerse(
         g, [(beta, _integer(p, "p"), _integer(q, "q"))] * g.ecount)),
     "tower": (4, (3,), lambda ops, p, q, n, g: ops.c_tower(
@@ -443,34 +437,27 @@ def _run_op(args) -> int:
         raise MgtError(f"op {name} takes {count} arguments, got {len(a)}")
     from . import ops
 
-    try:
-        for i in files:
-            a[i] = fileio.load_graph(a[i])
-        made = build(ops, *a)
-    except (IndexError, ValueError) as exc:
-        raise MgtError(f"bad arguments for op {name}: {exc}") from exc
-    result = None if isinstance(made, MetrizedGraph) else made
-    built = made if result is None else result.graph
+    for i in files:
+        a[i] = fileio.load_graph(a[i])
+    result = build(ops, *a)
+    built = result.graph
     actual = tau_of(built)
-    predicted = result.predicted_tau if result is not None else None
+    predicted = result.predicted_tau
     if args.out:  # written first, so a failed write prints no result
         fileio.save_graph(args.out, built)
     if args.json:
         print(_dumps({
-            "predicted_tau": format_scalar(predicted) if predicted is not None else None,
+            "predicted_tau": format_scalar(predicted),
             "tau": format_scalar(actual),
             "vertices": built.vcount,
             "edges": built.ecount,
-            "formula": result.formula_id if result is not None else None,
+            "formula": result.formula_id,
         }))
     else:
-        if predicted is not None:
-            agree = "agree" if predicted == actual else "DISAGREE"
-            print(f"predicted tau: {format_scalar(predicted)} ({agree})")
+        agree = "agree" if predicted == actual else "DISAGREE"
+        print(f"predicted tau: {format_scalar(predicted)} ({agree})")
         print(f"tau: {format_scalar(actual)}  (v={built.vcount}, e={built.ecount})")
-    if predicted is not None and predicted != actual:
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return EXIT_OK if predicted == actual else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -215,6 +215,10 @@ def family_scan(family: str, params: dict | None = None) -> list[ScanRow]:
     for key, grid in params.items():
         if not grid:
             raise EmptyGrid(f"scan family {family!r} got no value of {key}; an empty grid checks nothing")
+        if keys[key][1] and not isinstance(grid, range):  # a range holds integers only
+            for x in grid:
+                if not isinstance(x, int):
+                    raise BadN(f"scan family {family!r}: {key} takes integers, got {x}")
     rows: list[ScanRow] = []
     for label, g, closed in cases(*(params.get(key, grid) for key, (grid, _) in keys.items())):
         if g is not None:

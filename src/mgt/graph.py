@@ -215,8 +215,9 @@ def _shift_edges(vcount: int, edges, mapping: dict, offset: int) -> tuple[list[E
 
 def edge_at(g: MetrizedGraph, edge_id: int) -> Edge:
     """g's edge with this id; BadPoint unless it is one of 0..e-1 (no negative indexing)."""
-    if not isinstance(edge_id, int) or not 0 <= edge_id < g.ecount:
-        span = f"out of range 0..{g.ecount - 1}" if g.ecount else "does not exist: the graph has no edges"
+    ecount = len(g.edges)  # not g.ecount, so a circuit.GraphContext checks its ids here too
+    if not isinstance(edge_id, int) or not 0 <= edge_id < ecount:
+        span = f"out of range 0..{ecount - 1}" if ecount else "does not exist: the graph has no edges"
         raise BadPoint(f"edge {edge_id} {span}")
     return g.edges[edge_id]
 

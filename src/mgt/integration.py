@@ -27,7 +27,7 @@ from math import lcm
 from operator import mul
 from typing import Callable, Sequence
 
-from .errors import BadPoint, NonPolynomialIntegrand
+from .errors import BadN, BadPoint, NonPolynomialIntegrand
 from .graph import Frozen, MetrizedGraph, PointOnGraph, check_vertices, edge_at
 from .circuit import context
 from .rational import sum_over
@@ -113,6 +113,8 @@ def fit_edge_function(
     the integrand was not a polynomial of the declared degree on this edge.
     """
     length = edge_at(g, edge).length
+    if not isinstance(degree, int) or degree < 0:
+        raise BadN(f"polynomial degree must be an integer >= 0, got {degree!r}")
     offsets = [length * k / (degree + 3) for k in range(1, degree + 3)]  # strictly interior
     values = [f((edge, t)) for t in offsets]
     poly = interpolate(edge, list(zip(offsets[: degree + 1], values[: degree + 1])))

@@ -18,7 +18,7 @@ from .circuit import context
 from .errors import BadN, MgtError, NonPositiveLength, SamePoint
 from .graph import (MAX_EDGES, Edge, Frozen, MetrizedGraph, _cached, _scaled, _shift_edges, bridges,
                     check_size, check_vertices, delete_edge_graph, edge_at, identify_points_graph,
-                    normalize, total_length)
+                    normalize, subdivide_uniform, total_length)
 from .rational import Scalar, sum_over
 from .tau import apq, deleted_apq, tau_of
 
@@ -186,6 +186,11 @@ def da_n(g: MetrizedGraph, n: int) -> OpResult:
         )
 
     return OpResult(graph, "parallel-split", formula)
+
+
+def subdivide(g: MetrizedGraph, m: int) -> OpResult:
+    """Divide every edge into m equal pieces; valence-2 points leave tau unchanged."""
+    return OpResult(subdivide_uniform(g, m), "subdivision-invariance", lambda: tau_of(g))
 
 
 def immerse(

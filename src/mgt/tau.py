@@ -220,7 +220,7 @@ def apq_identity(g: MetrizedGraph, p: int, q: int) -> Fraction:
 
 def deleted_apq(g: MetrizedGraph, edge_id: int) -> Fraction:
     """A between an edge's endpoints in g minus the edge; 0 on a loop, BridgeDeletion on a bridge."""
-    edge_at(g, edge_id)
+    edge_at(g, edge_id)  # before the memo, whose key 1.0 would find edge 1's value
     ctx = context(g)  # its ``deleted`` raises BridgeDeletion on a bridge
     return _cached(ctx.memo, ("deleted A", edge_id), deleted_apq_of, ctx, edge_id)
 

@@ -11,13 +11,13 @@ import pytest
 
 from mgt import families
 from mgt.circuit import GreenUpdate, KirchhoffState, context, resistance, voltage
-from mgt.errors import BridgeDeletion
+from mgt.errors import BadPoint, BridgeDeletion
 from mgt.graph import (bridges, build_graph, delete_edge_graph, identify_points_graph, normalize,
                        total_length)
 from mgt.ops import OpResult, add_edge
 from mgt.suite import GraphGenerator
 from mgt.rational import INF
-from mgt.tau import apq, deleted_apq_of, lower_bound_suite, tau_of
+from mgt.tau import apq, deleted_apq, deleted_apq_of, lower_bound_suite, tau_of
 from oracles import edge_profile, kirchhoff_number, spanning_tree_resistance, successive_length_steps
 from test_linalg import _spy_on_factorizations
 
@@ -410,6 +410,22 @@ def test_kirchhoff_number_is_the_spanning_tree_sum():
         state = state.with_length(i, length)
         g = build_graph(3, [(a, b, length if j == i else old) for j, (a, b, old) in enumerate(g.edges)])
         assert state.den == kirchhoff_number(g)
+
+
+def test_a_context_refuses_an_edge_id_out_of_range():
+    # -1 used to wrap: deleted A read 11 edge rows and gave 1/144, r_deleted read edge 5.
+    # deleted_apq checks before its memo, where 1.0 would find edge 1's value
+    k4 = families.complete(4)
+    assert deleted_apq(k4, 1) == F(1, 288)
+    for green in (context(k4), KirchhoffState.of(k4)):
+        for edge in (-1, 6, 1.0):
+            with pytest.raises(BadPoint, match=f"edge {edge} out of range 0..5"):
+                deleted_apq_of(green, edge)
+            with pytest.raises(BadPoint, match=f"edge {edge} out of range 0..5"):
+                green.r_deleted(edge, 0, 1)
+    for edge in (-1, 1.0, [1]):
+        with pytest.raises(BadPoint, match="out of range 0..5"):
+            deleted_apq(k4, edge)
 
 
 def test_a_carried_state_refuses_to_delete_a_bridge():

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -436,14 +437,38 @@ def test_minimize_json_is_pinned(tmp_path, capsys, name, extra):
     assert out == _MINIMIZE_PINS[name, extra]
 
 
+_SWEEP = Path(__file__).resolve().parent.parent / "tools" / "cli_sweep.py"
+
+
 def test_cli_sweep_is_pinned():
-    # tools/cli_sweep.py hashes argv, exit code, stdout and stderr of 147 valid
+    # tools/cli_sweep.py hashes argv, exit code, stdout and stderr of 151 valid
     # command lines over every verb but minimize; any change of output moves it
-    tool = Path(__file__).resolve().parent.parent / "tools" / "cli_sweep.py"
-    done = subprocess.run([sys.executable, str(tool)], capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, str(_SWEEP)], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stderr.startswith("147 calls, ")
-    assert done.stdout == "ee10defa42f66745e666720c53ca380284cc0110563075004a0c8b40f873a707\n"
+    assert done.stderr.startswith("151 calls, ")
+    assert done.stdout == "d5b5d328a9e66645d43a9c7aabf4b35265906d185cf8da07e5d548b3914a1187\n"
+
+
+def test_cli_sweep_runs_every_op():
+    # the sweep's OPS table, read without running the tool, names each op of the CLI
+    table = next(ast.literal_eval(node.value) for node in ast.parse(_SWEEP.read_text()).body
+                 if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "OPS")
+    assert set(cli._OPS) <= {args[0] for args in table}
+
+
+def test_op_subdivide_disagrees_with_a_lengthened_piece(k4_file, monkeypatch, capsys):
+    # subdivision predicts tau unchanged, so a subdivision that lengthens one piece
+    # fails the op's check; it used to print tau alone and exit 0
+    subdivide_uniform = ops.subdivide_uniform
+
+    def lengthened(g, m):
+        (a, b, length), *rest = (built := subdivide_uniform(g, m)).edges
+        return build_graph(built.vcount, [(a, b, 2 * length), *rest])
+
+    monkeypatch.setattr(ops, "subdivide_uniform", lengthened)
+    code, out, err = run_cli(capsys, "op", "subdivide", "2", k4_file)
+    assert (code, err) == (1, "")
+    assert out.startswith("predicted tau: 5/96 (DISAGREE)\n")
 
 
 def _one_error_line(err: str) -> bool:

@@ -7,7 +7,7 @@ import pytest
 
 from mgt import families
 from mgt.circuit import context, resistance, voltage
-from mgt.errors import BadPoint, BadVertexId, NonPolynomialIntegrand
+from mgt.errors import BadN, BadPoint, BadVertexId, NonPolynomialIntegrand
 from mgt.graph import build_graph, total_length
 from mgt.integration import (
     TAG_J_BASE_P,
@@ -76,6 +76,14 @@ def test_fit_edge_id_must_be_an_edge(edge):
     circ = families.circle(F(1, 2), F(1, 2))
     with pytest.raises(BadPoint, match="out of range"):
         fit_edge_function(circ, edge, lambda x: F(0), 0)
+
+
+@pytest.mark.parametrize("degree", [-1, -3, 1.0, F(1)])
+def test_fit_degree_must_be_a_non_negative_int(degree):
+    # -1 used to end in an IndexError from interpolating no samples, -3 in a ZeroDivisionError
+    circ = families.circle(F(1, 2), F(1, 2))
+    with pytest.raises(BadN, match="degree must be an integer >= 0"):
+        fit_edge_function(circ, 0, lambda x: F(0), degree)
 
 
 def test_fit_quadratic_voltage_on_circle():

@@ -18,6 +18,7 @@ from mgt.ops import (
     contract_bridges,
     immerse,
     parallel_sum,
+    subdivide,
     union_one_point,
     union_two_points,
 )
@@ -209,6 +210,16 @@ def test_da_n_compose_with_subdivision():
             + F(n - 1, 6 * m * n**2) * parallel_sum(g)
         )
         assert tau_of(built.graph) == predicted
+
+
+def test_subdivide_predicts_tau_unchanged_on_the_corpus():
+    from mgt.suite import GraphGenerator
+
+    for _, g in GraphGenerator(1).graphs(48):
+        for m in (1, 2, 3):
+            result = closure(subdivide(g, m))
+            assert result.graph == subdivide_uniform(g, m)
+            assert result.formula_id == "subdivision-invariance"
 
 
 def test_immerse_banana_equals_da_n():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgt import families
-from mgt.errors import EmptyGrid, MgtError, NotBridgeless, SamePoint
+from mgt.errors import BadN, EmptyGrid, MgtError, NotBridgeless, SamePoint
 from mgt.families import family_scan, scan_violations
 from mgt.graph import MetrizedGraph, build_graph
 from mgt.optimize import (
@@ -354,6 +354,15 @@ def test_family_scan_banana():
     for grid in ([], range(3, 1)):
         with pytest.raises(EmptyGrid, match="no value of m"):
             family_scan("banana", {"m": grid})
+
+
+@pytest.mark.parametrize("family, key, value", [
+    ("complete", "v", F(5, 2)), ("banana", "m", F(5, 2)), ("circle", "k", 2.5), ("necklace", "t", F(3, 2)),
+])
+def test_family_scan_refuses_a_fraction_for_a_count(family, key, value):
+    # each used to end in a TypeError from range() or a builder
+    with pytest.raises(BadN, match=f"scan family '{family}': {key} takes integers, got {value}"):
+        family_scan(family, {key: [value]})
 
 
 def test_family_scan_necklace():

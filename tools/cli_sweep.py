@@ -47,7 +47,7 @@ OPS = (  # the arguments of each op after its name
     ("union1", "0", "1", "k4.txt", "bridge_loop.txt"),
     ("union2", "0", "1", "0", "1", "k4.txt", "banana.txt"),
     ("da-n", "2", "k4.txt"), ("da-n", "3", "bridge_loop.txt"),
-    ("subdivide", "2", "bridge_loop.txt"),
+    ("subdivide", "2", "bridge_loop.txt"), ("subdivide", "3", "k4.txt"),
     ("immerse", "tree.txt", "banana.txt", "0", "1"),
     ("tower", "0", "1", "2", "k4.txt"),
 )
@@ -66,6 +66,8 @@ def calls() -> list[list[str]]:
         argvs += [["verify", name], ["verify", name, "--json"]]
     argvs += [["op", *args, *flags] for args in OPS for flags in ((), ("--json",))]
     argvs += [["scan", "--family", family] for family in ("complete", "banana", "necklace", "circle")]
+    argvs += [["scan", "--family", "banana", "--params", "m=1..3"],
+              ["scan", "--family", "necklace", "--params", "a=1/8;t=2,3"]]
     argvs.append(["verify", "--random", "--count", "3"])
     return argvs
 
