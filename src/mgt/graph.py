@@ -26,6 +26,7 @@ from .errors import (
     BridgeDeletion,
     DisconnectedGraph,
     EmptyGraph,
+    MgtError,
     NonPositiveLength,
     NonPositiveScale,
     SamePoint,
@@ -229,6 +230,12 @@ def check_vertices(g: MetrizedGraph, *vertices: int) -> None:
             raise BadVertexId(f"vertex {v} out of range 0..{g.vcount - 1}")
 
 
+def check_count(n: int, error: type[MgtError], what: str) -> None:
+    """Raise error unless n is an int of at least 1; a bool is no count."""
+    if type(n) is not int or n < 1:
+        raise error(f"{what} must be an int >= 1, got {n!r}")
+
+
 def check_size(vcount: int, ecount: int, what: str, g: MetrizedGraph | None = None) -> None:
     """Raise TooLarge if a graph of vcount vertices and ecount edges, about to be built
     (from g, if given), is over MAX_VERTICES or MAX_EDGES. A count of g's own that is
@@ -295,8 +302,7 @@ def insert_points(g: MetrizedGraph, points: Sequence[PointOnGraph]) -> tuple[Met
 
 def subdivide_uniform(g: MetrizedGraph, m: int) -> MetrizedGraph:
     """Divide every edge into m equal pieces; total length is unchanged."""
-    if m < 1:
-        raise BadM(f"subdivision count must be >= 1, got {m}")
+    check_count(m, BadM, "subdivision count")
     if m == 1:
         return g
     check_size(g.vcount + (m - 1) * g.ecount, m * g.ecount, f"a subdivision by m={m}", g)

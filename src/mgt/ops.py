@@ -17,8 +17,8 @@ from typing import Callable
 from .circuit import context
 from .errors import BadN, MgtError, NonPositiveLength, SamePoint
 from .graph import (MAX_EDGES, Edge, Frozen, MetrizedGraph, _cached, _scaled, _shift_edges, bridges,
-                    check_size, check_vertices, delete_edge_graph, edge_at, identify_points_graph,
-                    normalize, subdivide_uniform, total_length)
+                    check_count, check_size, check_vertices, delete_edge_graph, edge_at,
+                    identify_points_graph, normalize, subdivide_uniform, total_length)
 from .rational import Scalar, sum_over
 from .tau import apq, deleted_apq, tau_of
 
@@ -167,30 +167,37 @@ def marked_edge_sums(g: MetrizedGraph, betas) -> dict:
                      sum_over([(gap, ld) for _, ld, gap in rows], den)) for marked, rows in groups.items()}
 
 
-def da_n(g: MetrizedGraph, n: int) -> OpResult:
-    """Replace every edge by n parallel edges of length L/n (total length fixed).
+def parallel_split_tau(g: MetrizedGraph, n: int) -> Fraction:
+    """tau of the parallel split by n, from g alone, with no split built:
+    tau/n^2 + (L/12)((n-1)/n)^2 + ((n-1)/(6n^2)) sum L^2/(L+R)."""
+    check_count(n, BadN, "parallel multiplicity")
+    return (tau_of(g) / n**2 + total_length(g) / 12 * Fraction(n - 1, n) ** 2
+            + Fraction(n - 1, 6 * n**2) * parallel_sum(g))
 
-    tau becomes tau/n^2 + (L/12)((n-1)/n)^2 + ((n-1)/(6n^2)) sum L^2/(L+R).
-    """
-    if n < 1:
-        raise BadN("parallel multiplicity must be >= 1")
+
+def da_n(g: MetrizedGraph, n: int) -> OpResult:
+    """Replace every edge by n parallel edges of length L/n (total length fixed);
+    tau follows ``parallel_split_tau``."""
+    check_count(n, BadN, "parallel multiplicity")
     check_size(g.vcount, n * g.ecount, f"a parallel split by n={n}", g)
     graph = MetrizedGraph(g.vcount, tuple(e for e in _scaled(g.edges, 1, n) for _ in range(n)))
-
-    def formula():
-        ell = total_length(g)
-        return (
-            tau_of(g) / n**2
-            + ell / 12 * Fraction(n - 1, n) ** 2
-            + Fraction(n - 1, 6 * n**2) * parallel_sum(g)
-        )
-
-    return OpResult(graph, "parallel-split", formula)
+    return OpResult(graph, "parallel-split", lambda: parallel_split_tau(g, n))
 
 
 def subdivide(g: MetrizedGraph, m: int) -> OpResult:
     """Divide every edge into m equal pieces; valence-2 points leave tau unchanged."""
     return OpResult(subdivide_uniform(g, m), "subdivision-invariance", lambda: tau_of(g))
+
+
+def _marked_template(beta: MetrizedGraph, p: int, q: int) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """A marked graph laid out for copying: its k vertices other than p and q, then
+    p as label k and q as label k + 1; each edge as (label, label, numerator, denominator)."""
+    check_vertices(beta, p, q)
+    if p == q:
+        raise SamePoint("marked points must be distinct")
+    inner = [v for v in range(beta.vcount) if v != p and v != q]
+    label = {v: i for i, v in enumerate(inner)} | {p: len(inner), q: len(inner) + 1}
+    return len(inner), [(label[x], label[y], *length.as_integer_ratio()) for x, y, length in beta.edges]
 
 
 def immerse(
@@ -204,29 +211,34 @@ def immerse(
     marked vertices equals the edge length; endpoint a of the edge lands on
     the first marked vertex. The copies (each beta_i has length one) add up to
     S = sum L_i/r_i, so only the normalized graph is built, edge e of copy i
-    with length L_e L_i/(r_i S). The prediction is its tau.
+    with length L_e L_i/(r_i S). The prediction is its tau. Each distinct
+    marking is checked and laid out once.
     """
     g = normalize(g)
-    betas = [(normalize(beta), p, q) for beta, p, q in betas]
+    normal = {id(beta): beta for beta, _, _ in betas}  # each marked graph object once
+    normal = {key: normalize(beta) for key, beta in normal.items()}
     if len(betas) != g.ecount:
         raise MgtError("need one marked graph per edge")
-    for beta, p, q in betas:
-        check_vertices(beta, p, q)
-        if p == q:
-            raise SamePoint("marked points must be distinct")
+    betas = [(normal[id(beta)], p, q) for beta, p, q in betas]
+    templates = {}
+    for marked in betas:  # marks that are not plain ints are checked each time: 0.0 == 0 as a key
+        if not (type(marked[1]) is type(marked[2]) is int and marked in templates):
+            templates[marked] = _marked_template(*marked)
     check_size(g.vcount + sum(beta.vcount - 2 for beta, _, _ in betas),
                sum(beta.ecount for beta, _, _ in betas), "an immersion", g)
-    # r_i once per distinct marked graph: the menus repeat a few of them over every edge
-    r_of = {(beta, p, q): context(beta).r(p, q) for beta, p, q in dict.fromkeys(betas)}
+    r_of = {marked: context(marked[0]).r(*marked[1:]) for marked in templates}
     ratios = []  # L_i/r_i
     for (_, _, length), marked in zip(g.edges, betas):
         (ln, ld), (rn, rd) = length.as_integer_ratio(), r_of[marked].as_integer_ratio()
         ratios.append((ln * rd, ld * rn))
     size = sum_over(ratios, 1)
     edges, nxt = [], g.vcount
-    for (a, b, _), (beta, p, q), (n, d) in zip(g.edges, betas, ratios):
-        shifted, nxt = _shift_edges(beta.vcount, beta.edges, {p: a, q: b}, nxt)
-        edges += _scaled(shifted, n * size.denominator, d * size.numerator)
+    for (a, b, _), marked, (n, d) in zip(g.edges, betas, ratios):
+        inner, local = templates[marked]
+        label = [*range(nxt, nxt + inner), a, b]
+        nxt += inner
+        num, den = n * size.denominator, d * size.numerator
+        edges += [Edge(label[x], label[y], Fraction(ln * num, ld * den)) for x, y, ln, ld in local]
     graph = MetrizedGraph(nxt, tuple(edges))
 
     def formula():
@@ -249,16 +261,15 @@ def c_tower(g: MetrizedGraph, p: int, q: int, n: int) -> OpResult:
     check_vertices(g, p, q)
     if p == q:
         raise SamePoint("tower points must be distinct")
-    if n < 1:
-        raise BadN("tower exponent must be >= 1")
+    check_count(n, BadN, "tower exponent")
     g = normalize(g)
     copies = 2 ** min(n, MAX_EDGES.bit_length())  # more copies are over the edge limit too
     check_size(copies * (g.vcount - 2) + 2, copies * g.ecount, f"a tower of 2^{n} copies", g)
-    vcount, edges = g.vcount, g.edges
+    vcount, edges = g.vcount, _scaled(g.edges, 1, 2**n)  # one copy scaled; total length 2^n after
     for _ in range(n):  # the two-point union of the tower so far with a copy of itself
         shifted, vcount = _shift_edges(vcount, edges, {p: p, q: q}, vcount)
         edges += tuple(shifted)
-    graph = MetrizedGraph(vcount, _scaled(edges, 1, 2**n))  # total length 2^n before
+    graph = MetrizedGraph(vcount, edges)
 
     def formula():
         r = context(g).r(p, q)

@@ -52,6 +52,7 @@ from .ops import (
     identify_points,
     immerse,
     marked_edge_sums,
+    parallel_split_tau,
     parallel_sum,
     union_one_point,
     union_two_points,
@@ -388,7 +389,7 @@ def _check_split_implication(g: MetrizedGraph, rng: random.Random):
     tau = tau_of(gn)
     for n, threshold in ((2, Fraction(1, 27)), (3, Fraction(49, 972))):
         _eq(threshold, Fraction(1, 108) * Fraction(3 * n - 2, n) ** 2, "constant")
-        if da_n(gn, n).predicted_tau >= threshold:
+        if parallel_split_tau(gn, n) >= threshold:
             _le(Fraction(1, 108), tau, f"implication broken at n={n}")
     return tau, Fraction(1, 108)
 

@@ -441,12 +441,12 @@ _SWEEP = Path(__file__).resolve().parent.parent / "tools" / "cli_sweep.py"
 
 
 def test_cli_sweep_is_pinned():
-    # tools/cli_sweep.py hashes argv, exit code, stdout and stderr of 151 valid
+    # tools/cli_sweep.py hashes argv, exit code, stdout and stderr of 155 valid
     # command lines over every verb but minimize; any change of output moves it
     done = subprocess.run([sys.executable, str(_SWEEP)], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stderr.startswith("151 calls, ")
-    assert done.stdout == "d5b5d328a9e66645d43a9c7aabf4b35265906d185cf8da07e5d548b3914a1187\n"
+    assert done.stderr.startswith("155 calls, ")
+    assert done.stdout == "debcbfdb5eeb09e473c73eb2e66ce7d32c8a2243f68ce4866c96f800f95d9846\n"
 
 
 def test_cli_sweep_runs_every_op():

@@ -4,9 +4,10 @@ from fractions import Fraction as F
 import pytest
 
 from mgt import families
-from mgt.errors import BridgeDeletion, MgtError, NonPositiveLength, SamePoint, TooLarge
-from mgt.graph import (MAX_EDGES, MAX_VERTICES, build_graph, delete_edge_graph, identify_points_graph,
-                       normalize, scale, subdivide_uniform, total_length)
+from mgt.errors import (BadM, BadN, BadVertexId, BridgeDeletion, EmptyGraph, MgtError, NonPositiveLength,
+                        SamePoint, TooLarge)
+from mgt.graph import (MAX_EDGES, MAX_VERTICES, MetrizedGraph, bridges, build_graph, delete_edge_graph,
+                       identify_points_graph, normalize, scale, subdivide_uniform, total_length)
 from mgt.ops import (
     OpResult,
     add_edge,
@@ -267,13 +268,53 @@ def test_immerse_matches_two_step_oracle():
         yield [common[i % 2] for i in range(e)]
         pairs = [(0, 1), (1, 2), (0, 2)]
         yield [(_three_arc_circle(), *pairs[i % 3]) for i in range(e)]
+        # equal but distinct objects share one layout, each mark pair its own
+        twins = [families.circle(F(1, 2), F(1, 4), F(1, 4)) for _ in range(2)]
+        yield [(twins[i % 2], *pairs[i // 2 % 2]) for i in range(e)]
 
-    for _, g in GraphGenerator(1).graphs(40):
+    hosts = [g for _, g in GraphGenerator(1).graphs(40)]
+    assert any(bridges(g) and any(a == b for a, b, _ in g.edges) for g in hosts)
+    for g in hosts:
         gn = normalize(g)
         for betas in markings(gn.ecount):
             built = immerse(gn, betas).graph
             reference = two_step_immersion(gn, betas)
             assert (built.vcount, built.edges) == (reference.vcount, reference.edges)
+
+
+_K4 = families.complete(4)
+_SEGMENT = families.segment(1)
+
+
+@pytest.mark.parametrize("betas, error, message", [
+    ([(_SEGMENT, 0, 1)] * 5, MgtError, "need one marked graph per edge"),
+    ([(_SEGMENT, 0, 1)] * 5 + [(MetrizedGraph(1, ()), 0, 0)], EmptyGraph,
+     "a graph with no edges cannot be normalized"),  # every marked graph is normalized first
+    ([(_SEGMENT, 0, 1)] * 5 + [(_SEGMENT, 1, 1)], SamePoint, "marked points must be distinct"),
+    ([(_SEGMENT, 0, 1)] * 5 + [(_SEGMENT, 0, 2)], BadVertexId, "vertex 2 out of range 0..1"),
+    ([(_SEGMENT, 0, 1)] * 5 + [(_SEGMENT, 0.0, 1)], BadVertexId, "vertex 0.0 out of range 0..1"),
+    ([(families.path(*[1] * 99), 0, 99)] * 6, TooLarge,
+     f"an immersion exceeds the limit of {MAX_VERTICES} vertices and {MAX_EDGES} edges"),
+    ([(families.path(*[1] * 99), 0, 99)] * 5 + [(_SEGMENT, 0, 3)], BadVertexId,
+     "vertex 3 out of range 0..1"),  # the marks before the size
+], ids=["count", "empty", "same-point", "out-of-range", "float-mark", "over-limit", "mark-before-size"])
+def test_immerse_refusals(betas, error, message):
+    # one distinct marking is checked once, yet each refusal keeps its class and text
+    with pytest.raises(error) as info:
+        immerse(_K4, betas)
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+@pytest.mark.parametrize("count", [1.5, F(3, 2), True], ids=["float", "fraction", "bool"])
+@pytest.mark.parametrize("make, error", [
+    (lambda n: da_n(_K4, n), BadN),
+    (lambda n: subdivide(_K4, n), BadM),
+    (lambda n: c_tower(_K4, 0, 1, n), BadN),
+], ids=["da_n", "subdivide", "c_tower"])
+def test_counts_must_be_ints(make, error, count):
+    # a fractional count used to end in TypeError, and True ran as 1
+    with pytest.raises(error, match="must be an int"):
+        make(count)
 
 
 def test_lengths_match_fraction_arithmetic():

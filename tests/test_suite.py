@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from mgt import families
-from mgt.graph import bridges
+from mgt.graph import bridges, normalize
 from mgt.suite import (
     CHECKS,
     GraphGenerator,
@@ -13,7 +13,7 @@ from mgt.suite import (
     run_suite,
 )
 from mgt.circuit import GreenUpdate, KirchhoffState, context
-from mgt.tau import cubic_sum
+from mgt.tau import cubic_sum, tau_of
 from oracles import family_graphs, necklace_cubic_sum, necklace_edge_resistances, necklace_witness
 from test_linalg import _spy_on_factorizations
 
@@ -142,20 +142,35 @@ def test_run_graph_checks_on_fixed_graph():
 
 def test_a_build_over_the_size_limit_is_a_skip_not_a_fail(monkeypatch):
     # the size limit refuses the split, subdivision and tower that these checks
-    # build from K5; that says nothing about the identities, so they skip
+    # build from K5; that says nothing about the identities, so they skip. The
+    # split implication reads the split's closed form and builds nothing, so it runs
     import mgt.graph
 
-    over = {"thmdouble", "thmdoubledivision", "lemdivisione", "thmdoubleimp-implication",
-            "thm-twopunion2-tower"}
+    over = {"thmdouble", "thmdoubledivision", "lemdivisione", "thm-twopunion2-tower"}
+    ids = over | {"thmdoubleimp-implication"}
     g = families.complete(5)  # 5 vertices, 10 edges; a tower of 4 copies has 14 vertices
-    passed = {r.identity: r.status for r in run_graph_checks("K5", g, random.Random("t"), over)}
+    passed = {r.identity: r.status for r in run_graph_checks("K5", g, random.Random("t"), ids)}
     assert set(passed.values()) == {"pass"}
     monkeypatch.setattr(mgt.graph, "MAX_VERTICES", 10)
     monkeypatch.setattr(mgt.graph, "MAX_EDGES", 15)
-    results = run_graph_checks("K5", g, random.Random("t"), over)
-    assert {r.identity for r in results} == over
-    for r in results:
+    results = {r.identity: r for r in run_graph_checks("K5", g, random.Random("t"), ids)}
+    assert set(results) == ids
+    assert results.pop("thmdoubleimp-implication").status == "pass"
+    for r in results.values():
         assert r.status == "skip" and "exceeds the limit" in r.reason, r
+
+
+def test_split_implication_builds_no_split(monkeypatch):
+    # the implication reads the parallel split's closed form; it builds no split graph
+    import mgt.suite
+
+    def refuse(*args):
+        raise AssertionError("da_n called")
+
+    monkeypatch.setattr(mgt.suite, "da_n", refuse)
+    for index, (descriptor, g) in enumerate(GraphGenerator(1).graphs(10)):
+        (result,) = run_graph_checks(descriptor, g, random.Random(index), {"thmdoubleimp-implication"})
+        assert (result.status, result.lhs, result.rhs) == ("pass", tau_of(normalize(g)), F(1, 108))
 
 
 def test_necklace_class_resistances_match_direct_engine():

@@ -48,8 +48,8 @@ OPS = (  # the arguments of each op after its name
     ("union2", "0", "1", "0", "1", "k4.txt", "banana.txt"),
     ("da-n", "2", "k4.txt"), ("da-n", "3", "bridge_loop.txt"),
     ("subdivide", "2", "bridge_loop.txt"), ("subdivide", "3", "k4.txt"),
-    ("immerse", "tree.txt", "banana.txt", "0", "1"),
-    ("tower", "0", "1", "2", "k4.txt"),
+    ("immerse", "tree.txt", "banana.txt", "0", "1"), ("immerse", "bridge_loop.txt", "k4.txt", "0", "1"),
+    ("tower", "0", "1", "2", "k4.txt"), ("tower", "1", "2", "3", "bridge_loop.txt"),
 )
 
 
