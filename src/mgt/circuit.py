@@ -42,7 +42,7 @@ from operator import sub
 from typing import NamedTuple
 
 from .errors import BridgeDeletion
-from .graph import Edge, MetrizedGraph, PointOnGraph, _cached, edge_at, insert_points
+from .graph import Edge, MetrizedGraph, PointOnGraph, _cached, check_vertices, edge_at, insert_points
 from .linalg import green_numden, kirchhoff_ratio
 from .rational import INF, ExtScalar
 
@@ -135,10 +135,12 @@ class GraphContext:
     row (a, b, ln, ld, rn, gap) per edge: L = ln/ld, r(a,b) = rn/d and
     L - r(a,b) = gap/(ld d), so gap = ln d - rn ld, zero exactly on bridges,
     and rn is zero on self-loops. ``of`` factorizes a graph into one.
+    Its readers refuse a vertex or edge id outside the graph, where -1 would wrap.
     """
 
     def __init__(self, edges, num: list[list[int]], den: int):
         self.edges, self.num, self.den = edges, num, den
+        self.vcount = len(num)
         rows = []
         for a, b, length in edges:
             ln, ld = length.as_integer_ratio()
@@ -158,16 +160,22 @@ class GraphContext:
         Read off the edge's row, with no profile built: 0 on a self-loop
         (rn = 0), INF across a bridge (gap = 0).
         """
+        if not 0 <= edge_id < len(self.rows):
+            edge_at(self, edge_id)
         _, _, ln, _, rn, gap = self.rows[edge_id]
         return INF if gap == 0 else Fraction(ln * rn, gap)
 
     def r(self, y: int, z: int) -> Fraction:
-        num = self.num
+        num, n = self.num, self.vcount
+        if not (0 <= y < n and 0 <= z < n):
+            check_vertices(self, y, z)
         return Fraction(num[y][y] + num[z][z] - 2 * num[y][z], self.den)
 
     def voltage(self, x: int, y: int, z: int) -> Fraction:
         """j_x(y,z) = (r(x,y) + r(x,z) - r(y,z))/2, whose diagonal terms at y and z cancel."""
-        num = self.num
+        num, n = self.num, self.vcount
+        if not (0 <= x < n and 0 <= y < n and 0 <= z < n):
+            check_vertices(self, x, y, z)
         return Fraction(num[x][x] - num[x][y] - num[x][z] + num[y][z], self.den)
 
     def deleted(self, edge_id: int) -> GreenUpdate:

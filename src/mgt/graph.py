@@ -11,6 +11,11 @@ normalized graph, the bridge list, the solver context of
 ``mgt.circuit.context`` and the conductance network of ``mgt.reduction``. Each lives exactly as long as its graph, and a pickle
 or copy carries none of them. ``_cached`` is mgt's one cache of per-object
 values, these and the per-graph values of higher layers alike.
+
+A graph costs one pass over its edges: the constructor checks each edge and joins its
+ends in the same loop. The bulk builders skip the named tuple's Python-level ``__new__``
+and call the C constructor it wraps, ``tuple.__new__(Edge, (a, b, length))``, always with
+an (int, int, Fraction) triple, since that call checks neither arity nor types.
 """
 
 from __future__ import annotations
@@ -74,17 +79,25 @@ class MetrizedGraph(Frozen):
     def __init__(self, vcount: int, edges: tuple[Edge, ...]):
         if vcount < 1:
             raise BadVertexId("graph needs at least one vertex")
+        # union-find until one part is left; v > e + 1 starts at 0 parts, with no per-vertex list
+        parts = vcount if vcount <= len(edges) + 1 else 0
+        parent = list(range(parts))
         for i, (a, b, length) in enumerate(edges):
             if not (0 <= a < vcount and 0 <= b < vcount):
                 raise BadVertexId(f"edge {i} endpoint out of range")
             if length.numerator <= 0:  # a Fraction's denominator is positive
                 raise NonPositiveLength(f"edge {i} has non-positive length {length}")
-        # decided before _connected allocates its per-vertex list for a huge header
-        if vcount > len(edges) + 1:
-            raise DisconnectedGraph(f"graph is not connected: {vcount} vertices, "
-                                    f"{len(edges)} edges")
-        if not _connected(vcount, edges):
-            raise DisconnectedGraph("graph is not connected")
+            if parts > 1:
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
+                if a != b:
+                    parent[a] = b
+                    parts -= 1
+        if parts != 1:
+            counts = f": {vcount} vertices, {len(edges)} edges" if not parts else ""
+            raise DisconnectedGraph("graph is not connected" + counts)
         object.__setattr__(self, "vcount", vcount)
         object.__setattr__(self, "edges", edges)
 
@@ -100,10 +113,7 @@ class MetrizedGraph(Frozen):
         return self.vcount == other.vcount and self.edges == other.edges
 
     def __hash__(self):
-        # from the integers: equal Fractions have equal lowest terms, and
-        # Fraction.__hash__ costs a modular inverse per length
-        return _cached(self.__dict__, "_hash", lambda: hash((self.vcount, tuple(
-            (a, b, length.numerator, length.denominator) for a, b, length in self.edges))))
+        return _cached(self.__dict__, "_hash", _graph_hash, self)
 
     @property
     def ecount(self) -> int:
@@ -130,27 +140,15 @@ def _cached(store: dict, key, compute, *args):
     return value
 
 
-def _connected(vcount: int, edges: Sequence[Edge]) -> bool:
-    """Whether the edges join all vcount vertices: union-find with path halving,
-    stopping as soon as one component is left."""
-    parent = list(range(vcount))
-    parts = vcount
-    for a, b, _ in edges:
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            parent[a] = b
-            parts -= 1
-            if parts == 1:
-                break
-    return parts == 1
+def _graph_hash(g: MetrizedGraph) -> int:
+    # from lowest terms, as Fraction.__hash__ costs a modular inverse per length
+    return hash((g.vcount, tuple((a, b, *length.as_integer_ratio()) for a, b, length in g.edges)))
 
 
 def build_graph(vertex_count: int, edge_list: Iterable[tuple[int, int, Scalar]]) -> MetrizedGraph:
     """Build a connected metrized graph; edge order is preserved."""
-    edges = tuple(Edge(a, b, Fraction(length)) for a, b, length in edge_list)
+    edges = tuple(tuple.__new__(Edge, (a, b, length if type(length) is Fraction else Fraction(length)))
+                  for a, b, length in edge_list)
     return MetrizedGraph(vertex_count, edges)
 
 
@@ -174,7 +172,7 @@ def scale(g: MetrizedGraph, c: Scalar) -> MetrizedGraph:
 
 def _scaled(edges: Iterable[Edge], n: int, d: int) -> tuple[Edge, ...]:
     """The edges with each length times n/d, one Fraction per length from integer pairs."""
-    return tuple(Edge(a, b, Fraction(p * n, q * d))
+    return tuple(tuple.__new__(Edge, (a, b, Fraction(p * n, q * d)))
                  for a, b, length in edges for p, q in (length.as_integer_ratio(),))
 
 
@@ -203,15 +201,14 @@ def identify_points_graph(g: MetrizedGraph, p: int, q: int) -> MetrizedGraph:
     check_vertices(g, p, q)
     if p == q:
         raise SamePoint("identify needs two distinct vertices")
-    edges, vcount = _shift_edges(g.vcount, g.edges, {max(p, q): min(p, q)}, 0)
-    return MetrizedGraph(vcount, tuple(edges))
+    return MetrizedGraph(*_shift_edges(g.vcount, g.edges, {max(p, q): min(p, q)}, 0))
 
 
-def _shift_edges(vcount: int, edges, mapping: dict, offset: int) -> tuple[list[Edge], int]:
-    """Relabel a graph's vertices 0..vcount-1: pinned ids via mapping, the rest after offset."""
+def _shift_edges(vcount: int, edges, mapping: dict, offset: int) -> tuple[int, tuple[Edge, ...]]:
+    """(vertex count, edges) after relabelling 0..vcount-1: pinned ids via mapping, the rest after offset."""
     rest = [v for v in range(vcount) if v not in mapping]
     remap = {**mapping, **{v: offset + i for i, v in enumerate(rest)}}
-    return [Edge(remap[a], remap[b], L) for a, b, L in edges], offset + len(rest)
+    return offset + len(rest), tuple([tuple.__new__(Edge, (remap[a], remap[b], L)) for a, b, L in edges])
 
 
 def edge_at(g: MetrizedGraph, edge_id: int) -> Edge:
@@ -224,7 +221,7 @@ def edge_at(g: MetrizedGraph, edge_id: int) -> Edge:
 
 
 def check_vertices(g: MetrizedGraph, *vertices: int) -> None:
-    """Raise BadVertexId unless every argument is a vertex id of g."""
+    """Raise BadVertexId unless every argument is a vertex id of g (or of a circuit.GraphContext)."""
     for v in vertices:
         if not isinstance(v, int) or not 0 <= v < g.vcount:
             raise BadVertexId(f"vertex {v} out of range 0..{g.vcount - 1}")
@@ -279,12 +276,8 @@ def insert_point(g: MetrizedGraph, x: PointOnGraph) -> tuple[MetrizedGraph, int]
     edge_id, offset = x
     u, w, length = g.edges[edge_id]
     new = g.vcount
-    edges = (
-        g.edges[:edge_id]
-        + (Edge(u, new, offset), Edge(new, w, length - offset))
-        + g.edges[edge_id + 1 :]
-    )
-    return MetrizedGraph(g.vcount + 1, edges), new
+    pieces = (Edge(u, new, offset), Edge(new, w, length - offset))
+    return MetrizedGraph(g.vcount + 1, g.edges[:edge_id] + pieces + g.edges[edge_id + 1 :]), new
 
 
 def insert_points(g: MetrizedGraph, points: Sequence[PointOnGraph]) -> tuple[MetrizedGraph, list[int]]:
@@ -308,13 +301,10 @@ def subdivide_uniform(g: MetrizedGraph, m: int) -> MetrizedGraph:
     check_size(g.vcount + (m - 1) * g.ecount, m * g.ecount, f"a subdivision by m={m}", g)
     edges: list[Edge] = []
     next_vertex = g.vcount
-    for a, b, piece in _scaled(g.edges, 1, m):
-        prev = a
-        for k in range(m - 1):
-            edges.append(Edge(prev, next_vertex, piece))
-            prev = next_vertex
-            next_vertex += 1
-        edges.append(Edge(prev, b, piece))
+    for a, b, piece in _scaled(g.edges, 1, m):  # a, then m - 1 new vertices, then b
+        ends = [a, *range(next_vertex, next_vertex + m - 1), b]
+        next_vertex += m - 1
+        edges += [tuple.__new__(Edge, (x, y, piece)) for x, y in zip(ends, ends[1:])]
     return MetrizedGraph(next_vertex, tuple(edges))
 
 

@@ -60,8 +60,7 @@ def contract_edge(g: MetrizedGraph, edge_id: int) -> OpResult:
         graph, _ = delete_edge_graph(g, edge_id)
         return OpResult(graph, "loop-contraction", lambda: tau_of(g) - length / 12)
     rest = g.edges[:edge_id] + g.edges[edge_id + 1 :]  # glued as identify_points_graph glues
-    edges, vcount = _shift_edges(g.vcount, rest, {max(a, b): min(a, b)}, 0)
-    graph = MetrizedGraph(vcount, tuple(edges))
+    graph = MetrizedGraph(*_shift_edges(g.vcount, rest, {max(a, b): min(a, b)}, 0))
     if edge_id in bridges(g):
         return OpResult(graph, "bridge-contraction", lambda: tau_of(g) - length / 4)
 
@@ -115,8 +114,8 @@ def union_one_point(g1: MetrizedGraph, p1: int, g2: MetrizedGraph, p2: int) -> O
     """One-point union; tau is additive across the wedge point."""
     check_vertices(g1, p1)
     check_vertices(g2, p2)
-    edges2, vcount = _shift_edges(g2.vcount, g2.edges, {p2: p1}, g1.vcount)
-    graph = MetrizedGraph(vcount, g1.edges + tuple(edges2))
+    vcount, edges2 = _shift_edges(g2.vcount, g2.edges, {p2: p1}, g1.vcount)
+    graph = MetrizedGraph(vcount, g1.edges + edges2)
     return OpResult(graph, "wedge-additivity", lambda: tau_of(g1) + tau_of(g2))
 
 
@@ -134,8 +133,8 @@ def union_two_points(
     check_vertices(g2, p2, q2)
     if p1 == q1 or p2 == q2:
         raise SamePoint("two-point union needs distinct glue points in each part")
-    edges2, vcount = _shift_edges(g2.vcount, g2.edges, {p2: p1, q2: q1}, g1.vcount)
-    graph = MetrizedGraph(vcount, g1.edges + tuple(edges2))
+    vcount, edges2 = _shift_edges(g2.vcount, g2.edges, {p2: p1, q2: q1}, g1.vcount)
+    graph = MetrizedGraph(vcount, g1.edges + edges2)
 
     def formula():
         r1 = context(g1).r(p1, q1)
@@ -189,15 +188,15 @@ def subdivide(g: MetrizedGraph, m: int) -> OpResult:
     return OpResult(subdivide_uniform(g, m), "subdivision-invariance", lambda: tau_of(g))
 
 
-def _marked_template(beta: MetrizedGraph, p: int, q: int) -> tuple[int, list[tuple[int, int, int, int]]]:
-    """A marked graph laid out for copying: its k vertices other than p and q, then
-    p as label k and q as label k + 1; each edge as (label, label, numerator, denominator)."""
+def _marked_template(beta: MetrizedGraph, p: int, q: int) -> list:
+    """A marked graph laid out for copying, as [k, edges]: its k vertices other than p and q,
+    then p as label k and q as label k + 1; each edge as (label, label, numerator, denominator)."""
     check_vertices(beta, p, q)
     if p == q:
         raise SamePoint("marked points must be distinct")
     inner = [v for v in range(beta.vcount) if v != p and v != q]
     label = {v: i for i, v in enumerate(inner)} | {p: len(inner), q: len(inner) + 1}
-    return len(inner), [(label[x], label[y], *length.as_integer_ratio()) for x, y, length in beta.edges]
+    return [len(inner), [(label[x], label[y], *length.as_integer_ratio()) for x, y, length in beta.edges]]
 
 
 def immerse(
@@ -220,32 +219,34 @@ def immerse(
     if len(betas) != g.ecount:
         raise MgtError("need one marked graph per edge")
     betas = [(normal[id(beta)], p, q) for beta, p, q in betas]
-    templates = {}
-    for marked in betas:  # marks that are not plain ints are checked each time: 0.0 == 0 as a key
-        if not (type(marked[1]) is type(marked[2]) is int and marked in templates):
-            templates[marked] = _marked_template(*marked)
-    check_size(g.vcount + sum(beta.vcount - 2 for beta, _, _ in betas),
-               sum(beta.ecount for beta, _, _ in betas), "an immersion", g)
-    r_of = {marked: context(marked[0]).r(*marked[1:]) for marked in templates}
+    plans, per_edge = {}, []  # each marking's [k, edges, r] and each host edge's plan
+    for marked in betas:  # one lookup per host edge; a non-int mark is checked each time: 0.0 == 0
+        if (plan := plans.get(marked)) is None or not type(marked[1]) is type(marked[2]) is int:
+            plan = plans.setdefault(marked, _marked_template(*marked))
+        per_edge.append(plan)
+    check_size(g.vcount + sum(plan[0] for plan in per_edge),
+               sum(len(plan[1]) for plan in per_edge), "an immersion", g)
+    for (beta, p, q), plan in plans.items():
+        plan.append(context(beta).r(p, q))
     ratios = []  # L_i/r_i
-    for (_, _, length), marked in zip(g.edges, betas):
-        (ln, ld), (rn, rd) = length.as_integer_ratio(), r_of[marked].as_integer_ratio()
+    for (_, _, length), (_, _, r) in zip(g.edges, per_edge):
+        (ln, ld), (rn, rd) = length.as_integer_ratio(), r.as_integer_ratio()
         ratios.append((ln * rd, ld * rn))
     size = sum_over(ratios, 1)
     edges, nxt = [], g.vcount
-    for (a, b, _), marked, (n, d) in zip(g.edges, betas, ratios):
-        inner, local = templates[marked]
+    for (a, b, _), (inner, local, _), (n, d) in zip(g.edges, per_edge, ratios):
         label = [*range(nxt, nxt + inner), a, b]
         nxt += inner
         num, den = n * size.denominator, d * size.numerator
-        edges += [Edge(label[x], label[y], Fraction(ln * num, ld * den)) for x, y, ln, ld in local]
+        edges += [tuple.__new__(Edge, (label[x], label[y], Fraction(ln * num, ld * den)))
+                  for x, y, ln, ld in local]
     graph = MetrizedGraph(nxt, tuple(edges))
 
     def formula():
         size = Fraction(0)
         rhs = tau_of(g) - Fraction(1, 4)
         for (beta, p, q), (ell, par) in marked_edge_sums(g, betas).items():
-            r_beta = r_of[beta, p, q]
+            r_beta = plans[beta, p, q][2]
             size += ell / r_beta
             rhs += (ell * tau_of(beta) + par * apq(beta, p, q) / r_beta) / r_beta
         return rhs / size
@@ -267,8 +268,8 @@ def c_tower(g: MetrizedGraph, p: int, q: int, n: int) -> OpResult:
     check_size(copies * (g.vcount - 2) + 2, copies * g.ecount, f"a tower of 2^{n} copies", g)
     vcount, edges = g.vcount, _scaled(g.edges, 1, 2**n)  # one copy scaled; total length 2^n after
     for _ in range(n):  # the two-point union of the tower so far with a copy of itself
-        shifted, vcount = _shift_edges(vcount, edges, {p: p, q: q}, vcount)
-        edges += tuple(shifted)
+        vcount, shifted = _shift_edges(vcount, edges, {p: p, q: q}, vcount)
+        edges += shifted
     graph = MetrizedGraph(vcount, edges)
 
     def formula():

@@ -11,7 +11,7 @@ import pytest
 
 from mgt import families
 from mgt.circuit import GreenUpdate, KirchhoffState, context, resistance, voltage
-from mgt.errors import BadPoint, BridgeDeletion
+from mgt.errors import BadPoint, BadVertexId, BridgeDeletion
 from mgt.graph import (bridges, build_graph, delete_edge_graph, identify_points_graph, normalize,
                        total_length)
 from mgt.ops import OpResult, add_edge
@@ -426,6 +426,22 @@ def test_a_context_refuses_an_edge_id_out_of_range():
     for edge in (-1, 1.0, [1]):
         with pytest.raises(BadPoint, match="out of range 0..5"):
             deleted_apq(k4, edge)
+
+
+def test_context_readers_refuse_ids_outside_the_graph():
+    # -1 used to wrap: r(-1, 0) read vertex 3's 1/12, voltage(-1, 0, 1) read 1/24 and
+    # res_deleted(-1) edge 5's 1/6; r(9, 0) ended in IndexError
+    k4 = families.complete(4)
+    for green in (context(k4), KirchhoffState.of(k4)):
+        assert green.r(3, 0) == F(1, 12)
+        calls = [(lambda: green.r(-1, 0), BadVertexId, "vertex -1 out of range 0..3"),
+                 (lambda: green.voltage(-1, 0, 1), BadVertexId, "vertex -1 out of range 0..3"),
+                 (lambda: green.res_deleted(-1), BadPoint, "edge -1 out of range 0..5"),
+                 (lambda: green.r(9, 0), BadVertexId, "vertex 9 out of range 0..3")]
+        for call, error, message in calls:
+            with pytest.raises(error) as info:
+                call()
+            assert (type(info.value), str(info.value)) == (error, message)
 
 
 def test_a_carried_state_refuses_to_delete_a_bridge():

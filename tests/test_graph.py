@@ -109,6 +109,27 @@ def test_build_bad_inputs():
         build_graph(2, [(0, 2, 1)])
 
 
+@pytest.mark.parametrize("vcount, edges, error, message", [
+    (5, [(0, 1, 1), (0, 7, 1)], BadVertexId, "edge 1 endpoint out of range"),  # v > e + 1
+    (4, [(0, 1, 1), (2, 3, 1), (2, 9, 1)], BadVertexId, "edge 2 endpoint out of range"),
+    (5, [(0, 1, 1), (1, 1, 0)], NonPositiveLength, "edge 1 has non-positive length 0"),
+    (4, [(0, 1, 1), (2, 3, 1), (3, 3, F(-1, 2))], NonPositiveLength,
+     "edge 2 has non-positive length -1/2"),
+    (2, [(0, 1, 1), (1, 0, 0)], NonPositiveLength,  # checked after the ends are joined
+     "edge 1 has non-positive length 0"),
+    (10**12, [(0, 1, 1)], DisconnectedGraph, f"graph is not connected: {10**12} vertices, 1 edges"),
+    (4, [(0, 1, 1), (2, 3, 1), (0, 1, 1)], DisconnectedGraph, "graph is not connected"),
+], ids=["endpoint-v>e+1", "endpoint-v<=e+1", "length-v>e+1", "length-v<=e+1", "length-after-joined",
+        "huge-header", "two-parts"])
+def test_a_bad_edge_wins_over_a_disconnected_graph(vcount, edges, error, message):
+    # the per-edge errors come first in edge order, whether or not the graph is
+    # connected; a header with more vertices than edges + 1 allocates nothing per vertex
+    edges = tuple(Edge(a, b, F(length)) for a, b, length in edges)
+    with pytest.raises(error) as info:
+        MetrizedGraph(vcount, edges)
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
 def test_graph_is_frozen_and_equal_by_value():
     edges = [(0, 1, 1), (1, 2, F(1, 2)), (2, 0, 2), (2, 3, 1)]
     g = build_graph(4, edges)

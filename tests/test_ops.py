@@ -6,8 +6,9 @@ import pytest
 from mgt import families
 from mgt.errors import (BadM, BadN, BadVertexId, BridgeDeletion, EmptyGraph, MgtError, NonPositiveLength,
                         SamePoint, TooLarge)
-from mgt.graph import (MAX_EDGES, MAX_VERTICES, MetrizedGraph, bridges, build_graph, delete_edge_graph,
-                       identify_points_graph, normalize, scale, subdivide_uniform, total_length)
+from mgt.graph import (MAX_EDGES, MAX_VERTICES, Edge, MetrizedGraph, bridges, build_graph,
+                       delete_edge_graph, identify_points_graph, normalize, scale, subdivide_uniform,
+                       total_length)
 from mgt.ops import (
     OpResult,
     add_edge,
@@ -332,6 +333,38 @@ def test_lengths_match_fraction_arithmetic():
                 assert split == [ln / n for ln in lengths for _ in range(n)]
                 pieces = [ln for _, _, ln in subdivide_uniform(graph, n).edges]
                 assert pieces == [ln / n for ln in lengths for _ in range(n)]
+
+
+def _first_cycle_edge(g):
+    return next(i for i in range(g.ecount) if i not in bridges(g))
+
+
+@pytest.mark.parametrize("build", [
+    lambda g: build_graph(g.vcount, g.edges),
+    lambda g: build_graph(g.vcount, [(a, b, str(ln) if i % 2 else float(ln.numerator))
+                                     for i, (a, b, ln) in enumerate(g.edges)]),
+    lambda g: scale(g, F(3, 7)),
+    normalize,
+    lambda g: subdivide_uniform(g, 3),
+    lambda g: da_n(g, 2).graph,
+    lambda g: delete_edge(g, _first_cycle_edge(g)).graph,
+    lambda g: contract_edge(g, 0).graph,
+    lambda g: identify_points(g, 0, g.vcount - 1).graph,
+    lambda g: union_one_point(g, 0, _K4, 2).graph,
+    lambda g: union_two_points(g, _K4, (0, g.vcount - 1), (3, 1)).graph,
+    lambda g: immerse(g, [[(_K4, 0, 1), (_SEGMENT, 1, 0)][i % 2] for i in range(g.ecount)]).graph,
+    lambda g: c_tower(g, 0, g.vcount - 1, 2).graph,
+], ids=["build_graph", "build_graph-from-scalars", "scale", "normalize", "subdivide_uniform", "da_n",
+        "delete_edge", "contract_edge", "identify_points", "union_one_point", "union_two_points", "immerse",
+        "c_tower"])
+def test_builders_return_exact_edge_triples(build):
+    # the bulk builders make edges with tuple.__new__, which checks no arity, as
+    # Edge(a, b, length) does; neither checks that the length is a Fraction
+    from mgt.suite import GraphGenerator
+
+    for _, g in GraphGenerator(1).graphs(10):
+        for e in build(g).edges:
+            assert type(e) is Edge and e == Edge(*e) and type(e.length) is F
 
 
 def test_immerse_endpoint_swap_keeps_tau():
