@@ -160,23 +160,32 @@ class GraphContext:
         Read off the edge's row, with no profile built: 0 on a self-loop
         (rn = 0), INF across a bridge (gap = 0).
         """
-        if not 0 <= edge_id < len(self.rows):
-            edge_at(self, edge_id)
-        _, _, ln, _, rn, gap = self.rows[edge_id]
-        return INF if gap == 0 else Fraction(ln * rn, gap)
+        try:  # a float id in range fails the index, a str id the comparison: refused below
+            if 0 <= edge_id < len(self.rows):
+                _, _, ln, _, rn, gap = self.rows[edge_id]
+                return INF if gap == 0 else Fraction(ln * rn, gap)
+        except TypeError:
+            pass
+        edge_at(self, edge_id)
 
     def r(self, y: int, z: int) -> Fraction:
         num, n = self.num, self.vcount
-        if not (0 <= y < n and 0 <= z < n):
-            check_vertices(self, y, z)
-        return Fraction(num[y][y] + num[z][z] - 2 * num[y][z], self.den)
+        try:  # a float id in range fails the index, a str id the comparison: refused below
+            if 0 <= y < n and 0 <= z < n:
+                return Fraction(num[y][y] + num[z][z] - 2 * num[y][z], self.den)
+        except TypeError:
+            pass
+        check_vertices(self, y, z)
 
     def voltage(self, x: int, y: int, z: int) -> Fraction:
         """j_x(y,z) = (r(x,y) + r(x,z) - r(y,z))/2, whose diagonal terms at y and z cancel."""
         num, n = self.num, self.vcount
-        if not (0 <= x < n and 0 <= y < n and 0 <= z < n):
-            check_vertices(self, x, y, z)
-        return Fraction(num[x][x] - num[x][y] - num[x][z] + num[y][z], self.den)
+        try:  # a float id in range fails the index, a str id the comparison: refused below
+            if 0 <= x < n and 0 <= y < n and 0 <= z < n:
+                return Fraction(num[x][x] - num[x][y] - num[x][z] + num[y][z], self.den)
+        except TypeError:
+            pass
+        check_vertices(self, x, y, z)
 
     def deleted(self, edge_id: int) -> GreenUpdate:
         """g - e's integers: e in parallel with length -L, so d' = d gap; BridgeDeletion if gap = 0."""

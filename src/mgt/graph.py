@@ -8,7 +8,8 @@ two ends of an edge.
 Because a graph never changes, values derived from it alone are cached on the
 instance the first time they are read: the hash, the total length, the
 normalized graph, the bridge list, the solver context of
-``mgt.circuit.context`` and the conductance network of ``mgt.reduction``. Each lives exactly as long as its graph, and a pickle
+``mgt.circuit.context``, the conductance network of ``mgt.reduction`` and the proper
+edges of ``mgt.suite``. Each lives exactly as long as its graph, and a pickle
 or copy carries none of them. ``_cached`` is mgt's one cache of per-object
 values, these and the per-graph values of higher layers alike.
 
@@ -83,8 +84,8 @@ class MetrizedGraph(Frozen):
         parts = vcount if vcount <= len(edges) + 1 else 0
         parent = list(range(parts))
         for i, (a, b, length) in enumerate(edges):
-            if not (0 <= a < vcount and 0 <= b < vcount):
-                raise BadVertexId(f"edge {i} endpoint out of range")
+            if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < vcount and 0 <= b < vcount):
+                raise BadVertexId(f"edge {i} endpoint out of range")  # a float or str id too
             if length.numerator <= 0:  # a Fraction's denominator is positive
                 raise NonPositiveLength(f"edge {i} has non-positive length {length}")
             if parts > 1:

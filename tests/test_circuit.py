@@ -437,7 +437,12 @@ def test_context_readers_refuse_ids_outside_the_graph():
         calls = [(lambda: green.r(-1, 0), BadVertexId, "vertex -1 out of range 0..3"),
                  (lambda: green.voltage(-1, 0, 1), BadVertexId, "vertex -1 out of range 0..3"),
                  (lambda: green.res_deleted(-1), BadPoint, "edge -1 out of range 0..5"),
-                 (lambda: green.r(9, 0), BadVertexId, "vertex 9 out of range 0..3")]
+                 (lambda: green.r(9, 0), BadVertexId, "vertex 9 out of range 0..3"),
+                 # a float id in range ended in TypeError
+                 (lambda: green.r(1.0, 0), BadVertexId, "vertex 1.0 out of range 0..3"),
+                 (lambda: green.voltage(0, 1, 2.0), BadVertexId, "vertex 2.0 out of range 0..3"),
+                 (lambda: green.res_deleted(1.0), BadPoint, "edge 1.0 out of range 0..5"),
+                 (lambda: green.r(0, "1"), BadVertexId, "vertex 1 out of range 0..3")]
         for call, error, message in calls:
             with pytest.raises(error) as info:
                 call()

@@ -119,8 +119,11 @@ def test_build_bad_inputs():
      "edge 1 has non-positive length 0"),
     (10**12, [(0, 1, 1)], DisconnectedGraph, f"graph is not connected: {10**12} vertices, 1 edges"),
     (4, [(0, 1, 1), (2, 3, 1), (0, 1, 1)], DisconnectedGraph, "graph is not connected"),
+    (2, [(0, 1.0, 1)], BadVertexId, "edge 0 endpoint out of range"),  # ended in TypeError
+    (1, [(0, 0.0, 1)], BadVertexId, "edge 0 endpoint out of range"),  # was accepted
+    (2, [("0", 1, 1)], BadVertexId, "edge 0 endpoint out of range"),
 ], ids=["endpoint-v>e+1", "endpoint-v<=e+1", "length-v>e+1", "length-v<=e+1", "length-after-joined",
-        "huge-header", "two-parts"])
+        "huge-header", "two-parts", "float-endpoint", "float-loop", "str-endpoint"])
 def test_a_bad_edge_wins_over_a_disconnected_graph(vcount, edges, error, message):
     # the per-edge errors come first in edge order, whether or not the graph is
     # connected; a header with more vertices than edges + 1 allocates nothing per vertex

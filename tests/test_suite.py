@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from mgt import families
-from mgt.graph import bridges, normalize
+from mgt.graph import bridges, build_graph, normalize
 from mgt.suite import (
     CHECKS,
     GraphGenerator,
@@ -17,8 +17,8 @@ from mgt.tau import cubic_sum, tau_of
 from oracles import family_graphs, necklace_cubic_sum, necklace_edge_resistances, necklace_witness
 from test_linalg import _spy_on_factorizations
 
-REQUIRED_IDS = [
-    "eq1.1-voltage", "genus-identity", "lem2term", "rem2term",
+REQUIRED_IDS = [  # in run order, which is also the order the checks of a graph draw in
+    "eq1.1-voltage", "genus-identity", "canonical-measure-mass", "lem2term", "rem2term",
     "valence-independence", "scale-covariance", "thmjpq2njpq-n0..3",
     "lemorthogonality", "thmbasic", "thmremain-equivalences", "FMM1-bounds",
     "thmeqlength", "thmeqlength2", "thmcorineqsumR4", "thm2term", "thmdouble",
@@ -41,10 +41,12 @@ def test_catalog_size_and_required_ids():
     for required in REQUIRED_IDS:
         assert required in ids, f"missing catalog entry {required}"
     assert "canonical-measure-mass" in ids
+    # moving a check moves the entry, and with it every later draw from the graph's rng
+    assert REQUIRED_IDS == [entry[0] for entry in CHECKS]
 
 
 def test_catalog_entries_resolve_to_checks():
-    ids = {cid for cid, _, _, _ in CHECKS}
+    ids = {cid for cid, _, _, _, _ in CHECKS}
     for cid, description, anchor in identity_catalog():
         assert cid in ids
         assert description and anchor
@@ -112,7 +114,7 @@ def test_each_return_or_raise_of_a_check_is_one_result(monkeypatch):
             raise exc
         return check
 
-    cid, description, anchor, _ = CHECKS[0]
+    cid, description, anchor, needs, _ = CHECKS[0]
     cases = [
         (lambda g, rng: (1, 1), (1, 1, "pass", "")),
         (raising(suite._Fail(1, 2, "tag")), (1, 2, "fail", "tag")),
@@ -121,17 +123,47 @@ def test_each_return_or_raise_of_a_check_is_one_result(monkeypatch):
         (raising(MgtError("x")), (None, None, "fail", "error: x")),
     ]
     for fn, expected in cases:
-        monkeypatch.setattr(suite, "CHECKS", [(cid, description, anchor, fn), *CHECKS[1:]])
+        monkeypatch.setattr(suite, "CHECKS", [(cid, description, anchor, needs, fn), *CHECKS[1:]])
         assert run_graph_checks("g", families.diamond(1), random.Random(0), {cid}) == [
             (cid, "g", *expected)]
 
 
 def test_a_check_called_alone_returns_what_the_runner_reports():
     g = families.complete(4, F(1, 2))
-    fn = {cid: fn for cid, _, _, fn in CHECKS}["thmtwopunion"]  # draws a companion graph and a pair
+    fn = {cid: fn for cid, _, _, _, fn in CHECKS}["thmtwopunion"]  # draws a companion graph and a pair
     lhs, rhs = fn(g, random.Random("alone"))
     (result,) = run_graph_checks("k4", g, random.Random("alone"), {"thmtwopunion"})
     assert (result.status, result.lhs, result.rhs) == ("pass", lhs, rhs)
+
+
+def test_declared_hypotheses_match_the_skips_they_cover():
+    # a skip for a reason of the hypothesis table comes from an entry that declares
+    # that hypothesis, except in the three bodies that draw or test a budget before
+    # they test two vertices; every declared hypothesis skips where it fails
+    from mgt.suite import _HYPOTHESES
+
+    body_sites = {"thmtwopunion", "thm-twopunion-Apq", "thm-smaller-tau-decrease"}
+    needs = {entry[0]: entry[3] for entry in CHECKS}
+    by_reason = {reason: name for name, (_, reason) in _HYPOTHESES.items()}
+    graphs = {"circle": families.circle(),  # one vertex and its loop
+              "tree": families.path(1, 2, 3),  # every edge a bridge
+              "bridge_loop": build_graph(3, [(0, 1, F(1, 2)), (1, 2, F(1, 3)), (1, 2, F(1, 4)),
+                                             (2, 2, F(1, 5))])}  # a bridge, a proper pair, a loop
+    failed, skips = set(), []
+    for descriptor, g in graphs.items():
+        results = run_graph_checks(descriptor, g, random.Random(0))
+        unmet = [name for name, (holds, _) in _HYPOTHESES.items() if not holds(g)]
+        failed.update(unmet)
+        skips.append(sum(r.status == "skip" for r in results))
+        for r in results:
+            if r.reason in by_reason and r.identity not in body_sites:
+                assert by_reason[r.reason] in needs[r.identity], r
+            first = next((name for name in needs[r.identity] if name in unmet), None)
+            if first is not None:
+                assert (r.status, r.reason) == ("skip", _HYPOTHESES[first][1]), r
+    assert failed == set(_HYPOTHESES) and skips == [18, 12, 6]
+    (voltage,) = run_graph_checks("circle", graphs["circle"], random.Random(0), {"eq1.1-voltage"})
+    assert (voltage.status, voltage.reason) == ("skip", "needs two vertices")
 
 
 def test_run_graph_checks_on_fixed_graph():
@@ -346,15 +378,11 @@ def _successive_changes_failed(graphs) -> int:
     """How many of the seeded graphs fail ``lemsuccessedgeext``, each checked alone."""
     import mgt.suite as suite
 
-    failed = 0
-    for index, (_, g) in enumerate(graphs):
-        try:
-            suite._check_successive_length_changes(g, suite._checks_rng(1, index))
-        except suite._Fail:
-            failed += 1
-        except suite._Skip:
-            pass
-    return failed
+    results = [result for index, (descriptor, g) in enumerate(graphs)
+               for result in run_graph_checks(descriptor, g, suite._checks_rng(1, index),
+                                              {"lemsuccessedgeext"})]
+    assert not [r for r in results if r.reason.startswith("error: ")]  # an MgtError, not a _Fail
+    return sum(r.status == "fail" for r in results)
 
 
 def test_successive_changes_factorize_only_g_and_the_changed_graph(monkeypatch):
