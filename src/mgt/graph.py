@@ -13,10 +13,18 @@ edges of ``mgt.suite``. Each lives exactly as long as its graph, and a pickle
 or copy carries none of them. ``_cached`` is mgt's one cache of per-object
 values, these and the per-graph values of higher layers alike.
 
-A graph costs one pass over its edges: the constructor checks each edge and joins its
-ends in the same loop. The bulk builders skip the named tuple's Python-level ``__new__``
-and call the C constructor it wraps, ``tuple.__new__(Edge, (a, b, length))``, always with
-an (int, int, Fraction) triple, since that call checks neither arity nor types.
+A graph from outside is checked once, in one pass over its edges: ``MetrizedGraph(...)``
+(so ``build_graph``, every family builder, both file readers, pickle and copy) checks each
+edge and joins its ends in the same loop. A graph that mgt derives from checked graphs
+(scaled, glued, split, with an edge deleted or a point inserted, and the operations and
+checks built on these) is made by ``MetrizedGraph._derived``, which checks nothing again:
+its ids, lengths and connectivity follow from the operands'.
+``tests/test_ops.py::test_builders_return_exact_edge_triples`` holds every derived graph to
+the full check, and ``tools/mutants.py`` has a mutant of each builder that the tests kill.
+
+The bulk builders skip the named tuple's Python-level ``__new__`` and call the C
+constructor it wraps, ``tuple.__new__(Edge, (a, b, length))``, always with an (int, int,
+Fraction) triple, since that call checks neither arity nor types.
 """
 
 from __future__ import annotations
@@ -74,6 +82,11 @@ class Frozen:
 
 
 class MetrizedGraph(Frozen):
+    """A connected metrized graph. The constructor checks every edge (ids in range, length
+    positive) and connectivity, once; ``_derived`` builds a graph that mgt derives from
+    checked graphs, and checks nothing again.
+    """
+
     vcount: int
     edges: tuple[Edge, ...]
 
@@ -101,6 +114,14 @@ class MetrizedGraph(Frozen):
             raise DisconnectedGraph("graph is not connected" + counts)
         object.__setattr__(self, "vcount", vcount)
         object.__setattr__(self, "edges", edges)
+
+    @classmethod
+    def _derived(cls, vcount: int, edges: tuple[Edge, ...]) -> MetrizedGraph:
+        """A graph built from checked graphs by an operation that keeps them valid: set, not checked."""
+        g = object.__new__(cls)
+        fields = g.__dict__
+        fields["vcount"], fields["edges"] = vcount, edges
+        return g
 
     def __repr__(self):
         return f"MetrizedGraph(vcount={self.vcount!r}, edges={self.edges!r})"
@@ -168,7 +189,7 @@ def scale(g: MetrizedGraph, c: Scalar) -> MetrizedGraph:
     c = Fraction(c)
     if c <= 0:
         raise NonPositiveScale(f"scale factor must be positive, got {c}")
-    return MetrizedGraph(g.vcount, _scaled(g.edges, c.numerator, c.denominator))
+    return MetrizedGraph._derived(g.vcount, _scaled(g.edges, c.numerator, c.denominator))
 
 
 def _scaled(edges: Iterable[Edge], n: int, d: int) -> tuple[Edge, ...]:
@@ -188,13 +209,12 @@ def normalize(g: MetrizedGraph) -> MetrizedGraph:
 
 
 def delete_edge_graph(g: MetrizedGraph, edge_id: int) -> tuple[MetrizedGraph, tuple[int, int]]:
-    """Graph minus one edge (must not be a bridge); endpoints keep their ids."""
+    """Graph minus one edge; endpoints keep their ids. BridgeDeletion if the edge is one of
+    ``bridges(g)``, which the graph caches."""
     a, b, _ = edge_at(g, edge_id)
-    rest = g.edges[:edge_id] + g.edges[edge_id + 1 :]
-    try:
-        return MetrizedGraph(g.vcount, rest), (a, b)
-    except DisconnectedGraph as exc:
-        raise BridgeDeletion(f"deleting edge {edge_id} disconnects the graph") from exc
+    if edge_id in bridges(g):
+        raise BridgeDeletion(f"deleting edge {edge_id} disconnects the graph")
+    return MetrizedGraph._derived(g.vcount, g.edges[:edge_id] + g.edges[edge_id + 1 :]), (a, b)
 
 
 def identify_points_graph(g: MetrizedGraph, p: int, q: int) -> MetrizedGraph:
@@ -202,7 +222,7 @@ def identify_points_graph(g: MetrizedGraph, p: int, q: int) -> MetrizedGraph:
     check_vertices(g, p, q)
     if p == q:
         raise SamePoint("identify needs two distinct vertices")
-    return MetrizedGraph(*_shift_edges(g.vcount, g.edges, {max(p, q): min(p, q)}, 0))
+    return MetrizedGraph._derived(*_shift_edges(g.vcount, g.edges, {max(p, q): min(p, q)}, 0))
 
 
 def _shift_edges(vcount: int, edges, mapping: dict, offset: int) -> tuple[int, tuple[Edge, ...]]:
@@ -278,7 +298,7 @@ def insert_point(g: MetrizedGraph, x: PointOnGraph) -> tuple[MetrizedGraph, int]
     u, w, length = g.edges[edge_id]
     new = g.vcount
     pieces = (Edge(u, new, offset), Edge(new, w, length - offset))
-    return MetrizedGraph(g.vcount + 1, g.edges[:edge_id] + pieces + g.edges[edge_id + 1 :]), new
+    return MetrizedGraph._derived(g.vcount + 1, g.edges[:edge_id] + pieces + g.edges[edge_id + 1 :]), new
 
 
 def insert_points(g: MetrizedGraph, points: Sequence[PointOnGraph]) -> tuple[MetrizedGraph, list[int]]:
@@ -306,7 +326,7 @@ def subdivide_uniform(g: MetrizedGraph, m: int) -> MetrizedGraph:
         ends = [a, *range(next_vertex, next_vertex + m - 1), b]
         next_vertex += m - 1
         edges += [tuple.__new__(Edge, (x, y, piece)) for x, y in zip(ends, ends[1:])]
-    return MetrizedGraph(next_vertex, tuple(edges))
+    return MetrizedGraph._derived(next_vertex, tuple(edges))
 
 
 def bridges(g: MetrizedGraph) -> list[int]:

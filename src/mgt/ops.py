@@ -60,7 +60,7 @@ def contract_edge(g: MetrizedGraph, edge_id: int) -> OpResult:
         graph, _ = delete_edge_graph(g, edge_id)
         return OpResult(graph, "loop-contraction", lambda: tau_of(g) - length / 12)
     rest = g.edges[:edge_id] + g.edges[edge_id + 1 :]  # glued as identify_points_graph glues
-    graph = MetrizedGraph(*_shift_edges(g.vcount, rest, {max(a, b): min(a, b)}, 0))
+    graph = MetrizedGraph._derived(*_shift_edges(g.vcount, rest, {max(a, b): min(a, b)}, 0))
     if edge_id in bridges(g):
         return OpResult(graph, "bridge-contraction", lambda: tau_of(g) - length / 4)
 
@@ -98,7 +98,7 @@ def add_edge(g: MetrizedGraph, p: int, q: int, new_length: Scalar) -> OpResult:
     new_length = Fraction(new_length)
     if new_length <= 0:
         raise NonPositiveLength("new edge length must be positive")
-    graph = MetrizedGraph(g.vcount, g.edges + (Edge(p, q, new_length),))
+    graph = MetrizedGraph._derived(g.vcount, g.edges + (Edge(p, q, new_length),))
 
     def formula():
         if p == q:
@@ -115,7 +115,7 @@ def union_one_point(g1: MetrizedGraph, p1: int, g2: MetrizedGraph, p2: int) -> O
     check_vertices(g1, p1)
     check_vertices(g2, p2)
     vcount, edges2 = _shift_edges(g2.vcount, g2.edges, {p2: p1}, g1.vcount)
-    graph = MetrizedGraph(vcount, g1.edges + edges2)
+    graph = MetrizedGraph._derived(vcount, g1.edges + edges2)
     return OpResult(graph, "wedge-additivity", lambda: tau_of(g1) + tau_of(g2))
 
 
@@ -134,7 +134,7 @@ def union_two_points(
     if p1 == q1 or p2 == q2:
         raise SamePoint("two-point union needs distinct glue points in each part")
     vcount, edges2 = _shift_edges(g2.vcount, g2.edges, {p2: p1, q2: q1}, g1.vcount)
-    graph = MetrizedGraph(vcount, g1.edges + edges2)
+    graph = MetrizedGraph._derived(vcount, g1.edges + edges2)
 
     def formula():
         r1 = context(g1).r(p1, q1)
@@ -179,7 +179,7 @@ def da_n(g: MetrizedGraph, n: int) -> OpResult:
     tau follows ``parallel_split_tau``."""
     check_count(n, BadN, "parallel multiplicity")
     check_size(g.vcount, n * g.ecount, f"a parallel split by n={n}", g)
-    graph = MetrizedGraph(g.vcount, tuple(e for e in _scaled(g.edges, 1, n) for _ in range(n)))
+    graph = MetrizedGraph._derived(g.vcount, tuple(e for e in _scaled(g.edges, 1, n) for _ in range(n)))
     return OpResult(graph, "parallel-split", lambda: parallel_split_tau(g, n))
 
 
@@ -240,7 +240,7 @@ def immerse(
         num, den = n * size.denominator, d * size.numerator
         edges += [tuple.__new__(Edge, (label[x], label[y], Fraction(ln * num, ld * den)))
                   for x, y, ln, ld in local]
-    graph = MetrizedGraph(nxt, tuple(edges))
+    graph = MetrizedGraph._derived(nxt, tuple(edges))
 
     def formula():
         size = Fraction(0)
@@ -270,7 +270,7 @@ def c_tower(g: MetrizedGraph, p: int, q: int, n: int) -> OpResult:
     for _ in range(n):  # the two-point union of the tower so far with a copy of itself
         vcount, shifted = _shift_edges(vcount, edges, {p: p, q: q}, vcount)
         edges += shifted
-    graph = MetrizedGraph(vcount, edges)
+    graph = MetrizedGraph._derived(vcount, edges)
 
     def formula():
         r = context(g).r(p, q)

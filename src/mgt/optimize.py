@@ -183,7 +183,7 @@ def minimize_tau(
             break
     value, x, grad = best
     exact_lengths = _round_to_simplex(x)
-    exact_graph = MetrizedGraph(
+    exact_graph = MetrizedGraph._derived(
         g.vcount,
         tuple(e._replace(length=L) for e, L in zip(g.edges, exact_lengths)),
     )

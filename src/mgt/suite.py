@@ -598,8 +598,8 @@ def _check_edge_deletion_energy(g: MetrizedGraph, rng: random.Random):
 
 def _with_length(g: MetrizedGraph, edge: int, length: Fraction) -> MetrizedGraph:
     """g with one edge's length changed."""
-    return MetrizedGraph(g.vcount, g.edges[:edge] + (g.edges[edge]._replace(length=length),)
-                         + g.edges[edge + 1 :])
+    return MetrizedGraph._derived(g.vcount, g.edges[:edge] + (g.edges[edge]._replace(length=length),)
+                                  + g.edges[edge + 1 :])
 
 
 @_identity("lemedgeext", "single length change", "tau' = tau + x/12 - x A/((L+R)(L+R+x))", "proper edge")
@@ -635,7 +635,8 @@ def _check_successive_length_changes(g: MetrizedGraph, rng: random.Random):
         common = gcd(num, den)
         num, den = num // common, den // common
         state = state.with_length(i, Fraction(ln * pd + 2 * ld * pn, xd))  # L + x
-    return _eq(tau_of(g) + Fraction(num, den), tau_of(MetrizedGraph(g.vcount, tuple(state.edges))))
+    changed = MetrizedGraph._derived(g.vcount, tuple(state.edges))
+    return _eq(tau_of(g) + Fraction(num, den), tau_of(changed))
 
 
 @_identity("thmbasic2", "bridgeless tau identity", "tau = l/12 - sum L A/(L+R)^2", "bridgeless")

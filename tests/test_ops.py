@@ -7,8 +7,8 @@ from mgt import families
 from mgt.errors import (BadM, BadN, BadVertexId, BridgeDeletion, EmptyGraph, MgtError, NonPositiveLength,
                         SamePoint, TooLarge)
 from mgt.graph import (MAX_EDGES, MAX_VERTICES, Edge, MetrizedGraph, bridges, build_graph,
-                       delete_edge_graph, identify_points_graph, normalize, scale, subdivide_uniform,
-                       total_length)
+                       delete_edge_graph, identify_points_graph, insert_point, normalize, scale,
+                       subdivide_uniform, total_length)
 from mgt.ops import (
     OpResult,
     add_edge,
@@ -24,6 +24,7 @@ from mgt.ops import (
     union_one_point,
     union_two_points,
 )
+from mgt.suite import _with_length
 from mgt.tau import apq_identity, tau_of
 from oracles import two_step_immersion
 
@@ -346,25 +347,32 @@ def _first_cycle_edge(g):
     lambda g: scale(g, F(3, 7)),
     normalize,
     lambda g: subdivide_uniform(g, 3),
+    lambda g: insert_point(g, (g.ecount - 1, g.edges[-1].length / 3))[0],
     lambda g: da_n(g, 2).graph,
     lambda g: delete_edge(g, _first_cycle_edge(g)).graph,
     lambda g: contract_edge(g, 0).graph,
+    lambda g: contract_edge(add_edge(g, 1, 1, F(2, 9)).graph, g.ecount).graph,
+    lambda g: add_edge(g, 0, g.vcount - 1, F(5, 3)).graph,
     lambda g: identify_points(g, 0, g.vcount - 1).graph,
     lambda g: union_one_point(g, 0, _K4, 2).graph,
     lambda g: union_two_points(g, _K4, (0, g.vcount - 1), (3, 1)).graph,
     lambda g: immerse(g, [[(_K4, 0, 1), (_SEGMENT, 1, 0)][i % 2] for i in range(g.ecount)]).graph,
     lambda g: c_tower(g, 0, g.vcount - 1, 2).graph,
-], ids=["build_graph", "build_graph-from-scalars", "scale", "normalize", "subdivide_uniform", "da_n",
-        "delete_edge", "contract_edge", "identify_points", "union_one_point", "union_two_points", "immerse",
-        "c_tower"])
+    lambda g: _with_length(g, g.ecount // 2, F(7, 4)),
+], ids=["build_graph", "build_graph-from-scalars", "scale", "normalize", "subdivide_uniform", "insert_point",
+        "da_n", "delete_edge", "contract_edge", "contract_edge-loop", "add_edge", "identify_points",
+        "union_one_point", "union_two_points", "immerse", "c_tower", "_with_length"])
 def test_builders_return_exact_edge_triples(build):
     # the bulk builders make edges with tuple.__new__, which checks no arity, as
-    # Edge(a, b, length) does; neither checks that the length is a Fraction
+    # Edge(a, b, length) does; neither checks that the length is a Fraction. A
+    # derived graph is built unchecked, so the checking constructor must accept it.
     from mgt.suite import GraphGenerator
 
     for _, g in GraphGenerator(1).graphs(10):
-        for e in build(g).edges:
+        h = build(g)
+        for e in h.edges:
             assert type(e) is Edge and e == Edge(*e) and type(e.length) is F
+        assert MetrizedGraph(h.vcount, h.edges) == h
 
 
 def test_immerse_endpoint_swap_keeps_tau():

@@ -240,8 +240,10 @@ def test_best_rational_is_limit_denominator_exhaustively():
 
 def test_minimize_exact_tau_is_tau_of_exact_lengths():
     bridged = build_graph(5, [(0, 1, 1), (1, 2, 2), (2, 0, 1), (2, 3, 3), (3, 4, 1), (4, 3, 2)])
-    for g in (families.complete(4), families.cube(), bridged):
-        state = minimize_tau(g, max_iters=40)
+    runs = [(g, None, 40) for g in (families.complete(4), families.cube(), bridged)]
+    runs.append((families.complete(4), [0.1, 0.2, 0.15, 0.05, 0.3, 0.2], 1))  # stopped off the minimum
+    for g, start, iters in runs:
+        state = minimize_tau(g, start, max_iters=iters)
         assert sum(state.exact_lengths) == 1
         assert state.exact_tau == tau_of(_at_lengths(search_topology(g), state.exact_lengths))
 

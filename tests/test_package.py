@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import importlib
 import os
 import subprocess
 import sys
@@ -112,21 +113,20 @@ def test_benchmark_tracer_binds_every_name_a_layer_metric_needs():
     assert done.stdout.split() == []
 
 
-def _bench_record():
-    """``tools/bench_record.py`` as a module."""
+def _tool(name):
+    """``tools/<name>.py`` as a module."""
     tools = str(Path(__file__).resolve().parent.parent / "tools")
     sys.path.insert(0, tools)
     try:
-        import bench_record
+        return importlib.import_module(name)
     finally:
         sys.path.remove(tools)
-    return bench_record
 
 
 def test_bench_record_counts_lines_as_wc_does():
     # the record's ``lines`` block is where the line-count aim is read off
     root = Path(__file__).resolve().parent.parent
-    bench_record = _bench_record()
+    bench_record = _tool("bench_record")
     counts = bench_record._line_counts()
     for folder in ("src/mgt", "tests"):
         paths = sorted((root / folder).glob("*.py"))
@@ -138,7 +138,7 @@ def test_bench_record_counts_lines_as_wc_does():
 
 def test_bench_record_summary_counts_strict_wins_and_resolves_past_the_parent_iqr():
     # the record's summary is where a claimed gain is read off
-    bench_record = _bench_record()
+    bench_record = _tool("bench_record")
 
     def summary(parent, change, better):
         pairs = [{"parent": {"m": p}, "change": {"m": c}} for p, c in zip(parent, change)]
@@ -162,7 +162,7 @@ def test_bench_record_summary_counts_strict_wins_and_resolves_past_the_parent_iq
 
 def test_bench_record_verify_entry_compares_the_parent_digest():
     # the record alone shows whether a change moved a number of verify's output
-    bench_record = _bench_record()
+    bench_record = _tool("bench_record")
     out = b'[{"status": "pass"}, {"status": "skip"}, {"status": "pass"}]'
     entry = bench_record._verify_entry([3.0, 1.0, 2.0], [out] * 3, out)
     assert entry["sha256"] == entry["parent_sha256"] == hashlib.sha256(out).hexdigest()
@@ -172,3 +172,13 @@ def test_bench_record_verify_entry_compares_the_parent_digest():
     assert moved["same"] is False and moved["sha256"] == entry["sha256"] != moved["parent_sha256"]
     with pytest.raises(SystemExit, match="differs between runs"):
         bench_record._verify_entry([1.0, 1.0], [out, out + b"\n"], out)
+
+
+def test_each_mutant_old_text_occurs_once_in_its_file():
+    # a stale row of tools/mutants.py would mutate nothing or the wrong line
+    root = Path(__file__).resolve().parent.parent
+    rows = _tool("mutants").MUTANTS
+    assert len({row[0] for row in rows}) == len(rows)
+    for ident, name, old, new, tests in rows:
+        assert (root / name).read_text(encoding="utf-8").count(old) == 1, ident
+        assert new != old and tests, ident

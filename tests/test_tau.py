@@ -399,7 +399,7 @@ def test_apq_identity_builds_and_factorizes_nothing(monkeypatch):
     g = _random_bridgeless_graph(random.Random(7), 12, 18)
     context(g)
     calls = {"green_numden": 0, "graph": 0}
-    factorize, build = mgt.circuit.green_numden, MetrizedGraph.__init__
+    factorize, build, derive = mgt.circuit.green_numden, MetrizedGraph.__init__, MetrizedGraph._derived
 
     def counted_factorize(*args):
         calls["green_numden"] += 1
@@ -409,8 +409,13 @@ def test_apq_identity_builds_and_factorizes_nothing(monkeypatch):
         calls["graph"] += 1
         build(self, *args)
 
+    def counted_derive(cls, *args):  # a derived graph is built past __init__
+        calls["graph"] += 1
+        return derive(*args)
+
     monkeypatch.setattr(mgt.circuit, "green_numden", counted_factorize)
     monkeypatch.setattr(MetrizedGraph, "__init__", counted_build)
+    monkeypatch.setattr(MetrizedGraph, "_derived", classmethod(counted_derive))
     values = {(p, q): apq_identity(g, p, q) for p in range(4) for q in range(4) if p != q}
     assert calls == {"green_numden": 0, "graph": 0}
     identification_apq(g, 0, 1)

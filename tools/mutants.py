@@ -1,0 +1,136 @@
+"""Replay a table of source mutants against the tests that must kill them.
+
+Usage (from the repository root):
+
+    python3 tools/mutants.py [COMMIT]
+
+COMMIT (default ``HEAD``) is exported with ``git archive`` into a temporary
+directory. For each row of ``MUTANTS``, one at a time, the row's old text is
+replaced by its new text in its file there, the row's tests run with
+``pytest -x``, and the file is put back. A mutant is killed when pytest reports
+a failed test (exit code 1); a pass, or any other exit (a test id not found, a
+mutant that breaks collection), leaves it a survivor. One line per mutant goes
+to stderr, the survivors go to stdout as one JSON list, and the exit code is 1
+if there is any survivor. No bytecode is written in the copy, so a restored
+file is never read through a stale cache. Standard library and pytest only.
+
+Each row is (id, file, exact old text, new text, test node ids that must fail);
+the old text occurs exactly once in its file (a Tier-1 test checks it).
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GRAPH, OPS, SUITE, OPTIMIZE = "src/mgt/graph.py", "src/mgt/ops.py", "src/mgt/suite.py", "src/mgt/optimize.py"
+BUILDERS = "tests/test_ops.py::test_builders_return_exact_edge_triples"
+
+# The graphs that mgt derives from checked graphs are built past the constructor's check,
+# so these rows hold each such builder to the tests that replace that check.
+MUTANTS = [
+    ("scale-extra-vertex", GRAPH,
+     "_derived(g.vcount, _scaled(g.edges, c.numerator, c.denominator))",
+     "_derived(g.vcount + 1, _scaled(g.edges, c.numerator, c.denominator))",
+     [f"{BUILDERS}[scale]"]),
+    ("scaled-n-d-swapped", GRAPH,
+     "Fraction(p * n, q * d)", "Fraction(p * d, q * n)",
+     ["tests/test_ops.py::test_lengths_match_fraction_arithmetic"]),
+    ("delete-edge-graph-bridge-test-dropped", GRAPH,
+     "    if edge_id in bridges(g):\n        raise BridgeDeletion",
+     "    if False:\n        raise BridgeDeletion",
+     ["tests/test_ops.py::test_delete_bridge_rejected"]),
+    ("identify-points-glued-upward", GRAPH,
+     "{max(p, q): min(p, q)}, 0))", "{min(p, q): max(p, q)}, 0))",
+     [f"{BUILDERS}[identify_points]"]),
+    ("shift-edges-off-by-one", GRAPH,
+     "{v: offset + i for i, v in enumerate(rest)}", "{v: offset + i + 1 for i, v in enumerate(rest)}",
+     [f"{BUILDERS}[union_one_point]"]),
+    ("insert-point-no-new-vertex", GRAPH,
+     "_derived(g.vcount + 1, g.edges[:edge_id] + pieces", "_derived(g.vcount, g.edges[:edge_id] + pieces",
+     [f"{BUILDERS}[insert_point]"]),
+    ("subdivide-uniform-reuses-a-vertex", GRAPH,
+     "        next_vertex += m - 1\n", "        next_vertex += m - 2\n",
+     [f"{BUILDERS}[subdivide_uniform]"]),
+    ("contract-edge-keeps-the-edge", OPS,
+     "    rest = g.edges[:edge_id] + g.edges[edge_id + 1 :]  # glued",
+     "    rest = g.edges  # glued",
+     ["tests/test_ops.py::test_contract_k4_edge"]),
+    ("add-edge-past-the-last-vertex", OPS,
+     "g.edges + (Edge(p, q, new_length),)", "g.edges + (Edge(p, g.vcount, new_length),)",
+     [f"{BUILDERS}[add_edge]"]),
+    ("union-one-point-extra-vertex", OPS,
+     '_derived(vcount, g1.edges + edges2)\n    return OpResult(graph, "wedge-additivity"',
+     '_derived(vcount + 1, g1.edges + edges2)\n    return OpResult(graph, "wedge-additivity"',
+     [f"{BUILDERS}[union_one_point]"]),
+    ("union-two-points-glued-at-p-only", OPS,
+     "{p2: p1, q2: q1}, g1.vcount)", "{p2: p1}, g1.vcount)",
+     ["tests/test_ops.py::test_union_two_points_random"]),
+    ("da-n-one-copy-short", OPS,
+     "_scaled(g.edges, 1, n) for _ in range(n))", "_scaled(g.edges, 1, n) for _ in range(n - 1))",
+     ["tests/test_ops.py::test_da_n_identity_and_counts"]),
+    ("immerse-copy-labels-shifted", OPS,
+     "label = [*range(nxt, nxt + inner), a, b]", "label = [*range(nxt + 1, nxt + inner + 1), a, b]",
+     [f"{BUILDERS}[immerse]"]),
+    ("c-tower-glued-at-p-only", OPS,
+     "{p: p, q: q}, vcount)", "{p: p}, vcount)",
+     ["tests/test_ops.py::test_tower"]),
+    ("with-length-repeats-the-edge", SUITE,
+     "+ g.edges[edge + 1 :])", "+ g.edges[edge:])",
+     ["tests/test_suite.py::test_deletion_formulas_fail_when_deleted_a_is_perturbed"]),
+    ("successive-changes-final-graph-unchanged", SUITE,
+     "_derived(g.vcount, tuple(state.edges))", "_derived(g.vcount, g.edges)",
+     ["tests/test_suite.py::test_deletion_formulas_fail_when_deleted_a_is_perturbed"]),
+    ("minimize-rounded-lengths-reversed", OPTIMIZE,
+     "zip(g.edges, exact_lengths)", "zip(g.edges, exact_lengths[::-1])",
+     ["tests/test_optimize.py::test_minimize_exact_tau_is_tau_of_exact_lengths"]),
+]
+
+
+def _kill(copy: str, row) -> tuple[int, float]:
+    """pytest's exit code and wall seconds for one row, with its mutant applied in ``copy``."""
+    _, name, old, new, tests = row
+    path = os.path.join(copy, name)
+    with open(path, encoding="utf-8") as fh:
+        source = fh.read()
+    if source.count(old) != 1:
+        raise SystemExit(f"{row[0]}: the old text occurs {source.count(old)} times in {name}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(source.replace(old, new))
+    env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"), PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
+    try:
+        done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+                              cwd=copy, env=env, capture_output=True)
+    finally:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(source)
+    return done.returncode, time.perf_counter() - start
+
+
+def main() -> int:
+    commit = sys.argv[1] if len(sys.argv) > 1 else "HEAD"
+    archive = subprocess.run(["git", "archive", commit], cwd=ROOT, capture_output=True, check=True).stdout
+    survivors = []
+    with tempfile.TemporaryDirectory(prefix="mutants.") as copy:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(copy, filter="data")
+        for row in MUTANTS:
+            code, seconds = _kill(copy, row)
+            print(f"{row[0]}: {'killed' if code == 1 else 'SURVIVED'} "
+                  f"(pytest exit {code}, {seconds:.1f} s)", file=sys.stderr)
+            if code != 1:
+                survivors.append({"id": row[0], "file": row[1], "pytest_exit": code})
+    print(json.dumps(survivors))
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
