@@ -95,13 +95,6 @@ def _tau_arguments(p: argparse.ArgumentParser) -> None:
     _output_flags(p)
 
 
-def _apq_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file")
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    _output_flags(p)
-
-
 def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file", nargs="?")
     p.add_argument("--suite", default="all", help="all or comma-separated identity ids")
@@ -140,7 +133,7 @@ _VERBS = {
     "tau": ("tau invariant of a graph", _tau_arguments),
     "resistance": ("effective resistance between two points", _file_verb("p", "q")),
     "voltage": ("voltage j_x(p,q)", _file_verb("x", "p", "q")),
-    "apq": ("the voltage integral between two vertices", _apq_arguments),
+    "apq": ("the voltage integral between two vertices", _file_verb("p", "q")),
     "mucan": ("canonical measure: vertex masses and edge densities", _file_verb()),
     "gradient": ("exact tau derivatives in each edge length", _file_verb()),
     "bounds": ("evaluate the closed-form tau bounds", _file_verb()),
@@ -239,7 +232,7 @@ def _run_voltage(args) -> int:
 
 
 def _run_apq(args) -> int:
-    value = apq(fileio.load_graph(args.file), args.p, args.q)
+    value = apq(fileio.load_graph(args.file), _integer(args.p, "p"), _integer(args.q, "q"))
     print(_dumps({"apq": format_scalar(value)}) if args.json else _fmt(args, value))
     return EXIT_OK
 

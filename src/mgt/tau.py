@@ -320,55 +320,45 @@ def lower_bound_suite(g: MetrizedGraph) -> list[BoundCheck]:
 
 
 def _bound_checks(g: MetrizedGraph, rows) -> tuple[BoundCheck, ...]:
-    e = g.ecount
+    e, v, gen = g.ecount, g.vcount, genus(g)
     ell = total_length(g)
     tau = tau_of(g) / ell
-    v = g.vcount
-    gen = genus(g)
-    bridge_free = all(row[5] for row in rows)
-    equal_lengths = len({(ln, ld) for _, _, ln, ld, _, _ in rows}) == 1
-    out = [
-        BoundCheck("tau-upper-quarter", True, "", tau, Fraction(1, 4), "<=", tau <= Fraction(1, 4)),
-        BoundCheck("tau-lower-1-16e", True, "", Fraction(1, 16 * e), tau, "<=", Fraction(1, 16 * e) <= tau),
-        BoundCheck("tau-tree-equality", True, "",
-                   tau, Fraction(1, 4), "== iff tree",
-                   (tau == Fraction(1, 4)) == (gen == 0 and not any(a == b for a, b, _ in g.edges))),
-    ]
-    if bridge_free:
-        out.append(BoundCheck("tau-upper-twelfth-bridgeless", True, "", tau, Fraction(1, 12), "<=",
-                              tau <= Fraction(1, 12)))
-    else:
-        out.append(BoundCheck("tau-upper-twelfth-bridgeless", False, "graph has a bridge",
-                              None, None, "<=", None))
-    if equal_lengths:
-        base = Fraction(gen, e) ** 2 / 12
-        out.append(BoundCheck("equal-length", True, "", base, tau, "<=", base <= tau))
-        better = base + Fraction(1, 2 * v) * Fraction(v - 1, e) ** 2
-        out.append(BoundCheck("equal-length-sharper", True, "", better, tau, "<=", better <= tau))
-    else:
-        for name in ("equal-length", "equal-length-sharper"):
-            out.append(BoundCheck(name, False, "edge lengths not all equal", None, None, "<=", None))
-    if bridge_free:
-        # sum R over the edges, R = ln rn/gap (``GraphContext.res_deleted``)
+    quarter = Fraction(1, 4)
+    tree = gen == 0 and not any(a == b for a, b, _ in g.edges)
+    bridged = not all(row[5] for row in rows)
+    unequal = "edge lengths not all equal" if len({(ln, ld) for _, _, ln, ld, _, _ in rows}) != 1 else ""
+    single = "" if _every_pair_doubled(g) else "some endpoint pair is joined by only one edge"
+    base = Fraction(gen, e) ** 2 / 12
+
+    def deleted_sum():  # sum R over the edges, R = ln rn/gap (``GraphContext.res_deleted``)
         sum_r = sum_over([(ln * rn, gap) for _, _, ln, _, rn, gap in rows], 1) / ell
-        bound = 1 / (12 * (1 + sum_r) ** 2)
-        out.append(BoundCheck("deleted-resistance-sum", True, "", bound, tau, "<=", bound <= tau))
-    else:
-        out.append(BoundCheck("deleted-resistance-sum", False,
-                              "a bridge makes the deleted-resistance sum infinite",
-                              None, None, "<=", None))
-    if _every_pair_doubled(g):
-        out.append(BoundCheck("doubled-edges-1-48", True, "", Fraction(1, 48), tau, "<=",
-                              Fraction(1, 48) <= tau))
-    else:
-        out.append(BoundCheck("doubled-edges-1-48", False,
-                              "some endpoint pair is joined by only one edge",
-                              None, None, "<=", None))
-    lhs = weighted_res_square_sum(g) / ell
-    rhs_inner = weighted_res_sum(g) / ell
-    out.append(BoundCheck("weighted-deleted-square", True, "", rhs_inner**2, lhs, "<=",
-                          rhs_inner**2 <= lhs))
-    return tuple(out)
+        return 1 / (12 * (1 + sum_r) ** 2), tau
+
+    # each row: the bound, the reason it is skipped or "", and its sides (lhs, rhs),
+    # evaluated only where the row applies: the deleted-resistance sum is infinite across a bridge
+    return (
+        _bound_row("tau-upper-quarter", "", lambda: (tau, quarter)),
+        _bound_row("tau-lower-1-16e", "", lambda: (Fraction(1, 16 * e), tau)),
+        BoundCheck("tau-tree-equality", True, "", tau, quarter, "== iff tree", (tau == quarter) == tree),
+        _bound_row("tau-upper-twelfth-bridgeless", "graph has a bridge" if bridged else "",
+                   lambda: (tau, Fraction(1, 12))),
+        _bound_row("equal-length", unequal, lambda: (base, tau)),
+        _bound_row("equal-length-sharper", unequal,
+                   lambda: (base + Fraction(1, 2 * v) * Fraction(v - 1, e) ** 2, tau)),
+        _bound_row("deleted-resistance-sum",
+                   "a bridge makes the deleted-resistance sum infinite" if bridged else "", deleted_sum),
+        _bound_row("doubled-edges-1-48", single, lambda: (Fraction(1, 48), tau)),
+        _bound_row("weighted-deleted-square", "",
+                   lambda: ((weighted_res_sum(g) / ell) ** 2, weighted_res_square_sum(g) / ell)),
+    )
+
+
+def _bound_row(bound: str, reason: str, sides) -> BoundCheck:
+    """A row compared as lhs <= rhs, or skipped with ``reason``; ``sides()`` gives (lhs, rhs)."""
+    if reason:
+        return BoundCheck(bound, False, reason, None, None, "<=", None)
+    lhs, rhs = sides()
+    return BoundCheck(bound, True, "", lhs, rhs, "<=", lhs <= rhs)
 
 
 def _every_pair_doubled(g: MetrizedGraph) -> bool:

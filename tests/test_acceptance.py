@@ -1,26 +1,33 @@
 """Acceptance suite: one test per criterion, exact comparisons throughout.
 
-The random corpus (200 seeded connected multigraphs, at most 8 vertices and
-16 edges) is generated once and shared between the oracle-equivalence and
-identity-suite criteria; independent checks are distributed over worker
-processes, with results collected in deterministic order.
+The oracle-equivalence criterion distributes its checks on the random corpus
+(200 seeded connected multigraphs, at most 8 vertices and 16 edges) over worker
+processes, with results collected in deterministic order. The identity-suite
+and operation-closure criteria read one in-process run of ``mgt verify`` on the
+same corpus, whose output is pinned by its sha256.
 """
 
+import contextlib
+import hashlib
+import io
+import json
 import os
 import random
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction as F
 
 from mgt import families
 from mgt.circuit import context
+from mgt.cli import main
 from mgt.families import family_scan, scan_violations
 from mgt.graph import build_graph, bridges, normalize, total_length
 from mgt.integration import apq_direct, edge_tag_polynomials
 from mgt.ops import c_tower, da_n, immerse
 from mgt.optimize import minimize_tau
 from mgt.reduction import resistance_via_reduction
-from mgt.suite import GraphGenerator, _checks_rng, identity_catalog, run_graph_checks
+from mgt.suite import GraphGenerator, identity_catalog
 from mgt.tau import apq_identity, deleted_apq, tau_gradient, tau_of
 from oracles import (exact_gradient_matches_float, necklace_witness, random_bridgeless,
                      sampled_tag_polynomials, tau_reducing_sequence, tau_via_integral)
@@ -28,19 +35,26 @@ from oracles import (exact_gradient_matches_float, necklace_witness, random_brid
 CORPUS_SEED = 1
 CORPUS_SIZE = 200
 
-_corpus_cache = None
-_suite_results = None  # criterion 4 shares its full run with criterion 5
+# sha256 of `mgt verify --random --seed 1 --count 200 --json`: every lhs, rhs, status
+# and skip reason of the catalog on the corpus
+VERIFY_SHA256 = "53e3b90d9c9aeadb1081089b93e1aa2319ac67638efd4cf69bcc93169b637843"
+
+_verify_out = None  # that run's stdout, shared by criteria 4 and 5
 
 
-def _corpus():
-    global _corpus_cache
-    if _corpus_cache is None:
-        _corpus_cache = list(GraphGenerator(seed=CORPUS_SEED).graphs(CORPUS_SIZE))
-    return _corpus_cache
-
-
-def _pool():
-    return ProcessPoolExecutor(max_workers=min(4, os.cpu_count() or 1))
+def _verify_results():
+    """The catalog's results on the corpus, from one in-process run of ``mgt verify``
+    whose output is pinned byte for byte."""
+    global _verify_out
+    if _verify_out is None:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--random", "--seed", str(CORPUS_SEED),
+                         "--count", str(CORPUS_SIZE), "--json"])
+        assert (code, err.getvalue()) == (0, "")
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == VERIFY_SHA256
+        _verify_out = out.getvalue()
+    return json.loads(_verify_out)
 
 
 def _announce(name: str, started: float, detail: str = ""):
@@ -133,11 +147,11 @@ def _oracle_chunk(chunk):
 
 def test_criterion_3_oracle_equivalence():
     started = time.time()
-    corpus = _corpus()
+    corpus = list(GraphGenerator(seed=CORPUS_SEED).graphs(CORPUS_SIZE))
     assert len(corpus) >= 200
     assert all(g.vcount <= 8 and g.ecount <= 16 for _, g in corpus)
     chunks = [corpus[i::4] for i in range(4)]
-    with _pool() as pool:
+    with ProcessPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
         failure_lists = list(pool.map(_oracle_chunk, chunks))
     failures = [f for sub in failure_lists for f in sub]
     assert not failures, failures[:5]
@@ -147,39 +161,21 @@ def test_criterion_3_oracle_equivalence():
 # -- criterion 4: identity suite on the same corpus ---------------------------
 
 
-def _suite_chunk(indexed_chunk):
-    out = []
-    for index, (descriptor, g) in indexed_chunk:
-        for r in run_graph_checks(descriptor, g, _checks_rng(CORPUS_SEED, index)):
-            out.append((index, r.identity, r.status, str(r.lhs), str(r.rhs), r.reason))
-    return out
-
-
 def test_criterion_4_identity_suite():
-    global _suite_results
     started = time.time()
     assert len(identity_catalog()) >= 44
-    corpus = list(enumerate(_corpus()))
-    chunks = [corpus[i::4] for i in range(4)]
-    with _pool() as pool:
-        result_lists = list(pool.map(_suite_chunk, chunks))
-    results = [r for sub in result_lists for r in sub]
-    _suite_results = results
-    failures = [r for r in results if r[2] == "fail"]
+    results = _verify_results()
+    failures = [r for r in results if r["status"] == "fail"]
     assert not failures, failures[:5]
-    for r in results:
-        if r[2] == "skip":
-            assert r[5], f"skip without reason: {r}"
-    passes_by_id = {}
-    for r in results:
-        if r[2] == "pass":
-            passes_by_id[r[1]] = passes_by_id.get(r[1], 0) + 1
+    unexplained = [r for r in results if r["status"] == "skip" and not r["reason"]]
+    assert not unexplained, f"skips without reason: {unexplained[:5]}"
+    passes_by_id = Counter(r["identity"] for r in results if r["status"] == "pass")
     # every identity must actually pass on a healthy share of the corpus
     thin = {cid: n for cid, n in passes_by_id.items() if n < 25}
     missing = {cid for cid, _, _ in identity_catalog()} - set(passes_by_id)
     assert not missing, f"identities that never passed: {missing}"
     assert not thin, f"identities with thin coverage: {thin}"
-    skips = sum(1 for r in results if r[2] == "skip")
+    skips = sum(1 for r in results if r["status"] == "skip")
     _announce("criterion 4 identity suite", started,
               f"{len(results)} checks, {skips} hypothesis skips")
 
@@ -195,29 +191,11 @@ OP_CLOSURE_IDS = (
 )
 
 
-def _ops_chunk(indexed_chunk):
-    failures = []
-    for index, (descriptor, g) in indexed_chunk:
-        for r in run_graph_checks(descriptor, g, _checks_rng(CORPUS_SEED, index), set(OP_CLOSURE_IDS)):
-            if r.status == "fail":
-                failures.append((descriptor, r.identity, str(r.lhs), str(r.rhs)))
-    return failures
-
-
 def test_criterion_5_operation_closure():
     started = time.time()
-    if _suite_results is not None:
-        # criterion 4 already ran every op-closure check on the whole corpus
-        failures = [r for r in _suite_results
-                    if r[1] in OP_CLOSURE_IDS and r[2] == "fail"]
-        covered = {r[1] for r in _suite_results if r[1] in OP_CLOSURE_IDS}
-        assert covered == set(OP_CLOSURE_IDS)
-    else:
-        corpus = list(enumerate(_corpus()))
-        chunks = [corpus[i::4] for i in range(4)]
-        with _pool() as pool:
-            failure_lists = list(pool.map(_ops_chunk, chunks))
-        failures = [f for sub in failure_lists for f in sub]
+    results = [r for r in _verify_results() if r["identity"] in OP_CLOSURE_IDS]
+    assert {r["identity"] for r in results} == set(OP_CLOSURE_IDS)
+    failures = [r for r in results if r["status"] == "fail"]
     assert not failures, failures[:5]
     # worked examples
     for n in (2, 3, 4):

@@ -182,3 +182,11 @@ def test_each_mutant_old_text_occurs_once_in_its_file():
     for ident, name, old, new, tests in rows:
         assert (root / name).read_text(encoding="utf-8").count(old) == 1, ident
         assert new != old and tests, ident
+
+
+def test_readme_names_every_export_in_its_module_row():
+    # README's library table is where a reader finds each public name of mgt
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = {line.split("`")[1]: line for line in readme.splitlines() if line.startswith("| `mgt.")}
+    unnamed = [name for name in mgt.__all__ if f"`{name}`" not in rows.get(f"mgt.{mgt._EXPORTS[name]}", "")]
+    assert not unnamed

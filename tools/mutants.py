@@ -31,11 +31,12 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GRAPH, OPS, SUITE, OPTIMIZE = "src/mgt/graph.py", "src/mgt/ops.py", "src/mgt/suite.py", "src/mgt/optimize.py"
+TAU, CLI = "src/mgt/tau.py", "src/mgt/cli.py"
 BUILDERS = "tests/test_ops.py::test_builders_return_exact_edge_triples"
 
-# The graphs that mgt derives from checked graphs are built past the constructor's check,
-# so these rows hold each such builder to the tests that replace that check.
 MUTANTS = [
+    # the graphs that mgt derives from checked graphs are built past the constructor's check,
+    # so these rows hold each such builder to the tests that replace that check
     ("scale-extra-vertex", GRAPH,
      "_derived(g.vcount, _scaled(g.edges, c.numerator, c.denominator))",
      "_derived(g.vcount + 1, _scaled(g.edges, c.numerator, c.denominator))",
@@ -91,6 +92,17 @@ MUTANTS = [
     ("minimize-rounded-lengths-reversed", OPTIMIZE,
      "zip(g.edges, exact_lengths)", "zip(g.edges, exact_lengths[::-1])",
      ["tests/test_optimize.py::test_minimize_exact_tau_is_tau_of_exact_lengths"]),
+    # the bound report's table of rows, each compared as lhs <= rhs or skipped with its reason
+    ("bound-row-sides-swapped", TAU,
+     "lambda: (Fraction(1, 16 * e), tau)", "lambda: (tau, Fraction(1, 16 * e))",
+     ["tests/test_tau.py::test_bounds_random_graphs_never_violate"]),
+    ("bound-skip-reason-dropped", TAU,
+     '"a bridge makes the deleted-resistance sum infinite" if bridged else ""', '""',
+     ["tests/test_tau.py::test_bound_sums_match_deletion_route"]),
+    # mgt apq reads its vertex ids as op does; a p, q swap would survive, since A is symmetric
+    ("apq-q-read-from-p", CLI,
+     '_integer(args.q, "q")', '_integer(args.p, "q")',
+     ["tests/test_cli.py::test_apq_prints_the_closed_form"]),
 ]
 
 
