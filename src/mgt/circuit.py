@@ -198,6 +198,7 @@ class GraphContext:
     def r_deleted(self, edge_id: int, y: int, z: int) -> Fraction:
         """Resistance between y and z after deleting one edge; a loop (c = 0) leaves r unchanged."""
         update = self.deleted(edge_id)
+        check_vertices(self, y, z)  # res_num reads rows of N with no check
         return Fraction(update.res_num(y, z), update.den)
 
     def edge_profiles(self, base: int) -> tuple[EdgeProfile, ...]:
@@ -268,6 +269,7 @@ class KirchhoffState(GraphContext):
 
     def with_length(self, edge_id: int, length: Fraction) -> KirchhoffState:
         """The state after edge ``edge_id``'s length becomes ``length``."""
+        edge_at(self, edge_id)  # where rows[-1] would wrap
         a, b, ln, ld, _, _ = self.rows[edge_id]
         pn, pd = length.as_integer_ratio()
         n = pn * ld - ln * pd

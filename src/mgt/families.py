@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import BadM, BadN, EmptyGrid, MgtError, NonPositiveLength, TooLarge, UnknownParameter
-from .graph import MAX_EDGES, MetrizedGraph, build_graph, check_size, normalize
+from .graph import MAX_EDGES, MetrizedGraph, build_graph, check_count, check_size, normalize
 from .rational import Scalar
 
 RATIO_FLOOR = Fraction(1, 108)  # conjectured universal ratio; violations are reported, not hidden
@@ -32,14 +32,16 @@ def banana(*lengths: Scalar) -> MetrizedGraph:
 
 
 def equal_banana(m: int, total: Scalar = 1) -> MetrizedGraph:
-    if m < 1:
+    if m < 1:  # the words mgt scan prints for an empty banana
         raise BadM(f"a banana needs m >= 1 edges, got {m}")
+    check_count(m, BadM, "a banana's edge count m")
     total = Fraction(total)
     return banana(*([total / m] * m))
 
 
 def complete(v: int, total: Scalar = 1) -> MetrizedGraph:
     """Complete graph on v vertices with equal edge lengths summing to total."""
+    check_count(v, BadN, "a complete graph's vertex count v")
     total = Fraction(total)
     pairs = [(a, b) for a in range(v) for b in range(a + 1, v)]
     return build_graph(v, [(a, b, total / len(pairs)) for a, b in pairs])
@@ -81,6 +83,7 @@ def necklace(a: Scalar, b: Scalar, t: int) -> MetrizedGraph:
     Cubic graph with 4t vertices and 6t edges; the diamond i spans vertices
     4i..4i+3 locally as (p, a, q, b) and the cycle edges run q_i -> p_{i+1}.
     """
+    check_count(t, BadN, "a necklace's diamond count t")
     a = Fraction(a)
     b = Fraction(b)
     edges = []
@@ -97,6 +100,7 @@ def necklace(a: Scalar, b: Scalar, t: int) -> MetrizedGraph:
 
 def necklace_tau(a: Scalar, b: Scalar, t: int) -> Fraction:
     """Closed-form tau of the necklace family."""
+    check_count(t, BadN, "a necklace's diamond count t")
     a = Fraction(a)
     b = Fraction(b)
     return t * (a + 2 * b) / 12 + b * b / (8 * (a + b))

@@ -93,6 +93,7 @@ class MetrizedGraph(Frozen):
     def __init__(self, vcount: int, edges: tuple[Edge, ...]):
         if vcount < 1:
             raise BadVertexId("graph needs at least one vertex")
+        check_count(vcount, BadVertexId, "a graph's vertex count")  # range() below takes ints only
         # union-find until one part is left; v > e + 1 starts at 0 parts, with no per-vertex list
         parts = vcount if vcount <= len(edges) + 1 else 0
         parent = list(range(parts))

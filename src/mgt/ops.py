@@ -219,22 +219,23 @@ def immerse(
     if len(betas) != g.ecount:
         raise MgtError("need one marked graph per edge")
     betas = [(normal[id(beta)], p, q) for beta, p, q in betas]
-    plans, per_edge = {}, []  # each marking's [k, edges, r] and each host edge's plan
-    for marked in betas:  # one lookup per host edge; a non-int mark is checked each time: 0.0 == 0
+    plans, per_edge = {}, []  # each marking's [k, edges, host edge ids, r] and each host edge's plan
+    for i, marked in enumerate(betas):  # one lookup per host edge; a non-int mark is checked each time
         if (plan := plans.get(marked)) is None or not type(marked[1]) is type(marked[2]) is int:
-            plan = plans.setdefault(marked, _marked_template(*marked))
+            plan = plans.setdefault(marked, _marked_template(*marked) + [[]])
+        plan[2].append(i)
         per_edge.append(plan)
     check_size(g.vcount + sum(plan[0] for plan in per_edge),
                sum(len(plan[1]) for plan in per_edge), "an immersion", g)
     for (beta, p, q), plan in plans.items():
         plan.append(context(beta).r(p, q))
     ratios = []  # L_i/r_i
-    for (_, _, length), (_, _, r) in zip(g.edges, per_edge):
+    for (_, _, length), (_, _, _, r) in zip(g.edges, per_edge):
         (ln, ld), (rn, rd) = length.as_integer_ratio(), r.as_integer_ratio()
         ratios.append((ln * rd, ld * rn))
     size = sum_over(ratios, 1)
     edges, nxt = [], g.vcount
-    for (a, b, _), (inner, local, _), (n, d) in zip(g.edges, per_edge, ratios):
+    for (a, b, _), (inner, local, _, _), (n, d) in zip(g.edges, per_edge, ratios):
         label = [*range(nxt, nxt + inner), a, b]
         nxt += inner
         num, den = n * size.denominator, d * size.numerator
@@ -242,11 +243,14 @@ def immerse(
                   for x, y, ln, ld in local]
     graph = MetrizedGraph._derived(nxt, tuple(edges))
 
-    def formula():
+    def formula():  # each plan's sums of L and of L - r(a, b) over the host edges it replaces
+        ctx = context(g)
         size = Fraction(0)
         rhs = tau_of(g) - Fraction(1, 4)
-        for (beta, p, q), (ell, par) in marked_edge_sums(g, betas).items():
-            r_beta = plans[beta, p, q][2]
+        for (beta, p, q), (_, _, ids, r_beta) in plans.items():
+            rows = [ctx.rows[i] for i in ids]
+            ell = sum_over([(ln, ld) for _, _, ln, ld, _, _ in rows], 1)
+            par = sum_over([(gap, ld) for _, _, _, ld, _, gap in rows], ctx.den)
             size += ell / r_beta
             rhs += (ell * tau_of(beta) + par * apq(beta, p, q) / r_beta) / r_beta
         return rhs / size

@@ -442,7 +442,13 @@ def test_context_readers_refuse_ids_outside_the_graph():
                  (lambda: green.r(1.0, 0), BadVertexId, "vertex 1.0 out of range 0..3"),
                  (lambda: green.voltage(0, 1, 2.0), BadVertexId, "vertex 2.0 out of range 0..3"),
                  (lambda: green.res_deleted(1.0), BadPoint, "edge 1.0 out of range 0..5"),
-                 (lambda: green.r(0, "1"), BadVertexId, "vertex 1 out of range 0..3")]
+                 (lambda: green.r(0, "1"), BadVertexId, "vertex 1 out of range 0..3"),
+                 # r_deleted(0, -1, 1) read vertex 3's row, r_deleted(0, 0, 9) ended in IndexError
+                 (lambda: green.r_deleted(0, -1, 1), BadVertexId, "vertex -1 out of range 0..3"),
+                 (lambda: green.r_deleted(0, 0, 9), BadVertexId, "vertex 9 out of range 0..3")]
+        if green is not context(k4):  # with_length(-1, ...) changed edge 5; 6 ended in IndexError
+            calls += [(lambda edge=edge: green.with_length(edge, F(1)), BadPoint,
+                       f"edge {edge} out of range 0..5") for edge in (-1, 6, 1.0)]
         for call, error, message in calls:
             with pytest.raises(error) as info:
                 call()

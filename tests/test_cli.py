@@ -6,6 +6,7 @@ import os
 import random
 import re
 import resource
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -160,81 +161,6 @@ def test_out_file_on_a_closed_pipe_is_an_error(circle_file, tmp_path, monkeypatc
     assert code == 3 and out == "" and "cannot write graph file" in err and "Broken pipe" in err
 
 
-def test_out_file_unwritable_is_an_error(circle_file, tmp_path, capsys):
-    # the file is written before the result is printed, so a failed write prints nothing
-    code, out, err = run_cli(capsys, "op", "da-n", "3", circle_file, "-o", str(tmp_path / "no" / "g.txt"))
-    assert code == 3 and out == "" and "cannot write graph file" in err and "internal error" not in err
-
-
-def test_usage_error_exit_2(tmp_path, capsys):
-    assert main(["tau"]) == 2
-    assert main(["unknown-verb"]) == 2
-    # a number typed on the command line is a usage error, not a bad input file
-    path = tmp_path / "tri.txt"
-    path.write_text("e 0 1 1\ne 1 2 1\ne 2 0 1\n")
-    capsys.readouterr()
-    for argv in (["resistance", str(path), "0:abc", "1"], ["resistance", str(path), "0:1e2000", "1"],
-                 ["resistance", str(path), "0:1/0", "1"], ["voltage", str(path), "0", "0:1/0", "1"],
-                 ["op", "add-edge", "0", "1", "abc", str(path)],
-                 # a signed number is a value, as -2 and -0.5 are, so mgt's own check refuses it
-                 ["op", "add-edge", "0", "1", "-1/2", str(path)], ["resistance", str(path), "-1/2", "1"],
-                 ["op", "add-edge", "0", "1", "-1e3", str(path)], ["op", "add-edge", "0", "1", "-1/2/3", str(path)],
-                 ["apq", str(path), "x", "1"], ["apq", str(path), "0", "1.5"]):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2 and out == "" and _one_error_line(err), (argv, err)
-    # an integer argument of op that does not parse is named, with what was expected
-    for argv, line in ((["op", "tower", "0", "1", "-1/2", str(path)], "bad n: expected an integer, got '-1/2'"),
-                       (["op", "delete", "1.5", str(path)], "bad edge: expected an integer, got '1.5'"),
-                       (["op", "immerse", str(path), str(path), "0", "x"], "bad q: expected an integer, got 'x'")):
-        assert run_cli(capsys, *argv) == (2, "", f"error: {line}\n"), argv
-
-
-def test_input_error_exit_3(tmp_path, capsys):
-    path = tmp_path / "bad.txt"
-    path.write_text("e 0 1 1/0\n")
-    code = main(["tau", str(path)])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert "line 1" in err
-
-
-@pytest.mark.parametrize("doc", [
-    '{"vertices": 2.5, "edges": [[0, 1, "1"]]}',
-    '{"vertices": 2, "edges": [[0, true, "1"]]}',
-    '{"vertices": 2, "edges": [[0.0, 1, "1"]]}',
-    '{"vertices": "2", "edges": [[0, 1, "1"]]}',
-])
-def test_json_counts_and_endpoints_must_be_integers(tmp_path, capsys, doc):
-    # each used to be truncated by int() and exit 0 with tau 1/4
-    path = tmp_path / "graph.json"
-    path.write_text(doc)
-    code, out, err = run_cli(capsys, "tau", str(path))
-    assert code == 3 and out == ""
-    assert _one_error_line(err) and err.startswith("error: bad graph JSON: expected an integer")
-
-
-@pytest.mark.parametrize("doc, message", [
-    # each used to print Python's own exception text (shown after the #)
-    ('[]', 'expected an object with "vertices" and "edges", got []'),  # list indices must be ...
-    ('"s"', 'expected an object with "vertices" and "edges", got "s"'),  # string indices must be ...
-    ('{"vertices": 2}', 'missing "edges"'),  # 'edges'
-    ('{"vertices": 2, "edges": [[0, 1, "1/2", 5]]}',  # too many values to unpack (expected 3)
-     'edge 0 must be [u, w, length], got [0, 1, "1/2", 5]'),
-    ('{"vertices": 2, "edges": {"e": [0, 1, "1"]}}',  # not enough values to unpack (expected 3, got 1)
-     '"edges" must be a list of [u, w, length], got {"e": [0, 1, "1"]}'),
-    ('{"vertices": 2, "edges": "e"}', '"edges" must be a list of [u, w, length], got "e"'),  # same
-    ('{"vertices": 2, "edges": [[0, 1, null]]}',  # not an exact rational: 'None'
-     "edge 0's length must be a string or a number, got null"),
-    ('{"vertices": 2, "edges": [[0, 1, "1"], [1, 0, "1/0"]]}', "edge 1's length: not an exact rational"),
-])
-def test_damaged_json_shape_names_the_field(tmp_path, capsys, doc, message):
-    path = tmp_path / "graph.json"
-    path.write_text(doc)
-    code, out, err = run_cli(capsys, "tau", str(path))
-    assert code == 3 and out == ""
-    assert _one_error_line(err) and err.startswith(f"error: bad graph JSON: {message}")
-
-
 def test_op_roundtrip_output(tmp_path, circle_file, capsys):
     out_path = tmp_path / "result.txt"
     code, out, _ = run_cli(capsys, "op", "da-n", "3", circle_file, "-o", str(out_path))
@@ -299,6 +225,9 @@ def test_verify_single_file(k4_file, capsys):
     code, out, _ = run_cli(capsys, "verify", k4_file)
     assert code == 0
     assert "0 failed" in out
+    # the --suite ids are stripped
+    code, out, err = run_cli(capsys, "verify", k4_file, "--suite", "thmbasic, genus-identity")
+    assert (code, err) == (0, "") and out.endswith("2 passed, 0 skipped, 0 failed\n")
 
 
 def test_verify_random_json(capsys):
@@ -307,6 +236,8 @@ def test_verify_random_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert all(r["status"] in ("pass", "skip") for r in doc)
+    code, out, _ = run_cli(capsys, "verify", "--random", "--suite", "genus-identity")  # 10 graphs
+    assert code == 0 and out.endswith("10 passed, 0 skipped, 0 failed\n")
 
 
 def test_verify_deterministic_output(capsys):
@@ -464,138 +395,151 @@ def test_op_subdivide_disagrees_with_a_lengthened_piece(k4_file, monkeypatch, ca
 
 
 def _one_error_line(err: str) -> bool:
-    lines = err.strip().splitlines()
-    return len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in err
+    return err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("verb", ["delete", "contract"])
-@pytest.mark.parametrize("edge", ["-1", "6", "99"])
-def test_op_edge_id_out_of_range_is_usage_error(k4_file, capsys, verb, edge):
-    # -1 used to index from the end, build an 11-edge graph and exit 1 with DISAGREE
-    code, out, err = run_cli(capsys, "op", verb, edge, k4_file)
-    assert code == 2 and out == "", err
-    assert _one_error_line(err) and f"edge {edge} out of range" in err
+USAGE, INPUT = cli.EXIT_USAGE, cli.EXIT_INPUT
 
+# argv word -> the file written under that name; None is a path that is never written
+_FILES = {
+    "K4": format_graph_text(families.complete(4)), "TRI": "v 3\ne 0 1 1\ne 1 2 2\ne 2 0 1\n", "POINT": "v 1\n",
+    "BRIDGE": "v 3\ne 0 1 1/2\ne 1 2 1/3\ne 1 2 1/4\ne 2 2 1/5\n",  # edge 0 is a bridge
+    "BAD": "e 0 1 1/0\n", "BINARY": b"\xff\xfe\x00", "MISSING": None, "NODIR/g.txt": None,
+    "HUGE": "e 0 1 1e400000\n",  # tau would not print within Python's int-to-text limit
+}
+# JSON graph file -> (its text, the error after "bad graph JSON: ")
+_JSON_FILES = {
+    "vertices-2.5.json": ('{"vertices": 2.5, "edges": [[0, 1, "1"]]}', "expected an integer"),
+    "true-endpoint.json": ('{"vertices": 2, "edges": [[0, true, "1"]]}', "expected an integer"),
+    "float-endpoint.json": ('{"vertices": 2, "edges": [[0.0, 1, "1"]]}', "expected an integer"),
+    "string-vertices.json": ('{"vertices": "2", "edges": [[0, 1, "1"]]}', "expected an integer"),
+    "list.json": ("[]", 'expected an object with "vertices" and "edges", got []'),
+    "string.json": ('"s"', 'expected an object with "vertices" and "edges", got "s"'),
+    "no-edges.json": ('{"vertices": 2}', 'missing "edges"'),
+    "long-edge.json": ('{"vertices": 2, "edges": [[0, 1, "1/2", 5]]}',
+                       'edge 0 must be [u, w, length], got [0, 1, "1/2", 5]'),
+    "edge-object.json": ('{"vertices": 2, "edges": {"e": [0, 1, "1"]}}',
+                         '"edges" must be a list of [u, w, length], got {"e": [0, 1, "1"]}'),
+    "edge-string.json": ('{"vertices": 2, "edges": "e"}', '"edges" must be a list of [u, w, length], got "e"'),
+    "null-length.json": ('{"vertices": 2, "edges": [[0, 1, null]]}',
+                         "edge 0's length must be a string or a number, got null"),
+    "zero-denominator.json": ('{"vertices": 2, "edges": [[0, 1, "1"], [1, 0, "1/0"]]}',
+                              "edge 1's length: not an exact rational"),
+}
+_FILES |= {name: text for name, (text, _) in _JSON_FILES.items()}
 
-@pytest.mark.parametrize("argv", [("op", "delete", "0", "G"), ("op", "contract", "0", "G"),
-                                  ("resistance", "G", "0:1/3", "0"), ("voltage", "G", "0", "0:1/2", "0")])
-def test_an_edge_of_a_graph_with_no_edges_is_usage_error(tmp_path, capsys, argv):
-    # the message used to give the empty range 0..-1
-    point = tmp_path / "point.txt"
-    point.write_text("v 1\n")
-    code, out, err = run_cli(capsys, *(str(point) if a == "G" else a for a in argv))
-    assert code == 2 and out == "", err
-    assert _one_error_line(err) and "edge 0 does not exist: the graph has no edges" in err
-
-
-@pytest.mark.parametrize("argv, vertex", [
-    ("union2 0 1 -1 0 G B", "-1"),  # used to exit 0 with a one-point union and no prediction
-    ("tower -1 0 2 G", "-1"),
-    ("union2 0 1 0 5 G B", "5"),  # used to exit 4 with an IndexError
-    ("tower 0 9 2 G", "9"),
-    ("union1 0 9 G B", "9"),  # used to exit 2 with "graph is not connected"
-    ("immerse G B -1 0", "-1"),
-    ("identify 0 9 G", "9"),
-    ("add-edge 0 9 1 G", "9"),
-    ("resistance G 0 9", "9"),  # a verb of its own; it used to print no range
-    ("voltage G 0 9 1", "9"),
-])
-def test_op_vertex_out_of_range_is_usage_error(k4_file, tmp_path, capsys, argv, vertex):
-    triangle = tmp_path / "triangle.txt"
-    triangle.write_text("v 3\ne 0 1 1\ne 1 2 2\ne 2 0 1\n")
-    files = {"G": k4_file, "B": str(triangle)}
-    words = [files.get(a, a) for a in argv.split()]
-    code, out, err = run_cli(capsys, *(() if words[0] in cli._VERBS else ("op",)), *words)
-    assert code == 2 and out == "", err
-    assert _one_error_line(err) and f"vertex {vertex} out of range 0.." in err
-
-
-def test_op_delete_of_a_bridge_is_usage_error(tmp_path, capsys):
-    path = tmp_path / "bridge_loop.txt"
-    path.write_text("v 3\ne 0 1 1/2\ne 1 2 1/3\ne 1 2 1/4\ne 2 2 1/5\n")
-    code, out, err = run_cli(capsys, "op", "delete", "0", str(path))
-    assert (code, out, err) == (2, "", "error: deleting edge 0 disconnects the graph\n")
-
-
-def test_apq_bad_vertex_is_usage_error(k4_file, capsys):
-    for argv in (("0", "7"), ("7", "7"), ("0", "7", "--json")):
-        code, out, err = run_cli(capsys, "apq", k4_file, *argv)
-        assert code == 2 and out == ""
-        assert _one_error_line(err) and "vertex 7" in err
-
-
-def test_verify_rejects_unknown_identity(k4_file, capsys):
-    code, out, err = run_cli(capsys, "verify", k4_file, "--suite", "bogus")
-    assert code == 2 and "passed" not in out
-    assert _one_error_line(err) and "bogus" in err
-    code, _, err = run_cli(capsys, "verify", "--random", "--count", "1",
-                           "--suite", "thmbasic,nope")
-    assert code == 2 and "nope" in err
-
-
-def test_verify_refuses_a_file_together_with_random(k4_file, capsys):
-    code, out, err = run_cli(capsys, "verify", k4_file, "--random", "--count", "1")
-    assert (code, out) == (2, "")
-    assert _one_error_line(err) and "not both" in err
-
-
-def test_verify_refuses_count_with_a_file(k4_file, capsys):
+# (argv, split as a shell would, with the words of _FILES for their files; exit code;
+# text that the one stderr line holds, or is in full when it starts with "error: ")
+_REFUSALS = [
+    # a number typed on the command line is a usage error, not a bad input file
+    *((f"resistance TRI 0:{x} 1", USAGE, f"bad point '0:{x}': not an exact rational: '{x}'")
+      for x in ("abc", "1/0")),
+    ("resistance TRI 0:1e2000 1", USAGE, "bad point '0:1e2000': a scalar of 2001 digits exceeds"),
+    ("voltage TRI 0 0:1/0 1", USAGE, "bad point '0:1/0': not an exact rational"),
+    *((f"op add-edge 0 1 {x} TRI", USAGE, f"bad length: not an exact rational: '{x}'") for x in ("abc", "-1/2/3")),
+    # a signed number is a value, as -2 and -0.5 are, so mgt's own check refuses it
+    *((f"op add-edge 0 1 {x} TRI", USAGE, "new edge length must be positive") for x in ("-1/2", "-1e3")),
+    ("resistance TRI -1/2 1", USAGE, "bad point '-1/2': expected a vertex id or EDGE:OFFSET"),
+    *((f"resistance K4 {point} 0", USAGE, f"bad point '{point}'") for point in ("q", ":1")),
+    ("voltage K4 0 1 x:1/2", USAGE, "bad point 'x:1/2'"),
+    # an integer argument that does not parse is named, with what was expected
+    ("apq TRI x 1", USAGE, "error: bad p: expected an integer, got 'x'"),
+    ("apq TRI 0 1.5", USAGE, "error: bad q: expected an integer, got '1.5'"),
+    ("op tower 0 1 -1/2 TRI", USAGE, "error: bad n: expected an integer, got '-1/2'"),
+    ("op delete 1.5 TRI", USAGE, "error: bad edge: expected an integer, got '1.5'"),
+    ("op immerse TRI TRI 0 x", USAGE, "error: bad q: expected an integer, got 'x'"),
+    ("op delete 0 0 K4", USAGE, "takes 2 arguments, got 3"),
+    *((f"op {verb} {edge} K4", USAGE, f"edge {edge} out of range 0..5")
+      for verb in ("delete", "contract") for edge in (-1, 6, 99)),
+    *((argv, USAGE, "edge 0 does not exist: the graph has no edges") for argv in (
+        "op delete 0 POINT", "op contract 0 POINT", "resistance POINT 0:1/3 0", "voltage POINT 0 0:1/2 0")),
+    ("op delete 0 BRIDGE", USAGE, "error: deleting edge 0 disconnects the graph"),
+    # TRI has vertices 0..2, K4 0..3; -1 would index from the end
+    *((argv, USAGE, f"vertex {vertex} out of range 0..{2 if 'TRI' in argv else 3}") for argv, vertex in (
+        ("op union2 0 1 -1 0 K4 TRI", -1), ("op union2 0 1 0 5 K4 TRI", 5), ("op union1 0 9 K4 TRI", 9),
+        ("op immerse K4 TRI -1 0", -1), ("op tower -1 0 2 K4", -1), ("op tower 0 9 2 K4", 9),
+        ("op identify 0 9 K4", 9), ("op add-edge 0 9 1 K4", 9), ("resistance K4 0 9", 9),
+        ("voltage K4 0 9 1", 9), ("apq K4 0 7", 7), ("apq K4 7 7", 7), ("apq K4 0 7 --json", 7))),
+    # a graph with no edges has no tau bounds, identities or search; its tau is 0
+    ("bounds POINT", USAGE, "the tau bounds need a graph with at least one edge"),
+    ("verify POINT", USAGE, "the identities need a graph with at least one edge"),
+    ("minimize POINT", USAGE, "topology is a point once bridges are contracted"),
+    ("verify K4 --suite bogus", USAGE, "error: unknown identity id(s): 'bogus'"),
+    ("verify --random --count 1 --suite thmbasic,nope", USAGE, "error: unknown identity id(s): 'nope'"),
+    *((f"verify K4 --suite '{suite}'", USAGE, "error: unknown identity id(s): ''")  # ids are stripped
+      for suite in ("", "thmbasic,", "thmbasic, ,genus-identity")),
+    ("verify K4 --random --count 1", USAGE, "error: need a FILE or --random, not both"),
     # --count sizes the random corpus only; with a FILE it used to be dropped silently
-    for count in ("0", "1", "10"):
-        code, out, err = run_cli(capsys, "verify", k4_file, "--count", count)
-        assert (code, out) == (2, "")
-        assert _one_error_line(err) and "--count" in err
-    code, out, _ = run_cli(capsys, "verify", "--random", "--suite", "genus-identity")
-    assert code == 0 and out.endswith("10 passed, 0 skipped, 0 failed\n")
-
-
-def test_verify_strips_suite_ids_and_names_an_empty_one(k4_file, capsys):
-    code, out, err = run_cli(capsys, "verify", k4_file, "--suite", "thmbasic, genus-identity")
-    assert (code, err) == (0, "") and out.endswith("2 passed, 0 skipped, 0 failed\n")
-    for suite in ("", "thmbasic,", "thmbasic, ,genus-identity"):
-        code, out, err = run_cli(capsys, "verify", k4_file, "--suite", suite)
-        assert (code, out) == (2, "")
-        assert _one_error_line(err) and err.rstrip().endswith("''"), (suite, err)
-
-
-def test_verify_rejects_count_below_one(capsys):
-    for count in ("-3", "0"):
-        code, out, err = run_cli(capsys, "verify", "--random", "--count", count)
-        assert code == 2 and "passed" not in out
-        assert _one_error_line(err)
-
-
-def test_scan_rejects_empty_families(capsys):
+    *((f"verify K4 --count {count}", USAGE, "error: --count applies to --random only, not to a FILE")
+      for count in (0, 1, 10)),
+    *((f"verify --random --count {count}", USAGE, f"error: graph count must be >= 1, got {count}")
+      for count in (-3, 0)),
     # an empty grid (LO > HI) would check nothing: it is refused by its key, not passed
-    for family, params, named in (("banana", "m=0..2", ""), ("complete", "v=1..3", ""),
-                                  ("necklace", "t=0..2", ""), ("complete", "v=5..2", "no value of v"),
-                                  ("necklace", "a=3..2", "no value of a")):
-        code, out, err = run_cli(capsys, "scan", "--family", family, "--params", params)
-        assert code == 2 and out == "", (family, params)
-        assert _one_error_line(err) and named in err
+    ("scan --family banana --params m=0..2", USAGE, "error: a banana needs m >= 1 edges, got 0"),
+    ("scan --family complete --params v=1..3", USAGE, "needs v >= 2, got 1"),
+    ("scan --family necklace --params t=0..2", USAGE, "needs t >= 1 diamonds, got 0"),
+    ("scan --family complete --params v=5..2", USAGE, "got no value of v"),
+    ("scan --family necklace --params a=3..2", USAGE, "got no value of a"),
+    # past the direct-check limit no graph is built, so only the scan itself can refuse a
+    *((f"scan --family necklace --params '{a}'", USAGE, "length a > 0") for a in ("a=-1/100;t=6", "a=0")),
+    # a t >= 1 leaves diamond sides b = (1 - a t)/(5t) <= 0, so no row could be built
+    ("scan --family necklace --params a=1", USAGE, "a=1, t=2"),
+    ("scan --family necklace --params 'a=1/4;t=4,5'", USAGE, "a=1/4, t=4"),
+    *((f"scan --family {family} --params {params}", USAGE, f"bad --params entry '{params}'")
+      for family, params in (("complete", "v=a..b"), ("complete", "v"), ("necklace", "a=x"))),
+    ("scan --family complete --params v=2.5", USAGE, "v takes integers, got 5/2"),
+    ("scan --family necklace --params t=2.5", USAGE, "t takes integers, got 5/2"),
+    ("scan --family circle --params k=0", USAGE, "a circle needs k >= 1 arcs, got 0"),
+    # a key that counts in another family is still unknown here, fraction or not
+    ("scan --family circle --params n=0..1", USAGE, "unknown key(s): n"),
+    ("scan --family circle --params v=1.5", USAGE, "unknown key(s): v"),
+    ("scan --family necklace --params check_limit=2", USAGE, "unknown key(s): check_limit"),
+    ("scan --family necklace --params 't=2;t=3'", USAGE, "key 't' is given more than once"),
+    ("scan --family banana --params 'm=3;m=4'", USAGE, "key 'm' is given more than once"),
+    # a bad graph file exits 3
+    ("tau BAD", INPUT, "error: line 1: not an exact rational: '1/0'"),
+    ("tau HUGE", INPUT, "line 1: a scalar of 400001 digits exceeds the limit"),
+    *((argv, INPUT, "cannot read graph file") for argv in ("tau MISSING", "bounds BINARY")),
+    *((f"tau {name}", INPUT, f"bad graph JSON: {text}") for name, (_, text) in _JSON_FILES.items()),
+    # the file is written before the result is printed, so a failed write prints nothing
+    ("op da-n 3 TRI -o NODIR/g.txt", INPUT, "cannot write graph file"),
+]
 
 
-def test_scan_rejects_nonpositive_necklace_length(capsys):
-    # past the direct-check limit no graph is built, so only the scan itself can reject a
-    for params in ("a=-1/100;t=6", "a=0"):
-        code, out, err = run_cli(capsys, "scan", "--family", "necklace", "--params", params)
-        assert code == 2 and out == ""
-        assert _one_error_line(err) and "length a > 0" in err
+@pytest.fixture(scope="module")
+def refusal_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("refusals")
+    for name, content in _FILES.items():
+        if content is not None:
+            (root / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+    return {name: str(root / name) for name in _FILES}
 
 
-def test_edgeless_graph_is_usage_error(tmp_path, capsys):
-    point = tmp_path / "point.txt"
-    point.write_text("v 1\n")
-    for verb in ("bounds", "verify", "minimize"):
-        code, out, err = run_cli(capsys, verb, str(point))
-        assert code == 2 and out == ""
-        assert _one_error_line(err)
-    assert run_cli(capsys, "tau", str(point))[:2] == (0, "0\n")
+@pytest.mark.parametrize("argv, code, text", _REFUSALS, ids=[argv for argv, _, _ in _REFUSALS])
+def test_refusal(refusal_files, capsys, argv, code, text):
+    # exit 2 or 3, nothing on stdout, one "error: " line on stderr that holds the text
+    words = [refusal_files.get(word, word) for word in shlex.split(argv)]
+    exit_code, out, err = run_cli(capsys, *words)
+    assert (exit_code, out) == (code, "") and _one_error_line(err), err
+    assert (err[:-1] == text) if text.startswith("error: ") else (text in err), err
+
+
+def test_readme_exit_codes_are_the_cli_codes():
+    # README's "Exit codes:" sentence, its parentheses left out, names 0-4 in order
+    meanings = {cli.EXIT_OK: "success", cli.EXIT_CHECK_FAILED: "a verification check failed",
+                cli.EXIT_USAGE: "usage error", cli.EXIT_INPUT: "bad input file",
+                cli.EXIT_INTERNAL: "internal error"}
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    sentence = re.sub(r" \([^)]*\)", "", " ".join(readme.split("Exit codes: ", 1)[1].split()))
+    assert sorted(meanings) == list(range(5))
+    assert sentence.startswith(", ".join(f"{code} {meanings[code]}" for code in range(5)) + ". ")
+    # the two classes that _main maps: an InputError exits 3, any other MgtError 2
+    assert {code for _, code, _ in _REFUSALS} == {cli.EXIT_USAGE, cli.EXIT_INPUT}
 
 
 def test_immerse_and_tower_normalize_their_input_files(tmp_path, capsys):
     # a file of any total length gives the operation on its normalized graph;
-    # an edgeless file has no length to normalize and is a usage error
+    # an edgeless file has no length to normalize and is a usage error, though its tau is 0
     files = {}
     for name, g in (("long", families.theta(1, 2, 3)), ("unit", families.theta(F(1, 6), F(1, 3), F(1, 2))),
                     ("point", build_graph(1, []))):
@@ -607,55 +551,7 @@ def test_immerse_and_tower_normalize_their_input_files(tmp_path, capsys):
         assert run_cli(capsys, "op", *(a.format(files["unit"]) for a in argv)) == long_run
         code, out, err = run_cli(capsys, "op", *(a.format(files["point"]) for a in argv))
         assert code == 2 and out == "" and _one_error_line(err), err
-
-
-_BAD_PARAMS = ("v=a..b", "v=2.5", "t=2.5", "v", "k=0")
-
-
-def test_scan_rejects_malformed_parameters(capsys):
-    for family, params in (("complete", "v=a..b"), ("complete", "v=2.5"), ("necklace", "t=2.5"),
-                           ("complete", "v"), ("circle", "k=0"), ("necklace", "a=x")):
-        code, out, err = run_cli(capsys, "scan", "--family", family, "--params", params)
-        assert code == 2 and out == "", (family, params)
-        assert _one_error_line(err)
-
-
-def test_scan_rejects_unknown_parameter_key(capsys):
-    # a key that counts in another family is still unknown here, fraction or not
-    for params, key in (("n=0..1", "n"), ("v=1.5", "v")):
-        code, out, err = run_cli(capsys, "scan", "--family", "circle", "--params", params)
-        assert code == 2 and out == ""
-        assert _one_error_line(err) and f"unknown key(s): {key}" in err
-
-
-def test_scan_rejects_repeated_parameter_key(capsys):
-    for family, params in (("necklace", "t=2;t=3"), ("banana", "m=3;m=4")):
-        code, out, err = run_cli(capsys, "scan", "--family", family, "--params", params)
-        assert code == 2 and out == "", (family, params)
-        assert _one_error_line(err) and f"key {params[0]!r}" in err
-
-
-def test_scan_rejects_necklace_without_room_for_diamonds(capsys):
-    # a t >= 1 leaves diamond sides b = (1 - a t)/(5t) <= 0, so no row could be built
-    for params, pair in (("a=1", "a=1, t=2"), ("a=1/4;t=4,5", "a=1/4, t=4")):
-        code, out, err = run_cli(capsys, "scan", "--family", "necklace", "--params", params)
-        assert code == 2 and out == "", params
-        assert _one_error_line(err) and pair in err
-
-
-def test_scan_check_limit_is_not_a_parameter(capsys):
-    code, out, err = run_cli(capsys, "scan", "--family", "necklace", "--params", "check_limit=2")
-    assert code == 2 and out == ""
-    assert _one_error_line(err) and "unknown key(s): check_limit" in err
-
-
-def test_huge_length_is_input_error(tmp_path, capsys):
-    # rejected while parsing: tau would not print within Python's int-to-text limit
-    path = tmp_path / "huge.txt"
-    path.write_text("e 0 1 1e400000\n")
-    code, out, err = run_cli(capsys, "tau", str(path))
-    assert code == 3 and out == ""
-    assert _one_error_line(err) and "line 1" in err
+    assert run_cli(capsys, "tau", files["point"]) == (0, "0\n", "")
 
 
 def test_float_past_double_range_prints_digits(tmp_path, capsys):
@@ -676,15 +572,19 @@ def test_minimize_rejects_bad_flags(k4_file, capsys):
         assert f"argument {flags[0]}" in err and "Traceback" not in err
 
 
-def test_tau_prints_past_int_text_limit(tmp_path, capsys):
-    # lengths within the input limit whose tau has more than 4300 digits
+def _k4_past_int_text_limit(tmp_path):
+    """K4 with lengths within the input limit whose tau has more than 4300 digits, and its file."""
     rng = random.Random(7)
-    lengths = [F(rng.randrange(10**498, 10**499), rng.randrange(10**498, 10**499))
-               for _ in range(6)]
+    lengths = [F(rng.randrange(10**498, 10**499), rng.randrange(10**498, 10**499)) for _ in range(6)]
     g = build_graph(4, [(a, b, lengths.pop()) for a in range(4) for b in range(a + 1, 4)])
     path = tmp_path / "k4big.txt"
     path.write_text(format_graph_text(g))
-    code, out, err = run_cli(capsys, "tau", str(path))
+    return g, str(path)
+
+
+def test_tau_prints_past_int_text_limit(tmp_path, capsys):
+    g, path = _k4_past_int_text_limit(tmp_path)
+    code, out, err = run_cli(capsys, "tau", path)
     assert code == 0 and err == ""
     num, den = out.strip().split("/")
     assert len(num) > 4300
@@ -850,13 +750,8 @@ def test_readme_synopsis_names_every_option_of_each_verb():
 
 def test_verify_json_prints_past_int_text_limit(tmp_path, capsys):
     # check values go through the same digit path as every other exact result
-    rng = random.Random(7)
-    lengths = [F(rng.randrange(10**498, 10**499), rng.randrange(10**498, 10**499))
-               for _ in range(6)]
-    g = build_graph(4, [(a, b, lengths.pop()) for a in range(4) for b in range(a + 1, 4)])
-    path = tmp_path / "k4big.txt"
-    path.write_text(format_graph_text(g))
-    code, out, err = run_cli(capsys, "verify", str(path), "--suite", "FMM1-bounds", "--json")
+    g, path = _k4_past_int_text_limit(tmp_path)
+    code, out, err = run_cli(capsys, "verify", path, "--suite", "FMM1-bounds", "--json")
     assert code == 0 and err == ""
     (row,) = json.loads(out)
     assert row["status"] == "pass" and len(row["rhs"]) > 4300
@@ -864,30 +759,7 @@ def test_verify_json_prints_past_int_text_limit(tmp_path, capsys):
     assert F(int(Decimal(num)), int(Decimal(den))) == total_length(g) / 4
 
 
-def test_unreadable_file_is_input_error(tmp_path, capsys):
-    code, out, err = run_cli(capsys, "tau", str(tmp_path / "missing.txt"))
-    assert code == 3 and out == "" and _one_error_line(err)
-    binary = tmp_path / "binary.txt"
-    binary.write_bytes(b"\xff\xfe\x00")
-    code, out, err = run_cli(capsys, "bounds", str(binary))
-    assert code == 3 and out == "" and _one_error_line(err)
-
-
-def test_op_wrong_argument_count_is_usage_error(k4_file, capsys):
-    # one argument too many used to be read as the graph file
-    code, out, err = run_cli(capsys, "op", "delete", "0", "0", k4_file)
-    assert code == 2 and out == ""
-    assert _one_error_line(err) and "takes 2 arguments, got 3" in err
-
-
-def test_malformed_point_is_usage_error(k4_file, capsys):
-    for argv in (("resistance", k4_file, "q", "0"), ("resistance", k4_file, ":1", "0"),
-                 ("voltage", k4_file, "0", "1", "x:1/2")):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2 and out == ""
-        assert _one_error_line(err) and "bad point" in err
-
-
+_BAD_PARAMS = ("v=a..b", "v=2.5", "t=2.5", "v", "k=0")
 _DAMAGE = ("e 0", "w 1 2", "e 0 1 0", "e 0 1 -1", "e 0 1 x", "e 0 9 1", "v 9", "e 0 1 1e3", "# note")
 _IDS = ("all", "genus-identity", "coradding2,cor2twopunion", "thmbasic2", "FMM1-bounds", "bogus")
 _OPS = ("delete", "contract", "identify", "add-edge", "union1", "union2", "da-n",
@@ -912,6 +784,7 @@ def _argvs(draw, path):
     small = st.integers(-1, 4).map(str)
     point = st.one_of(small, st.sampled_from(["0:1/2", "1:0", "9:1", "0:x", "q", ":1"]))
     flags = st.lists(st.sampled_from(["--json", "--float", "--per-edge", "--bogus"]), max_size=2)
+    output = st.lists(st.sampled_from(["--json", "--float"]), max_size=2)
     verb = draw(st.sampled_from(["tau", "resistance", "voltage", "apq", "mucan", "gradient",
                                  "bounds", "verify", "op", "minimize", "scan", "nonsense"]))
     if verb == "tau":
@@ -919,10 +792,9 @@ def _argvs(draw, path):
         if draw(st.booleans()):
             argv += ["--base", draw(small)]
     elif verb in ("resistance", "voltage"):
-        argv = [verb, path] + draw(st.lists(point, min_size=2, max_size=3))
+        argv = [verb, path, *draw(st.lists(point, min_size=2, max_size=3)), *draw(output)]
     elif verb == "apq":
-        argv = [verb, path, draw(small), draw(small),
-                *draw(st.lists(st.sampled_from(["--json", "--float"]), max_size=2))]
+        argv = [verb, path, draw(small), draw(small), *draw(output)]
     elif verb in ("mucan", "gradient", "bounds"):
         argv = [verb, path, *draw(flags)]
     elif verb == "verify":
@@ -968,8 +840,14 @@ def test_cli_exit_codes_hold_on_random_input(data):
         assert code == 2, (argv, err)  # a negative count or tolerance, or a NaN tolerance
     if argv[0] == "scan" and argv[-1] in _BAD_PARAMS:
         assert code == 2, (argv, err)
-    if code in (2, 3):
-        assert err
+    if code in (2, 3):  # nothing on stdout; one error line, or argparse's usage and its error line
+        lines = err.splitlines()
+        assert out == "" and (_one_error_line(err) or lines[0].startswith("usage: mgt")
+                              and re.match(r"mgt[^:]*: error: ", lines[-1])), (argv, err)
+    if "--json" in argv and code in (0, 1):
+        json.loads(out)
+    if "--float" in argv and "--json" not in argv and code == 0:  # --json stays exact
+        assert "/" not in out, (argv, out)
     if code == 1:
         reported = ("FAIL " in out or '"status": "fail"' in out or "VIOLATED" in out
                     or '"holds": false' in out or "DISAGREE" in out)

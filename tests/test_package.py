@@ -1,17 +1,23 @@
-"""The package root resolves its exports on first access (PEP 562)."""
+"""The package as a whole: its exports resolve on first access (PEP 562), every import and
+public definition is read, the tools' tables hold, and every public id or count is checked."""
 
 import ast
 import hashlib
 import importlib
+import inspect
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import mgt
-from mgt import graph, tau
+from mgt import circuit, families, graph, integration, ops, tau
+from mgt.errors import BadN, MgtError
 
 
 def test_every_export_resolves():
@@ -190,3 +196,94 @@ def test_readme_names_every_export_in_its_module_row():
     rows = {line.split("`")[1]: line for line in readme.splitlines() if line.startswith("| `mgt.")}
     unnamed = [name for name in mgt.__all__ if f"`{name}`" not in rows.get(f"mgt.{mgt._EXPORTS[name]}", "")]
     assert not unnamed
+
+
+_K4 = families.complete(4)  # vertices 0..3, edges 0..5
+_W = object()  # where the value under test goes in a call's arguments
+_AT = F(1, 12)  # an offset inside every edge of K4
+
+# (public function, the kind of value it takes in _W's place, its arguments on K4): a vertex
+# or an edge is an id of K4, a count an int >= 1; a point is tried as each kind of id
+_ID_CALLS = [
+    (graph.build_graph, "count", (_W, [(0, 0, 1)])),
+    (graph.build_graph, "vertex", (4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, _W, 1)])),
+    (graph.check_vertices, "vertex", (_K4, 0, _W)),
+    (graph.check_count, "count", (_W, BadN, "n")),
+    (graph.insert_points, "vertex", (_K4, [0, _W])),
+    (graph.insert_points, "edge", (_K4, [(0, _AT), (_W, _AT)])),
+    (circuit.resistance, "vertex", (_K4, _W, 1)),
+    (circuit.resistance, "edge", (_K4, 0, (_W, _AT))),
+    (circuit.voltage, "edge", (_K4, (_W, _AT), 0, 1)),
+    (circuit.voltage, "vertex", (_K4, 2, _W, 1)),
+    (circuit.voltage, "edge", (_K4, 2, 0, (_W, _AT))),
+    (circuit.solve_pair_resistances, "vertex", (_K4, [(0, 1), (0, _W)])),
+    (tau.tau_edge_sum, "vertex", (_K4, _W)),
+    (tau.deleted_apq_of, "edge", (circuit.context(_K4), _W)),
+    (ops.union_one_point, "vertex", (_K4, _W, _K4, 0)),
+    (ops.union_one_point, "vertex", (_K4, 0, _K4, _W)),
+    (ops.union_two_points, "vertex", (_K4, _K4, (0, _W), (0, 1))),
+    (ops.union_two_points, "vertex", (_K4, _K4, (0, 1), (_W, 1))),
+    (ops.immerse, "vertex", (_K4, [(_K4, 0, _W)] * 6)),
+    (ops.c_tower, "count", (_K4, 0, 1, _W)),
+    (integration.fit_edge_function, "edge", (_K4, _W, lambda x: F(0), 1)),
+    (integration.edge_tag_polynomials, "edge", (_K4, 0, 1, _W)),
+    *((fn, "vertex", args + rest) for fn, rest in (
+        (graph.identify_points_graph, ()), (tau.apq, ()), (tau.apq_identity, ()), (ops.identify_points, ()),
+        (ops.add_edge, (1,)), (ops.c_tower, (2,)), (integration.edge_tag_polynomials, (0,)),
+        (integration.integrate_product, ([],)), (integration.apq_direct, ()))
+      for args in ((_K4, _W, 1), (_K4, 0, _W))),
+    *((fn, "edge", (_K4, _W)) for fn in (graph.delete_edge_graph, graph.edge_at, tau.deleted_apq,
+                                         ops.delete_edge, ops.contract_edge)),
+    *((fn, kind, (_K4, x)) for fn in (graph.normalize_point, graph.insert_point)
+      for kind, x in (("vertex", _W), ("edge", (_W, _AT)))),
+    *((fn, "count", (_K4, _W)) for fn in (graph.subdivide_uniform, ops.parallel_split_tau, ops.da_n,
+                                          ops.subdivide)),
+    *((fn, "count", args) for fn, args in ((families.equal_banana, (_W,)), (families.complete, (_W,)),
+                                           (families.necklace, (1, 1, _W)),
+                                           (families.necklace_tau, (1, 1, _W)))),
+]
+# parameters by these names that take no id of a graph: an interpolated polynomial's
+# edge label, and the marks that marked_edge_sums groups the host edges by
+_NOT_IDS = {(integration.interpolate, "edge"), (ops.marked_edge_sums, "betas")}
+_ID_NAMES = {"vertex_count", "edge_list", "edge_id", "edge", "p", "q", "x", "y", "z", "p1", "p2",
+             "pq1", "pq2", "vertices", "points", "pairs", "betas", "base", "m", "n", "t", "v"}
+
+
+def _put(value, arg):
+    """arg with _W, at any depth of lists and tuples, replaced by value."""
+    if arg is _W:
+        return value
+    return type(arg)(_put(value, a) for a in arg) if type(arg) in (list, tuple) else arg
+
+
+def test_id_table_names_every_id_parameter():
+    # a public function that gains a vertex, edge, point or count parameter joins the table
+    named = {(fn, name) for module in (graph, circuit, tau, ops, integration, families)
+             for fn in vars(module).values()
+             if inspect.isfunction(fn) and fn.__module__ == module.__name__ and fn.__name__[0] != "_"
+             for name in inspect.signature(fn).parameters if name in _ID_NAMES}
+    tried = {(fn, name) for fn, _, args in _ID_CALLS
+             for name, value in inspect.signature(fn).bind(*args).arguments.items()
+             if _put(None, value) != value}  # the arguments that hold _W
+    assert named - _NOT_IDS == tried
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, suppress_health_check=list(HealthCheck))
+@given(vertex=st.one_of(st.floats(), st.fractions(), st.integers(max_value=-1), st.integers(min_value=4)),
+       edge=st.one_of(st.floats(), st.fractions(), st.integers(max_value=-1), st.integers(min_value=6)),
+       count=st.one_of(st.floats(), st.fractions(), st.integers(max_value=0), st.just(True)))
+def test_library_refuses_a_bad_id_or_count(vertex, edge, count):
+    # a float, a Fraction, a negative or an out-of-range id, and any count but an int >= 1,
+    # is an MgtError: never a TypeError, an IndexError or an index that wraps (a bool id is an int)
+    values = {"vertex": vertex, "edge": edge, "count": count}
+    wrong = []
+    for fn, kind, args in _ID_CALLS:
+        try:
+            fn(*_put(values[kind], args))
+        except MgtError:
+            continue
+        except Exception as exc:
+            wrong.append((fn.__name__, kind, type(exc).__name__))
+        else:
+            wrong.append((fn.__name__, kind, "no error"))
+    assert not wrong

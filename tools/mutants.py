@@ -32,7 +32,10 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GRAPH, OPS, SUITE, OPTIMIZE = "src/mgt/graph.py", "src/mgt/ops.py", "src/mgt/suite.py", "src/mgt/optimize.py"
 TAU, CLI = "src/mgt/tau.py", "src/mgt/cli.py"
+FILEIO, FAMILIES = "src/mgt/fileio.py", "src/mgt/families.py"
 BUILDERS = "tests/test_ops.py::test_builders_return_exact_edge_triples"
+REFUSALS = "tests/test_cli.py::test_refusal"
+LIBRARY_IDS = "tests/test_package.py::test_library_refuses_a_bad_id_or_count"
 
 MUTANTS = [
     # the graphs that mgt derives from checked graphs are built past the constructor's check,
@@ -103,6 +106,23 @@ MUTANTS = [
     ("apq-q-read-from-p", CLI,
      '_integer(args.q, "q")', '_integer(args.p, "q")',
      ["tests/test_cli.py::test_apq_prints_the_closed_form"]),
+    # the refusal paths: the CLI's exit codes and messages, and the library's id and count checks
+    ("input-error-exits-as-usage", CLI, "return EXIT_INPUT", "return EXIT_USAGE", [REFUSALS]),
+    ("json-true-endpoint-accepted", FILEIO,
+     "if type(x) is not int:", "if not isinstance(x, int):", [REFUSALS]),
+    ("op-extra-argument-accepted", CLI, "if len(a) != count:", "if len(a) < count:", [REFUSALS]),
+    ("edge-id-minus-one-wraps", GRAPH,
+     "not 0 <= edge_id < ecount", "not edge_id < ecount", [LIBRARY_IDS]),
+    ("complete-count-unchecked", FAMILIES,
+     '    check_count(v, BadN, "a complete graph\'s vertex count v")\n', "", [LIBRARY_IDS]),
+    ("equal-banana-count-unchecked", FAMILIES,
+     '    check_count(m, BadM, "a banana\'s edge count m")\n', "", [LIBRARY_IDS]),
+    ("necklace-count-unchecked", FAMILIES,
+     '{i+1}.\n    """\n    check_count(t, BadN, "a necklace\'s diamond count t")\n', '{i+1}.\n    """\n',
+     [LIBRARY_IDS]),
+    ("necklace-tau-count-unchecked", FAMILIES,
+     'family."""\n    check_count(t, BadN, "a necklace\'s diamond count t")\n', 'family."""\n',
+     [LIBRARY_IDS]),
 ]
 
 
