@@ -454,12 +454,8 @@ _REFUSALS = [
     *((argv, USAGE, "edge 0 does not exist: the graph has no edges") for argv in (
         "op delete 0 POINT", "op contract 0 POINT", "resistance POINT 0:1/3 0", "voltage POINT 0 0:1/2 0")),
     ("op delete 0 BRIDGE", USAGE, "error: deleting edge 0 disconnects the graph"),
-    # TRI has vertices 0..2, K4 0..3; -1 would index from the end
-    *((argv, USAGE, f"vertex {vertex} out of range 0..{2 if 'TRI' in argv else 3}") for argv, vertex in (
-        ("op union2 0 1 -1 0 K4 TRI", -1), ("op union2 0 1 0 5 K4 TRI", 5), ("op union1 0 9 K4 TRI", 9),
-        ("op immerse K4 TRI -1 0", -1), ("op tower -1 0 2 K4", -1), ("op tower 0 9 2 K4", 9),
-        ("op identify 0 9 K4", 9), ("op add-edge 0 9 1 K4", 9), ("resistance K4 0 9", 9),
-        ("voltage K4 0 9 1", 9), ("apq K4 0 7", 7), ("apq K4 7 7", 7), ("apq K4 0 7 --json", 7))),
+    # K4 has vertices 0..3; the op verbs' vertex ids are test_op_vertex_out_of_range_is_usage_error's
+    *((argv, USAGE, "vertex 7 out of range 0..3") for argv in ("apq K4 0 7", "apq K4 7 7", "apq K4 0 7 --json")),
     # a graph with no edges has no tau bounds, identities or search; its tau is 0
     ("bounds POINT", USAGE, "the tau bounds need a graph with at least one edge"),
     ("verify POINT", USAGE, "the identities need a graph with at least one edge"),
@@ -522,6 +518,17 @@ def test_refusal(refusal_files, capsys, argv, code, text):
     exit_code, out, err = run_cli(capsys, *words)
     assert (exit_code, out) == (code, "") and _one_error_line(err), err
     assert (err[:-1] == text) if text.startswith("error: ") else (text in err), err
+
+
+# the refusal contract on G = K4 (vertices 0..3) and B = TRI (0..2); -1 would index from the end
+@pytest.mark.parametrize("argv, vertex", [
+    ("union2 0 1 -1 0 G B", "-1"), ("tower -1 0 2 G", "-1"), ("union2 0 1 0 5 G B", "5"), ("tower 0 9 2 G", "9"),
+    ("union1 0 9 G B", "9"), ("immerse G B -1 0", "-1"), ("identify 0 9 G", "9"), ("add-edge 0 9 1 G", "9"),
+    ("resistance G 0 9", "9"), ("voltage G 0 9 1", "9")])
+def test_op_vertex_out_of_range_is_usage_error(refusal_files, capsys, argv, vertex):
+    words = [{"G": "K4", "B": "TRI"}.get(a, a) for a in argv.split()]
+    test_refusal(refusal_files, capsys, " ".join(([] if words[0] in cli._VERBS else ["op"]) + words), USAGE,
+                 f"vertex {vertex} out of range 0..{2 if 'TRI' in words else 3}")
 
 
 def test_readme_exit_codes_are_the_cli_codes():
