@@ -75,7 +75,8 @@ class GreenUpdate:
     Deletion is m/n = -L; gluing is m = 0, n = 1, where an edge a-b becomes a
     loop and a bridge closed into a cycle gets gap' > 0, with no branch. c is
     built with the update; an entry, the diagonal, a row and the edge rows
-    are each worked out only when read.
+    are each worked out only when read. ``res_num`` and ``row`` refuse a
+    vertex id outside the graph, where -1 would wrap.
     """
 
     def __init__(self, num: list[list[int]], den: int, a: int, b: int, m: int, n: int):
@@ -85,12 +86,18 @@ class GreenUpdate:
             s, n = -s, -n
         self._num, self._s, self._n = num, s, n
         self.den = den * s
+        self.vcount = len(c)
 
     def res_num(self, y: int, z: int) -> int:
         """d' r'(y,z) in O(1), from three entries of N and two of c."""
-        num, c = self._num, self._c
-        cross = c[y] - c[z]
-        return (num[y][y] + num[z][z] - 2 * num[y][z]) * self._s - self._n * cross * cross
+        num, c, v = self._num, self._c, self.vcount
+        try:  # a float id in range fails the index, a str id the comparison: refused below
+            if 0 <= y < v and 0 <= z < v:
+                cross = c[y] - c[z]
+                return (num[y][y] + num[z][z] - 2 * num[y][z]) * self._s - self._n * cross * cross
+        except TypeError:
+            pass
+        check_vertices(self, y, z)
 
     def diag(self) -> list[int]:
         s, n = self._s, self._n
@@ -98,8 +105,13 @@ class GreenUpdate:
 
     def row(self, y: int) -> list[int]:
         s, c = self._s, self._c
-        ncy = self._n * c[y]
-        return [x * s - ncy * cz for x, cz in zip(self._num[y], c)]
+        try:  # as in res_num
+            if 0 <= y < self.vcount:
+                ncy = self._n * c[y]
+                return [x * s - ncy * cz for x, cz in zip(self._num[y], c)]
+        except TypeError:
+            pass
+        check_vertices(self, y)
 
     def rows(self, rows) -> list[tuple[int, int, int, int, int, int]]:
         """g's own ``GraphContext.rows`` updated to d': rn' = rn s - n (c[a] - c[b])^2."""
@@ -198,7 +210,6 @@ class GraphContext:
     def r_deleted(self, edge_id: int, y: int, z: int) -> Fraction:
         """Resistance between y and z after deleting one edge; a loop (c = 0) leaves r unchanged."""
         update = self.deleted(edge_id)
-        check_vertices(self, y, z)  # res_num reads rows of N with no check
         return Fraction(update.res_num(y, z), update.den)
 
     def edge_profiles(self, base: int) -> tuple[EdgeProfile, ...]:

@@ -786,12 +786,19 @@ def _graph_texts(draw):
     return "\n".join(lines) + "\n"
 
 
+_ID_COUNT = {"resistance": 2, "voltage": 3, "apq": 2}  # the vertex ids each verb reads
+
+
 @st.composite
 def _argvs(draw, path):
     small = st.integers(-1, 4).map(str)
     point = st.one_of(small, st.sampled_from(["0:1/2", "1:0", "9:1", "0:x", "q", ":1"]))
     flags = st.lists(st.sampled_from(["--json", "--float", "--per-edge", "--bogus"]), max_size=2)
     output = st.lists(st.sampled_from(["--json", "--float"]), max_size=2)
+    if draw(st.booleans()):  # an otherwise valid argument list, so that --float reaches the output
+        verb = draw(st.sampled_from(["tau", "resistance", "voltage", "apq", "mucan", "gradient", "bounds"]))
+        ids = [draw(st.sampled_from("01")) for _ in range(_ID_COUNT.get(verb, 0))]
+        return [verb, path, *ids, "--float"]
     verb = draw(st.sampled_from(["tau", "resistance", "voltage", "apq", "mucan", "gradient",
                                  "bounds", "verify", "op", "minimize", "scan", "nonsense"]))
     if verb == "tau":

@@ -84,6 +84,19 @@ def test_contract_k4_edge():
     closure(contract_edge(families.complete(4), 2))
 
 
+def test_contraction_predicts_tau_from_deleted_a(monkeypatch):
+    # the edge-contraction formula reads A of g - e: a wrong value must show in the prediction
+    import mgt.ops
+
+    g = families.complete(4, F(1, 2))
+    honest = contract_edge(g, 0)
+    assert honest.predicted_tau == tau_of(honest.graph)
+    original = mgt.ops.deleted_apq
+    monkeypatch.setattr(mgt.ops, "deleted_apq", lambda *args: original(*args) + F(1, 10**9))
+    contracted = contract_edge(g, 0)
+    assert contracted.predicted_tau != tau_of(contracted.graph)
+
+
 def test_contract_edge_builds_what_identify_then_delete_builds():
     # a non-loop contraction builds its graph once, with the ids and edge order of
     # gluing the edge's ends and then deleting the loop that the glue made of it

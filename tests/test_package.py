@@ -201,8 +201,9 @@ def test_readme_names_every_export_in_its_module_row():
 _K4 = families.complete(4)  # vertices 0..3, edges 0..5
 _W = object()  # where the value under test goes in a call's arguments
 _AT = F(1, 12)  # an offset inside every edge of K4
+_K4_MINUS_0 = circuit.context(_K4).deleted(0)  # a GreenUpdate, whose readers take vertex ids
 
-# (public function, the kind of value it takes in _W's place, its arguments on K4): a vertex
+# (public function or method, the kind of value it takes in _W's place, its arguments on K4): a vertex
 # or an edge is an id of K4, a count an int >= 1; a point is tried as each kind of id
 _ID_CALLS = [
     (graph.build_graph, "count", (_W, [(0, 0, 1)])),
@@ -219,6 +220,9 @@ _ID_CALLS = [
     (circuit.solve_pair_resistances, "vertex", (_K4, [(0, 1), (0, _W)])),
     (tau.tau_edge_sum, "vertex", (_K4, _W)),
     (tau.deleted_apq_of, "edge", (circuit.context(_K4), _W)),
+    (_K4_MINUS_0.res_num, "vertex", (_W, 0)),
+    (_K4_MINUS_0.res_num, "vertex", (1, _W)),
+    (_K4_MINUS_0.row, "vertex", (_W,)),
     (ops.union_one_point, "vertex", (_K4, _W, _K4, 0)),
     (ops.union_one_point, "vertex", (_K4, 0, _K4, _W)),
     (ops.union_two_points, "vertex", (_K4, _K4, (0, _W), (0, 1))),
@@ -257,12 +261,13 @@ def _put(value, arg):
 
 
 def test_id_table_names_every_id_parameter():
-    # a public function that gains a vertex, edge, point or count parameter joins the table
+    # a public function that gains a vertex, edge, point or count parameter joins the table;
+    # the methods in it are not inventoried
     named = {(fn, name) for module in (graph, circuit, tau, ops, integration, families)
              for fn in vars(module).values()
              if inspect.isfunction(fn) and fn.__module__ == module.__name__ and fn.__name__[0] != "_"
              for name in inspect.signature(fn).parameters if name in _ID_NAMES}
-    tried = {(fn, name) for fn, _, args in _ID_CALLS
+    tried = {(fn, name) for fn, _, args in _ID_CALLS if inspect.isfunction(fn)
              for name, value in inspect.signature(fn).bind(*args).arguments.items()
              if _put(None, value) != value}  # the arguments that hold _W
     assert named - _NOT_IDS == tried

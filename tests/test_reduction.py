@@ -1,6 +1,5 @@
 import itertools
 import random
-import re
 from fractions import Fraction as F
 
 import pytest
@@ -15,7 +14,7 @@ from mgt.reduction import (
     star_mesh,
     voltage_via_reduction,
 )
-from mgt.suite import GraphGenerator, run_graph_checks
+from mgt.suite import GraphGenerator
 
 
 def _net(g):
@@ -164,15 +163,3 @@ def test_a_returned_network_is_the_callers_own():
     assert reduce_to_terminals(g, (0, 1)) == expected
     assert resistance_via_reduction(g, 0, 1) == context(g).r(0, 1)
 
-
-def test_a_fault_in_a_stored_conductance_fails_the_voltage_check():
-    # eq1.1-voltage compares the rewrites with the kernel, so the route must not agree with a wrong network
-    descriptor, g = next((d, g) for d, g in GraphGenerator(1).graphs(48) if g.vcount >= 4)
-    wanted = {"eq1.1-voltage"}
-    assert run_graph_checks(descriptor, g, random.Random(2), wanted)[0].status == "pass"
-    reduce_to_terminals(g, ())  # stores the graph's network
-    a, b, _ = next(e for e in g.edges if e.a != e.b)
-    stored = g.__dict__["_network"]
-    stored[a][b] = stored[b][a] = stored[a][b] + 1
-    (result,) = run_graph_checks(descriptor, g, random.Random(2), wanted)
-    assert result.status == "fail" and re.fullmatch(r"j_\d+\(\d+,\d+\)", result.reason), result

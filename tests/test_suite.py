@@ -1,10 +1,16 @@
 import random
+import re
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
+import mgt.ops
+import mgt.suite
+import mgt.tau
 from mgt import families
 from mgt.graph import bridges, build_graph, normalize
+from mgt.reduction import reduce_to_terminals
 from mgt.suite import (
     CHECKS,
     GraphGenerator,
@@ -194,8 +200,6 @@ def test_a_build_over_the_size_limit_is_a_skip_not_a_fail(monkeypatch):
 
 def test_split_implication_builds_no_split(monkeypatch):
     # the implication reads the parallel split's closed form; it builds no split graph
-    import mgt.suite
-
     def refuse(*args):
         raise AssertionError("da_n called")
 
@@ -228,23 +232,6 @@ def test_necklace_witness():
     assert cubic_check.lhs < F(1, 5000)
 
 
-def test_operation_formulas_fail_when_a_is_perturbed(monkeypatch):
-    # immersion, point identification and edge deletion predict tau from the
-    # closed-form A (deletion from A of g - e); a wrong A must show up as a
-    # failed check, not pass by construction
-    import mgt.ops
-
-    g = families.complete(4, F(1, 2))
-    wanted = {"thmmaggen", "coradding2", "cor2twopunion"}
-    honest = run_graph_checks("k4", g, random.Random(5), wanted)
-    assert [r.status for r in honest] == ["pass", "pass", "pass"]
-    for name in ("apq", "deleted_apq"):
-        original = getattr(mgt.ops, name)
-        monkeypatch.setattr(mgt.ops, name, lambda *args, f=original: f(*args) + F(1, 1000))
-    perturbed = run_graph_checks("k4", g, random.Random(5), wanted)
-    assert {r.identity: r.status for r in perturbed} == dict.fromkeys(wanted, "fail")
-
-
 def test_integer_arm_sums_match_the_profile_route():
     # lem2term and rem2term read integer arm sums; the Fraction profile weights are the reference
     from oracles import deletion_test_graphs, weighted_arm_diff_sq, weighted_res_sq
@@ -266,84 +253,6 @@ def test_integer_arm_sums_match_the_profile_route():
         lem, rem = run_graph_checks("g", g, random.Random(3), {"lem2term", "rem2term"})
         assert (lem.status, lem.lhs, lem.rhs) == ("pass", lhs, rhs)
         assert (rem.status, rem.lhs) == ("pass", lhs)
-
-
-def test_deletion_formulas_fail_when_deleted_a_is_perturbed(monkeypatch):
-    # the length-change, attached-edge and bridgeless identities read A of g - e;
-    # a wrong value must fail them, wherever it is imported and by whichever name
-    import mgt.ops
-    import mgt.suite
-    import mgt.tau
-    from mgt.ops import contract_edge
-    from mgt.tau import tau_of
-
-    g = families.complete(4, F(1, 2))
-    wanted = {"lemedgeext", "lemsuccessedgeext", "lemApq", "thmbasic2"}
-    honest = run_graph_checks("k4", g, random.Random(5), wanted)
-    assert [r.status for r in honest] == ["pass"] * 4
-    contracted = contract_edge(g, 0)
-    assert contracted.predicted_tau == tau_of(contracted.graph)
-    original = mgt.tau.deleted_apq
-    for module in (mgt.suite, mgt.tau, mgt.ops):
-        monkeypatch.setattr(module, "deleted_apq", lambda *args: original(*args) + F(1, 1000))
-    # the successive changes read A off their carried states, not a graph's memo
-    original_of = mgt.tau.deleted_apq_of
-    monkeypatch.setattr(mgt.suite, "deleted_apq_of", lambda *args: original_of(*args) + F(1, 1000))
-    perturbed = run_graph_checks("k4", g, random.Random(5), wanted)
-    assert {r.identity: r.status for r in perturbed} == dict.fromkeys(wanted, "fail")
-    contracted = contract_edge(g, 0)
-    assert contracted.predicted_tau != tau_of(contracted.graph)
-
-
-def test_a_fault_in_the_closed_form_a_fails_the_integral_forms(monkeypatch):
-    # the last leg of thmremain-equivalences: verify FILE compares the kernel's A
-    # with the integral on the user's own graph
-    import mgt.suite
-
-    g = families.complete(4, F(1, 2))
-    [honest] = run_graph_checks("k4", g, random.Random(5), {"thmremain-equivalences"})
-    assert honest.status == "pass"
-    original = mgt.suite.apq
-    monkeypatch.setattr(mgt.suite, "apq", lambda *args: original(*args) + F(1, 10**9))
-    [faulty] = run_graph_checks("k4", g, random.Random(5), {"thmremain-equivalences"})
-    assert (faulty.status, faulty.reason) == ("fail", "closed form")
-    assert (faulty.lhs, faulty.rhs - faulty.lhs) == (honest.lhs, F(1, 10**9))
-
-
-@pytest.mark.parametrize("route, tag", [("apq_identity", "identification"), ("apq_direct", "integral")])
-def test_a_fault_in_an_oracle_route_of_a_fails_the_a_checks(monkeypatch, route, tag):
-    # a failed comparison, with both sides and the route's tag, not an "error:" string
-    import mgt.suite
-
-    g = families.complete(4, F(1, 2))
-    wanted = {"corpropAcircle", "propAtree", "propAbanana"}
-    honest = run_graph_checks("k4", g, random.Random(5), wanted)
-    assert [r.status for r in honest] == ["pass"] * 3
-    original = getattr(mgt.suite, route)
-    monkeypatch.setattr(mgt.suite, route, lambda *args: original(*args) + F(1, 10**9))
-    faulty = run_graph_checks("k4", g, random.Random(5), wanted)
-    assert [r.identity for r in faulty] == [r.identity for r in honest]
-    for r, h in zip(faulty, honest):
-        assert (r.status, r.reason) == ("fail", tag)
-        assert (r.lhs, r.rhs - r.lhs) == (h.lhs, F(1, 10**9))
-
-
-def test_arm_identities_fail_when_one_base_is_perturbed(monkeypatch):
-    import mgt.suite
-
-    g = families.complete(4, F(1, 2))
-    wanted = {"lem2term", "rem2term"}
-    honest = run_graph_checks("k4", g, random.Random(5), wanted)
-    assert [r.status for r in honest] == ["pass", "pass"]
-    original = mgt.suite._arm_sums
-
-    def perturbed_arms(graph, base):
-        total, off = original(graph, base)
-        return (total + F(1, 1000), off + F(1, 1000)) if base == 1 else (total, off)
-
-    monkeypatch.setattr(mgt.suite, "_arm_sums", perturbed_arms)
-    perturbed = run_graph_checks("k4", g, random.Random(5), wanted)
-    assert {r.identity: r.status for r in perturbed} == dict.fromkeys(wanted, "fail")
 
 
 def test_the_catalog_keeps_no_graph_it_builds(monkeypatch):
@@ -374,71 +283,127 @@ def test_the_catalog_keeps_no_graph_it_builds(monkeypatch):
     assert len(alive) == 8
 
 
-def _successive_changes_failed(graphs) -> int:
-    """How many of the seeded graphs fail ``lemsuccessedgeext``, each checked alone."""
-    import mgt.suite as suite
-
-    results = [result for index, (descriptor, g) in enumerate(graphs)
-               for result in run_graph_checks(descriptor, g, suite._checks_rng(1, index),
-                                              {"lemsuccessedgeext"})]
-    assert not [r for r in results if r.reason.startswith("error: ")]  # an MgtError, not a _Fail
-    return sum(r.status == "fail" for r in results)
-
-
 def test_successive_changes_factorize_only_g_and_the_changed_graph(monkeypatch):
     # the formula side carries g's integers through every length change, so the
     # check factorizes g and, as the built side, the changed graph: no g_i
     graphs = [(d, g) for d, g in GraphGenerator(1).graphs(48) if g.vcount > 1]  # one vertex: no pass
     dets = _spy_on_factorizations(monkeypatch)
-    assert _successive_changes_failed(graphs) == 0
+    results = [r for index, (descriptor, g) in enumerate(graphs)
+               for r in run_graph_checks(descriptor, g, mgt.suite._checks_rng(1, index), {"lemsuccessedgeext"})]
+    assert {r.status for r in results} == {"pass", "skip"}
     bridgeless = sum(not bridges(g) for _, g in graphs)
     assert bridgeless > 20 and len(dets) == 2 * bridgeless
 
 
-@pytest.mark.parametrize("fault", ["carried numerator", "update entry"])
-def test_successive_changes_fail_under_a_fault_in_the_chain(monkeypatch, fault):
-    # +1 on one numerator of a carried state, or on one entry that a length-change
-    # update hands out, must fail the check: it compares the chain with a
-    # factorization of the changed graph, never the kernel with itself
-    graphs = list(GraphGenerator(1).graphs(48))
-    assert _successive_changes_failed(graphs) == 0
-    if fault == "carried numerator":
-        with_length = KirchhoffState.with_length
 
-        def faulty(self, edge_id, length):
-            state = with_length(self, edge_id, length)
-            num = list(state.num)
-            num[-1] = num[-1][:-1] + [num[-1][-1] + 1]
-            return KirchhoffState(state.edges, num, state.den)
-
-        monkeypatch.setattr(KirchhoffState, "with_length", faulty)
-    else:
-        divided = GreenUpdate.divided
-
-        def faulty(self, h):
-            out = divided(self, h)
-            out[-1][-1] += 1
-            return out
-
-        monkeypatch.setattr(GreenUpdate, "divided", faulty)
-    assert _successive_changes_failed(graphs) == sum(not bridges(g) for _, g in graphs)
+# Every identity that a fault can fail, run alone: its honest passes are failed
+# comparisons under the fault, never a pass by construction nor an "error:" string.
+_EPS = F(1, 10**9)
 
 
-def test_valence_independence_fails_under_a_fault_at_one_base(monkeypatch):
-    # every base's tau is its own sum: one unit more in one potential at base p > 0 fails base p
-    import mgt.suite
+def _after(monkeypatch, owner, name, tweak):
+    """``owner.name`` with its result ``out`` replaced by ``tweak(out, *args)``."""
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: tweak(original(*args), *args))
 
-    descriptor, g = next((d, g) for d, g in GraphGenerator(1).graphs(48) if g.vcount >= 3)
-    wanted = {"valence-independence"}
-    assert run_graph_checks(descriptor, g, random.Random(3), wanted)[0].status == "pass"
-    original, base = mgt.suite._potentials, g.vcount - 1
 
-    def faulted(num, p=0):
-        pot = original(num, p)
-        if p == base:
-            pot[0] += 1
-        return pot
+def _plus_eps(monkeypatch, *targets):
+    for owner, name in targets:
+        _after(monkeypatch, owner, name, lambda out, *args: out + _EPS)
 
-    monkeypatch.setattr(mgt.suite, "_potentials", faulted)
-    (result,) = run_graph_checks(descriptor, g, random.Random(3), wanted)
-    assert (result.status, result.reason) == ("fail", f"base {base}")
+
+def _last_plus_1(num):
+    """An integer matrix with one unit more in its last entry."""
+    return [*num[:-1], [*num[-1][:-1], num[-1][-1] + 1]]
+
+
+def _stored_conductance(monkeypatch, g):
+    reduce_to_terminals(g, ())  # stores the graph's network
+    a, b, _ = next(e for e in g.edges if e.a != e.b)
+    stored = g.__dict__["_network"]
+    monkeypatch.setitem(stored[a], b, stored[a][b] + 1)
+    monkeypatch.setitem(stored[b], a, stored[b][a] + 1)
+
+
+# fault name -> installer(monkeypatch, graph). A is faulted wherever it is imported and by
+# whichever name; every base's tau is its own sum; the rewrites of eq1.1-voltage must not
+# agree with a wrong network; the successive changes compare their chain with a factorization
+_FAULTS = {
+    "closed-A": lambda m, g: _plus_eps(m, (mgt.suite, "apq"), (mgt.ops, "apq")),
+    "deleted-A": lambda m, g: _plus_eps(m, (mgt.suite, "deleted_apq"), (mgt.tau, "deleted_apq"),
+                                        (mgt.ops, "deleted_apq"), (mgt.suite, "deleted_apq_of")),
+    "identification-A": lambda m, g: _plus_eps(m, (mgt.suite, "apq_identity")),
+    "integral-A": lambda m, g: _plus_eps(m, (mgt.suite, "apq_direct")),
+    "arms-at-base-1": lambda m, g: _after(m, mgt.suite, "_arm_sums", lambda out, graph, base: (
+        tuple(x + _EPS for x in out) if base == 1 else out)),
+    "potential-at-last-base": lambda m, g: _after(m, mgt.suite, "_potentials", lambda pot, num, p=0: (
+        [pot[0] + 1, *pot[1:]] if p == g.vcount - 1 else pot)),
+    "stored-conductance": _stored_conductance,
+    "carried-numerator": lambda m, g: _after(m, KirchhoffState, "with_length", lambda state, *args: (
+        KirchhoffState(state.edges, _last_plus_1(state.num), state.den))),
+    "update-entry": lambda m, g: _after(m, GreenUpdate, "divided", lambda out, *args: _last_plus_1(out)),
+}
+
+
+def _corpus(min_vertices=1):
+    return [(d, g) for d, g in GraphGenerator(1).graphs(48) if g.vcount >= min_vertices]
+
+
+# (graphs, the rng of graph i's run): the instances each fault was first drawn on
+_K4 = lambda: [("k4", families.complete(4, F(1, 2)))], lambda i: random.Random(5)
+_CORPUS = _corpus, partial(mgt.suite._checks_rng, 1)
+_THREE = lambda: _corpus(3)[:1], lambda i: random.Random(3)  # 3 vertices: its last base is 2
+_FOUR = lambda: _corpus(4)[:1], lambda i: random.Random(2)
+
+# (identity, fault, graphs, rng, the fail's reason as a full-match pattern or None, rhs - lhs or None)
+_FAULT_ROWS = [
+    *((cid, "closed-A", *_K4, None, None) for cid in (
+        "thmmagnificent", "thmmaggen", "cormaggen1", "cormaggen2", "thm-smaller-tau-decrease",
+        "thmtwopunion", "cor1twopunion", "coradding1", "coradding2", "thm-twopunion-Apq",
+        "corlem-twopunion-Apq", "thm-twopunion2-tower", "propAadditive")),
+    ("thmremain-equivalences", "closed-A", *_K4, "closed form", _EPS),
+    *((cid, fault, *_K4, reason, delta) for cid in ("corpropAcircle", "propAtree", "propAbanana")
+      for fault, reason, delta in (("closed-A", "identification", -_EPS),
+                                   ("identification-A", "identification", _EPS),
+                                   ("integral-A", "integral", _EPS))),
+    *((cid, "deleted-A", *_K4, None, None) for cid in (
+        "cor2twopunion", "cor2twopunion2", "lemedgeext", "lemsuccessedgeext", "thmbasic2",
+        "lemcontract1", "lemcontract2", "lemApq")),
+    *((cid, "arms-at-base-1", *_K4, None, None) for cid in ("lem2term", "rem2term")),
+    ("valence-independence", "potential-at-last-base", *_THREE, "base 2", None),
+    ("eq1.1-voltage", "stored-conductance", *_FOUR, r"j_\d+\(\d+,\d+\)", None),
+    *(("lemsuccessedgeext", fault, *_CORPUS, None, None) for fault in ("carried-numerator", "update-entry")),
+]
+# the identities no fault above fails yet: each is a gap to close with a row
+_UNFAULTED = {
+    "genus-identity", "canonical-measure-mass", "scale-covariance", "thmjpq2njpq-n0..3",
+    "lemorthogonality", "thmbasic", "FMM1-bounds", "thmeqlength", "thmeqlength2", "thmcorineqsumR4",
+    "thm2term", "thmdouble", "thmdoubledivision", "lemdivision1", "lemdivisione",
+    "thmdoubleimp-implication", "corbasic2", "proplembanana", "coradd-bridge-contraction",
+}
+
+
+def test_every_identity_has_a_fault_row_or_is_named_unfaulted():
+    faulted = {row[0] for row in _FAULT_ROWS}
+    assert not faulted & _UNFAULTED
+    assert faulted | _UNFAULTED == {cid for cid, _, _ in identity_catalog()}
+
+
+@pytest.mark.parametrize("cid, fault, graphs, rng, reason, delta", _FAULT_ROWS,
+                         ids=[f"{row[0]}-{row[1]}" for row in _FAULT_ROWS])
+def test_a_fault_fails_the_identity(monkeypatch, cid, fault, graphs, rng, reason, delta):
+    passed = 0
+    for index, (descriptor, g) in enumerate(graphs()):
+        (honest,) = run_graph_checks(descriptor, g, rng(index), {cid})
+        assert honest.status != "fail", honest
+        if honest.status == "skip":
+            continue
+        passed += 1
+        with monkeypatch.context() as patch:
+            _FAULTS[fault](patch, g)
+            (faulted,) = run_graph_checks(descriptor, g, rng(index), {cid})
+        assert faulted.status == "fail" and not faulted.reason.startswith("error: "), faulted
+        assert reason is None or re.fullmatch(reason, faulted.reason), faulted
+        if delta is not None:  # the closed form on the left, the route on the right
+            assert faulted.rhs - faulted.lhs == delta and honest.lhs in (faulted.lhs, faulted.rhs)
+    assert passed

@@ -31,8 +31,9 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GRAPH, OPS, SUITE, OPTIMIZE = "src/mgt/graph.py", "src/mgt/ops.py", "src/mgt/suite.py", "src/mgt/optimize.py"
-TAU, CLI = "src/mgt/tau.py", "src/mgt/cli.py"
+TAU, CLI, CIRCUIT, LINALG = "src/mgt/tau.py", "src/mgt/cli.py", "src/mgt/circuit.py", "src/mgt/linalg.py"
 FILEIO, FAMILIES = "src/mgt/fileio.py", "src/mgt/families.py"
+FAULT = "tests/test_suite.py::test_a_fault_fails_the_identity"  # [identity-fault]: its honest pass must hold
 BUILDERS = "tests/test_ops.py::test_builders_return_exact_edge_triples"
 REFUSALS = "tests/test_cli.py::test_refusal"
 LIBRARY_IDS = "tests/test_package.py::test_library_refuses_a_bad_id_or_count"
@@ -88,10 +89,10 @@ MUTANTS = [
      ["tests/test_ops.py::test_tower"]),
     ("with-length-repeats-the-edge", SUITE,
      "+ g.edges[edge + 1 :])", "+ g.edges[edge:])",
-     ["tests/test_suite.py::test_deletion_formulas_fail_when_deleted_a_is_perturbed"]),
+     [f"{FAULT}[lemedgeext-deleted-A]"]),
     ("successive-changes-final-graph-unchanged", SUITE,
      "_derived(g.vcount, tuple(state.edges))", "_derived(g.vcount, g.edges)",
-     ["tests/test_suite.py::test_deletion_formulas_fail_when_deleted_a_is_perturbed"]),
+     [f"{FAULT}[lemsuccessedgeext-deleted-A]"]),
     ("minimize-rounded-lengths-reversed", OPTIMIZE,
      "zip(g.edges, exact_lengths)", "zip(g.edges, exact_lengths[::-1])",
      ["tests/test_optimize.py::test_minimize_exact_tau_is_tau_of_exact_lengths"]),
@@ -106,6 +107,32 @@ MUTANTS = [
     ("apq-q-read-from-p", CLI,
      '_integer(args.q, "q")', '_integer(args.p, "q")',
      ["tests/test_cli.py::test_apq_prints_the_closed_form"]),
+    # the kernel formulas: a wrong one fails the honest pass of an identity that reads it
+    ("tau-sum-slope-weight-dropped", TAU,
+     "terms.append((3 * dl * dl + gap * gap, ln * ld))", "terms.append((dl * dl + gap * gap, ln * ld))",
+     [f"{FAULT}[coradding2-closed-A]"]),
+    ("apq-sum-gap-halved", TAU,
+     "(3 * ld * (s_e - 2 * big_r) + 2 * gap), ln))", "(3 * ld * (s_e - 2 * big_r) + gap), ln))",
+     [f"{FAULT}[corpropAcircle-closed-A]"]),
+    ("gradient-beta-halved", TAU,
+     "2 * gap * (big_l // ln)", "gap * (big_l // ln)",
+     ["tests/test_tau.py::test_kernel_gradient_matches_deletion_route"]),
+    ("update-rows-cross-sign", CIRCUIT,
+     "rn = rn * s - n * cross * cross", "rn = rn * s + n * cross * cross",
+     [f"{FAULT}[corpropAcircle-identification-A]", f"{FAULT}[lemApq-deleted-A]"]),
+    ("update-divided-cross-sign", CIRCUIT,
+     "[(x * s - ncy * cz) // h for", "[(x * s + ncy * cz) // h for",
+     [f"{FAULT}[lemsuccessedgeext-update-entry]"]),
+    # an integer multiple of kappa carries the same values exactly, so only kappa itself shows this one
+    ("kirchhoff-ratio-content-power", LINALG,
+     "content_den ** (n - 1), prod(scales)", "content_den ** n, prod(scales)",
+     ["tests/test_circuit.py::test_kirchhoff_number_is_the_spanning_tree_sum"]),
+    ("parallel-split-sum-weight", OPS,
+     "Fraction(n - 1, 6 * n**2) * parallel_sum(g)", "Fraction(n - 1, 6 * n) * parallel_sum(g)",
+     ["tests/test_ops.py::test_da_n_identity_and_counts"]),
+    ("marked-template-p-q-swapped", OPS,
+     "{p: len(inner), q: len(inner) + 1}", "{p: len(inner) + 1, q: len(inner)}",
+     ["tests/test_ops.py::test_immerse_matches_two_step_oracle"]),
     # the refusal paths: the CLI's exit codes and messages, and the library's id and count checks
     ("input-error-exits-as-usage", CLI, "return EXIT_INPUT", "return EXIT_USAGE", [REFUSALS]),
     ("json-true-endpoint-accepted", FILEIO,
