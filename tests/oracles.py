@@ -1,46 +1,27 @@
-"""Independent brute-force oracles and paper constructions used only by tests.
+"""Independent routes, the graph lists they run on, and paper constructions, for the tests only.
 
-The first group deliberately avoids linear algebra and rewrite rules:
-resistance comes from weighted spanning-tree enumeration, bridges from
-exhaustive deletion. Only usable on small graphs.
+Each comparison of mgt's integer Green kernel with an independent route is one row of
+``_ROWS`` in ``tests/test_oracles.py``: a graph list below, the instances drawn on each
+graph, the kernel and one of these oracles, which share no code path with it:
 
-The second group is the paper's deletion route for the per-edge tau terms,
-the gradient and the deleted-resistance sums of the bound suite:
-``edge_profile`` builds and solves each edge's deleted graph, so it checks the
-Green-matrix kernel of ``mgt.circuit`` and ``mgt.tau`` by an independent
-computation. Next to it, the Fraction weights of one deletion profile are the
-reference for the suite's integer arm sums.
+- brute force: ``spanning_tree_resistance``, ``kirchhoff_number`` (spanning-tree sums)
+  and ``bridges_by_deletion``, for small graphs only;
+- an outside reference: ``sympy_green``, sympy's exact inverse of ``reduced_laplacian``;
+- the paper's deletion route: ``edge_profile`` solves each edge's ``deleted_graph``, and
+  the per-edge formulas (``edge_tau_contribution``, ``deletion_gradient``,
+  ``deletion_bounds``, ``deletion_parallel_sum``, ``deletion_arm_sums``) read its profiles;
+  ``successive_length_steps`` factorizes each graph of a chain of length changes;
+- the sampled route: ``sampled_tag_polynomials`` fits each tag function from
+  point-inserted solves, ``product_integral`` integrates their products in Fraction
+  polynomial arithmetic, and ``tau_via_integral`` reads tau as a quarter of an energy;
+- ``identification_apq``, on the glued graph factorized anew, and ``two_step_immersion``.
 
-The third group is the sampled route for the edge polynomials of
-``mgt.integration``: each sample point is inserted as a vertex and solved on
-its own, and ``fit_edge_function``'s guard sample checks the quadratic fit.
-Next to it, ``product_integral`` differentiates, multiplies and integrates
-those polynomials in ``Fraction`` arithmetic, the reference for the integer
-sums of ``integrate_product``. ``tau_via_integral`` reads tau as a quarter of
-the energy of x -> r(p, x) through ``integrate_product``, a second route to
-the tau sum of ``mgt.tau``.
-
-``identification_apq`` is the paper's identification identity for A on the
-glued graph, built and factorized as a graph of its own: the reference for
-``mgt.tau.apq_identity``, which reads the glued tau off g's own integers.
-``successive_length_steps`` builds each graph of the successive length
-changes and factorizes each deleted graph on its own: the reference for the
-rank-one chain that the ``lemsuccessedgeext`` check carries instead, whose
-Kirchhoff normalization ``kirchhoff_number`` counts by spanning trees.
-
-``exact_gradient_matches_float`` holds the float gradient of
-``mgt.optimize`` against the exact one of ``mgt.tau``, and
-``two_step_immersion`` builds an immersion the long way, as the reference
-for the one-step construction of ``mgt.ops.immerse``. ``float_tau_gradient``
-and ``sort_projection`` keep the float search's first expressions (tau and
-the gradient each from the shared arrays, the projection by numpy's sort and
-cumsum), the bit-for-bit references for ``FloatTopology`` and
-``project_simplex``.
-
-Last, the paper's constructions that the tests replay: the named
-``family_graphs`` and ``random_bridgeless`` graphs, the ``tau_reducing_sequence`` of immersions into a subdivision, and
-the ``necklace_witness`` that separates tau from the cubic sum, whose deleted
-resistances come from the necklace's three edge symmetry classes.
+The graph lists but ``fit_graphs`` are built once per process, so rows that share one
+share its factorizations. ``exact_gradient_matches_float``, ``float_tau_gradient`` and
+``sort_projection`` are the float search's references. Last come the paper's
+constructions that the tests replay: ``family_graphs``, ``random_bridgeless``, the
+``tau_reducing_sequence`` of immersions into a subdivision, and the ``necklace_witness``
+that separates tau from the cubic sum.
 """
 
 import math
@@ -51,6 +32,8 @@ from itertools import combinations
 from weakref import WeakKeyDictionary
 
 import numpy as np
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from mgt import families
 from mgt.circuit import EdgeProfile, context, solve_pair_resistances
@@ -68,7 +51,7 @@ from mgt.integration import (
     fit_edge_function,
     integrate_product,
 )
-from mgt.ops import OpResult, immerse, parallel_sum
+from mgt.ops import OpResult, c_tower, immerse, parallel_sum
 from mgt.optimize import FloatTopology
 from mgt.rational import INF, ExtScalar
 from mgt.suite import CheckResult, GraphGenerator
@@ -163,8 +146,21 @@ def _component_resistance(g: MetrizedGraph, skip_edge: int, y: int, z: int) -> F
     return context(build_graph(len(verts), edges)).r(relabel[y], relabel[z])
 
 
+# per graph: edge -> its deleted graph and the deleted edge's endpoints there
+_DELETED: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def deleted_graph(g: MetrizedGraph, edge_id: int) -> tuple[MetrizedGraph, tuple[int, int]]:
+    """``delete_edge_graph(g, edge_id)``, built once per graph and edge, so its
+    factorization serves every base; BridgeDeletion on a bridge, as there."""
+    built = _DELETED.setdefault(g, {})
+    if edge_id not in built:
+        built[edge_id] = delete_edge_graph(g, edge_id)
+    return built[edge_id]
+
+
 def edge_profile(g: MetrizedGraph, edge_id: int, base: int) -> EdgeProfile:
-    """One edge's deletion profile from the deleted graph, built and solved anew.
+    """One edge's deletion profile from the deleted graph, built and solved on its own.
 
     The reference for ``GraphContext.edge_profiles``, which reads every
     profile off g's own Green integers.
@@ -177,7 +173,7 @@ def edge_profile(g: MetrizedGraph, edge_id: int, base: int) -> EdgeProfile:
         arms = (Fraction(0), INF) if near_a else (INF, Fraction(0))
         return EdgeProfile(edge_id, length, INF, *arms, arm_base, bridge=True, loop=False)
     # a loop (a = b) comes out with res_del = 0, zero arms and arm_base r(a, base)
-    r = context(delete_edge_graph(g, edge_id)[0]).r
+    r = context(deleted_graph(g, edge_id)[0]).r
     res_del, ra_p, rb_p = r(a, b), r(a, base), r(b, base)
     arm_a = (ra_p + res_del - rb_p) / 2
     arm_b = res_del - arm_a
@@ -215,17 +211,18 @@ def deletion_gradient(g: MetrizedGraph) -> tuple[Fraction, ...]:
         elif profile.loop:
             out.append(Fraction(1, 12))
         else:
-            deleted, (p, q) = delete_edge_graph(g, i)
+            deleted, (p, q) = deleted_graph(g, i)
             denom = length + profile.res_deleted
             out.append(Fraction(1, 12) - apq(deleted, p, q) / (denom * denom))
     return tuple(out)
 
 
-def deletion_bounds(g: MetrizedGraph) -> tuple[ExtScalar, Fraction, Fraction]:
-    """(sum R, sum L R^2/(L+R)^2, sum L R/(L+R)) over the edges of normalize(g).
+def deletion_bounds(g: MetrizedGraph) -> tuple[bool, Fraction | None, Fraction, Fraction]:
+    """The bound suite's deletion rows from the deletion profiles of normalize(g)'s edges.
 
-    R is each edge's deleted resistance from its own deletion profile. A
-    bridge makes the first sum INF and adds its limit L to each weighted sum.
+    With R each edge's deleted resistance: whether sum R is finite, then
+    1/(12 (1 + sum R)^2) or None, (sum L R/(L+R))^2 and sum L R^2/(L+R)^2. A
+    bridge makes sum R infinite and adds its limit L to each weighted sum.
     """
     gn = normalize(g)
     sum_r: ExtScalar = Fraction(0)
@@ -243,7 +240,8 @@ def deletion_bounds(g: MetrizedGraph) -> tuple[ExtScalar, Fraction, Fraction]:
         ratio = profile.res_deleted / (length + profile.res_deleted)
         weighted_sq += length * ratio * ratio
         weighted += length * ratio
-    return sum_r, weighted_sq, weighted
+    finite = sum_r is not INF
+    return finite, 1 / (12 * (1 + sum_r) ** 2) if finite else None, weighted**2, weighted_sq
 
 
 def deletion_parallel_sum(g: MetrizedGraph) -> Fraction:
@@ -256,29 +254,16 @@ def deletion_parallel_sum(g: MetrizedGraph) -> Fraction:
     return total
 
 
-def weighted_arm_diff_sq(profile: EdgeProfile) -> Fraction:
-    """L (arm_a - arm_b)^2 / (L+R)^2 from one deletion profile, with limit L across a bridge."""
-    if profile.bridge:
-        return profile.length
-    diff = profile.arm_a - profile.arm_b
-    denom = profile.length + profile.res_deleted
-    return profile.length * diff * diff / (denom * denom)
-
-
-def weighted_res_sq(profile: EdgeProfile) -> Fraction:
-    """L R^2 / (L+R)^2 from one deletion profile, with limit L across a bridge."""
-    if profile.bridge:
-        return profile.length
-    ratio = profile.res_deleted / (profile.length + profile.res_deleted)
-    return profile.length * ratio * ratio
-
-
-def deletion_test_graphs() -> list[MetrizedGraph]:
-    """The first 40 seed-1 corpus graphs, a triangle with a pendant bridge and one with a loop."""
-    corpus = [g for _, g in GraphGenerator(1).graphs(40)]
-    triangle = [(0, 1, 1), (1, 2, Fraction(1, 2)), (2, 0, Fraction(1, 3))]
-    return corpus + [build_graph(4, triangle + [(2, 3, Fraction(2, 3))]),
-                     build_graph(3, triangle + [(1, 1, Fraction(3, 4))])]
+def deletion_arm_sums(g: MetrizedGraph, base: int) -> tuple[Fraction, Fraction]:
+    """sum L (arm_a - arm_b)^2/(L+R)^2 over the deletion profiles at ``base``, with limit L
+    across a bridge: over all edges, and over those not at ``base``."""
+    total = off = Fraction(0)
+    for i, (a, b, length) in enumerate(g.edges):
+        pr = edge_profile(g, i, base)
+        term = length if pr.bridge else length * ((pr.arm_a - pr.arm_b) / (length + pr.res_deleted)) ** 2
+        total += term
+        off += 0 if base in (a, b) else term
+    return total, off
 
 
 # per graph: (edge, offset) -> r(y, x) for every vertex y, x the inserted point
@@ -416,6 +401,30 @@ def kirchhoff_number(g: MetrizedGraph) -> int:
     return total
 
 
+def reduced_laplacian(g: MetrizedGraph) -> list[list[Fraction]]:
+    """The Laplacian with conductances 1/length, vertex 0 removed, in Fractions."""
+    n = g.vcount
+    lap = [[Fraction(0)] * n for _ in range(n)]
+    for a, b, length in g.edges:
+        if a != b:
+            lap[a][a] += 1 / length
+            lap[b][b] += 1 / length
+            lap[a][b] -= 1 / length
+            lap[b][a] -= 1 / length
+    return [row[1:] for row in lap[1:]]
+
+
+def sympy_green(g: MetrizedGraph) -> list[list[Fraction]]:
+    """g's Green matrix by sympy: the exact QQ inverse of ``reduced_laplacian``, bordered
+    by the ground's zero row and column, the outside reference for ``green_numden``."""
+    n = g.vcount - 1
+    inverse = DomainMatrix([[QQ(x) for x in row] for row in reduced_laplacian(g)], (n, n),
+                           QQ).inv().to_list() if n else []
+    zero = Fraction(0)
+    return [[zero] * (n + 1)] + [[zero] + [Fraction(x.numerator, x.denominator) for x in row]
+                                 for row in inverse]
+
+
 def successive_length_steps(g: MetrizedGraph, lengths) -> list:
     """Per edge i, (R, A) of g_i - e_i, where g_i is g_(i-1) with edge i's length set to
     lengths[i]: each g_i and g_i - e_i built, and g_i - e_i factorized on its own; None
@@ -529,6 +538,131 @@ def random_bridgeless(rng: random.Random, max_vertices: int = 6, max_edges: int 
         a, b, L = g.edges[i]
         edges.append(Edge(a, b, L))
     return MetrizedGraph(g.vcount, tuple(edges))
+
+
+# -- the graph lists of the kernel-vs-oracle table, each built once per process ------------
+
+
+@cache
+def corpus_graphs(count: int = 200) -> tuple[MetrizedGraph, ...]:
+    """The first ``count`` (<= 200) graphs of the seed-1 corpus that ``mgt verify --random`` checks."""
+    if count < 200:
+        return corpus_graphs()[:count]
+    return tuple(g for _, g in GraphGenerator(1).graphs(count))
+
+
+@cache
+def random_graphs() -> tuple[MetrizedGraph, ...]:
+    """40 random connected multigraphs of at most 6 vertices and 10 edges: spanning trees enumerate."""
+    rng = random.Random(11)
+    return tuple(families.random_connected(rng, 6, 10) for _ in range(40))
+
+
+@cache
+def deletion_graphs() -> tuple[MetrizedGraph, ...]:
+    """The first 40 corpus graphs, then a triangle with a pendant bridge and one with a loop."""
+    triangle = [(0, 1, 1), (1, 2, Fraction(1, 2)), (2, 0, Fraction(1, 3))]
+    return corpus_graphs(40) + (build_graph(4, triangle + [(2, 3, Fraction(2, 3))]),
+                                build_graph(3, triangle + [(1, 1, Fraction(3, 4))]))
+
+
+@cache
+def kernel_graphs() -> tuple[MetrizedGraph, ...]:
+    """The first 60 corpus graphs, K8, a six-diamond necklace and the cube."""
+    return corpus_graphs(60) + (families.complete(8), families.necklace(Fraction(1, 20), Fraction(1, 30), 6),
+                                families.cube(Fraction(2, 3)))
+
+
+@cache
+def glued_graphs() -> tuple[MetrizedGraph, ...]:
+    """``kernel_graphs``, six small graphs with a p-q edge, a loop, a bridge or 20-digit
+    lengths, necklaces, complete graphs, a cube and five cycles of 10-18 vertices with v/2
+    random chords."""
+    rng = random.Random(25)
+    big = Fraction(10**19 + 7, 3 * 10**19 + 1)  # 20-digit numerator and denominator
+    explicit = (
+        build_graph(3, [(0, 1, Fraction(1, 2)), (0, 1, Fraction(1, 3)), (1, 2, 2), (2, 0, 1)]),  # parallel p-q
+        build_graph(3, [(0, 1, Fraction(1, 2)), (1, 2, Fraction(3, 4)), (2, 0, Fraction(5, 7)),
+                        (1, 1, Fraction(2, 9))]),  # loop
+        build_graph(4, [(0, 1, 1), (1, 2, Fraction(2, 3)), (2, 0, Fraction(3, 5)),
+                        (2, 3, Fraction(4, 7))]),  # bridge
+        build_graph(2, [(0, 1, Fraction(1, 3))]),
+        build_graph(2, [(0, 1, Fraction(1, 3)), (0, 1, Fraction(2, 5)), (1, 1, Fraction(1, 4))]),
+        build_graph(4, [(0, 1, big), (1, 2, big / 3), (2, 3, Fraction(10**20 - 1, 7)), (3, 0, big),
+                        (0, 2, Fraction(1, 10**19 + 3))]),
+    )
+    return (kernel_graphs() + explicit
+            + tuple(families.necklace(Fraction(1, 10), Fraction(1, 25), t) for t in range(2, 7))
+            + tuple(families.complete(v, Fraction(3, 7)) for v in range(6, 10))
+            + (families.cube(Fraction(5, 3)),)
+            + tuple(build_graph(v, [(a, b, families.random_length(rng)) for a, b in
+                                    [(i, (i + 1) % v) for i in range(v)]
+                                    + [tuple(rng.sample(range(v), 2)) for _ in range(v // 2)]])
+                    for v in range(10, 20, 2)))
+
+
+def fit_graphs() -> tuple[MetrizedGraph, ...]:
+    """K5, a three-diamond necklace, five trees and five subdivided circles, built anew on each
+    call: the sampled solves and Fraction polynomials that the oracles keep per graph go with them."""
+    graphs = [families.complete(5), families.necklace(1, 2, 3)]
+    graphs += [g for _, g in family_graphs(3, "tree", 5)]
+    graphs += [g for _, g in family_graphs(3, "circle_subdivided", 5)]
+    return tuple(graphs)
+
+
+def factor_graphs() -> tuple[MetrizedGraph, ...]:
+    """K5, the first tree and the last circle of ``fit_graphs``."""
+    graphs = fit_graphs()
+    return graphs[0], graphs[2], graphs[11]
+
+
+@cache
+def chain_heavy_graphs() -> tuple[MetrizedGraph, ...]:
+    """Mostly degree-two vertices, as the operations build them, with random lengths:
+    a 29-edge path, a star centred on vertex 3, a subdivided K4, an immersion and a tower."""
+    rng = random.Random(13)
+    host = normalize(build_graph(4, [(a, b, families.random_length(rng))
+                                     for a in range(4) for b in range(a + 1, 4)]))
+    return (
+        families.path(*[families.random_length(rng) for _ in range(29)]),
+        build_graph(9, [(3, v, families.random_length(rng)) for v in range(9) if v != 3]),
+        subdivide_uniform(host, 5),
+        immerse(host, [(families.path(Fraction(1, 2), Fraction(1, 2)), 0, 2)] * host.ecount).graph,
+        c_tower(host, 0, 2, 2).graph,
+    )
+
+
+@cache
+def random_inverse_graphs() -> tuple[MetrizedGraph, ...]:
+    """80 random multigraphs of up to 9 vertices and 18 edges and 20 random trees: mixed
+    denominators, parallel edges, loops and bridges all occur."""
+    rng = random.Random(11)
+    graphs = [families.random_connected(rng, 9, 18) for _ in range(80)]
+    return tuple(graphs + [families.random_tree(rng, 9) for _ in range(20)])
+
+
+@cache
+def special_inverse_graphs() -> tuple[MetrizedGraph, ...]:
+    """One-vertex graphs, a segment, a looped banana, K5, a necklace, a 4-cycle with a loop
+    and K4 with 500-digit lengths."""
+    rng = random.Random(12)
+    big = [Fraction(rng.randrange(10**498, 10**499), rng.randrange(10**498, 10**499)) for _ in range(6)]
+    return (
+        build_graph(1, []),
+        build_graph(1, [(0, 0, Fraction(2, 3))]),
+        families.segment(Fraction(5, 7)),
+        build_graph(2, [(0, 1, Fraction(1, 3)), (0, 1, Fraction(2, 9)), (1, 1, 4), (1, 0, Fraction(6, 5))]),
+        families.complete(5),
+        families.necklace(Fraction(1, 3), Fraction(1, 7), 3),
+        build_graph(4, [(0, 1, 2), (1, 2, Fraction(3, 4)), (2, 3, Fraction(5, 6)), (3, 1, Fraction(7, 8)),
+                        (2, 2, Fraction(1, 9))]),
+        build_graph(4, [(a, b, big.pop()) for a in range(4) for b in range(a + 1, 4)]),
+    )
+
+
+def inverse_graphs() -> tuple[MetrizedGraph, ...]:
+    """``random_inverse_graphs``, ``special_inverse_graphs`` and ``chain_heavy_graphs``."""
+    return random_inverse_graphs() + special_inverse_graphs() + chain_heavy_graphs()
 
 
 def tau_reducing_sequence(

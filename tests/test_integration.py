@@ -8,12 +8,10 @@ import pytest
 from mgt import families
 from mgt.circuit import context, resistance, voltage
 from mgt.errors import BadN, BadPoint, BadVertexId, NonPolynomialIntegrand
-from mgt.graph import build_graph, total_length
+from mgt.graph import build_graph
 from mgt.integration import (
     TAG_J_BASE_P,
-    TAG_J_BASE_Q,
     TAG_J_BASE_X,
-    TAG_R_FROM_P,
     EdgePolynomial,
     apq_direct,
     edge_tag_polynomials,
@@ -21,9 +19,8 @@ from mgt.integration import (
     integrate_product,
     interpolate,
 )
-from mgt.tau import tau_of
-from oracles import (derivative, family_graphs, integral, power, product, product_integral,
-                     sampled_tag_polynomials, tau_via_integral)
+from oracles import derivative, integral, power, product, tau_via_integral
+from test_oracles import agrees
 
 
 def test_edge_polynomial_algebra():
@@ -101,60 +98,6 @@ def test_diamond_middle_edge_flat():
     assert derivative(flat).coeffs == (F(0),)
 
 
-def _oracle_graphs():
-    graphs = [families.complete(5), families.necklace(1, 2, 3)]
-    graphs += [g for _, g in family_graphs(3, "tree", 5)]
-    graphs += [g for _, g in family_graphs(3, "circle_subdivided", 5)]
-    return graphs
-
-
-def test_closed_form_polynomials_match_sampled_fits():
-    for g in _oracle_graphs():
-        for p in range(g.vcount):
-            for q in range(g.vcount):
-                for edge in range(g.ecount):
-                    assert edge_tag_polynomials(g, p, q, edge) == \
-                        sampled_tag_polynomials(g, p, q, edge)
-
-
-# every term list the identity catalog and the integral routes pass to integrate_product
-CATALOG_TERMS = [
-    *([(TAG_J_BASE_P, True, 2), (TAG_J_BASE_P, False, n)] for n in range(4)),
-    [(TAG_J_BASE_X, True, 1), (TAG_J_BASE_P, True, 1)],
-    [(TAG_J_BASE_X, True, 2)],
-    [(TAG_J_BASE_X, False, 1), (TAG_J_BASE_P, True, 2)],
-    [(TAG_J_BASE_P, False, 1), (TAG_J_BASE_P, True, 1), (TAG_J_BASE_X, True, 1)],
-    [(TAG_J_BASE_Q, False, 1), (TAG_J_BASE_P, True, 1), (TAG_J_BASE_X, True, 1)],
-    [(TAG_R_FROM_P, False, 1), (TAG_J_BASE_P, True, 2)],
-    [(TAG_R_FROM_P, True, 2)],
-]
-
-
-def test_integer_products_match_fraction_reference():
-    for g in _oracle_graphs():
-        for p in range(g.vcount):
-            for q in range(g.vcount):
-                for terms in CATALOG_TERMS:
-                    assert integrate_product(g, p, q, terms) == product_integral(g, p, q, terms)
-
-
-# single factors: each tag as a value and as a slope at powers 0-3, then the empty product;
-# the catalog never passes most of these alone
-SINGLE_TERMS = [[(tag, deriv, n)] for tag in (TAG_J_BASE_P, TAG_J_BASE_Q, TAG_J_BASE_X, TAG_R_FROM_P)
-                for deriv in (False, True) for n in range(4)] + [[]]
-
-
-def test_single_factors_match_fraction_reference():
-    # a complete graph, a tree (every edge a bridge) and a subdivided circle
-    graphs = _oracle_graphs()
-    for g in (graphs[0], graphs[2], graphs[11]):
-        for p in range(g.vcount):
-            for q in range(g.vcount):
-                for terms in SINGLE_TERMS:
-                    assert integrate_product(g, p, q, terms) == product_integral(g, p, q, terms)
-        assert integrate_product(g, 0, 0, []) == total_length(g)
-
-
 def test_integrate_product_checks_its_inputs():
     k4 = families.complete(4)
     for p, q in [(-1, 0), (0, -1), (4, 0), (0, 4), (1.0, 0)]:
@@ -204,18 +147,17 @@ def test_tau_via_integral_closed_forms():
     assert tau_via_integral(families.complete(4, 1)) == F(5, 96)
 
 
+# the tau-integral row of the kernel-vs-oracle table, on graphs outside its graph list
 def test_tau_integral_equals_edge_sum():
     rng = random.Random(43)
     for _ in range(10):
         g = families.random_connected(rng, 5, 8)
-        p = rng.randrange(g.vcount)
-        assert tau_via_integral(g, p) == tau_of(g)
+        assert agrees("tau-integral", g, rng.randrange(g.vcount))
 
 
 def test_tau_integral_base_independent():
     g = families.theta(F(1, 2), F(1, 3), F(1, 6))
-    values = {tau_via_integral(g, p) for p in range(g.vcount)}
-    assert len(values) == 1
+    assert len({tau_via_integral(g, p) for p in range(g.vcount)}) == 1
 
 
 def test_apq_direct_examples():

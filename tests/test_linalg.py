@@ -7,96 +7,25 @@ from pathlib import Path
 
 from mgt import families, linalg
 from mgt.circuit import GraphContext
-from mgt.graph import build_graph, normalize, scale, subdivide_uniform
+from mgt.graph import build_graph, normalize, scale
 from mgt.linalg import bareiss_forward, green_numden
-from mgt.ops import c_tower, immerse
+from mgt.ops import immerse
 from mgt.suite import GraphGenerator
+from oracles import chain_heavy_graphs, random_inverse_graphs, reduced_laplacian, special_inverse_graphs
+from test_oracles import agrees
 
 
-def fraction_inverse(matrix):
-    """Gauss-Jordan inverse over Fractions, as an oracle."""
-    n = len(matrix)
-    a = [[F(x) for x in row] + [F(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    for k in range(n):
-        piv = a[k][k]
-        a[k] = [x / piv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return [row[n:] for row in a]
-
-
-def reduced_laplacian(g):
-    """The Laplacian with conductances 1/length, vertex 0 removed, in Fractions."""
-    n = g.vcount
-    lap = [[F(0)] * n for _ in range(n)]
-    for a, b, length in g.edges:
-        if a != b:
-            lap[a][a] += 1 / length
-            lap[b][b] += 1 / length
-            lap[a][b] -= 1 / length
-            lap[b][a] -= 1 / length
-    return [row[1:] for row in lap[1:]]
-
-
-def assert_green_matches_inverse(g):
-    num, den = green_numden(g.vcount, g.edges)
-    assert den > 0
-    assert len(num) == g.vcount and all(len(row) == g.vcount for row in num)
-    assert all(x == 0 for x in num[0]) and all(row[0] == 0 for row in num)
-    if g.vcount == 1:
-        return
-    inverse = fraction_inverse(reduced_laplacian(g))
-    for y in range(1, g.vcount):
-        for z in range(1, g.vcount):
-            assert F(num[y][z], den) == inverse[y - 1][z - 1], (g, y, z)
-
-
+# the green-inverse row of the kernel-vs-oracle table, on each part of its graph list
 def test_green_matches_fraction_inverse_on_random_graphs():
-    # mixed denominators, parallel edges, loops and bridges all occur here
-    rng = random.Random(11)
-    for _ in range(80):
-        assert_green_matches_inverse(families.random_connected(rng, 9, 18))
-    for _ in range(20):
-        assert_green_matches_inverse(families.random_tree(rng, 9))
+    assert all(agrees("green-inverse", g) for g in random_inverse_graphs())
 
 
 def test_green_matches_fraction_inverse_on_special_graphs():
-    rng = random.Random(12)
-    big = [F(rng.randrange(10**498, 10**499), rng.randrange(10**498, 10**499)) for _ in range(6)]
-    graphs = [
-        build_graph(1, []),
-        build_graph(1, [(0, 0, F(2, 3))]),
-        families.segment(F(5, 7)),
-        build_graph(2, [(0, 1, F(1, 3)), (0, 1, F(2, 9)), (1, 1, F(4)), (1, 0, F(6, 5))]),
-        families.complete(5),
-        families.necklace(F(1, 3), F(1, 7), 3),
-        build_graph(4, [(0, 1, F(2)), (1, 2, F(3, 4)), (2, 3, F(5, 6)), (3, 1, F(7, 8)),
-                        (2, 2, F(1, 9))]),
-        build_graph(4, [(a, b, big.pop()) for a in range(4) for b in range(a + 1, 4)]),
-    ]
-    for g in graphs:
-        assert_green_matches_inverse(g)
-
-
-def _chain_heavy_graphs():
-    """Mostly degree-two vertices, as the operations build them, with random lengths."""
-    rng = random.Random(13)
-    host = normalize(build_graph(4, [(a, b, families.random_length(rng))
-                                     for a in range(4) for b in range(a + 1, 4)]))
-    return [
-        families.path(*[families.random_length(rng) for _ in range(29)]),
-        build_graph(9, [(3, v, families.random_length(rng)) for v in range(9) if v != 3]),
-        subdivide_uniform(host, 5),
-        immerse(host, [(families.path(F(1, 2), F(1, 2)), 0, 2)] * host.ecount).graph,
-        c_tower(host, 0, 2, 2).graph,
-    ]
+    assert all(agrees("green-inverse", g) for g in special_inverse_graphs())
 
 
 def test_green_matches_fraction_inverse_on_chain_heavy_graphs():
-    for g in _chain_heavy_graphs():
-        assert_green_matches_inverse(g)
+    assert all(agrees("green-inverse", g) for g in chain_heavy_graphs())
 
 
 def _relabeled(g, rng):
@@ -107,7 +36,7 @@ def _relabeled(g, rng):
 
 def test_relabeling_permutes_green_and_keeps_denominator():
     rng = random.Random(14)
-    graphs = _chain_heavy_graphs() + [families.random_connected(rng, 9, 18) for _ in range(30)]
+    graphs = list(chain_heavy_graphs()) + [families.random_connected(rng, 9, 18) for _ in range(30)]
     for g in graphs:
         num, den = green_numden(g.vcount, g.edges)
         h, new = _relabeled(g, rng)
@@ -133,7 +62,7 @@ def dense_bareiss(m, n, scales):
 def test_forward_pass_matches_dense_elimination():
     # relabeled sparse graphs leave rows uncoupled for several steps in a row
     rng = random.Random(15)
-    graphs = _chain_heavy_graphs() + [families.random_connected(rng, 9, 14) for _ in range(30)]
+    graphs = list(chain_heavy_graphs()) + [families.random_connected(rng, 9, 14) for _ in range(30)]
     for g in graphs:
         g = _relabeled(g, rng)[0]
         if g.vcount < 2:
@@ -151,7 +80,7 @@ def test_forward_pass_matches_dense_elimination():
 
 def test_order_eliminates_a_star_center_last(monkeypatch):
     # the center is vertex 3: eliminated in place, it would couple its later leaves pairwise
-    star = _chain_heavy_graphs()[1]
+    star = chain_heavy_graphs()[1]
     triangles = []
 
     def traced(m, n, scales):

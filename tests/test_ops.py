@@ -271,32 +271,6 @@ def test_immerse_mixed_markings():
     assert total_length(result.graph) == 1
 
 
-def test_immerse_matches_two_step_oracle():
-    # the suite's uniform, mixed, common-resistance and three-arc markings
-    from mgt.suite import (GraphGenerator, _common_resistance_menu, _small_marked_graphs,
-                           _three_arc_circle)
-
-    def markings(e):
-        menu, common = _small_marked_graphs(), _common_resistance_menu()
-        yield from ([marked] * e for marked in menu[:3])
-        yield [menu[i % len(menu)] for i in range(e)]
-        yield [common[i % 2] for i in range(e)]
-        pairs = [(0, 1), (1, 2), (0, 2)]
-        yield [(_three_arc_circle(), *pairs[i % 3]) for i in range(e)]
-        # equal but distinct objects share one layout, each mark pair its own
-        twins = [families.circle(F(1, 2), F(1, 4), F(1, 4)) for _ in range(2)]
-        yield [(twins[i % 2], *pairs[i // 2 % 2]) for i in range(e)]
-
-    hosts = [g for _, g in GraphGenerator(1).graphs(40)]
-    assert any(bridges(g) and any(a == b for a, b, _ in g.edges) for g in hosts)
-    for g in hosts:
-        gn = normalize(g)
-        for betas in markings(gn.ecount):
-            built = immerse(gn, betas).graph
-            reference = two_step_immersion(gn, betas)
-            assert (built.vcount, built.edges) == (reference.vcount, reference.edges)
-
-
 _K4 = families.complete(4)
 _SEGMENT = families.segment(1)
 
@@ -442,17 +416,6 @@ def test_op_renumbering_deterministic():
     assert u.edges[3].a == 3 and u.edges[3].b == 2
 
 
-def test_parallel_sum_matches_profile_route():
-    # sum (L - r(a,b)) equals sum L^2/(L+R) over each edge's deletion solve
-    from oracles import deletion_parallel_sum
-    from mgt.suite import GraphGenerator
-
-    graphs = [g for _, g in GraphGenerator(4).graphs(40)]
-    graphs += [families.segment(2), families.circle(F(3, 5)), families.complete(5, F(1, 3))]
-    for g in graphs:
-        assert parallel_sum(g) == deletion_parallel_sum(g)
-
-
 def test_unread_prediction_runs_no_formula(monkeypatch):
     import mgt.ops
 
@@ -490,23 +453,6 @@ def test_op_result_is_frozen_and_evaluates_its_formula_once():
     twin = OpResult(g, "test-formula", formula)
     assert twin != result and len({twin, result}) == 2
     assert repr(result) == f"OpResult(graph={g!r}, formula_id='test-formula')"
-
-
-def test_immerse_prediction_on_hosts_with_a_bridge_and_a_loop():
-    # the grouped integer sums: L - r(a,b) is 0 on a bridge and L on a loop
-    from oracles import deletion_test_graphs
-
-    arcs = families.circle(F(1, 2), F(1, 3), F(1, 6))
-    menu = [(families.equal_banana(2), 0, 1), (families.segment(1), 0, 1), (arcs, 0, 1),
-            (arcs, 1, 2), (families.path(F(1, 2), F(1, 2)), 2, 0)]
-    bridged, looped = deletion_test_graphs()[-2:]
-    for host in (bridged, looped):
-        g = normalize(host)
-        for kinds in range(1, len(menu) + 1):  # 1..5 marked graphs, so groups span several edges
-            for shift in range(len(menu)):
-                betas = [menu[(shift + i % kinds) % len(menu)] for i in range(g.ecount)]
-                result = immerse(g, betas)
-                assert result.predicted_tau == tau_of(result.graph), (host, kinds, shift)
 
 
 @pytest.mark.parametrize("edge_id", [-1, 4, 99])

@@ -5,6 +5,7 @@ import ast
 import hashlib
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -55,11 +56,12 @@ def test_importing_one_module_loads_only_its_imports():
 
 def test_every_imported_name_is_read():
     # an import that no line of its module reads is dead code, in the package,
-    # its tests and its tools alike
-    root = Path(__file__).resolve().parent.parent
-    paths = [path for folder in (Path(mgt.__file__).parent, root / "tests", root / "tools")
+    # its tests and its tools alike; and no module of the package imports sympy or
+    # networkx, which the tests read as outside references
+    root, package = Path(__file__).resolve().parent.parent, Path(mgt.__file__).parent
+    paths = [path for folder in (package, root / "tests", root / "tools")
              for path in sorted(folder.glob("*.py"))]
-    unused = []
+    unused, outside = [], []
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -70,7 +72,10 @@ def test_every_imported_name_is_read():
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in read:
                         unused.append(f"{path.name}:{node.lineno}: {name}")
-    assert not unused
+                    module = alias.name if isinstance(node, ast.Import) else node.module or ""
+                    if path.parent == package and module.split(".")[0] in ("sympy", "networkx"):
+                        outside.append(f"{path.name}:{node.lineno}: {module}")
+    assert not unused and not outside, unused + outside
 
 
 def _names_read(tree, dotted=False):
@@ -178,6 +183,18 @@ def test_bench_record_verify_entry_compares_the_parent_digest():
     assert moved["same"] is False and moved["sha256"] == entry["sha256"] != moved["parent_sha256"]
     with pytest.raises(SystemExit, match="differs between runs"):
         bench_record._verify_entry([1.0, 1.0], [out, out + b"\n"], out)
+
+
+def test_bench_record_mutants_entry_counts_the_survivors():
+    # the record's mutants block is where the kill run of tools/mutants.py is read off
+    bench_record = _tool("bench_record")
+    total = len(_tool("mutants").MUTANTS)
+    survivors = [{"id": "tau-sum-slope-weight-dropped", "file": "src/mgt/tau.py", "pytest_exit": 0},
+                 {"id": "apq-q-read-from-p", "file": "src/mgt/cli.py", "pytest_exit": 4}]
+    entry = bench_record._mutants_entry(json.dumps(survivors).encode() + b"\n", "abc123")
+    assert entry == {"argv": ["python", "tools/mutants.py", "HEAD"], "commit": "abc123", "total": total,
+                     "killed": total - 2, "survivors": survivors}
+    assert bench_record._mutants_entry(b"[]\n", "abc123")["killed"] == total > 40
 
 
 def test_each_mutant_old_text_occurs_once_in_its_file():

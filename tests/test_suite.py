@@ -232,29 +232,6 @@ def test_necklace_witness():
     assert cubic_check.lhs < F(1, 5000)
 
 
-def test_integer_arm_sums_match_the_profile_route():
-    # lem2term and rem2term read integer arm sums; the Fraction profile weights are the reference
-    from oracles import deletion_test_graphs, weighted_arm_diff_sq, weighted_res_sq
-
-    from mgt.suite import _arm_sums
-
-    for g in deletion_test_graphs():
-        cx, v = context(g), g.vcount
-        by_base = {}
-        for p in range(v):
-            profiles = cx.edge_profiles(p)
-            total = sum(weighted_arm_diff_sq(pr) for pr in profiles)
-            off = sum(weighted_arm_diff_sq(pr) for pr in profiles if p not in g.edges[pr.edge][:2])
-            assert _arm_sums(g, p) == (total, off), (g, p)
-            by_base[p] = total, off
-        lhs = by_base[0][0]
-        rhs = (F(2, v) * sum(weighted_res_sq(pr) for pr in cx.edge_profiles(0))
-               + F(1, v) * sum(off for _, off in by_base.values()))
-        lem, rem = run_graph_checks("g", g, random.Random(3), {"lem2term", "rem2term"})
-        assert (lem.status, lem.lhs, lem.rhs) == ("pass", lhs, rhs)
-        assert (rem.status, rem.lhs) == ("pass", lhs)
-
-
 def test_the_catalog_keeps_no_graph_it_builds(monkeypatch):
     # after the whole catalog the only graphs still holding a solver context are
     # the input, its normalized copy and the suite's module-level menus

@@ -30,8 +30,11 @@ it then records the median wall of 5 runs each of the Tier-1 command, of
 ``python -c "import mgt.cli"`` and of a cold ``python -m mgt.cli tau`` on K4,
 the ``kernel_digest`` that ``tools/kernel_digest.py`` prints with its input
 count, and ``lines``: each ``src/mgt/*.py`` and ``tests/*.py`` file's line
-count as ``wc -l`` counts it. A run that exits non-zero stops the record with
-one line that holds its stderr tail. Standard library only.
+count as ``wc -l`` counts it. Last, ``mutants`` holds what
+``tools/mutants.py HEAD`` reports: the rows of its table, how many the tests
+kill, and the survivors, so the kill run is recorded rather than run by hand
+(it exits 1 when a row survives). Any other run that exits non-zero stops the
+record with one line that holds its stderr tail. Standard library only.
 """
 
 from __future__ import annotations
@@ -51,6 +54,8 @@ import tempfile
 import time
 from collections import Counter
 from importlib.metadata import PackageNotFoundError, version
+
+from mutants import MUTANTS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 1
@@ -163,6 +168,13 @@ def _verify_entry(walls: list[float], outputs: list[bytes], parent_output: bytes
             "same": sha256 == parent_sha256}
 
 
+def _mutants_entry(stdout: bytes, commit: str) -> dict:
+    """The record's ``mutants`` block, from the survivor list that ``tools/mutants.py`` prints."""
+    survivors = json.loads(stdout)
+    return {"argv": ["python", "tools/mutants.py", "HEAD"], "commit": commit, "total": len(MUTANTS),
+            "killed": len(MUTANTS) - len(survivors), "survivors": survivors}
+
+
 def main() -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
@@ -199,6 +211,12 @@ def main() -> int:
     done = _run([sys.executable, os.path.join(ROOT, "tools", "kernel_digest.py")], ROOT)
     kernel = {"argv": ["python", "tools/kernel_digest.py"], "sha256": done.stdout.decode().strip(),
               "inputs": int(done.stderr.split()[0])}
+    done = subprocess.run([sys.executable, os.path.join(ROOT, "tools", "mutants.py"), "HEAD"], cwd=ROOT,
+                          capture_output=True)
+    if done.returncode not in (0, 1):
+        raise SystemExit(f"tools/mutants.py exited {done.returncode}: "
+                         f"{done.stderr.decode(errors='replace')[-500:]}")
+    mutants = _mutants_entry(done.stdout, _git("rev-parse", "HEAD").decode().strip())
 
     record = {
         "label": args.label,
@@ -211,6 +229,7 @@ def main() -> int:
         **timed,
         "kernel_digest": kernel,
         "lines": _line_counts(),
+        "mutants": mutants,
     }
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w") as fh:

@@ -32,11 +32,12 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GRAPH, OPS, SUITE, OPTIMIZE = "src/mgt/graph.py", "src/mgt/ops.py", "src/mgt/suite.py", "src/mgt/optimize.py"
 TAU, CLI, CIRCUIT, LINALG = "src/mgt/tau.py", "src/mgt/cli.py", "src/mgt/circuit.py", "src/mgt/linalg.py"
-FILEIO, FAMILIES = "src/mgt/fileio.py", "src/mgt/families.py"
+FILEIO, FAMILIES, INTEGRATION = "src/mgt/fileio.py", "src/mgt/families.py", "src/mgt/integration.py"
 FAULT = "tests/test_suite.py::test_a_fault_fails_the_identity"  # [identity-fault]: its honest pass must hold
 BUILDERS = "tests/test_ops.py::test_builders_return_exact_edge_triples"
 REFUSALS = "tests/test_cli.py::test_refusal"
 LIBRARY_IDS = "tests/test_package.py::test_library_refuses_a_bad_id_or_count"
+ORACLE = "tests/test_oracles.py::test_kernel_matches_its_oracle"  # [row id] of the kernel-vs-oracle table
 
 MUTANTS = [
     # the graphs that mgt derives from checked graphs are built past the constructor's check,
@@ -102,7 +103,7 @@ MUTANTS = [
      ["tests/test_tau.py::test_bounds_random_graphs_never_violate"]),
     ("bound-skip-reason-dropped", TAU,
      '"a bridge makes the deleted-resistance sum infinite" if bridged else ""', '""',
-     ["tests/test_tau.py::test_bound_sums_match_deletion_route"]),
+     [f"{ORACLE}[bound-sums]"]),
     # mgt apq reads its vertex ids as op does; a p, q swap would survive, since A is symmetric
     ("apq-q-read-from-p", CLI,
      '_integer(args.q, "q")', '_integer(args.p, "q")',
@@ -116,7 +117,7 @@ MUTANTS = [
      [f"{FAULT}[corpropAcircle-closed-A]"]),
     ("gradient-beta-halved", TAU,
      "2 * gap * (big_l // ln)", "gap * (big_l // ln)",
-     ["tests/test_tau.py::test_kernel_gradient_matches_deletion_route"]),
+     [f"{ORACLE}[gradient]", "tests/test_tau.py::test_gradient_finite_perturbation"]),
     ("update-rows-cross-sign", CIRCUIT,
      "rn = rn * s - n * cross * cross", "rn = rn * s + n * cross * cross",
      [f"{FAULT}[corpropAcircle-identification-A]", f"{FAULT}[lemApq-deleted-A]"]),
@@ -126,13 +127,27 @@ MUTANTS = [
     # an integer multiple of kappa carries the same values exactly, so only kappa itself shows this one
     ("kirchhoff-ratio-content-power", LINALG,
      "content_den ** (n - 1), prod(scales)", "content_den ** n, prod(scales)",
-     ["tests/test_circuit.py::test_kirchhoff_number_is_the_spanning_tree_sum"]),
+     [f"{ORACLE}[kirchhoff-number]"]),
     ("parallel-split-sum-weight", OPS,
      "Fraction(n - 1, 6 * n**2) * parallel_sum(g)", "Fraction(n - 1, 6 * n) * parallel_sum(g)",
      ["tests/test_ops.py::test_da_n_identity_and_counts"]),
     ("marked-template-p-q-swapped", OPS,
      "{p: len(inner), q: len(inner) + 1}", "{p: len(inner) + 1, q: len(inner)}",
-     ["tests/test_ops.py::test_immerse_matches_two_step_oracle"]),
+     [f"{ORACLE}[immerse-two-step]"]),
+    # the kernel's elimination, its tag polynomials and its deletion readers, each against its oracle
+    ("bareiss-scale-ratio-dropped", LINALG,
+     "factor = u * scales[i] // s_k", "factor = u", [f"{ORACLE}[green-inverse]"]),
+    ("back-substitution-one-row-short", LINALG,
+     "for i in range(n - 1, -1, -1):", "for i in range(n - 1, 0, -1):", [f"{ORACLE}[green-inverse]"]),
+    ("tag-r-quadratic-sign", INTEGRATION,
+     "rows.append([2 * ld * pa, 2 * (ld * dp + gap), -2 * gap])",
+     "rows.append([2 * ld * pa, 2 * (ld * dp + gap), 2 * gap])", [f"{ORACLE}[tag-polynomials]"]),
+    ("profile-arms-swapped", CIRCUIT,
+     "Fraction(x_a + mid - x_b, over), Fraction(mid + x_b - x_a, over)",
+     "Fraction(mid + x_b - x_a, over), Fraction(x_a + mid - x_b, over)", [f"{ORACLE}[deletion-profiles]"]),
+    ("parallel-sum-skips-loops", OPS,
+     "sum_over([(gap, ld) for _, _, _, ld, _, gap in ctx.rows], ctx.den)",
+     "sum_over([(gap, ld) for a, b, _, ld, _, gap in ctx.rows if a != b], ctx.den)", [f"{ORACLE}[parallel-sum]"]),
     # the refusal paths: the CLI's exit codes and messages, and the library's id and count checks
     ("input-error-exits-as-usage", CLI, "return EXIT_INPUT", "return EXIT_USAGE", [REFUSALS]),
     ("json-true-endpoint-accepted", FILEIO,
