@@ -4,16 +4,22 @@ Each comparison of mgt's integer Green kernel with an independent route is one r
 ``_ROWS`` in ``tests/test_oracles.py``: a graph list below, the instances drawn on each
 graph, the kernel and one of these oracles, which share no code path with it:
 
-- brute force: ``spanning_tree_resistance``, ``kirchhoff_number`` (spanning-tree sums)
-  and ``bridges_by_deletion``, for small graphs only;
-- an outside reference: ``sympy_green``, sympy's exact inverse of ``reduced_laplacian``;
+- outside references: ``sympy_green``, sympy's exact inverse of ``reduced_laplacian``;
+  networkx's ``node_connected_component`` for reachability without an edge, which
+  ``bridges_by_deletion`` reads exhaustively and ``edge_profile`` reads for each side of
+  a bridge; and sympy's dense univariate routines over QQ (``dup_diff``, ``dup_pow``,
+  ``dup_mul``, ``dup_integrate``, ``dup_eval``) for ``product_integral``;
+- brute force: ``spanning_tree_resistance`` and ``kirchhoff_number`` sum over spanning
+  trees, for small graphs only. The enumeration stays hand-written: networkx's
+  ``SpanningTreeIterator`` is 9 to 16 times slower on these rows, and its
+  ``number_of_spanning_trees`` takes a float determinant;
 - the paper's deletion route: ``edge_profile`` solves each edge's ``deleted_graph``, and
   the per-edge formulas (``edge_tau_contribution``, ``deletion_gradient``,
   ``deletion_bounds``, ``deletion_parallel_sum``, ``deletion_arm_sums``) read its profiles;
   ``successive_length_steps`` factorizes each graph of a chain of length changes;
 - the sampled route: ``sampled_tag_polynomials`` fits each tag function from
-  point-inserted solves, ``product_integral`` integrates their products in Fraction
-  polynomial arithmetic, and ``tau_via_integral`` reads tau as a quarter of an energy;
+  point-inserted solves, ``product_integral`` integrates their products, and
+  ``tau_via_integral`` reads tau as a quarter of an energy;
 - ``identification_apq``, on the glued graph factorized anew, and ``two_step_immersion``.
 
 The graph lists but ``fit_graphs`` are built once per process, so rows that share one
@@ -31,8 +37,12 @@ from functools import cache
 from itertools import combinations
 from weakref import WeakKeyDictionary
 
+import networkx as nx
 import numpy as np
 from sympy import QQ
+from sympy.polys.densearith import dup_mul, dup_pow
+from sympy.polys.densebasic import dup_strip
+from sympy.polys.densetools import dup_diff, dup_eval, dup_integrate
 from sympy.polys.matrices import DomainMatrix
 
 from mgt import families
@@ -112,34 +122,31 @@ def _relabel(edges, removed: int, vcount: int):
     return [(remap[a], remap[b], L) for a, b, L in edges]
 
 
-def _reach(g: MetrizedGraph, skip_edge: int, start: int) -> set[int]:
-    """The vertices joined to start in g without edge skip_edge, by depth-first search."""
-    adj = [[] for _ in range(g.vcount)]
-    for j, (a, b, _) in enumerate(g.edges):
-        if j != skip_edge:
-            adj[a].append(b)
-            adj[b].append(a)
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
+# per graph: edge -> g without that edge, as a networkx MultiGraph
+_WITHOUT: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _without(g: MetrizedGraph, edge_id: int) -> nx.MultiGraph:
+    """g's vertices and its edges but ``edge_id`` as a networkx MultiGraph, built once per
+    graph and edge, so every base reads its reachability from one graph."""
+    built = _WITHOUT.setdefault(g, {})
+    if edge_id not in built:
+        graph = built[edge_id] = nx.MultiGraph()
+        graph.add_nodes_from(range(g.vcount))
+        graph.add_edges_from((a, b) for j, (a, b, _) in enumerate(g.edges) if j != edge_id)
+    return built[edge_id]
 
 
 def bridges_by_deletion(g: MetrizedGraph) -> list[int]:
     """Exhaustive check: an edge is a bridge iff removing it disconnects."""
-    return [i for i in range(g.ecount) if len(_reach(g, i, 0)) != g.vcount]
+    return [i for i in range(g.ecount) if len(nx.node_connected_component(_without(g, i), 0)) != g.vcount]
 
 
 def _component_resistance(g: MetrizedGraph, skip_edge: int, y: int, z: int) -> Fraction:
     """Resistance between y and z inside their component of g without edge skip_edge."""
     if y == z:
         return Fraction(0)
-    verts = sorted(_reach(g, skip_edge, y))
+    verts = sorted(nx.node_connected_component(_without(g, skip_edge), y))
     relabel = {v: i for i, v in enumerate(verts)}
     edges = [(relabel[a], relabel[b], L) for i, (a, b, L) in enumerate(g.edges)
              if i != skip_edge and a in relabel and b in relabel]
@@ -166,7 +173,7 @@ def edge_profile(g: MetrizedGraph, edge_id: int, base: int) -> EdgeProfile:
     profile off g's own Green integers.
     """
     a, b, length = g.edges[edge_id]
-    side_a = _reach(g, edge_id, a)
+    side_a = nx.node_connected_component(_without(g, edge_id), a)
     if b not in side_a:  # a bridge: base's side has arm 0, the other INF
         near_a = base in side_a
         arm_base = _component_resistance(g, edge_id, base, a if near_a else b)
@@ -309,69 +316,36 @@ def sampled_tag_polynomials(g: MetrizedGraph, p: int, q: int,
     }
 
 
-def derivative(poly: EdgePolynomial) -> EdgePolynomial:
-    d = tuple(k * c for k, c in enumerate(poly.coeffs) if k > 0)
-    return EdgePolynomial(poly.edge, d or (Fraction(0),))
-
-
-def product(poly: EdgePolynomial, other: EdgePolynomial) -> EdgePolynomial:
-    out = [Fraction(0)] * (len(poly.coeffs) + len(other.coeffs) - 1)
-    for i, a in enumerate(poly.coeffs):
-        if a:
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-    return EdgePolynomial(poly.edge, tuple(out))
-
-
-def power(poly: EdgePolynomial, n: int) -> EdgePolynomial:
-    result = EdgePolynomial(poly.edge, (Fraction(1),))
-    for _ in range(n):
-        result = product(result, poly)
-    return result
-
-
-def integral(poly: EdgePolynomial, upper: Fraction) -> Fraction:
-    """Definite integral over [0, upper]."""
-    acc = Fraction(0)
-    for k in range(len(poly.coeffs) - 1, -1, -1):
-        acc = (acc + poly.coeffs[k] / (k + 1)) * upper
-    return acc
-
-
-# per graph: (p, q) -> per edge, its tag polynomials, its factors by (tag, differentiate,
-# power) and L^k/k for k = 1, 2, ... as far as read so far
+# per graph: (p, q) -> per edge, its tag polynomials over QQ and its factors by
+# (tag, differentiate, power)
 _TAG_POLYS: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def product_integral(g: MetrizedGraph, p: int, q: int, terms) -> Fraction:
-    """int over g of a product of tag factors, in Fraction polynomial arithmetic.
+    """int over g of a product of tag factors, by sympy's dense polynomial routines over QQ.
 
     ``terms`` are (tag, differentiate, power) as for ``integrate_product``;
-    each edge's tag polynomials are differentiated, multiplied and integrated
-    over [0, L] coefficient by coefficient, as the sum of c_k L^(k+1)/(k+1).
-    Once per (g, p, q) and edge, and shared by every term list, are built:
-    the tag polynomials, the factor of each term (its tag, differentiated or
-    not, to the power) and each L^(k+1)/(k+1).
+    each edge's tag polynomials are differentiated (``dup_diff``), raised to
+    their powers (``dup_pow``), multiplied (``dup_mul``), integrated
+    (``dup_integrate``) and evaluated at the edge's length L (``dup_eval``),
+    which is their integral over [0, L]. The tag polynomials and the factor of
+    each term are built once per (g, p, q) and edge, and shared by every term list.
     """
     solved = _TAG_POLYS.setdefault(g, {})
     if (p, q) not in solved:
-        solved[p, q] = [(edge_tag_polynomials(g, p, q, edge), {}, [])
+        solved[p, q] = [({tag: dup_strip([QQ(c) for c in reversed(poly.coeffs)])
+                          for tag, poly in edge_tag_polynomials(g, p, q, edge).items()}, {})
                         for edge in range(g.ecount)]
-    total = Fraction(0)
-    for (polys, factors, monomials), edge in zip(solved[p, q], g.edges):
-        result = None
+    total = QQ.zero
+    for (polys, factors), edge in zip(solved[p, q], g.edges):
+        result = [QQ.one]
         for term in terms:
             if term not in factors:
                 tag, deriv, n = term
-                factors[term] = power(derivative(polys[tag]) if deriv else polys[tag], n)
-            result = factors[term] if result is None else product(result, factors[term])
-        coeffs = (Fraction(1),) if result is None else result.coeffs
-        while len(monomials) < len(coeffs):
-            k = len(monomials) + 1
-            monomials.append(edge.length ** k / k)
-        total += sum(c * w for c, w in zip(coeffs, monomials) if c)
-    return total
+                factors[term] = dup_pow(dup_diff(polys[tag], 1, QQ) if deriv else polys[tag], n, QQ)
+            result = dup_mul(result, factors[term], QQ)
+        total += dup_eval(dup_integrate(result, 1, QQ), QQ(edge.length), QQ)
+    return Fraction(total.numerator, total.denominator)
 
 
 def tau_via_integral(g: MetrizedGraph, p: int = 0) -> Fraction:

@@ -68,6 +68,7 @@ def test_criterion_1_closed_forms():
     # circles and trees at several length mixes
     assert tau_of(families.circle(F(7, 3))) == F(7, 36)
     assert tau_of(families.circle(F(1, 2), F(1, 3), F(1, 6))) == F(1, 12)
+    assert tau_of(families.path(1, 2, 3)) == F(3, 2)
     rng = random.Random("acceptance-trees")
     for _ in range(5):
         tree = families.random_tree(rng, 8)
@@ -101,6 +102,9 @@ def test_criterion_1_closed_forms():
                 continue
             g = families.necklace(a, b, t)
             assert tau_of(g) == t * (a + 2 * b) / 12 + b * b / (8 * (a + b))
+    for t in (2, 3):
+        for a, b in ((F(1, 20), F(1, 30)), (F(1, 8), F(1, 8))):
+            assert tau_of(families.necklace(a, b, t)) == families.necklace_tau(a, b, t)
     _announce("criterion 1 closed-form regression", started)
 
 

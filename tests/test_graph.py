@@ -3,6 +3,7 @@ import pickle
 import random
 from fractions import Fraction as F
 
+import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -52,27 +53,6 @@ def test_build_disconnected_rejected():
         build_graph(3, [(0, 1, 1), (2, 2, 1)])
 
 
-def _bfs_component_count(vcount, ends) -> int:
-    adj = [[] for _ in range(vcount)]
-    for a, b in ends:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = [False] * vcount
-    count = 0
-    for start in range(vcount):
-        if seen[start]:
-            continue
-        count += 1
-        seen[start] = True
-        queue = [start]
-        for u in queue:
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-    return count
-
-
 @st.composite
 def _vertex_count_and_ends(draw):
     """v in 1..12 and up to 20 endpoint pairs: loops, parallel edges, isolated vertices."""
@@ -92,7 +72,9 @@ def _vertex_count_and_ends(draw):
 def test_connectivity_matches_bfs(case):
     vcount, ends = case
     edges = tuple(Edge(a, b, F(1)) for a, b in ends)
-    if _bfs_component_count(vcount, ends) > 1:
+    reference = nx.MultiGraph(ends)
+    reference.add_nodes_from(range(vcount))
+    if nx.number_connected_components(reference) > 1:
         with pytest.raises(DisconnectedGraph):
             MetrizedGraph(vcount, edges)
     else:

@@ -19,18 +19,13 @@ from mgt.integration import (
     integrate_product,
     interpolate,
 )
-from oracles import derivative, integral, power, product, tau_via_integral
+from oracles import tau_via_integral
 from test_oracles import agrees
 
 
 def test_edge_polynomial_algebra():
     p = EdgePolynomial(0, (F(1), F(2), F(3)))  # 1 + 2x + 3x^2
     assert p(F(2)) == 1 + 4 + 12
-    assert derivative(p).coeffs == (F(2), F(6))
-    q = product(p, EdgePolynomial(0, (F(0), F(1))))  # multiply by x
-    assert q.coeffs == (F(0), F(1), F(2), F(3))
-    assert integral(p, F(1)) == 1 + 1 + 1
-    assert power(p, 0).coeffs == (F(1),)
 
 
 def test_edge_polynomial_is_a_frozen_value():
@@ -95,7 +90,7 @@ def test_diamond_middle_edge_flat():
     dia = families.diamond(1)
     polys = edge_tag_polynomials(dia, 0, 2, 4)  # middle edge id 4
     flat = polys[TAG_J_BASE_P]
-    assert derivative(flat).coeffs == (F(0),)
+    assert len(flat.coeffs) == 1
 
 
 def test_integrate_product_checks_its_inputs():

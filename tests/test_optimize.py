@@ -415,13 +415,3 @@ def test_reducing_iteration_strictly_decreases():
     assert all(x > y for x, y in zip(values, values[1:]))
     with pytest.raises(SamePoint):
         tau_reducing_sequence(circ, 0, 0, F(1, 10))
-
-
-def test_all_scan_ratios_respect_conjecture_floor():
-    all_rows = []
-    all_rows += family_scan("complete", {"v": range(2, 10)})
-    all_rows += family_scan("banana", {"m": range(1, 11)})
-    all_rows += family_scan("necklace", {"a": [F(1, 10), F(1, 30)], "t": (2, 3)})
-    all_rows += family_scan("circle", {"k": range(1, 5)})
-    assert not scan_violations(all_rows)
-    assert min(r.ratio for r in all_rows) >= F(1, 108)

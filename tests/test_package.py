@@ -197,6 +197,13 @@ def test_bench_record_mutants_entry_counts_the_survivors():
     assert bench_record._mutants_entry(b"[]\n", "abc123")["killed"] == total > 40
 
 
+def test_a_mutant_is_killed_only_by_a_failure_of_each_named_test():
+    # a row that names two tests must see both fail; a bare name stands for its parametrized cases
+    named_failed, failed = _tool("mutants")._named_failed, {"t.py::a[x]", "t.py::b"}
+    assert named_failed("t.py::a", failed) and named_failed("t.py::a[x]", failed) and named_failed("t.py::b", failed)
+    assert not any(named_failed(name, failed) for name in ("t.py::a[y]", "t.py::b[x]", "t.py::c"))
+
+
 def test_each_mutant_old_text_occurs_once_in_its_file():
     # a stale row of tools/mutants.py would mutate nothing or the wrong line
     root = Path(__file__).resolve().parent.parent

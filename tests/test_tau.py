@@ -36,31 +36,6 @@ from mgt.tau import (
 )
 
 
-def test_tau_closed_forms():
-    # circles of any subdivision and length mix
-    assert tau_of(families.circle(F(7, 3))) == F(7, 36)
-    assert tau_of(families.circle(F(1, 2), F(1, 3), F(1, 6))) == F(1, 12)
-    # trees
-    assert tau_of(families.path(1, 2, 3)) == F(6, 4)
-    # complete graphs at unit total length
-    for v in range(2, 9):
-        expected = F(1, 12) * (1 - F(2, v)) ** 2 + F(2, v**3)
-        assert tau_of(families.complete(v)) == expected
-    assert tau_of(families.complete(5)) == F(23, 500)
-    # equal banana closed form with minimum at m = 4
-    values = {}
-    for m in range(1, 11):
-        values[m] = tau_of(families.equal_banana(m))
-        assert values[m] == F(m * m - 2 * m + 4, 12 * m * m)
-    assert min(values.values()) == values[4] == F(1, 16)
-    # diamond graph: one fifteenth of its total length
-    assert tau_of(families.diamond(1)) == F(5, 15)
-    # diamond necklace closed form on small instances, via the direct engine
-    for t in (2, 3):
-        for a, b in ((F(1, 20), F(1, 30)), (F(1, 8), F(1, 8))):
-            assert tau_of(families.necklace(a, b, t)) == families.necklace_tau(a, b, t)
-
-
 def test_necklace_normalized_rational_forms():
     # normalized necklace tau and cubic sum as rational functions of (a, t)
     from mgt.tau import cubic_sum

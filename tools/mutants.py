@@ -7,12 +7,15 @@ Usage (from the repository root):
 COMMIT (default ``HEAD``) is exported with ``git archive`` into a temporary
 directory. For each row of ``MUTANTS``, one at a time, the row's old text is
 replaced by its new text in its file there, the row's tests run with
-``pytest -x``, and the file is put back. A mutant is killed when pytest reports
-a failed test (exit code 1); a pass, or any other exit (a test id not found, a
-mutant that breaks collection), leaves it a survivor. One line per mutant goes
-to stderr, the survivors go to stdout as one JSON list, and the exit code is 1
-if there is any survivor. No bytecode is written in the copy, so a restored
-file is never read through a stale cache. Standard library and pytest only.
+``pytest -rf`` (not ``-x``, so every test of the row runs), and the file is put
+back. A mutant is killed when pytest exits 1 and every test the row names has at
+least one ``FAILED`` line; a name without brackets matches each of its
+parametrized cases. A pass, a named test that passes, or any other exit (a test
+id not found, a mutant that breaks collection) leaves it a survivor. One line
+per mutant goes to stderr, the survivors go to stdout as one JSON list, and the
+exit code is 1 if there is any survivor. No bytecode is written in the copy, so
+a restored file is never read through a stale cache. Standard library and
+pytest only.
 
 Each row is (id, file, exact old text, new text, test node ids that must fail);
 the old text occurs exactly once in its file (a Tier-1 test checks it).
@@ -134,7 +137,13 @@ MUTANTS = [
     ("marked-template-p-q-swapped", OPS,
      "{p: len(inner), q: len(inner) + 1}", "{p: len(inner) + 1, q: len(inner)}",
      [f"{ORACLE}[immerse-two-step]"]),
-    # the kernel's elimination, its tag polynomials and its deletion readers, each against its oracle
+    # the connectivity check, the bridge search, the kernel's elimination, its tag polynomials,
+    # their integrals and its deletion readers, each against its oracle or an outside reference
+    ("connectivity-tree-start", GRAPH,  # v = e + 1 then starts at 0 parts, and a tree is refused
+     "parts = vcount if vcount <= len(edges) + 1 else 0", "parts = vcount if vcount < len(edges) + 1 else 0",
+     ["tests/test_graph.py::test_connectivity_matches_bfs"]),
+    ("bridge-lowlink-ge", GRAPH,  # a tree edge whose subtree reaches back to its parent reads as a bridge
+     "if low[child] > disc[parent]:", "if low[child] >= disc[parent]:", [f"{ORACLE}[bridges-exhaustive-deletion]"]),
     ("bareiss-scale-ratio-dropped", LINALG,
      "factor = u * scales[i] // s_k", "factor = u", [f"{ORACLE}[green-inverse]"]),
     ("back-substitution-one-row-short", LINALG,
@@ -142,6 +151,7 @@ MUTANTS = [
     ("tag-r-quadratic-sign", INTEGRATION,
      "rows.append([2 * ld * pa, 2 * (ld * dp + gap), -2 * gap])",
      "rows.append([2 * ld * pa, 2 * (ld * dp + gap), 2 * gap])", [f"{ORACLE}[tag-polynomials]"]),
+    ("integral-weights", INTEGRATION, "m // (k + 1)", "m // (k + 2)", [f"{ORACLE}[integer-products]"]),
     ("profile-arms-swapped", CIRCUIT,
      "Fraction(x_a + mid - x_b, over), Fraction(mid + x_b - x_a, over)",
      "Fraction(mid + x_b - x_a, over), Fraction(x_a + mid - x_b, over)", [f"{ORACLE}[deletion-profiles]"]),
@@ -168,8 +178,14 @@ MUTANTS = [
 ]
 
 
-def _kill(copy: str, row) -> tuple[int, float]:
-    """pytest's exit code and wall seconds for one row, with its mutant applied in ``copy``."""
+def _named_failed(name: str, failed: set[str]) -> bool:
+    """Whether test ``name``, or one of its parametrized cases if it has no brackets, failed."""
+    return any(node == name or "[" not in name and node.startswith(name + "[") for node in failed)
+
+
+def _kill(copy: str, row) -> tuple[int, list[str], float]:
+    """pytest's exit code, the row's tests with no FAILED line and the wall seconds, with the
+    row's mutant applied in ``copy``."""
     _, name, old, new, tests = row
     path = os.path.join(copy, name)
     with open(path, encoding="utf-8") as fh:
@@ -181,12 +197,13 @@ def _kill(copy: str, row) -> tuple[int, float]:
     env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"), PYTHONDONTWRITEBYTECODE="1")
     start = time.perf_counter()
     try:
-        done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
-                              cwd=copy, env=env, capture_output=True)
+        done = subprocess.run([sys.executable, "-m", "pytest", "-rf", "-q", "-p", "no:cacheprovider", *tests],
+                              cwd=copy, env=env, capture_output=True, text=True)
     finally:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(source)
-    return done.returncode, time.perf_counter() - start
+    failed = {line.split()[1] for line in done.stdout.splitlines() if line.startswith("FAILED ")}
+    return done.returncode, [t for t in tests if not _named_failed(t, failed)], time.perf_counter() - start
 
 
 def main() -> int:
@@ -197,11 +214,12 @@ def main() -> int:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(copy, filter="data")
         for row in MUTANTS:
-            code, seconds = _kill(copy, row)
-            print(f"{row[0]}: {'killed' if code == 1 else 'SURVIVED'} "
-                  f"(pytest exit {code}, {seconds:.1f} s)", file=sys.stderr)
-            if code != 1:
-                survivors.append({"id": row[0], "file": row[1], "pytest_exit": code})
+            code, unfailed, seconds = _kill(copy, row)
+            killed = code == 1 and not unfailed
+            print(f"{row[0]}: {'killed' if killed else 'SURVIVED'} (pytest exit {code}, {seconds:.1f} s)"
+                  + (f"; no FAILED line for {', '.join(unfailed)}" if unfailed else ""), file=sys.stderr)
+            if not killed:
+                survivors.append({"id": row[0], "file": row[1], "pytest_exit": code, "not_failed": unfailed})
     print(json.dumps(survivors))
     return 1 if survivors else 0
 
