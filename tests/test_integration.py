@@ -47,13 +47,13 @@ def test_interpolate_quadratic():
 
 
 def test_fit_constant_on_off_path_edge():
-    # an edge hanging off the 0-1 path sees a constant j
+    # on the path 0-1-2, j_0(x, 1) is r(0, 1) on the edge 1-2 that hangs off the 0-1 path,
+    # and x's distance from 0 on the path edge, where a constant fit fails its guard
     g = build_graph(3, [(0, 1, 1), (1, 2, 1)])
-    f = lambda x: voltage(g, x, 0, 0)  # r(0, x) restricted... constant beyond vertex 1? no
-    # use f = r(0,q)/2 type constant directly
-    half = resistance(g, 0, 1) / 2
-    poly = fit_edge_function(g, 1, lambda x: half, 0)
-    assert poly.coeffs == (half,)
+    poly = fit_edge_function(g, 1, lambda x: voltage(g, 0, x, 1), 0)
+    assert poly.coeffs == (resistance(g, 0, 1),) == (1,)
+    with pytest.raises(NonPolynomialIntegrand):
+        fit_edge_function(g, 0, lambda x: voltage(g, 0, x, 1), 0)
 
 
 def test_fit_guard_detects_degree_undershoot():

@@ -1,5 +1,12 @@
+"""The graph operations of mgt.ops: each tau formula as rows of one closure table, each refusal
+as a row of one refusal table, and the builders' graphs, lengths, ids and size limits."""
+
+import ast
+import inspect
 import random
+from collections import namedtuple
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -26,62 +33,131 @@ from mgt.ops import (
 )
 from mgt.suite import _with_length
 from mgt.tau import apq_identity, tau_of
-from oracles import two_step_immersion
+from oracles import corpus_graphs, two_step_immersion
 
 
-def closure(result):
-    assert result.predicted_tau == tau_of(result.graph)
-    return result
+_K4 = families.complete(4)
+_SEGMENT = families.segment(1)
+_CIRCLE = families.circle(F(2, 5), F(3, 5))
+_HALVES = families.circle(F(1, 2), F(1, 2))
+_DIAMOND = families.diamond(F(1, 5))
+_THREE_ARCS = families.circle(F(1, 2), F(1, 3), F(1, 6))
+_MIXED_MARKS = [(_THREE_ARCS, 0, 1), (_THREE_ARCS, 1, 2)]
+_SEGMENTS_2 = [(families.segment(2), 0, 1)] * 6
+_NORMAL_SEGMENTS_2 = [(normalize(beta), p, q) for beta, p, q in _SEGMENTS_2]
 
 
-def test_delete_edge_circle():
-    circ = families.circle(F(2, 5), F(3, 5))
-    result = closure(delete_edge(circ, 0))
-    assert result.graph.ecount == 1
-    assert tau_of(result.graph) == F(3, 5) / 4
+def _drawn(seed, sizes):
+    """Random connected graphs drawn in turn from random.Random(seed), one of each (vertices, edges)."""
+    rng = random.Random(seed)
+    return [families.random_connected(rng, *size) for size in sizes]
 
 
-def test_delete_middle_of_diamond():
-    dia = families.diamond(1)
-    result = closure(delete_edge(dia, 4))
-    assert tau_of(result.graph) == F(4, 12)  # a four-cycle
+def _drawn_pairs():
+    """Six seed-83 pairs of a 5-vertex and a 4-vertex graph, those with two vertices in each part."""
+    drawn = _drawn(83, [(5, 7), (4, 6)] * 6)
+    return [(g1, g2) for g1, g2 in zip(drawn[::2], drawn[1::2]) if g1.vcount >= 2 and g2.vcount >= 2]
 
 
-def test_delete_bridge_rejected():
-    with pytest.raises(BridgeDeletion):
-        delete_edge(families.path(1, 1), 0)
+# Each row of _CLOSURES is (id, inputs, build, formula, tau, size, same_as). ``inputs`` lists the
+# row's inputs, or is a function that draws them when the row runs; ``build(x)`` makes the OpResult
+# of input x, which must report ``formula`` and predict the tau of its graph. Where a row gives them,
+# ``tau`` is the prediction that the paper's closed form gives, ``size`` the result's (vertices,
+# edges) and ``same_as`` the graphs of other constructions that the result's graph must equal; each
+# is a value, or a function of x.
+Closure = namedtuple("Closure", "id inputs build formula tau size same_as", defaults=(None, None, None))
+
+_CLOSURES = [
+    Closure("delete-edge-circle", [_CIRCLE], lambda g: delete_edge(g, 0), "edge-deletion",
+            tau=F(3, 5) / 4, size=(2, 1)),
+    Closure("delete-edge-diamond-middle", [families.diamond(1)], lambda g: delete_edge(g, 4), "edge-deletion",
+            tau=F(4, 12)),  # a four-cycle
+    Closure("delete-edge-k4", range(6), lambda i: delete_edge(_K4, i), "edge-deletion"),
+    Closure("contract-edge-circle-arc", [_CIRCLE], lambda g: contract_edge(g, 0), "edge-contraction",
+            tau=F(3, 5) / 12, size=(1, 1)),
+    Closure("contract-edge-k4", [_K4], lambda g: contract_edge(g, 2), "edge-contraction"),
+    Closure("contract-bridge-path", [families.path(1, 2, 4)], lambda tree: contract_edge(tree, 1),
+            "bridge-contraction", tau=lambda tree: tau_of(tree) - F(2, 4)),
+    Closure("contract-loop", [build_graph(2, [(0, 1, 1), (0, 1, 1), (1, 1, F(1, 2))])],
+            lambda g: contract_edge(g, 2), "loop-contraction"),
+    Closure("identify-banana-ends", [families.banana(F(1, 4), F(1, 4), F(1, 2))],
+            lambda g: identify_points(g, 0, 1), "point-identification",
+            tau=lambda g: total_length(g) / 12, size=(1, 3)),  # a wedge of three circles
+    Closure("identify-segment-ends", [families.segment(F(5, 3))], lambda g: identify_points(g, 0, 1),
+            "point-identification", tau=F(5, 3) / 12),  # a circle
+    Closure("identify-random", lambda: [g for g in _drawn(79, [(6, 9)] * 8) if g.vcount >= 2],
+            lambda g: identify_points(g, 0, g.vcount - 1), "point-identification"),
+    Closure("add-edge-segment", [_SEGMENT], lambda g: add_edge(g, 0, 1, 1), "edge-addition",
+            tau=F(2, 12)),  # a circle of length 2
+    Closure("add-edge-circle", [_HALVES], lambda g: add_edge(g, 0, 1, F(1, 3)), "edge-addition"),  # a theta
+    Closure("add-edge-banana", [families.equal_banana(3, F(3, 4))], lambda g: add_edge(g, 0, 1, F(1, 4)),
+            "edge-addition", tau=F(4 * 4 - 2 * 4 + 4, 12 * 16)),  # the equal 4-banana of length 1
+    Closure("add-edge-loop", [_SEGMENT], lambda g: add_edge(g, 0, 0, F(1, 2)), "edge-addition",
+            tau=F(1, 4) + F(1, 24)),
+    Closure("union-one-point-circles", [(families.circle(F(1)), families.circle(F(1)))],
+            lambda gs: union_one_point(gs[0], 0, gs[1], 0), "wedge-additivity", tau=F(1, 6)),
+    Closure("union-one-point-circle-segment", [(families.circle(F(1)), families.segment(F(1, 2)))],
+            lambda gs: union_one_point(gs[0], 0, gs[1], 1), "wedge-additivity", tau=F(1, 12) + F(1, 8)),
+    Closure("union-two-points-segments", [(families.segment(F(2, 5)), families.segment(F(3, 5)))],
+            lambda gs: union_two_points(*gs, (0, 1), (0, 1)), "two-point-union", tau=F(1, 12)),  # a circle
+    Closure("union-two-points-random", _drawn_pairs,
+            lambda gs: union_two_points(*gs, (0, gs[0].vcount - 1), (0, gs[1].vcount - 1)), "two-point-union"),
+    Closure("da-n-segment", (1, 2, 3, 5), lambda n: da_n(_SEGMENT, n), "parallel-split",
+            tau=lambda n: F(1, 4 * n * n) + F(1, 12) * F(n - 1, n) ** 2, size=lambda n: (2, n)),  # a banana
+    Closure("da-n-diamond", (1, 3), lambda n: da_n(_DIAMOND, n), "parallel-split", size=lambda n: (4, 5 * n),
+            same_as=lambda n: [build_graph(4, [(a, b, ln / n) for a, b, ln in _DIAMOND.edges for _ in range(n)])]),
+    Closure("subdivide-corpus", lambda: list(product(corpus_graphs(48), (1, 2, 3))), lambda gm: subdivide(*gm),
+            "subdivision-invariance", same_as=lambda gm: [subdivide_uniform(*gm)]),
+    Closure("immerse-banana", [(normalize(_DIAMOND), n) for n in (2, 3)],
+            lambda gn: immerse(gn[0], [(families.equal_banana(gn[1]), 0, 1)] * gn[0].ecount), "edge-immersion",
+            same_as=lambda gn: [da_n(*gn).graph]),
+    Closure("immerse-segments", [normalize(_K4)], lambda g: immerse(g, [(_SEGMENT, 0, 1)] * 6), "edge-immersion",
+            same_as=lambda g: [g]),
+    # an unnormalized host and marked graph give the immersion of their normalized forms
+    Closure("immerse-unnormalized", [families.complete(4, 2)], lambda host: immerse(host, _SEGMENTS_2),
+            "edge-immersion", tau=lambda host: immerse(normalize(host), _NORMAL_SEGMENTS_2).predicted_tau,
+            same_as=lambda host: [immerse(normalize(host), _NORMAL_SEGMENTS_2).graph,
+                                  two_step_immersion(normalize(host), _NORMAL_SEGMENTS_2)]),
+    Closure("immerse-mixed", [normalize(_HALVES)], lambda g: immerse(g, _MIXED_MARKS), "edge-immersion",
+            same_as=lambda g: [two_step_immersion(g, _MIXED_MARKS)]),
+    Closure("c-tower-one-step", [_HALVES], lambda c: c_tower(c, 0, 1, 1), "two-point-tower",
+            same_as=lambda c: [normalize(union_two_points(c, c, (0, 1), (0, 1)).graph)]),
+    # an unnormalized input gives the tower of its normalized form
+    Closure("c-tower-circle", [_HALVES, scale(_HALVES, F(7, 3))], lambda c: c_tower(c, 0, 1, 2), "two-point-tower",
+            tau=F(13, 192), same_as=lambda c: [c_tower(_HALVES, 0, 1, 2).graph]),
+    Closure("c-tower-random", lambda: [normalize(g) for g in _drawn(89, [(5, 7)]) if g.vcount >= 2],
+            lambda g: c_tower(g, 0, g.vcount - 1, 2), "two-point-tower"),
+]
 
 
-def test_delete_k4_edges():
-    k4 = families.complete(4)
-    for i in range(6):
-        closure(delete_edge(k4, i))
+def _column(value, x):
+    """A column's value for input x: the value itself, or what a function of x returns."""
+    return value(x) if callable(value) else value
 
 
-def test_contract_circle_arc():
-    circ = families.circle(F(2, 5), F(3, 5))
-    result = closure(contract_edge(circ, 0))
-    assert result.graph.vcount == 1 and result.graph.ecount == 1
-    assert tau_of(result.graph) == F(3, 5) / 12
+@pytest.mark.parametrize("row", _CLOSURES, ids=lambda row: row.id)
+def test_op_closure(row):
+    results = 0
+    for x in row.inputs() if callable(row.inputs) else row.inputs:
+        result = row.build(x)
+        assert (result.formula_id, result.predicted_tau) == (row.formula, tau_of(result.graph))
+        if row.tau is not None:
+            assert result.predicted_tau == _column(row.tau, x)
+        if row.size is not None:
+            assert (result.graph.vcount, result.graph.ecount) == _column(row.size, x)
+        for other in _column(row.same_as, x) or ():
+            assert result.graph == other
+        results += 1
+    assert results  # a row whose draws all fall short of two vertices would check nothing
 
 
-def test_contract_tree_edge_drops_quarter():
-    tree = families.path(1, 2, 4)
-    result = contract_edge(tree, 1)
-    assert result.formula_id == "bridge-contraction"
-    assert result.predicted_tau == tau_of(tree) - F(2, 4)
-    closure(result)
+def test_closure_table_names_every_formula_of_ops():
+    # each formula id that mgt.ops hands to an OpResult has a row, and each row's id is one of them
+    import mgt.ops
 
-
-def test_contract_self_loop():
-    g = build_graph(2, [(0, 1, 1), (0, 1, 1), (1, 1, F(1, 2))])
-    result = contract_edge(g, 2)
-    assert result.formula_id == "loop-contraction"
-    closure(result)
-
-
-def test_contract_k4_edge():
-    closure(contract_edge(families.complete(4), 2))
+    calls = [node for node in ast.walk(ast.parse(inspect.getsource(mgt.ops)))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "OpResult"]
+    assert {row.formula for row in _CLOSURES} == {call.args[1].value for call in calls}
 
 
 def test_contraction_predicts_tau_from_deleted_a(monkeypatch):
@@ -121,58 +197,6 @@ def test_contract_bridges_lowers_tau_by_a_quarter_of_their_length():
     assert tau_of(g) == tau_of(core) + F(1, 3) / 4
 
 
-def test_identify_banana_becomes_wedge():
-    g = families.banana(F(1, 4), F(1, 4), F(1, 2))
-    result = closure(identify_points(g, 0, 1))
-    assert result.graph.vcount == 1
-    assert tau_of(result.graph) == total_length(g) / 12
-
-
-def test_identify_segment_endpoints_is_circle():
-    seg = families.segment(F(5, 3))
-    result = closure(identify_points(seg, 0, 1))
-    assert tau_of(result.graph) == F(5, 3) / 12
-    with pytest.raises(SamePoint):
-        identify_points(seg, 1, 1)
-
-
-def test_identify_random():
-    rng = random.Random(79)
-    for _ in range(8):
-        g = families.random_connected(rng, 6, 9)
-        if g.vcount < 2:
-            continue
-        closure(identify_points(g, 0, g.vcount - 1))
-
-
-def test_add_edge_examples():
-    seg = families.segment(1)
-    result = closure(add_edge(seg, 0, 1, 1))
-    assert tau_of(result.graph) == F(2, 12)  # a circle of length 2
-    circ = families.circle(F(1, 2), F(1, 2))
-    closure(add_edge(circ, 0, 1, F(1, 3)))  # theta graph
-    banana = families.equal_banana(3, F(3, 4))
-    grown = closure(add_edge(banana, 0, 1, F(1, 4)))
-    assert tau_of(grown.graph) == F(4 * 4 - 2 * 4 + 4, 12 * 16)  # equal 4-banana, length 1
-    with pytest.raises(NonPositiveLength):
-        add_edge(seg, 0, 1, 0)
-
-
-def test_add_self_loop():
-    seg = families.segment(1)
-    result = closure(add_edge(seg, 0, 0, F(1, 2)))
-    assert tau_of(result.graph) == F(1, 4) + F(1, 24)
-
-
-def test_union_one_point():
-    c1 = families.circle(F(1))
-    c2 = families.circle(F(1))
-    result = closure(union_one_point(c1, 0, c2, 0))
-    assert tau_of(result.graph) == F(1, 6)
-    mixed = closure(union_one_point(families.circle(F(1)), 0, families.segment(F(1, 2)), 1))
-    assert mixed.predicted_tau == F(1, 12) + F(1, 8)
-
-
 def test_union_one_point_apq_additive():
     c1 = families.circle(F(1, 2), F(1, 2))
     seg = families.segment(F(2, 3))
@@ -181,43 +205,8 @@ def test_union_one_point_apq_additive():
     assert apq_identity(wedge, 0, 2) == apq_identity(c1, 0, 1) + 0
 
 
-def test_union_two_points_two_segments_make_circle():
-    sa, sb = families.segment(F(2, 5)), families.segment(F(3, 5))
-    result = closure(union_two_points(sa, sb, (0, 1), (0, 1)))
-    assert tau_of(result.graph) == F(1, 12)
-
-
-def test_union_two_points_random():
-    rng = random.Random(83)
-    for _ in range(6):
-        g1 = families.random_connected(rng, 5, 7)
-        g2 = families.random_connected(rng, 4, 6)
-        if g1.vcount < 2 or g2.vcount < 2:
-            continue
-        closure(union_two_points(g1, g2, (0, g1.vcount - 1), (0, g2.vcount - 1)))
-
-
-def test_da_n_segment_gives_banana():
-    for n in (1, 2, 3, 5):
-        seg = families.segment(1)
-        result = closure(da_n(seg, n))
-        assert result.graph.ecount == n
-        assert tau_of(result.graph) == F(1, 4 * n * n) + F(1, 12) * F(n - 1, n) ** 2
-
-
-def test_da_n_identity_and_counts():
-    g = families.diamond(F(1, 5))
-    assert da_n(g, 1).graph == g
-    split = da_n(g, 3)
-    assert split.graph.ecount == 15
-    assert total_length(split.graph) == total_length(g)
-    closure(split)
-
-
 def test_da_n_compose_with_subdivision():
     g = families.theta(F(1, 2), F(1, 3), F(1, 6))
-    from mgt.ops import parallel_sum
-
     for m, n in ((2, 2), (3, 2), (2, 3)):
         built = da_n(subdivide_uniform(g, m), n)
         predicted = (
@@ -228,69 +217,27 @@ def test_da_n_compose_with_subdivision():
         assert tau_of(built.graph) == predicted
 
 
-def test_subdivide_predicts_tau_unchanged_on_the_corpus():
-    from mgt.suite import GraphGenerator
-
-    for _, g in GraphGenerator(1).graphs(48):
-        for m in (1, 2, 3):
-            result = closure(subdivide(g, m))
-            assert result.graph == subdivide_uniform(g, m)
-            assert result.formula_id == "subdivision-invariance"
-
-
-def test_immerse_banana_equals_da_n():
-    g = normalize(families.diamond(F(1, 5)))
-    for n in (2, 3):
-        beta = families.equal_banana(n)
-        via_immersion = immerse(g, [(beta, 0, 1)] * g.ecount)
-        closure(via_immersion)
-        assert via_immersion.graph == da_n(g, n).graph
-
-
-def test_immerse_segments_change_nothing():
-    g = normalize(families.complete(4))
-    result = closure(immerse(g, [(families.segment(1), 0, 1)] * g.ecount))
-    assert result.graph == g
-
-
-def test_immerse_requires_normalized():
-    # an unnormalized host and marked graph give the immersion of their normalized forms
-    host, segment = families.complete(4, 2), families.segment(2)
-    result = closure(immerse(host, [(segment, 0, 1)] * 6))
-    plain = immerse(normalize(host), [(normalize(segment), 0, 1)] * 6)
-    assert (result.graph, result.formula_id) == (plain.graph, "edge-immersion")
-    assert result.predicted_tau == plain.predicted_tau
-    assert result.graph == two_step_immersion(normalize(host), [(normalize(segment), 0, 1)] * 6)
-
-
-def test_immerse_mixed_markings():
-    g = normalize(families.circle(F(1, 2), F(1, 2)))
-    beta = families.circle(F(1, 2), F(1, 3), F(1, 6))
-    result = closure(immerse(g, [(beta, 0, 1), (beta, 1, 2)]))
-    assert result.graph == two_step_immersion(g, [(beta, 0, 1), (beta, 1, 2)])
-    assert total_length(result.graph) == 1
-
-
-_K4 = families.complete(4)
-_SEGMENT = families.segment(1)
-
-
-@pytest.mark.parametrize("betas, error, message", [
-    ([(_SEGMENT, 0, 1)] * 5, MgtError, "need one marked graph per edge"),
-    ([(_SEGMENT, 0, 1)] * 5 + [(MetrizedGraph(1, ()), 0, 0)], EmptyGraph,
+@pytest.mark.parametrize("op, args, error, message", [
+    (delete_edge, (families.path(1, 1), 0), BridgeDeletion, "deleting edge 0 disconnects the graph"),
+    (identify_points, (families.segment(F(5, 3)), 1, 1), SamePoint, "identify needs two distinct vertices"),
+    (add_edge, (_SEGMENT, 0, 1, 0), NonPositiveLength, "new edge length must be positive"),
+    # one distinct marking is checked once, yet each refusal of immerse keeps its class and text
+    (immerse, (_K4, [(_SEGMENT, 0, 1)] * 5), MgtError, "need one marked graph per edge"),
+    (immerse, (_K4, [(_SEGMENT, 0, 1)] * 5 + [(MetrizedGraph(1, ()), 0, 0)]), EmptyGraph,
      "a graph with no edges cannot be normalized"),  # every marked graph is normalized first
-    ([(_SEGMENT, 0, 1)] * 5 + [(_SEGMENT, 1, 1)], SamePoint, "marked points must be distinct"),
-    ([(_SEGMENT, 0, 1)] * 5 + [(_SEGMENT, 0, 2)], BadVertexId, "vertex 2 out of range 0..1"),
-    ([(_SEGMENT, 0, 1)] * 5 + [(_SEGMENT, 0.0, 1)], BadVertexId, "vertex 0.0 out of range 0..1"),
-    ([(families.path(*[1] * 99), 0, 99)] * 6, TooLarge,
+    (immerse, (_K4, [(_SEGMENT, 0, 1)] * 5 + [(_SEGMENT, 1, 1)]), SamePoint, "marked points must be distinct"),
+    (immerse, (_K4, [(_SEGMENT, 0, 1)] * 5 + [(_SEGMENT, 0, 2)]), BadVertexId, "vertex 2 out of range 0..1"),
+    (immerse, (_K4, [(_SEGMENT, 0, 1)] * 5 + [(_SEGMENT, 0.0, 1)]), BadVertexId, "vertex 0.0 out of range 0..1"),
+    (immerse, (_K4, [(families.path(*[1] * 99), 0, 99)] * 6), TooLarge,
      f"an immersion exceeds the limit of {MAX_VERTICES} vertices and {MAX_EDGES} edges"),
-    ([(families.path(*[1] * 99), 0, 99)] * 5 + [(_SEGMENT, 0, 3)], BadVertexId,
+    (immerse, (_K4, [(families.path(*[1] * 99), 0, 99)] * 5 + [(_SEGMENT, 0, 3)]), BadVertexId,
      "vertex 3 out of range 0..1"),  # the marks before the size
-], ids=["count", "empty", "same-point", "out-of-range", "float-mark", "over-limit", "mark-before-size"])
-def test_immerse_refusals(betas, error, message):
-    # one distinct marking is checked once, yet each refusal keeps its class and text
+], ids=["delete-bridge", "identify-same-point", "add-edge-zero-length", "immerse-count", "immerse-empty",
+        "immerse-same-point", "immerse-out-of-range", "immerse-float-mark", "immerse-over-limit",
+        "immerse-mark-before-size"])
+def test_op_refusals(op, args, error, message):
     with pytest.raises(error) as info:
-        immerse(_K4, betas)
+        op(*args)
     assert (type(info.value), str(info.value)) == (error, message)
 
 
@@ -371,24 +318,6 @@ def test_immerse_endpoint_swap_keeps_tau():
         assert tau_of(immerse(g, betas).graph) == tau_of(base.graph)
 
 
-def test_tower():
-    circ = families.circle(F(1, 2), F(1, 2))
-    n1 = c_tower(circ, 0, 1, 1)
-    closure(n1)
-    # one union step then normalization agrees
-    direct = union_two_points(circ, circ, (0, 1), (0, 1)).graph
-    assert n1.graph == normalize(direct)
-    n2 = closure(c_tower(circ, 0, 1, 2))
-    assert n2.predicted_tau == F(13, 192)
-    rng = random.Random(89)
-    g = normalize(families.random_connected(rng, 5, 7))
-    if g.vcount >= 2:
-        closure(c_tower(g, 0, g.vcount - 1, 2))
-    # an unnormalized input gives the tower of its normalized form
-    scaled = closure(c_tower(scale(circ, F(7, 3)), 0, 1, 2))
-    assert (scaled.graph, scaled.predicted_tau) == (n2.graph, n2.predicted_tau)
-
-
 def test_tower_matches_chained_unions():
     # the tower, built once, equals n two-point unions followed by normalize
     from mgt.suite import GraphGenerator
@@ -459,7 +388,6 @@ def test_op_result_is_frozen_and_evaluates_its_formula_once():
 def test_edge_id_outside_the_graph_is_rejected(edge_id):
     # a negative id used to index from the end and build a graph with repeated edges
     from mgt.errors import BadPoint
-    from mgt.graph import delete_edge_graph
 
     g = families.circle(F(1, 2), F(1, 3), F(1, 6), F(1, 4))
     for make in (delete_edge_graph, delete_edge, contract_edge):

@@ -199,9 +199,9 @@ def test_bench_record_mutants_entry_counts_the_survivors():
 
 def test_a_mutant_is_killed_only_by_a_failure_of_each_named_test():
     # a row that names two tests must see both fail; a bare name stands for its parametrized cases
-    named_failed, failed = _tool("mutants")._named_failed, {"t.py::a[x]", "t.py::b"}
-    assert named_failed("t.py::a", failed) and named_failed("t.py::a[x]", failed) and named_failed("t.py::b", failed)
-    assert not any(named_failed(name, failed) for name in ("t.py::a[y]", "t.py::b[x]", "t.py::c"))
+    named_in, failed = _tool("mutants")._named_in, {"t.py::a[x]", "t.py::b"}
+    assert named_in("t.py::a", failed) and named_in("t.py::a[x]", failed) and named_in("t.py::b", failed)
+    assert not any(named_in(name, failed) for name in ("t.py::a[y]", "t.py::b[x]", "t.py::c"))
 
 
 def test_each_mutant_old_text_occurs_once_in_its_file():
@@ -212,6 +212,23 @@ def test_each_mutant_old_text_occurs_once_in_its_file():
     for ident, name, old, new, tests in rows:
         assert (root / name).read_text(encoding="utf-8").count(old) == 1, ident
         assert new != old and tests, ident
+
+
+def test_each_mutant_names_collected_tests(request):
+    # a renamed test would turn its row into a survivor that shows only when tools/mutants.py runs;
+    # a whole run's session holds every node id, and a partial run collects the named files instead
+    mutants = _tool("mutants")
+    named = sorted({test for row in mutants.MUTANTS for test in row[4]})
+    collected = {item.nodeid for item in request.session.items}
+    if not all(mutants._named_in(test, collected) for test in named):
+        files = sorted({test.split("::")[0] for test in named})
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+                               *files], cwd=Path(__file__).resolve().parent.parent, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stdout
+        collected = {line for line in done.stdout.splitlines() if "::" in line}
+    assert [test for test in named if not mutants._named_in(test, collected)] == []
 
 
 def test_readme_names_every_export_in_its_module_row():

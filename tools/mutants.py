@@ -18,7 +18,8 @@ a restored file is never read through a stale cache. Standard library and
 pytest only.
 
 Each row is (id, file, exact old text, new text, test node ids that must fail);
-the old text occurs exactly once in its file (a Tier-1 test checks it).
+the old text occurs exactly once in its file, and every test the row names is
+collected (Tier-1 tests check both).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ BUILDERS = "tests/test_ops.py::test_builders_return_exact_edge_triples"
 REFUSALS = "tests/test_cli.py::test_refusal"
 LIBRARY_IDS = "tests/test_package.py::test_library_refuses_a_bad_id_or_count"
 ORACLE = "tests/test_oracles.py::test_kernel_matches_its_oracle"  # [row id] of the kernel-vs-oracle table
+CLOSURE = "tests/test_ops.py::test_op_closure"  # [row id] of the operations' closure table
 
 MUTANTS = [
     # the graphs that mgt derives from checked graphs are built past the constructor's check,
@@ -55,7 +57,7 @@ MUTANTS = [
     ("delete-edge-graph-bridge-test-dropped", GRAPH,
      "    if edge_id in bridges(g):\n        raise BridgeDeletion",
      "    if False:\n        raise BridgeDeletion",
-     ["tests/test_ops.py::test_delete_bridge_rejected"]),
+     ["tests/test_ops.py::test_op_refusals[delete-bridge]"]),
     ("identify-points-glued-upward", GRAPH,
      "{max(p, q): min(p, q)}, 0))", "{min(p, q): max(p, q)}, 0))",
      [f"{BUILDERS}[identify_points]"]),
@@ -71,7 +73,7 @@ MUTANTS = [
     ("contract-edge-keeps-the-edge", OPS,
      "    rest = g.edges[:edge_id] + g.edges[edge_id + 1 :]  # glued",
      "    rest = g.edges  # glued",
-     ["tests/test_ops.py::test_contract_k4_edge"]),
+     [f"{CLOSURE}[contract-edge-k4]"]),
     ("add-edge-past-the-last-vertex", OPS,
      "g.edges + (Edge(p, q, new_length),)", "g.edges + (Edge(p, g.vcount, new_length),)",
      [f"{BUILDERS}[add_edge]"]),
@@ -81,16 +83,16 @@ MUTANTS = [
      [f"{BUILDERS}[union_one_point]"]),
     ("union-two-points-glued-at-p-only", OPS,
      "{p2: p1, q2: q1}, g1.vcount)", "{p2: p1}, g1.vcount)",
-     ["tests/test_ops.py::test_union_two_points_random"]),
+     [f"{CLOSURE}[union-two-points-random]"]),
     ("da-n-one-copy-short", OPS,
      "_scaled(g.edges, 1, n) for _ in range(n))", "_scaled(g.edges, 1, n) for _ in range(n - 1))",
-     ["tests/test_ops.py::test_da_n_identity_and_counts"]),
+     [f"{CLOSURE}[da-n-diamond]"]),
     ("immerse-copy-labels-shifted", OPS,
      "label = [*range(nxt, nxt + inner), a, b]", "label = [*range(nxt + 1, nxt + inner + 1), a, b]",
      [f"{BUILDERS}[immerse]"]),
     ("c-tower-glued-at-p-only", OPS,
      "{p: p, q: q}, vcount)", "{p: p}, vcount)",
-     ["tests/test_ops.py::test_tower"]),
+     [f"{CLOSURE}[c-tower-circle]"]),
     ("with-length-repeats-the-edge", SUITE,
      "+ g.edges[edge + 1 :])", "+ g.edges[edge:])",
      [f"{FAULT}[lemedgeext-deleted-A]"]),
@@ -133,7 +135,20 @@ MUTANTS = [
      [f"{ORACLE}[kirchhoff-number]"]),
     ("parallel-split-sum-weight", OPS,
      "Fraction(n - 1, 6 * n**2) * parallel_sum(g)", "Fraction(n - 1, 6 * n) * parallel_sum(g)",
-     ["tests/test_ops.py::test_da_n_identity_and_counts"]),
+     [f"{CLOSURE}[da-n-diamond]"]),
+    # the formulas that verify never reads: each has a row of the closure table
+    ("loop-contraction-drops-a-quarter", OPS,
+     "lambda: tau_of(g) - length / 12)", "lambda: tau_of(g) - length / 4)", [f"{CLOSURE}[contract-loop]"]),
+    ("bridge-contraction-drops-a-twelfth", OPS,
+     '"bridge-contraction", lambda: tau_of(g) - length / 4)',
+     '"bridge-contraction", lambda: tau_of(g) - length / 12)', [f"{CLOSURE}[contract-bridge-path]"]),
+    ("edge-contraction-deleted-a-sign", OPS,
+     "+ length * deleted_apq", "- length * deleted_apq", [f"{CLOSURE}[contract-edge-k4]"]),
+    ("wedge-additivity-first-part-twice", OPS,
+     "lambda: tau_of(g1) + tau_of(g2))", "lambda: tau_of(g1) + tau_of(g1))",
+     [f"{CLOSURE}[union-one-point-circle-segment]"]),
+    ("subdivision-invariance-times-m", OPS,
+     "lambda: tau_of(g))", "lambda: tau_of(g) * m)", [f"{CLOSURE}[subdivide-corpus]"]),
     ("marked-template-p-q-swapped", OPS,
      "{p: len(inner), q: len(inner) + 1}", "{p: len(inner) + 1, q: len(inner)}",
      [f"{ORACLE}[immerse-two-step]"]),
@@ -178,9 +193,9 @@ MUTANTS = [
 ]
 
 
-def _named_failed(name: str, failed: set[str]) -> bool:
-    """Whether test ``name``, or one of its parametrized cases if it has no brackets, failed."""
-    return any(node == name or "[" not in name and node.startswith(name + "[") for node in failed)
+def _named_in(name: str, nodes: set[str]) -> bool:
+    """Whether test ``name``, or one of its parametrized cases if it has no brackets, is in ``nodes``."""
+    return any(node == name or "[" not in name and node.startswith(name + "[") for node in nodes)
 
 
 def _kill(copy: str, row) -> tuple[int, list[str], float]:
@@ -203,7 +218,7 @@ def _kill(copy: str, row) -> tuple[int, list[str], float]:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(source)
     failed = {line.split()[1] for line in done.stdout.splitlines() if line.startswith("FAILED ")}
-    return done.returncode, [t for t in tests if not _named_failed(t, failed)], time.perf_counter() - start
+    return done.returncode, [t for t in tests if not _named_in(t, failed)], time.perf_counter() - start
 
 
 def main() -> int:
