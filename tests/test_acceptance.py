@@ -237,7 +237,7 @@ def test_criterion_6_gradient():
             [(ea, eb, el + (x if j == i else 0)) for j, (ea, eb, el) in enumerate(g.edges)],
         )
         a_del = deleted_apq(g, i)
-        denom = L + context(g).edge_profiles(0)[i].res_deleted
+        denom = L + context(g).res_deleted(i)
         assert tau_of(modified) == tau_of(g) + x / 12 - x * a_del / (denom * (denom + x))
         done += 1
     # Euler identity and float agreement

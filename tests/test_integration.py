@@ -1,26 +1,22 @@
 import copy
 import pickle
-import random
 from fractions import Fraction as F
 
 import pytest
 
 from mgt import families
-from mgt.circuit import context, resistance, voltage
+from mgt.circuit import resistance, voltage
 from mgt.errors import BadN, BadPoint, BadVertexId, NonPolynomialIntegrand
 from mgt.graph import build_graph
 from mgt.integration import (
     TAG_J_BASE_P,
-    TAG_J_BASE_X,
     EdgePolynomial,
-    apq_direct,
     edge_tag_polynomials,
     fit_edge_function,
     integrate_product,
     interpolate,
 )
 from oracles import tau_via_integral
-from test_oracles import agrees
 
 
 def test_edge_polynomial_algebra():
@@ -115,50 +111,7 @@ def test_edge_tag_polynomials_checks_its_inputs():
             edge_tag_polynomials(k4, p, q, 0)
 
 
-def test_power_integrals_match_resistance_powers():
-    k4 = families.complete(4, 6)
-    r = context(k4).r(0, 1)
-    for n in range(4):
-        val = integrate_product(
-            k4, 0, 1, [(TAG_J_BASE_P, True, 2), (TAG_J_BASE_P, False, n)]
-        )
-        assert val == r ** (n + 1) / (n + 1)
-
-
-def test_orthogonality_random():
-    rng = random.Random(41)
-    for _ in range(8):
-        g = families.random_connected(rng, 5, 8)
-        if g.vcount < 2:
-            continue
-        p, q = 0, g.vcount - 1
-        val = integrate_product(g, p, q, [(TAG_J_BASE_X, True, 1), (TAG_J_BASE_P, True, 1)])
-        assert val == 0
-
-
 def test_tau_via_integral_closed_forms():
     assert tau_via_integral(families.circle(F(1, 2), F(1, 2))) == F(1, 12)
     assert tau_via_integral(families.segment(1)) == F(1, 4)
     assert tau_via_integral(families.complete(4, 1)) == F(5, 96)
-
-
-# the tau-integral row of the kernel-vs-oracle table, on graphs outside its graph list
-def test_tau_integral_equals_edge_sum():
-    rng = random.Random(43)
-    for _ in range(10):
-        g = families.random_connected(rng, 5, 8)
-        assert agrees("tau-integral", g, rng.randrange(g.vcount))
-
-
-def test_tau_integral_base_independent():
-    g = families.theta(F(1, 2), F(1, 3), F(1, 6))
-    assert len({tau_via_integral(g, p) for p in range(g.vcount)}) == 1
-
-
-def test_apq_direct_examples():
-    tree = families.path(F(3, 2), F(1, 4))
-    assert apq_direct(tree, 0, 2) == 0
-    a, b = F(2, 3), F(5, 7)
-    assert apq_direct(families.circle(a, b), 0, 1) == a * a * b * b / (6 * (a + b) ** 2)
-    assert apq_direct(families.diamond(1), 0, 2) == F(1, 8)
-    assert apq_direct(families.diamond(1), 0, 0) == 0

@@ -1,5 +1,4 @@
 import itertools
-import random
 from fractions import Fraction as F
 
 import pytest
@@ -61,16 +60,6 @@ def test_reduce_tree_two_terminals():
 def test_reduce_k4():
     k4 = families.complete(4, 6)
     assert resistance_via_reduction(k4, 0, 1) == F(1, 2)
-
-
-def test_three_terminal_legs_are_voltages():
-    rng = random.Random(37)
-    for _ in range(12):
-        g = families.random_connected(rng, 6, 10)
-        if g.vcount < 3:
-            continue
-        x, p, q = rng.sample(range(g.vcount), 3)
-        assert voltage_via_reduction(g, x, p, q) == context(g).voltage(x, p, q)
 
 
 def test_every_rewrite_preserves_terminal_resistance():

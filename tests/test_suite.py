@@ -5,11 +5,13 @@ from functools import partial
 
 import pytest
 
+import mgt.circuit
 import mgt.ops
 import mgt.suite
 import mgt.tau
 from mgt import families
 from mgt.graph import bridges, build_graph, normalize
+from mgt.rational import INF
 from mgt.reduction import reduce_to_terminals
 from mgt.suite import (
     CHECKS,
@@ -18,7 +20,7 @@ from mgt.suite import (
     run_graph_checks,
     run_suite,
 )
-from mgt.circuit import GreenUpdate, KirchhoffState, context
+from mgt.circuit import GraphContext, GreenUpdate, KirchhoffState, context
 from mgt.tau import cubic_sum, tau_of
 from oracles import family_graphs, necklace_cubic_sum, necklace_edge_resistances, necklace_witness
 from test_linalg import _spy_on_factorizations
@@ -65,15 +67,6 @@ def test_suite_deterministic():
     assert run_suite(GraphGenerator(6).graphs(4), 6) != a
     # the seed of the checks' rng alone changes what they draw
     assert run_suite(GraphGenerator(5).graphs(4), 6) != a
-
-
-def test_suite_passes_on_random_corpus():
-    results = run_suite(GraphGenerator(2).graphs(12), 2)
-    failures = [r for r in results if r.status == "fail"]
-    assert not failures, failures[:3]
-    for r in results:
-        if r.status == "skip":
-            assert r.reason
 
 
 def test_suite_family_generators():
@@ -302,10 +295,20 @@ def _stored_conductance(monkeypatch, g):
     monkeypatch.setitem(stored[b], a, stored[b][a] + 1)
 
 
-# fault name -> installer(monkeypatch, graph). A is faulted wherever it is imported and by
-# whichever name; every base's tau is its own sum; the rewrites of eq1.1-voltage must not
+def _last_green_numerator(monkeypatch, g):
+    _after(monkeypatch, mgt.circuit, "green_numden", lambda out, *args: (_last_plus_1(out[0]), out[1]))
+    monkeypatch.delitem(g.__dict__, "_context", raising=False)  # so the faulted run factorizes g again
+
+
+# fault name -> installer(monkeypatch, graph). A and tau are faulted wherever the catalog imports them,
+# by whichever name; every base's tau is its own sum; the rewrites of eq1.1-voltage must not
 # agree with a wrong network; the successive changes compare their chain with a factorization
 _FAULTS = {
+    "tau-plus-eps": lambda m, g: _plus_eps(m, (mgt.suite, "tau_of"), (mgt.ops, "tau_of")),
+    "r-plus-eps": lambda m, g: _after(m, GraphContext, "r", lambda out, cx, y, z: out + _EPS if y != z else out),
+    "res-deleted-plus-eps": lambda m, g: _after(m, GraphContext, "res_deleted", lambda out, *args: (
+        out if out is INF else out + _EPS)),
+    "last-green-numerator": _last_green_numerator,
     "closed-A": lambda m, g: _plus_eps(m, (mgt.suite, "apq"), (mgt.ops, "apq")),
     "deleted-A": lambda m, g: _plus_eps(m, (mgt.suite, "deleted_apq"), (mgt.tau, "deleted_apq"),
                                         (mgt.ops, "deleted_apq"), (mgt.suite, "deleted_apq_of")),
@@ -350,13 +353,17 @@ _FAULT_ROWS = [
     ("valence-independence", "potential-at-last-base", *_THREE, "base 2", None),
     ("eq1.1-voltage", "stored-conductance", *_FOUR, r"j_\d+\(\d+,\d+\)", None),
     *(("lemsuccessedgeext", fault, *_CORPUS, None, None) for fault in ("carried-numerator", "update-entry")),
+    *((cid, "tau-plus-eps", *_K4, None, None) for cid in (
+        "scale-covariance", "thmbasic", "thmdouble", "thmdoubledivision", "proplembanana")),
+    ("thmjpq2njpq-n0..3", "r-plus-eps", *_K4, "n=0", None),
+    ("lemdivisione", "res-deleted-plus-eps", *_K4, None, None),
+    *((cid, "last-green-numerator", *_K4, None, None) for cid in (
+        "genus-identity", "canonical-measure-mass", "lemorthogonality", "lemdivision1")),
 ]
 # the identities no fault above fails yet: each is a gap to close with a row
 _UNFAULTED = {
-    "genus-identity", "canonical-measure-mass", "scale-covariance", "thmjpq2njpq-n0..3",
-    "lemorthogonality", "thmbasic", "FMM1-bounds", "thmeqlength", "thmeqlength2", "thmcorineqsumR4",
-    "thm2term", "thmdouble", "thmdoubledivision", "lemdivision1", "lemdivisione",
-    "thmdoubleimp-implication", "corbasic2", "proplembanana", "coradd-bridge-contraction",
+    "FMM1-bounds", "thmeqlength", "thmeqlength2", "thmcorineqsumR4", "thm2term",
+    "thmdoubleimp-implication", "corbasic2", "coradd-bridge-contraction",
 }
 
 

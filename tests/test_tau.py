@@ -7,14 +7,7 @@ import pytest
 from mgt import families
 from mgt.circuit import EdgeProfile, context
 from mgt.errors import HasBridge
-from mgt.graph import (
-    bridges,
-    build_graph,
-    insert_point,
-    normalize,
-    scale,
-    subdivide_uniform,
-)
+from mgt.graph import bridges, build_graph, normalize, subdivide_uniform
 from mgt.families import ScanRow
 from mgt.optimize import OptState
 from mgt.rational import INF
@@ -125,42 +118,11 @@ def test_canonical_measure_examples():
     assert mu.total_mass(k4) == 1
 
 
-def test_canonical_measure_mass_is_one():
-    rng = random.Random(47)
-    for _ in range(15):
-        g = families.random_connected(rng, 7, 12)
-        assert canonical_measure(g).total_mass(g) == 1
-
-
 def test_genus_identity():
     assert genus_identity_check(families.circle(F(5, 4))) == (1, 0)
     tree = families.path(1, 2, 3, 4)
     assert genus_identity_check(tree) == (0, 4)
     assert genus_identity_check(families.complete(4)) == (3, 3)
-    rng = random.Random(53)
-    for _ in range(10):
-        g = families.random_connected(rng, 6, 10)
-        left, right = genus_identity_check(g)
-        assert left == g.ecount - g.vcount + 1
-        assert right == g.vcount - 1
-
-
-def test_tau_base_independent_and_insert_invariant():
-    rng = random.Random(59)
-    for _ in range(8):
-        g = families.random_connected(rng, 6, 9)
-        tau = tau_of(g)
-        assert all(tau_edge_sum(g, p).tau == tau for p in range(g.vcount))
-        e = rng.randrange(g.ecount)
-        g2, _ = insert_point(g, (e, g.edges[e].length / 3))
-        assert tau_of(g2) == tau
-        assert tau_of(subdivide_uniform(g, 2)) == tau
-
-
-def test_tau_scale_covariance():
-    g = families.theta(F(1, 2), F(1, 3), F(1, 6))
-    for c in (F(2), F(1, 7), F(22, 3)):
-        assert tau_of(scale(g, c)) == c * tau_of(g)
 
 
 def test_apq_identity_matches_direct_and_nonnegative():
@@ -193,18 +155,6 @@ def test_gradient_examples():
     assert grad.bridge_edges == (0, 1)
     loop = families.circle(F(1))
     assert tau_gradient(loop).entries == (F(1, 12),)
-
-
-def test_gradient_euler_identity():
-    rng = random.Random(67)
-    for g in (
-        families.complete(4),
-        families.diamond(F(2, 5)),
-        families.random_connected(rng, 6, 9),
-        families.random_connected(rng, 6, 9),
-    ):
-        grad = tau_gradient(g)
-        assert sum(L * d for (_, _, L), d in zip(g.edges, grad.entries)) == tau_of(g)
 
 
 def test_gradient_finite_perturbation():

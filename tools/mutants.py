@@ -43,6 +43,7 @@ REFUSALS = "tests/test_cli.py::test_refusal"
 LIBRARY_IDS = "tests/test_package.py::test_library_refuses_a_bad_id_or_count"
 ORACLE = "tests/test_oracles.py::test_kernel_matches_its_oracle"  # [row id] of the kernel-vs-oracle table
 CLOSURE = "tests/test_ops.py::test_op_closure"  # [row id] of the operations' closure table
+ACCEPT4 = "tests/test_acceptance.py::test_criterion_4_identity_suite"  # the pinned seed-1 verify
 
 MUTANTS = [
     # the graphs that mgt derives from checked graphs are built past the constructor's check,
@@ -120,6 +121,13 @@ MUTANTS = [
     ("apq-sum-gap-halved", TAU,
      "(3 * ld * (s_e - 2 * big_r) + 2 * gap), ln))", "(3 * ld * (s_e - 2 * big_r) + gap), ln))",
      [f"{FAULT}[corpropAcircle-closed-A]"]),
+    # the fault graph K4 has unit length numerators, so only other graphs show this one
+    ("canonical-density-one-ln", TAU,
+     "Fraction(gap * ld, den * ln * ln)", "Fraction(gap * ld, den * ln)",
+     ["tests/test_tau.py::test_canonical_measure_examples", ACCEPT4]),
+    ("genus-resistance-part-swapped", TAU,
+     "(rn * ld, ln)", "(rn * ln, ld)",
+     ["tests/test_tau.py::test_genus_identity", f"{FAULT}[genus-identity-last-green-numerator]", ACCEPT4]),
     ("gradient-beta-halved", TAU,
      "2 * gap * (big_l // ln)", "gap * (big_l // ln)",
      [f"{ORACLE}[gradient]", "tests/test_tau.py::test_gradient_finite_perturbation"]),
