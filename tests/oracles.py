@@ -584,12 +584,6 @@ def fit_graphs() -> tuple[MetrizedGraph, ...]:
     return tuple(graphs)
 
 
-def factor_graphs() -> tuple[MetrizedGraph, ...]:
-    """K5, the first tree and the last circle of ``fit_graphs``."""
-    graphs = fit_graphs()
-    return graphs[0], graphs[2], graphs[11]
-
-
 @cache
 def chain_heavy_graphs() -> tuple[MetrizedGraph, ...]:
     """Mostly degree-two vertices, as the operations build them, with random lengths:
@@ -607,21 +601,17 @@ def chain_heavy_graphs() -> tuple[MetrizedGraph, ...]:
 
 
 @cache
-def random_inverse_graphs() -> tuple[MetrizedGraph, ...]:
-    """80 random multigraphs of up to 9 vertices and 18 edges and 20 random trees: mixed
-    denominators, parallel edges, loops and bridges all occur."""
+def inverse_graphs() -> tuple[MetrizedGraph, ...]:
+    """80 random multigraphs of up to 9 vertices and 18 edges and 20 random trees (mixed
+    denominators, parallel edges, loops and bridges all occur); one-vertex graphs, a segment, a
+    looped banana, K5, a necklace, a 4-cycle with a loop and K4 with 500-digit lengths; and
+    ``chain_heavy_graphs``."""
     rng = random.Random(11)
     graphs = [families.random_connected(rng, 9, 18) for _ in range(80)]
-    return tuple(graphs + [families.random_tree(rng, 9) for _ in range(20)])
-
-
-@cache
-def special_inverse_graphs() -> tuple[MetrizedGraph, ...]:
-    """One-vertex graphs, a segment, a looped banana, K5, a necklace, a 4-cycle with a loop
-    and K4 with 500-digit lengths."""
+    graphs += [families.random_tree(rng, 9) for _ in range(20)]
     rng = random.Random(12)
     big = [Fraction(rng.randrange(10**498, 10**499), rng.randrange(10**498, 10**499)) for _ in range(6)]
-    return (
+    graphs += [
         build_graph(1, []),
         build_graph(1, [(0, 0, Fraction(2, 3))]),
         families.segment(Fraction(5, 7)),
@@ -631,12 +621,8 @@ def special_inverse_graphs() -> tuple[MetrizedGraph, ...]:
         build_graph(4, [(0, 1, 2), (1, 2, Fraction(3, 4)), (2, 3, Fraction(5, 6)), (3, 1, Fraction(7, 8)),
                         (2, 2, Fraction(1, 9))]),
         build_graph(4, [(a, b, big.pop()) for a in range(4) for b in range(a + 1, 4)]),
-    )
-
-
-def inverse_graphs() -> tuple[MetrizedGraph, ...]:
-    """``random_inverse_graphs``, ``special_inverse_graphs`` and ``chain_heavy_graphs``."""
-    return random_inverse_graphs() + special_inverse_graphs() + chain_heavy_graphs()
+    ]
+    return tuple(graphs) + chain_heavy_graphs()
 
 
 def tau_reducing_sequence(

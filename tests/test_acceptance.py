@@ -4,7 +4,15 @@ The oracle-equivalence criterion distributes its checks on the random corpus
 (200 seeded connected multigraphs, at most 8 vertices and 16 edges) over worker
 processes, with results collected in deterministic order. The identity-suite
 and operation-closure criteria read one in-process run of ``mgt verify`` on the
-same corpus, whose output is pinned by its sha256.
+same corpus, whose output is pinned by its sha256; each identity must pass on at
+least 25 of its graphs.
+
+The other criteria: closed-form regressions; the necklace witness (tau > 1/12.1 with a
+cubic term < 1/5000, both exact, from the necklace's three edge symmetry classes); the
+exact gradient; the optimizer's convergence on the 4-banana to tau = 1/16; the
+tau-reducing construction on the circle; and the ratio floor tau/length >= 1/108 over
+the family scans and optimizer runs, where a violation is reported loudly, since it
+would disprove the conjectured constant.
 """
 
 import contextlib

@@ -1,3 +1,11 @@
+"""The command line of mgt.cli: each verb's output, the refusal table, exit codes and cold start.
+
+Each row of ``_REFUSALS`` is a command line that mgt refuses with its exit code (2 usage, 3 input),
+nothing on stdout and one ``error:`` line on stderr. A verb imports its modules inside its handler
+and builds only its own subparser; ``mgt --help``, no verb or an unknown verb build all of them,
+and help, usage errors and exit codes read the same either way.
+"""
+
 import ast
 import contextlib
 import io

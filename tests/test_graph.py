@@ -70,6 +70,7 @@ def _vertex_count_and_ends(draw):
 @example((4, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 3), (3, 3)]))  # connected with loops
 @settings(max_examples=400, deadline=None)
 def test_connectivity_matches_bfs(case):
+    # networkx's component count is the outside reference for the constructor's union-find
     vcount, ends = case
     edges = tuple(Edge(a, b, F(1)) for a, b in ends)
     reference = nx.MultiGraph(ends)

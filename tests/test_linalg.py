@@ -11,21 +11,7 @@ from mgt.graph import build_graph, normalize, scale
 from mgt.linalg import bareiss_forward, green_numden
 from mgt.ops import immerse
 from mgt.suite import GraphGenerator
-from oracles import chain_heavy_graphs, random_inverse_graphs, reduced_laplacian, special_inverse_graphs
-from test_oracles import agrees
-
-
-# the green-inverse row of the kernel-vs-oracle table, on each part of its graph list
-def test_green_matches_fraction_inverse_on_random_graphs():
-    assert all(agrees("green-inverse", g) for g in random_inverse_graphs())
-
-
-def test_green_matches_fraction_inverse_on_special_graphs():
-    assert all(agrees("green-inverse", g) for g in special_inverse_graphs())
-
-
-def test_green_matches_fraction_inverse_on_chain_heavy_graphs():
-    assert all(agrees("green-inverse", g) for g in chain_heavy_graphs())
+from oracles import chain_heavy_graphs, reduced_laplacian
 
 
 def _relabeled(g, rng):

@@ -1,5 +1,6 @@
 """The graph operations of mgt.ops: each tau formula as rows of one closure table, each refusal
-as a row of one refusal table, and the builders' graphs, lengths, ids and size limits."""
+as a row of one refusal table, and the builders' graphs, lengths, ids and size limits. Every
+formula id that mgt.ops passes to an OpResult has a row of the closure table."""
 
 import ast
 import inspect

@@ -1,5 +1,6 @@
 """The package as a whole: its exports resolve on first access (PEP 562), every import and
-public definition is read, the tools' tables hold, and every public id or count is checked."""
+public definition is read, no module of mgt imports sympy or networkx, the tools' tables hold, and
+every public id or count is checked."""
 
 import ast
 import hashlib

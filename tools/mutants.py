@@ -121,10 +121,11 @@ MUTANTS = [
     ("apq-sum-gap-halved", TAU,
      "(3 * ld * (s_e - 2 * big_r) + 2 * gap), ln))", "(3 * ld * (s_e - 2 * big_r) + gap), ln))",
      [f"{FAULT}[corpropAcircle-closed-A]"]),
-    # the fault graph K4 has unit length numerators, so only other graphs show this one
+    # a length numerator other than 1 shows this one: the fault graph K4's lengths are 2/3
     ("canonical-density-one-ln", TAU,
      "Fraction(gap * ld, den * ln * ln)", "Fraction(gap * ld, den * ln)",
-     ["tests/test_tau.py::test_canonical_measure_examples", ACCEPT4]),
+     ["tests/test_tau.py::test_canonical_measure_examples", ACCEPT4,
+      f"{FAULT}[canonical-measure-mass-last-green-numerator]"]),
     ("genus-resistance-part-swapped", TAU,
      "(rn * ld, ln)", "(rn * ln, ld)",
      ["tests/test_tau.py::test_genus_identity", f"{FAULT}[genus-identity-last-green-numerator]", ACCEPT4]),
