@@ -1,15 +1,16 @@
 """Effective resistance and voltage functions via exact Laplacian solves.
 
 A :class:`GraphContext` holds the Green matrix (inverse reduced Laplacian) of
-a list of edges as integer numerators over one denominator d (``num``,
-``den``), together with one integer row per edge (``rows``), so that all
-pairwise resistances, voltage values and per-edge deletion resistances come
-out of a single factorization. ``GraphContext.of(g)`` factorizes g, and
-``context(g)`` stores that context on the graph itself through
-``graph._cached``, like the graph's other derived values, so it lives exactly
-as long as the graph; it keeps the graph's edges, not the graph, so no
-reference cycle holds either. Each graph is factorized once, by its first
-reader, and the integers are never mutated.
+a list of edges as integer numerators N over one denominator d (``den``),
+together with one integer row per edge (``rows``), so that all pairwise
+resistances, voltage values and per-edge deletion resistances come out of a
+single factorization. Only this module knows how N is stored; the others read
+it through ``row``, ``potentials``, ``glued`` and ``deleted``.
+``GraphContext.of(g)`` factorizes g, and ``context(g)`` stores that context
+on the graph itself through ``graph._cached``, like the graph's other derived
+values, so it lives exactly as long as the graph; it keeps the graph's edges,
+not the graph, so no reference cycle holds either. Each graph is factorized
+once, by its first reader, and the integers are never mutated.
 
 Deleting an edge and gluing two vertices are read off the same integers,
 with no new graph built: each is one rank-one update that adds an edge
@@ -41,7 +42,7 @@ from fractions import Fraction
 from operator import sub
 from typing import NamedTuple
 
-from .errors import BridgeDeletion
+from .errors import BridgeDeletion, MgtError
 from .graph import Edge, MetrizedGraph, PointOnGraph, _cached, check_vertices, edge_at, insert_points
 from .linalg import green_numden, kirchhoff_ratio
 from .rational import INF, ExtScalar
@@ -74,18 +75,22 @@ class GreenUpdate:
     N' = N s - n c c^T over d' = d s (s and n negated when s < 0, so d' > 0).
     Deletion is m/n = -L; gluing is m = 0, n = 1, where an edge a-b becomes a
     loop and a bridge closed into a cycle gets gap' > 0, with no branch. c is
-    built with the update; an entry, the diagonal, a row and the edge rows
-    are each worked out only when read. ``res_num`` and ``row`` refuse a
-    vertex id outside the graph, where -1 would wrap.
+    built with the update from a context's N; an entry, the diagonal, a row
+    and the edge rows are each worked out only when read. The constructor,
+    ``res_num`` and ``row`` refuse a vertex id outside the graph, where -1
+    would wrap; the constructor refuses s = 0 (a vertex glued to itself).
     """
 
-    def __init__(self, num: list[list[int]], den: int, a: int, b: int, m: int, n: int):
-        self._c = c = list(map(sub, num[a], num[b]))
-        s = m * den + n * (c[a] - c[b])
+    def __init__(self, ctx: GraphContext, a: int, b: int, m: int, n: int):
+        check_vertices(ctx, a, b)
+        self._c = c = list(map(sub, ctx._num[a], ctx._num[b]))
+        s = m * ctx.den + n * (c[a] - c[b])
+        if not s:
+            raise MgtError(f"an edge of length {m}/{n} between {a} and {b} leaves no Green matrix")
         if s < 0:
             s, n = -s, -n
-        self._num, self._s, self._n = num, s, n
-        self.den = den * s
+        self._num, self._s, self._n = ctx._num, s, n
+        self.den = ctx.den * s
         self.vcount = len(c)
 
     def res_num(self, y: int, z: int) -> int:
@@ -141,17 +146,18 @@ class GreenUpdate:
 class GraphContext:
     """Exact solver state for one immutable graph (its edges, not the graph).
 
-    ``num`` and ``den`` are the Green matrix as integer numerators over one
-    denominator d, so a resistance costs a single Fraction construction;
-    readers share ``num`` and must not mutate it. ``rows`` holds one integer
-    row (a, b, ln, ld, rn, gap) per edge: L = ln/ld, r(a,b) = rn/d and
-    L - r(a,b) = gap/(ld d), so gap = ln d - rn ld, zero exactly on bridges,
-    and rn is zero on self-loops. ``of`` factorizes a graph into one.
-    Its readers refuse a vertex or edge id outside the graph, where -1 would wrap.
+    N and ``den`` are the Green matrix as integer numerators over one
+    denominator d, so a resistance costs a single Fraction construction. N is
+    read through ``row`` (shared: the reader must not mutate it) and
+    ``potentials``. ``rows`` holds one integer row (a, b, ln, ld, rn, gap)
+    per edge: L = ln/ld, r(a,b) = rn/d and L - r(a,b) = gap/(ld d), so
+    gap = ln d - rn ld, zero exactly on bridges, and rn is zero on
+    self-loops. ``of`` factorizes a graph into one. Its readers refuse a
+    vertex or edge id outside the graph, where -1 would wrap.
     """
 
     def __init__(self, edges, num: list[list[int]], den: int):
-        self.edges, self.num, self.den = edges, num, den
+        self.edges, self._num, self.den = edges, num, den
         self.vcount = len(num)
         rows = []
         for a, b, length in edges:
@@ -180,8 +186,19 @@ class GraphContext:
             pass
         edge_at(self, edge_id)
 
+    def row(self, y: int) -> list[int]:
+        """Row y of N, shared: the reader must not mutate it."""
+        check_vertices(self, y)
+        return self._num[y]
+
+    def potentials(self, base: int = 0) -> list[int]:
+        """d r(base, y) - N[base][base] per vertex y; the diagonal at base 0, whose row of N is zero."""
+        check_vertices(self, base)
+        row_p = self._num[base]
+        return [row[y] - 2 * row_p[y] for y, row in enumerate(self._num)]
+
     def r(self, y: int, z: int) -> Fraction:
-        num, n = self.num, self.vcount
+        num, n = self._num, self.vcount
         try:  # a float id in range fails the index, a str id the comparison: refused below
             if 0 <= y < n and 0 <= z < n:
                 return Fraction(num[y][y] + num[z][z] - 2 * num[y][z], self.den)
@@ -191,7 +208,7 @@ class GraphContext:
 
     def voltage(self, x: int, y: int, z: int) -> Fraction:
         """j_x(y,z) = (r(x,y) + r(x,z) - r(y,z))/2, whose diagonal terms at y and z cancel."""
-        num, n = self.num, self.vcount
+        num, n = self._num, self.vcount
         try:  # a float id in range fails the index, a str id the comparison: refused below
             if 0 <= x < n and 0 <= y < n and 0 <= z < n:
                 return Fraction(num[x][x] - num[x][y] - num[x][z] + num[y][z], self.den)
@@ -205,7 +222,11 @@ class GraphContext:
         a, b, ln, ld, _, gap = self.rows[edge_id]
         if gap == 0:
             raise BridgeDeletion(f"deleting edge {edge_id} disconnects the graph")
-        return GreenUpdate(self.num, self.den, a, b, -ln, ld)
+        return GreenUpdate(self, a, b, -ln, ld)
+
+    def glued(self, p: int, q: int) -> GreenUpdate:
+        """g with p and q glued: the zero-length limit of an edge p-q; MgtError if p = q."""
+        return GreenUpdate(self, p, q, 0, 1)
 
     def r_deleted(self, edge_id: int, y: int, z: int) -> Fraction:
         """Resistance between y and z after deleting one edge; a loop (c = 0) leaves r unchanged."""
@@ -213,6 +234,7 @@ class GraphContext:
         return Fraction(update.res_num(y, z), update.den)
 
     def edge_profiles(self, base: int) -> tuple[EdgeProfile, ...]:
+        check_vertices(self, base)  # before the memo, whose key 1.0 would find base 1's profiles
         return _cached(self.memo, ("profiles", base), lambda: tuple(
             self._profile(i, base) for i in range(len(self.edges))))
 
@@ -255,7 +277,7 @@ class KirchhoffState(GraphContext):
 
     kappa is the sum over spanning trees T of prod(ld_e, e in T)
     prod(ln_e, e not in T) over the non-loop edges (``linalg.kirchhoff_ratio``),
-    and ``num`` is kappa G, an integer matrix; ``edges`` are the graph's edges
+    and its N is kappa G, an integer matrix; ``edges`` are the graph's edges
     at their current lengths and ``rows`` their rows over kappa, so every
     reader of a context (``deleted`` with its bridge check included) reads a
     state too. Changing edge e's length L = ln/ld to
@@ -276,7 +298,7 @@ class KirchhoffState(GraphContext):
         """g's state, scaled from its own context's (N, d) by kappa/d = p/q."""
         ctx = context(g)
         p, q = kirchhoff_ratio(g.vcount, g.edges).as_integer_ratio()
-        return cls(g.edges, [[x * p // q for x in row] for row in ctx.num], ctx.den * p // q)
+        return cls(g.edges, [[x * p // q for x in row] for row in ctx._num], ctx.den * p // q)
 
     def with_length(self, edge_id: int, length: Fraction) -> KirchhoffState:
         """The state after edge ``edge_id``'s length becomes ``length``."""
@@ -284,9 +306,9 @@ class KirchhoffState(GraphContext):
         a, b, ln, ld, _, _ = self.rows[edge_id]
         pn, pd = length.as_integer_ratio()
         n = pn * ld - ln * pd
-        num, den = self.num, self.den
+        num, den = self._num, self.den
         if a != b and n:
-            update = GreenUpdate(num, den, a, b, -ln * pn, n)
+            update = GreenUpdate(self, a, b, -ln * pn, n)
             h = den * ln * ln
             num, den = update.divided(h), update.den // h
         edges = list(self.edges)

@@ -130,18 +130,19 @@ def fit_edge_function(
 _DEGREE = {TAG_R_FROM_P: 2, TAG_J_BASE_P: 1, TAG_J_BASE_Q: 1, TAG_J_BASE_X: 2}
 
 
-def _tag_rows(num: list[list[int]], p: int, q: int, row, tags: Sequence[str]) -> list[list[int]]:
+def _tag_rows(rp: list[int], rq: list[int], diag: list[int], p: int, q: int, row,
+              tags: Sequence[str]) -> list[list[int]]:
     """The named tags on one edge as integers: coefficients in s = t/L, times 2 d ld.
 
-    ``row`` is the edge's (a, b, ln, ld, rn, gap) from ``GraphContext.rows``;
-    one row per tag comes back, in the order of ``tags``, and no other tag is built.
+    ``rp``, ``rq`` and ``diag`` are N's rows p and q and its diagonal (``GraphContext.row``,
+    ``potentials()``), read once for all edges; ``row`` is the edge's ``GraphContext.rows`` entry.
+    One row per tag comes back, in the order of ``tags``, and no other tag is built.
     With Pa = d r(p,a) (likewise Pb, Qa, Qb) and R = d r(p,q), r(p,x) is
     [2 ld Pa, 2 (ld (Pb - Pa) + gap), -2 gap]; the voltages are half-sums of
     r(p,x), r(q,x) and r(p,q), so their quadratic parts are -2 gap or cancel.
     """
     a, b, _, ld, _, gap = row
-    rp, rq = num[p], num[q]
-    naa, nbb = num[a][a], num[b][b]
+    naa, nbb = diag[a], diag[b]
     pa = rp[p] + naa - 2 * rp[a]
     qa = rq[q] + naa - 2 * rq[a]
     dp = nbb - naa - 2 * (rp[b] - rp[a])  # Pb - Pa
@@ -169,13 +170,13 @@ def edge_tag_polynomials(g: MetrizedGraph, p: int, q: int, edge: int) -> dict[st
     check_vertices(g, p, q)
     edge_at(g, edge)
     ctx = context(g)
-    num, den = ctx.num, ctx.den
     row = ctx.rows[edge]
     ln, ld = row[2], row[3]
-    scale = 2 * den * ld
+    scale = 2 * ctx.den * ld
+    tag_rows = _tag_rows(ctx.row(p), ctx.row(q), ctx.potentials(), p, q, row, ALL_TAGS)
     return {
         tag: _trimmed(edge, [Fraction(c * ld**k, scale * ln**k) for k, c in enumerate(coeffs)])
-        for tag, coeffs in zip(ALL_TAGS, _tag_rows(num, p, q, row, ALL_TAGS))
+        for tag, coeffs in zip(ALL_TAGS, tag_rows)
     }
 
 
@@ -209,10 +210,10 @@ def integrate_product(
     tags = list(dict.fromkeys(tag for tag, _, power in terms if power))
     factors = [(tags.index(tag), deriv, power) for tag, deriv, power in terms if power]
     ctx = context(g)
-    num, den = ctx.num, ctx.den
+    rp, rq, diag, den = ctx.row(p), ctx.row(q), ctx.potentials(), ctx.den
     parts = []
     for row in ctx.rows:
-        rows = _tag_rows(num, p, q, row, tags)
+        rows = _tag_rows(rp, rq, diag, p, q, row, tags)
         product, scalar = [1], 1
         for index, deriv, power in factors:
             factor = rows[index]

@@ -65,7 +65,6 @@ from .ops import (
 from .rational import INF, sum_over
 from .reduction import resistance_via_reduction, voltage_via_reduction
 from .tau import (
-    _potentials,
     _tau_sum,
     apq,
     apq_identity,
@@ -269,7 +268,7 @@ def _check_rem2term(g: MetrizedGraph, rng: random.Random):
            "tau(g, p) = tau(g, q); tau unchanged by midpoint vertex")
 def _check_valence_independence(g: MetrizedGraph, rng: random.Random):
     cx = context(g)
-    taus = [_tau_sum(cx.rows, _potentials(cx.num, p), cx.den)[0] for p in range(g.vcount)]
+    taus = [_tau_sum(cx.rows, cx.potentials(p), cx.den)[0] for p in range(g.vcount)]
     _all_eq([(f"base {p}", val, taus[0]) for p, val in enumerate(taus)])
     edge = rng.randrange(g.ecount)
     enlarged, _ = insert_point(g, (edge, g.edges[edge].length / 2))

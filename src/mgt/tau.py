@@ -1,9 +1,9 @@
 """tau, the canonical measure, the bound suite, the exact gradient and A.
 
 All of them are closed-form per-edge sums over the one integer Green matrix
-of a graph (numerators N over a determinant d, ``GraphContext.num`` and
-``den``, and the per-edge rows ``GraphContext.rows``). For an edge e = (a, b)
-of length L, with r = r(a,b) and D = r(p,b) - r(p,a) for a base vertex p:
+of a graph (numerators N over a determinant d, read through ``GraphContext.row``,
+``potentials`` and ``glued``, and the per-edge rows ``GraphContext.rows``). For
+an edge e = (a, b) of length L, with r = r(a,b) and D = r(p,b) - r(p,a) for a base vertex p:
 
 * tau = 1/4 sum_e [D^2/L + (L - r)^2/(3L)], for every base p;
 * the deleted resistance is R = L r/(L - r), so 1/(L+R) = (L - r)/L^2 and
@@ -42,7 +42,7 @@ from math import lcm
 from operator import mul, sub
 from typing import NamedTuple
 
-from .circuit import GraphContext, GreenUpdate, context
+from .circuit import GraphContext, context
 from .errors import EmptyGraph, HasBridge
 from .graph import MetrizedGraph, _cached, bridges, check_vertices, edge_at, genus, total_length
 from .rational import ExtScalar, sum_over
@@ -74,21 +74,10 @@ class GradientVector(NamedTuple):
     bridge_edges: tuple[int, ...]  # edges reported with the tree-like derivative 1/4
 
 
-def _potentials(num: list[list[int]], base: int = 0) -> list[int]:
-    """N[y][y] - 2 N[p][y] = d r(p,y) - N[p][p] per vertex y at base p. Row 0 of N is zero,
-    so at base 0 this is the diagonal, and a diagonal alone (g's or an update's) serves."""
-    row_p = num[base]
-    return [row[y] - 2 * row_p[y] for y, row in enumerate(num)]
-
-
-def _base_dns(pot: list[int], rows) -> list[int]:
-    """Per edge dn = d (r(p,b) - r(p,a)), from ``_potentials`` at base p."""
-    return [pot[b] - pot[a] for a, b, *_ in rows]
-
-
 def _tau_sum(rows, pot: list[int], den: int) -> tuple[Fraction, list[tuple[int, int]]]:
     """tau, and per edge 12 d^2 times its tau share as (numerator, denominator), from the
-    ``GraphContext.rows`` over d and D = r(p,b) - r(p,a), read off ``_potentials`` at p."""
+    ``GraphContext.rows`` over d and D = r(p,b) - r(p,a), read off ``GraphContext.potentials``
+    at p; at base 0 that is a diagonal, so an update's ``diag`` serves too."""
     terms = []
     for a, b, ln, ld, _, gap in rows:
         dl = (pot[b] - pot[a]) * ld  # d D ld
@@ -124,7 +113,7 @@ def tau_edge_sum(g: MetrizedGraph, base: int = 0) -> TauReport:
     check_vertices(g, base)
     ctx = context(g)
     den = ctx.den
-    tau, terms = _tau_sum(ctx.rows, _potentials(ctx.num, base), den)
+    tau, terms = _tau_sum(ctx.rows, ctx.potentials(base), den)
     scale = 12 * den ** 2
     per_edge = tuple((i, Fraction(n, scale * m), ctx.res_deleted(i)) for i, (n, m) in enumerate(terms))
     _cached(ctx.memo, "tau", lambda: tau)
@@ -134,7 +123,7 @@ def tau_edge_sum(g: MetrizedGraph, base: int = 0) -> TauReport:
 def tau_of(g: MetrizedGraph) -> Fraction:
     """Memoized tau value."""
     ctx = context(g)
-    return _cached(ctx.memo, "tau", lambda: _tau_sum(ctx.rows, _potentials(ctx.num), ctx.den)[0])
+    return _cached(ctx.memo, "tau", lambda: _tau_sum(ctx.rows, ctx.potentials(), ctx.den)[0])
 
 
 def canonical_measure(g: MetrizedGraph) -> CanonicalMeasure:
@@ -180,9 +169,8 @@ def apq(g: MetrizedGraph, p: int, q: int) -> Fraction:
     if p == q:
         return Fraction(0)
     ctx = context(g)
-    num = ctx.num
     return _cached(ctx.memo, ("A", min(p, q), max(p, q)),
-                   lambda: _apq_sum(num[p], num[q], _potentials(num), ctx.den, ctx.rows, p, q))
+                   lambda: _apq_sum(ctx.row(p), ctx.row(q), ctx.potentials(), ctx.den, ctx.rows, p, q))
 
 
 def _apq_sum(rp: list[int], rq: list[int], diag: list[int], den: int, rows,
@@ -205,7 +193,7 @@ def apq_identity(g: MetrizedGraph, p: int, q: int) -> Fraction:
     A = r(p,q) (tau(glued) - tau) + r(p,q)^2 / 6, where "glued" identifies p
     with q. The paper's identification route, kept as a check of ``apq``: the
     glued graph's Green integers are a rank-one update of g's own
-    (``circuit.GreenUpdate``), so no glued graph is built or factorized.
+    (``GraphContext.glued``), so no glued graph is built or factorized.
     Zero when p = q, as ``apq`` is.
     """
     check_vertices(g, p, q)
@@ -213,7 +201,7 @@ def apq_identity(g: MetrizedGraph, p: int, q: int) -> Fraction:
         return Fraction(0)
     ctx = context(g)
     r = ctx.r(p, q)
-    glued = GreenUpdate(ctx.num, ctx.den, p, q, 0, 1)  # the zero-length limit of an edge p-q
+    glued = ctx.glued(p, q)
     glued_tau = _tau_sum(glued.rows(ctx.rows), glued.diag(), glued.den)[0]
     return r * (glued_tau - tau_of(g)) + r * r / 6
 
@@ -255,8 +243,9 @@ def tau_gradient(g: MetrizedGraph) -> GradientVector:
     Bridges come out as 1/4 and loops as 1/12.
     """
     ctx = context(g)
-    num, den, rows = ctx.num, ctx.den, ctx.rows
-    dns = _base_dns(_potentials(num), rows)  # D_e = dn/d at base 0
+    den, rows, pot = ctx.den, ctx.rows, ctx.potentials()
+    dns = [pot[b] - pot[a] for a, b, *_ in rows]  # D_e = dn/d at base 0
+    green = [ctx.row(y) for y in range(g.vcount)]  # N's rows, read once for every edge's c
     big_l = lcm(*(row[2] for row in rows))
     w = 3 * den * big_l
     diag = [0] * g.vcount
@@ -273,7 +262,7 @@ def tau_gradient(g: MetrizedGraph) -> GradientVector:
     ys, zs, qs = zip(*off) if off else ((), (), ())
     entries = []
     for (a, b, ln, ld, rn, _), dn in zip(rows, dns):
-        c = list(map(sub, num[a], num[b]))
+        c = list(map(sub, green[a], green[b]))
         # sum_y Q[y][y] c[y]^2 + sum_pairs Q[y][z] c[y] c[z], as C-level loops
         cross = (sum(map(mul, diag, map(mul, c, c)))
                  + sum(map(mul, qs, map(mul, map(c.__getitem__, ys), map(c.__getitem__, zs)))))

@@ -21,6 +21,7 @@ import io
 import json
 import os
 import random
+import sys
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -185,6 +186,26 @@ def test_criterion_4_identity_suite():
     skips = sum(1 for r in results if r["status"] == "skip")
     _announce("criterion 4 identity suite", started,
               f"{len(results)} checks, {skips} hypothesis skips")
+
+
+def test_memos_change_no_answer(monkeypatch):
+    # a memo key that does not determine its value would change a line of verify's output:
+    # the seed-1 corpus is run memoized, then with ``_cached`` computing anew in every
+    # module that binds it
+    def verify():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["verify", "--random", "--seed", str(CORPUS_SEED), "--count", "48", "--json"]) == 0
+        return out.getvalue()
+
+    memoized = verify()
+    binders = [module for name, module in sorted(sys.modules.items())
+               if name.startswith("mgt.") and "_cached" in vars(module)]
+    assert {module.__name__ for module in binders} >= {"mgt.graph", "mgt.circuit", "mgt.tau", "mgt.ops",
+                                                        "mgt.reduction", "mgt.suite"}
+    for module in binders:
+        monkeypatch.setattr(module, "_cached", lambda store, key, compute, *args: compute(*args))
+    assert verify() == memoized
 
 
 # -- criterion 5: operation-formula closure ----------------------------------

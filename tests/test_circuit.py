@@ -180,9 +180,9 @@ def test_context_concurrent_first_touch(monkeypatch):
         start.wait()
         hx = context(h)
         cx = context(g)
-        results.append(((cx.num, cx.den), cx.edge_profiles(0), tau_of(g), normalize(g),
+        results.append(((cx.row(1), cx.den), cx.edge_profiles(0), tau_of(g), normalize(g),
                         total_length(g), bridges(g), apq(g, 1, 3), op.predicted_tau,
-                        cx, hx, hx.num))
+                        cx, hx, hx.row(1)))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

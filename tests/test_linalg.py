@@ -122,11 +122,11 @@ def test_green_int_factorizes_once_per_context(monkeypatch):
         g = families.random_connected(rng, 7, 12)
         before = len(dets)
         ctx = GraphContext.of(g)
-        first = ctx.num
+        first = [ctx.row(y) for y in range(g.vcount)]
         ctx.r(0, g.vcount - 1)
         ctx.voltage(0, 1, g.vcount - 1)
         ctx.edge_profiles(0)
-        assert ctx.num is first
+        assert all(ctx.row(y) is row for y, row in enumerate(first))
         assert len(dets) == before + 1
 
 

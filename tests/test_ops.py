@@ -12,6 +12,7 @@ from itertools import product
 import pytest
 
 from mgt import families
+from mgt.circuit import context
 from mgt.errors import (BadM, BadN, BadVertexId, BridgeDeletion, EmptyGraph, MgtError, NonPositiveLength,
                         SamePoint, TooLarge)
 from mgt.graph import (MAX_EDGES, MAX_VERTICES, Edge, MetrizedGraph, bridges, build_graph,
@@ -233,9 +234,11 @@ def test_da_n_compose_with_subdivision():
      f"an immersion exceeds the limit of {MAX_VERTICES} vertices and {MAX_EDGES} edges"),
     (immerse, (_K4, [(families.path(*[1] * 99), 0, 99)] * 5 + [(_SEGMENT, 0, 3)]), BadVertexId,
      "vertex 3 out of range 0..1"),  # the marks before the size
+    # a vertex glued to itself is a singular update, with d' = 0
+    (context(_K4).glued, (1, 1), MgtError, "an edge of length 0/1 between 1 and 1 leaves no Green matrix"),
 ], ids=["delete-bridge", "identify-same-point", "add-edge-zero-length", "immerse-count", "immerse-empty",
         "immerse-same-point", "immerse-out-of-range", "immerse-float-mark", "immerse-over-limit",
-        "immerse-mark-before-size"])
+        "immerse-mark-before-size", "glued-same-vertex"])
 def test_op_refusals(op, args, error, message):
     with pytest.raises(error) as info:
         op(*args)

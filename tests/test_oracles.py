@@ -59,11 +59,10 @@ def _green(g):
     return den > 0, [[F(x, den) for x in row] for row in num]
 
 
-def _update(g, a, b, m, n, skip=None):
-    """Every r read off one GreenUpdate of g's integers (an edge of length m/n added between
-    a and b), from res_num and from the diagonal and rows, and every edge row but ``skip``'s."""
+def _update(g, update, skip=None):
+    """Every r read off one GreenUpdate of g's integers (an edge added, deleted or glued), from
+    res_num and from the diagonal and rows, and every edge row but ``skip``'s."""
     cx, v = context(g), range(g.vcount)
-    update = GreenUpdate(cx.num, cx.den, a, b, m, n)
     d, diag, rows = update.den, update.diag(), [update.row(y) for y in v]
     kept = [row for j, row in enumerate(cx.rows) if j != skip]
     return (d > 0, [[F(update.res_num(y, z), d) for z in v] for y in v],
@@ -124,7 +123,7 @@ def _chain(g, lengths):
 
 _fresh_steps = lru_cache(maxsize=1)(successive_length_steps)
 _changed = lambda g, lengths: build_graph(g.vcount, [(a, b, new) for (a, b, _), new in zip(g.edges, lengths)])
-_over_den = lambda state: ([[F(x, state.den) for x in row] for row in state.num], state.rows)
+_over_den = lambda state: ([[F(x, state.den) for x in state.row(y)] for y in range(state.vcount)], state.rows)
 
 # -- edge polynomials and their integrals ------------------------------------------------
 
@@ -230,15 +229,14 @@ _ROWS = [
         lambda g, i: _matrix(g, context(deleted_graph(g, i)[0]).r),
         {"graphs": 30, "instances": 306, "cycle": 51, "loop": 4, "bridge": 4}),
     Row("green-update-added", lambda: corpus_graphs(160), _added,
-        lambda g, a, b, length: _update(g, a, b, *length.as_integer_ratio()),
+        lambda g, a, b, length: _update(g, GreenUpdate(context(g), a, b, *length.as_integer_ratio())),
         lambda g, a, b, length: _built(g, build_graph(g.vcount, [*g.edges, (a, b, length)])), {"graphs": 150}),
     Row("green-update-deleted", lambda: corpus_graphs(160), _deleted,
-        lambda g, i: _update(g, g.edges[i].a, g.edges[i].b, -g.edges[i].length.numerator,
-                             g.edges[i].length.denominator, i),
+        lambda g, i: _update(g, context(g).deleted(i), i),
         lambda g, i: _built(g, deleted_graph(g, i)[0], skip=i), {"graphs": 140}),
     Row("green-update-glued", lambda: corpus_graphs(160),
         lambda g: [("glued", *_draws(g, "glued").sample(range(g.vcount), 2))] if g.vcount > 1 else [],
-        lambda g, a, b: _update(g, a, b, 0, 1), _glued, {"graphs": 150}),
+        lambda g, a, b: _update(g, context(g).glued(a, b)), _glued, {"graphs": 150}),
     Row("length-chain-steps", corpus_graphs, _length_steps,
         lambda g, lengths, i: _chain(g, lengths)[0][i], lambda g, lengths, i: _fresh_steps(g, lengths)[i],
         {"graphs": 101, "instances": 1379, "shrink": 101}),

@@ -232,6 +232,19 @@ def test_each_mutant_names_collected_tests(request):
     assert [test for test in named if not mutants._named_in(test, collected)] == []
 
 
+def test_only_circuit_reads_the_green_numerators():
+    # mgt.circuit alone knows how N is stored: every other module, test, tool and benchmark file
+    # reads it through GraphContext's readers, and linalg, which produces N, reads no context
+    root, package = Path(__file__).resolve().parent.parent, Path(mgt.__file__).parent
+    paths = [path for folder in (package, root / "tests", root / "tools", root / "taubench")
+             for path in sorted(folder.glob("*.py")) if path != package / "circuit.py"]
+    reads = [f"{path.name}:{node.lineno}" for path in paths
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr in ("num", "_num")]
+    assert not reads
+    assert not hasattr(tau, "_potentials") and not hasattr(tau, "_base_dns")  # no second reader of N
+
+
 def test_readme_names_every_export_in_its_module_row():
     # README's library table is where a reader finds each public name of mgt
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -243,9 +256,11 @@ def test_readme_names_every_export_in_its_module_row():
 _K4 = families.complete(4)  # vertices 0..3, edges 0..5
 _W = object()  # where the value under test goes in a call's arguments
 _AT = F(1, 12)  # an offset inside every edge of K4
-_K4_MINUS_0 = circuit.context(_K4).deleted(0)  # a GreenUpdate, whose readers take vertex ids
+_CX = circuit.context(_K4)  # K4's context, whose readers take vertex and edge ids
+_CX.edge_profiles(0)  # memoized, so a base 0.0 or Fraction(0) must be refused before the memo
+_K4_MINUS_0 = _CX.deleted(0)  # a GreenUpdate, whose readers take vertex ids too
 
-# (public function or method, the kind of value it takes in _W's place, its arguments on K4): a vertex
+# (public function, method or class, the kind of value it takes in _W's place, its arguments on K4): a vertex
 # or an edge is an id of K4, a count an int >= 1; a point is tried as each kind of id
 _ID_CALLS = [
     (graph.build_graph, "count", (_W, [(0, 0, 1)])),
@@ -265,6 +280,14 @@ _ID_CALLS = [
     (_K4_MINUS_0.res_num, "vertex", (_W, 0)),
     (_K4_MINUS_0.res_num, "vertex", (1, _W)),
     (_K4_MINUS_0.row, "vertex", (_W,)),
+    *((circuit.GreenUpdate, "vertex", args) for args in ((_CX, _W, 1, 0, 1), (_CX, 0, _W, 0, 1))),
+    *((reader, "vertex", args) for reader in (_CX.r, _CX.glued) for args in ((_W, 1), (0, _W))),
+    *((_CX.voltage, "vertex", args) for args in ((_W, 1, 2), (0, _W, 2), (0, 1, _W))),
+    *((reader, "vertex", (_W,)) for reader in (_CX.row, _CX.potentials, _CX.edge_profiles)),
+    *((reader, "edge", (_W,)) for reader in (_CX.res_deleted, _CX.deleted)),
+    (_CX.r_deleted, "edge", (_W, 1, 2)),
+    *((_CX.r_deleted, "vertex", args) for args in ((0, _W, 2), (0, 1, _W))),
+    (circuit.KirchhoffState.of(_K4).with_length, "edge", (_W, F(1))),
     (ops.union_one_point, "vertex", (_K4, _W, _K4, 0)),
     (ops.union_one_point, "vertex", (_K4, 0, _K4, _W)),
     (ops.union_two_points, "vertex", (_K4, _K4, (0, _W), (0, 1))),
@@ -289,10 +312,13 @@ _ID_CALLS = [
                                            (families.necklace_tau, (1, 1, _W)))),
 ]
 # parameters by these names that take no id of a graph: an interpolated polynomial's
-# edge label, and the marks that marked_edge_sums groups the host edges by
-_NOT_IDS = {(integration.interpolate, "edge"), (ops.marked_edge_sums, "betas")}
+# edge label, the marks that marked_edge_sums groups the host edges by, the lengths a
+# and b of two families, and the length m/n of the edge that a GreenUpdate adds
+_NOT_IDS = {(integration.interpolate, "edge"), (ops.marked_edge_sums, "betas"),
+            *((fn, name) for fn in (families.theta, families.necklace, families.necklace_tau) for name in "ab"),
+            *((circuit.GreenUpdate.__init__, name) for name in "mn")}
 _ID_NAMES = {"vertex_count", "edge_list", "edge_id", "edge", "p", "q", "x", "y", "z", "p1", "p2",
-             "pq1", "pq2", "vertices", "points", "pairs", "betas", "base", "m", "n", "t", "v"}
+             "pq1", "pq2", "vertices", "points", "pairs", "betas", "base", "m", "n", "t", "v", "a", "b"}
 
 
 def _put(value, arg):
@@ -302,14 +328,21 @@ def _put(value, arg):
     return type(arg)(_put(value, a) for a in arg) if type(arg) in (list, tuple) else arg
 
 
+def _called(fn):
+    """The function that an _ID_CALLS entry runs: its own, a method's, or a class's constructor."""
+    return fn.__init__ if inspect.isclass(fn) else getattr(fn, "__func__", fn)
+
+
 def test_id_table_names_every_id_parameter():
-    # a public function that gains a vertex, edge, point or count parameter joins the table;
-    # the methods in it are not inventoried
-    named = {(fn, name) for module in (graph, circuit, tau, ops, integration, families)
-             for fn in vars(module).values()
-             if inspect.isfunction(fn) and fn.__module__ == module.__name__ and fn.__name__[0] != "_"
+    # a public function, or a constructor or public method of the classes whose readers take
+    # ids, that gains a vertex, edge, point or count parameter joins the table
+    functions = [fn for module in (graph, circuit, tau, ops, integration, families) for fn in vars(module).values()
+                 if inspect.isfunction(fn) and fn.__module__ == module.__name__ and fn.__name__[0] != "_"]
+    methods = [fn for cls in (circuit.GraphContext, circuit.GreenUpdate, circuit.KirchhoffState)
+               for name, fn in vars(cls).items() if inspect.isfunction(fn) and (name[0] != "_" or name == "__init__")]
+    named = {(fn, name) for fn in functions + methods
              for name in inspect.signature(fn).parameters if name in _ID_NAMES}
-    tried = {(fn, name) for fn, _, args in _ID_CALLS if inspect.isfunction(fn)
+    tried = {(_called(fn), name) for fn, _, args in _ID_CALLS
              for name, value in inspect.signature(fn).bind(*args).arguments.items()
              if _put(None, value) != value}  # the arguments that hold _W
     assert named - _NOT_IDS == tried

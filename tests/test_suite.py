@@ -322,11 +322,11 @@ _FAULTS = {
     "integral-A": lambda m, g: _plus_eps(m, (mgt.suite, "apq_direct")),
     "arms-at-base-1": lambda m, g: _after(m, mgt.suite, "_arm_sums", lambda out, graph, base: (
         tuple(x + _EPS for x in out) if base == 1 else out)),
-    "potential-at-last-base": lambda m, g: _after(m, mgt.suite, "_potentials", lambda pot, num, p=0: (
+    "potential-at-last-base": lambda m, g: _after(m, GraphContext, "potentials", lambda pot, cx, p=0: (
         [pot[0] + 1, *pot[1:]] if p == g.vcount - 1 else pot)),
     "stored-conductance": _stored_conductance,
     "carried-numerator": lambda m, g: _after(m, KirchhoffState, "with_length", lambda state, *args: (
-        KirchhoffState(state.edges, _last_plus_1(state.num), state.den))),
+        KirchhoffState(state.edges, _last_plus_1([state.row(y) for y in range(state.vcount)]), state.den))),
     "update-entry": lambda m, g: _after(m, GreenUpdate, "divided", lambda out, *args: _last_plus_1(out)),
 }
 

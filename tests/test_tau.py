@@ -4,10 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
+import mgt.circuit
 from mgt import families
 from mgt.circuit import EdgeProfile, context
 from mgt.errors import HasBridge
 from mgt.graph import bridges, build_graph, normalize, subdivide_uniform
+from mgt.linalg import green_numden
 from mgt.families import ScanRow
 from mgt.optimize import OptState
 from mgt.rational import INF
@@ -272,21 +274,23 @@ def test_tau_edge_sum_stores_tau():
 @pytest.mark.parametrize("entry", [(1, 1), (2, 2), (1, 2)])
 def test_apq_routes_part_on_a_perturbed_green_matrix(monkeypatch, g, entry):
     # both A routes read one N; a wrong entry must make them disagree, not agree
-    ctx = context(g)
-    num = [list(row) for row in ctx.num]
-    y, z = entry
-    num[y][z] += 1
-    if y != z:
-        num[z][y] += 1
-    monkeypatch.setattr(ctx, "num", num)
-    ctx.memo.clear()
+    def perturbed(n, edges):
+        num, den = green_numden(n, edges)
+        num = [list(row) for row in num]
+        y, z = entry
+        num[y][z] += 1
+        if y != z:
+            num[z][y] += 1
+        return num, den
+
+    context(g)  # so that undoing the patch puts g's honest context back
+    monkeypatch.setattr(mgt.circuit, "green_numden", perturbed)
+    monkeypatch.delitem(g.__dict__, "_context")  # so that g is factorized again, through the patch
     assert apq(g, 1, 2) != apq_identity(g, 1, 2)
     with pytest.raises(_Fail) as failed:
         _apq_checked(g, 1, 2)
     assert failed.value.reason == "identification"
     assert (failed.value.lhs, failed.value.rhs) == (apq(g, 1, 2), apq_identity(g, 1, 2))
-    monkeypatch.undo()
-    ctx.memo.clear()
 
 
 def test_apq_symmetric_in_its_pair():

@@ -176,6 +176,10 @@ MUTANTS = [
      "rows.append([2 * ld * pa, 2 * (ld * dp + gap), -2 * gap])",
      "rows.append([2 * ld * pa, 2 * (ld * dp + gap), 2 * gap])", [f"{ORACLE}[tag-polynomials]"]),
     ("integral-weights", INTEGRATION, "m // (k + 1)", "m // (k + 2)", [f"{ORACLE}[integer-products]"]),
+    ("potentials-sign", CIRCUIT,  # the sign only shows at a base other than 0, whose row of N is zero
+     "- 2 * row_p[y]", "+ 2 * row_p[y]", [ACCEPT4, f"{FAULT}[valence-independence-potential-at-last-base]"]),
+    ("glued-unit-edge", CIRCUIT,  # glues p to q through an edge of length 1 rather than 0
+     "GreenUpdate(self, p, q, 0, 1)", "GreenUpdate(self, p, q, 1, 1)", [f"{FAULT}[corpropAcircle-identification-A]"]),
     ("profile-arms-swapped", CIRCUIT,
      "Fraction(x_a + mid - x_b, over), Fraction(mid + x_b - x_a, over)",
      "Fraction(mid + x_b - x_a, over), Fraction(x_a + mid - x_b, over)", [f"{ORACLE}[deletion-profiles]"]),
